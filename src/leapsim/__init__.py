@@ -8,6 +8,7 @@ toy hierarchical FedAvg learner shows the accuracy effect of the
 resulting partitions.
 """
 
+from .errors import InputFileError, LeapsimError
 from .dist import (
     DimensionMismatchError,
     EmptyDistributionError,
@@ -16,6 +17,7 @@ from .dist import (
     avg_pairwise_js,
     coalition_distribution,
     js_divergence,
+    js_rows,
     kl_divergence,
     mean_distribution,
     pairwise_js_matrix,
@@ -32,6 +34,7 @@ from .game import (
     potential,
     random_partition,
     run_coalition_formation,
+    switch_deltas,
     verify_exact_potential,
 )
 from .netmodel import (
@@ -51,6 +54,7 @@ from .alloc import (
     GPConfig,
     GPTrace,
     InfeasibleError,
+    NonFiniteInputError,
     build_plan,
     deadline_power,
     deadline_powers,

@@ -35,6 +35,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
+from .errors import LeapsimError
 from .netmodel import (
     AllocationPlan,
     ClientProfile,
@@ -48,6 +49,7 @@ from .netmodel import (
 
 __all__ = [
     "InfeasibleError",
+    "NonFiniteInputError",
     "DeadlineError",
     "GPConfig",
     "GPTrace",
@@ -66,8 +68,12 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-class InfeasibleError(ValueError):
+class InfeasibleError(LeapsimError):
     """The feasible set of the requested problem is empty."""
+
+
+class NonFiniteInputError(LeapsimError):
+    """A solver input holds NaN or an infinity."""
 
 
 class DeadlineError(InfeasibleError):
@@ -206,6 +212,8 @@ def project_to_simplex(v: np.ndarray, total: float, floor: float = 0.0) -> np.nd
     with the exact sorting-based finite algorithm, and shifts back.
     """
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteInputError("cannot project a vector with NaN or inf entries")
     m = v.size
     mass = total - m * floor
     if mass <= 0:

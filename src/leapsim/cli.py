@@ -13,6 +13,9 @@ independently runnable and testable:
 The default output directory comes from the LEAPSIM_OUT environment
 variable (falling back to the working directory).  With --strict,
 compare exits nonzero when any requested method misses the deadline.
+Rejected input (a missing or malformed file, files that disagree, or
+any other typed leapsim error) ends with a one-line message on stderr
+and exit code 2.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .experiment import (
     emit_report,
     run_experiment,
 )
-from .game import Partition, run_coalition_formation
+from .errors import LeapsimError, read_json
+from .game import InvalidPartitionError, Partition, run_coalition_formation
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan
 from .scenario import (
@@ -61,13 +65,25 @@ def _dump_json(payload: dict, path: Path) -> None:
 
 
 def _load_partition(path: str, scenario: Scenario) -> Partition:
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != PARTITION_SCHEMA:
-        raise ValueError(f"unexpected partition schema {data.get('schema')!r}")
+    data = read_json(path, PARTITION_SCHEMA)
+    try:
+        assignment = np.asarray(data["assignment"], dtype=np.int64)
+        num_edges = int(data["num_edges"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidPartitionError(f"{path}: malformed partition ({exc})") from exc
+    if num_edges != scenario.num_edges:
+        raise InvalidPartitionError(
+            f"{path}: partition has {num_edges} edges, the scenario {scenario.num_edges}"
+        )
+    if assignment.shape != (scenario.n_clients,):
+        raise InvalidPartitionError(
+            f"{path}: partition assigns {assignment.size} clients, "
+            f"the scenario has {scenario.n_clients}"
+        )
     return Partition(
-        np.asarray(data["assignment"], dtype=np.int64),
+        assignment,
         label_count_matrix(scenario),
-        data["num_edges"],
+        num_edges,
         data.get("denominator", "M"),
     )
 
@@ -193,9 +209,7 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     scenario = load_scenario(args.scenario)
     partition = _load_partition(args.partition, scenario)
-    data = json.loads(Path(args.plan).read_text())
-    if data.get("schema") != PLAN_SCHEMA:
-        raise ValueError(f"unexpected plan schema {data.get('schema')!r}")
+    data = read_json(args.plan, PLAN_SCHEMA)
     data.pop("schema")
     plan = AllocationPlan.from_dict(data)
     out = _out_dir(args)
@@ -398,7 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LeapsimError, OSError) as exc:
+        print(f"leapsim {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

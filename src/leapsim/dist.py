@@ -16,6 +16,11 @@ defined.
 Distributions are normally built from exact integer label counts so that
 incremental coalition updates (client joins/leaves) stay exact and
 reversible; the normalized probability vector is derived on demand.
+
+``js_rows`` is the one implementation of the JS formula: it works on
+stacked probability arrays and broadcasts, so the coalition game prices
+every candidate switch of a client in a single call.  The
+``LabelDistribution`` functions below are thin checked wrappers over it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import LeapsimError
+
 __all__ = [
     "LabelDistribution",
     "DimensionMismatchError",
@@ -32,6 +39,7 @@ __all__ = [
     "EmptyDistributionError",
     "kl_divergence",
     "mean_distribution",
+    "js_rows",
     "js_divergence",
     "coalition_distribution",
     "pairwise_js_matrix",
@@ -41,15 +49,15 @@ __all__ = [
 PROB_SUM_TOL = 1e-12
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(LeapsimError):
     """Two distributions do not share the same class count."""
 
 
-class SupportViolationError(ValueError):
+class SupportViolationError(LeapsimError):
     """KL(p, q) requested where q has zero mass on part of p's support."""
 
 
-class EmptyDistributionError(ValueError):
+class EmptyDistributionError(LeapsimError):
     """A distribution with zero total count was used in a divergence."""
 
 
@@ -102,11 +110,6 @@ class LabelDistribution:
     def n_classes(self) -> int:
         return int(self.probs.shape[0])
 
-    def allclose(self, other: "LabelDistribution", tol: float = 1e-12) -> bool:
-        return self.n_classes == other.n_classes and bool(
-            np.all(np.abs(self.probs - other.probs) <= tol)
-        )
-
 
 def _check_pair(a: LabelDistribution, b: LabelDistribution) -> None:
     if a.n_classes != b.n_classes:
@@ -144,29 +147,45 @@ def mean_distribution(a: LabelDistribution, b: LabelDistribution) -> LabelDistri
     return LabelDistribution(probs=(a.probs + b.probs) / 2.0)
 
 
-def js_divergence(a: LabelDistribution, b: LabelDistribution) -> float:
-    """Jensen-Shannon divergence in [0, 1] (base-2 logs).
+def js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence between matching rows of two arrays.
 
-    Equals (KL(a, m) + KL(b, m)) / 2 against the midpoint m = (a+b)/2,
-    evaluated as a * log2(2a / (a+b)) per term: a + b never rounds
-    below max(a, b), so the midpoint's support provably covers both
-    inputs even where an explicit (a+b)/2 would underflow to zero.
-    Symmetric in its arguments; 0 exactly when a == b element-wise and
-    1 exactly for disjoint point masses.
+    ``p`` and ``q`` hold probability vectors along their last axis and
+    broadcast against each other in the leading axes; the result has the
+    broadcast leading shape.  Each row pair is evaluated as
+
+        JS = (sum_k p_k (1 + log2(p_k / (p_k + q_k)))
+              + sum_k q_k (1 + log2(q_k / (p_k + q_k)))) / 2
+
+    which equals (KL(p, m) + KL(q, m)) / 2 against the midpoint
+    m = (p + q) / 2: p + q never rounds below max(p, q), so the
+    midpoint's support provably covers both inputs even where an
+    explicit (p + q) / 2 would underflow to zero.  Terms with a zero
+    probability contribute nothing (0 * log 0 = 0).  The result is
+    symmetric in its arguments bit for bit, 0 exactly for equal rows
+    and 1 exactly for disjoint point masses.  Inputs are not checked.
     """
-    _check_pair(a, b)
-    _check_usable(a, b)
-    p, q = a.probs, b.probs
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     joint = p + q
-    pm = p > 0.0
-    qm = q > 0.0
-    value = 0.5 * (
-        np.sum(p[pm] * (1.0 + np.log2(p[pm] / joint[pm])))
-        + np.sum(q[qm] * (1.0 + np.log2(q[qm] / joint[qm])))
-    )
+    total = 0.0
+    for x in (p, q):
+        # where x is 0 the ratio stays 1, so the term is 0 * (1 + 0) = 0
+        term = np.divide(x, joint, out=np.ones(joint.shape), where=x > 0.0)
+        np.log2(term, out=term)
+        term += 1.0
+        term *= x
+        total = total + term.sum(axis=-1)
     # rounding in the normalized inputs can push the sum a few ulp past
     # the theoretical [0, 1] range
-    return float(min(1.0, max(0.0, value)))
+    return np.clip(0.5 * total, 0.0, 1.0)
+
+
+def js_divergence(a: LabelDistribution, b: LabelDistribution) -> float:
+    """Jensen-Shannon divergence in [0, 1] (base-2 logs); see ``js_rows``."""
+    _check_pair(a, b)
+    _check_usable(a, b)
+    return float(js_rows(a.probs, b.probs))
 
 
 def coalition_distribution(
@@ -191,14 +210,13 @@ def coalition_distribution(
 
 def pairwise_js_matrix(dists: Sequence[LabelDistribution]) -> np.ndarray:
     """Symmetric matrix of JS divergences with a zero diagonal."""
-    m = len(dists)
-    out = np.zeros((m, m), dtype=float)
-    for i in range(m):
-        for j in range(i + 1, m):
-            value = js_divergence(dists[i], dists[j])
-            out[i, j] = value
-            out[j, i] = value
-    return out
+    if not dists:
+        return np.zeros((0, 0))
+    for d in dists[1:]:
+        _check_pair(dists[0], d)
+    _check_usable(*dists)
+    probs = np.array([d.probs for d in dists], dtype=float)
+    return js_rows(probs[:, None, :], probs[None, :, :])
 
 
 def avg_pairwise_js(
@@ -214,14 +232,9 @@ def avg_pairwise_js(
     m = len(dists)
     if m == 0:
         raise ValueError("no coalition distributions given")
-    total = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            total += js_divergence(dists[i], dists[j])
-    if denominator == "M":
-        return total / m
-    if denominator == "pairs":
-        if m < 2:
-            return 0.0
-        return total / (m * (m - 1) / 2)
-    raise ValueError(f"unknown denominator mode {denominator!r}")
+    if denominator not in ("M", "pairs"):
+        raise ValueError(f"unknown denominator mode {denominator!r}")
+    if denominator == "pairs" and m < 2:
+        return 0.0
+    total = float(np.sum(np.triu(pairwise_js_matrix(dists), k=1)))
+    return total / (m if denominator == "M" else m * (m - 1) / 2)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .alloc import GPConfig, build_plan, deadline_powers, gp_solve, plan_full
+from .errors import read_json
 from .game import GameTrace, Partition, random_partition, run_coalition_formation
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan
@@ -414,10 +415,7 @@ def emit_report(
 
 
 def load_report(path: str | Path) -> ExperimentReport:
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"unexpected report schema {data.get('schema')!r}")
-    return ExperimentReport.from_dict(data)
+    return ExperimentReport.from_dict(read_json(path, REPORT_SCHEMA))
 
 
 def recompute_plan(

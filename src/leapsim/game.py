@@ -14,9 +14,12 @@ accepted switch therefore strictly decreases the potential, which
 guarantees termination in a Nash-stable partition (no single client can
 improve by deviating alone).
 
-Partitions keep exact integer label counts per coalition plus cached
-coalition distributions and a cached pairwise JS matrix, so evaluating a
-candidate switch only touches the two affected rows/columns.
+Partitions keep exact integer label counts per coalition plus dense
+caches of the coalition probability rows and the pairwise JS matrix.
+Pricing a client's switches only recomputes the pairs that touch the
+source and the target coalition, and ``switch_deltas`` does that for
+every target at once with a single call of the broadcasting JS kernel;
+``certify_stability`` runs the same computation over blocks of clients.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dist import (
-    LabelDistribution,
-    avg_pairwise_js,
-    js_divergence,
-    pairwise_js_matrix,
-)
+from .dist import EmptyDistributionError, js_rows
+# the game no longer calls the scalar JS; the name stays bound here
+# because perfbench's tracer wraps leapsim.game.js_divergence
+from .dist import js_divergence  # noqa: F401
+from .errors import LeapsimError
 
 __all__ = [
     "SWITCH_TOLERANCE",
@@ -41,6 +43,7 @@ __all__ = [
     "SwitchProposal",
     "GameTrace",
     "Partition",
+    "switch_deltas",
     "evaluate_switch",
     "best_switch",
     "run_coalition_formation",
@@ -56,12 +59,18 @@ __all__ = [
 # which is what guarantees termination.
 SWITCH_TOLERANCE = 1e-10
 
+# Upper bound on the elements of one JS-kernel grid while certifying:
+# clients are priced in blocks whose (M+1)^2 * K grid stays below it,
+# so each kernel temporary stays under 128 kB and peak memory does not
+# grow with the number of clients.
+CERTIFY_BLOCK_ELEMENTS = 1 << 14
 
-class InvalidPartitionError(ValueError):
+
+class InvalidPartitionError(LeapsimError):
     """Assignment and coalition sets are inconsistent or leave an edge empty."""
 
 
-class InvalidSwitchError(ValueError):
+class InvalidSwitchError(LeapsimError):
     """Requested switch is inadmissible (same coalition, or empties the source)."""
 
 
@@ -71,7 +80,7 @@ class SwitchProposal:
 
     ``delta_js`` is avg JS after the move minus avg JS before, computed
     incrementally over the pairs that touch the source and target
-    coalitions only.
+    coalitions only (see ``switch_deltas``).
     """
 
     client: int
@@ -110,14 +119,23 @@ class GameTrace:
                 writer.writerow([it, client, src, "" if tgt is None else tgt, repr(js)])
 
 
+def _normalized(counts: np.ndarray) -> np.ndarray:
+    """Probability rows of integer label-count rows (last axis)."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    if not totals.all():
+        raise EmptyDistributionError("a coalition holds no labels")
+    return counts / totals
+
+
 class Partition:
     """Disjoint assignment of clients to M edge coalitions.
 
-    State is the per-client coalition index; the coalition member sets,
-    per-coalition integer label counts, coalition distributions and the
-    pairwise JS matrix are maintained incrementally as switches are
-    applied.  ``denominator`` fixes the avg-JS normalization for every
-    operation on this partition.
+    State is the per-client coalition index.  The coalition member sets
+    and three dense caches are maintained incrementally as switches are
+    applied: integer label counts ``counts`` (M, K), probability rows
+    ``probs`` (M, K) and the pairwise JS matrix ``js_matrix`` (M, M).
+    ``denominator`` fixes the avg-JS normalization for every operation
+    on this partition.
     """
 
     def __init__(
@@ -150,8 +168,8 @@ class Partition:
 
         self.counts = np.zeros((num_coalitions, client_label_counts.shape[1]), dtype=np.int64)
         np.add.at(self.counts, self.assignment, self.client_counts)
-        self.dists = [LabelDistribution.from_counts(row) for row in self.counts]
-        self.js_matrix = pairwise_js_matrix(self.dists)
+        self.probs = _normalized(self.counts)
+        self.js_matrix = js_rows(self.probs[:, None, :], self.probs[None, :, :])
 
     # -- properties ------------------------------------------------------
 
@@ -175,7 +193,7 @@ class Partition:
         clone.denominator = self.denominator
         clone.coalitions = [set(s) for s in self.coalitions]
         clone.counts = self.counts.copy()
-        clone.dists = list(self.dists)
+        clone.probs = self.probs.copy()
         clone.js_matrix = self.js_matrix.copy()
         return clone
 
@@ -196,9 +214,8 @@ class Partition:
         fresh = Partition(
             self.assignment, self.client_counts, self.num_coalitions, self.denominator
         )
-        for cached, rebuilt in zip(self.dists, fresh.dists):
-            if not cached.allclose(rebuilt, tol):
-                raise InvalidPartitionError("cached coalition distribution is stale")
+        if np.any(np.abs(self.probs - fresh.probs) > tol):
+            raise InvalidPartitionError("cached coalition distribution is stale")
         if np.any(np.abs(self.js_matrix - fresh.js_matrix) > tol):
             raise InvalidPartitionError("cached JS matrix is stale")
 
@@ -219,20 +236,77 @@ class Partition:
         self.assignment[client] = tgt
         self.counts[src] -= self.client_counts[client]
         self.counts[tgt] += self.client_counts[client]
-        for m in (src, tgt):
-            self.dists[m] = LabelDistribution.from_counts(self.counts[m])
-        for m in (src, tgt):
-            for k in range(self.num_coalitions):
-                value = 0.0 if k == m else js_divergence(self.dists[m], self.dists[k])
-                self.js_matrix[m, k] = value
-                self.js_matrix[k, m] = value
+        touched = [src, tgt]
+        self.probs[touched] = _normalized(self.counts[touched])
+        # JS is symmetric bit for bit, so the two refreshed rows agree on
+        # their shared (src, tgt) entry and the matrix stays symmetric
+        rows = js_rows(self.probs[touched][:, None, :], self.probs[None, :, :])
+        self.js_matrix[touched, :] = rows
+        self.js_matrix[:, touched] = rows.T
 
 
-def evaluate_switch(partition: Partition, client: int, target: int) -> SwitchProposal:
+def _price_moves(partition: Partition, clients: np.ndarray) -> np.ndarray:
+    """Avg-JS change of moving each listed client to each coalition.
+
+    Returns a (len(clients), M) array with +inf at every client's own
+    coalition.  No listed client may be alone in its coalition.
+
+    A move of client c from s to t changes the pairs that touch s or t
+    only: for every other coalition k, JS(s', P_k) - J[s, k] and
+    JS(t', P_k) - J[t, k], plus the pair itself, JS(s', t') - J[s, t],
+    where s' and t' are the two coalitions after the move.  One kernel
+    call evaluates all of them on a grid: rows [s', t'_0 .. t'_{M-1}]
+    against columns [P_0 .. P_{M-1}, s'].
+    """
+    m, k = partition.probs.shape
+    src = partition.assignment[clients]
+    moved = partition.client_counts[clients]
+    rows = np.empty((len(clients), m + 1, k))
+    rows[:, 0] = _normalized(partition.counts[src] - moved)
+    rows[:, 1:] = _normalized(partition.counts[None, :, :] + moved[:, None, :])
+    cols = np.empty_like(rows)
+    cols[:, :m] = partition.probs
+    cols[:, m] = rows[:, 0]
+    grid = js_rows(rows[:, :, None, :], cols[:, None, :, :])
+
+    current = partition.js_matrix
+    src_row = current[src][:, None, :]
+    # [c, t, k]: change of pairs (s, k) and (t, k) when c moves to t
+    changes = (grid[:, :1, :m] - src_row) + (grid[:, 1:, :m] - current[None, :, :])
+    every = np.arange(m)
+    changes[:, every, every] = 0.0  # k == t: no pair (t, t); (s, t) is the pair itself
+    changes[np.arange(len(clients)), :, src] = 0.0  # k == s: no pair (s, s); (t, s) likewise
+    deltas = (grid[:, 1:, m] - current[src]) + changes.sum(axis=2)
+    deltas /= partition.pair_denominator()
+    deltas[np.arange(len(clients)), src] = np.inf
+    return deltas
+
+
+def switch_deltas(partition: Partition, client: int) -> np.ndarray:
+    """Avg-JS change of moving ``client`` to each of the M coalitions.
+
+    Entry t is avg JS after the move to t minus avg JS before; the
+    client's own coalition holds +inf.  All targets are priced with a
+    single kernel call.  Raises InvalidSwitchError when the client is
+    alone in its coalition, since every move would empty it.
+    """
+    src = int(partition.assignment[client])
+    if len(partition.coalitions[src]) == 1:
+        raise InvalidSwitchError("switch would empty the source coalition")
+    return _price_moves(partition, np.array([client]))[0]
+
+
+def evaluate_switch(
+    partition: Partition,
+    client: int,
+    target: int,
+    deltas: np.ndarray | None = None,
+) -> SwitchProposal:
     """Price a single-client move without mutating the partition.
 
-    Only the JS pairs touching the source and target coalitions are
-    recomputed; every other pair is unaffected by the move.
+    The price is entry ``target`` of ``switch_deltas``.  ``deltas``,
+    when given, is that vector for this client and the partition's
+    current state, and saves recomputing it.
     """
     src = int(partition.assignment[client])
     if target == src:
@@ -241,23 +315,10 @@ def evaluate_switch(partition: Partition, client: int, target: int) -> SwitchPro
         raise InvalidSwitchError("target coalition index out of range")
     if len(partition.coalitions[src]) == 1:
         raise InvalidSwitchError("switch would empty the source coalition")
-
-    moved = partition.client_counts[client]
-    new_src = LabelDistribution.from_counts(partition.counts[src] - moved)
-    new_tgt = LabelDistribution.from_counts(partition.counts[target] + moved)
-
-    delta = js_divergence(new_src, new_tgt) - partition.js_matrix[src, target]
-    for k in range(partition.num_coalitions):
-        if k == src or k == target:
-            continue
-        other = partition.dists[k]
-        delta += js_divergence(new_src, other) - partition.js_matrix[src, k]
-        delta += js_divergence(new_tgt, other) - partition.js_matrix[target, k]
+    if deltas is None:
+        deltas = switch_deltas(partition, client)
     return SwitchProposal(
-        client=client,
-        source=src,
-        target=target,
-        delta_js=delta / partition.pair_denominator(),
+        client=client, source=src, target=target, delta_js=float(deltas[target])
     )
 
 
@@ -269,21 +330,15 @@ def best_switch(
     All target coalitions are priced; the proposal with the strictly
     smallest resulting avg JS is returned provided it beats staying by
     more than ``tolerance``.  Equal deltas resolve to the lowest
-    coalition index, which keeps runs reproducible.
+    coalition index (``argmin`` returns the first minimum), which keeps
+    runs reproducible.
     """
     src = int(partition.assignment[client])
-    if len(partition.coalitions[src]) == 1:
+    if partition.num_coalitions < 2 or len(partition.coalitions[src]) == 1:
         return None
-    best: SwitchProposal | None = None
-    for target in range(partition.num_coalitions):
-        if target == src:
-            continue
-        proposal = evaluate_switch(partition, client, target)
-        if best is None or proposal.delta_js < best.delta_js:
-            best = proposal
-    if best is not None and best.delta_js < -tolerance:
-        return best
-    return None
+    deltas = switch_deltas(partition, client)
+    best = evaluate_switch(partition, client, int(np.argmin(deltas)), deltas)
+    return best if best.delta_js < -tolerance else None
 
 
 def run_coalition_formation(
@@ -337,13 +392,13 @@ def run_coalition_formation(
 
 
 def potential(partition: Partition) -> float:
-    """Un-normalized pairwise JS sum over all coalition pairs."""
-    dists = [LabelDistribution.from_counts(row) for row in partition.counts]
-    total = 0.0
-    for i in range(partition.num_coalitions):
-        for j in range(i + 1, partition.num_coalitions):
-            total += js_divergence(dists[i], dists[j])
-    return total
+    """Un-normalized pairwise JS sum over all coalition pairs.
+
+    Recomputed from the integer label counts, independent of the
+    partition's cached probability rows and JS matrix.
+    """
+    probs = _normalized(partition.counts)
+    return float(np.sum(np.triu(js_rows(probs[:, None, :], probs[None, :, :]), k=1)))
 
 
 def coalition_utility(partition: Partition, first: int, second: int) -> float:
@@ -352,15 +407,13 @@ def coalition_utility(partition: Partition, first: int, second: int) -> float:
     This is the switching client's coalition-level utility: the pairs
     among the untouched coalitions drop out of any switch between
     ``first`` and ``second``, so the utility change under that switch
-    equals the potential change exactly.
+    equals the potential change exactly.  It is read from the
+    partition's cached JS matrix.
     """
-    affected = {first, second}
-    total = 0.0
-    for i in range(partition.num_coalitions):
-        for j in range(i + 1, partition.num_coalitions):
-            if i in affected or j in affected:
-                total += js_divergence(partition.dists[i], partition.dists[j])
-    return total
+    affected = np.zeros(partition.num_coalitions, dtype=bool)
+    affected[[first, second]] = True
+    touching = affected[:, None] | affected[None, :]
+    return float(np.sum(np.triu(partition.js_matrix, k=1)[touching]))
 
 
 def verify_exact_potential(
@@ -385,16 +438,18 @@ def verify_exact_potential(
 def certify_stability(
     partition: Partition, tolerance: float = SWITCH_TOLERANCE
 ) -> bool:
-    """Exhaustively confirm that no single-client switch improves avg JS."""
-    for client in range(partition.n_clients):
-        src = int(partition.assignment[client])
-        if len(partition.coalitions[src]) == 1:
-            continue
-        for target in range(partition.num_coalitions):
-            if target == src:
-                continue
-            if evaluate_switch(partition, client, target).delta_js < -tolerance:
-                return False
+    """Exhaustively confirm that no single-client switch improves avg JS.
+
+    Every client that is not alone in its coalition is priced against
+    every target, in blocks of clients sized by CERTIFY_BLOCK_ELEMENTS.
+    """
+    m = partition.num_coalitions
+    sizes = np.bincount(partition.assignment, minlength=m)
+    movable = np.flatnonzero(sizes[partition.assignment] > 1)
+    block = max(1, CERTIFY_BLOCK_ELEMENTS // ((m + 1) ** 2 * partition.counts.shape[1]))
+    for start in range(0, movable.size, block):
+        if np.any(_price_moves(partition, movable[start:start + block]) < -tolerance):
+            return False
     return True
 
 

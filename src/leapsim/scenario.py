@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputFileError, read_json
 from .game import Partition
 from .netmodel import ClientProfile, NetworkConfig
 
@@ -268,10 +269,13 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != SCENARIO_SCHEMA:
-        raise ValueError(f"unexpected scenario schema {data.get('schema')!r}")
-    return Scenario.from_dict(data)
+    data = read_json(path, SCENARIO_SCHEMA)
+    try:
+        return Scenario.from_dict(data)
+    except (KeyError, TypeError) as exc:
+        raise InputFileError(
+            f"{path}: malformed scenario ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def label_count_matrix(scenario: Scenario) -> np.ndarray:

@@ -49,6 +49,26 @@ def partition_avg_js_ref(assignment, counts, num_coalitions, denominator="M"):
     return avg_js_ref(rows, denominator)
 
 
+def stable_ref(assignment, counts, num_coalitions, tolerance=1e-10, denominator="M"):
+    """Brute-force Nash-stability check: every admissible single-client
+    move is priced by recomputing the partition's avg JS from scratch."""
+    assignment = np.asarray(assignment)
+    base = partition_avg_js_ref(assignment, counts, num_coalitions, denominator)
+    sizes = np.bincount(assignment, minlength=num_coalitions)
+    for client, source in enumerate(assignment):
+        if sizes[source] == 1:
+            continue
+        for target in range(num_coalitions):
+            if target == source:
+                continue
+            moved = assignment.copy()
+            moved[client] = target
+            after = partition_avg_js_ref(moved, counts, num_coalitions, denominator)
+            if after - base < -tolerance:
+                return False
+    return True
+
+
 def enumerate_best_avg_js(counts, num_coalitions, denominator="M"):
     """Exhaustive global optimum over assignments with no empty coalition."""
     n = counts.shape[0]

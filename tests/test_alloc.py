@@ -8,6 +8,7 @@ from leapsim.alloc import (
     DeadlineError,
     GPConfig,
     InfeasibleError,
+    NonFiniteInputError,
     build_plan,
     deadline_power,
     gp_solve,
@@ -211,6 +212,12 @@ def test_projection_minimizes_distance_three_dim_grid():
 def test_projection_infeasible_floor():
     with pytest.raises(InfeasibleError):
         project_to_simplex(np.array([1.0, 1.0]), 1.0, floor=0.6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_projection_rejects_non_finite_input(bad):
+    with pytest.raises(NonFiniteInputError):
+        project_to_simplex(np.array([1.0, bad, 0.5]), 1.0, floor=0.0)
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=6))

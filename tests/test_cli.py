@@ -114,3 +114,67 @@ def test_pipeline_byte_determinism(tmp_path, scenario_file):
     assert files_a == files_b
     for name in files_a:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def _error_lines(capsys):
+    err = capsys.readouterr().err
+    return [line for line in err.splitlines() if line]
+
+
+def test_missing_input_file_is_one_line_and_exit_2(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    assert run(["compare", "--scenario", missing, "--out", tmp_path / "o"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "nonexistent.json" in lines[0]
+    assert "Traceback" not in lines[0]
+
+
+def test_malformed_inputs_are_one_line_and_exit_2(tmp_path, scenario_file, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    assert run(["coalition", "--scenario", bad_json, "--out", tmp_path / "o"]) == 2
+    assert len(_error_lines(capsys)) == 1
+
+    wrong_schema = tmp_path / "wrong.json"
+    wrong_schema.write_text(json.dumps({"schema": "leapsim.plan.v1"}))
+    assert run(["coalition", "--scenario", wrong_schema, "--out", tmp_path / "o"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "leapsim.scenario.v1" in lines[0]
+
+    no_config = json.loads(scenario_file.read_text())
+    del no_config["config"]
+    stripped = tmp_path / "noconfig.json"
+    stripped.write_text(json.dumps(no_config))
+    assert run(["coalition", "--scenario", stripped, "--out", tmp_path / "o"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "config" in lines[0]
+
+
+@pytest.mark.parametrize("field, value, words", [
+    ("num_edges", 4, "4 edges"),
+    ("assignment", [0, 1, 2], "3 clients"),
+])
+def test_partition_that_disagrees_with_the_scenario_is_rejected(
+    tmp_path, scenario_file, capsys, field, value, words
+):
+    from leapsim.cli import _load_partition
+    from leapsim.game import InvalidPartitionError
+    from leapsim.scenario import load_scenario
+
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    capsys.readouterr()
+    data = json.loads((stage / "partition.json").read_text())
+    data[field] = value
+    if field == "num_edges":  # a valid 4-edge assignment, on a 3-edge scenario
+        data["assignment"] = [n % 4 for n in range(len(data["assignment"]))]
+    bad = tmp_path / "partition.json"
+    bad.write_text(json.dumps(data))
+
+    with pytest.raises(InvalidPartitionError, match=words):
+        _load_partition(str(bad), load_scenario(scenario_file))
+    assert run(
+        ["allocate", "--scenario", scenario_file, "--partition", bad, "--out", tmp_path / "a"]
+    ) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and words in lines[0]

@@ -10,6 +10,7 @@ from leapsim.dist import (
     avg_pairwise_js,
     coalition_distribution,
     js_divergence,
+    js_rows,
     kl_divergence,
     mean_distribution,
     pairwise_js_matrix,
@@ -264,3 +265,79 @@ def test_pairwise_matrix_symmetric_zero_diagonal():
 def test_avg_js_empty_coalition_rejected():
     with pytest.raises(EmptyDistributionError):
         avg_pairwise_js([from_counts(1, 0), from_counts(0, 0)])
+
+
+# -- batched kernel ----------------------------------------------------------------
+
+@st.composite
+def prob_rows(draw):
+    """Two (n, K) stacks of probability rows, mixing dense, one-hot and
+    identical rows; K = 1 is included."""
+    k = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=5))
+
+    def row():
+        if draw(st.booleans()):
+            out = np.zeros(k)
+            out[draw(st.integers(min_value=0, max_value=k - 1))] = 1.0
+            return out
+        raw = np.asarray(
+            draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=k, max_size=k))
+        )
+        return raw / raw.sum() if raw.sum() > 0 else np.full(k, 1.0 / k)
+
+    p = np.array([row() for _ in range(n)])
+    q = np.array([row() for _ in range(n)])
+    for i in range(n):
+        if draw(st.booleans()):
+            q[i] = p[i]
+    return p, q
+
+
+@given(prob_rows())
+@settings(max_examples=300, deadline=None)
+def test_js_rows_matches_reference(rows):
+    p, q = rows
+    got = js_rows(p, q)
+    assert got.shape == (p.shape[0],)
+    assert np.array_equal(got, js_rows(q, p))  # symmetric bit for bit
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    for i in range(p.shape[0]):
+        if np.array_equal(p[i], q[i]):
+            assert got[i] == 0.0
+        # the naive midpoint oracle underflows on subnormal probabilities
+        positives = np.concatenate([p[i][p[i] > 0], q[i][q[i] > 0]])
+        if positives.min() > 1e-300:
+            assert got[i] == pytest.approx(js_ref(p[i], q[i]), abs=1e-12)
+        # the scalar wrapper is the kernel on one row pair
+        assert js_divergence(
+            LabelDistribution(probs=p[i]), LabelDistribution(probs=q[i])
+        ) == got[i]
+
+
+@given(prob_rows())
+@settings(max_examples=100, deadline=None)
+def test_js_rows_broadcast_grid_equals_row_pairs(rows):
+    p, q = rows
+    grid = js_rows(p[:, None, :], q[None, :, :])
+    assert grid.shape == (p.shape[0], q.shape[0])
+    for i in range(p.shape[0]):
+        assert np.array_equal(grid[i], js_rows(np.broadcast_to(p[i], q.shape), q))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_js_rows_one_hot_disjoint_and_identical(k):
+    eye = np.eye(k)
+    assert np.array_equal(js_rows(eye, eye), np.zeros(k))
+    grid = js_rows(eye[:, None, :], eye[None, :, :])
+    assert np.array_equal(grid, 1.0 - eye)  # distinct point masses are disjoint
+
+
+def test_pairwise_matrix_is_the_kernel_grid():
+    rng = np.random.default_rng(7)
+    dists = [LabelDistribution(probs=rng.dirichlet(np.ones(5) * 0.3)) for _ in range(6)]
+    mat = pairwise_js_matrix(dists)
+    for i in range(6):
+        for j in range(6):
+            assert mat[i, j] == js_divergence(dists[i], dists[j])
+            assert mat[i, j] == pytest.approx(js_ref(dists[i].probs, dists[j].probs), abs=1e-12)

@@ -11,10 +11,11 @@ from leapsim.game import (
     potential,
     random_partition,
     run_coalition_formation,
+    switch_deltas,
     verify_exact_potential,
 )
 
-from oracles import partition_avg_js_ref, random_counts
+from oracles import partition_avg_js_ref, random_counts, stable_ref
 
 ONE_HOT_4 = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)
 
@@ -125,6 +126,42 @@ def test_incremental_delta_matches_full_recompute():
         after_assignment[client] = target
         after = partition_avg_js_ref(after_assignment, counts, m)
         assert prop.delta_js == pytest.approx(after - before, abs=1e-12)
+
+
+def _random_partition_case(rng, max_coalitions=6, max_classes=6):
+    m = int(rng.integers(2, max_coalitions + 1))
+    n = int(rng.integers(m + 1, 3 * m + 2))
+    k = int(rng.integers(1, max_classes + 1))
+    scheme = "shard" if rng.random() < 0.5 else "dirichlet"
+    counts = random_counts(rng, n, k, scheme=scheme) if k > 1 else np.full((n, 1), 5)
+    return random_partition(counts, m, rng, "M" if rng.random() < 0.5 else "pairs"), counts
+
+
+def test_switch_deltas_match_full_recompute_for_every_target():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(60):
+        part, counts = _random_partition_case(rng)
+        m = part.num_coalitions
+        before = partition_avg_js_ref(part.assignment, counts, m, part.denominator)
+        for client in range(part.n_clients):
+            src = int(part.assignment[client])
+            if len(part.coalitions[src]) == 1:
+                with pytest.raises(InvalidSwitchError):
+                    switch_deltas(part, client)
+                continue
+            deltas = switch_deltas(part, client)
+            assert deltas.shape == (m,) and deltas[src] == np.inf
+            for target in range(m):
+                if target == src:
+                    continue
+                moved = part.assignment.copy()
+                moved[client] = target
+                after = partition_avg_js_ref(moved, counts, m, part.denominator)
+                assert deltas[target] == pytest.approx(after - before, abs=1e-12)
+                assert evaluate_switch(part, client, target).delta_js == deltas[target]
+                checked += 1
+    assert checked > 500
 
 
 # -- best_switch ----------------------------------------------------------------
@@ -296,6 +333,49 @@ def test_certify_identical_singletons_stable():
     counts = np.array([[2, 2], [2, 2], [2, 2]])
     part = make_partition([0, 1, 2], counts, 3)
     assert certify_stability(part)
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 40, 300])
+def test_certify_matches_brute_force_oracle(monkeypatch, block_elements):
+    # default blocks, and blocks of one or a few clients
+    import leapsim.game
+
+    if block_elements is not None:
+        monkeypatch.setattr(leapsim.game, "CERTIFY_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(22)
+    verdicts, with_singletons = set(), 0
+    for case in range(40):
+        part, counts = _random_partition_case(rng, max_coalitions=5, max_classes=5)
+        if case % 2:  # a converged partition, so both verdicts occur
+            part, _ = run_coalition_formation(part, max_iters=2000, rng_seed=case)
+        m = part.num_coalitions
+        with_singletons += bool(np.any(np.bincount(part.assignment, minlength=m) == 1))
+        expected = stable_ref(part.assignment, counts, m, denominator=part.denominator)
+        assert certify_stability(part) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    assert with_singletons > 0
+
+
+def test_certify_spans_several_default_blocks():
+    import leapsim.game
+
+    # 600 one-hot clients over 10 labels, dealt in whole label groups:
+    # every coalition holds the same uniform mix, the global optimum
+    n, m, k = 600, 4, 10
+    counts = np.zeros((n, k), dtype=np.int64)
+    counts[np.arange(n), np.arange(n) % k] = 5
+    assignment = (np.arange(n) // k) % m
+    part = make_partition(assignment, counts, m)
+    block = leapsim.game.CERTIFY_BLOCK_ELEMENTS // ((m + 1) ** 2 * k)
+    assert n > 3 * block
+    assert certify_stability(part) and stable_ref(assignment, counts, m)
+
+    # moving the last client off balance makes moving it back improving
+    last = n - 1
+    part.apply(evaluate_switch(part, last, (int(assignment[last]) + 1) % m))
+    assert not certify_stability(part)
+    assert not stable_ref(part.assignment, counts, m)
 
 
 # -- trace serialization ------------------------------------------------------------
