@@ -8,7 +8,7 @@ toy hierarchical FedAvg learner shows the accuracy effect of the
 resulting partitions.
 """
 
-from .errors import InputFileError, LeapsimError
+from .errors import InputFileError, InvalidPartitionError, InvalidValueError, LeapsimError
 from .dist import (
     DimensionMismatchError,
     EmptyDistributionError,
@@ -24,7 +24,6 @@ from .dist import (
 )
 from .game import (
     GameTrace,
-    InvalidPartitionError,
     InvalidSwitchError,
     Partition,
     SwitchProposal,
@@ -40,8 +39,11 @@ from .game import (
 from .netmodel import (
     AllocationPlan,
     ClientProfile,
+    ClientTable,
     NetworkConfig,
     check_deadline,
+    client_table,
+    coalition_assignment,
     comp_latency,
     energies,
     network_utility,
@@ -64,12 +66,11 @@ from .alloc import (
     p3_objective,
     plan_full,
     project_to_simplex,
-    worst_client,
+    worst_members,
 )
 from .hfl import (
     SyntheticDataset,
     edge_aggregate,
-    global_aggregate,
     local_train,
     run_hfl,
 )

@@ -23,27 +23,32 @@ increasing in transmit power, so the optimum is the smallest power that
 meets the per-iteration deadline budget, clipped at p_max.  A client
 whose deadline power exceeds p_max is flagged infeasible rather than
 silently clamped.
+
+Both stages are array expressions over the assignment vector and the
+client table (see ``netmodel``); the worst member of every coalition
+comes from two scatter minima, one over p_max * gain and one over the
+ids that attain it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import LeapsimError
+from .errors import InvalidValueError, LeapsimError
 from .netmodel import (
     AllocationPlan,
     ClientProfile,
+    ClientTable,
     NetworkConfig,
     check_deadline,
     comp_latency,
     energies,
     network_utility,
+    partition_arrays,
     round_and_total_latency,
 )
 
@@ -53,7 +58,7 @@ __all__ = [
     "DeadlineError",
     "GPConfig",
     "GPTrace",
-    "worst_client",
+    "worst_members",
     "p3_objective",
     "p3_gradient",
     "project_to_simplex",
@@ -66,6 +71,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+Clients = ClientTable | Sequence[ClientProfile]
 
 
 class InfeasibleError(LeapsimError):
@@ -98,11 +105,11 @@ class GPConfig:
 
     def __post_init__(self):
         if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be strictly positive")
+            raise InvalidValueError("step_size must be strictly positive")
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be strictly positive")
+            raise InvalidValueError("tolerance must be strictly positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise InvalidValueError("max_iters must be at least 1")
 
     def floor_for(self, config: NetworkConfig) -> float:
         floor = (
@@ -122,86 +129,61 @@ class GPTrace:
     converged: bool = False
     projected_gradient_norm: float = float("nan")
 
-    def to_csv(self, path: str | Path, schema: str = "leapsim.gp-trace.v1") -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# schema={schema}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective"])
-            for i, value in enumerate(self.objective_values):
-                writer.writerow([i, repr(value)])
+
+def _checked_bandwidth(bandwidth, sizes: np.ndarray) -> np.ndarray:
+    b = np.asarray(bandwidth, dtype=float)
+    if b.shape != sizes.shape:
+        raise InvalidValueError(f"expected {sizes.size} coalition bandwidths, got {b.size}")
+    if np.any(b <= 0):
+        raise InvalidValueError("every coalition bandwidth must be strictly positive")
+    return b
 
 
-def _sets(partition) -> list[set[int]]:
-    sets = getattr(partition, "coalitions", partition)
-    return [set(s) for s in sets]
-
-
-def worst_client(
-    members: Collection[int],
-    clients: Sequence[ClientProfile],
-    edge: int,
-) -> int:
-    """Member with the weakest transmission, argmin of p_max * gain.
+def worst_members(partition, clients: Clients) -> np.ndarray:
+    """Each coalition's weakest transmitter, the member minimizing p_max * gain.
 
     At a common bandwidth share the upload time is decreasing in
     p_max * gain, so this member is the coalition's straggler bound.
     Ties resolve to the lowest client id.
     """
-    if not members:
-        raise ValueError("coalition has no members")
-    return min(members, key=lambda n: (clients[n].p_max * clients[n].gain(edge), n))
+    assignment, sizes, table = partition_arrays(partition, clients)
+    strength = table.p_max * table.gain(assignment)
+    weakest = np.full(sizes.size, np.inf)
+    np.minimum.at(weakest, assignment, strength)
+    tied = np.flatnonzero(strength == weakest[assignment])
+    worst = np.full(sizes.size, len(table))
+    np.minimum.at(worst, assignment[tied], tied)
+    return worst
 
 
-def _worst_params(
-    coalitions: list[set[int]], clients: Sequence[ClientProfile]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(size, p_max, gain) of each coalition's worst member."""
-    sizes = np.array([len(members) for members in coalitions], dtype=float)
-    p = np.empty(len(coalitions))
-    h = np.empty(len(coalitions))
-    for m, members in enumerate(coalitions):
-        n = worst_client(members, clients, m)
-        p[m] = clients[n].p_max
-        h[m] = clients[n].gain(m)
-    return sizes, p, h
+def _surrogate_parts(bandwidth, partition, clients: Clients, config: NetworkConfig):
+    """(sizes, x, g, K) of the surrogate terms K / g at the given bandwidth."""
+    assignment, sizes, table = partition_arrays(partition, clients)
+    b = _checked_bandwidth(bandwidth, sizes)
+    worst = worst_members(assignment, table)
+    p = table.p_max[worst]
+    h = table.channel_gains[worst, np.arange(sizes.size)]
+    share = b / sizes
+    x = p * h / (share * config.noise_power)
+    g = share * np.log1p(x) / _LN2
+    k = config.lambda2 * sizes * config.tau_g * config.tau_e * p * config.model_size
+    return sizes, x, g, k
 
 
 def p3_objective(
-    bandwidth: np.ndarray,
-    partition,
-    clients: Sequence[ClientProfile],
-    config: NetworkConfig,
+    bandwidth: np.ndarray, partition, clients: Clients, config: NetworkConfig
 ) -> float:
     """Worst-case transmission-energy surrogate at full power."""
-    coalitions = _sets(partition)
-    b = np.asarray(bandwidth, dtype=float)
-    if np.any(b <= 0):
-        raise ValueError("every coalition bandwidth must be strictly positive")
-    sizes, p, h = _worst_params(coalitions, clients)
-    share = b / sizes
-    x = p * h / (share * config.noise_power)
-    g = share * np.log1p(x) / _LN2
-    terms = config.lambda2 * sizes * config.tau_g * config.tau_e * p * config.model_size / g
-    return float(terms.sum())
+    _, _, g, k = _surrogate_parts(bandwidth, partition, clients, config)
+    return float((k / g).sum())
 
 
 def p3_gradient(
-    bandwidth: np.ndarray,
-    partition,
-    clients: Sequence[ClientProfile],
-    config: NetworkConfig,
+    bandwidth: np.ndarray, partition, clients: Clients, config: NetworkConfig
 ) -> np.ndarray:
     """Analytic gradient of the surrogate; every component is negative."""
-    coalitions = _sets(partition)
-    b = np.asarray(bandwidth, dtype=float)
-    if np.any(b <= 0):
-        raise ValueError("every coalition bandwidth must be strictly positive")
-    sizes, p, h = _worst_params(coalitions, clients)
-    share = b / sizes
-    x = p * h / (share * config.noise_power)
-    g = share * np.log1p(x) / _LN2
+    sizes, x, g, k = _surrogate_parts(bandwidth, partition, clients, config)
     g_prime = (np.log1p(x) - x / (1.0 + x)) / _LN2
-    k = config.lambda2 * sizes * config.tau_g * config.tau_e * p * config.model_size
     return -k * g_prime / (g**2 * sizes)
 
 
@@ -237,7 +219,7 @@ def _pg_norm(b, grad, total, floor, step) -> float:
 
 def gp_solve(
     partition,
-    clients: Sequence[ClientProfile],
+    clients: Clients,
     config: NetworkConfig,
     gp: GPConfig | None = None,
     b_init: np.ndarray | None = None,
@@ -253,8 +235,8 @@ def gp_solve(
     global optimality.
     """
     gp = gp or GPConfig()
-    coalitions = _sets(partition)
-    m = len(coalitions)
+    assignment, sizes, table = partition_arrays(partition, clients)
+    m = sizes.size
     total = config.total_bandwidth
     floor = gp.floor_for(config)
     if not 0 < floor * m < total:
@@ -265,16 +247,16 @@ def gp_solve(
     else:
         b = np.asarray(b_init, dtype=float).copy()
         if b.shape != (m,):
-            raise ValueError("b_init has the wrong length")
+            raise InvalidValueError("b_init has the wrong length")
         if abs(b.sum() - total) > 1e-9 * total or np.any(b < floor - 1e-12 * total):
             raise InfeasibleError("b_init violates the bandwidth constraints")
 
-    value = p3_objective(b, coalitions, clients, config)
+    value = p3_objective(b, assignment, table, config)
     if not math.isfinite(value):
         raise InfeasibleError("objective is not finite at the starting point")
     trace = GPTrace(objective_values=[value])
 
-    grad = p3_gradient(b, coalitions, clients, config)
+    grad = p3_gradient(b, assignment, table, config)
     base_step = gp.step_size
     if base_step is None:
         # first step may move a coordinate by a quarter of the mean share
@@ -286,12 +268,12 @@ def gp_solve(
     for _ in range(gp.max_iters):
         iterations += 1
         candidate = project_to_simplex(b - step * grad, total, floor)
-        candidate_value = p3_objective(candidate, coalitions, clients, config)
+        candidate_value = p3_objective(candidate, assignment, table, config)
         halvings = 0
         while candidate_value > value and halvings < 80:
             step *= 0.5
             candidate = project_to_simplex(b - step * grad, total, floor)
-            candidate_value = p3_objective(candidate, coalitions, clients, config)
+            candidate_value = p3_objective(candidate, assignment, table, config)
             halvings += 1
         if not math.isfinite(candidate_value):
             raise InfeasibleError("objective became non-finite during the solve")
@@ -301,7 +283,7 @@ def gp_solve(
         drop = value - candidate_value
         b, value = candidate, candidate_value
         trace.objective_values.append(value)
-        grad = p3_gradient(b, coalitions, clients, config)
+        grad = p3_gradient(b, assignment, table, config)
         if halvings == 0:
             step = min(step * 2.0, 1e9 * base_step)
         if drop < gp.tolerance * max(abs(value), 1e-300):
@@ -314,6 +296,21 @@ def gp_solve(
     return b, trace
 
 
+def _needed_power(t_comp, gain, share, config: NetworkConfig):
+    """Smallest power meeting the deadline budget, elementwise.
+
+    Inverts the rate formula at t_tx = budget; NaN where computation
+    alone exhausts the budget.  The value can exceed p_max, in which
+    case no feasible power exists for this share.
+    """
+    budget = config.iteration_budget - t_comp
+    budget = np.where(budget > 0, budget, np.nan)
+    exponent = config.model_size / (share * budget)
+    with np.errstate(over="ignore"):
+        growth = np.expm1(exponent * _LN2)  # 2**exponent - 1
+    return share * config.noise_power * growth / gain
+
+
 def deadline_power(
     client: ClientProfile,
     bandwidth_share: float,
@@ -322,21 +319,18 @@ def deadline_power(
 ) -> float:
     """Smallest transmit power that exactly meets the deadline budget.
 
-    Inverts the rate formula at t_tx = budget; the value can exceed
-    p_max, in which case no feasible power exists for this share.
-    Raises DeadlineError when computation alone exceeds the budget.
+    The value can exceed p_max, in which case no feasible power exists
+    for this share.  Raises DeadlineError when computation alone
+    exceeds the budget.
     """
     if bandwidth_share <= 0:
-        raise ValueError("bandwidth share must be strictly positive")
-    budget = config.iteration_budget - comp_latency(client, config)
-    if budget <= 0:
+        raise InvalidValueError("bandwidth share must be strictly positive")
+    power = _needed_power(comp_latency(client, config), client.gain(edge), bandwidth_share, config)
+    if np.isnan(power):
         raise DeadlineError(
             "computation latency exceeds the per-iteration deadline budget"
         )
-    exponent = config.model_size / (bandwidth_share * budget)
-    with np.errstate(over="ignore"):
-        growth = float(np.expm1(exponent * _LN2))  # 2**exponent - 1
-    return bandwidth_share * config.noise_power * growth / client.gain(edge)
+    return float(power)
 
 
 def optimal_power(
@@ -356,34 +350,28 @@ def optimal_power(
 
 def deadline_powers(
     partition,
-    clients: Sequence[ClientProfile],
+    clients: Clients,
     config: NetworkConfig,
     bandwidth: np.ndarray,
 ) -> tuple[np.ndarray, list[str]]:
     """Energy-optimal power for every client at its equal coalition share.
 
     Clients whose computation alone exceeds the deadline budget fall
-    back to p_max and are listed in the returned notes; the deadline
-    check on the assembled plan flags them.
+    back to p_max and are listed in the returned notes, by coalition
+    and then by id; the deadline check on the assembled plan flags them.
     """
-    coalitions = _sets(partition)
-    bandwidth = np.asarray(bandwidth, dtype=float)
-    power = np.empty(len(clients), dtype=float)
-    notes: list[str] = []
-    for m, members in enumerate(coalitions):
-        share = bandwidth[m] / len(members)
-        for n in members:
-            try:
-                power[n] = optimal_power(clients[n], share, m, config)
-            except DeadlineError:
-                power[n] = clients[n].p_max
-                notes.append(f"client {n}: computation alone exceeds the deadline budget")
-    return power, notes
+    assignment, sizes, table = partition_arrays(partition, clients)
+    share = _checked_bandwidth(bandwidth, sizes)[assignment] / sizes[assignment]
+    needed = _needed_power(comp_latency(table, config), table.gain(assignment), share, config)
+    late = np.flatnonzero(np.isnan(needed))
+    late = late[np.argsort(assignment[late], kind="stable")]
+    notes = [f"client {n}: computation alone exceeds the deadline budget" for n in late.tolist()]
+    return np.fmin(table.p_max, needed), notes
 
 
 def build_plan(
     partition,
-    clients: Sequence[ClientProfile],
+    clients: Clients,
     config: NetworkConfig,
     bandwidth: np.ndarray,
     power: np.ndarray,
@@ -392,22 +380,19 @@ def build_plan(
     notes: list[str] | None = None,
 ) -> AllocationPlan:
     """Assemble an AllocationPlan with every derived metric filled in."""
-    coalitions = _sets(partition)
-    bandwidth = np.asarray(bandwidth, dtype=float)
+    assignment, sizes, table = partition_arrays(partition, clients)
+    bandwidth = _checked_bandwidth(bandwidth, sizes)
     power = np.asarray(power, dtype=float)
-    share = np.empty(len(clients), dtype=float)
-    for m, members in enumerate(coalitions):
-        for n in members:
-            share[n] = bandwidth[m] / len(members)
+    share = bandwidth[assignment] / sizes[assignment]
 
     t_client, t_coalition, t_total = round_and_total_latency(
-        coalitions, clients, share, power, config
+        assignment, table, share, power, config
     )
-    t_comp = np.array([comp_latency(c, config) for c in clients])
-    breakdown = energies(coalitions, clients, share, power, config)
+    t_comp = comp_latency(table, config)
+    breakdown = energies(assignment, table, share, power, config)
     ok, all_ok = check_deadline(t_client, config)
     if surrogate_objective is None:
-        surrogate_objective = p3_objective(bandwidth, coalitions, clients, config)
+        surrogate_objective = p3_objective(bandwidth, assignment, table, config)
     return AllocationPlan(
         bandwidth=bandwidth,
         client_bandwidth=share,
@@ -433,7 +418,7 @@ def build_plan(
 
 def plan_full(
     partition,
-    clients: Sequence[ClientProfile],
+    clients: Clients,
     config: NetworkConfig,
     gp: GPConfig | None = None,
     avg_js: float = 0.0,
@@ -445,10 +430,8 @@ def plan_full(
     equal share.  Clients that cannot meet the deadline even at p_max
     stay at p_max and are flagged in the plan instead of raising.
     """
-    coalitions = _sets(partition)
-    bandwidth, trace = gp_solve(coalitions, clients, config, gp)
-    power, notes = deadline_powers(coalitions, clients, config, bandwidth)
-    plan = build_plan(
-        coalitions, clients, config, bandwidth, power, avg_js, notes=notes
-    )
+    assignment, _, table = partition_arrays(partition, clients)
+    bandwidth, trace = gp_solve(assignment, table, config, gp)
+    power, notes = deadline_powers(assignment, table, config, bandwidth)
+    plan = build_plan(assignment, table, config, bandwidth, power, avg_js, notes=notes)
     return plan, trace

@@ -13,18 +13,17 @@ independently runnable and testable:
 The default output directory comes from the LEAPSIM_OUT environment
 variable (falling back to the working directory).  With --strict,
 compare exits nonzero when any requested method misses the deadline.
-Rejected input (a missing or malformed file, files that disagree, or
-any other typed leapsim error) ends with a one-line message on stderr
-and exit code 2.
+Rejected input (a missing or malformed file, files that disagree, a
+plan that differs from its recomputation, or any other typed leapsim
+error) ends with a one-line message on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +33,15 @@ from .experiment import (
     METHODS,
     TrainOptions,
     emit_report,
+    recompute_plan,
     run_experiment,
+    write_accuracy,
+    write_game_trace,
+    write_gp_trace,
 )
-from .errors import LeapsimError, read_json
-from .game import InvalidPartitionError, Partition, run_coalition_formation
+from .errors import InputFileError, InvalidPartitionError, LeapsimError
+from .files import read_json, write_csv, write_json
+from .game import Partition, random_partition, run_coalition_formation
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan
 from .scenario import (
@@ -53,15 +57,14 @@ PARTITION_SCHEMA = "leapsim.partition.v1"
 PLAN_SCHEMA = "leapsim.plan.v1"
 METRICS_SCHEMA = "leapsim.metrics.v1"
 
+# relative tolerance of the plan audit in ``report``
+PLAN_AUDIT_RTOL = 1e-9
+
 
 def _out_dir(args) -> Path:
     out = Path(args.out or os.environ.get("LEAPSIM_OUT", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _dump_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_partition(path: str, scenario: Scenario) -> Partition:
@@ -115,8 +118,6 @@ def cmd_coalition(args) -> int:
     if args.grouped_start:
         start = shard_grouped_partition(scenario, args.denominator)
     else:
-        from .game import random_partition
-
         start = random_partition(
             label_count_matrix(scenario),
             scenario.num_edges,
@@ -128,7 +129,8 @@ def cmd_coalition(args) -> int:
         start, max_iters=max_iters, rng_seed=args.seed
     )
     out = _out_dir(args)
-    _dump_json(
+    write_json(
+        out / "partition.json",
         {
             "schema": PARTITION_SCHEMA,
             "assignment": [int(a) for a in partition.assignment],
@@ -140,9 +142,8 @@ def cmd_coalition(args) -> int:
             "iterations_used": trace.iterations_used,
             "seed": args.seed,
         },
-        out / "partition.json",
     )
-    trace.to_csv(out / "game_trace.csv")
+    write_game_trace(out / "game_trace.csv", trace.entries)
     print(f"avg_js {start.avg_js():.6f} -> {partition.avg_js():.6f} "
           f"in {trace.iterations_used} iterations (converged={trace.converged})")
     print(f"wrote {out / 'partition.json'} and {out / 'game_trace.csv'}")
@@ -159,11 +160,11 @@ def cmd_allocate(args) -> int:
         min_bandwidth_floor=args.floor,
     )
     plan, trace = plan_full(
-        partition, scenario.clients, scenario.config, gp, avg_js=partition.avg_js()
+        partition, scenario.table, scenario.config, gp, avg_js=partition.avg_js()
     )
     out = _out_dir(args)
-    _dump_json({"schema": PLAN_SCHEMA, **plan.to_dict()}, out / "plan.json")
-    trace.to_csv(out / "gp_trace.csv")
+    write_json(out / "plan.json", {"schema": PLAN_SCHEMA, **plan.to_dict()})
+    write_gp_trace(out / "gp_trace.csv", trace.objective_values)
     print(
         f"objective {trace.objective_values[0]:.6g} -> {trace.objective_values[-1]:.6g} "
         f"in {trace.iterations_used} iterations, feasible={plan.feasible}"
@@ -193,25 +194,45 @@ def cmd_simulate(args) -> int:
         lr=args.lr,
         seed=args.seed,
     )
-    out = _out_dir(args)
-    path = out / "accuracy.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema=leapsim.accuracy.v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["round", "accuracy", "avg_js"])
-        avg_js = partition.avg_js()
-        for i, acc in enumerate(curve):
-            writer.writerow([i, repr(acc), repr(avg_js)])
+    path = _out_dir(args) / "accuracy.csv"
+    write_accuracy(path, curve, partition.avg_js())
     print(f"final accuracy {curve[-1]:.4f}; wrote {path}")
     return 0
+
+
+def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> AllocationPlan:
+    """The plan rebuilt from the stored plan's bandwidth and power.
+
+    Raises InputFileError when any other stored array or scalar differs
+    from the rebuild by more than PLAN_AUDIT_RTOL.
+    """
+    data = read_json(path, PLAN_SCHEMA)
+    try:
+        stored = AllocationPlan.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFileError(f"{path}: malformed plan ({type(exc).__name__}: {exc})") from exc
+    plan = recompute_plan(
+        scenario, partition.assignment, stored.bandwidth, stored.power, partition.denominator
+    )
+    for f in fields(AllocationPlan):
+        if f.name == "notes":
+            continue
+        kept = np.asarray(getattr(stored, f.name), dtype=float)
+        fresh = np.asarray(getattr(plan, f.name), dtype=float)
+        if kept.shape != fresh.shape or not np.allclose(
+            kept, fresh, rtol=PLAN_AUDIT_RTOL, atol=0.0
+        ):
+            raise InputFileError(
+                f"{path}: stored {f.name} differs from the plan recomputed "
+                "from the scenario and partition"
+            )
+    return plan
 
 
 def cmd_report(args) -> int:
     scenario = load_scenario(args.scenario)
     partition = _load_partition(args.partition, scenario)
-    data = read_json(args.plan, PLAN_SCHEMA)
-    data.pop("schema")
-    plan = AllocationPlan.from_dict(data)
+    plan = _audited_plan(args.plan, scenario, partition).to_dict()
     out = _out_dir(args)
     formats = set(args.format.split(","))
 
@@ -222,58 +243,44 @@ def cmd_report(args) -> int:
             "lambda2": scenario.config.lambda2,
         },
         "per_client": {
-            "comp_latency": [float(x) for x in plan.comp_latency],
-            "tx_latency": [float(x) for x in plan.tx_latency],
-            "latency": [float(x) for x in plan.client_latency],
-            "comp_energy": [float(x) for x in plan.comp_energy],
-            "tx_energy": [float(x) for x in plan.tx_energy],
-            "power": [float(x) for x in plan.power],
-            "bandwidth_share": [float(x) for x in plan.client_bandwidth],
-            "deadline_ok": [bool(x) for x in plan.per_client_feasible],
+            "comp_latency": plan["comp_latency"],
+            "tx_latency": plan["tx_latency"],
+            "latency": plan["client_latency"],
+            "comp_energy": plan["comp_energy"],
+            "tx_energy": plan["tx_energy"],
+            "power": plan["power"],
+            "bandwidth_share": plan["client_bandwidth"],
+            "deadline_ok": plan["per_client_feasible"],
         },
         "per_coalition": {
-            "bandwidth": [float(x) for x in plan.bandwidth],
-            "latency": [float(x) for x in plan.coalition_latency],
-            "energy": [float(x) for x in plan.coalition_energy],
-            "size": [len(members) for members in partition.coalitions],
+            "bandwidth": plan["bandwidth"],
+            "latency": plan["coalition_latency"],
+            "energy": plan["coalition_energy"],
+            "size": partition.sizes.tolist(),
         },
         "system": {
-            "avg_js": plan.avg_js,
-            "total_latency": plan.total_latency,
-            "total_energy": plan.total_energy,
-            "uplink_energy": plan.uplink_energy,
-            "utility": plan.utility,
-            "feasible": plan.feasible,
+            key: plan[key]
+            for key in ("avg_js", "total_latency", "total_energy", "uplink_energy",
+                        "utility", "feasible")
         },
     }
     if "json" in formats:
-        _dump_json(payload, out / "metrics.json")
+        write_json(out / "metrics.json", payload)
         print(f"wrote {out / 'metrics.json'}")
     if "csv" in formats:
         path = out / "metrics.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("# schema=leapsim.metrics.v1\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["client", "coalition", "comp_latency", "tx_latency",
-                 "comp_energy", "tx_energy", "power", "bandwidth_share", "deadline_ok"]
-            )
-            for n in range(len(plan.power)):
-                writer.writerow(
-                    [
-                        n,
-                        int(partition.assignment[n]),
-                        repr(float(plan.comp_latency[n])),
-                        repr(float(plan.tx_latency[n])),
-                        repr(float(plan.comp_energy[n])),
-                        repr(float(plan.tx_energy[n])),
-                        repr(float(plan.power[n])),
-                        repr(float(plan.client_bandwidth[n])),
-                        bool(plan.per_client_feasible[n]),
-                    ]
-                )
+        columns = ("comp_latency", "tx_latency", "comp_energy", "tx_energy", "power",
+                   "client_bandwidth", "per_client_feasible")
+        write_csv(
+            path,
+            METRICS_SCHEMA,
+            ["client", "coalition", "comp_latency", "tx_latency",
+             "comp_energy", "tx_energy", "power", "bandwidth_share", "deadline_ok"],
+            zip(range(partition.n_clients), partition.assignment.tolist(),
+                *(plan[c] for c in columns)),
+        )
         print(f"wrote {path}")
-    if args.strict and not plan.feasible:
+    if args.strict and not plan["feasible"]:
         return 2
     return 0
 

@@ -1,4 +1,4 @@
-"""leapsim's error types and the checked reader for its JSON input files.
+"""leapsim's error types.
 
 Every typed leapsim error derives from ``LeapsimError``, so callers (the
 CLI in particular) can tell a rejected input from a bug.  It derives
@@ -7,10 +7,7 @@ from ValueError because each of these errors reports an unusable value.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-__all__ = ["LeapsimError", "InputFileError", "read_json"]
+__all__ = ["LeapsimError", "InputFileError", "InvalidValueError", "InvalidPartitionError"]
 
 
 class LeapsimError(ValueError):
@@ -18,19 +15,12 @@ class LeapsimError(ValueError):
 
 
 class InputFileError(LeapsimError):
-    """An input file is not valid JSON or has the wrong schema."""
+    """An input file is not valid JSON, has the wrong schema or disagrees with the others."""
 
 
-def read_json(path: str | Path, schema: str) -> dict:
-    """Parse a leapsim JSON file and check its ``schema`` tag.
+class InvalidValueError(LeapsimError):
+    """An argument, a configuration value or a client field lies outside its domain."""
 
-    A missing file raises FileNotFoundError as usual.
-    """
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputFileError(f"{path}: not valid JSON ({exc})") from exc
-    found = data.get("schema") if isinstance(data, dict) else None
-    if found != schema:
-        raise InputFileError(f"{path}: expected schema {schema!r}, found {found!r}")
-    return data
+
+class InvalidPartitionError(LeapsimError):
+    """A partition misses, repeats or misnumbers a client, or leaves a coalition empty."""

@@ -18,15 +18,14 @@ report is a pure function of (scenario, methods, master seed).
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alloc import GPConfig, build_plan, deadline_powers, gp_solve, plan_full
-from .errors import read_json
+from .alloc import GPConfig, build_plan, deadline_powers, plan_full
+from .files import fields_dict, read_json, write_csv, write_json
 from .game import GameTrace, Partition, random_partition, run_coalition_formation
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan
@@ -40,6 +39,9 @@ __all__ = [
     "ExperimentReport",
     "run_experiment",
     "emit_report",
+    "write_game_trace",
+    "write_gp_trace",
+    "write_accuracy",
     "load_report",
     "recompute_plan",
 ]
@@ -76,17 +78,7 @@ class MethodResult:
     accuracy: list[float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seeds": self.seeds,
-            "assignment": self.assignment,
-            "avg_js": self.avg_js,
-            "plan": self.plan,
-            "feasible": self.feasible,
-            "game_trace": self.game_trace,
-            "gp_trace": self.gp_trace,
-            "accuracy": self.accuracy,
-        }
+        return fields_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MethodResult":
@@ -105,38 +97,22 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "schema": REPORT_SCHEMA,
-            "scenario_meta": self.scenario_meta,
-            "master_seed": self.master_seed,
-            "js_denominator": self.js_denominator,
-            "weights": self.weights,
+            **fields_dict(self),
             "methods": {name: m.to_dict() for name, m in self.methods.items()},
-            "summary": self.summary,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            scenario_meta=data["scenario_meta"],
-            master_seed=data["master_seed"],
-            js_denominator=data["js_denominator"],
-            weights=data["weights"],
-            methods={
-                name: MethodResult.from_dict(m) for name, m in data["methods"].items()
-            },
-            summary=data["summary"],
-        )
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["methods"] = {
+            name: MethodResult.from_dict(m) for name, m in data["methods"].items()
+        }
+        return cls(**values)
 
 
 def _trace_to_dict(trace: GameTrace) -> dict:
-    return {
-        "entries": [
-            [it, client, src, tgt, js] for (it, client, src, tgt, js) in trace.entries
-        ],
-        "iterations_used": trace.iterations_used,
-        "converged": trace.converged,
-        "seed": trace.seed,
-        "generator": trace.generator,
-    }
+    # entries become lists, as they read back from JSON
+    return {**fields_dict(trace), "entries": [list(e) for e in trace.entries]}
 
 
 def run_experiment(
@@ -156,7 +132,7 @@ def run_experiment(
 
     counts = label_count_matrix(scenario)
     config = scenario.config
-    clients = scenario.clients
+    clients = scenario.table
     n_edges = scenario.num_edges
     if game_max_iters is None:
         game_max_iters = max(2000, 200 * scenario.n_clients)
@@ -247,12 +223,7 @@ def run_experiment(
                 plan=plan.to_dict(),
                 feasible=plan.feasible,
                 game_trace=_trace_to_dict(trace),
-                gp_trace={
-                    "objective_values": gp_trace.objective_values,
-                    "iterations_used": gp_trace.iterations_used,
-                    "converged": gp_trace.converged,
-                    "projected_gradient_norm": gp_trace.projected_gradient_norm,
-                },
+                gp_trace=asdict(gp_trace),
             )
             if train:
                 result.accuracy = train_curve(partition)
@@ -271,12 +242,7 @@ def run_experiment(
                 avg_js=partition.avg_js(),
                 plan=plan.to_dict(),
                 feasible=plan.feasible,
-                gp_trace={
-                    "objective_values": gp_trace.objective_values,
-                    "iterations_used": gp_trace.iterations_used,
-                    "converged": gp_trace.converged,
-                    "projected_gradient_norm": gp_trace.projected_gradient_norm,
-                },
+                gp_trace=asdict(gp_trace),
             )
             if train:
                 result.accuracy = train_curve(partition)
@@ -298,18 +264,14 @@ def run_experiment(
             if name in ("rp", "rb_rp"):
                 key = "rp_power" if name == "rp" else "rb_rp_power"
                 rng = np.random.default_rng(seeds[key])
-                power = np.array(
-                    [c.p_max * (1.0 - rng.random()) for c in clients]
-                )
+                power = clients.p_max * (1.0 - rng.random(len(clients)))
                 used_seeds[key] = seeds[key]
                 notes: list[str] = []
             else:
-                power, notes = deadline_powers(
-                    partition.coalitions, clients, config, bandwidth
-                )
+                power, notes = deadline_powers(partition, clients, config, bandwidth)
 
             plan = build_plan(
-                partition.coalitions,
+                partition,
                 clients,
                 config,
                 bandwidth,
@@ -343,6 +305,34 @@ def run_experiment(
     return report
 
 
+def write_game_trace(path: str | Path, entries: Iterable[Sequence]) -> None:
+    """Game trace CSV, one row per sampled iteration; no target means no move."""
+    write_csv(
+        path,
+        "leapsim.game-trace.v1",
+        ["iteration", "client", "from", "to", "avg_js"],
+        (
+            [it, client, src, "" if tgt is None else tgt, js]
+            for it, client, src, tgt, js in entries
+        ),
+    )
+
+
+def write_gp_trace(path: str | Path, objective_values: Sequence[float]) -> None:
+    write_csv(
+        path, "leapsim.gp-trace.v1", ["iteration", "objective"], enumerate(objective_values)
+    )
+
+
+def write_accuracy(path: str | Path, curve: Sequence[float], avg_js: float) -> None:
+    write_csv(
+        path,
+        "leapsim.accuracy.v1",
+        ["round", "accuracy", "avg_js"],
+        ([i, acc, avg_js] for i, acc in enumerate(curve)),
+    )
+
+
 def emit_report(
     report: ExperimentReport,
     out_dir: str | Path,
@@ -354,63 +344,32 @@ def emit_report(
     written: list[Path] = []
 
     if "json" in formats:
-        path = out / "report.json"
-        path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-        written.append(path)
+        written.append(out / "report.json")
+        write_json(written[-1], report.to_dict())
 
     if "csv" in formats:
-        path = out / "summary.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("# schema=leapsim.summary.v1\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["method", "avg_js", "total_latency", "total_energy",
-                 "uplink_energy", "utility", "feasible"]
-            )
-            for name, m in report.methods.items():
-                writer.writerow(
-                    [
-                        name,
-                        repr(m.avg_js),
-                        repr(m.plan["total_latency"]),
-                        repr(m.plan["total_energy"]),
-                        repr(m.plan["uplink_energy"]),
-                        repr(m.plan["utility"]),
-                        m.feasible,
-                    ]
-                )
-        written.append(path)
-
+        written.append(out / "summary.csv")
+        write_csv(
+            written[-1],
+            "leapsim.summary.v1",
+            ["method", "avg_js", "total_latency", "total_energy",
+             "uplink_energy", "utility", "feasible"],
+            (
+                [name, m.avg_js, m.plan["total_latency"], m.plan["total_energy"],
+                 m.plan["uplink_energy"], m.plan["utility"], m.feasible]
+                for name, m in report.methods.items()
+            ),
+        )
         for name, m in report.methods.items():
             if m.game_trace is not None:
-                path = out / f"{name}_game_trace.csv"
-                with open(path, "w", newline="") as fh:
-                    fh.write("# schema=leapsim.game-trace.v1\n")
-                    writer = csv.writer(fh)
-                    writer.writerow(["iteration", "client", "from", "to", "avg_js"])
-                    for it, client, src, tgt, js in m.game_trace["entries"]:
-                        writer.writerow(
-                            [it, client, src, "" if tgt is None else tgt, repr(js)]
-                        )
-                written.append(path)
+                written.append(out / f"{name}_game_trace.csv")
+                write_game_trace(written[-1], m.game_trace["entries"])
             if m.gp_trace is not None:
-                path = out / f"{name}_gp_trace.csv"
-                with open(path, "w", newline="") as fh:
-                    fh.write("# schema=leapsim.gp-trace.v1\n")
-                    writer = csv.writer(fh)
-                    writer.writerow(["iteration", "objective"])
-                    for i, value in enumerate(m.gp_trace["objective_values"]):
-                        writer.writerow([i, repr(value)])
-                written.append(path)
+                written.append(out / f"{name}_gp_trace.csv")
+                write_gp_trace(written[-1], m.gp_trace["objective_values"])
             if m.accuracy is not None:
-                path = out / f"{name}_accuracy.csv"
-                with open(path, "w", newline="") as fh:
-                    fh.write("# schema=leapsim.accuracy.v1\n")
-                    writer = csv.writer(fh)
-                    writer.writerow(["round", "accuracy", "avg_js"])
-                    for i, acc in enumerate(m.accuracy):
-                        writer.writerow([i, repr(acc), repr(m.avg_js)])
-                written.append(path)
+                written.append(out / f"{name}_accuracy.csv")
+                write_accuracy(written[-1], m.accuracy, m.avg_js)
     return written
 
 
@@ -437,8 +396,8 @@ def recompute_plan(
         js_denominator,
     )
     return build_plan(
-        partition.coalitions,
-        scenario.clients,
+        partition,
+        scenario.table,
         scenario.config,
         np.asarray(bandwidth, dtype=float),
         np.asarray(power, dtype=float),

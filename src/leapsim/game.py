@@ -24,9 +24,7 @@ every target at once with a single call of the broadcasting JS kernel;
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .dist import EmptyDistributionError, js_rows
 # the game no longer calls the scalar JS; the name stays bound here
 # because perfbench's tracer wraps leapsim.game.js_divergence
 from .dist import js_divergence  # noqa: F401
-from .errors import LeapsimError
+from .errors import InvalidPartitionError, LeapsimError
 
 __all__ = [
     "SWITCH_TOLERANCE",
@@ -66,10 +64,6 @@ SWITCH_TOLERANCE = 1e-10
 CERTIFY_BLOCK_ELEMENTS = 1 << 14
 
 
-class InvalidPartitionError(LeapsimError):
-    """Assignment and coalition sets are inconsistent or leave an edge empty."""
-
-
 class InvalidSwitchError(LeapsimError):
     """Requested switch is inadmissible (same coalition, or empties the source)."""
 
@@ -94,7 +88,8 @@ class GameTrace:
     """Iteration log of one improvement run.
 
     ``entries`` holds one row per sampled iteration:
-    (iteration, client, source, accepted target or None, avg_js after).
+    (iteration, client, source, accepted target or None, avg_js after);
+    ``experiment.write_game_trace`` writes them as CSV.
     """
 
     entries: list[tuple[int, int, int, int | None, float]] = field(default_factory=list)
@@ -110,14 +105,6 @@ class GameTrace:
             if tgt is not None
         ]
 
-    def to_csv(self, path: str | Path, schema: str = "leapsim.game-trace.v1") -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# schema={schema}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "client", "from", "to", "avg_js"])
-            for it, client, src, tgt, js in self.entries:
-                writer.writerow([it, client, src, "" if tgt is None else tgt, repr(js)])
-
 
 def _normalized(counts: np.ndarray) -> np.ndarray:
     """Probability rows of integer label-count rows (last axis)."""
@@ -130,12 +117,12 @@ def _normalized(counts: np.ndarray) -> np.ndarray:
 class Partition:
     """Disjoint assignment of clients to M edge coalitions.
 
-    State is the per-client coalition index.  The coalition member sets
-    and three dense caches are maintained incrementally as switches are
-    applied: integer label counts ``counts`` (M, K), probability rows
-    ``probs`` (M, K) and the pairwise JS matrix ``js_matrix`` (M, M).
-    ``denominator`` fixes the avg-JS normalization for every operation
-    on this partition.
+    State is the per-client coalition index ``assignment``.  The
+    coalition sizes ``sizes`` (M,) and three dense caches are maintained
+    incrementally as switches are applied: integer label counts
+    ``counts`` (M, K), probability rows ``probs`` (M, K) and the
+    pairwise JS matrix ``js_matrix`` (M, M).  ``denominator`` fixes the
+    avg-JS normalization for every operation on this partition.
     """
 
     def __init__(
@@ -159,12 +146,10 @@ class Partition:
         self.num_coalitions = int(num_coalitions)
         self.denominator = denominator
 
-        self.coalitions: list[set[int]] = [set() for _ in range(num_coalitions)]
-        for client, coalition in enumerate(self.assignment):
-            self.coalitions[int(coalition)].add(client)
-        for m, members in enumerate(self.coalitions):
-            if not members:
-                raise InvalidPartitionError(f"coalition {m} is empty")
+        self.sizes = np.bincount(self.assignment, minlength=self.num_coalitions)
+        empty = np.flatnonzero(self.sizes == 0)
+        if empty.size:
+            raise InvalidPartitionError(f"coalition {empty[0]} is empty")
 
         self.counts = np.zeros((num_coalitions, client_label_counts.shape[1]), dtype=np.int64)
         np.add.at(self.counts, self.assignment, self.client_counts)
@@ -182,6 +167,9 @@ class Partition:
         return float(m) if self.denominator == "M" else m * (m - 1) / 2.0
 
     def avg_js(self) -> float:
+        """Pairwise JS sum over the denominator; 0.0 when there is no pair."""
+        if self.num_coalitions < 2:
+            return 0.0
         total = float(np.sum(np.triu(self.js_matrix, k=1)))
         return total / self.pair_denominator()
 
@@ -191,29 +179,21 @@ class Partition:
         clone.client_counts = self.client_counts
         clone.num_coalitions = self.num_coalitions
         clone.denominator = self.denominator
-        clone.coalitions = [set(s) for s in self.coalitions]
+        clone.sizes = self.sizes.copy()
         clone.counts = self.counts.copy()
         clone.probs = self.probs.copy()
         clone.js_matrix = self.js_matrix.copy()
         return clone
 
     def validate(self, tol: float = 1e-12) -> None:
-        """Check disjoint cover and cache consistency against a rebuild."""
-        seen: set[int] = set()
-        for m, members in enumerate(self.coalitions):
-            if not members:
-                raise InvalidPartitionError(f"coalition {m} is empty")
-            if seen & members:
-                raise InvalidPartitionError("coalitions overlap")
-            seen |= members
-            for client in members:
-                if self.assignment[client] != m:
-                    raise InvalidPartitionError("assignment/coalition mismatch")
-        if seen != set(range(self.n_clients)):
-            raise InvalidPartitionError("coalitions do not cover the client set")
+        """Check every cache against a rebuild from the assignment."""
         fresh = Partition(
             self.assignment, self.client_counts, self.num_coalitions, self.denominator
         )
+        if not np.array_equal(self.sizes, fresh.sizes):
+            raise InvalidPartitionError("cached coalition sizes are stale")
+        if not np.array_equal(self.counts, fresh.counts):
+            raise InvalidPartitionError("cached label counts are stale")
         if np.any(np.abs(self.probs - fresh.probs) > tol):
             raise InvalidPartitionError("cached coalition distribution is stale")
         if np.any(np.abs(self.js_matrix - fresh.js_matrix) > tol):
@@ -228,12 +208,12 @@ class Partition:
             raise InvalidSwitchError("proposal is stale: client moved already")
         if src == tgt:
             raise InvalidSwitchError("source and target coalitions are equal")
-        if len(self.coalitions[src]) == 1:
+        if self.sizes[src] == 1:
             raise InvalidSwitchError("switch would empty the source coalition")
 
-        self.coalitions[src].discard(client)
-        self.coalitions[tgt].add(client)
         self.assignment[client] = tgt
+        self.sizes[src] -= 1
+        self.sizes[tgt] += 1
         self.counts[src] -= self.client_counts[client]
         self.counts[tgt] += self.client_counts[client]
         touched = [src, tgt]
@@ -288,10 +268,12 @@ def switch_deltas(partition: Partition, client: int) -> np.ndarray:
     Entry t is avg JS after the move to t minus avg JS before; the
     client's own coalition holds +inf.  All targets are priced with a
     single kernel call.  Raises InvalidSwitchError when the client is
-    alone in its coalition, since every move would empty it.
+    alone in its coalition, since every move would empty it, or when
+    there is no other coalition.
     """
-    src = int(partition.assignment[client])
-    if len(partition.coalitions[src]) == 1:
+    if partition.num_coalitions < 2:
+        raise InvalidSwitchError("there is no other coalition to switch to")
+    if partition.sizes[partition.assignment[client]] == 1:
         raise InvalidSwitchError("switch would empty the source coalition")
     return _price_moves(partition, np.array([client]))[0]
 
@@ -313,7 +295,7 @@ def evaluate_switch(
         raise InvalidSwitchError("target equals the client's current coalition")
     if not 0 <= target < partition.num_coalitions:
         raise InvalidSwitchError("target coalition index out of range")
-    if len(partition.coalitions[src]) == 1:
+    if partition.sizes[src] == 1:
         raise InvalidSwitchError("switch would empty the source coalition")
     if deltas is None:
         deltas = switch_deltas(partition, client)
@@ -334,7 +316,7 @@ def best_switch(
     runs reproducible.
     """
     src = int(partition.assignment[client])
-    if partition.num_coalitions < 2 or len(partition.coalitions[src]) == 1:
+    if partition.num_coalitions < 2 or partition.sizes[src] == 1:
         return None
     deltas = switch_deltas(partition, client)
     best = evaluate_switch(partition, client, int(np.argmin(deltas)), deltas)
@@ -442,10 +424,12 @@ def certify_stability(
 
     Every client that is not alone in its coalition is priced against
     every target, in blocks of clients sized by CERTIFY_BLOCK_ELEMENTS.
+    With a single coalition no client has anywhere to go.
     """
     m = partition.num_coalitions
-    sizes = np.bincount(partition.assignment, minlength=m)
-    movable = np.flatnonzero(sizes[partition.assignment] > 1)
+    if m < 2:
+        return True
+    movable = np.flatnonzero(partition.sizes[partition.assignment] > 1)
     block = max(1, CERTIFY_BLOCK_ELEMENTS // ((m + 1) ** 2 * partition.counts.shape[1]))
     for start in range(0, movable.size, block):
         if np.any(_price_moves(partition, movable[start:start + block]) < -tolerance):

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .netmodel import coalition_assignment
+
 __all__ = [
     "param_dim",
     "init_params",
@@ -29,7 +31,6 @@ __all__ = [
     "accuracy",
     "local_train",
     "edge_aggregate",
-    "global_aggregate",
     "run_hfl",
     "SyntheticDataset",
 ]
@@ -104,19 +105,12 @@ def local_train(
 def edge_aggregate(
     member_params: Sequence[np.ndarray], member_sizes: Sequence[float]
 ) -> np.ndarray:
-    """Data-size weighted parameter average."""
+    """Data-size weighted parameter average, at the edge and the cloud alike."""
     if not member_params:
         raise ValueError("nothing to aggregate")
     stacked = np.stack(member_params)
     weights = np.asarray(member_sizes, dtype=float)
     return weights @ stacked / weights.sum()
-
-
-def global_aggregate(
-    edge_params: Sequence[np.ndarray], edge_sizes: Sequence[float]
-) -> np.ndarray:
-    """Same weighted average at the edge-server level."""
-    return edge_aggregate(edge_params, edge_sizes)
 
 
 @dataclass
@@ -193,18 +187,16 @@ def run_hfl(
 ) -> tuple[np.ndarray, list[float]]:
     """Nested client/edge/global training loop.
 
-    ``partition`` is either a coalition Partition or a plain list of
-    member-id sets.  Members are visited in ascending id order inside
-    every aggregation so results do not depend on set iteration order.
+    ``partition`` takes any form ``netmodel.coalition_assignment``
+    accepts.  Members are visited in ascending id order inside every
+    aggregation so results do not depend on set iteration order.
     Returns the final global parameters and one held-out accuracy per
     global round.
     """
-    coalitions = [sorted(s) for s in getattr(partition, "coalitions", partition)]
-    for members in coalitions:
-        if not members:
-            raise ValueError("every coalition needs at least one member")
-    sizes = dataset.client_sizes
-    edge_sizes = [float(sum(sizes[n] for n in members)) for members in coalitions]
+    assignment, coalition_sizes = coalition_assignment(partition, len(dataset.client_labels))
+    sizes = np.asarray(dataset.client_sizes, dtype=float)
+    coalitions = [np.flatnonzero(assignment == m) for m in range(coalition_sizes.size)]
+    edge_sizes = np.bincount(assignment, weights=sizes)
 
     params = init_params(dataset.n_classes, dataset.n_features, seed)
     curve: list[float] = []
@@ -223,8 +215,8 @@ def run_hfl(
                     )
                     for n in members
                 ]
-                edge_params[m] = edge_aggregate(locals_, [sizes[n] for n in members])
-        params = global_aggregate(edge_params, edge_sizes)
+                edge_params[m] = edge_aggregate(locals_, sizes[members])
+        params = edge_aggregate(edge_params, edge_sizes)
         curve.append(
             accuracy(params, dataset.test_features, dataset.test_labels, dataset.n_classes)
         )

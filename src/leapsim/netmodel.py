@@ -18,20 +18,37 @@ this model; the deadline applies per edge iteration as
 t <= deadline / (tau_e * tau_g).  Units are Hz, bits, seconds, Watts
 and Joules; channel gains are linear power gains, stored per
 (client, edge) pair so re-association can change the channel.
+
+Every quantity is elementwise in the client and its edge, so each
+formula is one array expression over a ``ClientTable`` (the
+struct-of-arrays view of the clients) and the assignment vector a:
+the member share is ``B[a] / sizes[a]`` and the gain
+``table.gain(a)``.  Coalition maxima and sums are scatter reductions
+over a.  The same closed forms accept a single ``ClientProfile``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
+from .errors import InvalidPartitionError, InvalidValueError
+from .files import fields_dict
+from .game import Partition
+
 __all__ = [
     "ClientProfile",
+    "ClientTable",
     "NetworkConfig",
     "AllocationPlan",
+    "client_table",
+    "coalition_assignment",
+    "partition_arrays",
     "comp_latency",
     "uplink_rate",
     "tx_latency",
@@ -71,19 +88,158 @@ class ClientProfile:
         object.__setattr__(self, "label_counts", tuple(int(c) for c in self.label_counts))
         for name in ("data_size", "cycles_per_item", "cpu_freq", "p_max"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if any(g <= 0 for g in self.channel_gains):
-            raise ValueError("channel gains must be strictly positive")
+                raise InvalidValueError(f"{name} must be strictly positive")
+        if not self.channel_gains or any(g <= 0 for g in self.channel_gains):
+            raise InvalidValueError("channel gains must be strictly positive")
         if any(c < 0 for c in self.label_counts):
-            raise ValueError("label counts must be non-negative")
+            raise InvalidValueError("label counts must be non-negative")
         if sum(self.label_counts) != self.data_size:
-            raise ValueError("label counts must sum to data_size")
+            raise InvalidValueError("label counts must sum to data_size")
 
     def gain(self, edge: int) -> float:
         """Linear channel gain toward the given edge server."""
         if len(self.channel_gains) == 1:
             return self.channel_gains[0]
         return self.channel_gains[edge]
+
+
+def _column(clients: Sequence[ClientProfile], name: str, dtype) -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), clients), dtype=dtype, count=len(clients))
+
+
+@dataclass(frozen=True, eq=False)
+class ClientTable:
+    """Struct-of-arrays view of N clients, one array per ClientProfile field.
+
+    ``channel_gains`` is (N, E) with single-gain clients broadcast to
+    all E edges and ``label_counts`` is (N, K); every other field is
+    (N,).  Because the names match ClientProfile's, a closed form
+    written for one profile evaluates elementwise on the table.
+    """
+
+    data_size: np.ndarray
+    cycles_per_item: np.ndarray
+    cpu_freq: np.ndarray
+    channel_gains: np.ndarray
+    p_max: np.ndarray
+    label_counts: np.ndarray
+
+    @classmethod
+    def from_profiles(cls, clients: Sequence[ClientProfile], num_edges: int) -> "ClientTable":
+        """Stack the profiles; raises InvalidValueError on a misshapen client.
+
+        Every client needs 1 or ``num_edges`` channel gains and as many
+        label counts as the first client.
+        """
+        if not clients:
+            raise InvalidValueError("a client table needs at least one client")
+        gains = _column(clients, "channel_gains", object)
+        per_client = np.fromiter(map(len, gains), dtype=np.int64, count=len(gains))
+        bad = np.flatnonzero((per_client != 1) & (per_client != num_edges))
+        if bad.size:
+            raise InvalidValueError(
+                f"client {bad[0]} has {per_client[bad[0]]} channel gains, "
+                f"expected 1 or {num_edges}"
+            )
+        labels = _column(clients, "label_counts", object)
+        classes = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+        bad = np.flatnonzero(classes != classes[0])
+        if bad.size:
+            raise InvalidValueError(
+                f"client {bad[0]} has {classes[bad[0]]} label counts, "
+                f"client 0 has {classes[0]}"
+            )
+        flat_gains = np.fromiter(
+            chain.from_iterable(gains), dtype=float, count=int(per_client.sum())
+        )
+        if flat_gains.size != len(clients) * num_edges:
+            # a single gain repeats num_edges times, a full row once per entry
+            copies = np.repeat(np.where(per_client == 1, num_edges, 1), per_client)
+            flat_gains = np.repeat(flat_gains, copies)
+        return cls(
+            data_size=_column(clients, "data_size", np.int64),
+            cycles_per_item=_column(clients, "cycles_per_item", float),
+            cpu_freq=_column(clients, "cpu_freq", float),
+            channel_gains=flat_gains.reshape(len(clients), num_edges),
+            p_max=_column(clients, "p_max", float),
+            label_counts=np.fromiter(
+                chain.from_iterable(labels), dtype=np.int64, count=int(classes.sum())
+            ).reshape(len(clients), classes[0]),
+        )
+
+    def __len__(self) -> int:
+        return self.data_size.shape[0]
+
+    @property
+    def num_edges(self) -> int:
+        return self.channel_gains.shape[1]
+
+    def gain(self, edge: np.ndarray) -> np.ndarray:
+        """Each client's gain toward its own entry of ``edge`` (length N)."""
+        return self.channel_gains[np.arange(len(self)), edge]
+
+
+def client_table(clients: ClientTable | Sequence[ClientProfile], num_edges: int) -> ClientTable:
+    """``clients`` as a ClientTable with gains toward ``num_edges`` edges.
+
+    A table is returned unchanged; a sequence of ClientProfile is
+    stacked.  Raises InvalidPartitionError when the table's edge count
+    differs from ``num_edges``.
+    """
+    if not isinstance(clients, ClientTable):
+        clients = ClientTable.from_profiles(clients, num_edges)
+    if clients.num_edges != num_edges:
+        raise InvalidPartitionError(
+            f"{num_edges} coalitions, but the clients have gains toward {clients.num_edges} edges"
+        )
+    return clients
+
+
+def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndarray]:
+    """(assignment, sizes) of a partition of ``n_clients`` clients.
+
+    ``partition`` is a Partition, a 1-D integer array holding each
+    client's coalition index, or a sequence of member collections, one
+    per coalition.  Raises InvalidPartitionError when a client is
+    missing, repeated or out of range, or a coalition is empty.
+    """
+    if isinstance(partition, Partition):
+        assignment, sizes = partition.assignment, partition.sizes
+    elif isinstance(partition, np.ndarray):
+        assignment = partition
+        if assignment.ndim != 1 or not np.issubdtype(assignment.dtype, np.integer):
+            raise InvalidPartitionError("an assignment must be a 1-D integer array")
+        if assignment.size and assignment.min() < 0:
+            raise InvalidPartitionError("assignment index out of range")
+        sizes = np.bincount(assignment)
+    else:
+        groups = [np.fromiter(members, dtype=np.int64) for members in partition]
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        members = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
+        if members.size and (members.min() < 0 or members.max() >= n_clients):
+            raise InvalidPartitionError(f"a member id lies outside [0, {n_clients})")
+        seen = np.bincount(members, minlength=n_clients)
+        if np.any(seen != 1):
+            n = int(np.flatnonzero(seen != 1)[0])
+            raise InvalidPartitionError(f"client {n} is {'repeated' if seen[n] else 'missing'}")
+        assignment = np.empty(n_clients, dtype=np.int64)
+        assignment[members] = np.repeat(np.arange(len(groups)), sizes)
+    if assignment.shape != (n_clients,):
+        raise InvalidPartitionError(
+            f"the partition assigns {assignment.size} clients, expected {n_clients}"
+        )
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise InvalidPartitionError(f"coalition {empty[0]} is empty")
+    return assignment, sizes
+
+
+def partition_arrays(
+    partition, clients: ClientTable | Sequence[ClientProfile]
+) -> tuple[np.ndarray, np.ndarray, ClientTable]:
+    """(assignment, sizes, client table) for a partition and its clients."""
+    assignment, sizes = coalition_assignment(partition, len(clients))
+    return assignment, sizes, client_table(clients, len(sizes))
 
 
 @dataclass(frozen=True)
@@ -120,9 +276,9 @@ class NetworkConfig:
             "capacitance",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise InvalidValueError(f"{name} must be strictly positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("utility weights must be non-negative")
+            raise InvalidValueError("utility weights must be non-negative")
 
     @property
     def iteration_budget(self) -> float:
@@ -130,44 +286,35 @@ class NetworkConfig:
         return self.deadline / (self.tau_e * self.tau_g)
 
 
-def comp_latency(client: ClientProfile, config: NetworkConfig) -> float:
+def comp_latency(client: ClientProfile | ClientTable, config: NetworkConfig):
     """Local training latency for one edge iteration (tau_c passes)."""
     return config.tau_c * client.cycles_per_item * client.data_size / client.cpu_freq
 
 
-def uplink_rate(
-    bandwidth_share: float, power: float, gain: float, config: NetworkConfig
-) -> float:
+def uplink_rate(bandwidth_share, power, gain, config: NetworkConfig):
     """Shannon rate over the client's bandwidth share, bits per second."""
-    if bandwidth_share <= 0:
-        raise ValueError("bandwidth share must be strictly positive")
-    if power <= 0:
-        raise ValueError("transmit power must be strictly positive")
-    snr = power * gain / (bandwidth_share * config.noise_power)
-    return bandwidth_share * math.log1p(snr) / _LN2
+    share = np.asarray(bandwidth_share, dtype=float)
+    if np.any(share <= 0):
+        raise InvalidValueError("bandwidth share must be strictly positive")
+    if np.any(np.asarray(power) <= 0):
+        raise InvalidValueError("transmit power must be strictly positive")
+    snr = power * gain / (share * config.noise_power)
+    return share * np.log1p(snr) / _LN2
 
 
-def tx_latency(
-    bandwidth_share: float, power: float, gain: float, config: NetworkConfig
-) -> float:
+def tx_latency(bandwidth_share, power, gain, config: NetworkConfig):
     """Model upload time, seconds."""
     rate = uplink_rate(bandwidth_share, power, gain, config)
-    if rate <= 0:
-        raise ValueError("uplink rate is zero")
+    if np.any(rate <= 0):
+        raise InvalidValueError("uplink rate is zero")
     return config.model_size / rate
-
-
-def _coalition_sets(partition) -> list[set[int]]:
-    """Accept either a Partition-like object or a plain list of member sets."""
-    sets = getattr(partition, "coalitions", partition)
-    return [set(s) for s in sets]
 
 
 def round_and_total_latency(
     partition,
-    clients: Sequence[ClientProfile],
-    bandwidth_share: Iterable[float],
-    power: Iterable[float],
+    clients: ClientTable | Sequence[ClientProfile],
+    bandwidth_share,
+    power,
     config: NetworkConfig,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-client, per-coalition and task latency.
@@ -178,21 +325,14 @@ def round_and_total_latency(
     total.  The per-iteration straggler maxima are constant under this
     static model, so the sums collapse to products.
     """
-    coalitions = _coalition_sets(partition)
-    share = np.asarray(list(bandwidth_share), dtype=float)
-    pwr = np.asarray(list(power), dtype=float)
-    t_client = np.empty(len(clients), dtype=float)
-    for m, members in enumerate(coalitions):
-        for n in members:
-            c = clients[n]
-            t_client[n] = comp_latency(c, config) + tx_latency(
-                share[n], pwr[n], c.gain(m), config
-            )
-    t_coalition = np.array(
-        [config.tau_e * max(t_client[n] for n in members) for members in coalitions]
+    assignment, sizes, table = partition_arrays(partition, clients)
+    t_client = comp_latency(table, config) + tx_latency(
+        bandwidth_share, power, table.gain(assignment), config
     )
-    t_task = config.tau_g * float(t_coalition.max())
-    return t_client, t_coalition, t_task
+    straggler = np.full(len(sizes), -np.inf)
+    np.maximum.at(straggler, assignment, t_client)
+    t_coalition = config.tau_e * straggler
+    return t_client, t_coalition, config.tau_g * float(t_coalition.max())
 
 
 @dataclass
@@ -209,42 +349,32 @@ class EnergyBreakdown:
 
 def energies(
     partition,
-    clients: Sequence[ClientProfile],
-    bandwidth_share: Iterable[float],
-    power: Iterable[float],
+    clients: ClientTable | Sequence[ClientProfile],
+    bandwidth_share,
+    power,
     config: NetworkConfig,
 ) -> EnergyBreakdown:
     """Per-client and aggregated energy for the whole task."""
-    coalitions = _coalition_sets(partition)
-    share = np.asarray(list(bandwidth_share), dtype=float)
-    pwr = np.asarray(list(power), dtype=float)
-    e_comp = np.empty(len(clients), dtype=float)
-    e_tx = np.empty(len(clients), dtype=float)
-    for m, members in enumerate(coalitions):
-        for n in members:
-            c = clients[n]
-            e_comp[n] = (
-                config.tau_c
-                * config.capacitance
-                * c.cycles_per_item
-                * c.data_size
-                * c.cpu_freq**2
-            )
-            e_tx[n] = tx_latency(share[n], pwr[n], c.gain(m), config) * pwr[n]
+    assignment, sizes, table = partition_arrays(partition, clients)
+    power = np.asarray(power, dtype=float)
+    e_comp = (
+        config.tau_c
+        * config.capacitance
+        * table.cycles_per_item
+        * table.data_size
+        * table.cpu_freq**2
+    )
+    e_tx = tx_latency(bandwidth_share, power, table.gain(assignment), config) * power
     e_client = e_comp + e_tx
     rounds = config.tau_g * config.tau_e
-    e_coalition = np.array(
-        [rounds * sum(e_client[n] for n in members) for members in coalitions]
-    )
-    total = float(e_coalition.sum())
-    total_tx = rounds * float(e_tx.sum())
+    e_coalition = rounds * np.bincount(assignment, weights=e_client, minlength=len(sizes))
     return EnergyBreakdown(
         comp=e_comp,
         tx=e_tx,
         client=e_client,
         coalition=e_coalition,
-        total=total,
-        total_tx=total_tx,
+        total=float(e_coalition.sum()),
+        total_tx=rounds * float(e_tx.sum()),
     )
 
 
@@ -254,7 +384,7 @@ def network_utility(avg_js: float, total_energy: float, config: NetworkConfig) -
 
 
 def check_deadline(
-    t_client: Iterable[float], config: NetworkConfig, rel_tol: float = 1e-9
+    t_client, config: NetworkConfig, rel_tol: float = 1e-9
 ) -> tuple[np.ndarray, bool]:
     """Flag clients whose per-edge-iteration latency fits the budget.
 
@@ -262,8 +392,7 @@ def check_deadline(
     closed-form deadline power, which lands exactly on the budget up to
     float rounding, is recognized as feasible.
     """
-    t = np.asarray(list(t_client), dtype=float)
-    ok = t <= config.iteration_budget * (1.0 + rel_tol)
+    ok = np.asarray(t_client, dtype=float) <= config.iteration_budget * (1.0 + rel_tol)
     return ok, bool(ok.all())
 
 
@@ -300,48 +429,14 @@ class AllocationPlan:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "bandwidth": [float(b) for b in self.bandwidth],
-            "client_bandwidth": [float(b) for b in self.client_bandwidth],
-            "power": [float(p) for p in self.power],
-            "comp_latency": [float(x) for x in self.comp_latency],
-            "tx_latency": [float(x) for x in self.tx_latency],
-            "client_latency": [float(x) for x in self.client_latency],
-            "coalition_latency": [float(x) for x in self.coalition_latency],
-            "total_latency": float(self.total_latency),
-            "comp_energy": [float(x) for x in self.comp_energy],
-            "tx_energy": [float(x) for x in self.tx_energy],
-            "coalition_energy": [float(x) for x in self.coalition_energy],
-            "total_energy": float(self.total_energy),
-            "uplink_energy": float(self.uplink_energy),
-            "avg_js": float(self.avg_js),
-            "utility": float(self.utility),
-            "surrogate_objective": float(self.surrogate_objective),
-            "per_client_feasible": [bool(x) for x in self.per_client_feasible],
-            "feasible": bool(self.feasible),
-            "notes": list(self.notes),
-        }
+        return fields_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AllocationPlan":
-        return cls(
-            bandwidth=np.asarray(data["bandwidth"], dtype=float),
-            client_bandwidth=np.asarray(data["client_bandwidth"], dtype=float),
-            power=np.asarray(data["power"], dtype=float),
-            comp_latency=np.asarray(data["comp_latency"], dtype=float),
-            tx_latency=np.asarray(data["tx_latency"], dtype=float),
-            client_latency=np.asarray(data["client_latency"], dtype=float),
-            coalition_latency=np.asarray(data["coalition_latency"], dtype=float),
-            total_latency=float(data["total_latency"]),
-            comp_energy=np.asarray(data["comp_energy"], dtype=float),
-            tx_energy=np.asarray(data["tx_energy"], dtype=float),
-            coalition_energy=np.asarray(data["coalition_energy"], dtype=float),
-            total_energy=float(data["total_energy"]),
-            uplink_energy=float(data["uplink_energy"]),
-            avg_js=float(data["avg_js"]),
-            utility=float(data["utility"]),
-            surrogate_objective=float(data["surrogate_objective"]),
-            per_client_feasible=np.asarray(data["per_client_feasible"], dtype=bool),
-            feasible=bool(data["feasible"]),
-            notes=list(data.get("notes", [])),
-        )
+        """Inverse of ``to_dict``; a missing field raises KeyError."""
+        values = {f.name: data[f.name] for f in fields(cls)}
+        for f in fields(cls):
+            if f.type == "np.ndarray":
+                dtype = bool if f.name == "per_client_feasible" else float
+                values[f.name] = np.asarray(values[f.name], dtype=dtype)
+        return cls(**values)

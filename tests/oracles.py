@@ -99,6 +99,12 @@ def enumerate_best_avg_js(counts, num_coalitions, denominator="M"):
     return float(total.min() / denom)
 
 
+def worst_client(members, clients, edge):
+    """Member with the weakest transmission, argmin of p_max * gain; ties
+    resolve to the lowest client id."""
+    return min(members, key=lambda n: (clients[n].p_max * clients[n].gain(edge), n))
+
+
 def surrogate_objective_ref(bandwidths, coalitions, clients, cfg):
     """Worst-case-energy bandwidth objective, vectorized over grids.
 
@@ -108,7 +114,7 @@ def surrogate_objective_ref(bandwidths, coalitions, clients, cfg):
     total = np.zeros(np.broadcast(*[np.asarray(b) for b in bandwidths]).shape)
     for m, members in enumerate(coalitions):
         size = len(members)
-        worst = min(members, key=lambda n: (clients[n].p_max * clients[n].gain(m), n))
+        worst = worst_client(members, clients, m)
         p = clients[worst].p_max
         h = clients[worst].gain(m)
         share = np.asarray(bandwidths[m], dtype=float) / size
@@ -120,6 +126,76 @@ def surrogate_objective_ref(bandwidths, coalitions, clients, cfg):
 def tx_time_ref(share, power, gain, cfg):
     rate = share * math.log1p(power * gain / (share * cfg.noise_power)) / LN2
     return cfg.model_size / rate
+
+
+def comp_time_ref(client, cfg):
+    return cfg.tau_c * client.cycles_per_item * client.data_size / client.cpu_freq
+
+
+def deadline_powers_ref(coalitions, clients, cfg, bandwidth):
+    """Per-client loop over the member sets: the smallest power meeting the
+    budget at the equal coalition share, clipped at p_max; p_max and a
+    note where computation alone exceeds the budget."""
+    power = np.empty(len(clients))
+    notes = []
+    for m, members in enumerate(coalitions):
+        share = bandwidth[m] / len(members)
+        for n in sorted(members):
+            c = clients[n]
+            budget = cfg.iteration_budget - comp_time_ref(c, cfg)
+            if budget <= 0:
+                power[n] = c.p_max
+                notes.append(f"client {n}: computation alone exceeds the deadline budget")
+                continue
+            exponent = cfg.model_size / (share * budget) * LN2
+            growth = math.expm1(exponent) if exponent < 700 else math.inf
+            power[n] = min(c.p_max, share * cfg.noise_power * growth / c.gain(m))
+    return power, notes
+
+
+def plan_ref(coalitions, clients, cfg, bandwidth, power, avg_js):
+    """Every AllocationPlan field from per-client loops over the member sets."""
+    n_clients = len(clients)
+    share = np.empty(n_clients)
+    t_comp = np.empty(n_clients)
+    t_tx = np.empty(n_clients)
+    e_comp = np.empty(n_clients)
+    for m, members in enumerate(coalitions):
+        for n in members:
+            c = clients[n]
+            share[n] = bandwidth[m] / len(members)
+            t_comp[n] = comp_time_ref(c, cfg)
+            t_tx[n] = tx_time_ref(share[n], power[n], c.gain(m), cfg)
+            e_comp[n] = cfg.tau_c * cfg.capacitance * c.cycles_per_item * c.data_size * c.cpu_freq**2
+    t_client = t_comp + t_tx
+    e_tx = t_tx * power
+    rounds = cfg.tau_g * cfg.tau_e
+    coalition_latency = [cfg.tau_e * max(t_client[n] for n in members) for members in coalitions]
+    coalition_energy = [rounds * sum(e_comp[n] + e_tx[n] for n in members) for members in coalitions]
+    total_energy = sum(coalition_energy)
+    ok = [t <= cfg.iteration_budget * (1 + 1e-9) for t in t_client]
+    return {
+        "bandwidth": list(bandwidth),
+        "client_bandwidth": list(share),
+        "power": list(power),
+        "comp_latency": list(t_comp),
+        "tx_latency": list(t_client - t_comp),
+        "client_latency": list(t_client),
+        "coalition_latency": coalition_latency,
+        "total_latency": cfg.tau_g * max(coalition_latency),
+        "comp_energy": list(e_comp),
+        "tx_energy": list(e_tx),
+        "coalition_energy": coalition_energy,
+        "total_energy": total_energy,
+        "uplink_energy": rounds * sum(e_tx),
+        "avg_js": avg_js,
+        "utility": cfg.lambda1 * (1 - avg_js) - cfg.lambda2 * total_energy,
+        "surrogate_objective": float(
+            surrogate_objective_ref(list(bandwidth), coalitions, clients, cfg)
+        ),
+        "per_client_feasible": ok,
+        "feasible": all(ok),
+    }
 
 
 def bisect_min_feasible_power(client, share, gain, cfg, resolution_factor=1e-7):

@@ -17,11 +17,11 @@ from leapsim.alloc import (
     p3_objective,
     plan_full,
     project_to_simplex,
-    worst_client,
+    worst_members,
 )
 from leapsim.netmodel import ClientProfile, NetworkConfig, energies
 
-from oracles import make_alloc_instance, surrogate_objective_ref
+from oracles import make_alloc_instance, surrogate_objective_ref, worst_client
 
 
 def simple_client(p_max, gain, n_edges=2):
@@ -38,28 +38,50 @@ def simple_client(p_max, gain, n_edges=2):
 # -- worst client ---------------------------------------------------------------
 
 def test_worst_client_argmin_p_h():
-    clients = [simple_client(2.0, 2.0), simple_client(1.0, 1.0), simple_client(3.0, 3.0)]
-    assert worst_client({0, 1, 2}, clients, 0) == 1
+    clients = [simple_client(2.0, 2.0, 1), simple_client(1.0, 1.0, 1), simple_client(3.0, 3.0, 1)]
+    assert worst_members([{0, 1, 2}], clients).tolist() == [1]
 
 
 def test_worst_client_single_member():
-    clients = [simple_client(1.0, 1.0)]
-    assert worst_client({0}, clients, 0) == 0
+    clients = [simple_client(1.0, 1.0), simple_client(2.0, 3.0)]
+    assert worst_members([{1}, {0}], clients).tolist() == [1, 0]
 
 
 def test_worst_client_tie_lowest_id():
-    clients = [simple_client(1.0, 2.0), simple_client(2.0, 1.0), simple_client(1.0, 2.0)]
-    assert worst_client({0, 1, 2}, clients, 0) == 0
+    clients = [simple_client(1.0, 2.0, 1), simple_client(2.0, 1.0, 1), simple_client(1.0, 2.0, 1)]
+    assert worst_members([{2, 1, 0}], clients).tolist() == [0]
+
+
+def test_worst_members_match_the_scalar_reference():
+    # coarse gain and power grids make exact ties common
+    rng = np.random.default_rng(40)
+    for _ in range(50):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 15))
+        assignment = np.concatenate([np.arange(m), rng.integers(m, size=n - m)])
+        gains = rng.integers(1, 4, size=(n, m if rng.random() < 0.5 else 1))
+        clients = [
+            ClientProfile(
+                data_size=10, cycles_per_item=1.0, cpu_freq=1.0,
+                channel_gains=tuple(float(g) for g in gains[k]),
+                p_max=float(rng.integers(1, 4)), label_counts=(10,),
+            )
+            for k in range(n)
+        ]
+        coalitions = [set(np.flatnonzero(assignment == k).tolist()) for k in range(m)]
+        expected = [worst_client(coalitions[k], clients, k) for k in range(m)]
+        assert worst_members(assignment, clients).tolist() == expected
+        assert worst_members(coalitions, clients).tolist() == expected
 
 
 # -- objective and gradient --------------------------------------------------------
 
 def test_p3_objective_single_coalition_closed_form():
     rng = np.random.default_rng(0)
-    coalitions, clients, cfg = make_alloc_instance(rng, 2)
+    coalitions, clients, cfg = make_alloc_instance(rng, 1)
     members = coalitions[0]
     bandwidth = cfg.total_bandwidth
-    value = p3_objective(np.array([bandwidth]), [members], clients, cfg)
+    value = p3_objective(np.array([bandwidth]), coalitions, clients, cfg)
     worst = worst_client(members, clients, 0)
     share = bandwidth / len(members)
     p, h = clients[worst].p_max, clients[worst].gain(0)
@@ -69,15 +91,14 @@ def test_p3_objective_single_coalition_closed_form():
 
 
 def test_p3_objective_symmetric_terms_equal():
+    # identical coalitions contribute identical terms, so swapping their
+    # bandwidths leaves the objective unchanged
     rng = np.random.default_rng(1)
     coalitions, clients, cfg = make_alloc_instance(rng, 2, symmetric=True)
-    equal = np.full(2, cfg.total_bandwidth / 2)
-    single = [
-        p3_objective(np.array([equal[m]]), [coalitions[m]],
-                     clients, cfg)
-        for m in range(2)
-    ]
-    assert single[0] == pytest.approx(single[1], rel=1e-12)
+    bandwidth = np.array([0.3, 0.7]) * cfg.total_bandwidth
+    assert p3_objective(bandwidth, coalitions, clients, cfg) == pytest.approx(
+        p3_objective(bandwidth[::-1], coalitions, clients, cfg), rel=1e-12
+    )
 
 
 def test_p3_objective_matches_energies_with_worst_case_clones():
@@ -432,3 +453,75 @@ def test_build_plan_metrics_are_consistent():
     assert plan.utility == pytest.approx(
         cfg.lambda1 * (1 - 0.25) - cfg.lambda2 * plan.total_energy, rel=1e-12
     )
+
+
+# -- vectorized plan against the per-client reference -----------------------------------
+
+def random_plan_instance(rng):
+    """Random coalitions, clients and deadline for differential tests.
+
+    Coalition 0 is a singleton; half of the instances use one gain per
+    client ("client" gain mode); compute latencies spread around the
+    per-iteration budget, so some clients run out of budget on
+    computation alone and others need more than p_max.
+    """
+    m = int(rng.integers(2, 6))
+    n = int(rng.integers(m + 1, 25))
+    assignment = np.concatenate([np.arange(m), rng.integers(1, m, size=n - m)])
+    rng.shuffle(assignment)
+    per_edge = rng.random() < 0.5
+    clients = []
+    for _ in range(n):
+        gains = np.exp(rng.uniform(np.log(1e-8), np.log(1e-5), size=m if per_edge else 1))
+        data = int(rng.integers(20, 200))
+        clients.append(
+            ClientProfile(
+                data_size=data,
+                cycles_per_item=float(rng.uniform(1e4, 1e6)),
+                cpu_freq=float(rng.uniform(1e9, 2e9)),
+                channel_gains=tuple(gains.tolist()),
+                p_max=float(rng.uniform(0.1, 1.0)),
+                label_counts=(data,),
+            )
+        )
+    cfg = NetworkConfig(
+        total_bandwidth=1e7, noise_power=1e-13, model_size=2e5, tau_c=5, tau_e=3,
+        tau_g=4, deadline=12 * float(rng.uniform(0.2, 0.6)), capacitance=1e-28,
+    )
+    coalitions = [set(np.flatnonzero(assignment == k).tolist()) for k in range(m)]
+    bandwidth = rng.dirichlet(np.ones(m)) * cfg.total_bandwidth
+    return assignment, coalitions, clients, cfg, bandwidth
+
+
+def assert_plan_matches(plan, ref):
+    for name, expected in ref.items():
+        value = getattr(plan, name)
+        if name in ("per_client_feasible", "feasible"):
+            assert np.array_equal(value, expected), name
+        else:
+            np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_deadline_powers_and_build_plan_match_the_per_client_reference():
+    from oracles import deadline_powers_ref, plan_ref
+    from leapsim.alloc import deadline_powers
+
+    rng = np.random.default_rng(41)
+    seen = {"late": 0, "clipped": 0, "client_mode": 0}
+    for _ in range(60):
+        assignment, coalitions, clients, cfg, bandwidth = random_plan_instance(rng)
+        power, notes = deadline_powers(assignment, clients, cfg, bandwidth)
+        ref_power, ref_notes = deadline_powers_ref(coalitions, clients, cfg, bandwidth)
+        np.testing.assert_allclose(power, ref_power, rtol=1e-12, atol=0)
+        assert notes == ref_notes
+        p_max = np.array([c.p_max for c in clients])
+        seen["late"] += len(notes)
+        seen["clipped"] += int(np.sum(power == p_max)) - len(notes)
+        seen["client_mode"] += len(clients[0].channel_gains) == 1
+
+        for trial_power in (power, p_max * rng.uniform(0.01, 1.0, size=len(clients))):
+            plan = build_plan(coalitions, clients, cfg, bandwidth, trial_power, avg_js=0.3)
+            assert_plan_matches(
+                plan, plan_ref(coalitions, clients, cfg, bandwidth, trial_power, 0.3)
+            )
+    assert all(count > 0 for count in seen.values()), seen

@@ -178,3 +178,55 @@ def test_partition_that_disagrees_with_the_scenario_is_rejected(
     ) == 2
     lines = _error_lines(capsys)
     assert len(lines) == 1 and words in lines[0]
+
+
+def _scenario_with(tmp_path, scenario_file, field, value):
+    data = json.loads(scenario_file.read_text())
+    data["clients"][5][field] = value
+    path = tmp_path / f"bad_{field}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["gen", "--clients", 6, "--edges", 1], "n_edges >= 2"),
+    ("p_max", "p_max must be strictly positive"),
+    ("channel_gains", "client 5 has 2 channel gains"),
+])
+def test_bad_values_are_one_line_and_exit_2(tmp_path, scenario_file, capsys, argv, words):
+    if isinstance(argv, str):
+        value = -1 if argv == "p_max" else [1e-7, 1e-7]
+        bad = _scenario_with(tmp_path, scenario_file, argv, value)
+        argv = ["compare", "--scenario", bad, "--methods", "leap"]
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and words in lines[0]
+
+
+def test_report_refuses_a_plan_that_differs_from_its_recomputation(
+    tmp_path, scenario_file, capsys
+):
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    partition = stage / "partition.json"
+    assert run(
+        ["allocate", "--scenario", scenario_file, "--partition", partition, "--out", stage]
+    ) == 0
+    report = ["report", "--scenario", scenario_file, "--partition", partition]
+    assert run([*report, "--plan", stage / "plan.json", "--out", tmp_path / "ok"]) == 0
+    capsys.readouterr()
+
+    plan = json.loads((stage / "plan.json").read_text())
+    plan["tx_energy"][2] *= 1.0 + 1e-6
+    tampered = tmp_path / "plan.json"
+    tampered.write_text(json.dumps(plan))
+    assert run([*report, "--plan", tampered, "--out", tmp_path / "bad"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "stored tx_energy differs" in lines[0]
+    assert not (tmp_path / "bad" / "metrics.json").exists()
+
+    del plan["tx_energy"]
+    tampered.write_text(json.dumps(plan))
+    assert run([*report, "--plan", tampered, "--out", tmp_path / "bad"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "malformed plan" in lines[0]

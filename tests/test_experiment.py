@@ -103,15 +103,16 @@ def test_report_roundtrip(tmp_path, report):
 
 def test_csv_row_counts_match_traces(tmp_path, report):
     emit_report(report, tmp_path)
-    game_rows = list(
-        csv.reader((tmp_path / "leap_game_trace.csv").open())
-    )
+
+    def rows(name):
+        return list(csv.reader((tmp_path / name).read_text().splitlines()))
+
     # comment line + header + entries
-    assert len(game_rows) - 2 == len(report.methods["leap"].game_trace["entries"])
-    gp_rows = list(csv.reader((tmp_path / "leap_gp_trace.csv").open()))
-    assert len(gp_rows) - 2 == len(report.methods["leap"].gp_trace["objective_values"])
-    summary_rows = list(csv.reader((tmp_path / "summary.csv").open()))
-    assert len(summary_rows) - 2 == len(report.methods)
+    assert len(rows("leap_game_trace.csv")) - 2 == len(report.methods["leap"].game_trace["entries"])
+    assert len(rows("leap_gp_trace.csv")) - 2 == len(
+        report.methods["leap"].gp_trace["objective_values"]
+    )
+    assert len(rows("summary.csv")) - 2 == len(report.methods)
 
 
 def test_schema_version_in_every_file(tmp_path, report):

@@ -15,6 +15,8 @@ from leapsim.game import (
     verify_exact_potential,
 )
 
+from leapsim.experiment import write_game_trace
+
 from oracles import partition_avg_js_ref, random_counts, stable_ref
 
 ONE_HOT_4 = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)
@@ -46,6 +48,16 @@ def test_partition_caches_match_fresh_computation():
     )
 
 
+@pytest.mark.parametrize("denominator", ["M", "pairs"])
+def test_one_coalition_has_zero_avg_js_and_is_stable(denominator):
+    part = make_partition([0, 0], [[1, 0], [0, 1]], 1, denominator)
+    assert part.avg_js() == 0.0
+    assert certify_stability(part)
+    assert best_switch(part, 0) is None
+    with pytest.raises(InvalidSwitchError):
+        switch_deltas(part, 0)
+
+
 def test_partition_copy_is_independent():
     part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
     clone = part.copy()
@@ -63,7 +75,7 @@ def test_apply_updates_caches_incrementally():
     for _ in range(10):
         client = int(rng.integers(10))
         src = int(part.assignment[client])
-        if len(part.coalitions[src]) == 1:
+        if part.sizes[src] == 1:
             continue
         target = (src + 1) % 3
         part.apply(evaluate_switch(part, client, target))
@@ -117,7 +129,7 @@ def test_incremental_delta_matches_full_recompute():
         part = random_partition(counts, m, rng)
         client = int(rng.integers(n))
         src = int(part.assignment[client])
-        if len(part.coalitions[src]) == 1:
+        if part.sizes[src] == 1:
             continue
         target = int(rng.choice([k for k in range(m) if k != src]))
         prop = evaluate_switch(part, client, target)
@@ -146,7 +158,7 @@ def test_switch_deltas_match_full_recompute_for_every_target():
         before = partition_avg_js_ref(part.assignment, counts, m, part.denominator)
         for client in range(part.n_clients):
             src = int(part.assignment[client])
-            if len(part.coalitions[src]) == 1:
+            if part.sizes[src] == 1:
                 with pytest.raises(InvalidSwitchError):
                     switch_deltas(part, client)
                 continue
@@ -192,7 +204,7 @@ def test_best_switch_exhaustive_oracle():
         part = random_partition(counts, m, rng)
         client = int(rng.integers(n))
         src = int(part.assignment[client])
-        if len(part.coalitions[src]) == 1:
+        if part.sizes[src] == 1:
             assert best_switch(part, client) is None
             continue
         deltas = {
@@ -264,7 +276,7 @@ def test_run_converged_partition_is_nash_stable():
 
 def test_run_requires_valid_initial_partition():
     part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
-    part.coalitions[0].discard(0)  # corrupt the caches
+    part.sizes[0] -= 1  # corrupt the caches
     with pytest.raises(InvalidPartitionError):
         run_coalition_formation(part, max_iters=10, rng_seed=0)
 
@@ -301,7 +313,7 @@ def test_exact_potential_on_random_switches():
         part = random_partition(counts, m, rng)
         client = int(rng.integers(n))
         src = int(part.assignment[client])
-        if len(part.coalitions[src]) == 1:
+        if part.sizes[src] == 1:
             continue
         target = int(rng.choice([k for k in range(m) if k != src]))
         prop = evaluate_switch(part, client, target)
@@ -384,7 +396,7 @@ def test_trace_csv_roundtrip_row_count(tmp_path):
     part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
     _, trace = run_coalition_formation(part, max_iters=300, rng_seed=3)
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    write_game_trace(path, trace.entries)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("# schema=")
     assert lines[1] == "iteration,client,from,to,avg_js"

@@ -5,7 +5,6 @@ from leapsim.hfl import (
     SyntheticDataset,
     accuracy,
     edge_aggregate,
-    global_aggregate,
     init_params,
     local_train,
     param_dim,
@@ -119,7 +118,7 @@ def test_global_of_edges_equals_flat_weighted_mean():
         for group in edges
     ]
     edge_sizes = [sum(sizes[i] for i in group) for group in edges]
-    nested = global_aggregate(edge_params, edge_sizes)
+    nested = edge_aggregate(edge_params, edge_sizes)
     flat = edge_aggregate(params, sizes)
     assert np.max(np.abs(nested - flat)) <= 1e-12
 

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from leapsim.alloc import plan_full
+from leapsim.errors import InvalidPartitionError, InvalidValueError
+from leapsim.game import Partition
 from leapsim.netmodel import (
     AllocationPlan,
     ClientProfile,
+    ClientTable,
     NetworkConfig,
     check_deadline,
+    client_table,
+    coalition_assignment,
     comp_latency,
     energies,
     network_utility,
@@ -295,3 +301,76 @@ def test_allocation_plan_roundtrip():
     )
     again = AllocationPlan.from_dict(plan.to_dict())
     assert again.to_dict() == plan.to_dict()
+
+
+# -- client table and partition forms ---------------------------------------------------
+
+def test_value_errors_are_typed():
+    with pytest.raises(InvalidValueError):
+        client(p_max=-1.0)
+    with pytest.raises(InvalidValueError):
+        unit_config(deadline=0.0)
+
+
+def test_table_broadcasts_single_gains_and_matches_profiles():
+    clients = [client(gains=(2.0,), cycles=3.0), client(gains=(1.0, 5.0, 7.0), freq=2.0)]
+    table = ClientTable.from_profiles(clients, 3)
+    assert table.channel_gains.tolist() == [[2.0, 2.0, 2.0], [1.0, 5.0, 7.0]]
+    assert table.label_counts.shape == (2, 1) and len(table) == 2
+    cfg = unit_config(tau_c=3)
+    assert comp_latency(table, cfg).tolist() == [comp_latency(c, cfg) for c in clients]
+    assert table.gain(np.array([2, 1])).tolist() == [clients[0].gain(2), clients[1].gain(1)]
+    assert client_table(table, 3) is table
+
+
+def test_table_rejects_misshapen_clients():
+    with pytest.raises(InvalidValueError, match="client 1 has 3 channel gains"):
+        ClientTable.from_profiles([client(gains=(1.0, 1.0)), client(gains=(1.0, 1.0, 1.0))], 2)
+    odd = ClientProfile(
+        data_size=2, cycles_per_item=1.0, cpu_freq=1.0, channel_gains=(1.0,),
+        p_max=1.0, label_counts=(1, 1),
+    )
+    with pytest.raises(InvalidValueError, match="client 1 has 2 label counts"):
+        ClientTable.from_profiles([client(), odd], 2)
+    with pytest.raises(InvalidPartitionError):
+        client_table(ClientTable.from_profiles([client()], 2), 3)
+
+
+def test_partition_forms_give_one_assignment():
+    counts = np.ones((5, 2), dtype=np.int64)
+    assignment = np.array([1, 0, 2, 1, 0])
+    expected = (assignment.tolist(), [2, 2, 1])
+    for form in (
+        Partition(assignment, counts, 3),
+        assignment,
+        [{1, 4}, [3, 0], (2,)],
+    ):
+        found, sizes = coalition_assignment(form, 5)
+        assert (found.tolist(), sizes.tolist()) == expected
+
+
+BAD_PARTITIONS = {
+    "missing client": ([{0, 1, 2}, {3, 4}], "client 5 is missing"),
+    "repeated client": ([{0, 1, 2}, {2, 3, 4, 5}], "client 2 is repeated"),
+    "out of range": ([{0, 1, 2}, {3, 4, 6}], "outside"),
+    "empty coalition": ([{0, 1, 2, 3, 4, 5}, set()], "coalition 1 is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARTITIONS))
+@pytest.mark.parametrize("solver", ["energies", "round_and_total_latency", "plan_full"])
+def test_solvers_reject_a_partition_that_is_not_a_disjoint_cover(case, solver):
+    coalitions, words = BAD_PARTITIONS[case]
+    rng = np.random.default_rng(3)
+    clients = [
+        client(gains=(float(rng.uniform(1e-7, 1e-5)),) * 2, cycles=1e-6) for _ in range(6)
+    ]
+    cfg = unit_config(noise_power=1e-13)
+    share, power = np.full(6, 1e6), np.full(6, 0.5)
+    with pytest.raises(InvalidPartitionError, match=words):
+        if solver == "energies":
+            energies(coalitions, clients, share, power, cfg)
+        elif solver == "round_and_total_latency":
+            round_and_total_latency(coalitions, clients, share, power, cfg)
+        else:
+            plan_full(coalitions, clients, cfg)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from leapsim.errors import InputFileError, InvalidValueError
 from leapsim.scenario import (
     HardwareRanges,
     dirichlet_label_counts,
@@ -130,7 +131,38 @@ def test_grouped_partition_is_adversarial_and_valid():
     # grouping clients by identical support leaves each edge with the
     # fewest possible classes: exactly the 2 shard classes here
     counts = label_count_matrix(sc)
-    for members in part.coalitions:
-        support = np.nonzero(counts[sorted(members)].sum(axis=0))[0]
+    for m in range(sc.num_edges):
+        support = np.nonzero(counts[part.assignment == m].sum(axis=0))[0]
         assert len(support) == 2
     assert part.avg_js() > 1.0
+
+
+def test_generator_argument_errors_are_typed():
+    with pytest.raises(InvalidValueError):
+        generate_scenario(seed=0, n_clients=10, n_edges=1)
+    with pytest.raises(InvalidValueError):
+        generate_scenario(seed=0, n_clients=10, n_edges=2, gain_mode="other")
+
+
+@pytest.mark.parametrize("field, value, words", [
+    ("channel_gains", [1e-7, 1e-7, 1e-7], "3 channel gains"),
+    ("label_counts", [100, 100], "2 label counts"),
+    ("p_max", -1, "p_max"),
+    ("cpu_freq", "fast", "TypeError"),
+])
+def test_load_rejects_a_bad_client(tmp_path, field, value, words):
+    sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
+    data = sc.to_dict()
+    data["clients"][4][field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputFileError, match=words):
+        load_scenario(path)
+
+
+def test_table_is_built_once_and_matches_the_profiles():
+    sc = generate_scenario(seed=4, n_clients=8, n_edges=3, gain_mode="client")
+    assert sc.table.channel_gains.shape == (8, 3)
+    assert sc.table.channel_gains[:, 2].tolist() == [c.gain(2) for c in sc.clients]
+    assert sc.table.p_max.tolist() == [c.p_max for c in sc.clients]
+    assert label_count_matrix(sc) is sc.table.label_counts
