@@ -124,7 +124,7 @@ def cmd_coalition(args) -> int:
             np.random.default_rng(args.seed),
             args.denominator,
         )
-    max_iters = args.max_iters or max(2000, 200 * scenario.n_clients)
+    max_iters = max(2000, 200 * scenario.n_clients) if args.max_iters is None else args.max_iters
     partition, trace = run_coalition_formation(
         start, max_iters=max_iters, rng_seed=args.seed
     )
@@ -175,24 +175,32 @@ def cmd_allocate(args) -> int:
     return 0
 
 
+def _train_options(args, **extra) -> TrainOptions:
+    """The training flags shared by ``simulate`` and ``compare``, validated."""
+    return TrainOptions(
+        n_features=args.features,
+        lr=args.lr,
+        tau_c=args.tau_c,
+        tau_e=args.tau_e,
+        tau_g=args.tau_g,
+        **extra,
+    )
+
+
 def cmd_simulate(args) -> int:
+    opts = _train_options(args, class_sep=args.class_sep, noise=args.noise)
     scenario = load_scenario(args.scenario)
     partition = _load_partition(args.partition, scenario)
     dataset = SyntheticDataset.generate(
         label_counts=label_count_matrix(scenario).tolist(),
-        n_features=args.features,
+        n_features=opts.n_features,
         seed=args.seed,
-        class_sep=args.class_sep,
-        noise=args.noise,
+        class_sep=opts.class_sep,
+        noise=opts.noise,
+        test_per_class=opts.test_per_class,
     )
     _, curve = run_hfl(
-        partition,
-        dataset,
-        tau_c=args.tau_c or scenario.config.tau_c,
-        tau_e=args.tau_e or scenario.config.tau_e,
-        tau_g=args.tau_g or scenario.config.tau_g,
-        lr=args.lr,
-        seed=args.seed,
+        partition, dataset, **opts.periods(scenario.config), lr=opts.lr, seed=args.seed
     )
     path = _out_dir(args) / "accuracy.csv"
     write_accuracy(path, curve, partition.avg_js())
@@ -301,13 +309,7 @@ def cmd_compare(args) -> int:
         game_max_iters=args.max_iters,
         js_denominator=args.denominator,
         train=args.train,
-        train_options=TrainOptions(
-            n_features=args.features,
-            lr=args.lr,
-            tau_c=args.tau_c,
-            tau_e=args.tau_e,
-            tau_g=args.tau_g,
-        ),
+        train_options=_train_options(args),
     )
     out = _out_dir(args)
     written = emit_report(report, out, formats=tuple(args.format.split(",")))

@@ -24,11 +24,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alloc import GPConfig, build_plan, deadline_powers, plan_full
+from .alloc import GPConfig, GPTrace, build_plan, deadline_powers, plan_full
+from .errors import InvalidValueError
 from .files import fields_dict, read_json, write_csv, write_json
 from .game import GameTrace, Partition, random_partition, run_coalition_formation
 from .hfl import SyntheticDataset, run_hfl
-from .netmodel import AllocationPlan
+from .netmodel import AllocationPlan, NetworkConfig
 from .scenario import Scenario, label_count_matrix
 
 __all__ = [
@@ -50,10 +51,12 @@ REPORT_SCHEMA = "leapsim.report.v1"
 
 METHODS = ("leap", "random_assoc", "equal_split", "rb", "rp", "rb_rp")
 
+_PERIODS = ("tau_c", "tau_e", "tau_g")
+
 
 @dataclass
 class TrainOptions:
-    """Knobs for the toy training comparison; None defers to the scenario."""
+    """Knobs for the toy training comparison; a tau of None defers to the scenario."""
 
     n_features: int = 16
     class_sep: float = 2.0
@@ -63,6 +66,23 @@ class TrainOptions:
     tau_e: int | None = None
     tau_g: int | None = None
     test_per_class: int = 100
+
+    def __post_init__(self):
+        if self.n_features < 1:
+            raise InvalidValueError(f"n_features must be at least 1, got {self.n_features}")
+        if not self.lr > 0:
+            raise InvalidValueError(f"lr must be strictly positive, got {self.lr}")
+        for name in _PERIODS:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InvalidValueError(f"{name} must be at least 1, got {value}")
+
+    def periods(self, config: NetworkConfig) -> dict[str, int]:
+        """tau_c, tau_e and tau_g: each option that is set, else the config's."""
+        return {
+            name: getattr(config, name) if getattr(self, name) is None else getattr(self, name)
+            for name in _PERIODS
+        }
 
 
 @dataclass
@@ -136,6 +156,8 @@ def run_experiment(
     n_edges = scenario.num_edges
     if game_max_iters is None:
         game_max_iters = max(2000, 200 * scenario.n_clients)
+    elif game_max_iters < 1:  # rejected even when no requested method runs the game
+        raise InvalidValueError(f"max_iters must be at least 1, got {game_max_iters}")
 
     # fixed-order seed block so each stream is independent of which
     # methods were requested
@@ -201,51 +223,54 @@ def run_experiment(
                 test_per_class=opts.test_per_class,
             )
         _, curve = run_hfl(
-            partition,
-            dataset,
-            tau_c=opts.tau_c or config.tau_c,
-            tau_e=opts.tau_e or config.tau_e,
-            tau_g=opts.tau_g or config.tau_g,
-            lr=opts.lr,
-            seed=master_seed,
+            partition, dataset, **opts.periods(config), lr=opts.lr, seed=master_seed
         )
         return curve
+
+    def optimized(
+        name: str,
+        partition: Partition,
+        used_seeds: dict,
+        plan: AllocationPlan,
+        gp_trace: GPTrace,
+        game_trace: GameTrace | None = None,
+    ) -> MethodResult:
+        """Result of a method whose plan is ``plan_full`` on its partition."""
+        result = MethodResult(
+            name=name,
+            seeds=used_seeds,
+            assignment=[int(a) for a in partition.assignment],
+            avg_js=partition.avg_js(),
+            plan=plan.to_dict(),
+            feasible=plan.feasible,
+            game_trace=None if game_trace is None else _trace_to_dict(game_trace),
+            gp_trace=asdict(gp_trace),
+        )
+        if train:
+            result.accuracy = train_curve(partition)
+        return result
 
     for name in methods:
         if name == "leap":
             partition, trace = formed_partition()
-            plan, gp_trace = formed_plan()
-            result = MethodResult(
-                name=name,
-                seeds={"init_partition": seeds["init_partition"], "game": seeds["game"]},
-                assignment=[int(a) for a in partition.assignment],
-                avg_js=partition.avg_js(),
-                plan=plan.to_dict(),
-                feasible=plan.feasible,
-                game_trace=_trace_to_dict(trace),
-                gp_trace=asdict(gp_trace),
+            result = optimized(
+                name,
+                partition,
+                {"init_partition": seeds["init_partition"], "game": seeds["game"]},
+                *formed_plan(),
+                game_trace=trace,
             )
-            if train:
-                result.accuracy = train_curve(partition)
 
         elif name == "random_assoc":
             partition = random_partition(
                 counts, n_edges, np.random.default_rng(seeds["random_assoc"]), js_denominator
             )
-            plan, gp_trace = plan_full(
-                partition, clients, config, gp, avg_js=partition.avg_js()
+            result = optimized(
+                name,
+                partition,
+                {"association": seeds["random_assoc"]},
+                *plan_full(partition, clients, config, gp, avg_js=partition.avg_js()),
             )
-            result = MethodResult(
-                name=name,
-                seeds={"association": seeds["random_assoc"]},
-                assignment=[int(a) for a in partition.assignment],
-                avg_js=partition.avg_js(),
-                plan=plan.to_dict(),
-                feasible=plan.feasible,
-                gp_trace=asdict(gp_trace),
-            )
-            if train:
-                result.accuracy = train_curve(partition)
 
         else:
             partition, _ = formed_partition()

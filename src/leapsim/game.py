@@ -20,10 +20,18 @@ Pricing a client's switches only recomputes the pairs that touch the
 source and the target coalition, and ``switch_deltas`` does that for
 every target at once with a single call of the broadcasting JS kernel;
 ``certify_stability`` runs the same computation over blocks of clients.
+
+The improvement loop prices each partition state (an epoch: the span
+between two accepted switches) at most once per client.  It draws
+clients a few samples ahead and prices every unpriced one among them in
+one batch; the rows are kept until the next accepted switch and handed
+to the stability certificate, which prices only the clients left over.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +40,7 @@ from .dist import EmptyDistributionError, js_rows
 # the game no longer calls the scalar JS; the name stays bound here
 # because perfbench's tracer wraps leapsim.game.js_divergence
 from .dist import js_divergence  # noqa: F401
-from .errors import InvalidPartitionError, LeapsimError
+from .errors import InvalidPartitionError, InvalidValueError, LeapsimError
 
 __all__ = [
     "SWITCH_TOLERANCE",
@@ -62,6 +70,13 @@ SWITCH_TOLERANCE = 1e-10
 # so each kernel temporary stays under 128 kB and peak memory does not
 # grow with the number of clients.
 CERTIFY_BLOCK_ELEMENTS = 1 << 14
+
+# Draws the improvement loop holds, the sampled one included: a sampled
+# client without a price on the current partition is priced in one
+# batch with the unpriced clients among the other held draws.  Deeper
+# windows price more clients that an accepted switch makes stale before
+# they are sampled; 6 to 8 were fastest on the benchmark's game workloads.
+LOOKAHEAD_DRAWS = 8
 
 
 class InvalidSwitchError(LeapsimError):
@@ -305,20 +320,28 @@ def evaluate_switch(
 
 
 def best_switch(
-    partition: Partition, client: int, tolerance: float = SWITCH_TOLERANCE
+    partition: Partition,
+    client: int,
+    tolerance: float = SWITCH_TOLERANCE,
+    deltas: np.ndarray | None = None,
 ) -> SwitchProposal | None:
     """Best admissible move for one client, or None when staying wins.
 
-    All target coalitions are priced; the proposal with the strictly
-    smallest resulting avg JS is returned provided it beats staying by
-    more than ``tolerance``.  Equal deltas resolve to the lowest
-    coalition index (``argmin`` returns the first minimum), which keeps
-    runs reproducible.
+    All target coalitions are priced; ``deltas``, when given, is the
+    client's ``switch_deltas`` vector on the partition's current state
+    and saves recomputing it.  The target with the smallest delta is
+    returned provided it beats staying by more than ``tolerance``.
+    Deltas that are equal as floats resolve to the lowest coalition
+    index (``argmin`` returns the first minimum).  Deltas that are tied
+    in exact arithmetic but differ in the last bits, because each
+    target's pair changes are summed in a different order, resolve by
+    that rounding: reproducibly, but not always to the lower index.
     """
     src = int(partition.assignment[client])
     if partition.num_coalitions < 2 or partition.sizes[src] == 1:
         return None
-    deltas = switch_deltas(partition, client)
+    if deltas is None:
+        deltas = switch_deltas(partition, client)
     best = evaluate_switch(partition, client, int(np.argmin(deltas)), deltas)
     return best if best.delta_js < -tolerance else None
 
@@ -332,44 +355,70 @@ def run_coalition_formation(
     """Randomized improvement loop over single-client switches.
 
     Each iteration samples a client uniformly at random and applies its
-    best improving switch, if any.  The loop stops once no switch has
-    been accepted for n_clients consecutive samples and an exhaustive
-    deviation check confirms stability (random sampling alone can miss
-    an improving client), or when ``max_iters`` is reached.  The
-    returned trace records every sampled iteration, so its avg JS
-    column is non-increasing.
+    best improving switch, if any (``best_switch``, ties included).  The
+    loop stops once no switch has been accepted for n_clients
+    consecutive samples and an exhaustive deviation check confirms
+    stability (random sampling alone can miss an improving client), or
+    when ``max_iters`` is reached.  The returned trace records every
+    sampled iteration, so its avg JS column is non-increasing.
+
+    Clients are drawn LOOKAHEAD_DRAWS samples ahead, one scalar draw at
+    a time and in sampling order, so the samples are those of one draw
+    per iteration.  A sampled client that is not yet priced on the
+    current partition is priced in one batch with every unpriced,
+    movable client among the held draws.  The rows are kept until the
+    next accepted switch, and the stability check reuses them.
     """
+    if max_iters < 1:
+        raise InvalidValueError(f"max_iters must be at least 1, got {max_iters}")
     initial.validate()
     partition = initial.copy()
     rng = np.random.default_rng(rng_seed)
     trace = GameTrace(seed=rng_seed)
 
-    n = partition.n_clients
+    n, m = partition.n_clients, partition.num_coalitions
+    # this epoch's switch_deltas rows; NaN rows are not priced yet
+    known = np.full((n, m), np.nan)
+    movable = (partition.sizes[partition.assignment] > 1) & (m > 1)
+    avg_js = partition.avg_js()
+    ahead: deque[int] = deque()
     quiet = 0
     iteration = 0
     converged = False
     while iteration < max_iters:
-        client = int(rng.integers(n))
+        while len(ahead) < min(LOOKAHEAD_DRAWS, max_iters - iteration):
+            ahead.append(int(rng.integers(n)))
+        client = ahead.popleft()
         src = int(partition.assignment[client])
-        proposal = best_switch(partition, client, tolerance)
+        proposal = None
+        if movable[client]:
+            if math.isnan(known[client, 0]):
+                batch = [client]
+                for other in ahead:
+                    if movable[other] and math.isnan(known[other, 0]) and other not in batch:
+                        batch.append(other)
+                known[batch] = _price_moves(partition, np.array(batch))
+            proposal = best_switch(partition, client, tolerance, known[client])
         if proposal is not None:
             partition.apply(proposal)
+            known.fill(np.nan)
+            movable = partition.sizes[partition.assignment] > 1
+            avg_js = partition.avg_js()
             quiet = 0
-            trace.entries.append(
-                (iteration, client, src, proposal.target, partition.avg_js())
-            )
         else:
             quiet += 1
-            trace.entries.append((iteration, client, src, None, partition.avg_js()))
+        trace.entries.append(
+            (iteration, client, src, None if proposal is None else proposal.target, avg_js)
+        )
         iteration += 1
         if quiet >= n:
-            if certify_stability(partition, tolerance):
+            if certify_stability(partition, tolerance, known):
                 converged = True
                 break
             quiet = 0  # sampling missed an improving client; keep going
 
     trace.iterations_used = iteration
-    trace.converged = converged or certify_stability(partition, tolerance)
+    trace.converged = converged or certify_stability(partition, tolerance, known)
     return partition, trace
 
 
@@ -418,18 +467,31 @@ def verify_exact_potential(
 
 
 def certify_stability(
-    partition: Partition, tolerance: float = SWITCH_TOLERANCE
+    partition: Partition,
+    tolerance: float = SWITCH_TOLERANCE,
+    known: np.ndarray | None = None,
 ) -> bool:
     """Exhaustively confirm that no single-client switch improves avg JS.
 
     Every client that is not alone in its coalition is priced against
     every target, in blocks of clients sized by CERTIFY_BLOCK_ELEMENTS.
     With a single coalition no client has anywhere to go.
+
+    ``known``, when given, is an (n_clients, M) array holding the
+    ``switch_deltas`` vector of each client already priced on the
+    partition's current state and NaN in every other row.  An improving
+    known row fails the check at once; only the movable clients with a
+    NaN row are priced.
     """
     m = partition.num_coalitions
     if m < 2:
         return True
-    movable = np.flatnonzero(partition.sizes[partition.assignment] > 1)
+    unpriced = partition.sizes[partition.assignment] > 1
+    if known is not None:
+        if np.any(known < -tolerance):
+            return False
+        unpriced &= np.isnan(known[:, 0])
+    movable = np.flatnonzero(unpriced)
     block = max(1, CERTIFY_BLOCK_ELEMENTS // ((m + 1) ** 2 * partition.counts.shape[1]))
     for start in range(0, movable.size, block):
         if np.any(_price_moves(partition, movable[start:start + block]) < -tolerance):

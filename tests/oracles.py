@@ -283,3 +283,44 @@ def random_counts(rng, n_clients, n_classes, scheme="dirichlet", size=20, alpha=
     else:
         raise ValueError(scheme)
     return counts
+
+
+def coalition_formation_ref(initial, max_iters, rng_seed=0, tolerance=1e-10):
+    """The improvement loop one sample at a time, with nothing reused.
+
+    Each iteration draws one client, prices it alone with ``best_switch``,
+    applies an improving switch and recomputes avg JS; the stability
+    check prices every movable client afresh.  It shares the package's
+    partition primitives, so it pins the batched loop's sampling, reuse
+    of prices and stopping rule to this plain form, decision for
+    decision.  Returns (final assignment, trace entries, iterations
+    used, converged, failed stability checks).
+    """
+    from leapsim.game import best_switch, certify_stability
+
+    partition = initial.copy()
+    rng = np.random.default_rng(rng_seed)
+    entries = []
+    n = partition.n_clients
+    quiet = iteration = failed = 0
+    converged = False
+    while iteration < max_iters:
+        client = int(rng.integers(n))
+        src = int(partition.assignment[client])
+        proposal = best_switch(partition, client, tolerance)
+        if proposal is not None:
+            partition.apply(proposal)
+            quiet = 0
+        else:
+            quiet += 1
+        target = None if proposal is None else proposal.target
+        entries.append((iteration, client, src, target, partition.avg_js()))
+        iteration += 1
+        if quiet >= n:
+            if certify_stability(partition, tolerance):
+                converged = True
+                break
+            failed += 1
+            quiet = 0
+    converged = converged or certify_stability(partition, tolerance)
+    return partition.assignment, entries, iteration, converged, failed

@@ -203,6 +203,40 @@ def test_bad_values_are_one_line_and_exit_2(tmp_path, scenario_file, capsys, arg
     assert len(lines) == 1 and words in lines[0]
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["compare", "--max-iters", 0], "max_iters must be at least 1"),
+    (["compare", "--max-iters", -5], "max_iters must be at least 1"),
+    (["compare", "--max-iters", 0, "--methods", "random_assoc"], "max_iters must be at least 1"),
+    (["coalition", "--max-iters", 0], "max_iters must be at least 1"),
+    (["compare", "--train", "--tau-c", 0], "tau_c must be at least 1"),
+    (["compare", "--tau-g", -1], "tau_g must be at least 1"),
+    (["compare", "--lr", -1], "lr must be strictly positive"),
+    (["compare", "--features", 0], "n_features must be at least 1"),
+])
+def test_bad_counts_and_training_flags_are_one_line_and_exit_2(
+    tmp_path, scenario_file, capsys, argv, words
+):
+    assert run([*argv, "--scenario", scenario_file, "--out", tmp_path / "o"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and words in lines[0]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_simulate_rejects_a_zero_period_and_honours_explicit_ones(tmp_path, scenario_file):
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    simulate = ["simulate", "--scenario", scenario_file, "--partition", stage / "partition.json",
+                "--features", 4, "--tau-e", 1, "--tau-g", 2]
+    assert run([*simulate, "--tau-c", 0, "--out", tmp_path / "zero"]) == 2
+    assert not (tmp_path / "zero" / "accuracy.csv").exists()
+    curves = []
+    for tau_c in (1, 5):
+        out = tmp_path / f"tau{tau_c}"
+        assert run([*simulate, "--tau-c", tau_c, "--out", out]) == 0
+        curves.append((out / "accuracy.csv").read_bytes())
+    assert curves[0] != curves[1]
+
+
 def test_report_refuses_a_plan_that_differs_from_its_recomputation(
     tmp_path, scenario_file, capsys
 ):

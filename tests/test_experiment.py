@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from leapsim.errors import InvalidValueError
 from leapsim.experiment import (
     METHODS,
+    TrainOptions,
     emit_report,
     load_report,
     recompute_plan,
@@ -145,3 +147,22 @@ def test_training_curves_attached_when_requested():
     )
     for name in ("leap", "random_assoc"):
         assert len(rep.methods[name].accuracy) == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_features", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+    ("tau_c", 0), ("tau_e", -2), ("tau_g", 0),
+])
+def test_train_options_reject_values_outside_their_domain(field, value):
+    with pytest.raises(InvalidValueError, match=field):
+        TrainOptions(**{field: value})
+
+
+def test_only_none_defers_a_training_period_to_the_scenario(scenario):
+    config = scenario.config
+    assert TrainOptions().periods(config) == {
+        "tau_c": config.tau_c, "tau_e": config.tau_e, "tau_g": config.tau_g
+    }
+    assert TrainOptions(tau_c=1, tau_g=2).periods(config) == {
+        "tau_c": 1, "tau_e": config.tau_e, "tau_g": 2
+    }

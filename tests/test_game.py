@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from leapsim.errors import InvalidValueError
 from leapsim.game import (
+    LOOKAHEAD_DRAWS,
     InvalidPartitionError,
     InvalidSwitchError,
     Partition,
+    _price_moves,
     best_switch,
     certify_stability,
     evaluate_switch,
@@ -17,7 +20,7 @@ from leapsim.game import (
 
 from leapsim.experiment import write_game_trace
 
-from oracles import partition_avg_js_ref, random_counts, stable_ref
+from oracles import coalition_formation_ref, partition_avg_js_ref, random_counts, stable_ref
 
 ONE_HOT_4 = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)
 
@@ -388,6 +391,132 @@ def test_certify_spans_several_default_blocks():
     part.apply(evaluate_switch(part, last, (int(assignment[last]) + 1) % m))
     assert not certify_stability(part)
     assert not stable_ref(part.assignment, counts, m)
+
+
+# -- batch pricing and the per-epoch memo ---------------------------------------------
+
+def _movable(part):
+    return np.flatnonzero(part.sizes[part.assignment] > 1)
+
+
+def _pricing_cases(rng):
+    """Random partitions plus fixed K=1 and M=2 ones, both denominators."""
+    cases = [_random_partition_case(rng)[0] for _ in range(30)]
+    for denominator in ("M", "pairs"):
+        cases.append(make_partition([0, 1, 1, 0, 2, 2, 1], np.full((7, 1), 4), 3, denominator))
+        counts = random_counts(rng, 9, 5)
+        cases.append(random_partition(counts, 2, rng, denominator))
+    return cases
+
+
+def test_batch_rows_equal_single_client_pricing_bit_for_bit():
+    rng = np.random.default_rng(31)
+    shapes = set()
+    for part in _pricing_cases(rng):
+        movable = _movable(part)
+        single = {int(c): switch_deltas(part, int(c)) for c in movable}
+        for size in range(1, movable.size + 1):
+            # unsorted, non-consecutive ids; every other size as a strided view
+            ids = rng.permutation(movable)[:size]
+            if size % 2:
+                ids = np.repeat(ids, 2)[::2]
+            rows = _price_moves(part, ids)
+            assert rows.shape == (size, part.num_coalitions)
+            for i, client in enumerate(ids):
+                assert np.array_equal(rows[i], single[int(client)])
+        shapes.add((part.counts.shape[1] == 1, part.num_coalitions == 2, part.denominator))
+    assert {(True, False, "M"), (True, False, "pairs"), (False, True, "M"),
+            (False, True, "pairs")} <= shapes
+
+
+@pytest.mark.parametrize("block_elements", [None, 1])
+def test_certify_with_a_partial_memo_matches_certify_without(monkeypatch, block_elements):
+    import leapsim.game
+
+    if block_elements is not None:
+        monkeypatch.setattr(leapsim.game, "CERTIFY_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(32)
+    seen = set()
+    for case in range(60):
+        part, _ = _random_partition_case(rng, max_coalitions=5, max_classes=5)
+        if case % 3 == 0:
+            part, _ = run_coalition_formation(part, max_iters=2000, rng_seed=case)
+        movable = _movable(part)
+        rows = _price_moves(part, movable)
+        improving = set(movable[np.any(rows < -1e-10, axis=1)].tolist())
+        stable = certify_stability(part)
+        assert stable == (not improving)
+
+        # a random share of the movable clients is priced; for an
+        # unstable partition, either exactly one improving client is
+        # inside the memo or every improving client is outside it
+        inside = rng.random(movable.size) < 0.5
+        if improving:
+            first = movable.tolist().index(min(improving))
+            is_improving = np.isin(movable, list(improving))
+            inside &= ~is_improving
+            if case % 2:
+                inside[first] = True
+        known = np.full((part.n_clients, part.num_coalitions), np.nan)
+        known[movable[inside]] = rows[inside]
+        assert certify_stability(part, known=known) == stable
+        seen.add("stable" if stable else "inside" if case % 2 else "outside")
+    assert seen == {"stable", "inside", "outside"}
+
+
+def test_loop_rejects_fewer_than_one_iteration():
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    for max_iters in (0, -5):
+        with pytest.raises(InvalidValueError, match="max_iters"):
+            run_coalition_formation(part, max_iters=max_iters)
+
+
+def _replay_facts(initial, entries, window):
+    """Singleton-source samples, and windows of held draws that repeat a client."""
+    assignment = initial.assignment.copy()
+    singles = 0
+    for _, client, src, target, _ in entries:
+        singles += int(np.count_nonzero(assignment == src) == 1)
+        if target is not None:
+            assignment[client] = target
+    clients = [e[1] for e in entries]
+    repeats = sum(
+        len(set(clients[i:i + window])) < len(clients[i:i + window])
+        for i in range(len(clients))
+    )
+    return singles, repeats
+
+
+def test_batched_loop_matches_the_one_sample_reference_exactly():
+    rng = np.random.default_rng(33)
+    facts = dict(singles=0, repeats=0, two=0, pairs=0, cut=0, failed=0)
+    for case in range(60):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(m, 4 * m + 2))
+        k = int(rng.integers(1, 6))
+        counts = random_counts(rng, n, k) if k > 1 else np.full((n, 1), 3)
+        denominator = "pairs" if case % 2 else "M"
+        start = random_partition(counts, m, rng, denominator)
+        max_iters = int(rng.integers(1, 120)) if case % 3 == 0 else 3000
+        seed = int(rng.integers(2**31))
+
+        final, trace = run_coalition_formation(start, max_iters=max_iters, rng_seed=seed)
+        ref_assignment, entries, used, converged, failed = coalition_formation_ref(
+            start, max_iters, seed
+        )
+        assert trace.entries == entries
+        assert np.array_equal(final.assignment, ref_assignment)
+        assert trace.iterations_used == used
+        assert trace.converged == converged
+
+        singles, repeats = _replay_facts(start, entries, LOOKAHEAD_DRAWS)
+        facts["singles"] += singles
+        facts["repeats"] += repeats
+        facts["two"] += m == 2
+        facts["pairs"] += denominator == "pairs"
+        facts["cut"] += used == max_iters and used % LOOKAHEAD_DRAWS != 0
+        facts["failed"] += failed
+    assert all(count > 0 for count in facts.values()), facts
 
 
 # -- trace serialization ------------------------------------------------------------
