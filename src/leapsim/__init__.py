@@ -8,7 +8,13 @@ toy hierarchical FedAvg learner shows the accuracy effect of the
 resulting partitions.
 """
 
-from .errors import InputFileError, InvalidPartitionError, InvalidValueError, LeapsimError
+from .errors import (
+    InputFileError,
+    InvalidPartitionError,
+    InvalidValueError,
+    LeapsimError,
+    TrainingDivergedError,
+)
 from .dist import (
     DimensionMismatchError,
     EmptyDistributionError,

@@ -21,6 +21,7 @@ error) ends with a one-line message on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import fields
@@ -41,7 +42,7 @@ from .experiment import (
 )
 from .errors import InputFileError, InvalidPartitionError, LeapsimError
 from .files import read_json, write_csv, write_json
-from .game import Partition, random_partition, run_coalition_formation
+from .game import Partition, default_max_iters, random_partition, run_coalition_formation
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan
 from .scenario import (
@@ -67,24 +68,34 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _json_int(value, field: str, path: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, not a float)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidPartitionError(f"{path}: {field} must be a JSON integer, got {value!r}")
+
+
 def _load_partition(path: str, scenario: Scenario) -> Partition:
     data = read_json(path, PARTITION_SCHEMA)
-    try:
-        assignment = np.asarray(data["assignment"], dtype=np.int64)
-        num_edges = int(data["num_edges"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidPartitionError(f"{path}: malformed partition ({exc})") from exc
+    for key in ("assignment", "num_edges"):
+        if key not in data:
+            raise InvalidPartitionError(f"{path}: malformed partition (no {key!r})")
+    num_edges = _json_int(data["num_edges"], "num_edges", path)
     if num_edges != scenario.num_edges:
         raise InvalidPartitionError(
             f"{path}: partition has {num_edges} edges, the scenario {scenario.num_edges}"
         )
-    if assignment.shape != (scenario.n_clients,):
+    entries = data["assignment"]
+    if not isinstance(entries, list):
+        raise InvalidPartitionError(f"{path}: assignment must be a list, got {entries!r}")
+    if len(entries) != scenario.n_clients:
         raise InvalidPartitionError(
-            f"{path}: partition assigns {assignment.size} clients, "
+            f"{path}: partition assigns {len(entries)} clients, "
             f"the scenario has {scenario.n_clients}"
         )
+    assignment = [_json_int(a, f"assignment[{i}]", path) for i, a in enumerate(entries)]
     return Partition(
-        assignment,
+        np.asarray(assignment, dtype=np.int64),
         label_count_matrix(scenario),
         num_edges,
         data.get("denominator", "M"),
@@ -124,7 +135,7 @@ def cmd_coalition(args) -> int:
             np.random.default_rng(args.seed),
             args.denominator,
         )
-    max_iters = max(2000, 200 * scenario.n_clients) if args.max_iters is None else args.max_iters
+    max_iters = default_max_iters(scenario.n_clients) if args.max_iters is None else args.max_iters
     partition, trace = run_coalition_formation(
         start, max_iters=max_iters, rng_seed=args.seed
     )
@@ -211,10 +222,26 @@ def cmd_simulate(args) -> int:
 def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> AllocationPlan:
     """The plan rebuilt from the stored plan's bandwidth and power.
 
-    Raises InputFileError when any other stored array or scalar differs
-    from the rebuild by more than PLAN_AUDIT_RTOL.
+    Raises InputFileError when ``bandwidth``, ``power`` or
+    ``client_bandwidth`` is not a list of one entry per edge or client,
+    or when any other stored array or scalar differs from the rebuild by
+    more than PLAN_AUDIT_RTOL.
     """
     data = read_json(path, PLAN_SCHEMA)
+    for name, length in (
+        ("bandwidth", scenario.num_edges),
+        ("power", scenario.n_clients),
+        ("client_bandwidth", scenario.n_clients),
+    ):
+        if name not in data:
+            raise InputFileError(f"{path}: malformed plan (no {name!r})")
+        value = data[name]
+        if not isinstance(value, list):
+            raise InputFileError(
+                f"{path}: {name} must be a list of {length} numbers, got {json.dumps(value)}"
+            )
+        if len(value) != length:
+            raise InputFileError(f"{path}: {name} has {len(value)} entries, expected {length}")
     try:
         stored = AllocationPlan.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

@@ -7,7 +7,13 @@ from ValueError because each of these errors reports an unusable value.
 
 from __future__ import annotations
 
-__all__ = ["LeapsimError", "InputFileError", "InvalidValueError", "InvalidPartitionError"]
+__all__ = [
+    "LeapsimError",
+    "InputFileError",
+    "InvalidValueError",
+    "InvalidPartitionError",
+    "TrainingDivergedError",
+]
 
 
 class LeapsimError(ValueError):
@@ -24,3 +30,7 @@ class InvalidValueError(LeapsimError):
 
 class InvalidPartitionError(LeapsimError):
     """A partition misses, repeats or misnumbers a client, or leaves a coalition empty."""
+
+
+class TrainingDivergedError(LeapsimError, FloatingPointError):
+    """Training produced a non-finite loss or parameter; the learning rate is too high."""

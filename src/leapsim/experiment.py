@@ -27,7 +27,13 @@ import numpy as np
 from .alloc import GPConfig, GPTrace, build_plan, deadline_powers, plan_full
 from .errors import InvalidValueError
 from .files import fields_dict, read_json, write_csv, write_json
-from .game import GameTrace, Partition, random_partition, run_coalition_formation
+from .game import (
+    GameTrace,
+    Partition,
+    default_max_iters,
+    random_partition,
+    run_coalition_formation,
+)
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan, NetworkConfig
 from .scenario import Scenario, label_count_matrix
@@ -155,7 +161,7 @@ def run_experiment(
     clients = scenario.table
     n_edges = scenario.num_edges
     if game_max_iters is None:
-        game_max_iters = max(2000, 200 * scenario.n_clients)
+        game_max_iters = default_max_iters(scenario.n_clients)
     elif game_max_iters < 1:  # rejected even when no requested method runs the game
         raise InvalidValueError(f"max_iters must be at least 1, got {game_max_iters}")
 

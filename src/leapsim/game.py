@@ -53,6 +53,7 @@ __all__ = [
     "evaluate_switch",
     "best_switch",
     "run_coalition_formation",
+    "default_max_iters",
     "potential",
     "coalition_utility",
     "verify_exact_potential",
@@ -344,6 +345,11 @@ def best_switch(
         deltas = switch_deltas(partition, client)
     best = evaluate_switch(partition, client, int(np.argmin(deltas)), deltas)
     return best if best.delta_js < -tolerance else None
+
+
+def default_max_iters(n_clients: int) -> int:
+    """The game budget ``coalition`` and ``compare`` use when none is given."""
+    return max(2000, 200 * n_clients)
 
 
 def run_coalition_formation(

@@ -15,11 +15,13 @@ weight matrix followed by the per-class biases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .errors import TrainingDivergedError
 from .netmodel import coalition_assignment
 
 __all__ = [
@@ -52,30 +54,37 @@ def unpack_params(params: np.ndarray, n_classes: int, n_features: int):
     return weights, biases
 
 
-def _logits(params, features, n_classes):
-    weights, biases = unpack_params(params, n_classes, features.shape[1])
-    return features @ weights.T + biases
-
-
 def softmax_loss_and_grad(
     params: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient in flat-parameter layout."""
-    n = features.shape[0]
-    logits = _logits(params, features, n_classes)
-    logits -= logits.max(axis=1, keepdims=True)  # stable softmax
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = -float(np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    grad_w = delta.T @ features / n
-    grad_b = delta.mean(axis=0)
-    return loss, np.concatenate([grad_w.ravel(), grad_b])
+    """Mean cross-entropy and its gradient in flat-parameter layout.
+
+    The logits are held class-major, shape (n_classes, n), so the
+    softmax reduces over axis 0 and the gradient's weight and bias parts
+    are written straight into their slices of one fresh flat vector.
+    """
+    n, d = features.shape
+    kd = n_classes * d
+    probs = params[:kd].reshape(n_classes, d) @ features.T
+    probs += params[kd:, None]
+    probs -= np.maximum.reduce(probs, axis=0)  # stable softmax
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=0)
+    true = (labels, np.arange(n))
+    picked = probs[true]
+    probs[true] = picked - 1.0  # probs now holds the logit gradient, softmax - onehot
+    picked += 1e-300
+    loss = -float(np.add.reduce(np.log(picked, out=picked))) / n
+    grad = np.empty(kd + n_classes)
+    np.matmul(probs, features, out=grad[:kd].reshape(n_classes, d))
+    np.add.reduce(probs, axis=1, out=grad[kd:])
+    grad /= n
+    return loss, grad
 
 
 def predict(params: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
-    return np.argmax(_logits(params, features, n_classes), axis=1)
+    weights, biases = unpack_params(params, n_classes, features.shape[1])
+    return np.argmax(features @ weights.T + biases, axis=1)
 
 
 def accuracy(
@@ -92,13 +101,20 @@ def local_train(
     tau_c: int,
     lr: float,
 ) -> np.ndarray:
-    """tau_c full-batch gradient steps; raises on a diverging loss."""
+    """tau_c full-batch gradient steps.
+
+    Raises TrainingDivergedError (a FloatingPointError) as soon as the
+    loss or a parameter stops being finite; the overflows on the way
+    there are expected and not reported as numpy warnings.
+    """
     out = params.copy()
-    for _ in range(tau_c):
-        loss, grad = softmax_loss_and_grad(out, features, labels, n_classes)
-        out -= lr * grad
-        if not (np.isfinite(loss) and np.isfinite(out).all()):
-            raise FloatingPointError("training diverged; lower the learning rate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tau_c):
+            loss, grad = softmax_loss_and_grad(out, features, labels, n_classes)
+            grad *= lr
+            out -= grad
+            if not (math.isfinite(loss) and np.isfinite(out).all()):
+                raise TrainingDivergedError("training diverged; lower the learning rate")
     return out
 
 

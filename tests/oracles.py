@@ -324,3 +324,74 @@ def coalition_formation_ref(initial, max_iters, rng_seed=0, tolerance=1e-10):
             quiet = 0
     converged = converged or certify_stability(partition, tolerance)
     return partition.assignment, entries, iteration, converged, failed
+
+
+def softmax_loss_and_grad_ref(params, features, labels, n_classes):
+    """Row-major softmax cross-entropy: logits (n, K), mean over samples.
+
+    The learner's step as first written: the mean loss and the flat
+    gradient (class-by-feature weights, then biases) from the textbook
+    formulas, with fresh temporaries throughout.
+    """
+    n, d = features.shape
+    weights = params[: n_classes * d].reshape(n_classes, d)
+    biases = params[n_classes * d :]
+    logits = features @ weights.T + biases
+    logits -= logits.max(axis=1, keepdims=True)  # stable softmax
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = -float(np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
+    delta = probs
+    delta[np.arange(n), labels] -= 1.0
+    grad_w = delta.T @ features / n
+    grad_b = delta.mean(axis=0)
+    return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+
+def local_train_ref(params, features, labels, n_classes, tau_c, lr):
+    """tau_c plain gradient steps on ``softmax_loss_and_grad_ref``."""
+    out = params.copy()
+    for _ in range(tau_c):
+        loss, grad = softmax_loss_and_grad_ref(out, features, labels, n_classes)
+        out = out - lr * grad
+        if not (np.isfinite(loss) and np.isfinite(out).all()):
+            raise FloatingPointError("training diverged")
+    return out
+
+
+def run_hfl_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
+    """HierFAVG (Liu et al., arXiv:1905.06641) as three nested plain loops.
+
+    Every member of coalition m starts each edge iteration from edge
+    model m; the edge keeps the data-size weighted mean of its members'
+    tau_c-step results, and after tau_e edge iterations the cloud keeps
+    the data-size weighted mean of the edge models.  Returns the final
+    parameters and the held-out accuracy after every global round.
+    """
+    n_classes, d = dataset.n_classes, dataset.n_features
+    sizes = [float(len(y)) for y in dataset.client_labels]
+    groups = [
+        [n for n, a in enumerate(assignment) if a == m] for m in range(max(assignment) + 1)
+    ]
+    params = 0.01 * np.random.default_rng(seed).standard_normal(n_classes * d + n_classes)
+    curve = []
+    for _ in range(tau_g):
+        edges = [params.copy() for _ in groups]
+        for _ in range(tau_e):
+            for m, members in enumerate(groups):
+                total = np.zeros_like(params)
+                for n in members:
+                    trained = local_train_ref(
+                        edges[m], dataset.client_features[n], dataset.client_labels[n],
+                        n_classes, tau_c, lr,
+                    )
+                    total += sizes[n] * trained
+                edges[m] = total / sum(sizes[n] for n in members)
+        total = np.zeros_like(params)
+        for m, members in enumerate(groups):
+            total += sum(sizes[n] for n in members) * edges[m]
+        params = total / sum(sizes)
+        weights = params[: n_classes * d].reshape(n_classes, d)
+        logits = dataset.test_features @ weights.T + params[n_classes * d :]
+        curve.append(float(np.mean(np.argmax(logits, axis=1) == dataset.test_labels)))
+    return params, curve

@@ -212,6 +212,7 @@ def test_bad_values_are_one_line_and_exit_2(tmp_path, scenario_file, capsys, arg
     (["compare", "--tau-g", -1], "tau_g must be at least 1"),
     (["compare", "--lr", -1], "lr must be strictly positive"),
     (["compare", "--features", 0], "n_features must be at least 1"),
+    (["compare", "--train", "--features", 4, "--lr", 1e308], "training diverged"),
 ])
 def test_bad_counts_and_training_flags_are_one_line_and_exit_2(
     tmp_path, scenario_file, capsys, argv, words
@@ -235,6 +236,96 @@ def test_simulate_rejects_a_zero_period_and_honours_explicit_ones(tmp_path, scen
         assert run([*simulate, "--tau-c", tau_c, "--out", out]) == 0
         curves.append((out / "accuracy.csv").read_bytes())
     assert curves[0] != curves[1]
+
+
+def test_simulate_reports_divergence_in_one_line_and_exit_2(tmp_path, scenario_file, capsys):
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    capsys.readouterr()
+    assert run(["simulate", "--scenario", scenario_file, "--partition", stage / "partition.json",
+                "--features", 4, "--lr", 1e308, "--out", tmp_path / "o"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "training diverged; lower the learning rate" in lines[0]
+    assert not (tmp_path / "o" / "accuracy.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, words", [
+    # 0.5 used to be truncated to edge 0 and true read as edge 1
+    ("assignment[0]", 0.5, "assignment[0] must be a JSON integer, got 0.5"),
+    ("assignment[0]", True, "assignment[0] must be a JSON integer, got True"),
+    ("assignment[0]", "0", "assignment[0] must be a JSON integer, got '0'"),
+    ("assignment", {"0": 1}, "assignment must be a list"),
+    ("num_edges", "3", "num_edges must be a JSON integer, got '3'"),
+    ("num_edges", 3.0, "num_edges must be a JSON integer, got 3.0"),
+    ("num_edges", True, "num_edges must be a JSON integer, got True"),
+])
+def test_partition_fields_must_be_json_integers(
+    tmp_path, scenario_file, capsys, field, value, words
+):
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    capsys.readouterr()
+    data = json.loads((stage / "partition.json").read_text())
+    if field == "assignment[0]":
+        data["assignment"][0] = value
+    else:
+        data[field] = value
+    bad = tmp_path / "partition.json"
+    bad.write_text(json.dumps(data))
+    assert run(
+        ["allocate", "--scenario", scenario_file, "--partition", bad, "--out", tmp_path / "a"]
+    ) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and str(bad) in lines[0] and words in lines[0]
+
+
+def test_report_rejects_plan_arrays_of_the_wrong_length(tmp_path, scenario_file, capsys):
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    partition = stage / "partition.json"
+    assert run(
+        ["allocate", "--scenario", scenario_file, "--partition", partition, "--out", stage]
+    ) == 0
+    capsys.readouterr()
+    report = ["report", "--scenario", scenario_file, "--partition", partition]
+    good = json.loads((stage / "plan.json").read_text())
+    tampered = tmp_path / "plan.json"
+    for field, value, words in (
+        ("power", good["power"][:3], "power has 3 entries, expected 12"),
+        ("client_bandwidth", good["client_bandwidth"] * 2,
+         "client_bandwidth has 24 entries, expected 12"),
+        ("bandwidth", good["bandwidth"][:1], "bandwidth has 1 entries, expected 3"),
+        ("bandwidth", None, "bandwidth must be a list of 3 numbers, got null"),
+    ):
+        tampered.write_text(json.dumps({**good, field: value}))
+        assert run([*report, "--plan", tampered, "--out", tmp_path / "bad"]) == 2
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and str(tampered) in lines[0] and words in lines[0]
+        assert not (tmp_path / "bad" / "metrics.json").exists()
+
+
+def test_coalition_and_compare_share_the_default_game_budget(
+    tmp_path, scenario_file, monkeypatch
+):
+    import leapsim.cli
+    import leapsim.experiment
+    from leapsim.game import default_max_iters, run_coalition_formation
+
+    budgets = {}
+
+    def recording(verb):
+        def wrapped(start, max_iters, **kwargs):
+            budgets[verb] = max_iters
+            return run_coalition_formation(start, max_iters, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(leapsim.cli, "run_coalition_formation", recording("coalition"))
+    monkeypatch.setattr(leapsim.experiment, "run_coalition_formation", recording("compare"))
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 5,
+                "--out", tmp_path / "c"]) == 0
+    assert run(["compare", "--scenario", scenario_file, "--seed", 5, "--methods", "leap",
+                "--out", tmp_path / "p"]) == 0
+    assert budgets == {"coalition": default_max_iters(12), "compare": default_max_iters(12)}
 
 
 def test_report_refuses_a_plan_that_differs_from_its_recomputation(

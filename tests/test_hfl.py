@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import leapsim.hfl as hfl
+from leapsim.errors import LeapsimError, TrainingDivergedError
 from leapsim.hfl import (
     SyntheticDataset,
     accuracy,
@@ -12,6 +15,9 @@ from leapsim.hfl import (
     softmax_loss_and_grad,
     unpack_params,
 )
+from leapsim.game import random_partition, run_coalition_formation
+from leapsim.scenario import generate_scenario, label_count_matrix
+from oracles import run_hfl_ref, softmax_loss_and_grad_ref
 
 
 def toy_dataset(seed=0, n_classes=3, n_features=4, per_class=30, clients=4):
@@ -82,11 +88,74 @@ def test_local_train_decreases_loss_for_small_lr():
     assert after <= before
 
 
+@st.composite
+def learner_instance(draw):
+    """A softmax step's inputs: sizes from 1, skewed labels, big or small
+    parameters, and features that may be a non-contiguous view."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["c", "fortran", "row_stride", "col_stride", "transposed"]))
+    if layout == "row_stride":
+        features = rng.normal(size=(2 * n, d))[::2]
+    elif layout == "col_stride":
+        features = rng.normal(size=(n, 3 * d))[:, 1::3]
+    elif layout == "transposed":
+        features = rng.normal(size=(d, n)).T
+    else:
+        features = rng.normal(size=(n, d))
+        if layout == "fortran":
+            features = np.asfortranarray(features)
+    if draw(st.booleans()):
+        labels = np.full(n, draw(st.integers(0, k - 1)), dtype=np.int64)
+    else:
+        labels = rng.integers(k, size=n)
+    # scale 1e3 pushes logits past exp's overflow point without the max shift
+    scale = draw(st.sampled_from([0.0, 0.01, 1.0, 30.0, 1e3]))
+    params = scale * rng.standard_normal(param_dim(k, d))
+    return params, features, labels, k
+
+
+@given(learner_instance())
+@settings(max_examples=300, deadline=None)
+def test_class_major_step_matches_the_row_major_reference(instance):
+    params, features, labels, k = instance
+    kept = params.copy()
+    loss, grad = softmax_loss_and_grad(params, features, labels, k)
+    loss_ref, grad_ref = softmax_loss_and_grad_ref(params, features, labels, k)
+    assert np.array_equal(params, kept)  # the input is not written to
+    assert grad.shape == grad_ref.shape and np.isfinite(grad).all()
+    assert loss == pytest.approx(loss_ref, rel=1e-12, abs=1e-15)
+    np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_class_major_step_on_the_smallest_shapes(k):
+    params = np.array([0.3] * k + [-0.2] * k)
+    features, labels = np.array([[1.5]]), np.array([k - 1])
+    loss, grad = softmax_loss_and_grad(params, features, labels, k)
+    loss_ref, grad_ref = softmax_loss_and_grad_ref(params, features, labels, k)
+    assert loss == pytest.approx(loss_ref, rel=1e-12, abs=1e-15)
+    np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-15)
+    if k == 1:  # the softmax of one class is 1: no loss, no gradient
+        assert loss == 0.0 and np.array_equal(grad, np.zeros(2))
+
+
 def test_local_train_raises_on_divergence():
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
         local_train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 1e308)
+
+
+def test_divergence_is_a_typed_error_without_warnings():
+    # pytest turns warnings into errors here, so an unmuted overflow would fail
+    ds = toy_dataset()
+    params = init_params(3, 4, seed=3)
+    with pytest.raises(TrainingDivergedError, match="lower the learning rate") as info:
+        local_train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 1e308)
+    assert isinstance(info.value, LeapsimError) and isinstance(info.value, FloatingPointError)
 
 
 # -- aggregation -------------------------------------------------------------------
@@ -195,3 +264,58 @@ def test_run_hfl_rejects_empty_coalition():
     ds = toy_dataset()
     with pytest.raises(ValueError):
         run_hfl([set(), {0, 1, 2, 3}], ds, tau_c=1, tau_e=1, tau_g=1, lr=0.1)
+
+
+def c7_like(seed=0):
+    """One C7 instance: 20 two-shard clients of 60 samples on 4 edges."""
+    scenario = generate_scenario(
+        seed=1000 + seed, n_clients=20, n_edges=4, n_classes=10, shards=2, data_size=60
+    )
+    counts = label_count_matrix(scenario)
+    dataset = SyntheticDataset.generate(
+        counts.tolist(), n_features=8, seed=2000 + seed, class_sep=1.0, noise=1.0,
+        test_per_class=200,
+    )
+    initial = random_partition(counts, 4, np.random.default_rng(seed))
+    formed, _ = run_coalition_formation(initial, max_iters=4000, rng_seed=seed)
+    return formed.assignment, dataset
+
+
+@pytest.mark.parametrize("case", ["c7", "toy_two_edges", "toy_one_edge"])
+def test_run_hfl_matches_the_reference_loop(case):
+    if case == "c7":
+        assignment, ds = c7_like()
+        periods = dict(tau_c=5, tau_e=40, tau_g=2, lr=0.8, seed=0)
+    else:
+        ds = toy_dataset(seed=14)
+        assignment = np.array([0, 1, 1, 0] if case == "toy_two_edges" else [0, 0, 0, 0])
+        periods = dict(tau_c=3, tau_e=4, tau_g=5, lr=0.1, seed=3)
+    params, curve = run_hfl(assignment, ds, **periods)
+    params_ref, curve_ref = run_hfl_ref(assignment.tolist(), ds, **periods)
+    assert curve == curve_ref
+    np.testing.assert_allclose(params, params_ref, rtol=0, atol=1e-12)
+
+
+def test_run_hfl_calls_through_module_bindings(monkeypatch):
+    """The per-client and per-step calls go through ``leapsim.hfl``'s globals.
+
+    The benchmark's tracer wraps these two names to count one local
+    training call per client per edge iteration and tau_c gradients per
+    call; a refactor that binds or inlines them elsewhere fails here.
+    """
+    calls = {"local_train": 0, "softmax_loss_and_grad": 0}
+    for name in calls:
+        real = getattr(hfl, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hfl, name, counted)
+    ds = toy_dataset(clients=5)
+    tau_c, tau_e, tau_g = 3, 2, 4
+    run_hfl(np.array([0, 1, 0, 1, 1]), ds, tau_c=tau_c, tau_e=tau_e, tau_g=tau_g, lr=0.1)
+    assert calls["local_train"] == 5 * tau_e * tau_g, "one local_train per client per edge step"
+    assert calls["softmax_loss_and_grad"] == tau_c * calls["local_train"], (
+        "tau_c softmax_loss_and_grad calls per local_train"
+    )
