@@ -48,7 +48,6 @@ from .netmodel import (
     ClientTable,
     NetworkConfig,
     check_deadline,
-    client_table,
     coalition_assignment,
     comp_latency,
     energies,
@@ -58,16 +57,13 @@ from .netmodel import (
     uplink_rate,
 )
 from .alloc import (
-    DeadlineError,
     GPConfig,
     GPTrace,
     InfeasibleError,
     NonFiniteInputError,
     build_plan,
-    deadline_power,
     deadline_powers,
     gp_solve,
-    optimal_power,
     p3_gradient,
     p3_objective,
     plan_full,

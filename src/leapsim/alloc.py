@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidValueError, LeapsimError
 from .netmodel import (
     AllocationPlan,
-    ClientProfile,
     ClientTable,
     NetworkConfig,
     check_deadline,
@@ -55,7 +53,6 @@ from .netmodel import (
 __all__ = [
     "InfeasibleError",
     "NonFiniteInputError",
-    "DeadlineError",
     "GPConfig",
     "GPTrace",
     "worst_members",
@@ -63,16 +60,12 @@ __all__ = [
     "p3_gradient",
     "project_to_simplex",
     "gp_solve",
-    "optimal_power",
-    "deadline_power",
     "deadline_powers",
     "build_plan",
     "plan_full",
 ]
 
 _LN2 = math.log(2.0)
-
-Clients = ClientTable | Sequence[ClientProfile]
 
 
 class InfeasibleError(LeapsimError):
@@ -81,10 +74,6 @@ class InfeasibleError(LeapsimError):
 
 class NonFiniteInputError(LeapsimError):
     """A solver input holds NaN or an infinity."""
-
-
-class DeadlineError(InfeasibleError):
-    """Computation alone exceeds the per-iteration deadline budget."""
 
 
 @dataclass
@@ -139,30 +128,30 @@ def _checked_bandwidth(bandwidth, sizes: np.ndarray) -> np.ndarray:
     return b
 
 
-def worst_members(partition, clients: Clients) -> np.ndarray:
+def worst_members(partition, clients: ClientTable) -> np.ndarray:
     """Each coalition's weakest transmitter, the member minimizing p_max * gain.
 
     At a common bandwidth share the upload time is decreasing in
     p_max * gain, so this member is the coalition's straggler bound.
     Ties resolve to the lowest client id.
     """
-    assignment, sizes, table = partition_arrays(partition, clients)
-    strength = table.p_max * table.gain(assignment)
+    assignment, sizes = partition_arrays(partition, clients)
+    strength = clients.p_max * clients.gain(assignment)
     weakest = np.full(sizes.size, np.inf)
     np.minimum.at(weakest, assignment, strength)
     tied = np.flatnonzero(strength == weakest[assignment])
-    worst = np.full(sizes.size, len(table))
+    worst = np.full(sizes.size, len(clients))
     np.minimum.at(worst, assignment[tied], tied)
     return worst
 
 
-def _surrogate_parts(bandwidth, partition, clients: Clients, config: NetworkConfig):
+def _surrogate_parts(bandwidth, partition, clients: ClientTable, config: NetworkConfig):
     """(sizes, x, g, K) of the surrogate terms K / g at the given bandwidth."""
-    assignment, sizes, table = partition_arrays(partition, clients)
+    assignment, sizes = partition_arrays(partition, clients)
     b = _checked_bandwidth(bandwidth, sizes)
-    worst = worst_members(assignment, table)
-    p = table.p_max[worst]
-    h = table.channel_gains[worst, np.arange(sizes.size)]
+    worst = worst_members(assignment, clients)
+    p = clients.p_max[worst]
+    h = clients.channel_gains[worst, np.arange(sizes.size)]
     share = b / sizes
     x = p * h / (share * config.noise_power)
     g = share * np.log1p(x) / _LN2
@@ -171,7 +160,7 @@ def _surrogate_parts(bandwidth, partition, clients: Clients, config: NetworkConf
 
 
 def p3_objective(
-    bandwidth: np.ndarray, partition, clients: Clients, config: NetworkConfig
+    bandwidth: np.ndarray, partition, clients: ClientTable, config: NetworkConfig
 ) -> float:
     """Worst-case transmission-energy surrogate at full power."""
     _, _, g, k = _surrogate_parts(bandwidth, partition, clients, config)
@@ -179,7 +168,7 @@ def p3_objective(
 
 
 def p3_gradient(
-    bandwidth: np.ndarray, partition, clients: Clients, config: NetworkConfig
+    bandwidth: np.ndarray, partition, clients: ClientTable, config: NetworkConfig
 ) -> np.ndarray:
     """Analytic gradient of the surrogate; every component is negative."""
     sizes, x, g, k = _surrogate_parts(bandwidth, partition, clients, config)
@@ -219,7 +208,7 @@ def _pg_norm(b, grad, total, floor, step) -> float:
 
 def gp_solve(
     partition,
-    clients: Clients,
+    clients: ClientTable,
     config: NetworkConfig,
     gp: GPConfig | None = None,
     b_init: np.ndarray | None = None,
@@ -235,7 +224,7 @@ def gp_solve(
     global optimality.
     """
     gp = gp or GPConfig()
-    assignment, sizes, table = partition_arrays(partition, clients)
+    assignment, sizes = partition_arrays(partition, clients)
     m = sizes.size
     total = config.total_bandwidth
     floor = gp.floor_for(config)
@@ -251,12 +240,12 @@ def gp_solve(
         if abs(b.sum() - total) > 1e-9 * total or np.any(b < floor - 1e-12 * total):
             raise InfeasibleError("b_init violates the bandwidth constraints")
 
-    value = p3_objective(b, assignment, table, config)
+    value = p3_objective(b, assignment, clients, config)
     if not math.isfinite(value):
         raise InfeasibleError("objective is not finite at the starting point")
     trace = GPTrace(objective_values=[value])
 
-    grad = p3_gradient(b, assignment, table, config)
+    grad = p3_gradient(b, assignment, clients, config)
     base_step = gp.step_size
     if base_step is None:
         # first step may move a coordinate by a quarter of the mean share
@@ -268,12 +257,12 @@ def gp_solve(
     for _ in range(gp.max_iters):
         iterations += 1
         candidate = project_to_simplex(b - step * grad, total, floor)
-        candidate_value = p3_objective(candidate, assignment, table, config)
+        candidate_value = p3_objective(candidate, assignment, clients, config)
         halvings = 0
         while candidate_value > value and halvings < 80:
             step *= 0.5
             candidate = project_to_simplex(b - step * grad, total, floor)
-            candidate_value = p3_objective(candidate, assignment, table, config)
+            candidate_value = p3_objective(candidate, assignment, clients, config)
             halvings += 1
         if not math.isfinite(candidate_value):
             raise InfeasibleError("objective became non-finite during the solve")
@@ -283,7 +272,7 @@ def gp_solve(
         drop = value - candidate_value
         b, value = candidate, candidate_value
         trace.objective_values.append(value)
-        grad = p3_gradient(b, assignment, table, config)
+        grad = p3_gradient(b, assignment, clients, config)
         if halvings == 0:
             step = min(step * 2.0, 1e9 * base_step)
         if drop < gp.tolerance * max(abs(value), 1e-300):
@@ -296,82 +285,37 @@ def gp_solve(
     return b, trace
 
 
-def _needed_power(t_comp, gain, share, config: NetworkConfig):
-    """Smallest power meeting the deadline budget, elementwise.
-
-    Inverts the rate formula at t_tx = budget; NaN where computation
-    alone exhausts the budget.  The value can exceed p_max, in which
-    case no feasible power exists for this share.
-    """
-    budget = config.iteration_budget - t_comp
-    budget = np.where(budget > 0, budget, np.nan)
-    exponent = config.model_size / (share * budget)
-    with np.errstate(over="ignore"):
-        growth = np.expm1(exponent * _LN2)  # 2**exponent - 1
-    return share * config.noise_power * growth / gain
-
-
-def deadline_power(
-    client: ClientProfile,
-    bandwidth_share: float,
-    edge: int,
-    config: NetworkConfig,
-) -> float:
-    """Smallest transmit power that exactly meets the deadline budget.
-
-    The value can exceed p_max, in which case no feasible power exists
-    for this share.  Raises DeadlineError when computation alone
-    exceeds the budget.
-    """
-    if bandwidth_share <= 0:
-        raise InvalidValueError("bandwidth share must be strictly positive")
-    power = _needed_power(comp_latency(client, config), client.gain(edge), bandwidth_share, config)
-    if np.isnan(power):
-        raise DeadlineError(
-            "computation latency exceeds the per-iteration deadline budget"
-        )
-    return float(power)
-
-
-def optimal_power(
-    client: ClientProfile,
-    bandwidth_share: float,
-    edge: int,
-    config: NetworkConfig,
-) -> float:
-    """Energy-optimal transmit power under the deadline, min(p_max, p_deadline).
-
-    Upload energy is strictly increasing in power, so the optimum sits
-    at the deadline power whenever that is attainable; otherwise the
-    client transmits at p_max and the deadline check will flag it.
-    """
-    return min(client.p_max, deadline_power(client, bandwidth_share, edge, config))
-
-
 def deadline_powers(
     partition,
-    clients: Clients,
+    clients: ClientTable,
     config: NetworkConfig,
     bandwidth: np.ndarray,
 ) -> tuple[np.ndarray, list[str]]:
     """Energy-optimal power for every client at its equal coalition share.
 
-    Clients whose computation alone exceeds the deadline budget fall
-    back to p_max and are listed in the returned notes, by coalition
-    and then by id; the deadline check on the assembled plan flags them.
+    The smallest power meeting the deadline budget inverts the rate
+    formula at t_tx = budget, and is clipped at p_max.  Clients whose
+    computation alone exceeds the deadline budget fall back to p_max
+    and are listed in the returned notes, by coalition and then by id;
+    the deadline check on the assembled plan flags them.
     """
-    assignment, sizes, table = partition_arrays(partition, clients)
+    assignment, sizes = partition_arrays(partition, clients)
     share = _checked_bandwidth(bandwidth, sizes)[assignment] / sizes[assignment]
-    needed = _needed_power(comp_latency(table, config), table.gain(assignment), share, config)
+    budget = config.iteration_budget - comp_latency(clients, config)
+    budget = np.where(budget > 0, budget, np.nan)  # NaN: no time left to transmit
+    exponent = config.model_size / (share * budget)
+    with np.errstate(over="ignore"):
+        growth = np.expm1(exponent * _LN2)  # 2**exponent - 1
+    needed = share * config.noise_power * growth / clients.gain(assignment)
     late = np.flatnonzero(np.isnan(needed))
     late = late[np.argsort(assignment[late], kind="stable")]
     notes = [f"client {n}: computation alone exceeds the deadline budget" for n in late.tolist()]
-    return np.fmin(table.p_max, needed), notes
+    return np.fmin(clients.p_max, needed), notes
 
 
 def build_plan(
     partition,
-    clients: Clients,
+    clients: ClientTable,
     config: NetworkConfig,
     bandwidth: np.ndarray,
     power: np.ndarray,
@@ -380,19 +324,19 @@ def build_plan(
     notes: list[str] | None = None,
 ) -> AllocationPlan:
     """Assemble an AllocationPlan with every derived metric filled in."""
-    assignment, sizes, table = partition_arrays(partition, clients)
+    assignment, sizes = partition_arrays(partition, clients)
     bandwidth = _checked_bandwidth(bandwidth, sizes)
     power = np.asarray(power, dtype=float)
     share = bandwidth[assignment] / sizes[assignment]
 
     t_client, t_coalition, t_total = round_and_total_latency(
-        assignment, table, share, power, config
+        assignment, clients, share, power, config
     )
-    t_comp = comp_latency(table, config)
-    breakdown = energies(assignment, table, share, power, config)
+    t_comp = comp_latency(clients, config)
+    breakdown = energies(assignment, clients, share, power, config)
     ok, all_ok = check_deadline(t_client, config)
     if surrogate_objective is None:
-        surrogate_objective = p3_objective(bandwidth, assignment, table, config)
+        surrogate_objective = p3_objective(bandwidth, assignment, clients, config)
     return AllocationPlan(
         bandwidth=bandwidth,
         client_bandwidth=share,
@@ -418,7 +362,7 @@ def build_plan(
 
 def plan_full(
     partition,
-    clients: Clients,
+    clients: ClientTable,
     config: NetworkConfig,
     gp: GPConfig | None = None,
     avg_js: float = 0.0,
@@ -430,8 +374,8 @@ def plan_full(
     equal share.  Clients that cannot meet the deadline even at p_max
     stay at p_max and are flagged in the plan instead of raising.
     """
-    assignment, _, table = partition_arrays(partition, clients)
-    bandwidth, trace = gp_solve(assignment, table, config, gp)
-    power, notes = deadline_powers(assignment, table, config, bandwidth)
-    plan = build_plan(assignment, table, config, bandwidth, power, avg_js, notes=notes)
+    assignment, _ = partition_arrays(partition, clients)
+    bandwidth, trace = gp_solve(assignment, clients, config, gp)
+    power, notes = deadline_powers(assignment, clients, config, bandwidth)
+    plan = build_plan(assignment, clients, config, bandwidth, power, avg_js, notes=notes)
     return plan, trace

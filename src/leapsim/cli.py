@@ -171,7 +171,7 @@ def cmd_allocate(args) -> int:
         min_bandwidth_floor=args.floor,
     )
     plan, trace = plan_full(
-        partition, scenario.table, scenario.config, gp, avg_js=partition.avg_js()
+        partition, scenario.clients, scenario.config, gp, avg_js=partition.avg_js()
     )
     out = _out_dir(args)
     write_json(out / "plan.json", {"schema": PLAN_SCHEMA, **plan.to_dict()})

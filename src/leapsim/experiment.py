@@ -158,7 +158,7 @@ def run_experiment(
 
     counts = label_count_matrix(scenario)
     config = scenario.config
-    clients = scenario.table
+    clients = scenario.clients
     n_edges = scenario.num_edges
     if game_max_iters is None:
         game_max_iters = default_max_iters(scenario.n_clients)
@@ -428,7 +428,7 @@ def recompute_plan(
     )
     return build_plan(
         partition,
-        scenario.table,
+        scenario.clients,
         scenario.config,
         np.asarray(bandwidth, dtype=float),
         np.asarray(power, dtype=float),

@@ -23,17 +23,14 @@ Every quantity is elementwise in the client and its edge, so each
 formula is one array expression over a ``ClientTable`` (the
 struct-of-arrays view of the clients) and the assignment vector a:
 the member share is ``B[a] / sizes[a]`` and the gain
-``table.gain(a)``.  Coalition maxima and sums are scatter reductions
-over a.  The same closed forms accept a single ``ClientProfile``.
+``clients.gain(a)``.  Coalition maxima and sums are scatter reductions
+over a.  The same closed forms accept one ``ClientProfile`` row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain
-from operator import attrgetter
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +43,6 @@ __all__ = [
     "ClientTable",
     "NetworkConfig",
     "AllocationPlan",
-    "client_table",
     "coalition_assignment",
     "partition_arrays",
     "comp_latency",
@@ -64,11 +60,10 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class ClientProfile:
-    """Static hardware and data description of one client.
+    """One client's row of a ClientTable, as Python scalars and tuples.
 
-    ``channel_gains`` holds one linear gain per edge server; a scalar
-    is broadcast to every edge (the client-only gain mode).
-    ``label_counts`` must sum to ``data_size``.
+    The read-only record ``ClientTable[n]`` returns; the table holds and
+    checks the data.
     """
 
     data_size: int
@@ -78,43 +73,57 @@ class ClientProfile:
     p_max: float
     label_counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if isinstance(self.channel_gains, (int, float)):
-            object.__setattr__(self, "channel_gains", (float(self.channel_gains),))
-        else:
-            object.__setattr__(
-                self, "channel_gains", tuple(float(g) for g in self.channel_gains)
-            )
-        object.__setattr__(self, "label_counts", tuple(int(c) for c in self.label_counts))
-        for name in ("data_size", "cycles_per_item", "cpu_freq", "p_max"):
-            if getattr(self, name) <= 0:
-                raise InvalidValueError(f"{name} must be strictly positive")
-        if not self.channel_gains or any(g <= 0 for g in self.channel_gains):
-            raise InvalidValueError("channel gains must be strictly positive")
-        if any(c < 0 for c in self.label_counts):
-            raise InvalidValueError("label counts must be non-negative")
-        if sum(self.label_counts) != self.data_size:
-            raise InvalidValueError("label counts must sum to data_size")
-
     def gain(self, edge: int) -> float:
         """Linear channel gain toward the given edge server."""
-        if len(self.channel_gains) == 1:
-            return self.channel_gains[0]
         return self.channel_gains[edge]
 
 
-def _column(clients: Sequence[ClientProfile], name: str, dtype) -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), clients), dtype=dtype, count=len(clients))
+_INTEGER_FIELDS = ("data_size", "label_counts")
+_MATRIX_FIELDS = ("channel_gains", "label_counts")
+
+
+def _numeric(name: str, value) -> np.ndarray:
+    """``value`` as an int64 or float array; raises InvalidValueError on
+    rows of unequal length or non-empty values of a non-numeric (for an
+    integer field, non-integer) dtype."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # rows of unequal length
+        widths = [np.size(row) for row in value]
+        n = next((i for i, w in enumerate(widths) if w != widths[0]), 0)
+        raise InvalidValueError(
+            f"client {n} has {widths[n]} {name.replace('_', ' ')}, client 0 has {widths[0]}"
+        ) from None
+    integer = name in _INTEGER_FIELDS
+    if array.size and array.dtype.kind not in ("iu" if integer else "iuf"):
+        raise InvalidValueError(
+            f"{name} must hold {'integers' if integer else 'numbers'}, got {array.dtype.name}"
+        )
+    return array.astype(np.int64 if integer else float, copy=False)
+
+
+def _require(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
+    if not ok.all():
+        where = tuple(np.argwhere(~ok)[0])
+        raise InvalidValueError(
+            f"{name} must {what}, client {where[0]} has {values[where].item()!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class ClientTable:
-    """Struct-of-arrays view of N clients, one array per ClientProfile field.
+    """The clients as a struct of arrays, one array per ClientProfile field.
 
-    ``channel_gains`` is (N, E) with single-gain clients broadcast to
-    all E edges and ``label_counts`` is (N, K); every other field is
-    (N,).  Because the names match ClientProfile's, a closed form
-    written for one profile evaluates elementwise on the table.
+    ``channel_gains`` is (N, M), one gain toward every edge, and
+    ``label_counts`` is (N, K); every other field is (N,).  Because the
+    names match ClientProfile's, a closed form written for one profile
+    evaluates elementwise on the table.
+
+    Construction converts every field to an int64 (``data_size``,
+    ``label_counts``) or float array and raises InvalidValueError
+    unless N >= 1, the shapes agree, every float is finite, every field
+    but the label counts is strictly positive, label counts are
+    non-negative and each client's label counts sum to its data size.
     """
 
     data_size: np.ndarray
@@ -124,51 +133,45 @@ class ClientTable:
     p_max: np.ndarray
     label_counts: np.ndarray
 
-    @classmethod
-    def from_profiles(cls, clients: Sequence[ClientProfile], num_edges: int) -> "ClientTable":
-        """Stack the profiles; raises InvalidValueError on a misshapen client.
-
-        Every client needs 1 or ``num_edges`` channel gains and as many
-        label counts as the first client.
-        """
-        if not clients:
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _numeric(f.name, getattr(self, f.name)))
+        n = self.data_size.size
+        if n == 0:
             raise InvalidValueError("a client table needs at least one client")
-        gains = _column(clients, "channel_gains", object)
-        per_client = np.fromiter(map(len, gains), dtype=np.int64, count=len(gains))
-        bad = np.flatnonzero((per_client != 1) & (per_client != num_edges))
-        if bad.size:
-            raise InvalidValueError(
-                f"client {bad[0]} has {per_client[bad[0]]} channel gains, "
-                f"expected 1 or {num_edges}"
-            )
-        labels = _column(clients, "label_counts", object)
-        classes = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
-        bad = np.flatnonzero(classes != classes[0])
-        if bad.size:
-            raise InvalidValueError(
-                f"client {bad[0]} has {classes[bad[0]]} label counts, "
-                f"client 0 has {classes[0]}"
-            )
-        flat_gains = np.fromiter(
-            chain.from_iterable(gains), dtype=float, count=int(per_client.sum())
-        )
-        if flat_gains.size != len(clients) * num_edges:
-            # a single gain repeats num_edges times, a full row once per entry
-            copies = np.repeat(np.where(per_client == 1, num_edges, 1), per_client)
-            flat_gains = np.repeat(flat_gains, copies)
-        return cls(
-            data_size=_column(clients, "data_size", np.int64),
-            cycles_per_item=_column(clients, "cycles_per_item", float),
-            cpu_freq=_column(clients, "cpu_freq", float),
-            channel_gains=flat_gains.reshape(len(clients), num_edges),
-            p_max=_column(clients, "p_max", float),
-            label_counts=np.fromiter(
-                chain.from_iterable(labels), dtype=np.int64, count=int(classes.sum())
-            ).reshape(len(clients), classes[0]),
-        )
+        for f in fields(self):
+            shape = getattr(self, f.name).shape
+            if f.name in _MATRIX_FIELDS:
+                if len(shape) != 2 or shape[0] != n or shape[1] == 0:
+                    raise InvalidValueError(
+                        f"{f.name} must have {n} rows and at least one column, got shape {shape}"
+                    )
+            elif shape != (n,):
+                raise InvalidValueError(f"{f.name} must have shape ({n},), got {shape}")
+        for name in ("cycles_per_item", "cpu_freq", "channel_gains", "p_max"):
+            values = getattr(self, name)
+            _require(name, values, np.isfinite(values) & (values > 0),
+                     "be strictly positive and finite")
+        _require("data_size", self.data_size, self.data_size > 0, "be strictly positive")
+        _require("label_counts", self.label_counts, self.label_counts >= 0, "be non-negative")
+        sums = self.label_counts.sum(axis=1)
+        _require("label_counts", sums, sums == self.data_size, "sum to data_size")
 
     def __len__(self) -> int:
         return self.data_size.shape[0]
+
+    def __getitem__(self, n: int) -> ClientProfile:
+        return ClientProfile(
+            data_size=int(self.data_size[n]),
+            cycles_per_item=float(self.cycles_per_item[n]),
+            cpu_freq=float(self.cpu_freq[n]),
+            channel_gains=tuple(self.channel_gains[n].tolist()),
+            p_max=float(self.p_max[n]),
+            label_counts=tuple(self.label_counts[n].tolist()),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
     @property
     def num_edges(self) -> int:
@@ -177,22 +180,6 @@ class ClientTable:
     def gain(self, edge: np.ndarray) -> np.ndarray:
         """Each client's gain toward its own entry of ``edge`` (length N)."""
         return self.channel_gains[np.arange(len(self)), edge]
-
-
-def client_table(clients: ClientTable | Sequence[ClientProfile], num_edges: int) -> ClientTable:
-    """``clients`` as a ClientTable with gains toward ``num_edges`` edges.
-
-    A table is returned unchanged; a sequence of ClientProfile is
-    stacked.  Raises InvalidPartitionError when the table's edge count
-    differs from ``num_edges``.
-    """
-    if not isinstance(clients, ClientTable):
-        clients = ClientTable.from_profiles(clients, num_edges)
-    if clients.num_edges != num_edges:
-        raise InvalidPartitionError(
-            f"{num_edges} coalitions, but the clients have gains toward {clients.num_edges} edges"
-        )
-    return clients
 
 
 def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +221,18 @@ def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndar
     return assignment, sizes
 
 
-def partition_arrays(
-    partition, clients: ClientTable | Sequence[ClientProfile]
-) -> tuple[np.ndarray, np.ndarray, ClientTable]:
-    """(assignment, sizes, client table) for a partition and its clients."""
+def partition_arrays(partition, clients: ClientTable) -> tuple[np.ndarray, np.ndarray]:
+    """(assignment, sizes) of a partition of the table's clients.
+
+    Raises InvalidPartitionError when the partition's coalition count
+    differs from the table's edge count.
+    """
     assignment, sizes = coalition_assignment(partition, len(clients))
-    return assignment, sizes, client_table(clients, len(sizes))
+    if clients.num_edges != len(sizes):
+        raise InvalidPartitionError(
+            f"{len(sizes)} coalitions, but the clients have gains toward {clients.num_edges} edges"
+        )
+    return assignment, sizes
 
 
 @dataclass(frozen=True)
@@ -251,6 +244,7 @@ class NetworkConfig:
     and ``capacitance`` is the effective switched-capacitance
     coefficient of the compute chipset.  lambda1 and lambda2 weight
     distribution similarity against energy in the network utility.
+    Every field must be finite, and the tau counts integers (not bool).
     """
 
     total_bandwidth: float
@@ -265,6 +259,13 @@ class NetworkConfig:
     lambda2: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise InvalidValueError(f"{f.name} must be an integer, got {value!r}")
+            elif not math.isfinite(value):
+                raise InvalidValueError(f"{f.name} must be finite, got {value!r}")
         for name in (
             "total_bandwidth",
             "noise_power",
@@ -312,7 +313,7 @@ def tx_latency(bandwidth_share, power, gain, config: NetworkConfig):
 
 def round_and_total_latency(
     partition,
-    clients: ClientTable | Sequence[ClientProfile],
+    clients: ClientTable,
     bandwidth_share,
     power,
     config: NetworkConfig,
@@ -325,9 +326,9 @@ def round_and_total_latency(
     total.  The per-iteration straggler maxima are constant under this
     static model, so the sums collapse to products.
     """
-    assignment, sizes, table = partition_arrays(partition, clients)
-    t_client = comp_latency(table, config) + tx_latency(
-        bandwidth_share, power, table.gain(assignment), config
+    assignment, sizes = partition_arrays(partition, clients)
+    t_client = comp_latency(clients, config) + tx_latency(
+        bandwidth_share, power, clients.gain(assignment), config
     )
     straggler = np.full(len(sizes), -np.inf)
     np.maximum.at(straggler, assignment, t_client)
@@ -349,22 +350,22 @@ class EnergyBreakdown:
 
 def energies(
     partition,
-    clients: ClientTable | Sequence[ClientProfile],
+    clients: ClientTable,
     bandwidth_share,
     power,
     config: NetworkConfig,
 ) -> EnergyBreakdown:
     """Per-client and aggregated energy for the whole task."""
-    assignment, sizes, table = partition_arrays(partition, clients)
+    assignment, sizes = partition_arrays(partition, clients)
     power = np.asarray(power, dtype=float)
     e_comp = (
         config.tau_c
         * config.capacitance
-        * table.cycles_per_item
-        * table.data_size
-        * table.cpu_freq**2
+        * clients.cycles_per_item
+        * clients.data_size
+        * clients.cpu_freq**2
     )
-    e_tx = tx_latency(bandwidth_share, power, table.gain(assignment), config) * power
+    e_tx = tx_latency(bandwidth_share, power, clients.gain(assignment), config) * power
     e_client = e_comp + e_tx
     rounds = config.tau_g * config.tau_e
     e_coalition = rounds * np.bincount(assignment, weights=e_client, minlength=len(sizes))

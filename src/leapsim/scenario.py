@@ -1,7 +1,7 @@
 """Scenario synthesis: clients, channels, label skew and task constants.
 
-A scenario bundles the shared task constants with one profile per
-client.  Hardware is drawn from configurable ranges (channel gains
+A scenario bundles the shared task constants with one ClientTable.
+Hardware is drawn from configurable ranges (channel gains
 log-uniformly, everything else uniformly); label histograms come from
 either a label-shard scheme, where client n holds ``shards`` classes
 tiled as (n * shards + k) mod n_classes, or a Dirichlet scheme drawing
@@ -15,8 +15,8 @@ seed fully determines the scenario and its serialized bytes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputFileError, InvalidValueError
 from .files import fields_dict, read_json, write_json
 from .game import Partition
-from .netmodel import ClientProfile, ClientTable, NetworkConfig, comp_latency, tx_latency
+from .netmodel import ClientTable, NetworkConfig, comp_latency, tx_latency
 
 __all__ = [
     "SCENARIO_SCHEMA",
@@ -39,7 +39,7 @@ __all__ = [
     "shard_grouped_partition",
 ]
 
-SCENARIO_SCHEMA = "leapsim.scenario.v1"
+SCENARIO_SCHEMA = "leapsim.scenario.v2"
 
 
 @dataclass(frozen=True)
@@ -57,46 +57,21 @@ class Scenario:
     """One solvable instance: task constants plus client population."""
 
     config: NetworkConfig
-    clients: list[ClientProfile]
+    clients: ClientTable
     num_edges: int
     meta: dict = field(default_factory=dict)
-
-    @cached_property
-    def table(self) -> ClientTable:
-        """The clients' struct-of-arrays view that the solvers read.
-
-        Built on first use and kept; building it checks that every
-        client has 1 or ``num_edges`` channel gains and as many label
-        counts as the others.
-        """
-        return ClientTable.from_profiles(self.clients, self.num_edges)
 
     @property
     def n_clients(self) -> int:
         return len(self.clients)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.clients[0].label_counts)
 
     def to_dict(self) -> dict:
         return {
             "schema": SCENARIO_SCHEMA,
             **fields_dict(self),
             "config": fields_dict(self.config),
-            # a profile's __dict__ holds exactly its fields, and copying it
-            # is ten times faster than fields_dict on a 4000-client scenario
-            "clients": [dict(vars(c)) for c in self.clients],
+            "clients": fields_dict(self.clients),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            config=NetworkConfig(**data["config"]),
-            clients=[ClientProfile(**entry) for entry in data["clients"]],
-            num_edges=data["num_edges"],
-            meta=data.get("meta", {}),
-        )
 
 
 def shard_label_counts(
@@ -166,7 +141,8 @@ def generate_scenario(
     client transmitting at full power on a uniform per-client share,
     which leaves every client feasible at p_max with margin.
     ``gain_mode`` "pair" draws one gain per (client, edge); "client"
-    draws a single gain reused for every edge.
+    draws a single gain per client and repeats it across the client's
+    row of ``channel_gains``.
     """
     if n_clients < n_edges or n_edges < 2:
         raise InvalidValueError("need n_clients >= n_edges >= 2")
@@ -191,17 +167,14 @@ def generate_scenario(
         counts = dirichlet_label_counts(rng, n_clients, n_classes, dirichlet_alpha, data_size)
         scheme = {"scheme": "dirichlet", "alpha": dirichlet_alpha}
 
-    clients = [
-        ClientProfile(
-            data_size=data_size,
-            cycles_per_item=float(cycles[n]),
-            cpu_freq=float(freqs[n]),
-            channel_gains=tuple(gains[n]),
-            p_max=float(p_caps[n]),
-            label_counts=tuple(int(c) for c in counts[n]),
-        )
-        for n in range(n_clients)
-    ]
+    clients = ClientTable(
+        data_size=np.full(n_clients, data_size),
+        cycles_per_item=cycles,
+        cpu_freq=freqs,
+        channel_gains=np.broadcast_to(gains, (n_clients, n_edges)).copy(),
+        p_max=p_caps,
+        label_counts=counts,
+    )
 
     config = NetworkConfig(
         total_bandwidth=total_bandwidth,
@@ -229,18 +202,11 @@ def generate_scenario(
         # replace the placeholder deadline by the slowest client's latency
         # at full power on a uniform per-client share, on its worst gain
         # in case re-association lands anywhere
-        drawn = ClientTable(
-            data_size=np.full(n_clients, data_size),
-            cycles_per_item=cycles,
-            cpu_freq=freqs,
-            channel_gains=np.broadcast_to(gains, (n_clients, n_edges)),
-            p_max=p_caps,
-            label_counts=counts,
-        )
         worst = np.max(
-            comp_latency(drawn, config)
+            comp_latency(clients, config)
             + tx_latency(
-                total_bandwidth / n_clients, drawn.p_max, drawn.channel_gains.min(axis=1), config
+                total_bandwidth / n_clients, clients.p_max, clients.channel_gains.min(axis=1),
+                config,
             )
         )
         config = replace(config, deadline=float(deadline_slack * tau_e * tau_g * worst))
@@ -252,12 +218,25 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and check a scenario file; any bad field raises InputFileError."""
+    """Read and check a scenario file; any bad field raises InputFileError.
+
+    ``num_edges`` must be a JSON integer equal to the width of
+    ``channel_gains``, ``meta`` a JSON object, and the config and client
+    arrays must pass the NetworkConfig and ClientTable checks.
+    """
     data = read_json(path, SCENARIO_SCHEMA)
     try:
-        scenario = Scenario.from_dict(data)
-        _ = scenario.table  # building the table checks every client's shape
-        return scenario
+        num_edges, meta = data["num_edges"], data.get("meta", {})
+        if type(num_edges) is not int:
+            raise InvalidValueError(f"num_edges must be a JSON integer, got {num_edges!r}")
+        if not isinstance(meta, dict):
+            raise InvalidValueError(f"meta must be a JSON object, got {json.dumps(meta)}")
+        clients = ClientTable(**data["clients"])
+        if clients.num_edges != num_edges:
+            raise InvalidValueError(
+                f"channel_gains has {clients.num_edges} columns, num_edges is {num_edges}"
+            )
+        return Scenario(NetworkConfig(**data["config"]), clients, num_edges, meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFileError(
             f"{path}: malformed scenario ({type(exc).__name__}: {exc})"
@@ -265,7 +244,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def label_count_matrix(scenario: Scenario) -> np.ndarray:
-    return scenario.table.label_counts
+    return scenario.clients.label_counts
 
 
 def shard_grouped_partition(scenario: Scenario, denominator: str = "M") -> Partition:
@@ -276,14 +255,14 @@ def shard_grouped_partition(scenario: Scenario, denominator: str = "M") -> Parti
     distinct classes as possible (the worst case for cross-edge
     similarity).  Blocks are sized to keep every edge non-empty.
     """
-    signatures = [
-        tuple(np.nonzero(np.asarray(c.label_counts))[0].tolist())
-        for c in scenario.clients
-    ]
-    order = sorted(range(scenario.n_clients), key=lambda n: (signatures[n], n))
-    m = scenario.num_edges
-    assignment = np.empty(scenario.n_clients, dtype=np.int64)
-    block = scenario.n_clients / m
-    for position, client in enumerate(order):
-        assignment[client] = min(int(position / block), m - 1)
+    support = scenario.clients.label_counts > 0
+    classes = np.arange(support.shape[1])
+    # each row's supported classes in ascending order, padded with -1 so a
+    # lexicographic sort puts a signature before its own extensions
+    signatures = np.sort(np.where(support, classes, support.shape[1]), axis=1)
+    signatures[signatures == support.shape[1]] = -1
+    order = np.lexsort(signatures.T[::-1])
+    n, m = scenario.n_clients, scenario.num_edges
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = np.minimum(np.arange(n) / (n / m), m - 1).astype(np.int64)
     return Partition(assignment, label_count_matrix(scenario), m, denominator)

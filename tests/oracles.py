@@ -221,39 +221,91 @@ def bisect_min_feasible_power(client, share, gain, cfg, resolution_factor=1e-7):
     return hi
 
 
+def make_clients(
+    *, data_size=1, cycles_per_item=1.0, cpu_freq=1.0, p_max=1.0, gains=1.0, num_edges=1,
+    label_counts=None,
+):
+    """A ClientTable from per-client columns; a scalar repeats for every client.
+
+    ``gains`` is a scalar, one gain per client repeated toward all
+    ``num_edges`` edges, or an (N, M) matrix.  ``label_counts``
+    defaults to one class holding each client's data.
+    """
+    from leapsim.netmodel import ClientTable
+
+    gains = np.asarray(gains, dtype=float)
+    columns = [np.asarray(c) for c in (data_size, cycles_per_item, cpu_freq, p_max)]
+    n = max([c.size for c in columns] + [len(gains) if gains.ndim else 1])
+    data_size, cycles_per_item, cpu_freq, p_max = (np.broadcast_to(c, (n,)) for c in columns)
+    if gains.ndim < 2:
+        gains = np.repeat(np.broadcast_to(gains, (n,))[:, None], num_edges, axis=1)
+    return ClientTable(
+        data_size=data_size,
+        cycles_per_item=cycles_per_item,
+        cpu_freq=cpu_freq,
+        channel_gains=gains,
+        p_max=p_max,
+        label_counts=data_size[:, None] if label_counts is None else label_counts,
+    )
+
+
+def deadline_power(client, share, edge, cfg):
+    """Smallest transmit power that exactly meets the deadline budget.
+
+    Scalar closed form for one ClientProfile row; the value can exceed
+    p_max.  Raises ValueError when computation alone exceeds the budget.
+    """
+    budget = cfg.iteration_budget - comp_time_ref(client, cfg)
+    if budget <= 0:
+        raise ValueError("computation latency exceeds the per-iteration deadline budget")
+    exponent = cfg.model_size / (share * budget) * LN2
+    growth = math.expm1(exponent) if exponent < 700 else math.inf
+    return share * cfg.noise_power * growth / client.gain(edge)
+
+
+def optimal_power(client, share, edge, cfg):
+    """Energy-optimal power under the deadline, min(p_max, deadline power)."""
+    return min(client.p_max, deadline_power(client, share, edge, cfg))
+
+
+def shard_grouped_assignment_ref(clients, num_edges):
+    """Clients sorted by their tuple of supported classes (ties by id) and
+    dealt to edges in contiguous blocks of n / num_edges."""
+    signatures = [tuple(np.nonzero(np.asarray(c.label_counts))[0].tolist()) for c in clients]
+    order = sorted(range(len(clients)), key=lambda n: (signatures[n], n))
+    assignment = np.empty(len(clients), dtype=np.int64)
+    block = len(clients) / num_edges
+    for position, client in enumerate(order):
+        assignment[client] = min(int(position / block), num_edges - 1)
+    return assignment
+
+
 def make_alloc_instance(rng, num_coalitions, symmetric=False, deadline=1e9):
     """Random well-conditioned allocation instance for solver tests.
 
     Channel gains are drawn so the SNR at typical shares spans roughly
     [0.3, 300], where bandwidth genuinely matters; the deep low-SNR
-    regime would make the objective nearly flat.
+    regime would make the objective nearly flat.  Each client has one
+    gain, repeated toward every edge.
     """
-    from leapsim.netmodel import ClientProfile, NetworkConfig
+    from leapsim.netmodel import NetworkConfig
 
     sizes = [4] * num_coalitions if symmetric else rng.integers(2, 8, size=num_coalitions)
     h_shared = float(np.exp(rng.uniform(np.log(3e-7), np.log(3e-5))))
     p_shared = float(rng.uniform(0.1, 1.0))
-    clients, coalitions, next_id = [], [], 0
+    gains, p_max, coalitions = [], [], []
     for m in range(num_coalitions):
-        members = set()
+        first = len(gains)
         for _ in range(sizes[m]):
-            gain = h_shared if symmetric else float(
+            gains.append(h_shared if symmetric else float(
                 np.exp(rng.uniform(np.log(3e-7), np.log(3e-5)))
-            )
-            p_max = p_shared if symmetric else float(rng.uniform(0.1, 1.0))
-            clients.append(
-                ClientProfile(
-                    data_size=100,
-                    cycles_per_item=2e5,
-                    cpu_freq=1.5e9,
-                    channel_gains=tuple(gain for _ in range(num_coalitions)),
-                    p_max=p_max,
-                    label_counts=(100,),
-                )
-            )
-            members.add(next_id)
-            next_id += 1
-        coalitions.append(members)
+            ))
+            p_max.append(p_shared if symmetric else float(rng.uniform(0.1, 1.0)))
+        coalitions.append(set(range(first, len(gains))))
+    clients = make_clients(
+        data_size=100, cycles_per_item=2e5, cpu_freq=1.5e9, p_max=p_max, gains=gains,
+        num_edges=num_coalitions,
+    )
     cfg = NetworkConfig(
         total_bandwidth=1e7,
         noise_power=1e-13,

@@ -28,6 +28,7 @@ from oracles import (
     bisect_min_feasible_power,
     enumerate_best_avg_js,
     make_alloc_instance,
+    make_clients,
     random_counts,
     surrogate_objective_ref,
 )
@@ -177,14 +178,14 @@ def test_c5_power_matches_bisection_oracle():
     while checked < 200:
         gain = float(np.exp(rng.uniform(np.log(3e-7), np.log(3e-5))))
         data_size = int(rng.integers(50, 300))
-        client = L.ClientProfile(
+        table = make_clients(
             data_size=data_size,
             cycles_per_item=float(rng.uniform(1e5, 5e5)),
             cpu_freq=float(rng.uniform(1e9, 2e9)),
-            channel_gains=(gain,),
+            gains=gain,
             p_max=float(rng.uniform(0.1, 1.0)),
-            label_counts=(data_size,),
         )
+        client = table[0]
         share = float(rng.uniform(1e5, 2e6))
         cfg = L.NetworkConfig(
             total_bandwidth=1e7, noise_power=1e-13, model_size=1e6,
@@ -194,7 +195,8 @@ def test_c5_power_matches_bisection_oracle():
         if cfg.iteration_budget <= comp_latency(client, cfg):
             continue
         checked += 1
-        solved = L.optimal_power(client, share, 0, cfg)
+        power, _ = L.deadline_powers(np.zeros(1, dtype=np.int64), table, cfg, [share])
+        solved = float(power[0])
         oracle = bisect_min_feasible_power(client, share, gain, cfg)
         if oracle is None:
             assert solved == client.p_max

@@ -5,50 +5,53 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leapsim.alloc import (
-    DeadlineError,
     GPConfig,
     InfeasibleError,
     NonFiniteInputError,
     build_plan,
-    deadline_power,
+    deadline_powers,
     gp_solve,
-    optimal_power,
     p3_gradient,
     p3_objective,
     plan_full,
     project_to_simplex,
     worst_members,
 )
-from leapsim.netmodel import ClientProfile, NetworkConfig, energies
+from leapsim.netmodel import ClientTable, NetworkConfig, energies
 
-from oracles import make_alloc_instance, surrogate_objective_ref, worst_client
+from oracles import (
+    deadline_power,
+    make_alloc_instance,
+    make_clients,
+    optimal_power,
+    surrogate_objective_ref,
+    worst_client,
+)
 
 
-def simple_client(p_max, gain, n_edges=2):
-    return ClientProfile(
-        data_size=100,
-        cycles_per_item=2e5,
-        cpu_freq=1.5e9,
-        channel_gains=tuple(gain for _ in range(n_edges)),
-        p_max=p_max,
-        label_counts=(100,),
+def simple_clients(p_max, gain, n_edges=2):
+    """Clients with the given p_max and gain columns, each gain repeated
+    toward every edge."""
+    return make_clients(
+        data_size=100, cycles_per_item=2e5, cpu_freq=1.5e9, p_max=p_max, gains=gain,
+        num_edges=n_edges,
     )
 
 
 # -- worst client ---------------------------------------------------------------
 
 def test_worst_client_argmin_p_h():
-    clients = [simple_client(2.0, 2.0, 1), simple_client(1.0, 1.0, 1), simple_client(3.0, 3.0, 1)]
+    clients = simple_clients([2.0, 1.0, 3.0], [2.0, 1.0, 3.0], 1)
     assert worst_members([{0, 1, 2}], clients).tolist() == [1]
 
 
 def test_worst_client_single_member():
-    clients = [simple_client(1.0, 1.0), simple_client(2.0, 3.0)]
+    clients = simple_clients([1.0, 2.0], [1.0, 3.0])
     assert worst_members([{1}, {0}], clients).tolist() == [1, 0]
 
 
 def test_worst_client_tie_lowest_id():
-    clients = [simple_client(1.0, 2.0, 1), simple_client(2.0, 1.0, 1), simple_client(1.0, 2.0, 1)]
+    clients = simple_clients([1.0, 2.0, 1.0], [2.0, 1.0, 2.0], 1)
     assert worst_members([{2, 1, 0}], clients).tolist() == [0]
 
 
@@ -60,14 +63,10 @@ def test_worst_members_match_the_scalar_reference():
         n = int(rng.integers(m, 15))
         assignment = np.concatenate([np.arange(m), rng.integers(m, size=n - m)])
         gains = rng.integers(1, 4, size=(n, m if rng.random() < 0.5 else 1))
-        clients = [
-            ClientProfile(
-                data_size=10, cycles_per_item=1.0, cpu_freq=1.0,
-                channel_gains=tuple(float(g) for g in gains[k]),
-                p_max=float(rng.integers(1, 4)), label_counts=(10,),
-            )
-            for k in range(n)
-        ]
+        clients = make_clients(
+            data_size=10, p_max=[float(rng.integers(1, 4)) for _ in range(n)],
+            gains=np.broadcast_to(gains, (n, m)),
+        )
         coalitions = [set(np.flatnonzero(assignment == k).tolist()) for k in range(m)]
         expected = [worst_client(coalitions[k], clients, k) for k in range(m)]
         assert worst_members(assignment, clients).tolist() == expected
@@ -107,16 +106,19 @@ def test_p3_objective_matches_energies_with_worst_case_clones():
     rng = np.random.default_rng(2)
     coalitions, clients, cfg = make_alloc_instance(rng, 3)
     bandwidth = rng.dirichlet(np.ones(3)) * cfg.total_bandwidth
-    clones = list(clients)
+    source = np.arange(len(clients))
     shares = np.empty(len(clients))
-    powers = np.empty(len(clients))
     for m, members in enumerate(coalitions):
         worst = worst_client(members, clients, m)
         for n in members:
-            clones[n] = clients[worst]
+            source[n] = worst
             shares[n] = bandwidth[m] / len(members)
-            powers[n] = clients[worst].p_max
-    breakdown = energies(coalitions, clones, shares, powers, cfg)
+    clones = ClientTable(**{
+        name: getattr(clients, name)[source]
+        for name in ("data_size", "cycles_per_item", "cpu_freq", "channel_gains", "p_max",
+                     "label_counts")
+    })
+    breakdown = energies(coalitions, clones, shares, clones.p_max, cfg)
     assert p3_objective(bandwidth, coalitions, clients, cfg) == pytest.approx(
         cfg.lambda2 * breakdown.total_tx, rel=1e-12
     )
@@ -326,40 +328,55 @@ def power_config(deadline, share_ref=1e6):
     )
 
 
+def alone(client):
+    """A one-client, one-edge table holding the given client row (or table
+    row 0) with its gain toward edge 0."""
+    return make_clients(
+        data_size=client.data_size, cycles_per_item=client.cycles_per_item,
+        cpu_freq=client.cpu_freq, p_max=client.p_max, gains=client.gain(0),
+    )
+
+
+def power_alone(clients, share, cfg):
+    """deadline_powers for a one-client table at the given share: (power, notes)."""
+    power, notes = deadline_powers(np.zeros(1, dtype=np.int64), clients, cfg, [share])
+    return float(power[0]), notes
+
+
 def test_optimal_power_exponent_one_case():
     # transmission budget of exactly model_size/share seconds makes the
     # exponent 1, so p = share * noise * (2 - 1) / gain = 1.0 W
-    c = ClientProfile(
-        data_size=1, cycles_per_item=1e-3, cpu_freq=1e9,
-        channel_gains=(1e-3,), p_max=5.0, label_counts=(1,),
-    )
+    c = make_clients(cycles_per_item=1e-3, cpu_freq=1e9, gains=1e-3, p_max=5.0)
     t_comp = 1 * 1e-3 * 1 / 1e9
     cfg = power_config(deadline=1.0 + t_comp)
-    p = optimal_power(c, 1e6, 0, cfg)
-    assert p == pytest.approx(1.0, rel=1e-9)
+    p, notes = power_alone(c, 1e6, cfg)
+    assert p == pytest.approx(1.0, rel=1e-9) and not notes
+    assert p == pytest.approx(optimal_power(c[0], 1e6, 0, cfg), rel=1e-12)
 
 
 def test_optimal_power_loose_deadline_tends_to_zero():
-    c = simple_client(1.0, 1e-3)
+    c = simple_clients(1.0, 1e-3, 1)
     cfg = power_config(deadline=1e9)
-    p = optimal_power(c, 1e6, 0, cfg)
+    p, _ = power_alone(c, 1e6, cfg)
     assert 0 < p < 1e-6
 
 
 def test_optimal_power_clamps_at_p_max():
-    c = simple_client(0.5, 1e-9)
+    c = simple_clients(0.5, 1e-9, 1)
     cfg = power_config(deadline=1.0)
-    assert optimal_power(c, 1e5, 0, cfg) == 0.5
+    assert power_alone(c, 1e5, cfg) == (0.5, [])
+    assert optimal_power(c[0], 1e5, 0, cfg) == 0.5
 
 
 def test_deadline_power_raises_when_compute_exceeds_budget():
-    c = ClientProfile(
-        data_size=100, cycles_per_item=1e9, cpu_freq=1e9,
-        channel_gains=(1e-3,), p_max=1.0, label_counts=(100,),
-    )  # comp latency 100 s
+    c = make_clients(data_size=100, cycles_per_item=1e9, cpu_freq=1e9, gains=1e-3)
+    # comp latency 100 s
     cfg = power_config(deadline=1.0)
-    with pytest.raises(DeadlineError):
-        deadline_power(c, 1e6, 0, cfg)
+    with pytest.raises(ValueError):
+        deadline_power(c[0], 1e6, 0, cfg)
+    assert power_alone(c, 1e6, cfg) == (
+        1.0, ["client 0: computation alone exceeds the deadline budget"]
+    )
 
 
 def test_optimal_power_meets_deadline_exactly_when_unclamped():
@@ -380,7 +397,8 @@ def test_optimal_power_meets_deadline_exactly_when_unclamped():
             deadline=float(rng.uniform(2e5, 3e6)),
             capacitance=cfg0.capacitance,
         )
-        p = optimal_power(c, share, 0, cfg)
+        p, _ = power_alone(alone(c), share, cfg)
+        assert p == pytest.approx(optimal_power(c, share, 0, cfg), rel=1e-12)
         assert 0 < p <= c.p_max
         if p < c.p_max:
             total = comp_latency(c, cfg) + tx_latency(share, p, c.gain(0), cfg)
@@ -395,9 +413,8 @@ def test_power_optimization_never_increases_energy():
         coalitions, clients, cfg = make_alloc_instance(rng, 2, deadline=float(rng.uniform(2e5, 1e7)))
         c = clients[int(rng.integers(len(clients)))]
         share = float(rng.uniform(1e5, 2e6))
-        try:
-            p = optimal_power(c, share, 0, cfg)
-        except DeadlineError:
+        p, notes = power_alone(alone(c), share, cfg)
+        if notes:
             continue
         e_opt = tx_latency(share, p, c.gain(0), cfg) * p
         e_max = tx_latency(share, c.p_max, c.gain(0), cfg) * c.p_max
@@ -427,13 +444,10 @@ def test_plan_full_latencies_within_budget_by_construction():
 
 
 def test_plan_full_flags_impossible_clients_instead_of_raising():
-    clients = [
-        ClientProfile(
-            data_size=100, cycles_per_item=1e9, cpu_freq=1e9,
-            channel_gains=(1e-4, 1e-4), p_max=1.0, label_counts=(100,),
-        ),
-        simple_client(1.0, 1e-4),
-    ]
+    clients = make_clients(
+        data_size=100, cycles_per_item=[1e9, 2e5], cpu_freq=[1e9, 1.5e9], gains=1e-4,
+        num_edges=2,
+    )
     cfg = power_config(deadline=10.0)
     plan, _ = plan_full([{0}, {1}], clients, cfg)
     assert not plan.feasible
@@ -460,8 +474,8 @@ def test_build_plan_metrics_are_consistent():
 def random_plan_instance(rng):
     """Random coalitions, clients and deadline for differential tests.
 
-    Coalition 0 is a singleton; half of the instances use one gain per
-    client ("client" gain mode); compute latencies spread around the
+    Coalition 0 is a singleton; half of the instances repeat one gain
+    per client toward every edge ("client" gain mode); compute latencies spread around the
     per-iteration budget, so some clients run out of budget on
     computation alone and others need more than p_max.
     """
@@ -470,20 +484,21 @@ def random_plan_instance(rng):
     assignment = np.concatenate([np.arange(m), rng.integers(1, m, size=n - m)])
     rng.shuffle(assignment)
     per_edge = rng.random() < 0.5
-    clients = []
+    rows = []
     for _ in range(n):
         gains = np.exp(rng.uniform(np.log(1e-8), np.log(1e-5), size=m if per_edge else 1))
         data = int(rng.integers(20, 200))
-        clients.append(
-            ClientProfile(
-                data_size=data,
-                cycles_per_item=float(rng.uniform(1e4, 1e6)),
-                cpu_freq=float(rng.uniform(1e9, 2e9)),
-                channel_gains=tuple(gains.tolist()),
-                p_max=float(rng.uniform(0.1, 1.0)),
-                label_counts=(data,),
-            )
-        )
+        rows.append((
+            data,
+            float(rng.uniform(1e4, 1e6)),
+            float(rng.uniform(1e9, 2e9)),
+            np.broadcast_to(gains, (m,)),
+            float(rng.uniform(0.1, 1.0)),
+        ))
+    data, cycles, freq, gains, p_max = zip(*rows)
+    clients = make_clients(
+        data_size=data, cycles_per_item=cycles, cpu_freq=freq, gains=np.array(gains), p_max=p_max
+    )
     cfg = NetworkConfig(
         total_bandwidth=1e7, noise_power=1e-13, model_size=2e5, tau_c=5, tau_e=3,
         tau_g=4, deadline=12 * float(rng.uniform(0.2, 0.6)), capacitance=1e-28,
@@ -504,7 +519,6 @@ def assert_plan_matches(plan, ref):
 
 def test_deadline_powers_and_build_plan_match_the_per_client_reference():
     from oracles import deadline_powers_ref, plan_ref
-    from leapsim.alloc import deadline_powers
 
     rng = np.random.default_rng(41)
     seen = {"late": 0, "clipped": 0, "client_mode": 0}
@@ -517,7 +531,7 @@ def test_deadline_powers_and_build_plan_match_the_per_client_reference():
         p_max = np.array([c.p_max for c in clients])
         seen["late"] += len(notes)
         seen["clipped"] += int(np.sum(power == p_max)) - len(notes)
-        seen["client_mode"] += len(clients[0].channel_gains) == 1
+        seen["client_mode"] += bool(np.all(clients.channel_gains == clients.channel_gains[:, :1]))
 
         for trial_power in (power, p_max * rng.uniform(0.01, 1.0, size=len(clients))):
             plan = build_plan(coalitions, clients, cfg, bandwidth, trial_power, avg_js=0.3)

@@ -19,8 +19,9 @@ def scenario_file(tmp_path):
 
 def test_gen_writes_scenario(scenario_file):
     data = json.loads(scenario_file.read_text())
-    assert data["schema"] == "leapsim.scenario.v1"
-    assert len(data["clients"]) == 12
+    assert data["schema"] == "leapsim.scenario.v2"
+    assert len(data["clients"]["data_size"]) == 12
+    assert len(data["clients"]["channel_gains"][0]) == 3
 
 
 def test_full_stage_pipeline(tmp_path, scenario_file):
@@ -139,7 +140,7 @@ def test_malformed_inputs_are_one_line_and_exit_2(tmp_path, scenario_file, capsy
     wrong_schema.write_text(json.dumps({"schema": "leapsim.plan.v1"}))
     assert run(["coalition", "--scenario", wrong_schema, "--out", tmp_path / "o"]) == 2
     lines = _error_lines(capsys)
-    assert len(lines) == 1 and "leapsim.scenario.v1" in lines[0]
+    assert len(lines) == 1 and "leapsim.scenario.v2" in lines[0]
 
     no_config = json.loads(scenario_file.read_text())
     del no_config["config"]
@@ -180,9 +181,15 @@ def test_partition_that_disagrees_with_the_scenario_is_rejected(
     assert len(lines) == 1 and words in lines[0]
 
 
-def _scenario_with(tmp_path, scenario_file, field, value):
+def _scenario_with(tmp_path, scenario_file, field, value, keys=None):
+    """A copy of the scenario file with client 5's ``field`` set to ``value``,
+    or with the entry at the path ``keys`` set instead."""
     data = json.loads(scenario_file.read_text())
-    data["clients"][5][field] = value
+    *parents, last = keys or ("clients", field, 5)
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
     path = tmp_path / f"bad_{field}.json"
     path.write_text(json.dumps(data))
     return path
@@ -201,6 +208,48 @@ def test_bad_values_are_one_line_and_exit_2(tmp_path, scenario_file, capsys, arg
     assert run([*argv, "--out", tmp_path / "o"]) == 2
     lines = _error_lines(capsys)
     assert len(lines) == 1 and words in lines[0]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("keys, value, words", [
+    pytest.param(("clients", "p_max", 5), NAN, "p_max must be strictly positive and finite",
+                 id="p_max NaN"),
+    pytest.param(("clients", "channel_gains", 5, 1), NAN,
+                 "channel_gains must be strictly positive and finite", id="gain NaN"),
+    pytest.param(("clients", "cpu_freq", 5), INF, "cpu_freq must be strictly positive and finite",
+                 id="cpu_freq Infinity"),
+    pytest.param(("clients", "cycles_per_item", 5), NAN,
+                 "cycles_per_item must be strictly positive and finite", id="cycles NaN"),
+    pytest.param(("config", "deadline"), NAN, "deadline must be finite", id="deadline NaN"),
+    pytest.param(("config", "capacitance"), INF, "capacitance must be finite",
+                 id="capacitance Infinity"),
+    pytest.param(("config", "lambda1"), NAN, "lambda1 must be finite", id="lambda1 NaN"),
+    pytest.param(("config", "tau_c"), 2.5, "tau_c must be an integer, got 2.5", id="tau_c 2.5"),
+    pytest.param(("config", "tau_e"), 2.5, "tau_e must be an integer, got 2.5", id="tau_e 2.5"),
+    pytest.param(("config", "tau_g"), True, "tau_g must be an integer, got True", id="tau_g true"),
+    pytest.param(("clients", "data_size", 5), 200.0, "data_size must hold integers",
+                 id="data_size 200.0"),
+    pytest.param(("clients", "label_counts", 5), ["0"] * 10, "label_counts must hold integers",
+                 id="label_counts strings"),
+    pytest.param(("meta",), [1], "meta must be a JSON object, got [1]", id="meta list"),
+    pytest.param(("num_edges",), 3.0, "num_edges must be a JSON integer", id="num_edges 3.0"),
+    pytest.param(("num_edges",), 2, "channel_gains has 3 columns, num_edges is 2",
+                 id="num_edges 2"),
+    pytest.param(("schema",), "leapsim.scenario.v1", "found 'leapsim.scenario.v1'", id="v1 file"),
+])
+def test_bad_scenario_fields_are_one_line_and_exit_2(
+    tmp_path, scenario_file, capsys, keys, value, words
+):
+    bad = _scenario_with(tmp_path, scenario_file, "scenario", value, keys)
+    argv = ["compare", "--scenario", bad, "--methods", "leap", "--out", tmp_path / "o"]
+    if keys[-1] == "tau_e":  # the learner reads tau_e directly
+        argv += ["--train", "--features", 4]
+    assert run(argv) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and words in lines[0] and str(bad) in lines[0]
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("argv, words", [

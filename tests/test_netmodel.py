@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,18 @@ from leapsim.netmodel import (
     ClientTable,
     NetworkConfig,
     check_deadline,
-    client_table,
     coalition_assignment,
     comp_latency,
     energies,
     network_utility,
+    partition_arrays,
     round_and_total_latency,
     tx_latency,
     uplink_rate,
 )
+from leapsim.scenario import generate_scenario
+
+from oracles import make_clients
 
 
 def unit_config(**overrides):
@@ -37,17 +42,13 @@ def unit_config(**overrides):
 
 
 def client(data_size=1, cycles=1.0, freq=1.0, gains=(1.0,), p_max=1.0):
-    return ClientProfile(
-        data_size=data_size,
-        cycles_per_item=cycles,
-        cpu_freq=freq,
-        channel_gains=gains,
-        p_max=p_max,
-        label_counts=(data_size,),
+    """A one-client table with one gain per edge."""
+    return make_clients(
+        data_size=data_size, cycles_per_item=cycles, cpu_freq=freq, gains=[gains], p_max=p_max
     )
 
 
-# -- profile and config validation -------------------------------------------
+# -- table and config validation -------------------------------------------
 
 def test_profile_rejects_nonpositive_fields():
     with pytest.raises(ValueError):
@@ -55,17 +56,15 @@ def test_profile_rejects_nonpositive_fields():
     with pytest.raises(ValueError):
         client(gains=(0.0,))
     with pytest.raises(ValueError):
-        ClientProfile(
-            data_size=5, cycles_per_item=1, cpu_freq=1,
-            channel_gains=(1.0,), p_max=1, label_counts=(2, 2),
-        )
+        make_clients(data_size=5, label_counts=[[2, 2]])
 
 
 def test_profile_gain_broadcast_and_per_edge():
-    scalar = client(gains=(2.0,))
-    assert scalar.gain(0) == scalar.gain(3) == 2.0
-    per_edge = client(gains=(1.0, 2.0, 3.0))
-    assert per_edge.gain(1) == 2.0
+    repeated = make_clients(gains=2.0, num_edges=4)[0]
+    assert isinstance(repeated, ClientProfile)
+    assert repeated.gain(0) == repeated.gain(3) == 2.0
+    per_edge = client(gains=(1.0, 2.0, 3.0))[0]
+    assert per_edge.gain(1) == 2.0 and per_edge.channel_gains == (1.0, 2.0, 3.0)
 
 
 def test_config_rejects_nonpositive_and_negative_weights():
@@ -163,7 +162,7 @@ def test_single_client_total_latency():
     c = client()  # comp latency 1.0
     # pick share/power for a 1.0 s upload: rate 1e6, model 1e6 bits
     t_client, t_coal, t_total = round_and_total_latency(
-        [{0}], [c], [1e6], [1e-3], cfg
+        [{0}], c, [1e6], [1e-3], cfg
     )
     assert t_client[0] == pytest.approx(2.0, rel=1e-12)
     assert t_coal[0] == pytest.approx(4.0, rel=1e-12)
@@ -172,11 +171,10 @@ def test_single_client_total_latency():
 
 def test_straggler_sets_coalition_latency():
     cfg = unit_config()
-    fast = client(freq=1.0, cycles=2.0)   # comp 2 s
-    slow = client(freq=1.0, cycles=5.0)   # comp 5 s
+    fast_slow = make_clients(cycles_per_item=[2.0, 5.0])   # comp 2 s and 5 s
     share, power = 1e6, 1e-3
     t_client, t_coal, t_total = round_and_total_latency(
-        [{0, 1}], [fast, slow], [share, share], [power, power], cfg
+        [{0, 1}], fast_slow, [share, share], [power, power], cfg
     )
     assert t_coal[0] == pytest.approx(max(t_client), rel=1e-12)
     assert t_total == pytest.approx(t_coal[0], rel=1e-12)
@@ -185,14 +183,14 @@ def test_straggler_sets_coalition_latency():
 def test_adding_faster_client_never_increases_coalition_latency():
     cfg = unit_config()
     slow = client(cycles=5.0)
-    fast = client(cycles=1.0)
-    _, t_before, _ = round_and_total_latency([{0}], [slow], [1e6], [1e-3], cfg)
+    slow_fast = make_clients(cycles_per_item=[5.0, 1.0])
+    _, t_before, _ = round_and_total_latency([{0}], slow, [1e6], [1e-3], cfg)
     _, t_after, _ = round_and_total_latency(
-        [{0, 1}], [slow, fast], [5e5, 5e5], [1e-3, 1e-3], cfg
+        [{0, 1}], slow_fast, [5e5, 5e5], [1e-3, 1e-3], cfg
     )
     # halved share slows the straggler itself; compare at its original share
     _, t_same_share, _ = round_and_total_latency(
-        [{0, 1}], [slow, fast], [1e6, 1e6], [1e-3, 1e-3], cfg
+        [{0, 1}], slow_fast, [1e6, 1e6], [1e-3, 1e-3], cfg
     )
     assert t_same_share[0] <= t_before[0] + 1e-12
 
@@ -200,35 +198,38 @@ def test_adding_faster_client_never_increases_coalition_latency():
 def test_energy_unit_cases_and_additivity():
     cfg = unit_config()
     c = client()
-    out = energies([{0}], [c], [1e6], [1e-3], cfg)
+    out = energies([{0}], c, [1e6], [1e-3], cfg)
     assert out.comp[0] == pytest.approx(1.0, rel=1e-12)  # phi c |D| f^2
     # upload at 1 s and 1e-3 W
     assert out.tx[0] == pytest.approx(1e-3, rel=1e-12)
 
-    two = energies([{0, 1}], [c, c], [1e6, 1e6], [1e-3, 1e-3], cfg)
+    two = energies([{0, 1}], make_clients(data_size=[1, 1]), [1e6, 1e6], [1e-3, 1e-3], cfg)
     assert two.total == pytest.approx(2 * out.total, rel=1e-12)
 
 
 def test_energy_example_tu_times_power():
     cfg = unit_config(model_size=2e6)
     c = client()
-    out = energies([{0}], [c], [1e6], [1e-3], cfg)  # upload takes 2 s
+    out = energies([{0}], c, [1e6], [1e-3], cfg)  # upload takes 2 s
     assert out.tx[0] == pytest.approx(2e-3, rel=1e-12)
 
 
 def test_coalition_aggregation_matches_direct_sums():
     rng = np.random.default_rng(0)
     cfg = unit_config(tau_e=3, tau_g=2, capacitance=1e-28)
-    clients = [
-        client(
-            data_size=int(rng.integers(10, 50)),
-            cycles=float(rng.uniform(1e5, 5e5)),
-            freq=float(rng.uniform(1e9, 2e9)),
-            gains=(float(rng.uniform(1e-7, 1e-5)),),
-            p_max=1.0,
+    rows = [
+        (
+            int(rng.integers(10, 50)),
+            float(rng.uniform(1e5, 5e5)),
+            float(rng.uniform(1e9, 2e9)),
+            float(rng.uniform(1e-7, 1e-5)),
         )
         for _ in range(6)
     ]
+    data, cycles, freq, gains = zip(*rows)
+    clients = make_clients(
+        data_size=data, cycles_per_item=cycles, cpu_freq=freq, gains=gains, num_edges=2
+    )
     coalitions = [{0, 1, 2}, {3, 4, 5}]
     shares = rng.uniform(1e5, 1e6, size=6)
     powers = rng.uniform(0.01, 1.0, size=6)
@@ -271,7 +272,7 @@ def test_deadline_violation_flagged():
 def test_compute_alone_over_budget_is_infeasible():
     cfg = unit_config(deadline=0.5)  # budget 0.5 < comp latency 1.0
     c = client()
-    t_client, _, _ = round_and_total_latency([{0}], [c], [1e6], [1.0], cfg)
+    t_client, _, _ = round_and_total_latency([{0}], c, [1e6], [1.0], cfg)
     ok, all_ok = check_deadline(t_client, cfg)
     assert not all_ok
 
@@ -313,27 +314,115 @@ def test_value_errors_are_typed():
 
 
 def test_table_broadcasts_single_gains_and_matches_profiles():
-    clients = [client(gains=(2.0,), cycles=3.0), client(gains=(1.0, 5.0, 7.0), freq=2.0)]
-    table = ClientTable.from_profiles(clients, 3)
-    assert table.channel_gains.tolist() == [[2.0, 2.0, 2.0], [1.0, 5.0, 7.0]]
-    assert table.label_counts.shape == (2, 1) and len(table) == 2
+    # "client" gain mode draws one gain per client and repeats it toward every edge
+    sc = generate_scenario(seed=4, n_clients=8, n_edges=3, gain_mode="client")
+    table = sc.clients
+    assert table.channel_gains.shape == (8, 3) and table.num_edges == 3
+    assert np.all(table.channel_gains == table.channel_gains[:, :1])
+    rows = list(table)
+    assert len(rows) == len(table) == 8 and all(isinstance(r, ClientProfile) for r in rows)
+    assert [r.p_max for r in rows] == table.p_max.tolist()
+    assert [r.label_counts for r in rows] == [tuple(c) for c in table.label_counts.tolist()]
     cfg = unit_config(tau_c=3)
-    assert comp_latency(table, cfg).tolist() == [comp_latency(c, cfg) for c in clients]
-    assert table.gain(np.array([2, 1])).tolist() == [clients[0].gain(2), clients[1].gain(1)]
-    assert client_table(table, 3) is table
+    assert comp_latency(table, cfg).tolist() == [comp_latency(r, cfg) for r in rows]
+    assert table.gain(np.array([2, 1, 0] * 2 + [0, 0])).tolist() == [
+        r.gain(e) for r, e in zip(rows, [2, 1, 0] * 2 + [0, 0])
+    ]
 
 
 def test_table_rejects_misshapen_clients():
-    with pytest.raises(InvalidValueError, match="client 1 has 3 channel gains"):
-        ClientTable.from_profiles([client(gains=(1.0, 1.0)), client(gains=(1.0, 1.0, 1.0))], 2)
-    odd = ClientProfile(
-        data_size=2, cycles_per_item=1.0, cpu_freq=1.0, channel_gains=(1.0,),
-        p_max=1.0, label_counts=(1, 1),
+    with pytest.raises(InvalidValueError, match="client 2 has 3 channel gains, client 0 has 2"):
+        ClientTable(**table_columns(channel_gains=[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(InvalidValueError, match="client 1 has 2 label counts, client 0 has 1"):
+        ClientTable(**table_columns(label_counts=[[4], [1, 1], [0, 3]]))
+    # a table with gains toward 2 edges cannot serve a 3-coalition partition
+    with pytest.raises(InvalidPartitionError, match="3 coalitions"):
+        partition_arrays(np.array([0, 1, 2]), make_clients(data_size=[1, 1, 1], num_edges=2))
+    with pytest.raises(InvalidPartitionError, match="3 coalitions"):
+        energies([{0}, {1}, {2}], make_clients(data_size=[1, 1, 1], num_edges=2),
+                 np.ones(3), np.ones(3), unit_config())
+
+
+def table_columns(**changes):
+    """Valid constructor arguments for 3 clients on 2 edges and 2 classes, changed."""
+    columns = dict(
+        data_size=[4, 2, 3],
+        cycles_per_item=[1.0, 2.0, 3.0],
+        cpu_freq=[1e9, 2e9, 3e9],
+        channel_gains=[[1e-7, 2e-7], [3e-7, 4e-7], [5e-7, 6e-7]],
+        p_max=[0.5, 0.6, 0.7],
+        label_counts=[[4, 0], [1, 1], [0, 3]],
     )
-    with pytest.raises(InvalidValueError, match="client 1 has 2 label counts"):
-        ClientTable.from_profiles([client(), odd], 2)
-    with pytest.raises(InvalidPartitionError):
-        client_table(ClientTable.from_profiles([client()], 2), 3)
+    columns.update(changes)
+    return columns
+
+
+NAN, INF = float("nan"), float("inf")
+GOOD_GAINS = [[1e-7, 2e-7], [3e-7, 4e-7], [5e-7, 6e-7]]
+
+
+@pytest.mark.parametrize("changes, words", [
+    pytest.param(dict(channel_gains=[1e-7, 2e-7, 3e-7]),
+                 "channel_gains must have 3 rows and at least one column, got shape (3,)",
+                 id="gains one column per client"),
+    pytest.param(dict(channel_gains=GOOD_GAINS[:2]),
+                 "channel_gains must have 3 rows and at least one column, got shape (2, 2)",
+                 id="gains for 2 clients"),
+    pytest.param(dict(channel_gains=[[], [], []]),
+                 "channel_gains must have 3 rows and at least one column, got shape (3, 0)",
+                 id="gains with no edge"),
+    pytest.param(dict(channel_gains=[[1e-7, 2e-7], [3e-7], [5e-7, 6e-7]]),
+                 "client 1 has 1 channel gains, client 0 has 2", id="ragged gains"),
+    pytest.param(dict(label_counts=[[4, 0], [2], [0, 3]]),
+                 "client 1 has 1 label counts, client 0 has 2", id="ragged labels"),
+    pytest.param(dict(label_counts=[[4, 0], [1, 2], [0, 3]]),
+                 "label_counts must sum to data_size, client 1 has 3",
+                 id="labels not summing"),
+    pytest.param(dict(label_counts=[[5, -1], [1, 1], [0, 3]]),
+                 "label_counts must be non-negative, client 0 has -1", id="negative label"),
+    pytest.param(dict(p_max=[0.5, 0.6]), "p_max must have shape (3,), got (2,)",
+                 id="short column"),
+    pytest.param(dict(data_size=[4, 0, 3], label_counts=[[4, 0], [0, 0], [0, 3]]),
+                 "data_size must be strictly positive, client 1 has 0", id="zero data size"),
+    pytest.param(dict(cpu_freq=[1e9, 0.0, 3e9]),
+                 "cpu_freq must be strictly positive and finite, client 1 has 0.0",
+                 id="zero frequency"),
+    pytest.param(dict(cycles_per_item=[1.0, 2.0, -3.0]),
+                 "cycles_per_item must be strictly positive and finite, client 2 has -3.0",
+                 id="negative cycles"),
+    pytest.param(dict(channel_gains=[[1e-7, 2e-7], [3e-7, 0.0], [5e-7, 6e-7]]),
+                 "channel_gains must be strictly positive and finite, client 1 has 0.0",
+                 id="zero gain"),
+    pytest.param(dict(p_max=[0.5, NAN, 0.7]),
+                 "p_max must be strictly positive and finite, client 1 has nan", id="nan p_max"),
+    pytest.param(dict(cpu_freq=[1e9, 2e9, INF]),
+                 "cpu_freq must be strictly positive and finite, client 2 has inf",
+                 id="inf frequency"),
+    pytest.param(dict(channel_gains=[[1e-7, NAN], [3e-7, 4e-7], [5e-7, 6e-7]]),
+                 "channel_gains must be strictly positive and finite, client 0 has nan",
+                 id="nan gain"),
+    pytest.param(dict(data_size=[4.0, 2.0, 3.0]), "data_size must hold integers, got float64",
+                 id="float data size"),
+    pytest.param(dict(label_counts=[[4.0, 0.0], [1.0, 1.0], [0.0, 3.0]]),
+                 "label_counts must hold integers, got float64", id="float labels"),
+    pytest.param(dict(cpu_freq=["fast"] * 3), "cpu_freq must hold numbers, got str",
+                 id="string field"),
+    pytest.param(dict(p_max=[True] * 3), "p_max must hold numbers, got bool", id="bool field"),
+    pytest.param(dict(data_size=[], cycles_per_item=[], cpu_freq=[], channel_gains=[], p_max=[],
+                      label_counts=[]),
+                 "a client table needs at least one client", id="no clients"),
+])
+def test_table_constructor_rejects(changes, words):
+    with pytest.raises(InvalidValueError, match=re.escape(words)):
+        ClientTable(**table_columns(**changes))
+
+
+def test_table_constructor_stores_typed_arrays():
+    table = ClientTable(**table_columns(p_max=[1, 2, 3]))
+    assert table.data_size.dtype == np.int64 and table.label_counts.dtype == np.int64
+    assert table.p_max.dtype == float and table.p_max.tolist() == [1.0, 2.0, 3.0]
+    assert (len(table), table.num_edges) == (3, 2)
+    assert table[1] == ClientProfile(2, 2.0, 2e9, (3e-7, 4e-7), 2.0, (1, 1))
 
 
 def test_partition_forms_give_one_assignment():
@@ -362,9 +451,10 @@ BAD_PARTITIONS = {
 def test_solvers_reject_a_partition_that_is_not_a_disjoint_cover(case, solver):
     coalitions, words = BAD_PARTITIONS[case]
     rng = np.random.default_rng(3)
-    clients = [
-        client(gains=(float(rng.uniform(1e-7, 1e-5)),) * 2, cycles=1e-6) for _ in range(6)
-    ]
+    clients = make_clients(
+        cycles_per_item=1e-6, gains=[float(rng.uniform(1e-7, 1e-5)) for _ in range(6)],
+        num_edges=2,
+    )
     cfg = unit_config(noise_power=1e-13)
     share, power = np.full(6, 1e6), np.full(6, 0.5)
     with pytest.raises(InvalidPartitionError, match=words):

@@ -1,9 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leapsim.errors import InputFileError, InvalidValueError
+from leapsim.netmodel import ClientTable
 from leapsim.scenario import (
     HardwareRanges,
     dirichlet_label_counts,
@@ -14,6 +17,8 @@ from leapsim.scenario import (
     shard_grouped_partition,
     shard_label_counts,
 )
+
+from oracles import shard_grouped_assignment_ref
 
 
 def test_same_seed_gives_byte_identical_files(tmp_path):
@@ -67,10 +72,13 @@ def test_scheme_selection_is_exclusive():
 
 def test_gain_modes():
     pair = generate_scenario(seed=1, n_clients=6, n_edges=3, gain_mode="pair")
-    assert len(pair.clients[0].channel_gains) == 3
+    assert pair.clients.channel_gains.shape == (6, 3)
+    assert len(set(pair.clients[0].channel_gains)) == 3
     solo = generate_scenario(seed=1, n_clients=6, n_edges=3, gain_mode="client")
-    assert len(solo.clients[0].channel_gains) == 1
+    assert solo.clients.channel_gains.shape == (6, 3)
     assert solo.clients[0].gain(0) == solo.clients[0].gain(2)
+    assert np.all(solo.clients.channel_gains == solo.clients.channel_gains[:, :1])
+    assert (pair.meta["gain_mode"], solo.meta["gain_mode"]) == ("pair", "client")
 
 
 def test_hardware_within_ranges():
@@ -121,7 +129,7 @@ def test_schema_version_present(tmp_path):
     sc = generate_scenario(seed=3, n_clients=12, n_edges=3)
     path = tmp_path / "scenario.json"
     save_scenario(sc, path)
-    assert json.loads(path.read_text())["schema"] == "leapsim.scenario.v1"
+    assert json.loads(path.read_text())["schema"] == "leapsim.scenario.v2"
 
 
 def test_grouped_partition_is_adversarial_and_valid():
@@ -148,12 +156,12 @@ def test_generator_argument_errors_are_typed():
     ("channel_gains", [1e-7, 1e-7, 1e-7], "3 channel gains"),
     ("label_counts", [100, 100], "2 label counts"),
     ("p_max", -1, "p_max"),
-    ("cpu_freq", "fast", "TypeError"),
+    ("cpu_freq", "fast", "cpu_freq must hold numbers"),
 ])
 def test_load_rejects_a_bad_client(tmp_path, field, value, words):
     sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
     data = sc.to_dict()
-    data["clients"][4][field] = value
+    data["clients"][field][4] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     with pytest.raises(InputFileError, match=words):
@@ -162,7 +170,66 @@ def test_load_rejects_a_bad_client(tmp_path, field, value, words):
 
 def test_table_is_built_once_and_matches_the_profiles():
     sc = generate_scenario(seed=4, n_clients=8, n_edges=3, gain_mode="client")
-    assert sc.table.channel_gains.shape == (8, 3)
-    assert sc.table.channel_gains[:, 2].tolist() == [c.gain(2) for c in sc.clients]
-    assert sc.table.p_max.tolist() == [c.p_max for c in sc.clients]
-    assert label_count_matrix(sc) is sc.table.label_counts
+    assert isinstance(sc.clients, ClientTable) and sc.clients.channel_gains.shape == (8, 3)
+    assert sc.clients.channel_gains[:, 2].tolist() == [c.gain(2) for c in sc.clients]
+    assert sc.clients.p_max.tolist() == [c.p_max for c in sc.clients]
+    assert label_count_matrix(sc) is sc.clients.label_counts
+
+
+TABLE_FIELDS = [f.name for f in fields(ClientTable)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_edges=st.integers(2, 5),
+    extra_clients=st.sampled_from([0, 0, 1, 7]),
+    dirichlet=st.booleans(),
+    gain_mode=st.sampled_from(["pair", "client"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_save_load_returns_the_generated_arrays(
+    tmp_path_factory, seed, n_edges, extra_clients, dirichlet, gain_mode
+):
+    # extra_clients 0 gives N = M
+    sc = generate_scenario(
+        seed=seed, n_clients=n_edges + extra_clients, n_edges=n_edges, n_classes=4,
+        shards=None if dirichlet else 2, dirichlet_alpha=0.4 if dirichlet else None,
+        data_size=30, gain_mode=gain_mode,
+    )
+    path = tmp_path_factory.mktemp("roundtrip") / "scenario.json"
+    save_scenario(sc, path)
+    again = load_scenario(path)
+    for name in TABLE_FIELDS:
+        kept, loaded = getattr(sc.clients, name), getattr(again.clients, name)
+        assert loaded.dtype == kept.dtype and np.array_equal(loaded, kept), name
+    assert (again.config, again.num_edges, again.meta) == (sc.config, sc.num_edges, sc.meta)
+
+
+def test_load_rejects_a_v1_file(tmp_path):
+    sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
+    data = {**sc.to_dict(), "schema": "leapsim.scenario.v1"}
+    data["clients"] = [dict(zip(TABLE_FIELDS, row)) for row in zip(*data["clients"].values())]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputFileError, match="expected schema 'leapsim.scenario.v2', "
+                       "found 'leapsim.scenario.v1'"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_clients=25, n_edges=5, n_classes=10, shards=2),
+    dict(n_clients=40, n_edges=4, n_classes=6, shards=3),
+    dict(n_clients=30, n_edges=3, n_classes=3, shards=1),
+    dict(n_clients=33, n_edges=4, n_classes=5, shards=None, dirichlet_alpha=0.2, data_size=8),
+    dict(n_clients=50, n_edges=6, n_classes=12, shards=None, dirichlet_alpha=1.0),
+    dict(n_clients=21, n_edges=5, n_classes=4, shards=None, dirichlet_alpha=0.1,
+         data_size=3, gain_mode="client"),
+])
+def test_grouped_partition_matches_the_signature_sort_reference(kwargs):
+    for seed in range(5):
+        sc = generate_scenario(seed=seed, **kwargs)
+        supports = [tuple(row) for row in (sc.clients.label_counts > 0).tolist()]
+        # the shard schemes repeat supports; the small Dirichlet draws do too
+        assert len(set(supports)) < len(supports)
+        expected = shard_grouped_assignment_ref(sc.clients, sc.num_edges)
+        assert shard_grouped_partition(sc).assignment.tolist() == expected.tolist()
