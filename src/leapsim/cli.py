@@ -223,9 +223,9 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
     """The plan rebuilt from the stored plan's bandwidth and power.
 
     Raises InputFileError when ``bandwidth``, ``power`` or
-    ``client_bandwidth`` is not a list of one entry per edge or client,
-    or when any other stored array or scalar differs from the rebuild by
-    more than PLAN_AUDIT_RTOL.
+    ``client_bandwidth`` is not a list of one JSON number per edge or
+    client, or when any other stored array or scalar differs from the
+    rebuild by more than PLAN_AUDIT_RTOL.
     """
     data = read_json(path, PLAN_SCHEMA)
     for name, length in (
@@ -242,6 +242,11 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
             )
         if len(value) != length:
             raise InputFileError(f"{path}: {name} has {len(value)} entries, expected {length}")
+        for i, entry in enumerate(value):
+            if type(entry) not in (int, float):  # bool, str and None are refused, not cast
+                raise InputFileError(
+                    f"{path}: {name}[{i}] must be a JSON number, got {json.dumps(entry)}"
+                )
     try:
         stored = AllocationPlan.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

@@ -3,14 +3,18 @@
 Every JSON file goes through ``write_json`` and every CSV file through
 ``write_csv``, so the formatting (sorted keys, two-space indent, a
 ``# schema=...`` first line in CSV) is defined once.  ``fields_dict``
-is the one dataclass-to-JSON conversion.
+is the one dataclass-to-JSON conversion, and ``encode_array`` /
+``decode_array`` the one binary array column format.
 """
 
 from __future__ import annotations
 
+import binascii
 import csv
 import json
+import math
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -18,7 +22,18 @@ import numpy as np
 
 from .errors import InputFileError
 
-__all__ = ["read_json", "write_json", "write_csv", "fields_dict"]
+__all__ = [
+    "read_json",
+    "write_json",
+    "write_csv",
+    "fields_dict",
+    "encode_array",
+    "decode_array",
+]
+
+# the dtypes a binary column may hold, by their little-endian typestr
+_ARRAY_DTYPES = {"<f8": np.dtype(np.float64), "<i8": np.dtype(np.int64)}
+_ARRAY_KEYS = {"base64", "dtype", "shape"}
 
 
 def read_json(path: str | Path, schema: str) -> dict:
@@ -36,8 +51,116 @@ def read_json(path: str | Path, schema: str) -> dict:
     return data
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def write_json(path: str | Path, payload) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.
+
+    The bytes are the stdlib's, NaN and infinities included, and so are
+    the errors (TypeError for a value or key JSON cannot hold, ValueError
+    for a circular reference); nothing is written when encoding fails.
+    The stdlib formats an indented document with a pure-Python generator
+    one item at a time; this encoder formats each list of plain floats,
+    integers, booleans or strings with one ``join``.
+    """
+    text = _encode(payload, "\n", set())
+    Path(path).write_text(text + "\n")
+
+
+def _floatstr(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_BOOLS = {True: "true", False: "false"}
+
+
+def _encode(value, newline: str, markers: set) -> str:
+    """``value`` as indented JSON; ``newline`` is the line break plus the
+    indent of the line the value starts on."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return _BOOLS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _floatstr(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        with _marked(value, markers):
+            body = _joined_scalars(value, separator)
+            if body is None:
+                body = separator.join([_encode(item, inner, markers) for item in value])
+            return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        with _marked(value, markers):
+            body = [
+                encode_basestring_ascii(_key(key)) + ": " + _encode(item, inner, markers)
+                for key, item in sorted(value.items())
+            ]
+            return "{" + inner + ("," + inner).join(body) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _joined_scalars(items, separator: str) -> str | None:
+    """The items' JSON texts joined by ``separator`` when all items are
+    floats, all ints, all bools or all strs (exact types), else None."""
+    kinds = set(map(type, items))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is float:
+        text = separator.join(map(float.__repr__, items))
+        # only nan, inf and -inf print with an "n"; the separator has none
+        return separator.join(map(_floatstr, items)) if "n" in text else text
+    if kind is int:
+        return separator.join(map(int.__repr__, items))
+    if kind is bool:
+        return separator.join(map(_BOOLS.__getitem__, items))
+    if kind is str:
+        return separator.join(map(encode_basestring_ascii, items))
+    return None
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _floatstr(key)
+    if key is True or key is False:
+        return _BOOLS[key]
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+class _marked:
+    """Holds a container's id in ``markers`` while it is being encoded."""
+
+    def __init__(self, container, markers: set):
+        self.key, self.markers = id(container), markers
+
+    def __enter__(self):
+        if self.key in self.markers:
+            raise ValueError("Circular reference detected")
+        self.markers.add(self.key)
+
+    def __exit__(self, *exc):
+        self.markers.discard(self.key)
 
 
 def write_csv(path: str | Path, schema: str, header: list[str], rows: Iterable) -> None:
@@ -59,3 +182,55 @@ def fields_dict(obj) -> dict:
     Shallow: nested dataclasses and tuples are kept as they are.
     """
     return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """A float64 or int64 array as ``{"dtype", "shape", "base64"}``: its
+    little-endian C-order bytes in base64, the inverse of ``decode_array``."""
+    array = np.asarray(array)
+    code = array.dtype.newbyteorder("<").str
+    if code not in _ARRAY_DTYPES:
+        raise TypeError(f"only float64 and int64 arrays are encoded, got {array.dtype}")
+    data = np.ascontiguousarray(array, dtype=code).tobytes()
+    return {
+        "dtype": code,
+        "shape": list(array.shape),
+        "base64": binascii.b2a_base64(data, newline=False).decode("ascii"),
+    }
+
+
+def decode_array(value, name: str) -> np.ndarray:
+    """The native-order array an ``encode_array`` object holds.
+
+    Raises InputFileError naming ``name`` unless ``value`` is an object
+    with exactly the keys dtype, shape and base64, the dtype is "<f8" or
+    "<i8", the shape is a list of non-negative JSON integers, the base64
+    text is strict and the data holds exactly 8 bytes per element.
+    """
+    if not isinstance(value, dict) or value.keys() != _ARRAY_KEYS:
+        found = sorted(value) if isinstance(value, dict) else type(value).__name__
+        raise InputFileError(
+            f"{name} must be an object with keys base64, dtype and shape, got {found}"
+        )
+    code, shape, text = value["dtype"], value["shape"], value["base64"]
+    if not isinstance(code, str) or code not in _ARRAY_DTYPES:
+        raise InputFileError(f"{name}: dtype must be '<f8' or '<i8', got {code!r}")
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise InputFileError(
+            f"{name}: shape must be a list of non-negative integers, got {json.dumps(shape)}"
+        )
+    if not isinstance(text, str):
+        raise InputFileError(f"{name}: base64 must be a string, got {type(text).__name__}")
+    try:
+        data = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise InputFileError(f"{name}: invalid base64 ({exc})") from None
+    dtype = _ARRAY_DTYPES[code]
+    expected = dtype.itemsize * math.prod(shape)
+    if len(data) != expected:
+        raise InputFileError(
+            f"{name}: {len(data)} bytes of data, shape {shape} needs {expected}"
+        )
+    return np.frombuffer(data, dtype=code).astype(dtype).reshape(shape)

@@ -487,7 +487,8 @@ def certify_stability(
     ``switch_deltas`` vector of each client already priced on the
     partition's current state and NaN in every other row.  An improving
     known row fails the check at once; only the movable clients with a
-    NaN row are priced.
+    NaN row are priced, and their rows are written into ``known``, so a
+    failed check leaves every row it priced for the caller to reuse.
     """
     m = partition.num_coalitions
     if m < 2:
@@ -500,7 +501,11 @@ def certify_stability(
     movable = np.flatnonzero(unpriced)
     block = max(1, CERTIFY_BLOCK_ELEMENTS // ((m + 1) ** 2 * partition.counts.shape[1]))
     for start in range(0, movable.size, block):
-        if np.any(_price_moves(partition, movable[start:start + block]) < -tolerance):
+        clients = movable[start:start + block]
+        deltas = _price_moves(partition, clients)
+        if known is not None:
+            known[clients] = deltas
+        if np.any(deltas < -tolerance):
             return False
     return True
 

@@ -10,19 +10,21 @@ balanced instances exact: when n_clients * shards is a multiple of
 n_classes, a partition with identical per-edge label mixes exists.
 
 Every draw goes through one seeded generator in a fixed order, so a
-seed fully determines the scenario and its serialized bytes.
+seed fully determines the scenario and its serialized bytes.  The file
+stores each ClientTable field as one binary column (``encode_array``),
+so loading returns the saved arrays bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputFileError, InvalidValueError
-from .files import fields_dict, read_json, write_json
+from .files import decode_array, encode_array, fields_dict, read_json, write_json
 from .game import Partition
 from .netmodel import ClientTable, NetworkConfig, comp_latency, tx_latency
 
@@ -39,7 +41,10 @@ __all__ = [
     "shard_grouped_partition",
 ]
 
-SCENARIO_SCHEMA = "leapsim.scenario.v2"
+SCENARIO_SCHEMA = "leapsim.scenario.v3"
+
+# the ClientTable fields, each stored as one binary column under "clients"
+_COLUMNS = tuple(f.name for f in fields(ClientTable))
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ class Scenario:
             "schema": SCENARIO_SCHEMA,
             **fields_dict(self),
             "config": fields_dict(self.config),
-            "clients": fields_dict(self.clients),
+            "clients": {name: encode_array(getattr(self.clients, name)) for name in _COLUMNS},
         }
 
 
@@ -221,8 +226,10 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read and check a scenario file; any bad field raises InputFileError.
 
     ``num_edges`` must be a JSON integer equal to the width of
-    ``channel_gains``, ``meta`` a JSON object, and the config and client
-    arrays must pass the NetworkConfig and ClientTable checks.
+    ``channel_gains``, ``meta`` a JSON object, ``clients`` one
+    ``decode_array`` column per ClientTable field, and the config and
+    the decoded columns must pass the NetworkConfig and ClientTable
+    checks.
     """
     data = read_json(path, SCENARIO_SCHEMA)
     try:
@@ -231,7 +238,15 @@ def load_scenario(path: str | Path) -> Scenario:
             raise InvalidValueError(f"num_edges must be a JSON integer, got {num_edges!r}")
         if not isinstance(meta, dict):
             raise InvalidValueError(f"meta must be a JSON object, got {json.dumps(meta)}")
-        clients = ClientTable(**data["clients"])
+        columns = data["clients"]
+        if not isinstance(columns, dict) or columns.keys() != set(_COLUMNS):
+            found = sorted(columns) if isinstance(columns, dict) else type(columns).__name__
+            raise InvalidValueError(
+                f"clients must be an object with keys {', '.join(sorted(_COLUMNS))}, got {found}"
+            )
+        clients = ClientTable(
+            **{name: decode_array(columns[name], f"clients.{name}") for name in _COLUMNS}
+        )
         if clients.num_edges != num_edges:
             raise InvalidValueError(
                 f"channel_gains has {clients.num_edges} columns, num_edges is {num_edges}"

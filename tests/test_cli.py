@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leapsim.cli import main
+from leapsim.files import decode_array, encode_array
 
 
 def run(args):
@@ -19,9 +21,11 @@ def scenario_file(tmp_path):
 
 def test_gen_writes_scenario(scenario_file):
     data = json.loads(scenario_file.read_text())
-    assert data["schema"] == "leapsim.scenario.v2"
-    assert len(data["clients"]["data_size"]) == 12
-    assert len(data["clients"]["channel_gains"][0]) == 3
+    assert data["schema"] == "leapsim.scenario.v3"
+    columns = data["clients"]
+    assert columns["data_size"]["dtype"] == "<i8" and columns["channel_gains"]["dtype"] == "<f8"
+    assert decode_array(columns["data_size"], "data_size").shape == (12,)
+    assert decode_array(columns["channel_gains"], "channel_gains").shape == (12, 3)
 
 
 def test_full_stage_pipeline(tmp_path, scenario_file):
@@ -140,7 +144,7 @@ def test_malformed_inputs_are_one_line_and_exit_2(tmp_path, scenario_file, capsy
     wrong_schema.write_text(json.dumps({"schema": "leapsim.plan.v1"}))
     assert run(["coalition", "--scenario", wrong_schema, "--out", tmp_path / "o"]) == 2
     lines = _error_lines(capsys)
-    assert len(lines) == 1 and "leapsim.scenario.v2" in lines[0]
+    assert len(lines) == 1 and "leapsim.scenario.v3" in lines[0]
 
     no_config = json.loads(scenario_file.read_text())
     del no_config["config"]
@@ -181,29 +185,51 @@ def test_partition_that_disagrees_with_the_scenario_is_rejected(
     assert len(lines) == 1 and words in lines[0]
 
 
-def _scenario_with(tmp_path, scenario_file, field, value, keys=None):
-    """A copy of the scenario file with client 5's ``field`` set to ``value``,
-    or with the entry at the path ``keys`` set instead."""
+def _scenario_with(tmp_path, scenario_file, keys, value):
+    """A copy of the scenario file with the entry at the path ``keys`` set
+    to ``value``.  A path that goes on past a ``clients`` column indexes
+    the decoded array, which is widened to hold ``value`` (a float in
+    ``data_size`` makes it a "<f8" column) and encoded again."""
     data = json.loads(scenario_file.read_text())
-    *parents, last = keys or ("clients", field, 5)
+    if keys[0] == "clients" and len(keys) > 2 and isinstance(keys[2], int):
+        field, index = keys[1], tuple(keys[2:])
+        array = decode_array(data["clients"][field], field)
+        array = array.astype(np.result_type(array, value))
+        array[index] = value
+        keys, value = keys[:2], encode_array(array)
+    *parents, last = keys
     target = data
     for key in parents:
         target = target[key]
     target[last] = value
-    path = tmp_path / f"bad_{field}.json"
+    path = tmp_path / f"bad_{keys[-1]}.json"
     path.write_text(json.dumps(data))
     return path
+
+
+def _ragged_gains(scenario_file, row, gains):
+    """The channel_gains column with client ``row`` holding ``gains``: the
+    data no longer fits the stored shape."""
+    column = json.loads(scenario_file.read_text())["clients"]["channel_gains"]
+    array = decode_array(column, "channel_gains")
+    values = np.concatenate([array[:row].ravel(), gains, array[row + 1:].ravel()])
+    return {**encode_array(values), "shape": column["shape"]}
 
 
 @pytest.mark.parametrize("argv, words", [
     (["gen", "--clients", 6, "--edges", 1], "n_edges >= 2"),
     ("p_max", "p_max must be strictly positive"),
-    ("channel_gains", "client 5 has 2 channel gains"),
+    pytest.param("channel_gains ragged",
+                 "clients.channel_gains: 280 bytes of data, shape [12, 3] needs 288",
+                 id="channel_gains ragged row"),
 ])
 def test_bad_values_are_one_line_and_exit_2(tmp_path, scenario_file, capsys, argv, words):
-    if isinstance(argv, str):
-        value = -1 if argv == "p_max" else [1e-7, 1e-7]
-        bad = _scenario_with(tmp_path, scenario_file, argv, value)
+    if argv == "p_max":
+        bad = _scenario_with(tmp_path, scenario_file, ("clients", "p_max", 5), -1)
+        argv = ["compare", "--scenario", bad, "--methods", "leap"]
+    elif argv == "channel_gains ragged":  # client 5 has 2 of the 3 gains
+        gains = _ragged_gains(scenario_file, 5, [1e-7, 1e-7])
+        bad = _scenario_with(tmp_path, scenario_file, ("clients", "channel_gains"), gains)
         argv = ["compare", "--scenario", bad, "--methods", "leap"]
     assert run([*argv, "--out", tmp_path / "o"]) == 2
     lines = _error_lines(capsys)
@@ -231,18 +257,40 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(("config", "tau_g"), True, "tau_g must be an integer, got True", id="tau_g true"),
     pytest.param(("clients", "data_size", 5), 200.0, "data_size must hold integers",
                  id="data_size 200.0"),
-    pytest.param(("clients", "label_counts", 5), ["0"] * 10, "label_counts must hold integers",
+    pytest.param(("clients", "label_counts", "dtype"), "<U1",
+                 "clients.label_counts: dtype must be '<f8' or '<i8', got '<U1'",
                  id="label_counts strings"),
+    pytest.param(("clients", "cpu_freq", "dtype"), ">f8",
+                 "clients.cpu_freq: dtype must be '<f8' or '<i8', got '>f8'",
+                 id="cpu_freq big-endian"),
+    pytest.param(("clients", "p_max"), [0.5] * 12,
+                 "clients.p_max must be an object with keys base64, dtype and shape, got list",
+                 id="p_max v2 list"),
+    pytest.param(("clients",), [],
+                 "clients must be an object with keys channel_gains, cpu_freq, cycles_per_item, "
+                 "data_size, label_counts, p_max, got list", id="clients list"),
+    pytest.param(("clients", "p_max", "order"), "C",
+                 "keys base64, dtype and shape, got ['base64', 'dtype', 'order', 'shape']",
+                 id="p_max extra key"),
+    pytest.param(("clients", "p_max", "base64"), "AAAAAAAAAAA=\n",
+                 "clients.p_max: invalid base64", id="p_max bad base64"),
+    pytest.param(("clients", "p_max", "shape"), [True],
+                 "clients.p_max: shape must be a list of non-negative integers, got [true]",
+                 id="p_max bool shape"),
+    pytest.param(("clients", "channel_gains", "shape"), [-12, -3],
+                 "clients.channel_gains: shape must be a list of non-negative integers",
+                 id="gains negative shape"),
     pytest.param(("meta",), [1], "meta must be a JSON object, got [1]", id="meta list"),
     pytest.param(("num_edges",), 3.0, "num_edges must be a JSON integer", id="num_edges 3.0"),
     pytest.param(("num_edges",), 2, "channel_gains has 3 columns, num_edges is 2",
                  id="num_edges 2"),
     pytest.param(("schema",), "leapsim.scenario.v1", "found 'leapsim.scenario.v1'", id="v1 file"),
+    pytest.param(("schema",), "leapsim.scenario.v2", "found 'leapsim.scenario.v2'", id="v2 file"),
 ])
 def test_bad_scenario_fields_are_one_line_and_exit_2(
     tmp_path, scenario_file, capsys, keys, value, words
 ):
-    bad = _scenario_with(tmp_path, scenario_file, "scenario", value, keys)
+    bad = _scenario_with(tmp_path, scenario_file, keys, value)
     argv = ["compare", "--scenario", bad, "--methods", "leap", "--out", tmp_path / "o"]
     if keys[-1] == "tau_e":  # the learner reads tau_e directly
         argv += ["--train", "--features", 4]
@@ -351,6 +399,32 @@ def test_report_rejects_plan_arrays_of_the_wrong_length(tmp_path, scenario_file,
         lines = _error_lines(capsys)
         assert len(lines) == 1 and str(tampered) in lines[0] and words in lines[0]
         assert not (tmp_path / "bad" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("field, index, value, words", [
+    ("power", 4, "0.5", 'power[4] must be a JSON number, got "0.5"'),
+    ("bandwidth", 1, True, "bandwidth[1] must be a JSON number, got true"),
+    ("client_bandwidth", 0, None, "client_bandwidth[0] must be a JSON number, got null"),
+])
+def test_report_rejects_plan_values_that_are_not_json_numbers(
+    tmp_path, scenario_file, capsys, field, index, value, words
+):
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    partition = stage / "partition.json"
+    assert run(
+        ["allocate", "--scenario", scenario_file, "--partition", partition, "--out", stage]
+    ) == 0
+    capsys.readouterr()
+    data = json.loads((stage / "plan.json").read_text())
+    data[field][index] = value
+    tampered = tmp_path / "plan.json"
+    tampered.write_text(json.dumps(data))
+    assert run(["report", "--scenario", scenario_file, "--partition", partition,
+                "--plan", tampered, "--out", tmp_path / "bad"]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and str(tampered) in lines[0] and words in lines[0]
+    assert not (tmp_path / "bad" / "metrics.json").exists()
 
 
 def test_coalition_and_compare_share_the_default_game_budget(

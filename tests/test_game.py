@@ -460,6 +460,16 @@ def test_certify_with_a_partial_memo_matches_certify_without(monkeypatch, block_
         known = np.full((part.n_clients, part.num_coalitions), np.nan)
         known[movable[inside]] = rows[inside]
         assert certify_stability(part, known=known) == stable
+
+        # every row the check priced stays in the memo, equal to the
+        # rows of one _price_moves call on the same partition
+        priced = np.flatnonzero(~np.isnan(known[:, 0]))
+        assert set(priced.tolist()) <= set(movable.tolist())
+        assert np.array_equal(known[priced], rows[np.searchsorted(movable, priced)])
+        if stable:
+            assert priced.tolist() == movable.tolist()
+        else:  # an improving row is kept, whether it was known or priced
+            assert np.any(known[priced] < -1e-10)
         seen.add("stable" if stable else "inside" if case % 2 else "outside")
     assert seen == {"stable", "inside", "outside"}
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leapsim.errors import InputFileError, InvalidValueError
+from leapsim.files import decode_array, encode_array
 from leapsim.netmodel import ClientTable
 from leapsim.scenario import (
     HardwareRanges,
@@ -129,7 +131,7 @@ def test_schema_version_present(tmp_path):
     sc = generate_scenario(seed=3, n_clients=12, n_edges=3)
     path = tmp_path / "scenario.json"
     save_scenario(sc, path)
-    assert json.loads(path.read_text())["schema"] == "leapsim.scenario.v2"
+    assert json.loads(path.read_text())["schema"] == "leapsim.scenario.v3"
 
 
 def test_grouped_partition_is_adversarial_and_valid():
@@ -153,18 +155,36 @@ def test_generator_argument_errors_are_typed():
 
 
 @pytest.mark.parametrize("field, value, words", [
-    ("channel_gains", [1e-7, 1e-7, 1e-7], "3 channel gains"),
-    ("label_counts", [100, 100], "2 label counts"),
+    # a list is client 4's new row: a row of another length leaves data
+    # that no longer fits the stored shape
+    pytest.param("channel_gains", [1e-7, 1e-7, 1e-7],
+                 "clients.channel_gains: 104 bytes of data, shape [6, 2] needs 96",
+                 id="channel_gains ragged row"),
+    pytest.param("label_counts", [100, 100],
+                 "clients.label_counts: 416 bytes of data, shape [6, 10] needs 480",
+                 id="label_counts ragged row"),
     ("p_max", -1, "p_max"),
-    ("cpu_freq", "fast", "cpu_freq must hold numbers"),
+    # a string is the column's dtype: a string column's is not allowed
+    pytest.param("cpu_freq", "<U4", "clients.cpu_freq: dtype must be '<f8' or '<i8', got '<U4'",
+                 id="cpu_freq string dtype"),
 ])
 def test_load_rejects_a_bad_client(tmp_path, field, value, words):
     sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
     data = sc.to_dict()
-    data["clients"][field][4] = value
+    column = data["clients"][field]
+    array = decode_array(column, field)
+    if isinstance(value, str):
+        column = {**column, "dtype": value}
+    elif isinstance(value, list):
+        rows = np.concatenate([array[:4].ravel(), value, array[5:].ravel()])
+        column = {**encode_array(rows.astype(array.dtype)), "shape": column["shape"]}
+    else:
+        array[4] = value
+        column = encode_array(array)
+    data["clients"][field] = column
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(InputFileError, match=words):
+    with pytest.raises(InputFileError, match=re.escape(words)):
         load_scenario(path)
 
 
@@ -205,14 +225,30 @@ def test_save_load_returns_the_generated_arrays(
     assert (again.config, again.num_edges, again.meta) == (sc.config, sc.num_edges, sc.meta)
 
 
+def _decoded_columns(data: dict) -> dict:
+    return {name: decode_array(column, name).tolist() for name, column in data["clients"].items()}
+
+
 def test_load_rejects_a_v1_file(tmp_path):
     sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
     data = {**sc.to_dict(), "schema": "leapsim.scenario.v1"}
-    data["clients"] = [dict(zip(TABLE_FIELDS, row)) for row in zip(*data["clients"].values())]
+    columns = _decoded_columns(data)
+    data["clients"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(InputFileError, match="expected schema 'leapsim.scenario.v2', "
+    with pytest.raises(InputFileError, match="expected schema 'leapsim.scenario.v3', "
                        "found 'leapsim.scenario.v1'"):
+        load_scenario(path)
+
+
+def test_load_rejects_a_v2_file(tmp_path):
+    sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
+    data = {**sc.to_dict(), "schema": "leapsim.scenario.v2"}
+    data["clients"] = _decoded_columns(data)  # v2 held one JSON list per field
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputFileError, match="expected schema 'leapsim.scenario.v3', "
+                       "found 'leapsim.scenario.v2'"):
         load_scenario(path)
 
 
