@@ -54,113 +54,65 @@ def read_json(path: str | Path, schema: str) -> dict:
 def write_json(path: str | Path, payload) -> None:
     """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.
 
-    The bytes are the stdlib's, NaN and infinities included, and so are
-    the errors (TypeError for a value or key JSON cannot hold, ValueError
-    for a circular reference); nothing is written when encoding fails.
-    The stdlib formats an indented document with a pure-Python generator
-    one item at a time; this encoder formats each list of plain floats,
-    integers, booleans or strings with one ``join``.
+    The bytes are the stdlib's, NaN and infinities included, and so is
+    the TypeError for a value or key JSON cannot hold; nothing is
+    written when encoding fails.  The stdlib formats an indented
+    document with a pure-Python generator one item at a time; this
+    encoder formats each list of plain numbers, booleans and nulls with
+    one C-level ``json.dumps``.
     """
-    text = _encode(payload, "\n", set())
-    Path(path).write_text(text + "\n")
+    parts: list[str] = []
+    _encode(payload, "\n", parts)
+    parts.append("\n")
+    Path(path).write_text("".join(parts))
 
 
-def _floatstr(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+# items whose compact JSON text never holds ", "
+_PLAIN = {float, int, bool, type(None)}
 
 
-_BOOLS = {True: "true", False: "false"}
-
-
-def _encode(value, newline: str, markers: set) -> str:
-    """``value`` as indented JSON; ``newline`` is the line break plus the
-    indent of the line the value starts on."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return _BOOLS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _floatstr(value)
+def _encode(value, newline: str, parts: list[str]) -> None:
+    """Append ``value`` as indented JSON to ``parts``; ``newline`` is the
+    line break plus the indent of the line the value starts on."""
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            parts.append("[]")
+            return
         inner = newline + "  "
-        separator = "," + inner
-        with _marked(value, markers):
-            body = _joined_scalars(value, separator)
-            if body is None:
-                body = separator.join([_encode(item, inner, markers) for item in value])
-            return "[" + inner + body + newline + "]"
-    if isinstance(value, dict):
+        if set(map(type, value)) <= _PLAIN:
+            parts += "[", inner, json.dumps(value)[1:-1].replace(", ", "," + inner)
+        else:
+            separator = inner
+            parts.append("[")
+            for item in value:
+                parts.append(separator)
+                _encode(item, inner, parts)
+                separator = "," + inner
+        parts += newline, "]"
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            parts.append("{}")
+            return
         inner = newline + "  "
-        with _marked(value, markers):
-            body = [
-                encode_basestring_ascii(_key(key)) + ": " + _encode(item, inner, markers)
-                for key, item in sorted(value.items())
-            ]
-            return "{" + inner + ("," + inner).join(body) + newline + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _joined_scalars(items, separator: str) -> str | None:
-    """The items' JSON texts joined by ``separator`` when all items are
-    floats, all ints, all bools or all strs (exact types), else None."""
-    kinds = set(map(type, items))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind is float:
-        text = separator.join(map(float.__repr__, items))
-        # only nan, inf and -inf print with an "n"; the separator has none
-        return separator.join(map(_floatstr, items)) if "n" in text else text
-    if kind is int:
-        return separator.join(map(int.__repr__, items))
-    if kind is bool:
-        return separator.join(map(_BOOLS.__getitem__, items))
-    if kind is str:
-        return separator.join(map(encode_basestring_ascii, items))
-    return None
+        separator = inner
+        parts.append("{")
+        for key, item in sorted(value.items()):
+            parts += separator, _key(key), ": "
+            _encode(item, inner, parts)
+            separator = "," + inner
+        parts += newline, "}"
+    else:
+        parts.append(json.dumps(value))
 
 
 def _key(key) -> str:
+    """A dict key as the stdlib writes it: a string, or a number, bool
+    or null in quotes."""
     if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _floatstr(key)
-    if key is True or key is False:
-        return _BOOLS[key]
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-class _marked:
-    """Holds a container's id in ``markers`` while it is being encoded."""
-
-    def __init__(self, container, markers: set):
-        self.key, self.markers = id(container), markers
-
-    def __enter__(self):
-        if self.key in self.markers:
-            raise ValueError("Circular reference detected")
-        self.markers.add(self.key)
-
-    def __exit__(self, *exc):
-        self.markers.discard(self.key)
 
 
 def write_csv(path: str | Path, schema: str, header: list[str], rows: Iterable) -> None:
@@ -205,7 +157,8 @@ def decode_array(value, name: str) -> np.ndarray:
     Raises InputFileError naming ``name`` unless ``value`` is an object
     with exactly the keys dtype, shape and base64, the dtype is "<f8" or
     "<i8", the shape is a list of non-negative JSON integers, the base64
-    text is strict and the data holds exactly 8 bytes per element.
+    text is the canonical encoding of its bytes and the data holds
+    exactly 8 bytes per element.
     """
     if not isinstance(value, dict) or value.keys() != _ARRAY_KEYS:
         found = sorted(value) if isinstance(value, dict) else type(value).__name__
@@ -224,9 +177,12 @@ def decode_array(value, name: str) -> np.ndarray:
     if not isinstance(text, str):
         raise InputFileError(f"{name}: base64 must be a string, got {type(text).__name__}")
     try:
-        data = binascii.a2b_base64(text, strict_mode=True)
+        data = binascii.a2b_base64(text)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise InputFileError(f"{name}: invalid base64 ({exc})") from None
+    # a2b_base64 skips stray characters; only the canonical text is accepted
+    if binascii.b2a_base64(data, newline=False).decode("ascii") != text:
+        raise InputFileError(f"{name}: invalid base64 (not the canonical encoding of its bytes)")
     dtype = _ARRAY_DTYPES[code]
     expected = dtype.itemsize * math.prod(shape)
     if len(data) != expected:

@@ -23,7 +23,7 @@ def written(tmp_path, payload) -> str:
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16]
-EDGE_TEXTS = ["", "é", "日本語", "\x00\x1f\x7f", "tab\tquote\"back\\slash", " ", "\ud83d"]
+EDGE_TEXTS = ["", "comma, space", "é", "日本語", "\x00\x1f\x7f", "tab\tquote\"back\\slash", " ", "\ud83d"]
 
 floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
 texts = st.text() | st.sampled_from(EDGE_TEXTS)
@@ -35,12 +35,15 @@ scalars = st.one_of(
     floats.map(np.float64),  # a float subclass prints as a float
     texts,
 )
-# lists of one exact type take the one-join path, mixed lists do not
-uniform_lists = st.one_of(
-    st.lists(floats), st.lists(st.integers()), st.lists(st.booleans()), st.lists(texts),
+# lists of plain numbers, bools and nulls take the one-dumps path, lists with strings do not
+flat_lists = st.one_of(
+    st.lists(floats),
+    st.lists(st.integers()),
+    st.lists(st.none() | st.booleans() | st.integers() | floats),
+    st.lists(texts),
 )
 json_values = st.recursive(
-    scalars | uniform_lists,
+    scalars | flat_lists,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
@@ -106,13 +109,6 @@ def test_write_json_raises_type_error_where_the_stdlib_does(tmp_path, payload):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_write_json_refuses_a_circular_reference(tmp_path):
-    loop = [1]
-    loop.append(loop)
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        write_json(tmp_path / "out.json", {"a": loop})
-
-
 @pytest.mark.parametrize("array", [
     np.array([1.5, -0.0, 5e-324, 1e300]),
     np.arange(12, dtype=np.int64).reshape(3, 4),
@@ -152,6 +148,8 @@ GOOD = encode_array(np.array([1.0, 2.0]))
     ({**GOOD, "base64": GOOD["base64"] + "\n"}, "invalid base64"),
     ({**GOOD, "base64": GOOD["base64"][:-1]}, "invalid base64"),
     ({**GOOD, "base64": "é" + GOOD["base64"]}, "invalid base64"),
+    ({**GOOD, "base64": " " + GOOD["base64"]}, "invalid base64"),
+    ({**GOOD, "shape": [], "base64": "QR=="}, "invalid base64"),  # nonzero pad bits
     ({**GOOD, "shape": [3]}, "16 bytes of data, shape [3] needs 24"),
     ({**GOOD, "shape": [1]}, "16 bytes of data, shape [1] needs 8"),
     ({**GOOD, "shape": []}, "16 bytes of data, shape [] needs 8"),
