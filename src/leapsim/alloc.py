@@ -93,6 +93,11 @@ class GPConfig:
     min_bandwidth_floor: float | None = None
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness comes first
+        for name in ("step_size", "tolerance", "min_bandwidth_floor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidValueError(f"{name} must be finite, got {value!r}")
         if self.step_size is not None and self.step_size <= 0:
             raise InvalidValueError("step_size must be strictly positive")
         if self.tolerance <= 0:

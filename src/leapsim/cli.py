@@ -40,7 +40,7 @@ from .experiment import (
     write_game_trace,
     write_gp_trace,
 )
-from .errors import InputFileError, InvalidPartitionError, LeapsimError
+from .errors import InputFileError, InvalidPartitionError, InvalidValueError, LeapsimError
 from .files import read_json, write_csv, write_json
 from .game import Partition, default_max_iters, random_partition, run_coalition_formation
 from .hfl import SyntheticDataset, run_hfl
@@ -60,12 +60,23 @@ METRICS_SCHEMA = "leapsim.metrics.v1"
 
 # relative tolerance of the plan audit in ``report``
 PLAN_AUDIT_RTOL = 1e-9
+FORMATS = ("json", "csv")
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out or os.environ.get("LEAPSIM_OUT", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _formats(value: str) -> set[str]:
+    """The comma-separated ``--format`` tokens, each one of FORMATS."""
+    tokens = set(value.split(","))
+    if not tokens <= set(FORMATS):
+        raise InvalidValueError(
+            f"--format takes {' and/or '.join(FORMATS)} separated by commas, got {value!r}"
+        )
+    return tokens
 
 
 def _json_int(value, field: str, path: str) -> int:
@@ -270,11 +281,11 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
 
 
 def cmd_report(args) -> int:
+    formats = _formats(args.format)
     scenario = load_scenario(args.scenario)
     partition = _load_partition(args.partition, scenario)
     plan = _audited_plan(args.plan, scenario, partition).to_dict()
     out = _out_dir(args)
-    formats = set(args.format.split(","))
 
     payload = {
         "schema": METRICS_SCHEMA,
@@ -326,6 +337,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    formats = _formats(args.format)
     scenario = load_scenario(args.scenario)
     gp = GPConfig(
         step_size=args.step,
@@ -344,7 +356,7 @@ def cmd_compare(args) -> int:
         train_options=_train_options(args),
     )
     out = _out_dir(args)
-    written = emit_report(report, out, formats=tuple(args.format.split(",")))
+    written = emit_report(report, out, formats=tuple(formats))
     for path in written:
         print(f"wrote {path}")
     for name, m in report.methods.items():
@@ -432,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--scenario", required=True)
     report.add_argument("--partition", required=True)
     report.add_argument("--plan", required=True)
-    report.add_argument("--format", default="json,csv")
+    report.add_argument("--format", default="json,csv", help="json and/or csv, comma-separated")
     report.set_defaults(func=cmd_report)
 
     compare = sub.add_parser("compare", help="run methods side by side")
@@ -442,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=METHODS)
     compare.add_argument("--max-iters", type=int, default=None)
     compare.add_argument("--denominator", choices=("M", "pairs"), default="M")
-    compare.add_argument("--format", default="json,csv")
+    compare.add_argument("--format", default="json,csv", help="json and/or csv, comma-separated")
     compare.add_argument("--train", action="store_true")
     add_gp(compare)
     add_train(compare)
@@ -454,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's generators take only non-negative seeds
+            raise InvalidValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (LeapsimError, OSError) as exc:
         print(f"leapsim {args.command}: error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ so loading returns the saved arrays bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -107,6 +108,8 @@ def dirichlet_label_counts(
     data_size: int,
 ) -> np.ndarray:
     """Per-client multinomial draws from Dirichlet(alpha) class mixes."""
+    if not math.isfinite(alpha):
+        raise InvalidValueError(f"alpha must be finite, got {alpha!r}")
     if alpha <= 0:
         raise InvalidValueError("alpha must be strictly positive")
     counts = np.zeros((n_clients, n_classes), dtype=np.int64)

@@ -29,6 +29,24 @@ def js_ref(a, b):
     return 0.5 * (kl_ref(a, mid) + kl_ref(b, mid))
 
 
+def js_rows_ratio_ref(p, q):
+    """Ratio-form JS kernel: sum_k x_k (1 + log2(x_k / (p_k + q_k))) over
+    both inputs, halved and clipped to [0, 1], with 0 * log 0 = 0.  This
+    is the kernel ``leapsim.dist.js_rows`` evaluated before it moved to
+    the entropy form; it broadcasts the same way."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    joint = p + q
+    total = 0.0
+    for x in (p, q):
+        term = np.divide(x, joint, out=np.ones(joint.shape), where=x > 0.0)
+        np.log2(term, out=term)
+        term += 1.0
+        term *= x
+        total = total + term.sum(axis=-1)
+    return np.clip(0.5 * total, 0.0, 1.0)
+
+
 def avg_js_ref(prob_rows, denominator="M"):
     m = len(prob_rows)
     total = sum(

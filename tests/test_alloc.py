@@ -17,6 +17,7 @@ from leapsim.alloc import (
     project_to_simplex,
     worst_members,
 )
+from leapsim.errors import InvalidValueError
 from leapsim.netmodel import ClientTable, NetworkConfig, energies
 
 from oracles import (
@@ -299,6 +300,10 @@ def test_gp_config_validation():
         GPConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         GPConfig(max_iters=0)
+    for name, value in (("step_size", math.inf), ("tolerance", math.nan),
+                        ("min_bandwidth_floor", math.nan), ("min_bandwidth_floor", -math.inf)):
+        with pytest.raises(InvalidValueError, match=f"{name} must be finite"):
+            GPConfig(**{name: value})
 
 
 def test_gp_explicit_step_size_still_converges():

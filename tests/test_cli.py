@@ -218,6 +218,8 @@ def _ragged_gains(scenario_file, row, gains):
 
 @pytest.mark.parametrize("argv, words", [
     (["gen", "--clients", 6, "--edges", 1], "n_edges >= 2"),
+    (["gen", "--dirichlet", "nan"], "alpha must be finite, got nan"),
+    (["gen", "--dirichlet", "inf"], "alpha must be finite, got inf"),
     ("p_max", "p_max must be strictly positive"),
     pytest.param("channel_gains ragged",
                  "clients.channel_gains: 280 bytes of data, shape [12, 3] needs 288",
@@ -310,6 +312,9 @@ def test_bad_scenario_fields_are_one_line_and_exit_2(
     (["compare", "--lr", -1], "lr must be strictly positive"),
     (["compare", "--features", 0], "n_features must be at least 1"),
     (["compare", "--train", "--features", 4, "--lr", 1e308], "training diverged"),
+    (["compare", "--gp-tol", "nan"], "tolerance must be finite, got nan"),
+    (["compare", "--step", "inf"], "step_size must be finite, got inf"),
+    (["compare", "--floor", "nan"], "min_bandwidth_floor must be finite, got nan"),
 ])
 def test_bad_counts_and_training_flags_are_one_line_and_exit_2(
     tmp_path, scenario_file, capsys, argv, words
@@ -478,3 +483,53 @@ def test_report_refuses_a_plan_that_differs_from_its_recomputation(
     assert run([*report, "--plan", tampered, "--out", tmp_path / "bad"]) == 2
     lines = _error_lines(capsys)
     assert len(lines) == 1 and "malformed plan" in lines[0]
+
+
+@pytest.fixture()
+def staged(tmp_path, scenario_file):
+    """Directory holding a partition and a plan for ``scenario_file``."""
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--out", stage]) == 0
+    partition = stage / "partition.json"
+    assert run(["allocate", "--scenario", scenario_file, "--partition", partition,
+                "--out", stage]) == 0
+    return stage
+
+
+def _verb_inputs(verb, scenario_file, stage):
+    scenario = ["--scenario", scenario_file]
+    partition = [*scenario, "--partition", stage / "partition.json"]
+    return {
+        "gen": [],
+        "coalition": scenario,
+        "allocate": partition,
+        "simulate": partition,
+        "report": [*partition, "--plan", stage / "plan.json"],
+        "compare": scenario,
+    }[verb]
+
+
+@pytest.mark.parametrize("verb", ["gen", "coalition", "allocate", "simulate", "report", "compare"])
+def test_a_negative_seed_is_one_line_and_exit_2(tmp_path, scenario_file, staged, capsys, verb):
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = [verb, *_verb_inputs(verb, scenario_file, staged), "--seed", -3, "--out", out]
+    assert run(argv) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "--seed must be a non-negative integer, got -3" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["report", "compare"])
+@pytest.mark.parametrize("formats", ["xml", "json,xml", "", "json,", "JSON"])
+def test_an_unknown_format_is_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, verb, formats
+):
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = [verb, *_verb_inputs(verb, scenario_file, staged), "--format", formats, "--out", out]
+    assert run(argv) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1
+    assert f"--format takes json and/or csv separated by commas, got {formats!r}" in lines[0]
+    assert not out.exists()

@@ -16,7 +16,7 @@ from leapsim.dist import (
     pairwise_js_matrix,
 )
 
-from oracles import avg_js_ref, js_ref, kl_ref
+from oracles import avg_js_ref, js_ref, js_rows_ratio_ref, kl_ref
 
 
 def dist(*probs):
@@ -331,6 +331,59 @@ def test_js_rows_one_hot_disjoint_and_identical(k):
     assert np.array_equal(js_rows(eye, eye), np.zeros(k))
     grid = js_rows(eye[:, None, :], eye[None, :, :])
     assert np.array_equal(grid, 1.0 - eye)  # distinct point masses are disjoint
+
+
+@st.composite
+def wide_prob_rows(draw):
+    """Two (n, K) stacks with K up to 200: dense, sparse, point-mass,
+    uniform and subnormal-laden rows, some of them equal across stacks."""
+    k = draw(st.integers(min_value=1, max_value=200))
+    n = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def row():
+        kind = draw(st.sampled_from(["dense", "sparse", "point", "uniform", "subnormal"]))
+        out = np.zeros(k)
+        if kind == "point":
+            out[rng.integers(k)] = 1.0
+            return out
+        if kind == "uniform":
+            out[: rng.integers(1, k + 1)] = 1.0
+            return out / out.sum()
+        out = rng.dirichlet(np.full(k, draw(st.sampled_from([0.05, 0.5, 5.0]))))
+        if kind in ("sparse", "subnormal"):
+            out[rng.random(k) < 0.7] = 0.0
+        if out.sum() == 0.0:
+            out[rng.integers(k)] = 1.0
+        out /= out.sum()
+        if kind == "subnormal":
+            out[(out == 0.0) & (rng.random(k) < 0.5)] = 5e-324
+        return out
+
+    p = np.array([row() for _ in range(n)])
+    q = np.array([row() for _ in range(n)])
+    for i in range(n):
+        if draw(st.booleans()):
+            q[i] = p[i]
+    return p, q
+
+
+@given(wide_prob_rows())
+@settings(max_examples=300, deadline=None)
+def test_js_rows_matches_the_ratio_form_reference(rows):
+    p, q = rows
+    got = js_rows(p, q)
+    assert np.max(np.abs(got - js_rows_ratio_ref(p, q))) <= 1e-14
+    grid = js_rows(p[:, None, :], q[None, :, :])
+    assert np.max(np.abs(grid - js_rows_ratio_ref(p[:, None, :], q[None, :, :]))) <= 1e-14
+    for i in range(p.shape[0]):
+        if np.array_equal(p[i], q[i]):
+            assert got[i] == 0.0
+
+
+def test_js_rows_k1_grid_is_exactly_zero():
+    one = np.ones((4, 1))
+    assert np.array_equal(js_rows(one[:, None, :], one[None, :, :]), np.zeros((4, 4)))
 
 
 def test_pairwise_matrix_is_the_kernel_grid():
