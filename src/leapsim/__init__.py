@@ -6,6 +6,10 @@ divergence, a projected-gradient bandwidth split over the coalitions,
 and a closed-form per-client transmit power under a task deadline.  A
 toy hierarchical FedAvg learner shows the accuracy effect of the
 resulting partitions.
+
+The package namespace holds the entry points of the library workflow
+and the error types; every other public name is imported from its
+submodule (``leapsim.game.Partition``, ``leapsim.dist.js_rows``).
 """
 
 from .errors import (
@@ -15,84 +19,16 @@ from .errors import (
     LeapsimError,
     TrainingDivergedError,
 )
-from .dist import (
-    DimensionMismatchError,
-    EmptyDistributionError,
-    LabelDistribution,
-    SupportViolationError,
-    avg_pairwise_js,
-    coalition_distribution,
-    js_divergence,
-    js_rows,
-    kl_divergence,
-    mean_distribution,
-    pairwise_js_matrix,
-)
 from .game import (
-    GameTrace,
-    InvalidSwitchError,
-    Partition,
-    SwitchProposal,
-    best_switch,
     certify_stability,
     evaluate_switch,
     potential,
     random_partition,
     run_coalition_formation,
-    switch_deltas,
-    verify_exact_potential,
 )
-from .netmodel import (
-    AllocationPlan,
-    ClientProfile,
-    ClientTable,
-    NetworkConfig,
-    check_deadline,
-    coalition_assignment,
-    comp_latency,
-    energies,
-    network_utility,
-    round_and_total_latency,
-    tx_latency,
-    uplink_rate,
-)
-from .alloc import (
-    GPConfig,
-    GPTrace,
-    InfeasibleError,
-    NonFiniteInputError,
-    build_plan,
-    deadline_powers,
-    gp_solve,
-    p3_gradient,
-    p3_objective,
-    plan_full,
-    project_to_simplex,
-    worst_members,
-)
-from .hfl import (
-    SyntheticDataset,
-    edge_aggregate,
-    local_train,
-    run_hfl,
-)
-from .scenario import (
-    HardwareRanges,
-    Scenario,
-    generate_scenario,
-    label_count_matrix,
-    load_scenario,
-    save_scenario,
-    shard_grouped_partition,
-)
-from .experiment import (
-    ExperimentReport,
-    MethodResult,
-    TrainOptions,
-    emit_report,
-    load_report,
-    recompute_plan,
-    run_experiment,
-)
+from .netmodel import NetworkConfig
+from .alloc import deadline_powers, gp_solve, p3_gradient, p3_objective, plan_full
+from .scenario import generate_scenario, label_count_matrix, shard_grouped_partition
+from .experiment import emit_report, run_experiment
 
 __version__ = "0.1.0"

@@ -42,7 +42,9 @@ def read_json(path: str | Path, schema: str) -> dict:
     A missing file raises FileNotFoundError as usual.
     """
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InputFileError(f"{path}: not valid JSON ({exc})") from exc
     found = data.get("schema") if isinstance(data, dict) else None

@@ -138,7 +138,10 @@ class Partition:
     incrementally as switches are applied: integer label counts
     ``counts`` (M, K), probability rows ``probs`` (M, K) and the
     pairwise JS matrix ``js_matrix`` (M, M).  ``denominator`` fixes the
-    avg-JS normalization for every operation on this partition.
+    avg-JS normalization for every operation on this partition: "M"
+    divides the pairwise JS sum by the number of coalitions (the value
+    can exceed 1 for M >= 5), "pairs" by the number of pairs M(M-1)/2,
+    which keeps it inside [0, 1].
     """
 
     def __init__(
@@ -156,6 +159,10 @@ class Partition:
             raise InvalidPartitionError("label counts must be (n_clients, n_classes)")
         if assignment.size and (assignment.min() < 0 or assignment.max() >= num_coalitions):
             raise InvalidPartitionError("assignment index out of range")
+        if denominator not in ("M", "pairs"):
+            raise InvalidPartitionError(
+                f"denominator must be 'M' or 'pairs', got {denominator!r}"
+            )
 
         self.assignment = assignment.copy()
         self.client_counts = client_label_counts

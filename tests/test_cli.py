@@ -185,6 +185,41 @@ def test_partition_that_disagrees_with_the_scenario_is_rejected(
     assert len(lines) == 1 and words in lines[0]
 
 
+@pytest.mark.parametrize("value", ["bogus", 7, None])
+def test_partition_with_an_unknown_denominator_is_one_line_and_exit_2(
+    tmp_path, scenario_file, capsys, value
+):
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    capsys.readouterr()
+    data = json.loads((stage / "partition.json").read_text())
+    data["denominator"] = value
+    bad = tmp_path / "partition.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "a"
+    assert run(["allocate", "--scenario", scenario_file, "--partition", bad, "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1
+    assert f"denominator must be 'M' or 'pairs', got {value!r}" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["--scenario", "--partition"])
+def test_a_file_that_is_not_utf8_is_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, which
+):
+    capsys.readouterr()
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe{\x00}\x00\x80\x81")
+    inputs = {"--scenario": scenario_file, "--partition": staged / "partition.json"}
+    inputs[which] = binary
+    argv = ["allocate", "--scenario", inputs["--scenario"],
+            "--partition", inputs["--partition"], "--out", tmp_path / "a"]
+    assert run(argv) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "bin.json: not UTF-8 text" in lines[0]
+
+
 def _scenario_with(tmp_path, scenario_file, keys, value):
     """A copy of the scenario file with the entry at the path ``keys`` set
     to ``value``.  A path that goes on past a ``clients`` column indexes

@@ -2,91 +2,88 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leapsim.dist import (
-    DimensionMismatchError,
-    EmptyDistributionError,
-    LabelDistribution,
-    SupportViolationError,
-    avg_pairwise_js,
-    coalition_distribution,
-    js_divergence,
-    js_rows,
-    kl_divergence,
-    mean_distribution,
-    pairwise_js_matrix,
-)
+from leapsim.dist import EmptyDistributionError, js_divergence, js_rows
+from leapsim.game import InvalidPartitionError, Partition, random_partition, switch_deltas
 
-from oracles import avg_js_ref, js_ref, js_rows_ratio_ref, kl_ref
+from oracles import js_ref, js_rows_ratio_ref, kl_ref, partition_avg_js_ref, random_counts
 
 
-def dist(*probs):
-    return LabelDistribution.from_probs(list(probs))
+def coalition(*member_counts):
+    """A one-coalition partition whose members hold the given label counts."""
+    counts = np.asarray(member_counts, dtype=np.int64)
+    return Partition(np.zeros(len(counts), dtype=np.int64), counts, 1)
 
 
-def from_counts(*counts):
-    return LabelDistribution.from_counts(list(counts))
+def one_per_coalition(*counts, denominator="M"):
+    """A partition with one client per coalition, holding the given counts."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return Partition(np.arange(len(counts)), counts, len(counts), denominator)
 
 
-# -- construction -----------------------------------------------------------
+# -- coalition histograms: Partition normalizes exact label counts ------------
 
 def test_from_counts_normalizes():
-    d = from_counts(30, 10)
-    assert np.allclose(d.probs, [0.75, 0.25])
-    assert d.counts.tolist() == [30, 10]
-    assert not d.empty
+    part = coalition([30, 10])
+    assert np.allclose(part.probs, [[0.75, 0.25]])
+    assert part.counts.tolist() == [[30, 10]]
 
 
 def test_from_counts_zero_total_is_empty_and_unusable():
-    d = from_counts(0, 0)
-    assert d.empty
+    # client 0 leaving coalition 0 would leave it holding no labels: the
+    # switch cannot be priced, and no empty histogram reaches the kernel
+    part = Partition(np.array([0, 0, 1]), np.array([[1, 0], [0, 0], [0, 1]]), 2)
     with pytest.raises(EmptyDistributionError):
-        js_divergence(d, from_counts(1, 0))
-    with pytest.raises(EmptyDistributionError):
-        kl_divergence(d, from_counts(1, 0))
+        switch_deltas(part, 0)
 
 
-def test_from_probs_rejects_bad_sum_and_negatives():
-    with pytest.raises(ValueError):
-        LabelDistribution.from_probs([0.5, 0.6])
-    with pytest.raises(ValueError):
-        LabelDistribution.from_probs([1.5, -0.5])
+def test_coalition_single_member():
+    assert np.allclose(coalition([10, 0]).probs, [[1.0, 0.0]])
 
 
-def test_probs_are_readonly():
-    d = from_counts(1, 1)
-    with pytest.raises(ValueError):
-        d.probs[0] = 0.3
+def test_coalition_two_equal_one_hot():
+    assert np.allclose(coalition([1, 0], [0, 1]).probs, [[0.5, 0.5]])
 
 
-# -- KL ----------------------------------------------------------------------
+def test_coalition_count_weighting():
+    part = coalition([30, 10], [10, 30])
+    assert np.allclose(part.probs, [[0.5, 0.5]])
+    assert part.counts.tolist() == [[40, 40]]
+
+
+def test_coalition_order_invariant():
+    rng = np.random.default_rng(2)
+    rows = [rng.integers(1, 20, size=6) for _ in range(5)]
+    a = coalition(*rows)
+    b = coalition(*rows[::-1])
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.probs, b.probs)
+
+
+def test_coalition_equal_sizes_reduce_to_uniform_average():
+    rows = [[4, 6, 0], [2, 2, 6], [10, 0, 0]]
+    uniform = np.mean([np.asarray(r) / 10 for r in rows], axis=0)
+    assert np.allclose(coalition(*rows).probs[0], uniform, atol=1e-15)
+
+
+def test_coalition_empty_member_set():
+    with pytest.raises(InvalidPartitionError):
+        Partition(np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 1)
+
+
+# -- the KL reference that js_ref is built on ----------------------------------
 
 def test_kl_identical_is_zero():
-    d = dist(0.5, 0.5)
-    assert kl_divergence(d, d) == 0.0
+    assert kl_ref([0.5, 0.5], [0.5, 0.5]) == 0.0
 
 
 def test_kl_point_mass_vs_mean():
     # direct evaluation of the summation: log2(1 / 0.75) = log2(4/3)
-    assert kl_divergence(dist(1.0, 0.0), dist(0.75, 0.25)) == pytest.approx(
-        0.41503749927884376, abs=1e-15
-    )
+    assert kl_ref([1.0, 0.0], [0.75, 0.25]) == pytest.approx(0.41503749927884376, abs=1e-15)
 
 
 def test_kl_half_half_vs_skewed():
     # 0.5*log2(2/3) + 0.5*log2(2)
-    assert kl_divergence(dist(0.5, 0.5), dist(0.75, 0.25)) == pytest.approx(
-        0.20751874963942185, abs=1e-15
-    )
-
-
-def test_kl_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        kl_divergence(dist(1.0), dist(0.5, 0.5))
-
-
-def test_kl_support_violation():
-    with pytest.raises(SupportViolationError):
-        kl_divergence(dist(0.5, 0.5), dist(1.0, 0.0))
+    assert kl_ref([0.5, 0.5], [0.75, 0.25]) == pytest.approx(0.20751874963942185, abs=1e-15)
 
 
 def test_kl_nonnegative_random():
@@ -95,48 +92,56 @@ def test_kl_nonnegative_random():
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4)) + 1e-9
         q /= q.sum()
-        d = kl_divergence(LabelDistribution(probs=p), LabelDistribution(probs=q))
-        assert d >= 0.0
-        assert d == pytest.approx(kl_ref(p, q), abs=1e-12)
+        kl = kl_ref(p, q)
+        assert kl >= 0.0  # Gibbs' inequality
+        # cross entropy minus entropy
+        assert kl == pytest.approx(np.sum(p * np.log2(p)) - np.sum(p * np.log2(q)), abs=1e-12)
 
 
-# -- mean ---------------------------------------------------------------------
+def test_kl_against_mean_always_finite():
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        p = rng.dirichlet(np.ones(5) * 0.2)
+        q = rng.dirichlet(np.ones(5) * 0.2)
+        mid = (p + q) / 2.0
+        to_p, to_q = kl_ref(p, mid), kl_ref(q, mid)
+        assert np.isfinite(to_p) and np.isfinite(to_q)
+        assert js_divergence(p, q) == pytest.approx((to_p + to_q) / 2.0, abs=1e-12)
+
+
+# -- JS ------------------------------------------------------------------------
+
+def test_js_identical_zero_and_disjoint_one():
+    p = np.array([0.3, 0.7])
+    assert js_divergence(p, p) == 0.0
+    assert js_divergence(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+
+
+def test_js_point_mass_vs_uniform():
+    point, uniform = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+    got = js_rows(np.array([point, uniform]), np.array([uniform, point]))
+    assert got == pytest.approx([0.31127812445913283] * 2, abs=1e-15)
+
+
+def entropy(x):
+    x = np.asarray(x, dtype=float)
+    x = x[x > 0]
+    return float(-np.sum(x * np.log2(x)))
+
 
 @pytest.mark.parametrize(
-    "a, b, expected",
+    "a, b, midpoint",
     [
         ([1, 0], [0, 1], [0.5, 0.5]),
         ([1, 0], [1, 0], [1.0, 0.0]),
         ([0.2, 0.8], [0.6, 0.4], [0.4, 0.6]),
     ],
 )
-def test_mean_distribution(a, b, expected):
-    out = mean_distribution(dist(*a), dist(*b))
-    assert np.allclose(out.probs, expected, atol=1e-15)
-
-
-# -- JS ------------------------------------------------------------------------
-
-def test_js_identical_zero_and_disjoint_one():
-    d = dist(0.3, 0.7)
-    assert js_divergence(d, d) == 0.0
-    assert js_divergence(dist(1, 0), dist(0, 1)) == 1.0
-
-
-def test_js_point_mass_vs_uniform():
-    assert js_divergence(dist(1, 0), dist(0.5, 0.5)) == pytest.approx(
-        0.31127812445913283, abs=1e-15
+def test_js_is_the_entropy_of_the_midpoint_minus_the_mean_entropy(a, b, midpoint):
+    expected = entropy(midpoint) - (entropy(a) + entropy(b)) / 2.0
+    assert js_divergence(np.array(a, float), np.array(b, float)) == pytest.approx(
+        expected, abs=1e-15
     )
-
-
-def test_kl_against_mean_always_finite():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        p = LabelDistribution(probs=rng.dirichlet(np.ones(5) * 0.2))
-        q = LabelDistribution(probs=rng.dirichlet(np.ones(5) * 0.2))
-        mid = mean_distribution(p, q)
-        assert np.isfinite(kl_divergence(p, mid))
-        assert np.isfinite(kl_divergence(q, mid))
 
 
 @st.composite
@@ -158,113 +163,97 @@ def prob_pair(draw):
 @given(prob_pair())
 @settings(max_examples=200, deadline=None)
 def test_js_symmetry_and_bounds(pair):
-    a = LabelDistribution(probs=pair[0] / pair[0].sum())
-    b = LabelDistribution(probs=pair[1] / pair[1].sum())
+    a, b = pair
     ab = js_divergence(a, b)
-    ba = js_divergence(b, a)
-    assert ab == pytest.approx(ba, abs=1e-12)
+    assert js_divergence(b, a) == ab  # symmetric bit for bit
     assert 0.0 <= ab <= 1.0
     if ab == 0.0:
-        assert np.max(np.abs(a.probs - b.probs)) <= 1e-12
-    if np.array_equal(a.probs, b.probs):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    if np.array_equal(a, b):
         assert ab == 0.0
     # the naive midpoint oracle underflows on subnormal probabilities;
     # compare only where it is itself well defined
-    positives = np.concatenate([a.probs[a.probs > 0], b.probs[b.probs > 0]])
+    positives = np.concatenate([a[a > 0], b[b > 0]])
     if positives.min() > 1e-300:
-        assert ab == pytest.approx(js_ref(a.probs, b.probs), abs=1e-12)
+        assert ab == pytest.approx(js_ref(a, b), abs=1e-12)
 
 
-# -- coalition aggregation ------------------------------------------------------
-
-def test_coalition_single_member():
-    assert np.allclose(coalition_distribution([[10, 0]]).probs, [1.0, 0.0])
-
-
-def test_coalition_two_equal_one_hot():
-    out = coalition_distribution([[1, 0], [0, 1]])
-    assert np.allclose(out.probs, [0.5, 0.5])
-
-
-def test_coalition_count_weighting():
-    out = coalition_distribution([[30, 10], [10, 30]])
-    assert np.allclose(out.probs, [0.5, 0.5])
-    assert out.counts.tolist() == [40, 40]
-
-
-def test_coalition_order_invariant():
-    rng = np.random.default_rng(2)
-    rows = [rng.integers(0, 20, size=6) for _ in range(5)]
-    a = coalition_distribution(rows)
-    b = coalition_distribution(rows[::-1])
-    assert np.array_equal(a.counts, b.counts)
-
-
-def test_coalition_equal_sizes_reduce_to_uniform_average():
-    rows = [[4, 6, 0], [2, 2, 6], [10, 0, 0]]
-    out = coalition_distribution(rows)
-    uniform = np.mean([np.asarray(r) / 10 for r in rows], axis=0)
-    assert np.allclose(out.probs, uniform, atol=1e-15)
-
-
-def test_coalition_empty_member_set():
-    with pytest.raises(ValueError):
-        coalition_distribution([])
-
-
-# -- average pairwise JS ---------------------------------------------------------
+# -- average pairwise JS: Partition.avg_js ---------------------------------------
 
 def test_avg_js_identical_coalitions():
-    d = from_counts(3, 3)
-    assert avg_pairwise_js([d, d, d]) == 0.0
+    assert one_per_coalition([3, 3], [3, 3], [3, 3]).avg_js() == 0.0
 
 
 def test_avg_js_two_disjoint_denominator_m():
-    assert avg_pairwise_js([dist(1, 0), dist(0, 1)]) == pytest.approx(0.5, abs=1e-15)
+    assert one_per_coalition([1, 0], [0, 1]).avg_js() == pytest.approx(0.5, abs=1e-15)
 
 
 def test_avg_js_three_coalitions():
-    dists = [dist(1, 0), dist(1, 0), dist(0, 1)]
-    assert avg_pairwise_js(dists) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert avg_pairwise_js(dists, denominator="pairs") == pytest.approx(
+    counts = ([1, 0], [1, 0], [0, 1])
+    assert one_per_coalition(*counts).avg_js() == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert one_per_coalition(*counts, denominator="pairs").avg_js() == pytest.approx(
         2.0 / 3.0, abs=1e-15
     )
 
 
 def test_avg_js_denominator_pairs_stays_in_unit_interval():
+    # five disjoint point masses: ten pairs at JS = 1 each, which "M" divides by 5
+    eye = np.eye(5, dtype=np.int64)
+    assert one_per_coalition(*eye).avg_js() == 2.0
+    assert one_per_coalition(*eye, denominator="pairs").avg_js() == 1.0
     rng = np.random.default_rng(3)
     for _ in range(20):
-        dists = [LabelDistribution(probs=rng.dirichlet(np.ones(4) * 0.3)) for _ in range(5)]
-        assert 0.0 <= avg_pairwise_js(dists, denominator="pairs") <= 1.0
+        counts = random_counts(rng, 12, 4, alpha=0.3)
+        part = random_partition(counts, 5, rng, "pairs")
+        assert 0.0 <= part.avg_js() <= 1.0
 
 
 def test_avg_js_relabeling_invariant():
     rng = np.random.default_rng(4)
-    dists = [LabelDistribution(probs=rng.dirichlet(np.ones(4))) for _ in range(4)]
-    base = avg_pairwise_js(dists)
+    counts = random_counts(rng, 10, 4)
+    part = random_partition(counts, 4, rng)
+    base = part.avg_js()
     for _ in range(5):
         perm = rng.permutation(4)
-        assert avg_pairwise_js([dists[i] for i in perm]) == pytest.approx(base, abs=1e-12)
+        relabeled = Partition(perm[part.assignment], counts, 4)
+        assert relabeled.avg_js() == pytest.approx(base, abs=1e-12)
 
 
 def test_avg_js_matches_reference():
     rng = np.random.default_rng(5)
-    rows = [rng.dirichlet(np.ones(6) * 0.4) for _ in range(4)]
-    dists = [LabelDistribution(probs=r) for r in rows]
-    assert avg_pairwise_js(dists) == pytest.approx(avg_js_ref(rows), abs=1e-12)
-
-
-def test_pairwise_matrix_symmetric_zero_diagonal():
-    rng = np.random.default_rng(6)
-    dists = [LabelDistribution(probs=rng.dirichlet(np.ones(3))) for _ in range(4)]
-    mat = pairwise_js_matrix(dists)
-    assert np.allclose(mat, mat.T)
-    assert np.all(np.diag(mat) == 0.0)
+    counts = random_counts(rng, 12, 6, alpha=0.4)
+    for denominator in ("M", "pairs"):
+        part = random_partition(counts, 4, rng, denominator)
+        expected = partition_avg_js_ref(part.assignment, counts, 4, denominator)
+        assert part.avg_js() == pytest.approx(expected, abs=1e-12)
 
 
 def test_avg_js_empty_coalition_rejected():
     with pytest.raises(EmptyDistributionError):
-        avg_pairwise_js([from_counts(1, 0), from_counts(0, 0)])
+        one_per_coalition([1, 0], [0, 0])
+
+
+# -- pairwise JS matrix: Partition.js_matrix ---------------------------------------
+
+def test_pairwise_matrix_symmetric_zero_diagonal():
+    rng = np.random.default_rng(6)
+    counts = random_counts(rng, 10, 3)
+    part = random_partition(counts, 4, rng)
+    mat = part.js_matrix
+    assert np.array_equal(mat, mat.T)
+    assert np.all(np.diag(mat) == 0.0)
+
+
+def test_pairwise_matrix_is_the_kernel_grid():
+    rng = np.random.default_rng(7)
+    counts = random_counts(rng, 15, 5, alpha=0.3)
+    part = random_partition(counts, 6, rng)
+    probs = part.probs
+    assert np.array_equal(part.js_matrix, js_rows(probs[:, None, :], probs[None, :, :]))
+    for i in range(6):
+        for j in range(6):
+            assert part.js_matrix[i, j] == js_divergence(probs[i], probs[j])
+            assert part.js_matrix[i, j] == pytest.approx(js_ref(probs[i], probs[j]), abs=1e-12)
 
 
 # -- batched kernel ----------------------------------------------------------------
@@ -309,10 +298,8 @@ def test_js_rows_matches_reference(rows):
         positives = np.concatenate([p[i][p[i] > 0], q[i][q[i] > 0]])
         if positives.min() > 1e-300:
             assert got[i] == pytest.approx(js_ref(p[i], q[i]), abs=1e-12)
-        # the scalar wrapper is the kernel on one row pair
-        assert js_divergence(
-            LabelDistribution(probs=p[i]), LabelDistribution(probs=q[i])
-        ) == got[i]
+        # the scalar form is the kernel on one row pair
+        assert js_divergence(p[i], q[i]) == got[i]
 
 
 @given(prob_rows())
@@ -385,12 +372,3 @@ def test_js_rows_k1_grid_is_exactly_zero():
     one = np.ones((4, 1))
     assert np.array_equal(js_rows(one[:, None, :], one[None, :, :]), np.zeros((4, 4)))
 
-
-def test_pairwise_matrix_is_the_kernel_grid():
-    rng = np.random.default_rng(7)
-    dists = [LabelDistribution(probs=rng.dirichlet(np.ones(5) * 0.3)) for _ in range(6)]
-    mat = pairwise_js_matrix(dists)
-    for i in range(6):
-        for j in range(6):
-            assert mat[i, j] == js_divergence(dists[i], dists[j])
-            assert mat[i, j] == pytest.approx(js_ref(dists[i].probs, dists[j].probs), abs=1e-12)

@@ -41,6 +41,14 @@ def test_partition_rejects_out_of_range_assignment():
         make_partition([0, 3], np.eye(2, dtype=np.int64), 2)
 
 
+@pytest.mark.parametrize("denominator", ["bogus", "m", "", 7, None])
+def test_partition_rejects_an_unknown_denominator(denominator):
+    with pytest.raises(InvalidPartitionError, match="denominator must be 'M' or 'pairs'"):
+        make_partition([0, 0, 1, 1], ONE_HOT_4, 2, denominator)
+    with pytest.raises(InvalidPartitionError):
+        random_partition(ONE_HOT_4, 2, np.random.default_rng(0), denominator)
+
+
 def test_partition_caches_match_fresh_computation():
     rng = np.random.default_rng(0)
     counts = random_counts(rng, 8, 4)
