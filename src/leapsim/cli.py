@@ -36,6 +36,7 @@ from .experiment import (
     emit_report,
     recompute_plan,
     run_experiment,
+    train_curves,
     write_accuracy,
     write_game_trace,
     write_gp_trace,
@@ -43,7 +44,6 @@ from .experiment import (
 from .errors import InputFileError, InvalidPartitionError, InvalidValueError, LeapsimError
 from .files import read_json, write_csv, write_json
 from .game import Partition, default_max_iters, random_partition, run_coalition_formation
-from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan
 from .scenario import (
     Scenario,
@@ -105,12 +105,15 @@ def _load_partition(path: str, scenario: Scenario) -> Partition:
             f"the scenario has {scenario.n_clients}"
         )
     assignment = [_json_int(a, f"assignment[{i}]", path) for i, a in enumerate(entries)]
-    return Partition(
-        np.asarray(assignment, dtype=np.int64),
-        label_count_matrix(scenario),
-        num_edges,
-        data.get("denominator", "M"),
-    )
+    try:
+        return Partition(
+            np.asarray(assignment, dtype=np.int64),
+            label_count_matrix(scenario),
+            num_edges,
+            data.get("denominator", "M"),
+        )
+    except InvalidPartitionError as exc:  # an index out of range, an empty edge, the denominator
+        raise InvalidPartitionError(f"{path}: {exc}") from exc
 
 
 def cmd_gen(args) -> int:
@@ -172,17 +175,21 @@ def cmd_coalition(args) -> int:
     return 0
 
 
-def cmd_allocate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    partition = _load_partition(args.partition, scenario)
-    gp = GPConfig(
+def _gp_config(args) -> GPConfig:
+    """The solver flags shared by ``allocate`` and ``compare``, validated."""
+    return GPConfig(
         step_size=args.step,
         tolerance=args.gp_tol,
         max_iters=args.gp_max_iters,
         min_bandwidth_floor=args.floor,
     )
+
+
+def cmd_allocate(args) -> int:
+    scenario = load_scenario(args.scenario)
+    partition = _load_partition(args.partition, scenario)
     plan, trace = plan_full(
-        partition, scenario.clients, scenario.config, gp, avg_js=partition.avg_js()
+        partition, scenario.clients, scenario.config, _gp_config(args), avg_js=partition.avg_js()
     )
     out = _out_dir(args)
     write_json(out / "plan.json", {"schema": PLAN_SCHEMA, **plan.to_dict()})
@@ -213,17 +220,7 @@ def cmd_simulate(args) -> int:
     opts = _train_options(args, class_sep=args.class_sep, noise=args.noise)
     scenario = load_scenario(args.scenario)
     partition = _load_partition(args.partition, scenario)
-    dataset = SyntheticDataset.generate(
-        label_counts=label_count_matrix(scenario).tolist(),
-        n_features=opts.n_features,
-        seed=args.seed,
-        class_sep=opts.class_sep,
-        noise=opts.noise,
-        test_per_class=opts.test_per_class,
-    )
-    _, curve = run_hfl(
-        partition, dataset, **opts.periods(scenario.config), lr=opts.lr, seed=args.seed
-    )
+    [curve] = train_curves(scenario, [partition], opts, args.seed, args.seed)
     path = _out_dir(args) / "accuracy.csv"
     write_accuracy(path, curve, partition.avg_js())
     print(f"final accuracy {curve[-1]:.4f}; wrote {path}")
@@ -339,16 +336,10 @@ def cmd_report(args) -> int:
 def cmd_compare(args) -> int:
     formats = _formats(args.format)
     scenario = load_scenario(args.scenario)
-    gp = GPConfig(
-        step_size=args.step,
-        tolerance=args.gp_tol,
-        max_iters=args.gp_max_iters,
-        min_bandwidth_floor=args.floor,
-    )
     report = run_experiment(
         scenario,
         methods=args.methods,
-        gp=gp,
+        gp=_gp_config(args),
         master_seed=args.seed,
         game_max_iters=args.max_iters,
         js_denominator=args.denominator,
@@ -411,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_gp(p):
         p.add_argument("--step", type=float, default=None, help="gradient step size")
-        p.add_argument("--gp-tol", type=float, default=1e-8)
-        p.add_argument("--gp-max-iters", type=int, default=10000)
+        p.add_argument("--gp-tol", type=float, default=GPConfig.tolerance)
+        p.add_argument("--gp-max-iters", type=int, default=GPConfig.max_iters)
         p.add_argument("--floor", type=float, default=None,
                        help="per-coalition bandwidth floor in Hz")
 
@@ -424,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.set_defaults(func=cmd_allocate)
 
     def add_train(p):
-        p.add_argument("--features", type=int, default=16)
-        p.add_argument("--lr", type=float, default=0.2)
+        p.add_argument("--features", type=int, default=TrainOptions.n_features)
+        p.add_argument("--lr", type=float, default=TrainOptions.lr)
         p.add_argument("--tau-c", type=int, default=None)
         p.add_argument("--tau-e", type=int, default=None)
         p.add_argument("--tau-g", type=int, default=None)
@@ -435,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scenario", required=True)
     simulate.add_argument("--partition", required=True)
     add_train(simulate)
-    simulate.add_argument("--class-sep", type=float, default=2.0)
-    simulate.add_argument("--noise", type=float, default=1.0)
+    simulate.add_argument("--class-sep", type=float, default=TrainOptions.class_sep)
+    simulate.add_argument("--noise", type=float, default=TrainOptions.noise)
     simulate.set_defaults(func=cmd_simulate)
 
     report = sub.add_parser("report", help="emit metrics for a saved plan")

@@ -2,14 +2,10 @@
 
 The full pipeline ("leap") chains the three solvers: coalition
 formation for the association, gradient projection for the bandwidth
-split, closed-form deadline power per client.  Baselines replace one
-stage at a time on top of the formed coalitions:
-
-    random_assoc  random association, bandwidth/power still optimized
-    equal_split   equal bandwidth split, optimized power
-    rb            bandwidth drawn uniformly on the simplex
-    rp            power drawn uniformly on (0, p_max] per client
-    rb_rp         both draws combined
+split, closed-form deadline power per client.  Each baseline replaces
+one stage or two; ``METHOD_STAGES`` is the one definition of every
+method's association, bandwidth and power, and ``run_experiment``
+builds every method from it along one code path.
 
 Deadline violations are reported per client, never repaired.  Every
 random stream derives from one master seed in a fixed order, so a
@@ -18,7 +14,8 @@ report is a pure function of (scenario, methods, master seed).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,36 +23,55 @@ import numpy as np
 
 from .alloc import GPConfig, GPTrace, build_plan, deadline_powers, plan_full
 from .errors import InvalidValueError
-from .files import fields_dict, read_json, write_csv, write_json
-from .game import (
-    GameTrace,
-    Partition,
-    default_max_iters,
-    random_partition,
-    run_coalition_formation,
-)
+from .files import fields_dict, write_csv, write_json
+from .game import Partition, default_max_iters, random_partition, run_coalition_formation
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan, NetworkConfig
 from .scenario import Scenario, label_count_matrix
 
 __all__ = [
     "REPORT_SCHEMA",
+    "METHOD_STAGES",
     "METHODS",
     "TrainOptions",
     "MethodResult",
     "ExperimentReport",
     "run_experiment",
+    "train_curves",
     "emit_report",
     "write_game_trace",
     "write_gp_trace",
     "write_accuracy",
-    "load_report",
     "recompute_plan",
 ]
 
 REPORT_SCHEMA = "leapsim.report.v1"
 
-METHODS = ("leap", "random_assoc", "equal_split", "rb", "rp", "rb_rp")
+# Each method's (association, bandwidth, power).  "game": the coalitions
+# the game forms; "gp": plan_full's split on the method's association;
+# "equal": total/M per edge; "deadline": closed-form deadline power.  Any
+# other entry names the seed stream of a random draw: a random association,
+# a split uniform on the simplex, or a power uniform on (0, p_max] per client.
+# A "gp" + "deadline" method is the full pipeline on its association: only
+# it reports the game and solver traces, the association's seeds and an
+# accuracy curve.  The others report the seed streams they draw from.
+METHOD_STAGES = {
+    "leap": ("game", "gp", "deadline"),
+    "random_assoc": ("random_assoc", "gp", "deadline"),
+    "equal_split": ("game", "equal", "deadline"),
+    "rb": ("game", "rb_bandwidth", "deadline"),
+    "rp": ("game", "gp", "rp_power"),
+    "rb_rp": ("game", "rb_rp_bandwidth", "rb_rp_power"),
+}
+
+METHODS = tuple(METHOD_STAGES)
+
+# fixed-order seed block so each stream is independent of which
+# methods were requested
+_SEED_STREAMS = (
+    "init_partition", "game", "random_assoc", "rb_bandwidth", "rp_power",
+    "rb_rp_bandwidth", "rb_rp_power", "training_data",
+)
 
 _PERIODS = ("tau_c", "tau_e", "tau_g")
 
@@ -74,11 +90,12 @@ class TrainOptions:
     test_per_class: int = 100
 
     def __post_init__(self):
-        if self.n_features < 1:
-            raise InvalidValueError(f"n_features must be at least 1, got {self.n_features}")
+        for name in ("class_sep", "noise", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.lr > 0:
             raise InvalidValueError(f"lr must be strictly positive, got {self.lr}")
-        for name in _PERIODS:
+        for name in ("n_features", "test_per_class", *_PERIODS):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise InvalidValueError(f"{name} must be at least 1, got {value}")
@@ -103,13 +120,6 @@ class MethodResult:
     gp_trace: dict | None = None
     accuracy: list[float] | None = None
 
-    def to_dict(self) -> dict:
-        return fields_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MethodResult":
-        return cls(**data)
-
 
 @dataclass
 class ExperimentReport:
@@ -124,21 +134,29 @@ class ExperimentReport:
         return {
             "schema": REPORT_SCHEMA,
             **fields_dict(self),
-            "methods": {name: m.to_dict() for name, m in self.methods.items()},
+            "methods": {name: fields_dict(m) for name, m in self.methods.items()},
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentReport":
-        values = {f.name: data[f.name] for f in fields(cls)}
-        values["methods"] = {
-            name: MethodResult.from_dict(m) for name, m in data["methods"].items()
-        }
-        return cls(**values)
 
-
-def _trace_to_dict(trace: GameTrace) -> dict:
-    # entries become lists, as they read back from JSON
-    return {**fields_dict(trace), "entries": [list(e) for e in trace.entries]}
+def train_curves(
+    scenario: Scenario,
+    partitions: Sequence[Partition],
+    opts: TrainOptions,
+    data_seed: int,
+    seed: int,
+) -> list[list[float]]:
+    """Test accuracy per global round of one HFL run on each partition, all
+    on one synthetic dataset drawn from ``data_seed`` and the scenario's labels."""
+    dataset = SyntheticDataset.generate(
+        label_counts=label_count_matrix(scenario).tolist(),
+        n_features=opts.n_features,
+        seed=data_seed,
+        class_sep=opts.class_sep,
+        noise=opts.noise,
+        test_per_class=opts.test_per_class,
+    )
+    periods = opts.periods(scenario.config)
+    return [run_hfl(p, dataset, **periods, lr=opts.lr, seed=seed)[1] for p in partitions]
 
 
 def run_experiment(
@@ -151,10 +169,14 @@ def run_experiment(
     train: bool = False,
     train_options: TrainOptions | None = None,
 ) -> ExperimentReport:
-    """Run the requested methods on one scenario and collect the report."""
-    unknown = [m for m in methods if m not in METHODS]
+    """Run the requested methods on one scenario and collect the report.
+
+    Each association, and each association's ``plan_full``, is computed
+    at most once however many methods share it.
+    """
+    unknown = [m for m in methods if m not in METHOD_STAGES]
     if unknown:
-        raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
+        raise InvalidValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
 
     counts = label_count_matrix(scenario)
     config = scenario.config
@@ -165,20 +187,11 @@ def run_experiment(
     elif game_max_iters < 1:  # rejected even when no requested method runs the game
         raise InvalidValueError(f"max_iters must be at least 1, got {game_max_iters}")
 
-    # fixed-order seed block so each stream is independent of which
-    # methods were requested
     seed_rng = np.random.default_rng(master_seed)
-    names = (
-        "init_partition",
-        "game",
-        "random_assoc",
-        "rb_bandwidth",
-        "rp_power",
-        "rb_rp_bandwidth",
-        "rb_rp_power",
-        "training_data",
-    )
-    seeds = {name: int(s) for name, s in zip(names, seed_rng.integers(2**62, size=len(names)))}
+    seeds = {
+        name: int(s)
+        for name, s in zip(_SEED_STREAMS, seed_rng.integers(2**62, size=len(_SEED_STREAMS)))
+    }
 
     report = ExperimentReport(
         scenario_meta=dict(scenario.meta),
@@ -187,139 +200,79 @@ def run_experiment(
         weights={"lambda1": config.lambda1, "lambda2": config.lambda2},
     )
 
-    # the formed coalition structure is shared by every bandwidth/power
-    # baseline; compute it once even when "leap" itself is not reported
-    base_partition: Partition | None = None
-    base_trace: GameTrace | None = None
-    base_plan: AllocationPlan | None = None
-    base_gp_trace = None
-
-    def formed_partition() -> tuple[Partition, GameTrace]:
-        nonlocal base_partition, base_trace
-        if base_partition is None:
-            start = random_partition(
-                counts, n_edges, np.random.default_rng(seeds["init_partition"]), js_denominator
-            )
-            base_partition, base_trace = run_coalition_formation(
-                start, max_iters=game_max_iters, rng_seed=seeds["game"]
-            )
-        return base_partition, base_trace
-
-    def formed_plan():
-        nonlocal base_plan, base_gp_trace
-        partition, _ = formed_partition()
-        if base_plan is None:
-            base_plan, base_gp_trace = plan_full(
+    # association -> (partition, game trace as JSON reads it back, the seeds it used)
+    associations: dict[str, tuple[Partition, dict | None, dict[str, int]]] = {}
+    full_plans: dict[str, tuple[AllocationPlan, GPTrace]] = {}
+    trained: dict[str, Partition] = {}
+    for name in methods:
+        association, bandwidth_stage, power_stage = METHOD_STAGES[name]
+        if association not in associations:
+            if association == "game":
+                start = random_partition(
+                    counts, n_edges, np.random.default_rng(seeds["init_partition"]), js_denominator
+                )
+                partition, trace = run_coalition_formation(
+                    start, max_iters=game_max_iters, rng_seed=seeds["game"]
+                )
+                associations[association] = (
+                    partition,
+                    {**fields_dict(trace), "entries": [list(e) for e in trace.entries]},
+                    {"init_partition": seeds["init_partition"], "game": seeds["game"]},
+                )
+            else:
+                rng = np.random.default_rng(seeds[association])
+                partition = random_partition(counts, n_edges, rng, js_denominator)
+                associations[association] = (partition, None, {"association": seeds[association]})
+        partition, game_trace, association_seeds = associations[association]
+        if bandwidth_stage == "gp" and association not in full_plans:
+            full_plans[association] = plan_full(
                 partition, clients, config, gp, avg_js=partition.avg_js()
             )
-        return base_plan, base_gp_trace
 
-    dataset: SyntheticDataset | None = None
-    opts = train_options or TrainOptions()
-
-    def train_curve(partition: Partition) -> list[float]:
-        nonlocal dataset
-        if dataset is None:
-            dataset = SyntheticDataset.generate(
-                label_counts=counts.tolist(),
-                n_features=opts.n_features,
-                seed=seeds["training_data"],
-                class_sep=opts.class_sep,
-                noise=opts.noise,
-                test_per_class=opts.test_per_class,
+        if bandwidth_stage == "gp" and power_stage == "deadline":
+            plan, gp_trace = full_plans[association]
+            used_seeds = association_seeds
+            if train:
+                trained[name] = partition
+        else:
+            game_trace = gp_trace = None
+            used_seeds = {}
+            if bandwidth_stage == "gp":
+                bandwidth = full_plans[association][0].bandwidth
+            elif bandwidth_stage == "equal":
+                bandwidth = np.full(n_edges, config.total_bandwidth / n_edges)
+            else:
+                rng = np.random.default_rng(seeds[bandwidth_stage])
+                bandwidth = rng.dirichlet(np.ones(n_edges)) * config.total_bandwidth
+                used_seeds[bandwidth_stage] = seeds[bandwidth_stage]
+            if power_stage == "deadline":
+                power, notes = deadline_powers(partition, clients, config, bandwidth)
+            else:
+                rng = np.random.default_rng(seeds[power_stage])
+                power, notes = clients.p_max * (1.0 - rng.random(len(clients))), []
+                used_seeds[power_stage] = seeds[power_stage]
+            plan = build_plan(
+                partition, clients, config, bandwidth, power,
+                avg_js=partition.avg_js(), notes=notes,
             )
-        _, curve = run_hfl(
-            partition, dataset, **opts.periods(config), lr=opts.lr, seed=master_seed
-        )
-        return curve
 
-    def optimized(
-        name: str,
-        partition: Partition,
-        used_seeds: dict,
-        plan: AllocationPlan,
-        gp_trace: GPTrace,
-        game_trace: GameTrace | None = None,
-    ) -> MethodResult:
-        """Result of a method whose plan is ``plan_full`` on its partition."""
-        result = MethodResult(
+        report.methods[name] = MethodResult(
             name=name,
             seeds=used_seeds,
             assignment=[int(a) for a in partition.assignment],
             avg_js=partition.avg_js(),
             plan=plan.to_dict(),
             feasible=plan.feasible,
-            game_trace=None if game_trace is None else _trace_to_dict(game_trace),
-            gp_trace=asdict(gp_trace),
+            game_trace=game_trace,
+            gp_trace=None if gp_trace is None else asdict(gp_trace),
         )
-        if train:
-            result.accuracy = train_curve(partition)
-        return result
 
-    for name in methods:
-        if name == "leap":
-            partition, trace = formed_partition()
-            result = optimized(
-                name,
-                partition,
-                {"init_partition": seeds["init_partition"], "game": seeds["game"]},
-                *formed_plan(),
-                game_trace=trace,
-            )
-
-        elif name == "random_assoc":
-            partition = random_partition(
-                counts, n_edges, np.random.default_rng(seeds["random_assoc"]), js_denominator
-            )
-            result = optimized(
-                name,
-                partition,
-                {"association": seeds["random_assoc"]},
-                *plan_full(partition, clients, config, gp, avg_js=partition.avg_js()),
-            )
-
-        else:
-            partition, _ = formed_partition()
-            used_seeds: dict[str, int] = {}
-            if name == "equal_split":
-                bandwidth = np.full(n_edges, config.total_bandwidth / n_edges)
-            elif name in ("rb", "rb_rp"):
-                key = "rb_bandwidth" if name == "rb" else "rb_rp_bandwidth"
-                rng = np.random.default_rng(seeds[key])
-                bandwidth = rng.dirichlet(np.ones(n_edges)) * config.total_bandwidth
-                used_seeds[key] = seeds[key]
-            else:  # rp keeps the optimized bandwidth
-                plan_opt, _ = formed_plan()
-                bandwidth = np.asarray(plan_opt.bandwidth)
-
-            if name in ("rp", "rb_rp"):
-                key = "rp_power" if name == "rp" else "rb_rp_power"
-                rng = np.random.default_rng(seeds[key])
-                power = clients.p_max * (1.0 - rng.random(len(clients)))
-                used_seeds[key] = seeds[key]
-                notes: list[str] = []
-            else:
-                power, notes = deadline_powers(partition, clients, config, bandwidth)
-
-            plan = build_plan(
-                partition,
-                clients,
-                config,
-                bandwidth,
-                power,
-                avg_js=partition.avg_js(),
-                notes=notes,
-            )
-            result = MethodResult(
-                name=name,
-                seeds=used_seeds,
-                assignment=[int(a) for a in partition.assignment],
-                avg_js=partition.avg_js(),
-                plan=plan.to_dict(),
-                feasible=plan.feasible,
-            )
-
-        report.methods[name] = result
+    if trained:
+        opts = train_options or TrainOptions()
+        data_seed = seeds["training_data"]
+        curves = train_curves(scenario, [*trained.values()], opts, data_seed, master_seed)
+        for name, curve in zip(trained, curves):
+            report.methods[name].accuracy = curve
 
     uplink = {name: m.plan["uplink_energy"] for name, m in report.methods.items()}
     summary: dict = {
@@ -402,10 +355,6 @@ def emit_report(
                 written.append(out / f"{name}_accuracy.csv")
                 write_accuracy(written[-1], m.accuracy, m.avg_js)
     return written
-
-
-def load_report(path: str | Path) -> ExperimentReport:
-    return ExperimentReport.from_dict(read_json(path, REPORT_SCHEMA))
 
 
 def recompute_plan(

@@ -199,7 +199,7 @@ def test_partition_with_an_unknown_denominator_is_one_line_and_exit_2(
     out = tmp_path / "a"
     assert run(["allocate", "--scenario", scenario_file, "--partition", bad, "--out", out]) == 2
     lines = _error_lines(capsys)
-    assert len(lines) == 1
+    assert len(lines) == 1 and str(bad) in lines[0]
     assert f"denominator must be 'M' or 'pairs', got {value!r}" in lines[0]
     assert not out.exists()
 
@@ -345,6 +345,7 @@ def test_bad_scenario_fields_are_one_line_and_exit_2(
     (["compare", "--train", "--tau-c", 0], "tau_c must be at least 1"),
     (["compare", "--tau-g", -1], "tau_g must be at least 1"),
     (["compare", "--lr", -1], "lr must be strictly positive"),
+    (["compare", "--lr", "inf"], "lr must be finite, got inf"),
     (["compare", "--features", 0], "n_features must be at least 1"),
     (["compare", "--train", "--features", 4, "--lr", 1e308], "training diverged"),
     (["compare", "--gp-tol", "nan"], "tolerance must be finite, got nan"),

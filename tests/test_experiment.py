@@ -9,7 +9,6 @@ from leapsim.experiment import (
     METHODS,
     TrainOptions,
     emit_report,
-    load_report,
     recompute_plan,
     run_experiment,
 )
@@ -36,7 +35,7 @@ def test_single_method_report_has_one_section(scenario):
 
 
 def test_unknown_method_rejected(scenario):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError, match="magic"):
         run_experiment(scenario, methods=["leap", "magic"])
 
 
@@ -71,6 +70,34 @@ def test_baselines_share_the_formed_partition(report):
         assert report.methods[name].assignment == leap
 
 
+def test_each_method_runs_the_stages_it_is_defined_by(scenario, report):
+    """leap and random_assoc run the full pipeline on their own association;
+    the other methods keep the formed coalitions and replace the bandwidth,
+    the power or both, each reporting only the seed streams it draws from."""
+    trained = run_experiment(
+        scenario, master_seed=5, train=True,
+        train_options=TrainOptions(n_features=4, tau_c=1, tau_e=1, tau_g=2),
+    )
+    full = {"leap", "random_assoc"}
+    for rep in (report, trained):
+        m = rep.methods
+        assert m["rp"].plan["bandwidth"] == m["leap"].plan["bandwidth"]
+        total, n_edges = scenario.config.total_bandwidth, scenario.num_edges
+        assert m["equal_split"].plan["bandwidth"] == [total / n_edges] * n_edges
+        assert {name for name, r in m.items() if r.gp_trace is not None} == full
+        assert {name for name, r in m.items() if r.game_trace is not None} == {"leap"}
+        assert {name: set(r.seeds) for name, r in m.items()} == {
+            "leap": {"init_partition", "game"},
+            "random_assoc": {"association"},
+            "equal_split": set(),
+            "rb": {"rb_bandwidth"},
+            "rp": {"rp_power"},
+            "rb_rp": {"rb_rp_bandwidth", "rb_rp_power"},
+        }
+    assert all(r.accuracy is None for r in report.methods.values())
+    assert {name for name, r in trained.methods.items() if r.accuracy is not None} == full
+
+
 def test_rb_bandwidth_sums_to_total(scenario, report):
     for name in ("rb", "rb_rp"):
         bw = np.asarray(report.methods[name].plan["bandwidth"])
@@ -98,8 +125,7 @@ def test_audit_metrics_recomputable_from_plan(scenario, report):
 
 def test_report_roundtrip(tmp_path, report):
     paths = emit_report(report, tmp_path)
-    loaded = load_report(tmp_path / "report.json")
-    assert loaded.to_dict() == report.to_dict()
+    assert json.loads((tmp_path / "report.json").read_text()) == report.to_dict()
     assert any(p.name == "summary.csv" for p in paths)
 
 
@@ -151,6 +177,8 @@ def test_training_curves_attached_when_requested():
 
 @pytest.mark.parametrize("field, value", [
     ("n_features", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+    ("lr", float("inf")), ("class_sep", float("nan")), ("class_sep", float("-inf")),
+    ("noise", float("inf")), ("noise", float("nan")), ("test_per_class", 0),
     ("tau_c", 0), ("tau_e", -2), ("tau_g", 0),
 ])
 def test_train_options_reject_values_outside_their_domain(field, value):
