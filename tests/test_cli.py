@@ -345,12 +345,12 @@ def test_bad_scenario_fields_are_one_line_and_exit_2(
     (["compare", "--train", "--tau-c", 0], "tau_c must be at least 1"),
     (["compare", "--tau-g", -1], "tau_g must be at least 1"),
     (["compare", "--lr", -1], "lr must be strictly positive"),
-    (["compare", "--lr", "inf"], "lr must be finite, got inf"),
     (["compare", "--features", 0], "n_features must be at least 1"),
     (["compare", "--train", "--features", 4, "--lr", 1e308], "training diverged"),
     (["compare", "--gp-tol", "nan"], "tolerance must be finite, got nan"),
     (["compare", "--step", "inf"], "step_size must be finite, got inf"),
     (["compare", "--floor", "nan"], "min_bandwidth_floor must be finite, got nan"),
+    (["compare", "--lr", "inf"], "lr must be finite, got inf"),
 ])
 def test_bad_counts_and_training_flags_are_one_line_and_exit_2(
     tmp_path, scenario_file, capsys, argv, words
