@@ -27,13 +27,14 @@ silently clamped.
 Both stages are array expressions over the assignment vector and the
 client table (see ``netmodel``); the worst member of every coalition
 comes from two scatter minima, one over p_max * gain and one over the
-ids that attain it.
+ids that attain it, taken once per solve in ``surrogate_terms``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,8 @@ __all__ = [
     "GPConfig",
     "GPTrace",
     "worst_members",
+    "SurrogateTerms",
+    "surrogate_terms",
     "p3_objective",
     "p3_gradient",
     "project_to_simplex",
@@ -150,35 +153,52 @@ def worst_members(partition, clients: ClientTable) -> np.ndarray:
     return worst
 
 
-def _surrogate_parts(bandwidth, partition, clients: ClientTable, config: NetworkConfig):
-    """(sizes, x, g, K) of the surrogate terms K / g at the given bandwidth."""
+class SurrogateTerms(NamedTuple):
+    """The bandwidth-free terms of the surrogate on one partition: the
+    coalition sizes, each worst member's p_max * gain, and each K."""
+
+    sizes: np.ndarray
+    strength: np.ndarray
+    k: np.ndarray
+
+
+def surrogate_terms(partition, clients: ClientTable, config: NetworkConfig) -> SurrogateTerms:
+    """The surrogate's terms on a partition, an assignment, or terms already built."""
+    if isinstance(partition, SurrogateTerms):
+        return partition
     assignment, sizes = partition_arrays(partition, clients)
-    b = _checked_bandwidth(bandwidth, sizes)
     worst = worst_members(assignment, clients)
     p = clients.p_max[worst]
     h = clients.channel_gains[worst, np.arange(sizes.size)]
-    share = b / sizes
-    x = p * h / (share * config.noise_power)
-    g = share * np.log1p(x) / _LN2
     k = config.lambda2 * sizes * config.tau_g * config.tau_e * p * config.model_size
-    return sizes, x, g, k
+    return SurrogateTerms(sizes, p * h, k)
+
+
+def _surrogate_parts(bandwidth, terms: SurrogateTerms, config: NetworkConfig):
+    """(x, g) of the surrogate terms K / g at the given bandwidth."""
+    share = _checked_bandwidth(bandwidth, terms.sizes) / terms.sizes
+    x = terms.strength / (share * config.noise_power)
+    g = share * np.log1p(x) / _LN2
+    return x, g
 
 
 def p3_objective(
     bandwidth: np.ndarray, partition, clients: ClientTable, config: NetworkConfig
 ) -> float:
     """Worst-case transmission-energy surrogate at full power."""
-    _, _, g, k = _surrogate_parts(bandwidth, partition, clients, config)
-    return float((k / g).sum())
+    terms = surrogate_terms(partition, clients, config)
+    _, g = _surrogate_parts(bandwidth, terms, config)
+    return float((terms.k / g).sum())
 
 
 def p3_gradient(
     bandwidth: np.ndarray, partition, clients: ClientTable, config: NetworkConfig
 ) -> np.ndarray:
     """Analytic gradient of the surrogate; every component is negative."""
-    sizes, x, g, k = _surrogate_parts(bandwidth, partition, clients, config)
+    terms = surrogate_terms(partition, clients, config)
+    x, g = _surrogate_parts(bandwidth, terms, config)
     g_prime = (np.log1p(x) - x / (1.0 + x)) / _LN2
-    return -k * g_prime / (g**2 * sizes)
+    return -terms.k * g_prime / (g**2 * terms.sizes)
 
 
 def project_to_simplex(v: np.ndarray, total: float, floor: float = 0.0) -> np.ndarray:
@@ -227,10 +247,15 @@ def gp_solve(
     non-increasing and ends with the projected-gradient norm at the
     solution; the surrogate is convex, so a near-zero norm certifies
     global optimality.
+
+    The partition's ``surrogate_terms`` (sizes, worst members, K) do not
+    depend on the bandwidth, so they are built once per solve and every
+    objective and gradient evaluation takes them in place of the
+    partition.
     """
     gp = gp or GPConfig()
-    assignment, sizes = partition_arrays(partition, clients)
-    m = sizes.size
+    terms = surrogate_terms(partition, clients, config)
+    m = terms.sizes.size
     total = config.total_bandwidth
     floor = gp.floor_for(config)
     if not 0 < floor * m < total:
@@ -245,12 +270,12 @@ def gp_solve(
         if abs(b.sum() - total) > 1e-9 * total or np.any(b < floor - 1e-12 * total):
             raise InfeasibleError("b_init violates the bandwidth constraints")
 
-    value = p3_objective(b, assignment, clients, config)
+    value = p3_objective(b, terms, clients, config)
     if not math.isfinite(value):
         raise InfeasibleError("objective is not finite at the starting point")
     trace = GPTrace(objective_values=[value])
 
-    grad = p3_gradient(b, assignment, clients, config)
+    grad = p3_gradient(b, terms, clients, config)
     base_step = gp.step_size
     if base_step is None:
         # first step may move a coordinate by a quarter of the mean share
@@ -262,12 +287,12 @@ def gp_solve(
     for _ in range(gp.max_iters):
         iterations += 1
         candidate = project_to_simplex(b - step * grad, total, floor)
-        candidate_value = p3_objective(candidate, assignment, clients, config)
+        candidate_value = p3_objective(candidate, terms, clients, config)
         halvings = 0
         while candidate_value > value and halvings < 80:
             step *= 0.5
             candidate = project_to_simplex(b - step * grad, total, floor)
-            candidate_value = p3_objective(candidate, assignment, clients, config)
+            candidate_value = p3_objective(candidate, terms, clients, config)
             halvings += 1
         if not math.isfinite(candidate_value):
             raise InfeasibleError("objective became non-finite during the solve")
@@ -277,7 +302,7 @@ def gp_solve(
         drop = value - candidate_value
         b, value = candidate, candidate_value
         trace.objective_values.append(value)
-        grad = p3_gradient(b, assignment, clients, config)
+        grad = p3_gradient(b, terms, clients, config)
         if halvings == 0:
             step = min(step * 2.0, 1e9 * base_step)
         if drop < gp.tolerance * max(abs(value), 1e-300):
@@ -382,5 +407,8 @@ def plan_full(
     assignment, _ = partition_arrays(partition, clients)
     bandwidth, trace = gp_solve(assignment, clients, config, gp)
     power, notes = deadline_powers(assignment, clients, config, bandwidth)
-    plan = build_plan(assignment, clients, config, bandwidth, power, avg_js, notes=notes)
+    plan = build_plan(
+        assignment, clients, config, bandwidth, power, avg_js,
+        surrogate_objective=trace.objective_values[-1], notes=notes,
+    )
     return plan, trace

@@ -21,6 +21,7 @@ error) ends with a one-line message on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from .experiment import (
     METHODS,
     TrainOptions,
     emit_report,
+    form_coalitions,
     recompute_plan,
     run_experiment,
     train_curves,
@@ -43,16 +45,9 @@ from .experiment import (
 )
 from .errors import InputFileError, InvalidPartitionError, InvalidValueError, LeapsimError
 from .files import read_json, write_csv, write_json
-from .game import Partition, default_max_iters, random_partition, run_coalition_formation
+from .game import Partition
 from .netmodel import AllocationPlan
-from .scenario import (
-    Scenario,
-    generate_scenario,
-    label_count_matrix,
-    load_scenario,
-    save_scenario,
-    shard_grouped_partition,
-)
+from .scenario import Scenario, generate_scenario, label_count_matrix, load_scenario, save_scenario
 
 PARTITION_SCHEMA = "leapsim.partition.v1"
 PLAN_SCHEMA = "leapsim.plan.v1"
@@ -140,18 +135,8 @@ def cmd_gen(args) -> int:
 
 def cmd_coalition(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.grouped_start:
-        start = shard_grouped_partition(scenario, args.denominator)
-    else:
-        start = random_partition(
-            label_count_matrix(scenario),
-            scenario.num_edges,
-            np.random.default_rng(args.seed),
-            args.denominator,
-        )
-    max_iters = default_max_iters(scenario.n_clients) if args.max_iters is None else args.max_iters
-    partition, trace = run_coalition_formation(
-        start, max_iters=max_iters, rng_seed=args.seed
+    start, partition, trace = form_coalitions(
+        scenario, args.denominator, args.seed, args.seed, args.max_iters, args.grouped_start
     )
     out = _out_dir(args)
     write_json(
@@ -360,7 +345,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; every default is immutable, so a
+    parse leaves nothing behind for the next."""
     parser = argparse.ArgumentParser(
         prog="leapsim",
         description="Coalition, bandwidth and power planning for hierarchical FL",
@@ -441,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="run methods side by side")
     add_common(compare)
     compare.add_argument("--scenario", required=True)
-    compare.add_argument("--methods", nargs="+", default=list(METHODS),
-                         choices=METHODS)
+    compare.add_argument("--methods", nargs="+", default=METHODS, choices=METHODS)
     compare.add_argument("--max-iters", type=int, default=None)
     compare.add_argument("--denominator", choices=("M", "pairs"), default="M")
     compare.add_argument("--format", default="json,csv", help="json and/or csv, comma-separated")

@@ -24,10 +24,16 @@ import numpy as np
 from .alloc import GPConfig, GPTrace, build_plan, deadline_powers, plan_full
 from .errors import InvalidValueError
 from .files import fields_dict, write_csv, write_json
-from .game import Partition, default_max_iters, random_partition, run_coalition_formation
+from .game import (
+    GameTrace,
+    Partition,
+    default_max_iters,
+    random_partition,
+    run_coalition_formation,
+)
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan, NetworkConfig
-from .scenario import Scenario, label_count_matrix
+from .scenario import Scenario, label_count_matrix, shard_grouped_partition
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -36,6 +42,7 @@ __all__ = [
     "TrainOptions",
     "MethodResult",
     "ExperimentReport",
+    "form_coalitions",
     "run_experiment",
     "train_curves",
     "emit_report",
@@ -138,6 +145,36 @@ class ExperimentReport:
         }
 
 
+def form_coalitions(
+    scenario: Scenario,
+    denominator: str,
+    init_seed: int,
+    game_seed: int,
+    max_iters: int | None = None,
+    grouped_start: bool = False,
+) -> tuple[Partition, Partition, GameTrace]:
+    """The game's start partition, and the partition and trace it forms.
+
+    The start is ``random_partition``'s draw from ``init_seed``, or with
+    ``grouped_start`` the label-grouped adversarial partition.  The game
+    samples from ``game_seed`` for at most ``max_iters`` iterations,
+    ``default_max_iters`` of the client count when None.
+    """
+    if grouped_start:
+        start = shard_grouped_partition(scenario, denominator)
+    else:
+        start = random_partition(
+            label_count_matrix(scenario),
+            scenario.num_edges,
+            np.random.default_rng(init_seed),
+            denominator,
+        )
+    if max_iters is None:
+        max_iters = default_max_iters(scenario.n_clients)
+    partition, trace = run_coalition_formation(start, max_iters=max_iters, rng_seed=game_seed)
+    return start, partition, trace
+
+
 def train_curves(
     scenario: Scenario,
     partitions: Sequence[Partition],
@@ -182,9 +219,8 @@ def run_experiment(
     config = scenario.config
     clients = scenario.clients
     n_edges = scenario.num_edges
-    if game_max_iters is None:
-        game_max_iters = default_max_iters(scenario.n_clients)
-    elif game_max_iters < 1:  # rejected even when no requested method runs the game
+    if game_max_iters is not None and game_max_iters < 1:
+        # rejected even when no requested method runs the game
         raise InvalidValueError(f"max_iters must be at least 1, got {game_max_iters}")
 
     seed_rng = np.random.default_rng(master_seed)
@@ -208,11 +244,9 @@ def run_experiment(
         association, bandwidth_stage, power_stage = METHOD_STAGES[name]
         if association not in associations:
             if association == "game":
-                start = random_partition(
-                    counts, n_edges, np.random.default_rng(seeds["init_partition"]), js_denominator
-                )
-                partition, trace = run_coalition_formation(
-                    start, max_iters=game_max_iters, rng_seed=seeds["game"]
+                _, partition, trace = form_coalitions(
+                    scenario, js_denominator, seeds["init_partition"], seeds["game"],
+                    game_max_iters,
                 )
                 associations[association] = (
                     partition,

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
@@ -60,8 +61,9 @@ def write_json(path: str | Path, payload) -> None:
     the TypeError for a value or key JSON cannot hold; nothing is
     written when encoding fails.  The stdlib formats an indented
     document with a pure-Python generator one item at a time; this
-    encoder formats each list of plain numbers, booleans and nulls with
-    one C-level ``json.dumps``.
+    encoder formats each list of plain numbers, booleans and nulls, and
+    each list of such non-empty rows (a game trace), with one C-level
+    ``json.dumps`` whose separators are then re-indented.
     """
     parts: list[str] = []
     _encode(payload, "\n", parts)
@@ -69,8 +71,18 @@ def write_json(path: str | Path, payload) -> None:
     Path(path).write_text("".join(parts))
 
 
-# items whose compact JSON text never holds ", "
+# items whose compact JSON text never holds ", ", "[" or "]"
 _PLAIN = {float, int, bool, type(None)}
+_ROWS = {list, tuple}
+
+
+def _plain_rows(value) -> bool:
+    """Whether every item of ``value`` is a non-empty list or tuple of plain items."""
+    return (
+        set(map(type, value)) <= _ROWS
+        and all(value)
+        and set(map(type, chain.from_iterable(value))) <= _PLAIN
+    )
 
 
 def _encode(value, newline: str, parts: list[str]) -> None:
@@ -81,7 +93,12 @@ def _encode(value, newline: str, parts: list[str]) -> None:
             parts.append("[]")
             return
         inner = newline + "  "
-        if set(map(type, value)) <= _PLAIN:
+        if type(value[0]) in _ROWS and _plain_rows(value):
+            # "[[a, b], [c, d]]": rows part at "], [", items at ", "
+            deeper = inner + "  "
+            rows = json.dumps(value)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
+            parts += "[", inner, "[", deeper, rows.replace(", ", "," + deeper), inner, "]"
+        elif set(map(type, value)) <= _PLAIN:
             parts += "[", inner, json.dumps(value)[1:-1].replace(", ", "," + inner)
         else:
             separator = inner

@@ -93,10 +93,10 @@ def shard_label_counts(
         raise InvalidValueError("shards must lie in [1, n_classes]")
     counts = np.zeros((n_clients, n_classes), dtype=np.int64)
     base, extra = divmod(data_size, shards)
-    for n in range(n_clients):
-        for k in range(shards):
-            cls_index = (n * shards + k) % n_classes
-            counts[n, cls_index] += base + (1 if k < extra else 0)
+    k = np.arange(shards)
+    clients = np.arange(n_clients)[:, None]
+    # shards <= n_classes, so a client's shard classes are distinct
+    counts[clients, (clients * shards + k) % n_classes] = base + (k < extra)
     return counts
 
 

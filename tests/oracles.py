@@ -465,3 +465,83 @@ def run_hfl_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
         logits = dataset.test_features @ weights.T + params[n_classes * d :]
         curve.append(float(np.mean(np.argmax(logits, axis=1) == dataset.test_labels)))
     return params, curve
+
+
+def shard_label_counts_ref(n_clients, n_classes, shards, data_size):
+    """Label-shard histograms, one client and one shard at a time: client
+    n's k-th shard is class (n * shards + k) mod n_classes and holds
+    data_size // shards items, plus one for the first data_size % shards."""
+    counts = np.zeros((n_clients, n_classes), dtype=np.int64)
+    base, extra = divmod(data_size, shards)
+    for n in range(n_clients):
+        for k in range(shards):
+            counts[n, (n * shards + k) % n_classes] += base + (1 if k < extra else 0)
+    return counts
+
+
+def _surrogate_ref(bandwidth, assignment, clients, cfg):
+    """(sizes, x, g, K) of the surrogate, worst members rebuilt from the assignment."""
+    from leapsim.alloc import worst_members
+
+    sizes = np.bincount(assignment, minlength=clients.num_edges)
+    worst = worst_members(assignment, clients)
+    p = clients.p_max[worst]
+    h = clients.channel_gains[worst, np.arange(sizes.size)]
+    share = np.asarray(bandwidth, dtype=float) / sizes
+    x = p * h / (share * cfg.noise_power)
+    g = share * np.log1p(x) / LN2
+    k = cfg.lambda2 * sizes * cfg.tau_g * cfg.tau_e * p * cfg.model_size
+    return sizes, x, g, k
+
+
+def gp_solve_ref(assignment, clients, cfg, gp):
+    """The projected-gradient loop of ``gp_solve``, every objective and
+    gradient evaluation rebuilding its terms from the assignment.
+
+    Returns (bandwidth, objective values, iterations, halvings,
+    projected-gradient norm).
+    """
+    from leapsim.alloc import project_to_simplex
+
+    def objective(b):
+        _, _, g, k = _surrogate_ref(b, assignment, clients, cfg)
+        return float((k / g).sum())
+
+    def gradient(b):
+        sizes, x, g, k = _surrogate_ref(b, assignment, clients, cfg)
+        return -k * ((np.log1p(x) - x / (1.0 + x)) / LN2) / (g**2 * sizes)
+
+    m, total = clients.num_edges, cfg.total_bandwidth
+    floor = gp.floor_for(cfg)
+    b = np.full(m, total / m)
+    value = objective(b)
+    values = [value]
+    grad = gradient(b)
+    base_step = gp.step_size
+    if base_step is None:
+        base_step = 0.25 * (total / m) / max(float(np.abs(grad).max()), 1e-300)
+    step = base_step
+    iterations = total_halvings = 0
+    for _ in range(gp.max_iters):
+        iterations += 1
+        candidate = project_to_simplex(b - step * grad, total, floor)
+        candidate_value = objective(candidate)
+        halvings = 0
+        while candidate_value > value and halvings < 80:
+            step *= 0.5
+            candidate = project_to_simplex(b - step * grad, total, floor)
+            candidate_value = objective(candidate)
+            halvings += 1
+        total_halvings += halvings
+        if candidate_value > value:
+            break
+        drop = value - candidate_value
+        b, value = candidate, candidate_value
+        values.append(value)
+        grad = gradient(b)
+        if halvings == 0:
+            step = min(step * 2.0, 1e9 * base_step)
+        if drop < gp.tolerance * max(abs(value), 1e-300):
+            break
+    moved = project_to_simplex(b - base_step * grad, total, floor) - b
+    return b, values, iterations, total_halvings, float(np.linalg.norm(moved) / base_step)

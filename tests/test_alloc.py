@@ -18,10 +18,11 @@ from leapsim.alloc import (
     worst_members,
 )
 from leapsim.errors import InvalidValueError
-from leapsim.netmodel import ClientTable, NetworkConfig, energies
+from leapsim.netmodel import ClientTable, NetworkConfig, energies, partition_arrays
 
 from oracles import (
     deadline_power,
+    gp_solve_ref,
     make_alloc_instance,
     make_clients,
     optimal_power,
@@ -316,6 +317,65 @@ def test_gp_explicit_step_size_still_converges():
     explicit = GPConfig(step_size=0.1 * (cfg.total_bandwidth / 2) / np.abs(grad0).max())
     manual, trace = gp_solve(coalitions, clients, cfg, explicit)
     assert np.allclose(manual, auto, rtol=1e-3)
+
+
+def _gp_cases():
+    """(coalitions, clients, cfg, gp): the make_alloc_instance cases under
+    default, explicit-step, capped, tight and floored solver settings."""
+    rng = np.random.default_rng(16)
+    for _ in range(8):
+        coalitions, clients, cfg = make_alloc_instance(rng, int(rng.integers(2, 7)))
+        m = len(coalitions)
+        for gp in (
+            GPConfig(),
+            GPConfig(step_size=1e9),  # far too long: the first steps halve
+            GPConfig(max_iters=3),
+            GPConfig(tolerance=1e-14),
+            GPConfig(min_bandwidth_floor=0.5 * cfg.total_bandwidth / m),
+        ):
+            yield coalitions, clients, cfg, gp
+
+
+def test_gp_solve_is_bit_identical_to_rebuilding_the_terms_every_evaluation():
+    halved = 0
+    for coalitions, clients, cfg, gp in _gp_cases():
+        assignment, _ = partition_arrays(coalitions, clients)
+        b, trace = gp_solve(coalitions, clients, cfg, gp)
+        b_ref, values, iterations, halvings, pg_norm = gp_solve_ref(assignment, clients, cfg, gp)
+        assert b.tobytes() == b_ref.tobytes()
+        assert trace.objective_values == values
+        assert trace.iterations_used == iterations
+        assert trace.projected_gradient_norm == pg_norm
+        halved += halvings > 0
+    assert halved  # the backtracking path is exercised
+
+
+def test_gp_solve_builds_the_terms_once_and_evaluates_through_the_public_functions(
+    monkeypatch,
+):
+    import leapsim.alloc
+
+    calls = {"p3_objective": 0, "p3_gradient": 0, "worst_members": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(leapsim.alloc, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(leapsim.alloc, name, counting)
+
+    for coalitions, clients, cfg, gp in _gp_cases():
+        assignment, _ = partition_arrays(coalitions, clients)
+        _, values, iterations, halvings, _ = gp_solve_ref(assignment, clients, cfg, gp)
+        calls.update(dict.fromkeys(calls, 0))
+        _, trace = gp_solve(coalitions, clients, cfg, gp)
+        assert calls == {
+            "p3_objective": 1 + iterations + halvings,
+            "p3_gradient": len(trace.objective_values),
+            "worst_members": 1,
+        }
+        calls.update(dict.fromkeys(calls, 0))
+        plan_full(coalitions, clients, cfg, gp)  # the plan reuses the solve's objective
+        assert calls["worst_members"] == 1
+        assert calls["p3_objective"] == 1 + iterations + halvings
 
 
 # -- deadline power ---------------------------------------------------------------------

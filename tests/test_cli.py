@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leapsim.cli import main
+import leapsim
+from leapsim.cli import build_parser, main
 from leapsim.files import decode_array, encode_array
 
 
@@ -471,25 +475,22 @@ def test_report_rejects_plan_values_that_are_not_json_numbers(
 def test_coalition_and_compare_share_the_default_game_budget(
     tmp_path, scenario_file, monkeypatch
 ):
-    import leapsim.cli
     import leapsim.experiment
     from leapsim.game import default_max_iters, run_coalition_formation
 
-    budgets = {}
+    budgets = []
 
-    def recording(verb):
-        def wrapped(start, max_iters, **kwargs):
-            budgets[verb] = max_iters
-            return run_coalition_formation(start, max_iters, **kwargs)
-        return wrapped
+    def recording(start, max_iters, **kwargs):
+        budgets.append(max_iters)
+        return run_coalition_formation(start, max_iters, **kwargs)
 
-    monkeypatch.setattr(leapsim.cli, "run_coalition_formation", recording("coalition"))
-    monkeypatch.setattr(leapsim.experiment, "run_coalition_formation", recording("compare"))
+    # both verbs form coalitions through experiment.form_coalitions
+    monkeypatch.setattr(leapsim.experiment, "run_coalition_formation", recording)
     assert run(["coalition", "--scenario", scenario_file, "--seed", 5,
                 "--out", tmp_path / "c"]) == 0
     assert run(["compare", "--scenario", scenario_file, "--seed", 5, "--methods", "leap",
                 "--out", tmp_path / "p"]) == 0
-    assert budgets == {"coalition": default_max_iters(12), "compare": default_max_iters(12)}
+    assert budgets == [default_max_iters(12), default_max_iters(12)]
 
 
 def test_report_refuses_a_plan_that_differs_from_its_recomputation(
@@ -569,3 +570,29 @@ def test_an_unknown_format_is_one_line_and_exit_2(
     assert len(lines) == 1
     assert f"--format takes json and/or csv separated by commas, got {formats!r}" in lines[0]
     assert not out.exists()
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, scenario_file):
+    assert build_parser() is build_parser()
+    commands = {
+        "compare": ["compare", "--scenario", scenario_file, "--seed", 3],
+        "compare_leap": ["compare", "--scenario", scenario_file, "--seed", 3, "--methods", "leap"],
+        "gen": ["gen", "--seed", 4, "--clients", 10, "--edges", 2],
+    }
+    for name, args in commands.items():  # one after the other, in this process
+        assert run([*args, "--out", tmp_path / "same" / name]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(leapsim.__file__).parents[1])}
+    for name, args in commands.items():  # each in a fresh process
+        fresh = [sys.executable, "-m", "leapsim.cli", *map(str, args),
+                 "--out", str(tmp_path / "fresh" / name)]
+        assert subprocess.run(fresh, env=env, capture_output=True).returncode == 0
+    for name in commands:
+        same, fresh = _files(tmp_path / "same" / name), _files(tmp_path / "fresh" / name)
+        assert same and same == fresh, name
+    assert "leap_gp_trace.csv" in _files(tmp_path / "same" / "compare")
+    assert json.loads((tmp_path / "same" / "compare_leap" / "report.json").read_text())[
+        "methods"].keys() == {"leap"}

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from leapsim.errors import InputFileError
 from leapsim.experiment import run_experiment
-from leapsim.files import decode_array, encode_array, write_json
+from leapsim.files import _plain_rows, decode_array, encode_array, write_json
 from leapsim.scenario import generate_scenario
 
 
@@ -51,6 +51,41 @@ json_values = st.recursive(
     ),
     max_leaves=40,
 )
+
+
+# lists of non-empty plain rows (game traces) take the one-dumps row path
+plain_items = st.none() | st.booleans() | st.integers() | floats
+plain_rows = st.lists(plain_items, min_size=1, max_size=6)
+row_lists = st.lists(plain_rows | plain_rows.map(tuple), min_size=1, max_size=8)
+
+
+@given(payload=row_lists | st.dictionaries(texts, row_lists, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_write_json_matches_the_stdlib_on_row_lists(tmp_path_factory, payload):
+    assert all(map(_plain_rows, payload.values() if isinstance(payload, dict) else [payload]))
+    path = tmp_path_factory.getbasetemp() / "rows.json"
+    write_json(path, payload)
+    assert path.read_bytes() == reference(payload).encode("ascii")
+
+
+@pytest.mark.parametrize("payload", [
+    [[1, 2], []],  # an empty row
+    [[]],
+    [[1, [2, 3]], [4]],  # a row holding a list
+    [[1, ()], [4]],
+    [[1, 2], 3],  # a scalar among rows
+    [[1, 2], None],
+    [[1, 2], {"a": [3]}],
+    [[1, "a, b"], [2]],  # a string in a row
+    [["], ["]],
+    [[1, {"a": 1}]],  # a dict in a row
+    [[1.0, np.float64(2.5)]],  # a float subclass in a row
+    {"a": [[1, 2], [3, "x"]]},
+])
+def test_write_json_row_path_falls_back_on_near_misses(tmp_path, payload):
+    rows = payload["a"] if isinstance(payload, dict) else payload
+    assert not _plain_rows(rows)
+    assert written(tmp_path, payload) == reference(payload)
 
 
 @given(payload=json_values)

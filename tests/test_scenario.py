@@ -20,7 +20,7 @@ from leapsim.scenario import (
     shard_label_counts,
 )
 
-from oracles import shard_grouped_assignment_ref
+from oracles import shard_grouped_assignment_ref, shard_label_counts_ref
 
 
 def test_same_seed_gives_byte_identical_files(tmp_path):
@@ -48,6 +48,36 @@ def test_shard_counts_tile_classes_evenly():
     assert np.all(counts.sum(axis=1) == 200)
     # 25 clients * 2 shards over 10 classes: each class appears 5 times
     assert np.all((counts > 0).sum(axis=0) == 5)
+
+
+@pytest.mark.parametrize("n_clients, n_classes, shards, data_size", [
+    (25, 10, 2, 200),
+    (7, 10, 3, 200),  # 200 % 3 == 2: the first two shards hold one item more
+    (13, 5, 5, 17),
+    (6, 4, 4, 3),  # fewer items than shards: the last shard is empty
+    (9, 1, 1, 10),
+    (1, 10, 10, 0),
+    (0, 3, 2, 5),
+])
+def test_shard_counts_match_the_per_client_loop(n_clients, n_classes, shards, data_size):
+    counts = shard_label_counts(n_clients, n_classes, shards, data_size)
+    expected = shard_label_counts_ref(n_clients, n_classes, shards, data_size)
+    assert counts.dtype == expected.dtype and np.array_equal(counts, expected)
+
+
+@given(
+    n_clients=st.integers(0, 40),
+    n_classes=st.integers(1, 12),
+    shards=st.integers(1, 12),
+    data_size=st.integers(0, 500),
+)
+@settings(max_examples=100, deadline=None)
+def test_shard_counts_match_the_per_client_loop_on_random_shapes(
+    n_clients, n_classes, shards, data_size
+):
+    shards = min(shards, n_classes)
+    counts = shard_label_counts(n_clients, n_classes, shards, data_size)
+    assert np.array_equal(counts, shard_label_counts_ref(n_clients, n_classes, shards, data_size))
 
 
 def test_dirichlet_scheme():
