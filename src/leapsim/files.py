@@ -5,14 +5,28 @@ Every JSON file goes through ``write_json`` and every CSV file through
 ``# schema=...`` first line in CSV) is defined once.  ``fields_dict``
 is the one dataclass-to-JSON conversion, and ``encode_array`` /
 ``decode_array`` the one binary array column format.
+
+Both writers build the whole text first and then replace the file: an
+existing file at the path is unlinked and a new one created, never
+truncated and rewritten.  On ext4 (``auto_da_alloc``, its default) a
+file truncated to zero is flushed to disk when it is closed, and the
+next truncation of the same path waits for that flush, so rerunning a
+command into the same directory used to stall on disk writeback for
+each file.  A symlink at the path is therefore replaced, not followed; a
+read-only file in a writable directory is replaced; and a reader that
+holds the old file open keeps reading the old bytes.  A payload that
+fails to encode, or a row that raises, leaves the old file as it was.
+A module-wide test keeps every other module from writing files itself.
 """
 
 from __future__ import annotations
 
 import binascii
 import csv
+import io
 import json
 import math
+import os
 from dataclasses import fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -64,11 +78,28 @@ def write_json(path: str | Path, payload) -> None:
     encoder formats each list of plain numbers, booleans and nulls, and
     each list of such non-empty rows (a game trace), with one C-level
     ``json.dumps`` whose separators are then re-indented.
+
+    The file is replaced as the module docstring says: unlinked and
+    created anew as UTF-8 text, after the whole document is encoded.
     """
     parts: list[str] = []
     _encode(payload, "\n", parts)
     parts.append("\n")
-    Path(path).write_text("".join(parts))
+    _replace(path, "".join(parts), newline=None)
+
+
+def _replace(path: str | Path, text: str, newline: str | None) -> None:
+    """Unlink any file at ``path``, then create it holding ``text`` as UTF-8.
+
+    ``newline`` is ``open``'s: None writes "\\n" as the platform line
+    separator, "" writes the text as it is.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "x", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
 
 
 # items whose compact JSON text never holds ", ", "[" or "]"
@@ -135,12 +166,18 @@ def _key(key) -> str:
 
 
 def write_csv(path: str | Path, schema: str, header: list[str], rows: Iterable) -> None:
-    """One ``# schema=`` line, the header, then the rows; floats print as repr."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={schema}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """One ``# schema=`` line, the header, then the rows; floats print as repr.
+
+    The rows are formatted in memory and the file is then replaced as the
+    module docstring says, as UTF-8 text with the csv module's "\\r\\n"
+    row endings; a row that raises leaves the old file as it was.
+    """
+    text = io.StringIO()
+    text.write(f"# schema={schema}\n")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _replace(path, text.getvalue(), newline="")
 
 
 def _plain(value):
@@ -170,6 +207,30 @@ def encode_array(array: np.ndarray) -> dict:
     }
 
 
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _canonical_base64(text: str) -> bytes | None:
+    """The bytes ``text`` encodes if it is exactly what ``b2a_base64``
+    writes for them (no newline), else None.
+
+    ``a2b_base64`` skips stray characters, so its result alone proves
+    nothing.  The canonical text is ASCII, a multiple of 4 long, alphabet
+    characters followed by at most two "=", and its last quantum holds
+    zero pad bits, which re-encoding that quantum alone checks.
+    """
+    if not text.isascii() or len(text) % 4:
+        return None
+    raw = text.encode("ascii")
+    pad = raw.translate(None, _BASE64_ALPHABET)  # every non-alphabet character
+    if pad not in (b"", b"=", b"==") or not raw.endswith(pad):
+        return None
+    last = raw[-4:]
+    if binascii.b2a_base64(binascii.a2b_base64(last), newline=False) != last:
+        return None
+    return binascii.a2b_base64(raw)
+
+
 def decode_array(value, name: str) -> np.ndarray:
     """The native-order array an ``encode_array`` object holds.
 
@@ -195,12 +256,8 @@ def decode_array(value, name: str) -> np.ndarray:
         )
     if not isinstance(text, str):
         raise InputFileError(f"{name}: base64 must be a string, got {type(text).__name__}")
-    try:
-        data = binascii.a2b_base64(text)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise InputFileError(f"{name}: invalid base64 ({exc})") from None
-    # a2b_base64 skips stray characters; only the canonical text is accepted
-    if binascii.b2a_base64(data, newline=False).decode("ascii") != text:
+    data = _canonical_base64(text)
+    if data is None:
         raise InputFileError(f"{name}: invalid base64 (not the canonical encoding of its bytes)")
     dtype = _ARRAY_DTYPES[code]
     expected = dtype.itemsize * math.prod(shape)

@@ -7,6 +7,7 @@ test comparing the two is a genuine dual-route check.
 
 from __future__ import annotations
 
+import binascii
 import itertools
 import math
 
@@ -545,3 +546,16 @@ def gp_solve_ref(assignment, clients, cfg, gp):
             break
     moved = project_to_simplex(b - base_step * grad, total, floor) - b
     return b, values, iterations, total_halvings, float(np.linalg.norm(moved) / base_step)
+
+
+def canonical_base64_ref(text):
+    """The bytes ``text`` encodes if re-encoding them gives ``text`` back,
+    else None: the whole-column check ``leapsim.files.decode_array`` made
+    before it checked the alphabet, the padding and the last quantum."""
+    try:
+        data = binascii.a2b_base64(text)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        return None
+    if binascii.b2a_base64(data, newline=False).decode("ascii") != text:
+        return None
+    return data

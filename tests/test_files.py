@@ -1,15 +1,33 @@
+import ast
+import binascii
 import json
 import math
+import os
 import re
+import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leapsim.errors import InputFileError
-from leapsim.experiment import run_experiment
-from leapsim.files import _plain_rows, decode_array, encode_array, write_json
+from leapsim.experiment import run_experiment, write_game_trace
+from leapsim.files import (
+    _canonical_base64,
+    _plain_rows,
+    decode_array,
+    encode_array,
+    write_csv,
+    write_json,
+)
 from leapsim.scenario import generate_scenario
+
+from oracles import canonical_base64_ref
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def reference(payload) -> str:
@@ -192,3 +210,193 @@ GOOD = encode_array(np.array([1.0, 2.0]))
 def test_decode_array_refusals_name_the_column(column, words):
     with pytest.raises(InputFileError, match=re.escape("clients.x") + ".*" + re.escape(words)):
         decode_array(column, "clients.x")
+
+
+# the base64 alphabet, padding, whitespace, the URL-safe pair and a non-ASCII letter
+BASE64_CHARS = string.ascii_letters + string.digits + "+/= \n-_é"
+
+
+@st.composite
+def mutated_encodings(draw):
+    """The canonical encoding of random bytes with up to three characters
+    inserted, replaced or deleted."""
+    text = binascii.b2a_base64(draw(st.binary(max_size=24)), newline=False).decode("ascii")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(BASE64_CHARS))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + (char if edit == "replace" else "") + text[at + 1:]
+    return text
+
+
+@given(text=st.text(alphabet=BASE64_CHARS, max_size=16) | mutated_encodings())
+@settings(max_examples=1000, deadline=None)
+def test_canonical_base64_check_matches_the_re_encoding_reference(text):
+    data = canonical_base64_ref(text)
+    assert _canonical_base64(text) == data
+    column = {"dtype": "<i8", "shape": [len(data or b"") // 8], "base64": text}
+    if data is not None and len(data) % 8 == 0:
+        assert decode_array(column, "clients.x").tobytes() == data
+    elif data is None:
+        with pytest.raises(InputFileError, match="invalid base64"):
+            decode_array(column, "clients.x")
+
+
+@pytest.mark.parametrize("text", ["", "AAAA", "AA==", "AAA=", "+/+/", "QQ==", "QR==", "QUI=",
+                                  "QUJ=", "A===", "====", "AA=A", "AA==AA==", "AAAA\n", "AAA"])
+def test_canonical_base64_check_fixed_cases(text):
+    assert _canonical_base64(text) == canonical_base64_ref(text)
+
+
+def csv_bytes(rows, header=("a", "b")) -> bytes:
+    return ("# schema=s\n" + "".join(",".join(map(str, row)) + "\r\n" for row in
+                                    [header, *rows])).encode("utf-8")
+
+
+@pytest.mark.parametrize("writer", ["json", "csv"])
+def test_a_rewrite_replaces_the_file_with_exactly_the_new_bytes(tmp_path, writer):
+    path = tmp_path / "out"
+    long, short = [[i, 0.5] for i in range(200)], [[1, 2.5]]
+    if writer == "json":
+        write_json(path, long)
+        write_json(path, short)
+        assert path.read_bytes() == reference(short).encode("ascii")
+    else:
+        write_csv(path, "s", ["a", "b"], long)
+        write_csv(path, "s", ["a", "b"], short)
+        assert path.read_bytes() == csv_bytes(short)
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_a_reader_of_the_old_file_keeps_the_old_bytes(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"old": list(range(50))})
+    old = path.read_bytes()
+    with open(path, "rb") as held:
+        write_json(path, {"new": 1})
+        assert held.read() == old
+    assert path.read_bytes() == reference({"new": 1}).encode("ascii")
+
+
+def test_a_symlink_is_replaced_not_followed(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"kept")
+    link.symlink_to(target)
+    write_csv(link, "s", ["a", "b"], [[1, 2]])
+    assert not link.is_symlink() and link.read_bytes() == csv_bytes([[1, 2]])
+    assert target.read_bytes() == b"kept"
+
+
+def test_a_read_only_file_is_replaced(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, [1])
+    path.chmod(0o444)
+    write_json(path, [2])
+    assert path.read_bytes() == reference([2]).encode("ascii")
+
+
+def rows_then_raise():
+    yield [1, 2]
+    raise ValueError("bad row")
+
+
+@pytest.mark.parametrize("existing", [b"# schema=s\nold,file\r\n", None])
+def test_a_row_that_raises_leaves_the_old_file_as_it_was(tmp_path, existing):
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(ValueError, match="bad row"):
+        write_csv(path, "s", ["a", "b"], rows_then_raise())
+    # a malformed game-trace entry fails to unpack before anything is written
+    with pytest.raises(ValueError):
+        write_game_trace(path, [(0, 1, 2, None, 0.5), (1, 2, 3)])
+    assert (path.read_bytes() if path.exists() else None) == existing
+    assert os.listdir(tmp_path) == (["out.csv"] if existing is not None else [])
+
+
+def test_a_payload_that_fails_to_encode_leaves_the_old_file_as_it_was(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"kept": [1, 2]})
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"a": [1.0], "b": {1, 2}})
+    assert path.read_bytes() == old and os.listdir(tmp_path) == ["out.json"]
+
+
+def test_both_writers_write_utf8_whatever_the_locale_encoding(tmp_path):
+    # EncodingWarning is raised by any open() that falls back to the locale's encoding
+    code = (
+        "import sys\n"
+        "from leapsim.files import write_csv, write_json\n"
+        "write_csv(sys.argv[1], 's', ['é', '日本'], [[1, 'ü']])\n"
+        "write_json(sys.argv[2], {'é': ['ü']})\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code,
+         str(tmp_path / "out.csv"), str(tmp_path / "out.json")],
+        env=env, check=True,
+    )
+    assert (tmp_path / "out.csv").read_bytes() == "# schema=s\né,日本\r\n1,ü\r\n".encode("utf-8")
+    assert (tmp_path / "out.json").read_bytes() == reference({"é": ["ü"]}).encode("ascii")
+
+
+WRITE_MODE_CHARS = set("wax+")
+MODE = re.compile(r"[rwxabt+]{1,4}")
+
+
+def file_writes(tree: ast.AST) -> list[str]:
+    """The calls in ``tree`` that write a file: open(...) in a write mode
+    (or a mode not given as a literal), write_text, write_bytes, os.open."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            found.append(name)
+        elif name == "open" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            found.append("os.open")
+        elif name == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if not modes and isinstance(func, ast.Name):
+                modes = node.args[1:2]  # the builtin's mode is its second argument
+            elif not modes:  # Path.open(mode), io.open(file, mode), ...: any literal mode
+                modes = [arg for arg in node.args if isinstance(arg, ast.Constant)
+                         and isinstance(arg.value, str) and MODE.fullmatch(arg.value)]
+            for mode in modes:
+                literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                if not literal or set(mode.value) & WRITE_MODE_CHARS:
+                    found.append(f"open mode {ast.unparse(mode)}")
+    return found
+
+
+@pytest.mark.parametrize("code, writes", [
+    ("open(p)", []),
+    ("open(p, 'rb')", []),
+    ("open(p, encoding='utf-8')", []),
+    ("Path(p).open()", []),
+    ("Path(p).read_text()", []),
+    ("open(p, 'w')", ["open mode 'w'"]),
+    ("open(p, mode='ab')", ["open mode 'ab'"]),
+    ("open(p, 'r+')", ["open mode 'r+'"]),
+    ("open(p, m)", ["open mode m"]),
+    ("io.open(p, 'x')", ["open mode 'x'"]),
+    ("Path(p).open('w', newline='')", ["open mode 'w'"]),
+    ("Path(p).write_text(t)", ["write_text"]),
+    ("p.write_bytes(b)", ["write_bytes"]),
+    ("os.open(p, os.O_WRONLY)", ["os.open"]),
+])
+def test_file_write_detector(code, writes):
+    assert file_writes(ast.parse(code)) == writes
+
+
+def test_files_is_the_only_module_that_writes_files():
+    modules = sorted((SRC / "leapsim").glob("*.py"))
+    writes = {m.name: file_writes(ast.parse(m.read_text(encoding="utf-8"))) for m in modules}
+    assert writes.pop("files.py"), "the detector no longer sees the writer in files.py"
+    assert len(writes) >= 9 and not any(writes.values()), writes
