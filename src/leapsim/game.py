@@ -24,13 +24,25 @@ every target at once with a single call of the broadcasting JS kernel;
 The improvement loop prices each partition state (an epoch: the span
 between two accepted switches) at most once per client.  It draws
 clients a few samples ahead and prices every unpriced one among them in
-one batch; the rows are kept until the next accepted switch and handed
-to the stability certificate, which prices only the clients left over.
+one batch; the prices are kept until the next accepted switch and
+handed to the stability certificate, which prices only the clients left
+over.  The kernel's rows and grid of each batch are kept too, and an
+accepted switch that was priced in a batch is applied from them without
+another kernel call.
+
+The potential is bounded below by 0, so a partition whose JS matrix is
+all zeros is a global minimum: every switch price is a sum of clipped,
+non-negative kernel values, none beats staying, and the partition is
+Nash-stable.  The loop prices nothing in such a settled epoch, and
+``certify_stability`` without a memo answers it without pricing.  Both
+shortcuts give exactly the verdicts pricing would, because a tolerance
+must be a finite real >= 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -82,6 +94,23 @@ LOOKAHEAD_DRAWS = 8
 
 class InvalidSwitchError(LeapsimError):
     """Requested switch is inadmissible (same coalition, or empties the source)."""
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Raise InvalidValueError unless ``tolerance`` is a finite real >= 0.
+
+    A negative tolerance accepts worsening switches and a NaN one never
+    rejects a stability check, so either breaks termination or the
+    certificate.
+    """
+    if type(tolerance) is float and 0.0 <= tolerance < math.inf:
+        return  # the default, checked per sampled client: skip the ABC lookup
+    if (
+        isinstance(tolerance, bool)
+        or not isinstance(tolerance, numbers.Real)
+        or not (math.isfinite(tolerance) and tolerance >= 0)
+    ):
+        raise InvalidValueError(f"tolerance must be a finite real >= 0, got {tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +253,26 @@ class Partition:
 
     # -- mutation --------------------------------------------------------
 
-    def apply(self, proposal: SwitchProposal) -> None:
-        """Execute an accepted switch and refresh the touched caches."""
+    def apply(
+        self,
+        proposal: SwitchProposal,
+        priced: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Execute an accepted switch and refresh the touched caches.
+
+        ``priced``, when given, is the proposal's client's slice of the
+        ``_price_moves`` batch that priced it on the current state: its
+        kernel rows [s', t'_0 .. t'_{M-1}] of shape (M+1, K) and its JS
+        grid of shape (M+1, M+1).  The new rows of source s and target t
+        and their JS rows are then read from them without a kernel call:
+        rows 0 and 1+t are the normalized counts after the move, divided
+        the same way as here; grid rows 0 and 1+t hold JS(s', P_k) and
+        JS(t', P_k), and grid[1+t, M] is JS(t', s').  The bits equal the
+        recomputing path's because ``js_rows`` gives a grid equal to its
+        row pairs, is symmetric, and is exactly 0 on equal rows (the two
+        diagonal entries).  Without ``priced`` the touched rows are
+        recomputed.
+        """
         client, src, tgt = proposal.client, proposal.source, proposal.target
         if self.assignment[client] != src:
             raise InvalidSwitchError("proposal is stale: client moved already")
@@ -233,6 +280,14 @@ class Partition:
             raise InvalidSwitchError("source and target coalitions are equal")
         if self.sizes[src] == 1:
             raise InvalidSwitchError("switch would empty the source coalition")
+        m, k = self.probs.shape
+        if priced is not None:
+            rows, grid = priced
+            if np.shape(rows) != (m + 1, k) or np.shape(grid) != (m + 1, m + 1):
+                raise InvalidValueError(
+                    f"priced rows and grid must have shapes {(m + 1, k)} and {(m + 1, m + 1)}, "
+                    f"got {np.shape(rows)} and {np.shape(grid)}"
+                )
 
         self.assignment[client] = tgt
         self.sizes[src] -= 1
@@ -240,19 +295,30 @@ class Partition:
         self.counts[src] -= self.client_counts[client]
         self.counts[tgt] += self.client_counts[client]
         touched = [src, tgt]
-        self.probs[touched] = _normalized(self.counts[touched])
-        # JS is symmetric bit for bit, so the two refreshed rows agree on
-        # their shared (src, tgt) entry and the matrix stays symmetric
-        rows = js_rows(self.probs[touched][:, None, :], self.probs[None, :, :])
-        self.js_matrix[touched, :] = rows
-        self.js_matrix[:, touched] = rows.T
+        if priced is None:
+            self.probs[touched] = _normalized(self.counts[touched])
+            # JS is symmetric bit for bit, so the two refreshed rows agree
+            # on their shared (src, tgt) entry and the matrix stays symmetric
+            js = js_rows(self.probs[touched][:, None, :], self.probs[None, :, :])
+        else:
+            self.probs[src] = rows[0]
+            self.probs[tgt] = rows[1 + tgt]
+            js = grid[[0, 1 + tgt], :m]  # against the old rows; fix the touched columns
+            js[0, src] = js[1, tgt] = 0.0
+            js[0, tgt] = js[1, src] = grid[1 + tgt, m]
+        self.js_matrix[touched, :] = js
+        self.js_matrix[:, touched] = js.T
 
 
-def _price_moves(partition: Partition, clients: np.ndarray) -> np.ndarray:
+def _price_moves(
+    partition: Partition, clients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Avg-JS change of moving each listed client to each coalition.
 
-    Returns a (len(clients), M) array with +inf at every client's own
-    coalition.  No listed client may be alone in its coalition.
+    Returns the (len(clients), M) deltas, with +inf at every client's
+    own coalition, and the kernel's rows (len(clients), M+1, K) and grid
+    (len(clients), M+1, M+1) that ``Partition.apply`` can take.  No
+    listed client may be alone in its coalition.
 
     A move of client c from s to t changes the pairs that touch s or t
     only: for every other coalition k, JS(s', P_k) - J[s, k] and
@@ -282,7 +348,7 @@ def _price_moves(partition: Partition, clients: np.ndarray) -> np.ndarray:
     deltas = (grid[:, 1:, m] - current[src]) + changes.sum(axis=2)
     deltas /= partition.pair_denominator()
     deltas[np.arange(len(clients)), src] = np.inf
-    return deltas
+    return deltas, rows, grid
 
 
 def switch_deltas(partition: Partition, client: int) -> np.ndarray:
@@ -298,7 +364,7 @@ def switch_deltas(partition: Partition, client: int) -> np.ndarray:
         raise InvalidSwitchError("there is no other coalition to switch to")
     if partition.sizes[partition.assignment[client]] == 1:
         raise InvalidSwitchError("switch would empty the source coalition")
-    return _price_moves(partition, np.array([client]))[0]
+    return _price_moves(partition, np.array([client]))[0][0]
 
 
 def evaluate_switch(
@@ -338,13 +404,15 @@ def best_switch(
     All target coalitions are priced; ``deltas``, when given, is the
     client's ``switch_deltas`` vector on the partition's current state
     and saves recomputing it.  The target with the smallest delta is
-    returned provided it beats staying by more than ``tolerance``.
+    returned provided it beats staying by more than ``tolerance``, a
+    finite real >= 0.
     Deltas that are equal as floats resolve to the lowest coalition
     index (``argmin`` returns the first minimum).  Deltas that are tied
     in exact arithmetic but differ in the last bits, because each
     target's pair changes are summed in a different order, resolve by
     that rounding: reproducibly, but not always to the lower index.
     """
+    _check_tolerance(tolerance)
     src = int(partition.assignment[client])
     if partition.num_coalitions < 2 or partition.sizes[src] == 1:
         return None
@@ -372,18 +440,31 @@ def run_coalition_formation(
     loop stops once no switch has been accepted for n_clients
     consecutive samples and an exhaustive deviation check confirms
     stability (random sampling alone can miss an improving client), or
-    when ``max_iters`` is reached.  The returned trace records every
-    sampled iteration, so its avg JS column is non-increasing.
+    when ``max_iters``, an integer >= 1, is reached.  ``tolerance`` must
+    be a finite real >= 0.  The returned trace records every sampled
+    iteration, so its avg JS column is non-increasing.
 
     Clients are drawn LOOKAHEAD_DRAWS samples ahead, one scalar draw at
     a time and in sampling order, so the samples are those of one draw
     per iteration.  A sampled client that is not yet priced on the
     current partition is priced in one batch with every unpriced,
-    movable client among the held draws.  The rows are kept until the
-    next accepted switch, and the stability check reuses them.
+    movable client among the held draws.  The prices are kept until the
+    next accepted switch, and the stability check reuses them; the
+    batch's kernel rows and grid are kept as well, and an accepted
+    switch is applied from them (``Partition.apply``).
+
+    An epoch whose JS matrix is all zeros is settled: it is a global
+    minimum of the potential, so its sampled clients are recorded as
+    rejections without pricing, and its stability check is the memo-less
+    ``certify_stability``, which answers without pricing.  Pricing would
+    reject the same clients: every delta is a sum of non-negative kernel
+    values, and none is below ``-tolerance``.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
+        raise InvalidValueError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1:
         raise InvalidValueError(f"max_iters must be at least 1, got {max_iters}")
+    _check_tolerance(tolerance)
     initial.validate()
     partition = initial.copy()
     rng = np.random.default_rng(rng_seed)
@@ -392,7 +473,11 @@ def run_coalition_formation(
     n, m = partition.n_clients, partition.num_coalitions
     # this epoch's switch_deltas rows; NaN rows are not priced yet
     known = np.full((n, m), np.nan)
+    # each batch-priced client's (rows, grid, position) in this epoch's
+    # kernel arrays of its batch
+    slots: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
     movable = (partition.sizes[partition.assignment] > 1) & (m > 1)
+    settled = not partition.js_matrix.any()
     avg_js = partition.avg_js()
     ahead: deque[int] = deque()
     quiet = 0
@@ -404,18 +489,26 @@ def run_coalition_formation(
         client = ahead.popleft()
         src = int(partition.assignment[client])
         proposal = None
-        if movable[client]:
+        if movable[client] and not settled:
             if math.isnan(known[client, 0]):
                 batch = [client]
                 for other in ahead:
                     if movable[other] and math.isnan(known[other, 0]) and other not in batch:
                         batch.append(other)
-                known[batch] = _price_moves(partition, np.array(batch))
+                known[batch], rows, grid = _price_moves(partition, np.array(batch))
+                for position, other in enumerate(batch):
+                    slots[other] = (rows, grid, position)
             proposal = best_switch(partition, client, tolerance, known[client])
         if proposal is not None:
-            partition.apply(proposal)
+            priced = None  # rows priced by a failed certificate have no grid
+            if client in slots:
+                rows, grid, position = slots[client]
+                priced = (rows[position], grid[position])
+            partition.apply(proposal, priced)
             known.fill(np.nan)
+            slots.clear()
             movable = partition.sizes[partition.assignment] > 1
+            settled = not partition.js_matrix.any()
             avg_js = partition.avg_js()
             quiet = 0
         else:
@@ -425,13 +518,15 @@ def run_coalition_formation(
         )
         iteration += 1
         if quiet >= n:
-            if certify_stability(partition, tolerance, known):
+            if certify_stability(partition, tolerance, None if settled else known):
                 converged = True
                 break
             quiet = 0  # sampling missed an improving client; keep going
 
     trace.iterations_used = iteration
-    trace.converged = converged or certify_stability(partition, tolerance, known)
+    trace.converged = converged or certify_stability(
+        partition, tolerance, None if settled else known
+    )
     return partition, trace
 
 
@@ -488,17 +583,35 @@ def certify_stability(
 
     Every client that is not alone in its coalition is priced against
     every target, in blocks of clients sized by CERTIFY_BLOCK_ELEMENTS.
-    With a single coalition no client has anywhere to go.
+    With a single coalition no client has anywhere to go.  ``tolerance``
+    must be a finite real >= 0.
 
-    ``known``, when given, is an (n_clients, M) array holding the
-    ``switch_deltas`` vector of each client already priced on the
-    partition's current state and NaN in every other row.  An improving
-    known row fails the check at once; only the movable clients with a
-    NaN row are priced, and their rows are written into ``known``, so a
-    failed check leaves every row it priced for the caller to reuse.
+    Without ``known``, a partition whose JS matrix is all zeros is
+    stable at once: it is a global minimum of the potential, and every
+    price there is a sum of non-negative kernel values.
+
+    ``known``, when given, is a float array of shape (n_clients, M)
+    holding the ``switch_deltas`` vector of each client already priced
+    on the partition's current state and NaN in every other row.  An
+    improving known row fails the check at once; only the movable
+    clients with a NaN row are priced, and their rows are written into
+    ``known``, so a failed check leaves every row it priced for the
+    caller to reuse and a passed one has priced every movable client.
     """
+    _check_tolerance(tolerance)
     m = partition.num_coalitions
+    if known is not None and not (
+        isinstance(known, np.ndarray)
+        and known.dtype.kind == "f"
+        and known.shape == (partition.n_clients, m)
+    ):
+        raise InvalidValueError(
+            f"known must be a float array of shape {(partition.n_clients, m)}, "
+            f"got {np.shape(known)} {getattr(known, 'dtype', type(known).__name__)}"
+        )
     if m < 2:
+        return True
+    if known is None and not partition.js_matrix.any():
         return True
     unpriced = partition.sizes[partition.assignment] > 1
     if known is not None:
@@ -509,7 +622,7 @@ def certify_stability(
     block = max(1, CERTIFY_BLOCK_ELEMENTS // ((m + 1) ** 2 * partition.counts.shape[1]))
     for start in range(0, movable.size, block):
         clients = movable[start:start + block]
-        deltas = _price_moves(partition, clients)
+        deltas = _price_moves(partition, clients)[0]
         if known is not None:
             known[clients] = deltas
         if np.any(deltas < -tolerance):
@@ -533,8 +646,7 @@ def random_partition(
         raise InvalidPartitionError("fewer clients than coalitions")
     assignment = np.empty(n, dtype=np.int64)
     order = rng.permutation(n)
-    for m in range(num_coalitions):
-        assignment[order[m]] = m
+    assignment[order[:num_coalitions]] = np.arange(num_coalitions)
     assignment[order[num_coalitions:]] = rng.integers(
         num_coalitions, size=n - num_coalitions
     )

@@ -356,18 +356,41 @@ def random_counts(rng, n_clients, n_classes, scheme="dirichlet", size=20, alpha=
     return counts
 
 
+def random_partition_ref(client_label_counts, num_coalitions, rng, denominator="M"):
+    """``game.random_partition`` with its first deal as a per-coalition loop."""
+    from leapsim.game import Partition
+
+    n = np.asarray(client_label_counts).shape[0]
+    assignment = np.empty(n, dtype=np.int64)
+    order = rng.permutation(n)
+    for m in range(num_coalitions):
+        assignment[order[m]] = m
+    assignment[order[num_coalitions:]] = rng.integers(
+        num_coalitions, size=n - num_coalitions
+    )
+    return Partition(assignment, client_label_counts, num_coalitions, denominator)
+
+
 def coalition_formation_ref(initial, max_iters, rng_seed=0, tolerance=1e-10):
     """The improvement loop one sample at a time, with nothing reused.
 
     Each iteration draws one client, prices it alone with ``best_switch``,
     applies an improving switch and recomputes avg JS; the stability
-    check prices every movable client afresh.  It shares the package's
-    partition primitives, so it pins the batched loop's sampling, reuse
-    of prices and stopping rule to this plain form, decision for
+    check asks every client for a ``best_switch``, each priced alone by
+    ``switch_deltas``, so it shares neither ``certify_stability`` nor
+    its zero-potential shortcut.  It shares the package's partition
+    primitives, so it pins the batched loop's sampling, reuse of prices,
+    settled epochs and stopping rule to this plain form, decision for
     decision.  Returns (final assignment, trace entries, iterations
     used, converged, failed stability checks).
     """
-    from leapsim.game import best_switch, certify_stability
+    from leapsim.game import best_switch
+
+    def stable(partition):
+        return all(
+            best_switch(partition, client, tolerance) is None
+            for client in range(partition.n_clients)
+        )
 
     partition = initial.copy()
     rng = np.random.default_rng(rng_seed)
@@ -388,12 +411,12 @@ def coalition_formation_ref(initial, max_iters, rng_seed=0, tolerance=1e-10):
         entries.append((iteration, client, src, target, partition.avg_js()))
         iteration += 1
         if quiet >= n:
-            if certify_stability(partition, tolerance):
+            if stable(partition):
                 converged = True
                 break
             failed += 1
             quiet = 0
-    converged = converged or certify_stability(partition, tolerance)
+    converged = converged or stable(partition)
     return partition.assignment, entries, iteration, converged, failed
 
 

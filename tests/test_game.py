@@ -7,6 +7,7 @@ from leapsim.game import (
     InvalidPartitionError,
     InvalidSwitchError,
     Partition,
+    SwitchProposal,
     _price_moves,
     best_switch,
     certify_stability,
@@ -20,7 +21,13 @@ from leapsim.game import (
 
 from leapsim.experiment import write_game_trace
 
-from oracles import coalition_formation_ref, partition_avg_js_ref, random_counts, stable_ref
+from oracles import (
+    coalition_formation_ref,
+    partition_avg_js_ref,
+    random_counts,
+    random_partition_ref,
+    stable_ref,
+)
 
 ONE_HOT_4 = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)
 
@@ -77,6 +84,20 @@ def test_partition_copy_is_independent():
     assert part.assignment.tolist() == [0, 0, 1, 1]
     part.validate()
     clone.validate()
+
+
+def test_random_partition_matches_the_per_coalition_loop():
+    rng = np.random.default_rng(9)
+    for seed in range(20):
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(m, 4 * m + 3))
+        counts = random_counts(rng, n, 4)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        part = random_partition(counts, m, ours, "pairs" if seed % 2 else "M")
+        ref = random_partition_ref(counts, m, theirs, part.denominator)
+        assert np.array_equal(part.assignment, ref.assignment)
+        assert part.denominator == ref.denominator
+        assert ours.integers(2**62) == theirs.integers(2**62)  # same draws consumed
 
 
 def test_apply_updates_caches_incrementally():
@@ -379,6 +400,44 @@ def test_certify_matches_brute_force_oracle(monkeypatch, block_elements):
     assert verdicts == {True, False}
     assert with_singletons > 0
 
+    # zero potential: answered without pricing, and stable by brute force
+    for part in _zero_potential_cases():
+        assert not part.js_matrix.any()
+        assert certify_stability(part)
+        assert stable_ref(part.assignment, part.client_counts, part.num_coalitions,
+                          denominator=part.denominator)
+
+
+def _zero_potential_cases():
+    """Partitions whose coalitions all hold the same label mix."""
+    cases = []
+    for denominator in ("M", "pairs"):
+        cases.append(make_partition([0, 1, 1, 0, 2, 2, 1], np.full((7, 1), 4), 3, denominator))
+        cases.append(make_partition([0, 1, 0, 1], ONE_HOT_4, 2, denominator))
+        cases.append(make_partition([0, 1, 2], np.full((3, 2), 2), 3, denominator))  # singletons
+        counts = np.zeros((24, 3), dtype=np.int64)
+        counts[np.arange(24), np.arange(24) % 3] = 5
+        cases.append(make_partition((np.arange(24) // 3) % 4, counts, 4, denominator))
+    return cases
+
+
+def test_certify_zero_potential_without_a_memo_prices_nothing(monkeypatch):
+    import leapsim.game
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a zero-potential partition was priced")
+
+    for part in _zero_potential_cases():
+        movable = _movable(part)
+        with monkeypatch.context() as patched:
+            patched.setattr(leapsim.game, "_price_moves", forbidden)
+            assert certify_stability(part)
+        # with a memo the check still prices, and keeps, every movable row
+        known = np.full((part.n_clients, part.num_coalitions), np.nan)
+        assert certify_stability(part, known=known)
+        assert np.flatnonzero(~np.isnan(known[:, 0])).tolist() == movable.tolist()
+        assert np.all(known[movable] >= 0)
+
 
 def test_certify_spans_several_default_blocks():
     import leapsim.game
@@ -428,7 +487,7 @@ def test_batch_rows_equal_single_client_pricing_bit_for_bit():
             ids = rng.permutation(movable)[:size]
             if size % 2:
                 ids = np.repeat(ids, 2)[::2]
-            rows = _price_moves(part, ids)
+            rows = _price_moves(part, ids)[0]
             assert rows.shape == (size, part.num_coalitions)
             for i, client in enumerate(ids):
                 assert np.array_equal(rows[i], single[int(client)])
@@ -450,7 +509,7 @@ def test_certify_with_a_partial_memo_matches_certify_without(monkeypatch, block_
         if case % 3 == 0:
             part, _ = run_coalition_formation(part, max_iters=2000, rng_seed=case)
         movable = _movable(part)
-        rows = _price_moves(part, movable)
+        rows = _price_moves(part, movable)[0]
         improving = set(movable[np.any(rows < -1e-10, axis=1)].tolist())
         stable = certify_stability(part)
         assert stable == (not improving)
@@ -489,6 +548,63 @@ def test_loop_rejects_fewer_than_one_iteration():
             run_coalition_formation(part, max_iters=max_iters)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, True, np.float64(4.0), "10", None])
+def test_loop_rejects_a_non_integer_iteration_budget(max_iters):
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    with pytest.raises(InvalidValueError, match="max_iters must be an integer"):
+        run_coalition_formation(part, max_iters=max_iters)
+
+
+def test_loop_accepts_numpy_integer_budgets():
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    _, plain = run_coalition_formation(part, max_iters=3, rng_seed=1)
+    for max_iters in (np.int64(3), np.int32(3), np.uint8(3)):
+        _, trace = run_coalition_formation(part, max_iters=max_iters, rng_seed=1)
+        assert trace.entries == plain.entries and trace.iterations_used == 3
+
+
+BAD_TOLERANCES = [float("nan"), -0.5, -1e-300, float("inf"), True, False, np.bool_(True),
+                  "1e-10", None, 1j]
+
+
+@pytest.mark.parametrize("tolerance", BAD_TOLERANCES, ids=repr)
+def test_game_rejects_a_tolerance_outside_the_finite_non_negative_reals(tolerance):
+    # nan would pass the unstable split below and -0.5 accepts worsening
+    # switches forever; both break the loop's guarantees
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    for call in (
+        lambda: run_coalition_formation(part, max_iters=50, tolerance=tolerance),
+        lambda: best_switch(part, 0, tolerance),
+        lambda: certify_stability(part, tolerance),
+        lambda: certify_stability(part, tolerance, np.full((4, 2), np.nan)),
+    ):
+        with pytest.raises(InvalidValueError, match="tolerance must be a finite real >= 0"):
+            call()
+    assert part.assignment.tolist() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("tolerance", [0, 0.0, 1e-10, np.float64(1e-10), np.float32(1e-6), 1])
+def test_game_accepts_finite_non_negative_tolerances(tolerance):
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    improvable = tolerance < 0.27  # the split's best switch lowers avg JS by 0.2704
+    assert certify_stability(part, tolerance) != improvable
+    assert (best_switch(part, 0, tolerance) is not None) == improvable
+    _, trace = run_coalition_formation(part, max_iters=50, rng_seed=7, tolerance=tolerance)
+    assert trace.converged and bool(trace.accepted()) == improvable
+
+
+@pytest.mark.parametrize(
+    "known",
+    [np.full((3, 2), np.nan), np.full((5, 3), np.nan), np.full(5, np.nan),
+     np.full((5, 2), -1, dtype=np.int64), [[np.nan] * 2] * 5],
+    ids=["short", "wide", "1-D", "int", "list"],
+)
+def test_certify_rejects_a_memo_of_the_wrong_shape_or_type(known):
+    part = make_partition([0, 0, 1, 1, 0], np.eye(5, 2, dtype=np.int64) + 1, 2)
+    with pytest.raises(InvalidValueError, match=r"known must be a float array of shape \(5, 2\)"):
+        certify_stability(part, known=known)
+
+
 def _replay_facts(initial, entries, window):
     """Singleton-source samples, and windows of held draws that repeat a client."""
     assignment = initial.assignment.copy()
@@ -505,9 +621,25 @@ def _replay_facts(initial, entries, window):
     return singles, repeats
 
 
+def _settled_samples(initial, entries):
+    """Samples taken on a partition with zero potential (avg JS exactly 0)."""
+    values = [initial.avg_js()] + [entry[4] for entry in entries]
+    return sum(before == 0.0 for before in values[:-1])
+
+
+def _balanced_case(rng, denominator):
+    """One-hot clients in whole label groups: a zero-potential partition exists."""
+    m, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    n = m * k * int(rng.integers(1, 3))
+    counts = np.zeros((n, k), dtype=np.int64)
+    counts[np.arange(n), np.arange(n) % k] = 3
+    return random_partition(counts, m, rng, denominator)
+
+
 def test_batched_loop_matches_the_one_sample_reference_exactly():
     rng = np.random.default_rng(33)
-    facts = dict(singles=0, repeats=0, two=0, pairs=0, cut=0, failed=0)
+    facts = dict(singles=0, repeats=0, two=0, pairs=0, cut=0, failed=0, settled=0)
+    cases = []
     for case in range(60):
         m = int(rng.integers(2, 5))
         n = int(rng.integers(m, 4 * m + 2))
@@ -516,8 +648,12 @@ def test_batched_loop_matches_the_one_sample_reference_exactly():
         denominator = "pairs" if case % 2 else "M"
         start = random_partition(counts, m, rng, denominator)
         max_iters = int(rng.integers(1, 120)) if case % 3 == 0 else 3000
-        seed = int(rng.integers(2**31))
+        cases.append((start, max_iters, int(rng.integers(2**31))))
+    for case in range(10):
+        start = _balanced_case(rng, "pairs" if case % 2 else "M")
+        cases.append((start, 3000, int(rng.integers(2**31))))
 
+    for start, max_iters, seed in cases:
         final, trace = run_coalition_formation(start, max_iters=max_iters, rng_seed=seed)
         ref_assignment, entries, used, converged, failed = coalition_formation_ref(
             start, max_iters, seed
@@ -530,11 +666,131 @@ def test_batched_loop_matches_the_one_sample_reference_exactly():
         singles, repeats = _replay_facts(start, entries, LOOKAHEAD_DRAWS)
         facts["singles"] += singles
         facts["repeats"] += repeats
-        facts["two"] += m == 2
-        facts["pairs"] += denominator == "pairs"
+        facts["two"] += start.num_coalitions == 2
+        facts["pairs"] += start.denominator == "pairs"
         facts["cut"] += used == max_iters and used % LOOKAHEAD_DRAWS != 0
         facts["failed"] += failed
+        # cases that reach zero potential and keep sampling before they stop
+        facts["settled"] += _settled_samples(start, entries) > 0
     assert all(count > 0 for count in facts.values()), facts
+
+
+# -- applying a switch from its priced rows ---------------------------------------
+
+STATE = ("assignment", "sizes", "counts", "probs", "js_matrix")
+
+
+def _state(part):
+    return {name: getattr(part, name).tobytes() for name in STATE}
+
+
+def _priced(part, clients):
+    """Each listed client's (rows, grid) slice of one _price_moves batch."""
+    _, rows, grid = _price_moves(part, np.asarray(clients))
+    return {int(c): (rows[i], grid[i]) for i, c in enumerate(clients)}
+
+
+def test_priced_apply_equals_recomputing_apply_bit_for_bit():
+    rng = np.random.default_rng(34)
+    cases = _pricing_cases(rng)
+    for denominator in ("M", "pairs"):  # singleton coalitions beside movable clients
+        cases.append(make_partition([0, 1, 2, 2, 3, 2], random_counts(rng, 6, 3), 4, denominator))
+    moves, shapes = 0, set()
+    for part in cases:
+        movable = _movable(part)
+        priced = _priced(part, rng.permutation(movable))
+        for client in movable.tolist():
+            src = int(part.assignment[client])
+            for target in range(part.num_coalitions):
+                if target == src:
+                    continue
+                proposal = evaluate_switch(part, client, target)
+                recomputed, from_rows = part.copy(), part.copy()
+                recomputed.apply(proposal)
+                from_rows.apply(proposal, priced[client])
+                assert _state(from_rows) == _state(recomputed)
+                moves += 1
+        shapes.add((part.counts.shape[1] == 1, part.num_coalitions == 2,
+                    bool(np.any(part.sizes == 1)), part.denominator))
+    assert moves > 500
+    assert {(True, False, False, "M"), (False, True, False, "pairs"),
+            (False, False, True, "M"), (False, False, True, "pairs")} <= shapes
+
+
+def test_priced_apply_rejects_inadmissible_or_misshapen_input_untouched():
+    part = make_partition([0, 0, 1, 1, 2, 0], np.eye(6, 3, dtype=np.int64) + 1, 3)
+    priced = _priced(part, [0, 1, 5])
+    before = _state(part)
+    stale = SwitchProposal(client=0, source=1, target=2, delta_js=0.0)
+    same = SwitchProposal(client=0, source=0, target=0, delta_js=0.0)
+    emptying = SwitchProposal(client=4, source=2, target=0, delta_js=0.0)
+    for proposal in (stale, same, emptying):
+        with pytest.raises(InvalidSwitchError):
+            part.apply(proposal, priced.get(proposal.client, priced[0]))
+        assert _state(part) == before
+    rows, grid = priced[0]
+    good = evaluate_switch(part, 0, 1)
+    for bad in ((rows[:-1], grid), (rows, grid[:, :-1]), (rows[..., None], grid), (rows, grid.T[0])):
+        with pytest.raises(InvalidValueError, match="priced rows and grid must have shapes"):
+            part.apply(good, bad)
+        assert _state(part) == before
+
+
+# -- the names perfbench's tracer wraps ---------------------------------------------
+
+def test_loop_calls_through_module_bindings(monkeypatch):
+    """Loop calls go through ``leapsim.game``'s globals and ``Partition.apply``.
+
+    The benchmark's tracer wraps ``evaluate_switch``, ``certify_stability``
+    and the ``Partition.apply`` class attribute, and checks one apply
+    per accepted switch; a refactor that binds or inlines them elsewhere
+    fails here.
+    """
+    import leapsim.game
+
+    calls = dict(evaluate_switch=0, certify_stability=0, _price_moves=0, apply=0)
+    for name in ("evaluate_switch", "certify_stability", "_price_moves"):
+        real = getattr(leapsim.game, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(leapsim.game, name, counted)
+    real_apply = Partition.apply
+
+    def counted_apply(self, *args, **kwargs):
+        calls["apply"] += 1
+        return real_apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(Partition, "apply", counted_apply)
+
+    rng = np.random.default_rng(35)
+    unsettled = 0
+    for case in range(12):
+        start, _ = _random_partition_case(rng)
+        if case % 4 == 0:
+            start = _balanced_case(rng, start.denominator)
+        max_iters = 40 if case % 3 == 0 else 3000
+        for name in calls:
+            calls[name] = 0
+        _, trace = run_coalition_formation(start, max_iters=max_iters, rng_seed=case)
+        seen = dict(calls)  # the reference below calls through the same names
+        _, _, _, _, failed = coalition_formation_ref(start, max_iters, case)
+        assert seen["apply"] == len(trace.accepted()), "one Partition.apply per accepted switch"
+        assert seen["certify_stability"] == failed + 1, "one certify per convergence check"
+        if start.js_matrix.any() and np.any(start.sizes[start.assignment] > 1):
+            assert seen["evaluate_switch"] >= 1
+            unsettled += 1
+    assert unsettled >= 6
+
+    # a settled game records every sample without pricing one
+    part = make_partition([0, 1, 1, 0, 2, 2, 1], np.full((7, 1), 4), 3)
+    for name in calls:
+        calls[name] = 0
+    _, trace = run_coalition_formation(part, max_iters=100, rng_seed=0)
+    assert trace.converged and len(trace.entries) == 7
+    assert calls == dict(evaluate_switch=0, certify_stability=1, _price_moves=0, apply=0)
 
 
 # -- trace serialization ------------------------------------------------------------
