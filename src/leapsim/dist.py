@@ -24,13 +24,15 @@ measures based on the Shannon entropy", IEEE Trans. Inf. Theory 37(1),
 
 with j = a + b, the last line for rows that sum to 1.  A grid of row
 pairs costs one logarithm per cell: the two input entropies are row
-sums over the inputs as given, and only the midpoint term runs on the
-broadcast grid.
+sums over the inputs as given, or sums the caller kept, and only the
+midpoint term runs on the broadcast grid.
 
 ``js_rows`` is the one implementation of the JS formula: it works on
 stacked probability arrays and broadcasts, so the coalition game prices
-every candidate switch of a client in a single call.  ``js_divergence``
-is its value on one pair of vectors.
+every candidate switch of a client in a single call.  ``xlog2x_sums``
+is its one row sum, which ``game.Partition`` also uses for its cached
+coalition entropies.  ``js_divergence`` is its value on one pair of
+vectors.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import LeapsimError
 
-__all__ = ["EmptyDistributionError", "js_rows", "js_divergence"]
+__all__ = ["EmptyDistributionError", "xlog2x_sums", "js_rows", "js_divergence"]
 
 
 class EmptyDistributionError(LeapsimError):
@@ -51,8 +53,12 @@ class EmptyDistributionError(LeapsimError):
 _TINY = 5e-324
 
 
-def _xlog2x_sums(x: np.ndarray) -> np.ndarray:
-    """sum_k x_k log2 x_k along the last axis, with 0 log2 0 = 0."""
+def xlog2x_sums(x: np.ndarray) -> np.ndarray:
+    """sum_k x_k log2 x_k along the last axis, with 0 log2 0 = 0.
+
+    A row's sum has the same bits whatever array holds the row, so a
+    caller may keep the sums of its rows and hand them to ``js_rows``.
+    """
     # C order makes every row one contiguous run, which numpy sums
     # pairwise and the same way whatever the input's layout; a
     # sequential sum of K equal terms (uniform rows) drifts by ~K ulp
@@ -62,12 +68,19 @@ def _xlog2x_sums(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=-1)
 
 
-def js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def js_rows(
+    p: np.ndarray,
+    q: np.ndarray,
+    p_sums: np.ndarray | None = None,
+    q_sums: np.ndarray | None = None,
+) -> np.ndarray:
     """Jensen-Shannon divergence between matching rows of two arrays.
 
     ``p`` and ``q`` hold probability vectors along their last axis and
     broadcast against each other in the leading axes; the result has the
-    broadcast leading shape.  Each row pair is evaluated in entropy form
+    broadcast leading shape.  ``p_sums`` and ``q_sums``, when given, are
+    ``xlog2x_sums(p)`` and ``xlog2x_sums(q)`` kept by the caller, and
+    save recomputing them.  Each row pair is evaluated in entropy form
 
         JS = (sum_k p_k log2 p_k + sum_k q_k log2 q_k) / 2
              - sum_k m_k log2 m_k,                 m = (p + q) / 2
@@ -97,11 +110,15 @@ def js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    js = np.asarray(_xlog2x_sums(p) + _xlog2x_sums(q))  # 0-d for a single pair
+    if p_sums is None:
+        p_sums = xlog2x_sums(p)
+    if q_sums is None:
+        q_sums = xlog2x_sums(q)
+    js = np.asarray(np.add(p_sums, q_sums))  # 0-d for a single pair
     js *= 0.5
     mid = p + q
     mid *= 0.5
-    js -= _xlog2x_sums(mid)
+    js -= xlog2x_sums(mid)
     np.maximum(js, 0.0, out=js)  # the clip to [0, 1]; np.clip costs more per call
     return np.minimum(js, 1.0, out=js)
 

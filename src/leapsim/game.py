@@ -15,20 +15,21 @@ guarantees termination in a Nash-stable partition (no single client can
 improve by deviating alone).
 
 Partitions keep exact integer label counts per coalition plus dense
-caches of the coalition probability rows and the pairwise JS matrix.
-Pricing a client's switches only recomputes the pairs that touch the
-source and the target coalition, and ``switch_deltas`` does that for
-every target at once with a single call of the broadcasting JS kernel;
-``certify_stability`` runs the same computation over blocks of clients.
+caches of the coalition probability rows, their entropy sums and the
+pairwise JS matrix.  Pricing a client's switches only recomputes the
+pairs that touch the source and the target coalition, and
+``switch_deltas`` does that for every target at once with a single call
+of the broadcasting JS kernel; ``certify_stability`` runs the same
+computation over blocks of clients.
 
 The improvement loop prices each partition state (an epoch: the span
 between two accepted switches) at most once per client.  It draws
-clients a few samples ahead and prices every unpriced one among them in
-one batch; the prices are kept until the next accepted switch and
-handed to the stability certificate, which prices only the clients left
-over.  The kernel's rows and grid of each batch are kept too, and an
-accepted switch that was priced in a batch is applied from them without
-another kernel call.
+clients in blocks, holds a few samples ahead and prices every unpriced
+one among them in one batch; the prices are kept until the next
+accepted switch and handed to the stability certificate, which prices
+only the clients left over.  The kernel's rows and grid of each batch
+are kept too, and an accepted switch that was priced in a batch is
+applied from them without another kernel call.
 
 The potential is bounded below by 0, so a partition whose JS matrix is
 all zeros is a global minimum: every switch price is a sum of clipped,
@@ -43,12 +44,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .dist import EmptyDistributionError, js_rows
+from .dist import EmptyDistributionError, js_rows, xlog2x_sums
 # the game no longer calls the scalar JS; the name stays bound here
 # because perfbench's tracer wraps leapsim.game.js_divergence
 from .dist import js_divergence  # noqa: F401
@@ -90,6 +91,12 @@ CERTIFY_BLOCK_ELEMENTS = 1 << 14
 # windows price more clients that an accepted switch makes stale before
 # they are sampled; 6 to 8 were fastest on the benchmark's game workloads.
 LOOKAHEAD_DRAWS = 8
+
+# Samples the improvement loop draws from its generator per call.  A
+# block of draws is the same stream as one scalar draw per sample, at
+# about a tenth of the cost per sample; at most one block less a sample
+# is drawn and not used.
+DRAW_BLOCK = 64
 
 
 class InvalidSwitchError(LeapsimError):
@@ -159,18 +166,32 @@ def _normalized(counts: np.ndarray) -> np.ndarray:
     return counts / totals
 
 
+@lru_cache(maxsize=32)
+def _strict_upper(m: int) -> np.ndarray:
+    """Read-only (m, m) float mask, 1.0 above the diagonal and 0.0 elsewhere.
+
+    A product with it holds the same values as ``np.triu(x, k=1)``, so
+    its sum has the same bits, at a fraction of ``np.triu``'s cost.
+    """
+    mask = np.triu(np.ones((m, m)), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
 class Partition:
     """Disjoint assignment of clients to M edge coalitions.
 
     State is the per-client coalition index ``assignment``.  The
-    coalition sizes ``sizes`` (M,) and three dense caches are maintained
+    coalition sizes ``sizes`` (M,) and four dense caches are maintained
     incrementally as switches are applied: integer label counts
-    ``counts`` (M, K), probability rows ``probs`` (M, K) and the
-    pairwise JS matrix ``js_matrix`` (M, M).  ``denominator`` fixes the
-    avg-JS normalization for every operation on this partition: "M"
-    divides the pairwise JS sum by the number of coalitions (the value
-    can exceed 1 for M >= 5), "pairs" by the number of pairs M(M-1)/2,
-    which keeps it inside [0, 1].
+    ``counts`` (M, K), probability rows ``probs`` (M, K), their sums
+    ``plogp`` (M,) of P_k log2 P_k (``dist.xlog2x_sums``: the input
+    terms of every JS value against a coalition row) and the pairwise
+    JS matrix ``js_matrix`` (M, M).  Label counts must be integers >= 0.
+    ``denominator`` fixes the avg-JS normalization for every operation
+    on this partition: "M" divides the pairwise JS sum by the number of
+    coalitions (the value can exceed 1 for M >= 5), "pairs" by the
+    number of pairs M(M-1)/2, which keeps it inside [0, 1].
     """
 
     def __init__(
@@ -186,6 +207,8 @@ class Partition:
             raise InvalidPartitionError("assignment must be a 1-D index vector")
         if client_label_counts.ndim != 2 or client_label_counts.shape[0] != assignment.shape[0]:
             raise InvalidPartitionError("label counts must be (n_clients, n_classes)")
+        if client_label_counts.size and client_label_counts.min() < 0:
+            raise InvalidPartitionError("label counts must be >= 0")
         if assignment.size and (assignment.min() < 0 or assignment.max() >= num_coalitions):
             raise InvalidPartitionError("assignment index out of range")
         if denominator not in ("M", "pairs"):
@@ -206,7 +229,10 @@ class Partition:
         self.counts = np.zeros((num_coalitions, client_label_counts.shape[1]), dtype=np.int64)
         np.add.at(self.counts, self.assignment, self.client_counts)
         self.probs = _normalized(self.counts)
-        self.js_matrix = js_rows(self.probs[:, None, :], self.probs[None, :, :])
+        self.plogp = xlog2x_sums(self.probs)
+        self.js_matrix = js_rows(
+            self.probs[:, None, :], self.probs[None, :, :], self.plogp[:, None], self.plogp[None]
+        )
 
     # -- properties ------------------------------------------------------
 
@@ -222,7 +248,7 @@ class Partition:
         """Pairwise JS sum over the denominator; 0.0 when there is no pair."""
         if self.num_coalitions < 2:
             return 0.0
-        total = float(np.sum(np.triu(self.js_matrix, k=1)))
+        total = float((self.js_matrix * _strict_upper(self.num_coalitions)).sum())
         return total / self.pair_denominator()
 
     def copy(self) -> "Partition":
@@ -234,11 +260,16 @@ class Partition:
         clone.sizes = self.sizes.copy()
         clone.counts = self.counts.copy()
         clone.probs = self.probs.copy()
+        clone.plogp = self.plogp.copy()
         clone.js_matrix = self.js_matrix.copy()
         return clone
 
     def validate(self, tol: float = 1e-12) -> None:
-        """Check every cache against a rebuild from the assignment."""
+        """Check every cache against a rebuild from the assignment.
+
+        Float caches must lie within ``tol`` of the rebuild; a NaN entry
+        is never within it.
+        """
         fresh = Partition(
             self.assignment, self.client_counts, self.num_coalitions, self.denominator
         )
@@ -246,9 +277,11 @@ class Partition:
             raise InvalidPartitionError("cached coalition sizes are stale")
         if not np.array_equal(self.counts, fresh.counts):
             raise InvalidPartitionError("cached label counts are stale")
-        if np.any(np.abs(self.probs - fresh.probs) > tol):
+        if not np.all(np.abs(self.probs - fresh.probs) <= tol):
             raise InvalidPartitionError("cached coalition distribution is stale")
-        if np.any(np.abs(self.js_matrix - fresh.js_matrix) > tol):
+        if not np.all(np.abs(self.plogp - fresh.plogp) <= tol):
+            raise InvalidPartitionError("cached coalition entropies are stale")
+        if not np.all(np.abs(self.js_matrix - fresh.js_matrix) <= tol):
             raise InvalidPartitionError("cached JS matrix is stale")
 
     # -- mutation --------------------------------------------------------
@@ -266,8 +299,9 @@ class Partition:
         grid of shape (M+1, M+1).  The new rows of source s and target t
         and their JS rows are then read from them without a kernel call:
         rows 0 and 1+t are the normalized counts after the move, divided
-        the same way as here; grid rows 0 and 1+t hold JS(s', P_k) and
-        JS(t', P_k), and grid[1+t, M] is JS(t', s').  The bits equal the
+        the same way as here, and their ``plogp`` sums are taken as here;
+        grid rows 0 and 1+t hold JS(s', P_k) and JS(t', P_k), and
+        grid[1+t, M] is JS(t', s').  The bits equal the
         recomputing path's because ``js_rows`` gives a grid equal to its
         row pairs, is symmetric, and is exactly 0 on equal rows (the two
         diagonal entries).  Without ``priced`` the touched rows are
@@ -297,12 +331,19 @@ class Partition:
         touched = [src, tgt]
         if priced is None:
             self.probs[touched] = _normalized(self.counts[touched])
+            self.plogp[touched] = xlog2x_sums(self.probs[touched])
             # JS is symmetric bit for bit, so the two refreshed rows agree
             # on their shared (src, tgt) entry and the matrix stays symmetric
-            js = js_rows(self.probs[touched][:, None, :], self.probs[None, :, :])
+            js = js_rows(
+                self.probs[touched][:, None, :],
+                self.probs[None, :, :],
+                self.plogp[touched][:, None],
+                self.plogp[None, :],
+            )
         else:
             self.probs[src] = rows[0]
             self.probs[tgt] = rows[1 + tgt]
+            self.plogp[touched] = xlog2x_sums(self.probs[touched])
             js = grid[[0, 1 + tgt], :m]  # against the old rows; fix the touched columns
             js[0, src] = js[1, tgt] = 0.0
             js[0, tgt] = js[1, src] = grid[1 + tgt, m]
@@ -325,29 +366,40 @@ def _price_moves(
     JS(t', P_k) - J[t, k], plus the pair itself, JS(s', t') - J[s, t],
     where s' and t' are the two coalitions after the move.  One kernel
     call evaluates all of them on a grid: rows [s', t'_0 .. t'_{M-1}]
-    against columns [P_0 .. P_{M-1}, s'].
+    against columns [P_0 .. P_{M-1}, s'].  The rows are normalized
+    from one count block and their entropy sums taken once; the
+    columns' sums are the partition's cached ``plogp`` and the row sum
+    of s'.
     """
     m, k = partition.probs.shape
     src = partition.assignment[clients]
     moved = partition.client_counts[clients]
-    rows = np.empty((len(clients), m + 1, k))
-    rows[:, 0] = _normalized(partition.counts[src] - moved)
-    rows[:, 1:] = _normalized(partition.counts[None, :, :] + moved[:, None, :])
+    counts = np.empty((len(clients), m + 1, k), dtype=np.int64)
+    np.subtract(partition.counts[src], moved, out=counts[:, 0])
+    np.add(partition.counts, moved[:, None, :], out=counts[:, 1:])
+    rows = _normalized(counts)
+    row_sums = xlog2x_sums(rows)
     cols = np.empty_like(rows)
     cols[:, :m] = partition.probs
     cols[:, m] = rows[:, 0]
-    grid = js_rows(rows[:, :, None, :], cols[:, None, :, :])
+    col_sums = np.empty_like(row_sums)
+    col_sums[:, :m] = partition.plogp
+    col_sums[:, m] = row_sums[:, 0]
+    grid = js_rows(
+        rows[:, :, None, :], cols[:, None, :, :], row_sums[:, :, None], col_sums[:, None, :]
+    )
 
     current = partition.js_matrix
-    src_row = current[src][:, None, :]
+    src_rows = current[src]
+    each = np.arange(len(clients))
     # [c, t, k]: change of pairs (s, k) and (t, k) when c moves to t
-    changes = (grid[:, :1, :m] - src_row) + (grid[:, 1:, :m] - current[None, :, :])
+    changes = (grid[:, :1, :m] - src_rows[:, None, :]) + (grid[:, 1:, :m] - current[None, :, :])
     every = np.arange(m)
     changes[:, every, every] = 0.0  # k == t: no pair (t, t); (s, t) is the pair itself
-    changes[np.arange(len(clients)), :, src] = 0.0  # k == s: no pair (s, s); (t, s) likewise
-    deltas = (grid[:, 1:, m] - current[src]) + changes.sum(axis=2)
+    changes[each, :, src] = 0.0  # k == s: no pair (s, s); (t, s) likewise
+    deltas = (grid[:, 1:, m] - src_rows) + changes.sum(axis=2)
     deltas /= partition.pair_denominator()
-    deltas[np.arange(len(clients)), src] = np.inf
+    deltas[each, src] = np.inf
     return deltas, rows, grid
 
 
@@ -418,7 +470,7 @@ def best_switch(
         return None
     if deltas is None:
         deltas = switch_deltas(partition, client)
-    best = evaluate_switch(partition, client, int(np.argmin(deltas)), deltas)
+    best = evaluate_switch(partition, client, int(deltas.argmin()), deltas)
     return best if best.delta_js < -tolerance else None
 
 
@@ -444,10 +496,13 @@ def run_coalition_formation(
     be a finite real >= 0.  The returned trace records every sampled
     iteration, so its avg JS column is non-increasing.
 
-    Clients are drawn LOOKAHEAD_DRAWS samples ahead, one scalar draw at
-    a time and in sampling order, so the samples are those of one draw
-    per iteration.  A sampled client that is not yet priced on the
-    current partition is priced in one batch with every unpriced,
+    ``rng_seed``, None or an integer >= 0, seeds
+    ``numpy.random.default_rng``.  Clients are drawn DRAW_BLOCK at a
+    time, at most ``max_iters`` in all, and LOOKAHEAD_DRAWS samples are
+    held ahead wherever the budget allows.  A block of draws is the same
+    stream as one scalar draw per sample, so the samples are those of
+    one draw per iteration.  A sampled client that is not yet priced on
+    the current partition is priced in one batch with every unpriced,
     movable client among the held draws.  The prices are kept until the
     next accepted switch, and the stability check reuses them; the
     batch's kernel rows and grid are kept as well, and an accepted
@@ -465,6 +520,10 @@ def run_coalition_formation(
     if max_iters < 1:
         raise InvalidValueError(f"max_iters must be at least 1, got {max_iters}")
     _check_tolerance(tolerance)
+    if rng_seed is not None and (
+        isinstance(rng_seed, bool) or not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0
+    ):
+        raise InvalidValueError(f"rng_seed must be None or an integer >= 0, got {rng_seed!r}")
     initial.validate()
     partition = initial.copy()
     rng = np.random.default_rng(rng_seed)
@@ -476,23 +535,30 @@ def run_coalition_formation(
     # each batch-priced client's (rows, grid, position) in this epoch's
     # kernel arrays of its batch
     slots: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-    movable = (partition.sizes[partition.assignment] > 1) & (m > 1)
+    # per client: not alone in its coalition (a list, indexed per sample)
+    movable = ((partition.sizes[partition.assignment] > 1) & (m > 1)).tolist()
     settled = not partition.js_matrix.any()
     avg_js = partition.avg_js()
-    ahead: deque[int] = deque()
+    draws: list[int] = []  # draws[taken:] are drawn and not yet sampled
+    taken = 0
+    undrawn = max_iters
     quiet = 0
     iteration = 0
     converged = False
     while iteration < max_iters:
-        while len(ahead) < min(LOOKAHEAD_DRAWS, max_iters - iteration):
-            ahead.append(int(rng.integers(n)))
-        client = ahead.popleft()
+        while len(draws) - taken < LOOKAHEAD_DRAWS and undrawn:
+            size = min(DRAW_BLOCK, undrawn)
+            draws = draws[taken:] + rng.integers(n, size=size).tolist()
+            taken = 0
+            undrawn -= size
+        client = draws[taken]
+        taken += 1
         src = int(partition.assignment[client])
         proposal = None
         if movable[client] and not settled:
             if math.isnan(known[client, 0]):
                 batch = [client]
-                for other in ahead:
+                for other in draws[taken:taken + LOOKAHEAD_DRAWS - 1]:
                     if movable[other] and math.isnan(known[other, 0]) and other not in batch:
                         batch.append(other)
                 known[batch], rows, grid = _price_moves(partition, np.array(batch))
@@ -507,7 +573,7 @@ def run_coalition_formation(
             partition.apply(proposal, priced)
             known.fill(np.nan)
             slots.clear()
-            movable = partition.sizes[partition.assignment] > 1
+            movable = (partition.sizes[partition.assignment] > 1).tolist()
             settled = not partition.js_matrix.any()
             avg_js = partition.avg_js()
             quiet = 0
@@ -640,8 +706,11 @@ def random_partition(
 
     One client is dealt to each coalition first (divergences are
     undefined on an empty coalition), the rest are assigned uniformly.
+    ``num_coalitions`` must be at least 1 and at most the client count.
     """
     n = np.asarray(client_label_counts).shape[0]
+    if num_coalitions <= 0:
+        raise InvalidPartitionError(f"num_coalitions must be at least 1, got {num_coalitions}")
     if n < num_coalitions:
         raise InvalidPartitionError("fewer clients than coalitions")
     assignment = np.empty(n, dtype=np.int64)

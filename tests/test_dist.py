@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leapsim.dist import EmptyDistributionError, js_divergence, js_rows
+from leapsim.dist import EmptyDistributionError, js_divergence, js_rows, xlog2x_sums
 from leapsim.game import InvalidPartitionError, Partition, random_partition, switch_deltas
 
 from oracles import js_ref, js_rows_ratio_ref, kl_ref, partition_avg_js_ref, random_counts
@@ -310,6 +310,22 @@ def test_js_rows_broadcast_grid_equals_row_pairs(rows):
     assert grid.shape == (p.shape[0], q.shape[0])
     for i in range(p.shape[0]):
         assert np.array_equal(grid[i], js_rows(np.broadcast_to(p[i], q.shape), q))
+
+
+@given(prob_rows())
+@settings(max_examples=100, deadline=None)
+def test_js_rows_with_kept_row_sums_equals_recomputing_bit_for_bit(rows):
+    # a row's sum has the same bits alone, in a stack, in a transposed
+    # copy or in a broadcast grid, so sums kept from any of them serve
+    p, q = rows
+    sums = xlog2x_sums(p)
+    assert np.array_equal(sums, xlog2x_sums(np.ascontiguousarray(p.T).T))
+    assert np.array_equal(sums, [xlog2x_sums(row) for row in p])
+    grid = js_rows(p[:, None, :], q[None, :, :])
+    kept = js_rows(p[:, None, :], q[None, :, :], sums[:, None], xlog2x_sums(q)[None, :])
+    assert np.array_equal(kept, grid)
+    assert np.array_equal(js_rows(p, q, sums), js_rows(p, q))
+    assert np.array_equal(js_rows(p, q, None, xlog2x_sums(q)), js_rows(p, q))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10])

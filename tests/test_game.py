@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from leapsim.dist import js_rows, xlog2x_sums
 from leapsim.errors import InvalidValueError
 from leapsim.game import (
+    DRAW_BLOCK,
     LOOKAHEAD_DRAWS,
     InvalidPartitionError,
     InvalidSwitchError,
@@ -54,6 +56,19 @@ def test_partition_rejects_an_unknown_denominator(denominator):
         make_partition([0, 0, 1, 1], ONE_HOT_4, 2, denominator)
     with pytest.raises(InvalidPartitionError):
         random_partition(ONE_HOT_4, 2, np.random.default_rng(0), denominator)
+
+
+def test_partition_rejects_negative_label_counts():
+    with pytest.raises(InvalidPartitionError, match="label counts must be >= 0"):
+        make_partition([0, 1], [[-1, 2], [1, 1]], 2)
+    with pytest.raises(InvalidPartitionError, match="label counts must be >= 0"):
+        random_partition(np.array([[3, 0], [0, -2], [1, 1]]), 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("num_coalitions", [0, -1])
+def test_random_partition_rejects_fewer_than_one_coalition(num_coalitions):
+    with pytest.raises(InvalidPartitionError, match="num_coalitions must be at least 1"):
+        random_partition(ONE_HOT_4, num_coalitions, np.random.default_rng(0))
 
 
 def test_partition_caches_match_fresh_computation():
@@ -112,6 +127,30 @@ def test_apply_updates_caches_incrementally():
         target = (src + 1) % 3
         part.apply(evaluate_switch(part, client, target))
         part.validate()  # cached distributions and JS matrix vs rebuild
+        assert part.plogp.tobytes() == xlog2x_sums(part.probs).tobytes()
+
+
+def test_validate_catches_a_stale_entropy_cache():
+    rng = np.random.default_rng(2)
+    part = random_partition(random_counts(rng, 9, 4), 3, rng)
+    before = part.plogp.copy()
+    client = int(np.flatnonzero(part.sizes[part.assignment] > 1)[0])
+    part.apply(evaluate_switch(part, client, (int(part.assignment[client]) + 1) % 3))
+    part.validate()
+    assert not np.array_equal(part.plogp, before)
+    for stale in (before, part.plogp + 1e-9, np.where(np.arange(3) == 1, np.nan, part.plogp)):
+        broken = part.copy()
+        broken.plogp = stale.copy()
+        with pytest.raises(InvalidPartitionError, match="cached coalition entropies are stale"):
+            broken.validate()
+        with pytest.raises(InvalidPartitionError, match="entropies are stale"):
+            run_coalition_formation(broken, max_iters=10, rng_seed=0)
+    # a NaN is stale in every float cache
+    for name, message in (("probs", "distribution"), ("js_matrix", "JS matrix")):
+        broken = part.copy()
+        getattr(broken, name)[0, 0] = np.nan
+        with pytest.raises(InvalidPartitionError, match=f"{message} is stale"):
+            broken.validate()
 
 
 # -- evaluate_switch -----------------------------------------------------------
@@ -313,6 +352,25 @@ def test_run_requires_valid_initial_partition():
         run_coalition_formation(part, max_iters=10, rng_seed=0)
 
 
+@pytest.mark.parametrize(
+    "rng_seed", [-1, 1.5, True, False, np.bool_(True), np.float64(2.0), "3", [1]], ids=repr
+)
+def test_loop_rejects_a_seed_that_is_not_none_or_an_integer_at_least_0(rng_seed):
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    with pytest.raises(InvalidValueError, match="rng_seed must be None or an integer >= 0"):
+        run_coalition_formation(part, max_iters=10, rng_seed=rng_seed)
+
+
+def test_loop_accepts_numpy_integer_seeds_and_none():
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    _, plain = run_coalition_formation(part, max_iters=50, rng_seed=7)
+    for seed in (np.int64(7), np.uint8(7)):
+        _, trace = run_coalition_formation(part, max_iters=50, rng_seed=seed)
+        assert trace.entries == plain.entries
+    _, trace = run_coalition_formation(part, max_iters=50, rng_seed=None)
+    assert trace.converged and trace.seed is None
+
+
 def test_run_is_reproducible_per_seed():
     rng = np.random.default_rng(6)
     counts = random_counts(rng, 10, 4)
@@ -496,6 +554,18 @@ def test_batch_rows_equal_single_client_pricing_bit_for_bit():
             (False, True, "pairs")} <= shapes
 
 
+def test_batch_grid_equals_the_kernel_without_kept_sums():
+    # the cached plogp and the rows' own sums stand in for the kernel's
+    # input sums without moving a bit
+    rng = np.random.default_rng(37)
+    for part in _pricing_cases(rng):
+        m = part.num_coalitions
+        _, rows, grid = _price_moves(part, _movable(part))
+        cols = np.concatenate([np.broadcast_to(part.probs, rows[:, :m].shape), rows[:, :1]], 1)
+        assert np.array_equal(grid, js_rows(rows[:, :, None, :], cols[:, None, :, :]))
+        assert np.array_equal(part.js_matrix, js_rows(part.probs[:, None], part.probs[None]))
+
+
 @pytest.mark.parametrize("block_elements", [None, 1])
 def test_certify_with_a_partial_memo_matches_certify_without(monkeypatch, block_elements):
     import leapsim.game
@@ -627,6 +697,19 @@ def _settled_samples(initial, entries):
     return sum(before == 0.0 for before in values[:-1])
 
 
+def _priced_samples(initial, entries):
+    """Samples of a client that is not alone, taken at nonzero avg JS."""
+    assignment = initial.assignment.copy()
+    before = initial.avg_js()
+    priced = 0
+    for _, client, src, target, after in entries:
+        priced += before != 0.0 and np.count_nonzero(assignment == src) > 1
+        if target is not None:
+            assignment[client] = target
+        before = after
+    return priced
+
+
 def _balanced_case(rng, denominator):
     """One-hot clients in whole label groups: a zero-potential partition exists."""
     m, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
@@ -675,9 +758,71 @@ def test_batched_loop_matches_the_one_sample_reference_exactly():
     assert all(count > 0 for count in facts.values()), facts
 
 
+@pytest.mark.parametrize("n", [1, 7, 40, 120, 3 * 2**30])
+def test_block_draws_are_the_stream_of_scalar_draws(n):
+    # odd and even blocks, and blocks that straddle the loop's block size;
+    # 3 * 2**30 rejects about a third of the raw 32-bit draws
+    sizes = [1, 2, 3, 8, 5, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK, 7]
+    for seed in (0, 5, 2024):
+        blocks, scalars = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [v for size in sizes for v in blocks.integers(n, size=size).tolist()]
+        assert drawn == [int(scalars.integers(n)) for _ in drawn]
+        assert blocks.integers(2**62) == scalars.integers(2**62)  # same state after
+
+
+@pytest.mark.parametrize("block", [1, 3, LOOKAHEAD_DRAWS, 9, None])
+def test_batched_loop_matches_the_reference_across_draw_blocks(monkeypatch, block):
+    """Every draw block size gives the reference's games and the same batches.
+
+    A block of 1 is one draw per sample; every other block must hold the
+    same draws ahead, so each epoch prices the same clients in the same
+    batches.  Each game runs to convergence and again under a budget
+    that ends inside a block, past the first one.
+    """
+    import leapsim.game
+
+    def recording(partition, clients):
+        batches.append(clients.tolist())
+        return real(partition, clients)
+
+    def run(draw_block, start, max_iters, seed):
+        batches.clear()
+        monkeypatch.setattr(leapsim.game, "DRAW_BLOCK", draw_block)
+        return (*run_coalition_formation(start, max_iters=max_iters, rng_seed=seed), [*batches])
+
+    real, batches = leapsim.game._price_moves, []
+    monkeypatch.setattr(leapsim.game, "_price_moves", recording)
+    size = DRAW_BLOCK if block is None else block
+    rng = np.random.default_rng(36)
+    spans = []
+    for case in range(12):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(12 * m, 20 * m))
+        counts = random_counts(rng, n, int(rng.integers(2, 6)))
+        start = random_partition(counts, m, rng, "pairs" if case % 2 else "M")
+        seed = int(rng.integers(2**31))
+        full = run(1, start, 3000, seed)[1].iterations_used
+        budgets = [3000]
+        cut = full - 1 - ((full - 1) % size == 0)  # not a whole number of blocks
+        if cut > size:
+            budgets.append(cut)
+        for max_iters in budgets:
+            final, trace, priced = run(size, start, max_iters, seed)
+            assert priced == run(1, start, max_iters, seed)[2]
+            ref_assignment, entries, used, converged, _ = coalition_formation_ref(
+                start, max_iters, seed
+            )
+            assert trace.entries == entries
+            assert np.array_equal(final.assignment, ref_assignment)
+            assert (trace.iterations_used, trace.converged) == (used, converged)
+        spans.append((full // size, len(budgets)))
+    assert sum(blocks >= 2 for blocks, _ in spans) >= 6
+    assert sum(games == 2 for _, games in spans) >= 6
+
+
 # -- applying a switch from its priced rows ---------------------------------------
 
-STATE = ("assignment", "sizes", "counts", "probs", "js_matrix")
+STATE = ("assignment", "sizes", "counts", "probs", "plogp", "js_matrix")
 
 
 def _state(part):
@@ -767,7 +912,7 @@ def test_loop_calls_through_module_bindings(monkeypatch):
 
     rng = np.random.default_rng(35)
     unsettled = 0
-    for case in range(12):
+    for case in range(16):
         start, _ = _random_partition_case(rng)
         if case % 4 == 0:
             start = _balanced_case(rng, start.denominator)
@@ -776,12 +921,13 @@ def test_loop_calls_through_module_bindings(monkeypatch):
             calls[name] = 0
         _, trace = run_coalition_formation(start, max_iters=max_iters, rng_seed=case)
         seen = dict(calls)  # the reference below calls through the same names
-        _, _, _, _, failed = coalition_formation_ref(start, max_iters, case)
+        _, entries, _, _, failed = coalition_formation_ref(start, max_iters, case)
         assert seen["apply"] == len(trace.accepted()), "one Partition.apply per accepted switch"
         assert seen["certify_stability"] == failed + 1, "one certify per convergence check"
-        if start.js_matrix.any() and np.any(start.sizes[start.assignment] > 1):
-            assert seen["evaluate_switch"] >= 1
-            unsettled += 1
+        # game.switches_priced: one evaluate_switch per sample of a movable
+        # client on a partition with nonzero potential, and no other
+        assert seen["evaluate_switch"] == _priced_samples(start, entries)
+        unsettled += seen["evaluate_switch"] > 0
     assert unsettled >= 6
 
     # a settled game records every sample without pricing one
