@@ -27,9 +27,9 @@ between two accepted switches) at most once per client.  It draws
 clients in blocks, holds a few samples ahead and prices every unpriced
 one among them in one batch; the prices are kept until the next
 accepted switch and handed to the stability certificate, which prices
-only the clients left over.  The kernel's rows and grid of each batch
-are kept too, and an accepted switch that was priced in a batch is
-applied from them without another kernel call.
+only the clients left over.  The kernel's rows, grid and row sums of
+each batch are kept too, and an accepted switch that was priced in a
+batch is applied from them without another kernel call.
 
 The potential is bounded below by 0, so a partition whose JS matrix is
 all zeros is a global minimum: every switch price is a sum of clipped,
@@ -289,19 +289,20 @@ class Partition:
     def apply(
         self,
         proposal: SwitchProposal,
-        priced: tuple[np.ndarray, np.ndarray] | None = None,
+        priced: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Execute an accepted switch and refresh the touched caches.
 
         ``priced``, when given, is the proposal's client's slice of the
         ``_price_moves`` batch that priced it on the current state: its
-        kernel rows [s', t'_0 .. t'_{M-1}] of shape (M+1, K) and its JS
-        grid of shape (M+1, M+1).  The new rows of source s and target t
-        and their JS rows are then read from them without a kernel call:
+        kernel rows [s', t'_0 .. t'_{M-1}] of shape (M+1, K), its JS grid
+        of shape (M+1, M+1) and the rows' ``xlog2x_sums`` of shape (M+1,).
+        The new rows of source s and target t, their ``plogp`` sums and
+        their JS rows are then read from them without a kernel call:
         rows 0 and 1+t are the normalized counts after the move, divided
-        the same way as here, and their ``plogp`` sums are taken as here;
-        grid rows 0 and 1+t hold JS(s', P_k) and JS(t', P_k), and
-        grid[1+t, M] is JS(t', s').  The bits equal the
+        the same way as here, and a row's sum has the same bits whatever
+        array holds the row; grid rows 0 and 1+t hold JS(s', P_k) and
+        JS(t', P_k), and grid[1+t, M] is JS(t', s').  The bits equal the
         recomputing path's because ``js_rows`` gives a grid equal to its
         row pairs, is symmetric, and is exactly 0 on equal rows (the two
         diagonal entries).  Without ``priced`` the touched rows are
@@ -316,11 +317,12 @@ class Partition:
             raise InvalidSwitchError("switch would empty the source coalition")
         m, k = self.probs.shape
         if priced is not None:
-            rows, grid = priced
-            if np.shape(rows) != (m + 1, k) or np.shape(grid) != (m + 1, m + 1):
+            rows, grid, sums = priced
+            shapes = (np.shape(rows), np.shape(grid), np.shape(sums))
+            if shapes != ((m + 1, k), (m + 1, m + 1), (m + 1,)):
                 raise InvalidValueError(
                     f"priced rows and grid must have shapes {(m + 1, k)} and {(m + 1, m + 1)}, "
-                    f"got {np.shape(rows)} and {np.shape(grid)}"
+                    f"and their sums {(m + 1,)}; got {shapes}"
                 )
 
         self.assignment[client] = tgt
@@ -343,7 +345,8 @@ class Partition:
         else:
             self.probs[src] = rows[0]
             self.probs[tgt] = rows[1 + tgt]
-            self.plogp[touched] = xlog2x_sums(self.probs[touched])
+            self.plogp[src] = sums[0]
+            self.plogp[tgt] = sums[1 + tgt]
             js = grid[[0, 1 + tgt], :m]  # against the old rows; fix the touched columns
             js[0, src] = js[1, tgt] = 0.0
             js[0, tgt] = js[1, src] = grid[1 + tgt, m]
@@ -353,13 +356,14 @@ class Partition:
 
 def _price_moves(
     partition: Partition, clients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Avg-JS change of moving each listed client to each coalition.
 
     Returns the (len(clients), M) deltas, with +inf at every client's
-    own coalition, and the kernel's rows (len(clients), M+1, K) and grid
-    (len(clients), M+1, M+1) that ``Partition.apply`` can take.  No
-    listed client may be alone in its coalition.
+    own coalition, and the kernel's rows (len(clients), M+1, K), grid
+    (len(clients), M+1, M+1) and row sums (len(clients), M+1) that
+    ``Partition.apply`` can take.  No listed client may be alone in its
+    coalition.
 
     A move of client c from s to t changes the pairs that touch s or t
     only: for every other coalition k, JS(s', P_k) - J[s, k] and
@@ -400,7 +404,7 @@ def _price_moves(
     deltas = (grid[:, 1:, m] - src_rows) + changes.sum(axis=2)
     deltas /= partition.pair_denominator()
     deltas[each, src] = np.inf
-    return deltas, rows, grid
+    return deltas, rows, grid, row_sums
 
 
 def switch_deltas(partition: Partition, client: int) -> np.ndarray:
@@ -505,8 +509,8 @@ def run_coalition_formation(
     the current partition is priced in one batch with every unpriced,
     movable client among the held draws.  The prices are kept until the
     next accepted switch, and the stability check reuses them; the
-    batch's kernel rows and grid are kept as well, and an accepted
-    switch is applied from them (``Partition.apply``).
+    batch's kernel rows, grid and row sums are kept as well, and an
+    accepted switch is applied from them (``Partition.apply``).
 
     An epoch whose JS matrix is all zeros is settled: it is a global
     minimum of the potential, so its sampled clients are recorded as
@@ -532,9 +536,9 @@ def run_coalition_formation(
     n, m = partition.n_clients, partition.num_coalitions
     # this epoch's switch_deltas rows; NaN rows are not priced yet
     known = np.full((n, m), np.nan)
-    # each batch-priced client's (rows, grid, position) in this epoch's
-    # kernel arrays of its batch
-    slots: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+    # each batch-priced client's (rows, grid, sums, position) in this
+    # epoch's kernel arrays of its batch
+    slots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
     # per client: not alone in its coalition (a list, indexed per sample)
     movable = ((partition.sizes[partition.assignment] > 1) & (m > 1)).tolist()
     settled = not partition.js_matrix.any()
@@ -561,15 +565,15 @@ def run_coalition_formation(
                 for other in draws[taken:taken + LOOKAHEAD_DRAWS - 1]:
                     if movable[other] and math.isnan(known[other, 0]) and other not in batch:
                         batch.append(other)
-                known[batch], rows, grid = _price_moves(partition, np.array(batch))
+                known[batch], rows, grid, sums = _price_moves(partition, np.array(batch))
                 for position, other in enumerate(batch):
-                    slots[other] = (rows, grid, position)
+                    slots[other] = (rows, grid, sums, position)
             proposal = best_switch(partition, client, tolerance, known[client])
         if proposal is not None:
             priced = None  # rows priced by a failed certificate have no grid
             if client in slots:
-                rows, grid, position = slots[client]
-                priced = (rows[position], grid[position])
+                rows, grid, sums, position = slots[client]
+                priced = (rows[position], grid[position], sums[position])
             partition.apply(proposal, priced)
             known.fill(np.nan)
             slots.clear()

@@ -9,8 +9,11 @@ parameters by data size.  Global aggregation averages the edge models,
 again by data size, and the held-out accuracy is recorded once per
 global round.
 
-Parameters travel as a single flat vector holding the class-by-feature
-weight matrix followed by the per-class biases.
+Parameters travel as one flat vector (class-by-feature weights, then
+per-class biases), labels as their flat ``logit_targets``.  The
+benchmark counts one ``local_train`` per client per edge iteration and
+tau_c ``softmax_loss_and_grad`` calls in each, through this module's
+globals, so that call structure stays fixed.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import InvalidValueError, TrainingDivergedError
 from .netmodel import coalition_assignment
 
 __all__ = [
     "param_dim",
     "init_params",
     "unpack_params",
+    "logit_targets",
     "softmax_loss_and_grad",
     "predict",
     "accuracy",
@@ -54,29 +58,35 @@ def unpack_params(params: np.ndarray, n_classes: int, n_features: int):
     return weights, biases
 
 
+def logit_targets(labels: np.ndarray) -> np.ndarray:
+    """Each sample's flat index ``labels * n + arange(n)`` in a C-order (K, n) block."""
+    n = len(labels)
+    return labels * n + np.arange(n)
+
+
 def softmax_loss_and_grad(
-    params: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int
+    params: np.ndarray, features: np.ndarray, targets: np.ndarray, n_classes: int
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient in flat-parameter layout.
 
-    The logits are held class-major, shape (n_classes, n), so the
-    softmax reduces over axis 0 and the gradient's weight and bias parts
-    are written straight into their slices of one fresh flat vector.
-    """
+    The logits are class-major, (n_classes, n): the softmax reduces over
+    axis 0, the true-class entries are read and written at ``targets``
+    (``logit_targets``) in the flat view, and the weight and bias
+    gradients go straight into one fresh flat vector."""
     n, d = features.shape
     kd = n_classes * d
-    probs = params[:kd].reshape(n_classes, d) @ features.T
+    probs = np.dot(params[:kd].reshape(n_classes, d), features.T)
     probs += params[kd:, None]
     probs -= np.maximum.reduce(probs, axis=0)  # stable softmax
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=0)
-    true = (labels, np.arange(n))
-    picked = probs[true]
-    probs[true] = picked - 1.0  # probs now holds the logit gradient, softmax - onehot
+    flat = probs.reshape(-1)
+    picked = flat[targets]
+    flat[targets] = picked - 1.0  # probs now holds the logit gradient, softmax - onehot
     picked += 1e-300
     loss = -float(np.add.reduce(np.log(picked, out=picked))) / n
     grad = np.empty(kd + n_classes)
-    np.matmul(probs, features, out=grad[:kd].reshape(n_classes, d))
+    np.dot(probs, features, out=grad[:kd].reshape(n_classes, d))
     np.add.reduce(probs, axis=1, out=grad[kd:])
     grad /= n
     return loss, grad
@@ -96,12 +106,12 @@ def accuracy(
 def local_train(
     params: np.ndarray,
     features: np.ndarray,
-    labels: np.ndarray,
+    targets: np.ndarray,
     n_classes: int,
     tau_c: int,
     lr: float,
 ) -> np.ndarray:
-    """tau_c full-batch gradient steps.
+    """tau_c full-batch gradient steps at ``targets`` (``logit_targets``).
 
     Raises TrainingDivergedError (a FloatingPointError) as soon as the
     loss or a parameter stops being finite; the overflows on the way
@@ -110,7 +120,7 @@ def local_train(
     out = params.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            loss, grad = softmax_loss_and_grad(out, features, labels, n_classes)
+            loss, grad = softmax_loss_and_grad(out, features, targets, n_classes)
             grad *= lr
             out -= grad
             if not (math.isfinite(loss) and np.isfinite(out).all()):
@@ -118,15 +128,12 @@ def local_train(
     return out
 
 
-def edge_aggregate(
-    member_params: Sequence[np.ndarray], member_sizes: Sequence[float]
-) -> np.ndarray:
-    """Data-size weighted parameter average, at the edge and the cloud alike."""
-    if not member_params:
+def edge_aggregate(member_params: np.ndarray, member_sizes: Sequence[float]) -> np.ndarray:
+    """Data-size weighted mean of the (members, P) rows, at the edge and the cloud alike."""
+    if len(member_params) == 0:
         raise ValueError("nothing to aggregate")
-    stacked = np.stack(member_params)
     weights = np.asarray(member_sizes, dtype=float)
-    return weights @ stacked / weights.sum()
+    return weights @ member_params / weights.sum()
 
 
 @dataclass
@@ -160,35 +167,35 @@ class SyntheticDataset:
         noise: float = 1.0,
         test_per_class: int = 100,
     ) -> "SyntheticDataset":
-        rng = np.random.default_rng(seed)
+        """Draw every client's samples, then the test set, from one seeded stream.
+
+        Each client's row of per-class counts must hold integers >= 0 with
+        a positive total, as many as the first row's; InvalidValueError
+        names the first client whose row does not."""
+        if len(label_counts) == 0:
+            raise InvalidValueError("label_counts must hold at least one client")
         n_classes = len(label_counts[0])
+        for client, counts in enumerate(label_counts):
+            row = np.asarray(counts)
+            shaped = row.shape == (n_classes,) and row.dtype.kind in "iu"
+            if not (shaped and row.min(initial=0) >= 0 and row.any()):
+                raise InvalidValueError(
+                    f"client {client}: label counts must be {n_classes} integers >= 0 with a "
+                    f"positive total, got {counts!r}"
+                )
+        rng = np.random.default_rng(seed)
         means = class_sep * rng.standard_normal((n_classes, n_features))
 
         def draw(count_vector):
-            feats, labs = [], []
-            for c, count in enumerate(count_vector):
-                if count == 0:
-                    continue
-                feats.append(means[c] + noise * rng.standard_normal((count, n_features)))
-                labs.append(np.full(count, c, dtype=np.int64))
-            features = np.concatenate(feats)
-            labels = np.concatenate(labs)
-            order = rng.permutation(len(labels))
+            labels = np.repeat(np.arange(n_classes), count_vector)
+            features = means[labels] + noise * rng.standard_normal((labels.size, n_features))
+            order = rng.permutation(labels.size)
             return features[order], labels[order]
 
-        client_features, client_labels = [], []
-        for counts in label_counts:
-            x, y = draw(counts)
-            client_features.append(x)
-            client_labels.append(y)
+        clients = [draw(counts) for counts in label_counts]
         test_x, test_y = draw([test_per_class] * n_classes)
         return cls(
-            client_features=client_features,
-            client_labels=client_labels,
-            test_features=test_x,
-            test_labels=test_y,
-            n_classes=n_classes,
-            n_features=n_features,
+            [x for x, _ in clients], [y for _, y in clients], test_x, test_y, n_classes, n_features
         )
 
 
@@ -205,7 +212,8 @@ def run_hfl(
 
     ``partition`` takes any form ``netmodel.coalition_assignment``
     accepts.  Members are visited in ascending id order inside every
-    aggregation so results do not depend on set iteration order.
+    aggregation so results do not depend on set iteration order, and
+    write their results into one (members, P) buffer per coalition.
     Returns the final global parameters and one held-out accuracy per
     global round.
     """
@@ -213,27 +221,19 @@ def run_hfl(
     sizes = np.asarray(dataset.client_sizes, dtype=float)
     coalitions = [np.flatnonzero(assignment == m) for m in range(coalition_sizes.size)]
     edge_sizes = np.bincount(assignment, weights=sizes)
+    features, n_classes = dataset.client_features, dataset.n_classes
+    targets = [logit_targets(y) for y in dataset.client_labels]
 
-    params = init_params(dataset.n_classes, dataset.n_features, seed)
+    params = init_params(n_classes, dataset.n_features, seed)
+    buffers = [np.empty((members.size, params.size)) for members in coalitions]
     curve: list[float] = []
     for _ in range(tau_g):
-        edge_params = [params.copy() for _ in coalitions]
+        edge_params = np.tile(params, (len(coalitions), 1))
         for _ in range(tau_e):
-            for m, members in enumerate(coalitions):
-                locals_ = [
-                    local_train(
-                        edge_params[m],
-                        dataset.client_features[n],
-                        dataset.client_labels[n],
-                        dataset.n_classes,
-                        tau_c,
-                        lr,
-                    )
-                    for n in members
-                ]
-                edge_params[m] = edge_aggregate(locals_, sizes[members])
+            for edge, members, stacked in zip(edge_params, coalitions, buffers):
+                for row, n in enumerate(members):
+                    stacked[row] = local_train(edge, features[n], targets[n], n_classes, tau_c, lr)
+                edge[:] = edge_aggregate(stacked, sizes[members])
         params = edge_aggregate(edge_params, edge_sizes)
-        curve.append(
-            accuracy(params, dataset.test_features, dataset.test_labels, dataset.n_classes)
-        )
+        curve.append(accuracy(params, dataset.test_features, dataset.test_labels, n_classes))
     return params, curve

@@ -442,6 +442,33 @@ def softmax_loss_and_grad_ref(params, features, labels, n_classes):
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
+def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
+    """The class-major step indexed by labels: the slow exact reference.
+
+    The same arithmetic as ``hfl.softmax_loss_and_grad`` in the same
+    order, but it takes the labels and reads and writes the true-class
+    entries through a fresh ``(labels, arange(n))`` tuple index, so the
+    fast step must equal it bit for bit.
+    """
+    n, d = features.shape
+    kd = n_classes * d
+    probs = params[:kd].reshape(n_classes, d) @ features.T
+    probs += params[kd:, None]
+    probs -= np.maximum.reduce(probs, axis=0)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=0)
+    true = (labels, np.arange(n))
+    picked = probs[true]
+    probs[true] = picked - 1.0
+    picked += 1e-300
+    loss = -float(np.add.reduce(np.log(picked, out=picked))) / n
+    grad = np.empty(kd + n_classes)
+    np.matmul(probs, features, out=grad[:kd].reshape(n_classes, d))
+    np.add.reduce(probs, axis=1, out=grad[kd:])
+    grad /= n
+    return loss, grad
+
+
 def local_train_ref(params, features, labels, n_classes, tau_c, lr):
     """tau_c plain gradient steps on ``softmax_loss_and_grad_ref``."""
     out = params.copy()

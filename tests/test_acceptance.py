@@ -18,6 +18,7 @@ from leapsim.hfl import (
     SyntheticDataset,
     edge_aggregate,
     init_params,
+    logit_targets,
     param_dim,
     run_hfl,
     softmax_loss_and_grad,
@@ -312,14 +313,15 @@ def test_c8_gradient_and_model_checks():
     features = rng.normal(size=(15, 5))
     labels = rng.integers(4, size=15)
     params = 0.3 * rng.standard_normal(param_dim(4, 5))
-    _, grad = softmax_loss_and_grad(params, features, labels, 4)
+    targets = logit_targets(labels)
+    _, grad = softmax_loss_and_grad(params, features, targets, 4)
     eps = 1e-6
     for k in range(params.size):
         up, down = params.copy(), params.copy()
         up[k] += eps
         down[k] -= eps
-        lu, _ = softmax_loss_and_grad(up, features, labels, 4)
-        ld, _ = softmax_loss_and_grad(down, features, labels, 4)
+        lu, _ = softmax_loss_and_grad(up, features, targets, 4)
+        ld, _ = softmax_loss_and_grad(down, features, targets, 4)
         numeric = (lu - ld) / (2 * eps)
         rel = abs(grad[k] - numeric) / max(abs(grad[k]), 1e-8)
         worst_lr = max(worst_lr, rel)

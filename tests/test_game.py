@@ -560,7 +560,7 @@ def test_batch_grid_equals_the_kernel_without_kept_sums():
     rng = np.random.default_rng(37)
     for part in _pricing_cases(rng):
         m = part.num_coalitions
-        _, rows, grid = _price_moves(part, _movable(part))
+        _, rows, grid, _ = _price_moves(part, _movable(part))
         cols = np.concatenate([np.broadcast_to(part.probs, rows[:, :m].shape), rows[:, :1]], 1)
         assert np.array_equal(grid, js_rows(rows[:, :, None, :], cols[:, None, :, :]))
         assert np.array_equal(part.js_matrix, js_rows(part.probs[:, None], part.probs[None]))
@@ -830,9 +830,9 @@ def _state(part):
 
 
 def _priced(part, clients):
-    """Each listed client's (rows, grid) slice of one _price_moves batch."""
-    _, rows, grid = _price_moves(part, np.asarray(clients))
-    return {int(c): (rows[i], grid[i]) for i, c in enumerate(clients)}
+    """Each listed client's (rows, grid, sums) slice of one _price_moves batch."""
+    _, rows, grid, sums = _price_moves(part, np.asarray(clients))
+    return {int(c): (rows[i], grid[i], sums[i]) for i, c in enumerate(clients)}
 
 
 def test_priced_apply_equals_recomputing_apply_bit_for_bit():
@@ -840,6 +840,8 @@ def test_priced_apply_equals_recomputing_apply_bit_for_bit():
     cases = _pricing_cases(rng)
     for denominator in ("M", "pairs"):  # singleton coalitions beside movable clients
         cases.append(make_partition([0, 1, 2, 2, 3, 2], random_counts(rng, 6, 3), 4, denominator))
+        # rows of K >= 8 are summed pairwise, so their kept sums meet numpy's blocking
+        cases.append(random_partition(random_counts(rng, 12, 50, size=200), 4, rng, denominator))
     moves, shapes = 0, set()
     for part in cases:
         movable = _movable(part)
@@ -873,9 +875,12 @@ def test_priced_apply_rejects_inadmissible_or_misshapen_input_untouched():
         with pytest.raises(InvalidSwitchError):
             part.apply(proposal, priced.get(proposal.client, priced[0]))
         assert _state(part) == before
-    rows, grid = priced[0]
+    rows, grid, sums = priced[0]
     good = evaluate_switch(part, 0, 1)
-    for bad in ((rows[:-1], grid), (rows, grid[:, :-1]), (rows[..., None], grid), (rows, grid.T[0])):
+    for bad in (
+        (rows[:-1], grid, sums), (rows, grid[:, :-1], sums), (rows[..., None], grid, sums),
+        (rows, grid.T[0], sums), (rows, grid, sums[:-1]), (rows, grid, sums[:, None]),
+    ):
         with pytest.raises(InvalidValueError, match="priced rows and grid must have shapes"):
             part.apply(good, bad)
         assert _state(part) == before

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leapsim.hfl as hfl
-from leapsim.errors import LeapsimError, TrainingDivergedError
+from leapsim.errors import InvalidValueError, LeapsimError, TrainingDivergedError
 from leapsim.hfl import (
     SyntheticDataset,
     accuracy,
     edge_aggregate,
     init_params,
     local_train,
+    logit_targets,
     param_dim,
     run_hfl,
     softmax_loss_and_grad,
@@ -17,7 +18,7 @@ from leapsim.hfl import (
 )
 from leapsim.game import random_partition, run_coalition_formation
 from leapsim.scenario import generate_scenario, label_count_matrix
-from oracles import run_hfl_ref, softmax_loss_and_grad_ref
+from oracles import run_hfl_ref, softmax_loss_and_grad_labels_ref, softmax_loss_and_grad_ref
 
 
 def toy_dataset(seed=0, n_classes=3, n_features=4, per_class=30, clients=4):
@@ -42,14 +43,15 @@ def test_gradient_matches_finite_differences():
     features = rng.normal(size=(12, 4))
     labels = rng.integers(3, size=12)
     params = 0.5 * rng.standard_normal(param_dim(3, 4))
-    _, grad = softmax_loss_and_grad(params, features, labels, 3)
+    targets = logit_targets(labels)
+    _, grad = softmax_loss_and_grad(params, features, targets, 3)
     eps = 1e-6
     for k in range(params.size):
         up, down = params.copy(), params.copy()
         up[k] += eps
         down[k] -= eps
-        lu, _ = softmax_loss_and_grad(up, features, labels, 3)
-        ld, _ = softmax_loss_and_grad(down, features, labels, 3)
+        lu, _ = softmax_loss_and_grad(up, features, targets, 3)
+        ld, _ = softmax_loss_and_grad(down, features, targets, 3)
         numeric = (lu - ld) / (2 * eps)
         denom = max(abs(grad[k]), 1e-8)
         assert abs(grad[k] - numeric) / denom < 1e-4
@@ -60,7 +62,7 @@ def test_single_step_matches_analytic_softmax_gradient():
     x = np.array([[1.0, -2.0]])
     y = np.array([1])
     params = np.zeros(param_dim(2, 2))
-    loss, grad = softmax_loss_and_grad(params, x, y, 2)
+    loss, grad = softmax_loss_and_grad(params, x, logit_targets(y), 2)
     probs = np.array([0.5, 0.5])  # zero logits
     delta = probs - np.array([0.0, 1.0])
     expected_w = np.outer(delta, x[0])
@@ -74,7 +76,7 @@ def test_local_train_zero_lr_is_identity():
     rng = np.random.default_rng(1)
     params = rng.normal(size=param_dim(3, 4))
     ds = toy_dataset()
-    out = local_train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 0.0)
+    out = local_train(params, ds.client_features[0], logit_targets(ds.client_labels[0]), 3, 5, 0.0)
     assert np.array_equal(out, params)
     assert out is not params  # input untouched
 
@@ -82,9 +84,10 @@ def test_local_train_zero_lr_is_identity():
 def test_local_train_decreases_loss_for_small_lr():
     ds = toy_dataset()
     params = init_params(3, 4, seed=2)
-    before, _ = softmax_loss_and_grad(params, ds.client_features[0], ds.client_labels[0], 3)
-    trained = local_train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 0.01)
-    after, _ = softmax_loss_and_grad(trained, ds.client_features[0], ds.client_labels[0], 3)
+    features, targets = ds.client_features[0], logit_targets(ds.client_labels[0])
+    before, _ = softmax_loss_and_grad(params, features, targets, 3)
+    trained = local_train(params, features, targets, 3, 5, 0.01)
+    after, _ = softmax_loss_and_grad(trained, features, targets, 3)
     assert after <= before
 
 
@@ -122,7 +125,7 @@ def learner_instance(draw):
 def test_class_major_step_matches_the_row_major_reference(instance):
     params, features, labels, k = instance
     kept = params.copy()
-    loss, grad = softmax_loss_and_grad(params, features, labels, k)
+    loss, grad = softmax_loss_and_grad(params, features, logit_targets(labels), k)
     loss_ref, grad_ref = softmax_loss_and_grad_ref(params, features, labels, k)
     assert np.array_equal(params, kept)  # the input is not written to
     assert grad.shape == grad_ref.shape and np.isfinite(grad).all()
@@ -130,11 +133,21 @@ def test_class_major_step_matches_the_row_major_reference(instance):
     np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-15)
 
 
+@given(learner_instance())
+@settings(max_examples=300, deadline=None)
+def test_flat_target_step_equals_the_label_indexed_step_bit_for_bit(instance):
+    params, features, labels, k = instance
+    loss, grad = softmax_loss_and_grad(params, features, logit_targets(labels), k)
+    loss_ref, grad_ref = softmax_loss_and_grad_labels_ref(params, features, labels, k)
+    assert loss == loss_ref
+    assert np.array_equal(grad, grad_ref)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_class_major_step_on_the_smallest_shapes(k):
     params = np.array([0.3] * k + [-0.2] * k)
     features, labels = np.array([[1.5]]), np.array([k - 1])
-    loss, grad = softmax_loss_and_grad(params, features, labels, k)
+    loss, grad = softmax_loss_and_grad(params, features, logit_targets(labels), k)
     loss_ref, grad_ref = softmax_loss_and_grad_ref(params, features, labels, k)
     assert loss == pytest.approx(loss_ref, rel=1e-12, abs=1e-15)
     np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-15)
@@ -146,7 +159,7 @@ def test_local_train_raises_on_divergence():
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-        local_train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 1e308)
+        local_train(params, ds.client_features[0], logit_targets(ds.client_labels[0]), 3, 5, 1e308)
 
 
 def test_divergence_is_a_typed_error_without_warnings():
@@ -154,7 +167,7 @@ def test_divergence_is_a_typed_error_without_warnings():
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
     with pytest.raises(TrainingDivergedError, match="lower the learning rate") as info:
-        local_train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 1e308)
+        local_train(params, ds.client_features[0], logit_targets(ds.client_labels[0]), 3, 5, 1e308)
     assert isinstance(info.value, LeapsimError) and isinstance(info.value, FloatingPointError)
 
 
@@ -207,6 +220,26 @@ def test_dataset_honors_label_counts():
         assert hist.tolist() == expected
 
 
+@pytest.mark.parametrize(
+    "counts, client",
+    [
+        ([[1, 1], [1]], 1),  # ragged rows
+        ([[2, 1], [0, 0], [1, 1]], 1),  # a client without samples
+        ([[3, 1], [2, -1]], 1),  # a negative count
+        ([[1.0, 2]], 0),  # a float count
+    ],
+    ids=["ragged", "all_zero", "negative", "float"],
+)
+def test_dataset_rejects_a_bad_client_row_by_name(counts, client):
+    with pytest.raises(InvalidValueError, match=f"^client {client}: label counts must be"):
+        SyntheticDataset.generate(counts, n_features=2, seed=0)
+
+
+def test_dataset_rejects_an_empty_client_list():
+    with pytest.raises(InvalidValueError, match="at least one client"):
+        SyntheticDataset.generate([], n_features=2, seed=0)
+
+
 def test_dataset_deterministic_per_seed():
     counts = [[4, 4], [4, 4]]
     a = SyntheticDataset.generate(counts, n_features=3, seed=6)
@@ -222,7 +255,9 @@ def test_run_hfl_single_edge_single_round_equals_plain_fedavg():
     out, curve = run_hfl([{0, 1, 2}], ds, tau_c=4, tau_e=1, tau_g=1, lr=0.05, seed=9)
     start = init_params(ds.n_classes, ds.n_features, 9)
     locals_ = [
-        local_train(start, ds.client_features[n], ds.client_labels[n], ds.n_classes, 4, 0.05)
+        local_train(
+            start, ds.client_features[n], logit_targets(ds.client_labels[n]), ds.n_classes, 4, 0.05
+        )
         for n in range(3)
     ]
     manual = edge_aggregate(locals_, [len(ds.client_labels[n]) for n in range(3)])
@@ -237,7 +272,7 @@ def test_run_hfl_iid_separable_reaches_ninety_percent():
     pooled_x = np.concatenate(ds.client_features)
     pooled_y = np.concatenate(ds.client_labels)
     central = local_train(
-        init_params(3, 4, 0), pooled_x, pooled_y, 3, 250, 0.1
+        init_params(3, 4, 0), pooled_x, logit_targets(pooled_y), 3, 250, 0.1
     )
     assert accuracy(central, ds.test_features, ds.test_labels, 3) >= 0.9
 
@@ -290,6 +325,42 @@ def test_run_hfl_matches_the_reference_loop(case):
         ds = toy_dataset(seed=14)
         assignment = np.array([0, 1, 1, 0] if case == "toy_two_edges" else [0, 0, 0, 0])
         periods = dict(tau_c=3, tau_e=4, tau_g=5, lr=0.1, seed=3)
+    params, curve = run_hfl(assignment, ds, **periods)
+    params_ref, curve_ref = run_hfl_ref(assignment.tolist(), ds, **periods)
+    assert curve == curve_ref
+    np.testing.assert_allclose(params, params_ref, rtol=0, atol=1e-12)
+
+
+@st.composite
+def tiny_hfl_instance(draw):
+    """Degenerate learner runs: 1-sample clients, K = 1-3, singleton
+    coalitions and M = N."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    most = 1 if draw(st.booleans()) else 3  # one sample per client, or a few
+    counts = np.zeros((n, k), dtype=np.int64)
+    for client in range(n):
+        np.add.at(counts[client], rng.integers(k, size=int(rng.integers(1, most + 1))), 1)
+    m = draw(st.sampled_from([n, 1, int(rng.integers(1, n + 1))]))
+    assignment = rng.integers(m, size=n)
+    assignment[rng.permutation(n)[:m]] = np.arange(m)  # no empty coalition
+    dataset = SyntheticDataset.generate(
+        counts.tolist(), n_features=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)),
+        test_per_class=draw(st.integers(1, 4)),
+    )
+    periods = dict(
+        tau_c=draw(st.integers(1, 3)), tau_e=draw(st.integers(1, 3)),
+        tau_g=draw(st.integers(1, 3)), lr=draw(st.sampled_from([0.05, 0.5, 1.0])),
+        seed=draw(st.integers(0, 99)),
+    )
+    return assignment, dataset, periods
+
+
+@given(tiny_hfl_instance())
+@settings(max_examples=60, deadline=None)
+def test_run_hfl_matches_the_reference_loop_on_degenerate_instances(instance):
+    assignment, ds, periods = instance
     params, curve = run_hfl(assignment, ds, **periods)
     params_ref, curve_ref = run_hfl_ref(assignment.tolist(), ds, **periods)
     assert curve == curve_ref
