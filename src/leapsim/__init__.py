@@ -22,7 +22,6 @@ from .errors import (
 from .game import (
     certify_stability,
     evaluate_switch,
-    potential,
     random_partition,
     run_coalition_formation,
 )

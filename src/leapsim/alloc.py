@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidValueError, LeapsimError
+from .errors import InvalidValueError, LeapsimError, check_integer
 from .netmodel import (
     AllocationPlan,
     ClientTable,
@@ -85,7 +85,8 @@ class GPConfig:
 
     ``step_size`` is the base step wrapped by backtracking; None picks
     a scale-aware default from the initial gradient.  ``tolerance`` is
-    the relative objective change that counts as converged.
+    the relative objective change that counts as converged, and
+    ``max_iters``, an integer >= 1, caps the iterations.
     ``min_bandwidth_floor`` closes the open constraint B_m > 0; None
     defaults to 1e-6 of the total bandwidth.
     """
@@ -105,8 +106,7 @@ class GPConfig:
             raise InvalidValueError("step_size must be strictly positive")
         if self.tolerance <= 0:
             raise InvalidValueError("tolerance must be strictly positive")
-        if self.max_iters < 1:
-            raise InvalidValueError("max_iters must be at least 1")
+        check_integer("max_iters", self.max_iters, 1)
 
     def floor_for(self, config: NetworkConfig) -> float:
         floor = (
@@ -236,17 +236,16 @@ def gp_solve(
     clients: ClientTable,
     config: NetworkConfig,
     gp: GPConfig | None = None,
-    b_init: np.ndarray | None = None,
 ) -> tuple[np.ndarray, GPTrace]:
     """Minimize the surrogate over the bandwidth simplex.
 
-    Runs projected gradient steps with backtracking (the base step is
-    halved while the objective fails to decrease, and relaxed again
-    after clean steps) until the relative objective change drops below
-    the tolerance or the iteration cap is hit.  The returned trace is
-    non-increasing and ends with the projected-gradient norm at the
-    solution; the surrogate is convex, so a near-zero norm certifies
-    global optimality.
+    Starts from the equal split and runs projected gradient steps with
+    backtracking (the base step is halved while the objective fails to
+    decrease, and relaxed again after clean steps) until the relative
+    objective change drops below the tolerance or the iteration cap is
+    hit.  The returned trace is non-increasing and ends with the
+    projected-gradient norm at the solution; the surrogate is convex, so
+    a near-zero norm certifies global optimality.
 
     The partition's ``surrogate_terms`` (sizes, worst members, K) do not
     depend on the bandwidth, so they are built once per solve and every
@@ -261,15 +260,7 @@ def gp_solve(
     if not 0 < floor * m < total:
         raise InfeasibleError("bandwidth floor is infeasible for this coalition count")
 
-    if b_init is None:
-        b = np.full(m, total / m)
-    else:
-        b = np.asarray(b_init, dtype=float).copy()
-        if b.shape != (m,):
-            raise InvalidValueError("b_init has the wrong length")
-        if abs(b.sum() - total) > 1e-9 * total or np.any(b < floor - 1e-12 * total):
-            raise InfeasibleError("b_init violates the bandwidth constraints")
-
+    b = np.full(m, total / m)
     value = p3_objective(b, terms, clients, config)
     if not math.isfinite(value):
         raise InfeasibleError("objective is not finite at the starting point")

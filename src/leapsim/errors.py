@@ -7,12 +7,15 @@ from ValueError because each of these errors reports an unusable value.
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
     "LeapsimError",
     "InputFileError",
     "InvalidValueError",
     "InvalidPartitionError",
     "TrainingDivergedError",
+    "check_integer",
 ]
 
 
@@ -34,3 +37,15 @@ class InvalidPartitionError(LeapsimError):
 
 class TrainingDivergedError(LeapsimError, FloatingPointError):
     """Training produced a non-finite loss or parameter; the learning rate is too high."""
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise InvalidValueError unless ``value`` is an integer >= ``minimum``.
+
+    Python and numpy integers pass; floats (``2.0`` included), bools and
+    every other type are refused rather than truncated or cast.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidValueError(f"{name} must be at least {minimum}, got {value}")

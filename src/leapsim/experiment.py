@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alloc import GPConfig, GPTrace, build_plan, deadline_powers, plan_full
-from .errors import InvalidValueError
+from .errors import InvalidValueError, check_integer
 from .files import fields_dict, write_csv, write_json
 from .game import (
     GameTrace,
@@ -85,7 +85,10 @@ _PERIODS = ("tau_c", "tau_e", "tau_g")
 
 @dataclass
 class TrainOptions:
-    """Knobs for the toy training comparison; a tau of None defers to the scenario."""
+    """Knobs for the toy training comparison; a tau of None defers to the scenario.
+
+    ``n_features`` and each tau that is set must be an integer >= 1.
+    """
 
     n_features: int = 16
     class_sep: float = 2.0
@@ -94,7 +97,6 @@ class TrainOptions:
     tau_c: int | None = None
     tau_e: int | None = None
     tau_g: int | None = None
-    test_per_class: int = 100
 
     def __post_init__(self):
         for name in ("class_sep", "noise", "lr"):
@@ -102,10 +104,10 @@ class TrainOptions:
                 raise InvalidValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.lr > 0:
             raise InvalidValueError(f"lr must be strictly positive, got {self.lr}")
-        for name in ("n_features", "test_per_class", *_PERIODS):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise InvalidValueError(f"{name} must be at least 1, got {value}")
+        check_integer("n_features", self.n_features, 1)
+        for name in _PERIODS:
+            if getattr(self, name) is not None:
+                check_integer(name, getattr(self, name), 1)
 
     def periods(self, config: NetworkConfig) -> dict[str, int]:
         """tau_c, tau_e and tau_g: each option that is set, else the config's."""
@@ -190,7 +192,6 @@ def train_curves(
         seed=data_seed,
         class_sep=opts.class_sep,
         noise=opts.noise,
-        test_per_class=opts.test_per_class,
     )
     periods = opts.periods(scenario.config)
     return [run_hfl(p, dataset, **periods, lr=opts.lr, seed=seed)[1] for p in partitions]

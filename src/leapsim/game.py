@@ -7,12 +7,15 @@ preference).  The improvement loop samples clients uniformly at random
 and applies the best admissible switch, so it is a randomized local
 search whose state is the partition itself.
 
-The game is an exact potential game: the un-normalized pairwise JS sum
-acts as a potential whose change under any unilateral switch equals the
-change in the switching client's coalition-level utility.  Every
-accepted switch therefore strictly decreases the potential, which
-guarantees termination in a Nash-stable partition (no single client can
-improve by deviating alone).
+The game is an exact potential game.  Its potential is the
+un-normalized pairwise JS sum, ``partition.avg_js() *
+partition.pair_denominator()``.  A switch changes only the pairs that
+touch its source and target coalition, so its price, the change of the
+switching client's coalition-level utility, is the change of the
+potential over the denominator.  A switch is accepted only when it
+lowers avg JS by more than SWITCH_TOLERANCE, so the potential strictly
+decreases, which guarantees termination in a Nash-stable partition (no
+single client can improve by deviating alone).
 
 Partitions keep exact integer label counts per coalition plus dense
 caches of the coalition probability rows, their entropy sums and the
@@ -35,15 +38,13 @@ The potential is bounded below by 0, so a partition whose JS matrix is
 all zeros is a global minimum: every switch price is a sum of clipped,
 non-negative kernel values, none beats staying, and the partition is
 Nash-stable.  The loop prices nothing in such a settled epoch, and
-``certify_stability`` without a memo answers it without pricing.  Both
-shortcuts give exactly the verdicts pricing would, because a tolerance
-must be a finite real >= 0.
+``certify_stability`` answers it without pricing.  Both shortcuts give
+exactly the verdicts pricing would, because SWITCH_TOLERANCE is >= 0.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,7 +54,7 @@ from .dist import EmptyDistributionError, js_rows, xlog2x_sums
 # the game no longer calls the scalar JS; the name stays bound here
 # because perfbench's tracer wraps leapsim.game.js_divergence
 from .dist import js_divergence  # noqa: F401
-from .errors import InvalidPartitionError, InvalidValueError, LeapsimError
+from .errors import InvalidPartitionError, InvalidValueError, LeapsimError, check_integer
 
 __all__ = [
     "SWITCH_TOLERANCE",
@@ -67,9 +68,6 @@ __all__ = [
     "best_switch",
     "run_coalition_formation",
     "default_max_iters",
-    "potential",
-    "coalition_utility",
-    "verify_exact_potential",
     "certify_stability",
     "random_partition",
 ]
@@ -103,23 +101,6 @@ class InvalidSwitchError(LeapsimError):
     """Requested switch is inadmissible (same coalition, or empties the source)."""
 
 
-def _check_tolerance(tolerance: float) -> None:
-    """Raise InvalidValueError unless ``tolerance`` is a finite real >= 0.
-
-    A negative tolerance accepts worsening switches and a NaN one never
-    rejects a stability check, so either breaks termination or the
-    certificate.
-    """
-    if type(tolerance) is float and 0.0 <= tolerance < math.inf:
-        return  # the default, checked per sampled client: skip the ABC lookup
-    if (
-        isinstance(tolerance, bool)
-        or not isinstance(tolerance, numbers.Real)
-        or not (math.isfinite(tolerance) and tolerance >= 0)
-    ):
-        raise InvalidValueError(f"tolerance must be a finite real >= 0, got {tolerance!r}")
-
-
 @dataclass(frozen=True)
 class SwitchProposal:
     """A candidate single-client move and its effect on the average JS.
@@ -149,13 +130,6 @@ class GameTrace:
     converged: bool = False
     seed: int | None = None
     generator: str = "numpy.default_rng"
-
-    def accepted(self) -> list[tuple[int, int, int, int, float]]:
-        return [
-            (it, c, src, tgt, js)
-            for (it, c, src, tgt, js) in self.entries
-            if tgt is not None
-        ]
 
 
 def _normalized(counts: np.ndarray) -> np.ndarray:
@@ -264,10 +238,10 @@ class Partition:
         clone.js_matrix = self.js_matrix.copy()
         return clone
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Check every cache against a rebuild from the assignment.
 
-        Float caches must lie within ``tol`` of the rebuild; a NaN entry
+        Float caches must lie within 1e-12 of the rebuild; a NaN entry
         is never within it.
         """
         fresh = Partition(
@@ -277,6 +251,7 @@ class Partition:
             raise InvalidPartitionError("cached coalition sizes are stale")
         if not np.array_equal(self.counts, fresh.counts):
             raise InvalidPartitionError("cached label counts are stale")
+        tol = 1e-12
         if not np.all(np.abs(self.probs - fresh.probs) <= tol):
             raise InvalidPartitionError("cached coalition distribution is stale")
         if not np.all(np.abs(self.plogp - fresh.plogp) <= tol):
@@ -293,30 +268,34 @@ class Partition:
     ) -> None:
         """Execute an accepted switch and refresh the touched caches.
 
-        ``priced``, when given, is the proposal's client's slice of the
-        ``_price_moves`` batch that priced it on the current state: its
-        kernel rows [s', t'_0 .. t'_{M-1}] of shape (M+1, K), its JS grid
-        of shape (M+1, M+1) and the rows' ``xlog2x_sums`` of shape (M+1,).
-        The new rows of source s and target t, their ``plogp`` sums and
-        their JS rows are then read from them without a kernel call:
-        rows 0 and 1+t are the normalized counts after the move, divided
-        the same way as here, and a row's sum has the same bits whatever
-        array holds the row; grid rows 0 and 1+t hold JS(s', P_k) and
-        JS(t', P_k), and grid[1+t, M] is JS(t', s').  The bits equal the
-        recomputing path's because ``js_rows`` gives a grid equal to its
-        row pairs, is symmetric, and is exactly 0 on equal rows (the two
-        diagonal entries).  Without ``priced`` the touched rows are
-        recomputed.
+        ``priced`` is the proposal's client's slice of a ``_price_moves``
+        batch that priced it on the current state: its kernel rows
+        [s', t'_0 .. t'_{M-1}] of shape (M+1, K), its JS grid of shape
+        (M+1, M+1) and the rows' ``xlog2x_sums`` of shape (M+1,); without
+        it the client is priced here.  The new rows of source s and
+        target t, their ``plogp`` sums and their JS rows are read from
+        that slice: rows 0 and 1+t are the normalized counts after the
+        move, grid rows 0 and 1+t hold JS(s', P_k) and JS(t', P_k), and
+        grid[1+t, M] is JS(t', s').  The caches hold the bits of a fresh
+        ``Partition`` of the new assignment, because a row's sum does not
+        depend on the array that holds it and ``js_rows`` gives a grid
+        equal to its row pairs, is symmetric, and is exactly 0 on equal
+        rows (the two diagonal entries).
         """
         client, src, tgt = proposal.client, proposal.source, proposal.target
         if self.assignment[client] != src:
             raise InvalidSwitchError("proposal is stale: client moved already")
         if src == tgt:
             raise InvalidSwitchError("source and target coalitions are equal")
+        if not 0 <= tgt < self.num_coalitions:
+            raise InvalidSwitchError("target coalition index out of range")
         if self.sizes[src] == 1:
             raise InvalidSwitchError("switch would empty the source coalition")
         m, k = self.probs.shape
-        if priced is not None:
+        if priced is None:
+            _, rows, grid, sums = _price_moves(self, np.array([client]))
+            rows, grid, sums = rows[0], grid[0], sums[0]
+        else:
             rows, grid, sums = priced
             shapes = (np.shape(rows), np.shape(grid), np.shape(sums))
             if shapes != ((m + 1, k), (m + 1, m + 1), (m + 1,)):
@@ -330,28 +309,15 @@ class Partition:
         self.sizes[tgt] += 1
         self.counts[src] -= self.client_counts[client]
         self.counts[tgt] += self.client_counts[client]
-        touched = [src, tgt]
-        if priced is None:
-            self.probs[touched] = _normalized(self.counts[touched])
-            self.plogp[touched] = xlog2x_sums(self.probs[touched])
-            # JS is symmetric bit for bit, so the two refreshed rows agree
-            # on their shared (src, tgt) entry and the matrix stays symmetric
-            js = js_rows(
-                self.probs[touched][:, None, :],
-                self.probs[None, :, :],
-                self.plogp[touched][:, None],
-                self.plogp[None, :],
-            )
-        else:
-            self.probs[src] = rows[0]
-            self.probs[tgt] = rows[1 + tgt]
-            self.plogp[src] = sums[0]
-            self.plogp[tgt] = sums[1 + tgt]
-            js = grid[[0, 1 + tgt], :m]  # against the old rows; fix the touched columns
-            js[0, src] = js[1, tgt] = 0.0
-            js[0, tgt] = js[1, src] = grid[1 + tgt, m]
-        self.js_matrix[touched, :] = js
-        self.js_matrix[:, touched] = js.T
+        self.probs[src] = rows[0]
+        self.probs[tgt] = rows[1 + tgt]
+        self.plogp[src] = sums[0]
+        self.plogp[tgt] = sums[1 + tgt]
+        js = grid[[0, 1 + tgt], :m]  # against the old rows; fix the touched columns
+        js[0, src] = js[1, tgt] = 0.0
+        js[0, tgt] = js[1, src] = grid[1 + tgt, m]
+        self.js_matrix[[src, tgt], :] = js
+        self.js_matrix[:, [src, tgt]] = js.T
 
 
 def _price_moves(
@@ -452,7 +418,6 @@ def evaluate_switch(
 def best_switch(
     partition: Partition,
     client: int,
-    tolerance: float = SWITCH_TOLERANCE,
     deltas: np.ndarray | None = None,
 ) -> SwitchProposal | None:
     """Best admissible move for one client, or None when staying wins.
@@ -460,22 +425,20 @@ def best_switch(
     All target coalitions are priced; ``deltas``, when given, is the
     client's ``switch_deltas`` vector on the partition's current state
     and saves recomputing it.  The target with the smallest delta is
-    returned provided it beats staying by more than ``tolerance``, a
-    finite real >= 0.
+    returned provided it beats staying by more than SWITCH_TOLERANCE.
     Deltas that are equal as floats resolve to the lowest coalition
     index (``argmin`` returns the first minimum).  Deltas that are tied
     in exact arithmetic but differ in the last bits, because each
     target's pair changes are summed in a different order, resolve by
     that rounding: reproducibly, but not always to the lower index.
     """
-    _check_tolerance(tolerance)
     src = int(partition.assignment[client])
     if partition.num_coalitions < 2 or partition.sizes[src] == 1:
         return None
     if deltas is None:
         deltas = switch_deltas(partition, client)
     best = evaluate_switch(partition, client, int(deltas.argmin()), deltas)
-    return best if best.delta_js < -tolerance else None
+    return best if best.delta_js < -SWITCH_TOLERANCE else None
 
 
 def default_max_iters(n_clients: int) -> int:
@@ -487,7 +450,6 @@ def run_coalition_formation(
     initial: Partition,
     max_iters: int,
     rng_seed: int | None = 0,
-    tolerance: float = SWITCH_TOLERANCE,
 ) -> tuple[Partition, GameTrace]:
     """Randomized improvement loop over single-client switches.
 
@@ -496,9 +458,9 @@ def run_coalition_formation(
     loop stops once no switch has been accepted for n_clients
     consecutive samples and an exhaustive deviation check confirms
     stability (random sampling alone can miss an improving client), or
-    when ``max_iters``, an integer >= 1, is reached.  ``tolerance`` must
-    be a finite real >= 0.  The returned trace records every sampled
-    iteration, so its avg JS column is non-increasing.
+    when ``max_iters``, an integer >= 1, is reached.  The returned trace
+    records every sampled iteration, so its avg JS column is
+    non-increasing.
 
     ``rng_seed``, None or an integer >= 0, seeds
     ``numpy.random.default_rng``.  Clients are drawn DRAW_BLOCK at a
@@ -514,16 +476,12 @@ def run_coalition_formation(
 
     An epoch whose JS matrix is all zeros is settled: it is a global
     minimum of the potential, so its sampled clients are recorded as
-    rejections without pricing, and its stability check is the memo-less
-    ``certify_stability``, which answers without pricing.  Pricing would
-    reject the same clients: every delta is a sum of non-negative kernel
-    values, and none is below ``-tolerance``.
+    rejections without pricing, and ``certify_stability`` answers it
+    without pricing.  Pricing would reject the same clients: every delta
+    is a sum of non-negative kernel values, and none is below
+    ``-SWITCH_TOLERANCE``.
     """
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
-        raise InvalidValueError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 1:
-        raise InvalidValueError(f"max_iters must be at least 1, got {max_iters}")
-    _check_tolerance(tolerance)
+    check_integer("max_iters", max_iters, 1)
     if rng_seed is not None and (
         isinstance(rng_seed, bool) or not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0
     ):
@@ -568,9 +526,9 @@ def run_coalition_formation(
                 known[batch], rows, grid, sums = _price_moves(partition, np.array(batch))
                 for position, other in enumerate(batch):
                     slots[other] = (rows, grid, sums, position)
-            proposal = best_switch(partition, client, tolerance, known[client])
+            proposal = best_switch(partition, client, known[client])
         if proposal is not None:
-            priced = None  # rows priced by a failed certificate have no grid
+            priced = None  # rows priced by a failed certificate have no grid: apply prices it
             if client in slots:
                 rows, grid, sums, position = slots[client]
                 priced = (rows[position], grid[position], sums[position])
@@ -588,77 +546,25 @@ def run_coalition_formation(
         )
         iteration += 1
         if quiet >= n:
-            if certify_stability(partition, tolerance, None if settled else known):
+            if certify_stability(partition, known):
                 converged = True
                 break
             quiet = 0  # sampling missed an improving client; keep going
 
     trace.iterations_used = iteration
-    trace.converged = converged or certify_stability(
-        partition, tolerance, None if settled else known
-    )
+    trace.converged = converged or certify_stability(partition, known)
     return partition, trace
 
 
-def potential(partition: Partition) -> float:
-    """Un-normalized pairwise JS sum over all coalition pairs.
-
-    Recomputed from the integer label counts, independent of the
-    partition's cached probability rows and JS matrix.
-    """
-    probs = _normalized(partition.counts)
-    return float(np.sum(np.triu(js_rows(probs[:, None, :], probs[None, :, :]), k=1)))
-
-
-def coalition_utility(partition: Partition, first: int, second: int) -> float:
-    """JS sum restricted to pairs touching the two given coalitions.
-
-    This is the switching client's coalition-level utility: the pairs
-    among the untouched coalitions drop out of any switch between
-    ``first`` and ``second``, so the utility change under that switch
-    equals the potential change exactly.  It is read from the
-    partition's cached JS matrix.
-    """
-    affected = np.zeros(partition.num_coalitions, dtype=bool)
-    affected[[first, second]] = True
-    touching = affected[:, None] | affected[None, :]
-    return float(np.sum(np.triu(partition.js_matrix, k=1)[touching]))
-
-
-def verify_exact_potential(
-    partition: Partition, proposal: SwitchProposal, tol: float = 1e-9
-) -> bool:
-    """Check the exact-potential identity for one admissible switch.
-
-    The potential difference is evaluated from full pairwise sums on
-    fresh pre/post partitions, while the utility difference only sums
-    the pairs touching the source and target coalitions; the two must
-    agree within ``tol``.
-    """
-    post = partition.copy()
-    post.apply(proposal)
-    delta_potential = potential(post) - potential(partition)
-    delta_utility = coalition_utility(
-        post, proposal.source, proposal.target
-    ) - coalition_utility(partition, proposal.source, proposal.target)
-    return abs(delta_potential - delta_utility) <= tol
-
-
-def certify_stability(
-    partition: Partition,
-    tolerance: float = SWITCH_TOLERANCE,
-    known: np.ndarray | None = None,
-) -> bool:
+def certify_stability(partition: Partition, known: np.ndarray | None = None) -> bool:
     """Exhaustively confirm that no single-client switch improves avg JS.
 
     Every client that is not alone in its coalition is priced against
     every target, in blocks of clients sized by CERTIFY_BLOCK_ELEMENTS.
-    With a single coalition no client has anywhere to go.  ``tolerance``
-    must be a finite real >= 0.
-
-    Without ``known``, a partition whose JS matrix is all zeros is
-    stable at once: it is a global minimum of the potential, and every
-    price there is a sum of non-negative kernel values.
+    With a single coalition no client has anywhere to go.  A partition
+    whose JS matrix is all zeros is stable at once, with nothing priced:
+    it is a global minimum of the potential, and every price there is a
+    sum of non-negative kernel values.
 
     ``known``, when given, is a float array of shape (n_clients, M)
     holding the ``switch_deltas`` vector of each client already priced
@@ -666,9 +572,9 @@ def certify_stability(
     improving known row fails the check at once; only the movable
     clients with a NaN row are priced, and their rows are written into
     ``known``, so a failed check leaves every row it priced for the
-    caller to reuse and a passed one has priced every movable client.
+    caller to reuse and a passed one on a nonzero potential has priced
+    every movable client.
     """
-    _check_tolerance(tolerance)
     m = partition.num_coalitions
     if known is not None and not (
         isinstance(known, np.ndarray)
@@ -679,13 +585,11 @@ def certify_stability(
             f"known must be a float array of shape {(partition.n_clients, m)}, "
             f"got {np.shape(known)} {getattr(known, 'dtype', type(known).__name__)}"
         )
-    if m < 2:
-        return True
-    if known is None and not partition.js_matrix.any():
+    if m < 2 or not partition.js_matrix.any():
         return True
     unpriced = partition.sizes[partition.assignment] > 1
     if known is not None:
-        if np.any(known < -tolerance):
+        if np.any(known < -SWITCH_TOLERANCE):
             return False
         unpriced &= np.isnan(known[:, 0])
     movable = np.flatnonzero(unpriced)
@@ -695,7 +599,7 @@ def certify_stability(
         deltas = _price_moves(partition, clients)[0]
         if known is not None:
             known[clients] = deltas
-        if np.any(deltas < -tolerance):
+        if np.any(deltas < -SWITCH_TOLERANCE):
             return False
     return True
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidPartitionError, InvalidValueError
+from .errors import InvalidPartitionError, InvalidValueError, check_integer
 from .files import fields_dict
 from .game import Partition
 
@@ -244,7 +244,7 @@ class NetworkConfig:
     and ``capacitance`` is the effective switched-capacitance
     coefficient of the compute chipset.  lambda1 and lambda2 weight
     distribution similarity against energy in the network utility.
-    Every field must be finite, and the tau counts integers (not bool).
+    Every field must be finite, and the tau counts integers >= 1 (not bool).
     """
 
     total_bandwidth: float
@@ -262,20 +262,10 @@ class NetworkConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise InvalidValueError(f"{f.name} must be an integer, got {value!r}")
+                check_integer(f.name, value, 1)
             elif not math.isfinite(value):
                 raise InvalidValueError(f"{f.name} must be finite, got {value!r}")
-        for name in (
-            "total_bandwidth",
-            "noise_power",
-            "model_size",
-            "tau_c",
-            "tau_e",
-            "tau_g",
-            "deadline",
-            "capacitance",
-        ):
+        for name in ("total_bandwidth", "noise_power", "model_size", "deadline", "capacitance"):
             if getattr(self, name) <= 0:
                 raise InvalidValueError(f"{name} must be strictly positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -342,7 +332,6 @@ class EnergyBreakdown:
 
     comp: np.ndarray      # per client, one edge iteration
     tx: np.ndarray        # per client, one edge iteration
-    client: np.ndarray    # comp + tx, one edge iteration
     coalition: np.ndarray  # per coalition, whole task
     total: float           # whole task
     total_tx: float        # transmission part of total, whole task
@@ -366,13 +355,11 @@ def energies(
         * clients.cpu_freq**2
     )
     e_tx = tx_latency(bandwidth_share, power, clients.gain(assignment), config) * power
-    e_client = e_comp + e_tx
     rounds = config.tau_g * config.tau_e
-    e_coalition = rounds * np.bincount(assignment, weights=e_client, minlength=len(sizes))
+    e_coalition = rounds * np.bincount(assignment, weights=e_comp + e_tx, minlength=len(sizes))
     return EnergyBreakdown(
         comp=e_comp,
         tx=e_tx,
-        client=e_client,
         coalition=e_coalition,
         total=float(e_coalition.sum()),
         total_tx=rounds * float(e_tx.sum()),
@@ -384,16 +371,14 @@ def network_utility(avg_js: float, total_energy: float, config: NetworkConfig) -
     return config.lambda1 * (1.0 - avg_js) - config.lambda2 * total_energy
 
 
-def check_deadline(
-    t_client, config: NetworkConfig, rel_tol: float = 1e-9
-) -> tuple[np.ndarray, bool]:
+def check_deadline(t_client, config: NetworkConfig) -> tuple[np.ndarray, bool]:
     """Flag clients whose per-edge-iteration latency fits the budget.
 
-    The bound is inclusive, with a small relative allowance so the
+    The bound is inclusive, with a relative allowance of 1e-9 so the
     closed-form deadline power, which lands exactly on the budget up to
     float rounding, is recognized as feasible.
     """
-    ok = np.asarray(t_client, dtype=float) <= config.iteration_budget * (1.0 + rel_tol)
+    ok = np.asarray(t_client, dtype=float) <= config.iteration_budget * (1.0 + 1e-9)
     return ok, bool(ok.all())
 
 

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from leapsim.cli import main as cli_main
+
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 REGENERATE = "PYTHONPATH=src python tests/golden_matrix.py"
 
@@ -55,20 +57,13 @@ RUNS: tuple[tuple[str, list[str]], ...] = (
 )
 
 
-def environment() -> dict[str, str]:
-    """The versions the hashes depend on besides the code."""
-    return {"python": platform.python_version(), "numpy": np.__version__}
-
-
 def run_matrix(root: Path) -> dict[str, str]:
     """Run every CLI command of RUNS under ``root``; the sha256 of each
     file written, keyed by its path relative to ``root``."""
-    from leapsim.cli import main
-
     dirs = {name: str(root / name) for name, _ in RUNS}
     for name, argv in RUNS:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([arg.format(**dirs) for arg in argv] + ["--out", dirs[name]])
+            code = cli_main([arg.format(**dirs) for arg in argv] + ["--out", dirs[name]])
         if code != 0:
             raise RuntimeError(f"golden run {name!r} exited with {code}")
     return {
@@ -81,7 +76,8 @@ def run_matrix(root: Path) -> dict[str, str]:
 def build_manifest(root: Path) -> dict:
     return {
         "regenerate": REGENERATE,
-        "env": environment(),
+        # the versions the hashes depend on besides the code
+        "env": {"python": platform.python_version(), "numpy": np.__version__},
         "runs": {name: " ".join(argv) for name, argv in RUNS},
         "files": run_matrix(root),
     }
@@ -90,7 +86,6 @@ def build_manifest(root: Path) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         manifest = build_manifest(Path(tmp))
-    MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(manifest['files'])} hashes to {MANIFEST}")
     return 0

@@ -68,6 +68,12 @@ def partition_avg_js_ref(assignment, counts, num_coalitions, denominator="M"):
     return avg_js_ref(rows, denominator)
 
 
+def potential_ref(assignment, counts, num_coalitions):
+    """The game's potential, the un-normalized pairwise JS sum, recomputed
+    from scratch: avg JS over the "M" denominator times M."""
+    return partition_avg_js_ref(assignment, counts, num_coalitions, "M") * num_coalitions
+
+
 def stable_ref(assignment, counts, num_coalitions, tolerance=1e-10, denominator="M"):
     """Brute-force Nash-stability check: every admissible single-client
     move is priced by recomputing the partition's avg JS from scratch."""
@@ -371,7 +377,7 @@ def random_partition_ref(client_label_counts, num_coalitions, rng, denominator="
     return Partition(assignment, client_label_counts, num_coalitions, denominator)
 
 
-def coalition_formation_ref(initial, max_iters, rng_seed=0, tolerance=1e-10):
+def coalition_formation_ref(initial, max_iters, rng_seed=0):
     """The improvement loop one sample at a time, with nothing reused.
 
     Each iteration draws one client, prices it alone with ``best_switch``,
@@ -388,7 +394,7 @@ def coalition_formation_ref(initial, max_iters, rng_seed=0, tolerance=1e-10):
 
     def stable(partition):
         return all(
-            best_switch(partition, client, tolerance) is None
+            best_switch(partition, client) is None
             for client in range(partition.n_clients)
         )
 
@@ -401,7 +407,7 @@ def coalition_formation_ref(initial, max_iters, rng_seed=0, tolerance=1e-10):
     while iteration < max_iters:
         client = int(rng.integers(n))
         src = int(partition.assignment[client])
-        proposal = best_switch(partition, client, tolerance)
+        proposal = best_switch(partition, client)
         if proposal is not None:
             partition.apply(proposal)
             quiet = 0

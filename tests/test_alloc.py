@@ -287,13 +287,6 @@ def test_gp_matches_independent_objective_oracle():
     assert ours == pytest.approx(ref, rel=1e-12)
 
 
-def test_gp_rejects_infeasible_start():
-    rng = np.random.default_rng(14)
-    coalitions, clients, cfg = make_alloc_instance(rng, 2)
-    with pytest.raises(InfeasibleError):
-        gp_solve(coalitions, clients, cfg, b_init=np.array([cfg.total_bandwidth, cfg.total_bandwidth]))
-
-
 def test_gp_config_validation():
     with pytest.raises(ValueError):
         GPConfig(step_size=-1.0)
@@ -305,6 +298,22 @@ def test_gp_config_validation():
                         ("min_bandwidth_floor", math.nan), ("min_bandwidth_floor", -math.inf)):
         with pytest.raises(InvalidValueError, match=f"{name} must be finite"):
             GPConfig(**{name: value})
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, True, np.float64(4.0), "10", None], ids=repr)
+def test_gp_config_refuses_an_iteration_cap_that_is_not_an_integer(max_iters):
+    # 2.5 used to reach range() inside gp_solve, and True ran one iteration
+    with pytest.raises(InvalidValueError, match="max_iters must be an integer, got"):
+        GPConfig(max_iters=max_iters)
+
+
+def test_gp_config_takes_numpy_integer_caps():
+    rng = np.random.default_rng(14)
+    coalitions, clients, cfg = make_alloc_instance(rng, 2)
+    plain, trace = gp_solve(coalitions, clients, cfg, GPConfig(max_iters=3))
+    for cap in (np.int64(3), np.uint8(3)):
+        b, same = gp_solve(coalitions, clients, cfg, GPConfig(max_iters=cap))
+        assert np.array_equal(b, plain) and same.objective_values == trace.objective_values
 
 
 def test_gp_explicit_step_size_still_converges():

@@ -178,12 +178,26 @@ def test_training_curves_attached_when_requested():
 @pytest.mark.parametrize("field, value", [
     ("n_features", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
     ("lr", float("inf")), ("class_sep", float("nan")), ("class_sep", float("-inf")),
-    ("noise", float("inf")), ("noise", float("nan")), ("test_per_class", 0),
+    ("noise", float("inf")), ("noise", float("nan")),
     ("tau_c", 0), ("tau_e", -2), ("tau_g", 0),
 ])
 def test_train_options_reject_values_outside_their_domain(field, value):
     with pytest.raises(InvalidValueError, match=field):
         TrainOptions(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["n_features", "tau_c", "tau_e", "tau_g"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0), "2"], ids=repr)
+def test_train_options_refuse_counts_that_are_not_integers(field, value):
+    with pytest.raises(InvalidValueError, match=f"{field} must be an integer, got"):
+        TrainOptions(**{field: value})
+
+
+def test_train_options_take_numpy_integer_counts_and_need_a_feature_count():
+    opts = TrainOptions(n_features=np.int64(4), tau_c=np.uint8(2), tau_e=np.int32(1))
+    assert (opts.n_features, opts.tau_c, opts.tau_e, opts.tau_g) == (4, 2, 1, None)
+    with pytest.raises(InvalidValueError, match="n_features must be an integer, got None"):
+        TrainOptions(n_features=None)
 
 
 def test_only_none_defers_a_training_period_to_the_scenario(scenario):

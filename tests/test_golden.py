@@ -29,4 +29,6 @@ def test_golden_matrix_reproduces_the_manifest(tmp_path):
         ))
     lines.append(f"if the change is meant to move bytes, regenerate with `{REGENERATE}` "
                  "and name the moved files in CHANGES.md")
-    raise AssertionError("emitted files differ from tests/golden/manifest.json\n" + "\n".join(lines))
+    raise AssertionError(
+        "emitted files differ from tests/golden/manifest.json\n" + "\n".join(lines)
+    )

@@ -74,6 +74,21 @@ def test_config_rejects_nonpositive_and_negative_weights():
         unit_config(lambda1=-1.0)
 
 
+@pytest.mark.parametrize("field", ["tau_c", "tau_e", "tau_g"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0), "2", None], ids=repr)
+def test_config_refuses_a_tau_that_is_not_an_integer(field, value):
+    with pytest.raises(InvalidValueError, match=f"{field} must be an integer, got"):
+        unit_config(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["tau_c", "tau_e", "tau_g"])
+def test_config_takes_numpy_integer_taus_of_at_least_1(field):
+    assert getattr(unit_config(**{field: np.int64(3)}), field) == 3
+    for value in (0, -2, np.int64(0)):
+        with pytest.raises(InvalidValueError, match=f"{field} must be at least 1, got"):
+            unit_config(**{field: value})
+
+
 # -- compute latency -----------------------------------------------------------
 
 def test_comp_latency_unit_case():
@@ -246,7 +261,8 @@ def test_coalition_aggregation_matches_direct_sums():
     direct = cfg.tau_g * cfg.tau_e * float(np.sum(out.comp + out.tx))
     assert out.total == pytest.approx(direct, rel=1e-12)
     assert np.all(np.isfinite(t_client)) and np.all(t_client > 0)
-    assert np.all(np.isfinite(out.client)) and np.all(out.client > 0)
+    per_client = out.comp + out.tx
+    assert np.all(np.isfinite(per_client)) and np.all(per_client > 0)
 
 
 # -- utility and deadline ------------------------------------------------------------
