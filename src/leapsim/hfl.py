@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidValueError, TrainingDivergedError
+from .errors import InvalidValueError, TrainingDivergedError, check_integer
 from .netmodel import coalition_assignment
 
 __all__ = [
@@ -103,6 +103,21 @@ def accuracy(
     return float(np.mean(predict(params, features, n_classes) == labels))
 
 
+def _are_logit_targets(targets, n: int, n_classes: int) -> bool:
+    """Whether ``targets`` is ``logit_targets`` of ``n`` labels in
+    [0, n_classes): integer flat indices into a C-order (n_classes, n)
+    block, one in each column, in column order."""
+    if not (
+        isinstance(targets, np.ndarray) and targets.dtype.kind in "iu" and targets.shape == (n,)
+    ):
+        return False
+    try:
+        _, columns = np.unravel_index(targets, (n_classes, n))
+    except ValueError:  # an index outside [0, n_classes * n)
+        return False
+    return bool(np.logical_and.reduce(columns == np.arange(n)))
+
+
 def local_train(
     params: np.ndarray,
     features: np.ndarray,
@@ -113,10 +128,19 @@ def local_train(
 ) -> np.ndarray:
     """tau_c full-batch gradient steps at ``targets`` (``logit_targets``).
 
-    Raises TrainingDivergedError (a FloatingPointError) as soon as the
-    loss or a parameter stops being finite; the overflows on the way
-    there are expected and not reported as numpy warnings.
+    Raises InvalidValueError unless ``targets`` is the ``logit_targets``
+    of one label in [0, n_classes) per row of ``features``, so that plain
+    labels are refused rather than read as flat indices.  Raises
+    TrainingDivergedError (a FloatingPointError) as soon as the loss or a
+    parameter stops being finite; the overflows on the way there are
+    expected and not reported as numpy warnings.
     """
+    n = len(features)
+    if not _are_logit_targets(targets, n, n_classes):
+        raise InvalidValueError(
+            f"targets must be logit_targets(labels) for {n} samples: integers of shape ({n},) "
+            f"in [0, {n_classes * n}) with targets % {n} == arange({n})"
+        )
     out = params.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
@@ -171,7 +195,10 @@ class SyntheticDataset:
 
         Each client's row of per-class counts must hold integers >= 0 with
         a positive total, as many as the first row's; InvalidValueError
-        names the first client whose row does not."""
+        names the first client whose row does not, and so does an
+        ``n_features`` or ``test_per_class`` that is not an integer >= 1."""
+        check_integer("n_features", n_features, 1)
+        check_integer("test_per_class", test_per_class, 1)
         if len(label_counts) == 0:
             raise InvalidValueError("label_counts must hold at least one client")
         n_classes = len(label_counts[0])
@@ -215,8 +242,10 @@ def run_hfl(
     aggregation so results do not depend on set iteration order, and
     write their results into one (members, P) buffer per coalition.
     Returns the final global parameters and one held-out accuracy per
-    global round.
+    global round; InvalidValueError if a tau is not an integer >= 1.
     """
+    for name, tau in (("tau_c", tau_c), ("tau_e", tau_e), ("tau_g", tau_g)):
+        check_integer(name, tau, 1)
     assignment, coalition_sizes = coalition_assignment(partition, len(dataset.client_labels))
     sizes = np.asarray(dataset.client_sizes, dtype=float)
     coalitions = [np.flatnonzero(assignment == m) for m in range(coalition_sizes.size)]

@@ -1,7 +1,7 @@
 """The golden-output matrix: a fixed set of CLI runs and the sha256 of every file they write.
 
 ``tests/golden/manifest.json`` records the hashes, the runs that made
-them and the Python and numpy versions they were made on;
+them and the Python, numpy and orjson versions they were made on;
 ``test_golden.py`` reruns the matrix and compares.  A change that is
 meant to move emitted bytes regenerates the manifest with
 
@@ -22,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from leapsim.cli import main as cli_main
 
@@ -77,7 +78,11 @@ def build_manifest(root: Path) -> dict:
     return {
         "regenerate": REGENERATE,
         # the versions the hashes depend on besides the code
-        "env": {"python": platform.python_version(), "numpy": np.__version__},
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "orjson": orjson.__version__,
+        },
         "runs": {name: " ".join(argv) for name, argv in RUNS},
         "files": run_matrix(root),
     }

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leapsim import files
 from leapsim.errors import InputFileError
 from leapsim.experiment import run_experiment, write_game_trace
 from leapsim.files import (
@@ -40,7 +41,11 @@ def written(tmp_path, payload) -> str:
     return path.read_text()
 
 
-EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16]
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16,
+    # the ends of the stdlib's positional range [1e-4, 1e16), and orjson's positional 1e-5
+    1e-5, 9.999999999999999e-05, 1e-4, 9999999999999998.0,
+]
 EDGE_TEXTS = ["", "comma, space", "é", "日本語", "\x00\x1f\x7f", "tab\tquote\"back\\slash", " ", "\ud83d"]
 
 floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
@@ -104,6 +109,90 @@ def test_write_json_row_path_falls_back_on_near_misses(tmp_path, payload):
     rows = payload["a"] if isinstance(payload, dict) else payload
     assert not _plain_rows(rows)
     assert written(tmp_path, payload) == reference(payload)
+
+
+def log_uniform(low: float, high: float):
+    """Floats of either sign whose magnitude is log-uniform in [10**low, 10**high]."""
+    return st.builds(
+        lambda exponent, negative: math.copysign(10.0 ** exponent, -1.0 if negative else 1.0),
+        st.floats(low, high), st.booleans(),
+    )
+
+
+# where the stdlib's float format changes (positional in [1e-4, 1e16), an
+# exponent outside it) and what orjson writes otherwise or refuses
+boundary_floats = st.one_of(
+    log_uniform(-6, -3),
+    log_uniform(15, 17),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+)
+boundary_others = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False]),
+    *(st.integers(edge - 2, edge + 2) for edge in (-(2**63), 2**63, 2**64)),
+)
+boundary_leaves = st.one_of(
+    st.lists(boundary_floats, min_size=1),
+    st.lists(boundary_floats | boundary_others, min_size=1),
+)
+
+
+@given(
+    items=boundary_leaves,
+    rows=st.lists(boundary_leaves.map(lambda row: row[:5]), min_size=1, max_size=6),
+)
+@settings(max_examples=500, deadline=None)
+def test_write_json_matches_the_stdlib_at_the_float_format_boundaries(
+    tmp_path_factory, items, rows
+):
+    payload = {"items": items, "rows": rows}
+    path = tmp_path_factory.getbasetemp() / "boundaries.json"
+    write_json(path, payload)
+    assert path.read_bytes() == reference(payload).encode("ascii")
+
+
+@pytest.fixture
+def stdlib_leaves(monkeypatch):
+    """The plain leaves ``write_json`` hands to the stdlib instead of orjson."""
+    handed = []
+
+    def stdlib_compact(value):
+        handed.append(value)
+        return json.dumps(value, separators=(",", ":"))
+
+    monkeypatch.setattr(files, "_STDLIB_COMPACT", stdlib_compact)
+    return handed
+
+
+@pytest.mark.parametrize("leaf", [
+    [0.1, 1e-4, -1e-4, 9999999999999998.0, -9999999999999998.0, 0.0, -0.0],
+    [10.00001, -10.00001, 0.00012],  # "0.0000" inside a token, not at its start
+    [True, False, None, 1.5],  # the "e" of true and false is no exponent
+    [2**64 - 1, -(2**63), 0],
+    [[1, None, 0.25], [True, -0.5]],
+])
+def test_write_json_takes_orjson_text_where_it_is_the_stdlibs(tmp_path, stdlib_leaves, leaf):
+    assert written(tmp_path, {"a": leaf}) == reference({"a": leaf})
+    assert stdlib_leaves == []
+
+
+@pytest.mark.parametrize("leaf", [
+    [1e16],  # orjson: 1e16
+    [1.0, -1.5e-7],  # orjson: -1.5e-7
+    [5e-324],
+    [1e-5],  # orjson: 0.00001
+    [-9.999999999999999e-05],
+    [math.nan, None],  # orjson: null, null
+    [math.inf],
+    [[1, -math.inf], [None]],
+    [2**64],  # outside orjson's 64 bits
+    [-(2**63) - 1],
+])
+def test_write_json_hands_leaves_orjson_writes_otherwise_to_the_stdlib(
+    tmp_path, stdlib_leaves, leaf
+):
+    assert written(tmp_path, {"a": leaf}) == reference({"a": leaf})
+    assert stdlib_leaves == [leaf]
 
 
 @given(payload=json_values)
@@ -400,3 +489,42 @@ def test_files_is_the_only_module_that_writes_files():
     writes = {m.name: file_writes(ast.parse(m.read_text(encoding="utf-8"))) for m in modules}
     assert writes.pop("files.py"), "the detector no longer sees the writer in files.py"
     assert len(writes) >= 9 and not any(writes.values()), writes
+
+
+def imports(tree: ast.AST) -> set[str]:
+    """The top-level names of the modules ``tree`` imports, by statement
+    or by a literal ``import_module``/``__import__`` call."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("import_module", "__import__") and node.args:
+                arg = node.args[0]
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    found.add(arg.value.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("code, found", [
+    ("import orjson", {"orjson"}),
+    ("import orjson as oj", {"orjson"}),
+    ("import json, orjson.x", {"json", "orjson"}),
+    ("from orjson import dumps", {"orjson"}),
+    ("from . import orjson", set()),  # a module of the package, not orjson
+    ("importlib.import_module('orjson')", {"orjson"}),
+    ("__import__('orjson')", {"orjson"}),
+    ("x = 'orjson'", set()),
+])
+def test_import_detector(code, found):
+    assert imports(ast.parse(code)) == found
+
+
+def test_files_is_the_only_module_that_imports_orjson():
+    modules = sorted((SRC / "leapsim").glob("*.py"))
+    importers = [m.name for m in modules if "orjson" in imports(ast.parse(m.read_text(encoding="utf-8")))]
+    assert len(modules) >= 10 and importers == ["files.py"], importers

@@ -171,6 +171,38 @@ def test_divergence_is_a_typed_error_without_warnings():
     assert isinstance(info.value, LeapsimError) and isinstance(info.value, FloatingPointError)
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint64])
+def test_local_train_takes_logit_targets_of_any_integer_dtype(dtype):
+    ds = toy_dataset()
+    params = init_params(3, 4, seed=2)
+    features, targets = ds.client_features[0], logit_targets(ds.client_labels[0])
+    expected = local_train(params, features, targets, 3, 2, 0.1)
+    assert np.array_equal(local_train(params, features, targets.astype(dtype), 3, 2, 0.1), expected)
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: t // t.size,  # the plain labels
+    lambda t: t[:-1],  # one target short
+    lambda t: t.reshape(1, -1),
+    lambda t: t.astype(float),
+    lambda t: t.astype(bool),
+    lambda t: list(t),
+    lambda t: np.where(np.arange(t.size) == 0, 3 * t.size, t),  # label K
+    lambda t: np.where(np.arange(t.size) == 0, -t.size, t),  # label -1
+    lambda t: np.roll(t, 1),  # each target in another sample's column
+], ids=["labels", "short", "2d", "float", "bool", "list", "label_k", "label_minus_one", "rolled"])
+def test_local_train_refuses_targets_before_its_first_step(monkeypatch, change):
+    ds = toy_dataset()
+    features, targets = ds.client_features[0], logit_targets(ds.client_labels[0])
+
+    def no_step(*args):
+        raise AssertionError("a gradient step ran on unchecked targets")
+
+    monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
+    with pytest.raises(InvalidValueError, match=r"^targets must be logit_targets\(labels\)"):
+        local_train(init_params(3, 4), features, change(targets), 3, 4, 0.1)
+
+
 # -- aggregation -------------------------------------------------------------------
 
 def test_edge_aggregate_idempotent_on_identical_inputs():
@@ -240,6 +272,13 @@ def test_dataset_rejects_an_empty_client_list():
         SyntheticDataset.generate([], n_features=2, seed=0)
 
 
+@pytest.mark.parametrize("value", [0, 2.5, True])
+@pytest.mark.parametrize("name", ["n_features", "test_per_class"])
+def test_dataset_rejects_a_count_that_is_not_a_positive_integer(name, value):
+    with pytest.raises(InvalidValueError, match=f"^{name} must be"):
+        SyntheticDataset.generate([[2, 1]], seed=0, **{name: value})
+
+
 def test_dataset_deterministic_per_seed():
     counts = [[4, 4], [4, 4]]
     a = SyntheticDataset.generate(counts, n_features=3, seed=6)
@@ -299,6 +338,14 @@ def test_run_hfl_rejects_empty_coalition():
     ds = toy_dataset()
     with pytest.raises(ValueError):
         run_hfl([set(), {0, 1, 2, 3}], ds, tau_c=1, tau_e=1, tau_g=1, lr=0.1)
+
+
+@pytest.mark.parametrize("value", [0, 2.5, True])
+@pytest.mark.parametrize("name", ["tau_c", "tau_e", "tau_g"])
+def test_run_hfl_rejects_a_period_that_is_not_a_positive_integer(name, value):
+    periods = {"tau_c": 1, "tau_e": 1, "tau_g": 1, name: value}
+    with pytest.raises(InvalidValueError, match=f"^{name} must be"):
+        run_hfl([0, 0, 1, 1], toy_dataset(), lr=0.1, **periods)
 
 
 def c7_like(seed=0):
