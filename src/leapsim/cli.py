@@ -5,14 +5,14 @@ independently runnable and testable:
 
     gen        draw a scenario file from a seed
     coalition  form coalitions on a scenario (association stage)
-    allocate   solve bandwidth and power for a partition
+    allocate   solve bandwidth and power for a partition (the decision)
     simulate   toy hierarchical training on a partition
-    report     recompute and emit the metrics for a saved plan
+    report     derive the metrics of a saved plan's decision
     compare    full pipeline against the baselines, one report
 
 The default output directory comes from the LEAPSIM_OUT environment
 variable (falling back to the working directory).  With --strict,
-compare exits nonzero when any requested method misses the deadline.
+allocate, report and compare exit nonzero when a plan misses the deadline.
 Rejected input (a missing or malformed file, files that disagree, a
 plan that differs from its recomputation, or any other typed leapsim
 error) ends with a one-line message on stderr and exit code 2.
@@ -23,9 +23,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +50,13 @@ from .netmodel import AllocationPlan
 from .scenario import Scenario, generate_scenario, label_count_matrix, load_scenario, save_scenario
 
 PARTITION_SCHEMA = "leapsim.partition.v1"
-PLAN_SCHEMA = "leapsim.plan.v1"
+PLAN_SCHEMA = "leapsim.plan.v2"
 METRICS_SCHEMA = "leapsim.metrics.v1"
 
+# plan.json holds the decision, allocate's notes and the totals report audits
+PLAN_TOTALS = ("total_latency", "total_energy", "uplink_energy", "avg_js", "utility",
+               "surrogate_objective", "feasible")
+PLAN_KEYS = ("bandwidth", "power", "notes", *PLAN_TOTALS)
 # relative tolerance of the plan audit in ``report``
 PLAN_AUDIT_RTOL = 1e-9
 FORMATS = ("json", "csv")
@@ -177,7 +181,8 @@ def cmd_allocate(args) -> int:
         partition, scenario.clients, scenario.config, _gp_config(args), avg_js=partition.avg_js()
     )
     out = _out_dir(args)
-    write_json(out / "plan.json", {"schema": PLAN_SCHEMA, **plan.to_dict()})
+    stored = plan.to_dict()
+    write_json(out / "plan.json", {"schema": PLAN_SCHEMA, **{k: stored[k] for k in PLAN_KEYS}})
     write_gp_trace(out / "gp_trace.csv", trace.objective_values)
     print(
         f"objective {trace.objective_values[0]:.6g} -> {trace.objective_values[-1]:.6g} "
@@ -215,17 +220,14 @@ def cmd_simulate(args) -> int:
 def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> AllocationPlan:
     """The plan rebuilt from the stored plan's bandwidth and power.
 
-    Raises InputFileError when ``bandwidth``, ``power`` or
-    ``client_bandwidth`` is not a list of one JSON number per edge or
-    client, or when any other stored array or scalar differs from the
-    rebuild by more than PLAN_AUDIT_RTOL.
+    Raises InputFileError when ``bandwidth`` or ``power`` is not a list
+    of one JSON number per edge or client, or when a total of
+    PLAN_TOTALS is missing, not a JSON number or not the rebuild's
+    (``feasible`` exactly, the others within PLAN_AUDIT_RTOL): the
+    totals tie a plan to the scenario and partition it was solved for.
     """
     data = read_json(path, PLAN_SCHEMA)
-    for name, length in (
-        ("bandwidth", scenario.num_edges),
-        ("power", scenario.n_clients),
-        ("client_bandwidth", scenario.n_clients),
-    ):
+    for name, length in (("bandwidth", scenario.num_edges), ("power", scenario.n_clients)):
         if name not in data:
             raise InputFileError(f"{path}: malformed plan (no {name!r})")
         value = data[name]
@@ -240,23 +242,21 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
                 raise InputFileError(
                     f"{path}: {name}[{i}] must be a JSON number, got {json.dumps(entry)}"
                 )
-    try:
-        stored = AllocationPlan.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFileError(f"{path}: malformed plan ({type(exc).__name__}: {exc})") from exc
     plan = recompute_plan(
-        scenario, partition.assignment, stored.bandwidth, stored.power, partition.denominator
+        scenario, partition.assignment, data["bandwidth"], data["power"], partition.denominator
     )
-    for f in fields(AllocationPlan):
-        if f.name == "notes":
-            continue
-        kept = np.asarray(getattr(stored, f.name), dtype=float)
-        fresh = np.asarray(getattr(plan, f.name), dtype=float)
-        if kept.shape != fresh.shape or not np.allclose(
-            kept, fresh, rtol=PLAN_AUDIT_RTOL, atol=0.0
-        ):
+    for name in PLAN_TOTALS:
+        if name not in data:
+            raise InputFileError(f"{path}: malformed plan (no {name!r})")
+        kept, fresh = data[name], getattr(plan, name)
+        if name != "feasible" and type(kept) not in (int, float):
             raise InputFileError(
-                f"{path}: stored {f.name} differs from the plan recomputed "
+                f"{path}: malformed plan ({name} must be a JSON number, got {json.dumps(kept)})"
+            )
+        if not (kept is bool(fresh) if name == "feasible"
+                else math.isclose(kept, fresh, rel_tol=PLAN_AUDIT_RTOL)):
+            raise InputFileError(
+                f"{path}: stored {name} differs from the plan recomputed "
                 "from the scenario and partition"
             )
     return plan
@@ -355,14 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed: bool, strict: bool):
         p.add_argument("--out", default=None, help="output directory (default $LEAPSIM_OUT or .)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strict", action="store_true",
-                       help="exit nonzero when a plan misses the deadline")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="exit nonzero when a plan misses the deadline")
 
     gen = sub.add_parser("gen", help="generate a scenario file")
-    add_common(gen)
+    add_common(gen, seed=True, strict=False)
     gen.add_argument("--clients", type=int, default=20)
     gen.add_argument("--edges", type=int, default=4)
     gen.add_argument("--classes", type=int, default=10)
@@ -380,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     coalition = sub.add_parser("coalition", help="run the coalition formation game")
-    add_common(coalition)
+    add_common(coalition, seed=True, strict=False)
     coalition.add_argument("--scenario", required=True)
     coalition.add_argument("--max-iters", type=int, default=None)
     coalition.add_argument("--denominator", choices=("M", "pairs"), default="M")
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-coalition bandwidth floor in Hz")
 
     allocate = sub.add_parser("allocate", help="solve bandwidth and power")
-    add_common(allocate)
+    add_common(allocate, seed=False, strict=True)
     allocate.add_argument("--scenario", required=True)
     allocate.add_argument("--partition", required=True)
     add_gp(allocate)
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau-g", type=int, default=None)
 
     simulate = sub.add_parser("simulate", help="toy hierarchical training run")
-    add_common(simulate)
+    add_common(simulate, seed=True, strict=False)
     simulate.add_argument("--scenario", required=True)
     simulate.add_argument("--partition", required=True)
     add_train(simulate)
@@ -419,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     report = sub.add_parser("report", help="emit metrics for a saved plan")
-    add_common(report)
+    add_common(report, seed=False, strict=True)
     report.add_argument("--scenario", required=True)
     report.add_argument("--partition", required=True)
     report.add_argument("--plan", required=True)
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=cmd_report)
 
     compare = sub.add_parser("compare", help="run methods side by side")
-    add_common(compare)
+    add_common(compare, seed=True, strict=True)
     compare.add_argument("--scenario", required=True)
     compare.add_argument("--methods", nargs="+", default=METHODS, choices=METHODS)
     compare.add_argument("--max-iters", type=int, default=None)
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:  # numpy's generators take only non-negative seeds
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take only non-negative seeds
             raise InvalidValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (LeapsimError, OSError) as exc:

@@ -220,9 +220,8 @@ def run_experiment(
     config = scenario.config
     clients = scenario.clients
     n_edges = scenario.num_edges
-    if game_max_iters is not None and game_max_iters < 1:
-        # rejected even when no requested method runs the game
-        raise InvalidValueError(f"max_iters must be at least 1, got {game_max_iters}")
+    if game_max_iters is not None:  # checked even when no requested method runs the game
+        check_integer("max_iters", game_max_iters, 1)
 
     seed_rng = np.random.default_rng(master_seed)
     seeds = {

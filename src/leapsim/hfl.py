@@ -128,18 +128,18 @@ def local_train(
 ) -> np.ndarray:
     """tau_c full-batch gradient steps at ``targets`` (``logit_targets``).
 
-    Raises InvalidValueError unless ``targets`` is the ``logit_targets``
-    of one label in [0, n_classes) per row of ``features``, so that plain
-    labels are refused rather than read as flat indices.  Raises
-    TrainingDivergedError (a FloatingPointError) as soon as the loss or a
-    parameter stops being finite; the overflows on the way there are
-    expected and not reported as numpy warnings.
+    Raises InvalidValueError unless ``features`` has a row and
+    ``targets`` is the ``logit_targets`` of one label in [0, n_classes)
+    per row, so that plain labels are refused rather than read as flat
+    indices.  Raises TrainingDivergedError (a FloatingPointError) as
+    soon as the loss or a parameter stops being finite; the overflows on
+    the way there are expected and not reported as numpy warnings.
     """
     n = len(features)
-    if not _are_logit_targets(targets, n, n_classes):
+    if n == 0 or not _are_logit_targets(targets, n, n_classes):
         raise InvalidValueError(
-            f"targets must be logit_targets(labels) for {n} samples: integers of shape ({n},) "
-            f"in [0, {n_classes * n}) with targets % {n} == arange({n})"
+            f"targets must be logit_targets(labels) for {n} samples, at least one: integers of "
+            f"shape ({n},) in [0, {n_classes * n}) with targets % {n} == arange({n})"
         )
     out = params.copy()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -416,13 +416,3 @@ class AllocationPlan:
 
     def to_dict(self) -> dict:
         return fields_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AllocationPlan":
-        """Inverse of ``to_dict``; a missing field raises KeyError."""
-        values = {f.name: data[f.name] for f in fields(cls)}
-        for f in fields(cls):
-            if f.type == "np.ndarray":
-                dtype = bool if f.name == "per_client_feasible" else float
-                values[f.name] = np.asarray(values[f.name], dtype=dtype)
-        return cls(**values)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFileError, InvalidValueError
+from .errors import InputFileError, InvalidValueError, check_integer
 from .files import decode_array, encode_array, fields_dict, read_json, write_json
 from .game import Partition
 from .netmodel import ClientTable, NetworkConfig, comp_latency, tx_latency
@@ -152,6 +152,10 @@ def generate_scenario(
     draws a single gain per client and repeats it across the client's
     row of ``channel_gains``.
     """
+    for name, value in (("n_clients", n_clients), ("n_edges", n_edges), ("n_classes", n_classes),
+                        ("data_size", data_size), ("shards", shards)):
+        if value is not None:  # shards is None with dirichlet_alpha
+            check_integer(name, value, 1)
     if n_clients < n_edges or n_edges < 2:
         raise InvalidValueError("need n_clients >= n_edges >= 2")
     if (shards is None) == (dirichlet_alpha is None):

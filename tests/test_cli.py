@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import leapsim
+import leapsim.cli
 from leapsim.cli import build_parser, main
 from leapsim.files import decode_array, encode_array
 
@@ -434,8 +437,6 @@ def test_report_rejects_plan_arrays_of_the_wrong_length(tmp_path, scenario_file,
     tampered = tmp_path / "plan.json"
     for field, value, words in (
         ("power", good["power"][:3], "power has 3 entries, expected 12"),
-        ("client_bandwidth", good["client_bandwidth"] * 2,
-         "client_bandwidth has 24 entries, expected 12"),
         ("bandwidth", good["bandwidth"][:1], "bandwidth has 1 entries, expected 3"),
         ("bandwidth", None, "bandwidth must be a list of 3 numbers, got null"),
     ):
@@ -449,7 +450,6 @@ def test_report_rejects_plan_arrays_of_the_wrong_length(tmp_path, scenario_file,
 @pytest.mark.parametrize("field, index, value, words", [
     ("power", 4, "0.5", 'power[4] must be a JSON number, got "0.5"'),
     ("bandwidth", 1, True, "bandwidth[1] must be a JSON number, got true"),
-    ("client_bandwidth", 0, None, "client_bandwidth[0] must be a JSON number, got null"),
 ])
 def test_report_rejects_plan_values_that_are_not_json_numbers(
     tmp_path, scenario_file, capsys, field, index, value, words
@@ -504,22 +504,60 @@ def test_report_refuses_a_plan_that_differs_from_its_recomputation(
     ) == 0
     report = ["report", "--scenario", scenario_file, "--partition", partition]
     assert run([*report, "--plan", stage / "plan.json", "--out", tmp_path / "ok"]) == 0
+    # the plan of another partition, and a scenario of the same shape
+    other = tmp_path / "other"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--grouped-start",
+                "--out", other]) == 0
+    assert run(["gen", "--seed", 8, "--clients", 12, "--edges", 3, "--out", other]) == 0
     capsys.readouterr()
+    assignments = [json.loads((d / "partition.json").read_text())["assignment"]
+                   for d in (stage, other)]
+    assert assignments[0] != assignments[1]
+
+    def refused(plan_file, words, argv=report):
+        assert run([*argv, "--plan", plan_file, "--out", tmp_path / "bad"]) == 2
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and str(plan_file) in lines[0] and words in lines[0]
+        assert not (tmp_path / "bad" / "metrics.json").exists()
 
     plan = json.loads((stage / "plan.json").read_text())
-    plan["tx_energy"][2] *= 1.0 + 1e-6
     tampered = tmp_path / "plan.json"
-    tampered.write_text(json.dumps(plan))
-    assert run([*report, "--plan", tampered, "--out", tmp_path / "bad"]) == 2
-    lines = _error_lines(capsys)
-    assert len(lines) == 1 and "stored tx_energy differs" in lines[0]
-    assert not (tmp_path / "bad" / "metrics.json").exists()
+    for name, value, words in (
+        ("total_energy", plan["total_energy"] * (1.0 + 1e-6), "stored total_energy differs"),
+        ("avg_js", plan["avg_js"] + 1e-3, "stored avg_js differs"),
+        ("feasible", not plan["feasible"], "stored feasible differs"),
+        ("utility", "1.0", 'malformed plan (utility must be a JSON number, got "1.0")'),
+        ("uplink_energy", None, "malformed plan (uplink_energy must be a JSON number, got null)"),
+        ("feasible", int(plan["feasible"]), "stored feasible differs"),
+    ):
+        tampered.write_text(json.dumps({**plan, name: value}))
+        refused(tampered, words)
+    for name in ("total_latency", "surrogate_objective"):
+        tampered.write_text(json.dumps({k: v for k, v in plan.items() if k != name}))
+        refused(tampered, f"malformed plan (no {name!r})")
+    tampered.write_text(json.dumps({**plan, "schema": "leapsim.plan.v1"}))
+    refused(tampered, "leapsim.plan.v2")
 
-    del plan["tx_energy"]
-    tampered.write_text(json.dumps(plan))
-    assert run([*report, "--plan", tampered, "--out", tmp_path / "bad"]) == 2
-    lines = _error_lines(capsys)
-    assert len(lines) == 1 and "malformed plan" in lines[0]
+    refused(stage / "plan.json", "differs from the plan recomputed",
+            ["report", "--scenario", scenario_file, "--partition", other / "partition.json"])
+    refused(stage / "plan.json", "differs from the plan recomputed",
+            ["report", "--scenario", other / "scenario.json", "--partition", partition])
+
+
+def test_plan_holds_the_decision_notes_and_totals(tmp_path, scenario_file):
+    from leapsim.cli import PLAN_KEYS
+
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    assert run(["allocate", "--scenario", scenario_file, "--partition", stage / "partition.json",
+                "--out", stage]) == 0
+    plan = json.loads((stage / "plan.json").read_text())
+    assert set(plan) == {
+        "schema", "bandwidth", "power", "notes", "total_latency", "total_energy",
+        "uplink_energy", "avg_js", "utility", "surrogate_objective", "feasible",
+    } == {"schema", *PLAN_KEYS}
+    assert plan["schema"] == "leapsim.plan.v2"
+    assert len(plan["bandwidth"]) == 3 and len(plan["power"]) == 12
 
 
 @pytest.fixture()
@@ -546,7 +584,7 @@ def _verb_inputs(verb, scenario_file, stage):
     }[verb]
 
 
-@pytest.mark.parametrize("verb", ["gen", "coalition", "allocate", "simulate", "report", "compare"])
+@pytest.mark.parametrize("verb", ["gen", "coalition", "simulate", "compare"])
 def test_a_negative_seed_is_one_line_and_exit_2(tmp_path, scenario_file, staged, capsys, verb):
     capsys.readouterr()
     out = tmp_path / "o"
@@ -596,3 +634,36 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, scenario_file):
     assert "leap_gp_trace.csv" in _files(tmp_path / "same" / "compare")
     assert json.loads((tmp_path / "same" / "compare_leap" / "report.json").read_text())[
         "methods"].keys() == {"leap"}
+
+
+def _args_read(functions: dict[str, ast.FunctionDef], name: str, seen: set[str]) -> set[str]:
+    """The ``args.<dest>`` names read in cli function ``name`` and in the
+    cli functions it calls.  ``main`` is not followed: it reads
+    ``args.command`` and ``args.seed`` for every verb alike."""
+    if name in seen or name == "main":
+        return set()
+    seen.add(name)
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in functions:
+            read |= _args_read(functions, node.func.id, seen)
+    return read
+
+
+def test_every_flag_of_a_verb_is_read_by_its_command():
+    tree = ast.parse(Path(leapsim.cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    [verbs] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(verbs.choices) == {"gen", "coalition", "allocate", "simulate", "report", "compare"}
+    unread = {}
+    for verb, parser in verbs.choices.items():
+        command = parser.get_default("func").__name__
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        never = dests - {"command", "func"} - _args_read(functions, command, set())
+        if never:
+            unread[verb] = sorted(never)
+    assert unread == {}, f"flags their command never reads: {unread}"

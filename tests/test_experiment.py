@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ def test_single_method_report_has_one_section(scenario):
 def test_unknown_method_rejected(scenario):
     with pytest.raises(InvalidValueError, match="magic"):
         run_experiment(scenario, methods=["leap", "magic"])
+
+
+@pytest.mark.parametrize("max_iters, words", [
+    (2.5, "max_iters must be an integer, got 2.5"),
+    (True, "max_iters must be an integer, got True"),
+    (0, "max_iters must be at least 1, got 0"),
+])
+def test_game_budget_is_checked_when_no_method_plays_the_game(scenario, max_iters, words):
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        run_experiment(scenario, methods=["random_assoc"], game_max_iters=max_iters)
 
 
 def test_leap_never_worse_than_random_association(scenario):

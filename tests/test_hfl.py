@@ -203,6 +203,16 @@ def test_local_train_refuses_targets_before_its_first_step(monkeypatch, change):
         local_train(init_params(3, 4), features, change(targets), 3, 4, 0.1)
 
 
+def test_local_train_refuses_zero_samples_before_its_first_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a gradient step ran without samples")
+
+    monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
+    features = toy_dataset().client_features[0][:0]
+    with pytest.raises(InvalidValueError, match="for 0 samples, at least one"):
+        local_train(init_params(3, 4), features, np.zeros(0, np.int64), 3, 5, 0.8)
+
+
 # -- aggregation -------------------------------------------------------------------
 
 def test_edge_aggregate_idempotent_on_identical_inputs():

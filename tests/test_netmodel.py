@@ -7,7 +7,6 @@ from leapsim.alloc import plan_full
 from leapsim.errors import InvalidPartitionError, InvalidValueError
 from leapsim.game import Partition
 from leapsim.netmodel import (
-    AllocationPlan,
     ClientProfile,
     ClientTable,
     NetworkConfig,
@@ -291,33 +290,6 @@ def test_compute_alone_over_budget_is_infeasible():
     t_client, _, _ = round_and_total_latency([{0}], c, [1e6], [1.0], cfg)
     ok, all_ok = check_deadline(t_client, cfg)
     assert not all_ok
-
-
-# -- plan serialization ---------------------------------------------------------------
-
-def test_allocation_plan_roundtrip():
-    plan = AllocationPlan(
-        bandwidth=np.array([5e6, 5e6]),
-        client_bandwidth=np.array([5e6, 5e6]),
-        power=np.array([0.1, 0.2]),
-        comp_latency=np.array([1.0, 2.0]),
-        tx_latency=np.array([0.5, 0.25]),
-        client_latency=np.array([1.5, 2.25]),
-        coalition_latency=np.array([1.5, 2.25]),
-        total_latency=2.25,
-        comp_energy=np.array([0.1, 0.2]),
-        tx_energy=np.array([0.05, 0.05]),
-        coalition_energy=np.array([0.15, 0.25]),
-        total_energy=0.4,
-        uplink_energy=0.1,
-        avg_js=0.25,
-        utility=0.35,
-        surrogate_objective=1.0,
-        per_client_feasible=np.array([True, True]),
-        feasible=True,
-    )
-    again = AllocationPlan.from_dict(plan.to_dict())
-    assert again.to_dict() == plan.to_dict()
 
 
 # -- client table and partition forms ---------------------------------------------------

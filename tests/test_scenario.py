@@ -184,6 +184,20 @@ def test_generator_argument_errors_are_typed():
         generate_scenario(seed=0, n_clients=10, n_edges=2, gain_mode="other")
 
 
+@pytest.mark.parametrize("name, value, words", [
+    ("n_clients", 20.0, "n_clients must be an integer, got 20.0"),
+    ("n_edges", 4.0, "n_edges must be an integer, got 4.0"),
+    ("n_classes", 10.0, "n_classes must be an integer, got 10.0"),
+    ("data_size", 200.0, "data_size must be an integer, got 200.0"),
+    ("shards", 2.0, "shards must be an integer, got 2.0"),
+    ("data_size", True, "data_size must be an integer, got True"),
+    ("n_classes", 0, "n_classes must be at least 1, got 0"),
+])
+def test_generator_refuses_a_count_that_is_not_a_positive_integer(name, value, words):
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        generate_scenario(**{"seed": 0, "n_clients": 20, "n_edges": 4, name: value})
+
+
 @pytest.mark.parametrize("field, value, words", [
     # a list is client 4's new row: a row of another length leaves data
     # that no longer fits the stored shape
