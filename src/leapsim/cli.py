@@ -147,7 +147,7 @@ def cmd_coalition(args) -> int:
         out / "partition.json",
         {
             "schema": PARTITION_SCHEMA,
-            "assignment": [int(a) for a in partition.assignment],
+            "assignment": partition.assignment.tolist(),
             "num_edges": partition.num_coalitions,
             "denominator": partition.denominator,
             "avg_js": partition.avg_js(),

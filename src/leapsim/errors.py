@@ -36,7 +36,7 @@ class InvalidPartitionError(LeapsimError):
 
 
 class TrainingDivergedError(LeapsimError, FloatingPointError):
-    """Training produced a non-finite loss or parameter; the learning rate is too high."""
+    """Training left a parameter non-finite; the learning rate is too high."""
 
 
 def check_integer(name: str, value, minimum: int) -> None:

@@ -293,7 +293,7 @@ def run_experiment(
         report.methods[name] = MethodResult(
             name=name,
             seeds=used_seeds,
-            assignment=[int(a) for a in partition.assignment],
+            assignment=partition.assignment.tolist(),
             avg_js=partition.avg_js(),
             plan=plan.to_dict(),
             feasible=plan.feasible,

@@ -13,7 +13,10 @@ Parameters travel as one flat vector (class-by-feature weights, then
 per-class biases), labels as their flat ``logit_targets``.  The
 benchmark counts one ``local_train`` per client per edge iteration and
 tau_c ``softmax_loss_and_grad`` calls in each, through this module's
-globals, so that call structure stays fixed.
+globals, so that call structure stays fixed.  Inside that structure a
+local step does gradient arithmetic only: it computes no loss, and
+``local_train`` checks once per call, after its last step, that the
+parameters are finite.
 """
 
 from __future__ import annotations
@@ -66,13 +69,15 @@ def logit_targets(labels: np.ndarray) -> np.ndarray:
 
 def softmax_loss_and_grad(
     params: np.ndarray, features: np.ndarray, targets: np.ndarray, n_classes: int
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient in flat-parameter layout.
+) -> np.ndarray:
+    """The mean cross-entropy's gradient in flat-parameter layout.
 
     The logits are class-major, (n_classes, n): the softmax reduces over
     axis 0, the true-class entries are read and written at ``targets``
     (``logit_targets``) in the flat view, and the weight and bias
-    gradients go straight into one fresh flat vector."""
+    gradients go straight into one fresh flat vector.  No loss is
+    computed, since the learner reads none; the name is the one the
+    benchmark counts once per step."""
     n, d = features.shape
     kd = n_classes * d
     probs = np.dot(params[:kd].reshape(n_classes, d), features.T)
@@ -81,15 +86,12 @@ def softmax_loss_and_grad(
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=0)
     flat = probs.reshape(-1)
-    picked = flat[targets]
-    flat[targets] = picked - 1.0  # probs now holds the logit gradient, softmax - onehot
-    picked += 1e-300
-    loss = -float(np.add.reduce(np.log(picked, out=picked))) / n
+    flat[targets] -= 1.0  # probs now holds the logit gradient, softmax - onehot
     grad = np.empty(kd + n_classes)
     np.dot(probs, features, out=grad[:kd].reshape(n_classes, d))
     np.add.reduce(probs, axis=1, out=grad[kd:])
     grad /= n
-    return loss, grad
+    return grad
 
 
 def predict(params: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
@@ -128,13 +130,29 @@ def local_train(
 ) -> np.ndarray:
     """tau_c full-batch gradient steps at ``targets`` (``logit_targets``).
 
-    Raises InvalidValueError unless ``features`` has a row and
-    ``targets`` is the ``logit_targets`` of one label in [0, n_classes)
-    per row, so that plain labels are refused rather than read as flat
-    indices.  Raises TrainingDivergedError (a FloatingPointError) as
-    soon as the loss or a parameter stops being finite; the overflows on
-    the way there are expected and not reported as numpy warnings.
+    Raises InvalidValueError, before the first step, unless ``tau_c`` is
+    an integer >= 1, ``features`` has a row and ``targets`` is the
+    ``logit_targets`` of one label in [0, n_classes) per row, so that
+    plain labels are refused rather than read as flat indices.
+
+    Raises TrainingDivergedError (a FloatingPointError) if the
+    parameters after the tau_c steps are not finite; the overflows on
+    the way there are expected and not reported as numpy warnings.  This
+    one check after the last step raises exactly when a check after
+    every step of the parameters and of the loss, the mean of
+    ``-log(p + 1e-300)`` over the true-class probabilities p, would:
+
+    - ``out -= lr * grad`` never makes a non-finite entry finite again:
+      NaN stays NaN, +-inf minus a finite value stays +-inf, and
+      inf - inf is NaN.  A parameter that leaves the finite range at
+      some step is still outside it after the last.
+    - That loss can only stop being finite through a NaN true-class
+      probability: probabilities lie in [0, 1] and the ``+ 1e-300``
+      rules out log 0.  A NaN probability of class k puts NaN into
+      class k's bias gradient (its sum over samples), so the same step
+      leaves a NaN parameter.
     """
+    check_integer("tau_c", tau_c, 1)
     n = len(features)
     if n == 0 or not _are_logit_targets(targets, n, n_classes):
         raise InvalidValueError(
@@ -144,20 +162,30 @@ def local_train(
     out = params.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            loss, grad = softmax_loss_and_grad(out, features, targets, n_classes)
+            grad = softmax_loss_and_grad(out, features, targets, n_classes)
             grad *= lr
             out -= grad
-            if not (math.isfinite(loss) and np.isfinite(out).all()):
-                raise TrainingDivergedError("training diverged; lower the learning rate")
+        if not np.isfinite(out).all():
+            raise TrainingDivergedError("training diverged; lower the learning rate")
     return out
 
 
 def edge_aggregate(member_params: np.ndarray, member_sizes: Sequence[float]) -> np.ndarray:
-    """Data-size weighted mean of the (members, P) rows, at the edge and the cloud alike."""
-    if len(member_params) == 0:
-        raise ValueError("nothing to aggregate")
+    """Data-size weighted mean of the (members, P) rows, at the edge and the cloud alike.
+
+    InvalidValueError if there is no row, if the sizes are not one per
+    row, or if their total is not positive and finite."""
+    rows = len(member_params)
     weights = np.asarray(member_sizes, dtype=float)
-    return weights @ member_params / weights.sum()
+    if rows == 0 or weights.shape != (rows,):
+        raise InvalidValueError(
+            f"edge_aggregate needs at least one row and one size per row, got {rows} rows "
+            f"and sizes of shape {weights.shape}"
+        )
+    total = weights.sum()
+    if not 0.0 < total < math.inf:
+        raise InvalidValueError(f"member sizes must have a positive finite total, got {total}")
+    return weights @ member_params / total
 
 
 @dataclass

@@ -451,10 +451,11 @@ def softmax_loss_and_grad_ref(params, features, labels, n_classes):
 def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
     """The class-major step indexed by labels: the slow exact reference.
 
-    The same arithmetic as ``hfl.softmax_loss_and_grad`` in the same
-    order, but it takes the labels and reads and writes the true-class
-    entries through a fresh ``(labels, arange(n))`` tuple index, so the
-    fast step must equal it bit for bit.
+    The same gradient arithmetic as ``hfl.softmax_loss_and_grad`` in the
+    same order, plus the mean loss that the fast step does not compute,
+    but it takes the labels and reads and writes the true-class entries
+    through a fresh ``(labels, arange(n))`` tuple index, so the fast
+    step's gradient must equal it bit for bit.
     """
     n, d = features.shape
     kd = n_classes * d
@@ -475,11 +476,12 @@ def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
     return loss, grad
 
 
-def local_train_ref(params, features, labels, n_classes, tau_c, lr):
-    """tau_c plain gradient steps on ``softmax_loss_and_grad_ref``."""
+def local_train_ref(params, features, labels, n_classes, tau_c, lr, step=softmax_loss_and_grad_ref):
+    """tau_c plain gradient steps on ``step``, checking the loss and the
+    parameters after every step."""
     out = params.copy()
     for _ in range(tau_c):
-        loss, grad = softmax_loss_and_grad_ref(out, features, labels, n_classes)
+        loss, grad = step(out, features, labels, n_classes)
         out = out - lr * grad
         if not (np.isfinite(loss) and np.isfinite(out).all()):
             raise FloatingPointError("training diverged")
