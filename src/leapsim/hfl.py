@@ -10,13 +10,16 @@ again by data size, and the held-out accuracy is recorded once per
 global round.
 
 Parameters travel as one flat vector (class-by-feature weights, then
-per-class biases), labels as their flat ``logit_targets``.  The
-benchmark counts one ``local_train`` per client per edge iteration and
-tau_c ``softmax_loss_and_grad`` calls in each, through this module's
+per-class biases), labels as their ``onehot_targets``, a float64
+(n_classes, n) matrix built once per client per run.  The benchmark
+counts one ``local_train`` per client per edge iteration and tau_c
+``softmax_loss_and_grad`` calls in each, through this module's
 globals, so that call structure stays fixed.  Inside that structure a
-local step does gradient arithmetic only: it computes no loss, and
-``local_train`` checks once per call, after its last step, that the
-parameters are finite.
+local step does gradient arithmetic only: ``local_train`` makes the
+parameter views and one gradient buffer once per call, the step
+computes no loss and writes its gradient into that buffer, and
+``local_train`` checks once, after its last step, that the parameters
+are finite.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
     "param_dim",
     "init_params",
     "unpack_params",
-    "logit_targets",
+    "onehot_targets",
     "softmax_loss_and_grad",
     "predict",
     "accuracy",
@@ -61,37 +64,62 @@ def unpack_params(params: np.ndarray, n_classes: int, n_features: int):
     return weights, biases
 
 
-def logit_targets(labels: np.ndarray) -> np.ndarray:
-    """Each sample's flat index ``labels * n + arange(n)`` in a C-order (K, n) block."""
-    n = len(labels)
-    return labels * n + np.arange(n)
+def onehot_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """The float64 (n_classes, n) matrix with 1.0 at (labels[i], i), 0.0 elsewhere.
+
+    InvalidValueError, naming the bad value, unless ``n_classes`` is an
+    integer >= 1 and ``labels`` is a 1-D integer array with at least one
+    entry, every one in [0, n_classes).  ``local_train`` trusts the
+    values of a matrix of the right shape and dtype; this is where they
+    are checked."""
+    check_integer("n_classes", n_classes, 1)
+    if not (
+        isinstance(labels, np.ndarray)
+        and labels.ndim == 1
+        and labels.dtype.kind in "iu"
+        and labels.size > 0
+    ):
+        raise InvalidValueError(
+            f"labels must be a 1-D integer array with at least one entry, got {labels!r}"
+        )
+    outside = (labels < 0) | (labels >= n_classes)
+    if outside.any():
+        bad = labels[outside.argmax()]
+        raise InvalidValueError(f"labels must lie in [0, {n_classes}), got {bad}")
+    targets = np.zeros((n_classes, labels.size))
+    targets[labels, np.arange(labels.size)] = 1.0
+    return targets
 
 
 def softmax_loss_and_grad(
-    params: np.ndarray, features: np.ndarray, targets: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """The mean cross-entropy's gradient in flat-parameter layout.
+    weights: np.ndarray,
+    biases: np.ndarray,
+    features: np.ndarray,
+    targets: np.ndarray,
+    grad: np.ndarray,
+    grad_w: np.ndarray,
+    grad_b: np.ndarray,
+) -> None:
+    """Write the mean cross-entropy's gradient into the flat ``grad``.
 
-    The logits are class-major, (n_classes, n): the softmax reduces over
-    axis 0, the true-class entries are read and written at ``targets``
-    (``logit_targets``) in the flat view, and the weight and bias
-    gradients go straight into one fresh flat vector.  No loss is
-    computed, since the learner reads none; the name is the one the
-    benchmark counts once per step."""
-    n, d = features.shape
-    kd = n_classes * d
-    probs = np.dot(params[:kd].reshape(n_classes, d), features.T)
-    probs += params[kd:, None]
+    ``weights`` (K, d) and ``biases`` (K, 1) are views of the flat
+    parameters, ``targets`` is ``onehot_targets`` (K, n), and ``grad_w``
+    (K, d) and ``grad_b`` (K,) are views of ``grad``; ``local_train``
+    makes them once per call.  The logits are class-major, (K, n): the
+    softmax reduces over axis 0 and subtracting ``targets`` leaves the
+    logit gradient, softmax - onehot.  At a true class that is p - 1.0,
+    elsewhere p - 0.0, which is p for every softmax output (>= +0.0 or
+    NaN).  No loss is computed, since the learner reads none; the name
+    is the one the benchmark counts once per step."""
+    probs = np.dot(weights, features.T)
+    probs += biases
     probs -= np.maximum.reduce(probs, axis=0)  # stable softmax
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=0)
-    flat = probs.reshape(-1)
-    flat[targets] -= 1.0  # probs now holds the logit gradient, softmax - onehot
-    grad = np.empty(kd + n_classes)
-    np.dot(probs, features, out=grad[:kd].reshape(n_classes, d))
-    np.add.reduce(probs, axis=1, out=grad[kd:])
-    grad /= n
-    return grad
+    probs -= targets
+    np.dot(probs, features, out=grad_w)
+    np.add.reduce(probs, axis=1, out=grad_b)
+    grad /= len(features)
 
 
 def predict(params: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
@@ -105,21 +133,6 @@ def accuracy(
     return float(np.mean(predict(params, features, n_classes) == labels))
 
 
-def _are_logit_targets(targets, n: int, n_classes: int) -> bool:
-    """Whether ``targets`` is ``logit_targets`` of ``n`` labels in
-    [0, n_classes): integer flat indices into a C-order (n_classes, n)
-    block, one in each column, in column order."""
-    if not (
-        isinstance(targets, np.ndarray) and targets.dtype.kind in "iu" and targets.shape == (n,)
-    ):
-        return False
-    try:
-        _, columns = np.unravel_index(targets, (n_classes, n))
-    except ValueError:  # an index outside [0, n_classes * n)
-        return False
-    return bool(np.logical_and.reduce(columns == np.arange(n)))
-
-
 def local_train(
     params: np.ndarray,
     features: np.ndarray,
@@ -128,12 +141,20 @@ def local_train(
     tau_c: int,
     lr: float,
 ) -> np.ndarray:
-    """tau_c full-batch gradient steps at ``targets`` (``logit_targets``).
+    """tau_c full-batch gradient steps at ``targets`` (``onehot_targets``).
 
     Raises InvalidValueError, before the first step, unless ``tau_c`` is
-    an integer >= 1, ``features`` has a row and ``targets`` is the
-    ``logit_targets`` of one label in [0, n_classes) per row, so that
-    plain labels are refused rather than read as flat indices.
+    an integer >= 1, ``features`` has a row and ``targets`` is a float64
+    ndarray of shape (n_classes, n), one column per row of ``features``,
+    so that plain labels and flat indices are refused by their shape or
+    dtype.  This check is O(1): the values of a matrix of that shape and
+    dtype are trusted, since ``onehot_targets`` checks the labels it is
+    built from.
+
+    The weight and bias views of the trained copy, one gradient buffer
+    and its weight and bias views are made once per call and reused by
+    every step; ``out -= grad`` updates in place, so the views stay
+    valid.
 
     Raises TrainingDivergedError (a FloatingPointError) if the
     parameters after the tau_c steps are not finite; the overflows on
@@ -154,15 +175,20 @@ def local_train(
     """
     check_integer("tau_c", tau_c, 1)
     n = len(features)
-    if n == 0 or not _are_logit_targets(targets, n, n_classes):
+    shaped = isinstance(targets, np.ndarray) and targets.shape == (n_classes, n)
+    if n == 0 or not (shaped and targets.dtype == np.float64):
         raise InvalidValueError(
-            f"targets must be logit_targets(labels) for {n} samples, at least one: integers of "
-            f"shape ({n},) in [0, {n_classes * n}) with targets % {n} == arange({n})"
+            f"targets must be onehot_targets(labels, {n_classes}) for {n} samples, at least "
+            f"one: float64 of shape ({n_classes}, {n})"
         )
     out = params.copy()
+    grad = np.empty_like(out)
+    weights, biases = unpack_params(out, n_classes, features.shape[1])
+    grad_w, grad_b = unpack_params(grad, n_classes, features.shape[1])
+    biases = biases[:, None]  # a column, added to every sample's logits
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            grad = softmax_loss_and_grad(out, features, targets, n_classes)
+            softmax_loss_and_grad(weights, biases, features, targets, grad, grad_w, grad_b)
             grad *= lr
             out -= grad
         if not np.isfinite(out).all():
@@ -277,9 +303,10 @@ def run_hfl(
     assignment, coalition_sizes = coalition_assignment(partition, len(dataset.client_labels))
     sizes = np.asarray(dataset.client_sizes, dtype=float)
     coalitions = [np.flatnonzero(assignment == m) for m in range(coalition_sizes.size)]
+    member_sizes = [sizes[members] for members in coalitions]
     edge_sizes = np.bincount(assignment, weights=sizes)
     features, n_classes = dataset.client_features, dataset.n_classes
-    targets = [logit_targets(y) for y in dataset.client_labels]
+    targets = [onehot_targets(y, n_classes) for y in dataset.client_labels]
 
     params = init_params(n_classes, dataset.n_features, seed)
     buffers = [np.empty((members.size, params.size)) for members in coalitions]
@@ -287,10 +314,12 @@ def run_hfl(
     for _ in range(tau_g):
         edge_params = np.tile(params, (len(coalitions), 1))
         for _ in range(tau_e):
-            for edge, members, stacked in zip(edge_params, coalitions, buffers):
+            for edge, members, data_sizes, stacked in zip(
+                edge_params, coalitions, member_sizes, buffers
+            ):
                 for row, n in enumerate(members):
                     stacked[row] = local_train(edge, features[n], targets[n], n_classes, tau_c, lr)
-                edge[:] = edge_aggregate(stacked, sizes[members])
+                edge[:] = edge_aggregate(stacked, data_sizes)
         params = edge_aggregate(edge_params, edge_sizes)
         curve.append(accuracy(params, dataset.test_features, dataset.test_labels, n_classes))
     return params, curve

@@ -18,10 +18,11 @@ from leapsim.hfl import (
     SyntheticDataset,
     edge_aggregate,
     init_params,
-    logit_targets,
+    onehot_targets,
     param_dim,
     run_hfl,
     softmax_loss_and_grad,
+    unpack_params,
 )
 from leapsim.netmodel import comp_latency, tx_latency
 
@@ -320,7 +321,10 @@ def test_c8_gradient_and_model_checks():
     features = rng.normal(size=(15, 5))
     labels = rng.integers(4, size=15)
     params = 0.3 * rng.standard_normal(param_dim(4, 5))
-    grad = softmax_loss_and_grad(params, features, logit_targets(labels), 4)
+    grad = np.empty_like(params)
+    (weights, biases), (grad_w, grad_b) = unpack_params(params, 4, 5), unpack_params(grad, 4, 5)
+    targets = onehot_targets(labels, 4)
+    softmax_loss_and_grad(weights, biases[:, None], features, targets, grad, grad_w, grad_b)
     eps = 1e-6
     for k in range(params.size):
         up, down = params.copy(), params.copy()

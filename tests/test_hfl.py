@@ -12,7 +12,7 @@ from leapsim.hfl import (
     edge_aggregate,
     init_params,
     local_train,
-    logit_targets,
+    onehot_targets,
     param_dim,
     run_hfl,
     softmax_loss_and_grad,
@@ -36,6 +36,17 @@ def toy_dataset(seed=0, n_classes=3, n_features=4, per_class=30, clients=4):
     )
 
 
+def gradient(params, features, labels, k):
+    """``softmax_loss_and_grad``'s flat gradient at ``params`` and ``labels``."""
+    grad = np.empty_like(params)
+    (weights, biases), (grad_w, grad_b) = (
+        unpack_params(params, k, features.shape[1]), unpack_params(grad, k, features.shape[1])
+    )
+    targets = onehot_targets(labels, k)
+    softmax_loss_and_grad(weights, biases[:, None], features, targets, grad, grad_w, grad_b)
+    return grad
+
+
 # -- learner ------------------------------------------------------------------
 
 def test_param_dim_and_unpack():
@@ -50,7 +61,7 @@ def test_gradient_matches_finite_differences():
     features = rng.normal(size=(12, 4))
     labels = rng.integers(3, size=12)
     params = 0.5 * rng.standard_normal(param_dim(3, 4))
-    grad = softmax_loss_and_grad(params, features, logit_targets(labels), 3)
+    grad = gradient(params, features, labels, 3)
     eps = 1e-6
     for k in range(params.size):
         up, down = params.copy(), params.copy()
@@ -68,7 +79,7 @@ def test_single_step_matches_analytic_softmax_gradient():
     x = np.array([[1.0, -2.0]])
     y = np.array([1])
     params = np.zeros(param_dim(2, 2))
-    grad = softmax_loss_and_grad(params, x, logit_targets(y), 2)
+    grad = gradient(params, x, y, 2)
     probs = np.array([0.5, 0.5])  # zero logits
     delta = probs - np.array([0.0, 1.0])
     expected_w = np.outer(delta, x[0])
@@ -81,7 +92,8 @@ def test_local_train_zero_lr_is_identity():
     rng = np.random.default_rng(1)
     params = rng.normal(size=param_dim(3, 4))
     ds = toy_dataset()
-    out = local_train(params, ds.client_features[0], logit_targets(ds.client_labels[0]), 3, 5, 0.0)
+    targets = onehot_targets(ds.client_labels[0], 3)
+    out = local_train(params, ds.client_features[0], targets, 3, 5, 0.0)
     assert np.array_equal(out, params)
     assert out is not params  # input untouched
 
@@ -91,7 +103,7 @@ def test_local_train_decreases_loss_for_small_lr():
     params = init_params(3, 4, seed=2)
     features, labels = ds.client_features[0], ds.client_labels[0]
     before, _ = softmax_loss_and_grad_labels_ref(params, features, labels, 3)
-    trained = local_train(params, features, logit_targets(labels), 3, 5, 0.01)
+    trained = local_train(params, features, onehot_targets(labels, 3), 3, 5, 0.01)
     after, _ = softmax_loss_and_grad_labels_ref(trained, features, labels, 3)
     assert after <= before
 
@@ -130,7 +142,7 @@ def learner_instance(draw):
 def test_class_major_step_matches_the_row_major_reference(instance):
     params, features, labels, k = instance
     kept = params.copy()
-    grad = softmax_loss_and_grad(params, features, logit_targets(labels), k)
+    grad = gradient(params, features, labels, k)
     _, grad_ref = softmax_loss_and_grad_ref(params, features, labels, k)
     assert np.array_equal(params, kept)  # the input is not written to
     assert grad.shape == grad_ref.shape and np.isfinite(grad).all()
@@ -138,11 +150,18 @@ def test_class_major_step_matches_the_row_major_reference(instance):
 
 
 @given(learner_instance())
+@example((np.array([40.0, -3.0]), np.array([[25.0]]), np.array([0]), 1))  # n = 1, K = 1
+@example((np.array([1e3, -1e3, 0.0, 0.0]), np.array([[30.0]]), np.array([0]), 2))  # p = +0.0
 @settings(max_examples=300, deadline=None)
-def test_flat_target_step_equals_the_label_indexed_step_bit_for_bit(instance):
+def test_onehot_step_equals_the_label_indexed_step_bit_for_bit(instance):
+    """Subtracting the one-hot matrix gives the label-indexed step's bits:
+    p - 1.0 at a true class as before, and p - 0.0 == p elsewhere, also
+    where exp underflows to +0.0."""
     params, features, labels, k = instance
-    grad = softmax_loss_and_grad(params, features, logit_targets(labels), k)
+    kept = params.copy()
+    grad = gradient(params, features, labels, k)
     _, grad_ref = softmax_loss_and_grad_labels_ref(params, features, labels, k)
+    assert np.array_equal(params, kept)  # the input is not written to
     assert np.array_equal(grad, grad_ref)
 
 
@@ -150,7 +169,7 @@ def test_flat_target_step_equals_the_label_indexed_step_bit_for_bit(instance):
 def test_class_major_step_on_the_smallest_shapes(k):
     params = np.array([0.3] * k + [-0.2] * k)
     features, labels = np.array([[1.5]]), np.array([k - 1])
-    grad = softmax_loss_and_grad(params, features, logit_targets(labels), k)
+    grad = gradient(params, features, labels, k)
     _, grad_ref = softmax_loss_and_grad_ref(params, features, labels, k)
     np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-15)
     if k == 1:  # the softmax of one class is 1: no gradient
@@ -160,16 +179,18 @@ def test_class_major_step_on_the_smallest_shapes(k):
 def test_local_train_raises_on_divergence():
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
+    targets = onehot_targets(ds.client_labels[0], 3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-        local_train(params, ds.client_features[0], logit_targets(ds.client_labels[0]), 3, 5, 1e308)
+        local_train(params, ds.client_features[0], targets, 3, 5, 1e308)
 
 
 def test_divergence_is_a_typed_error_without_warnings():
     # pytest turns warnings into errors here, so an unmuted overflow would fail
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
+    targets = onehot_targets(ds.client_labels[0], 3)
     with pytest.raises(TrainingDivergedError, match="lower the learning rate") as info:
-        local_train(params, ds.client_features[0], logit_targets(ds.client_labels[0]), 3, 5, 1e308)
+        local_train(params, ds.client_features[0], targets, 3, 5, 1e308)
     assert isinstance(info.value, LeapsimError) and isinstance(info.value, FloatingPointError)
 
 
@@ -216,9 +237,9 @@ def test_local_train_diverges_exactly_when_a_check_after_every_step_does(
         expected = None
     if expected is None:
         with pytest.raises(TrainingDivergedError, match="lower the learning rate"):
-            local_train(params, features, logit_targets(labels), k, tau_c, lr)
+            local_train(params, features, onehot_targets(labels, k), k, tau_c, lr)
     else:
-        trained = local_train(params, features, logit_targets(labels), k, tau_c, lr)
+        trained = local_train(params, features, onehot_targets(labels, k), k, tau_c, lr)
         np.testing.assert_allclose(trained, expected, rtol=0, atol=1e-12)
 
 
@@ -229,40 +250,71 @@ def test_local_train_refuses_a_step_count_before_its_first_step(monkeypatch, tau
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
-    features, targets = ds.client_features[0], logit_targets(ds.client_labels[0])
+    features, targets = ds.client_features[0], onehot_targets(ds.client_labels[0], 3)
     with pytest.raises(InvalidValueError, match="^tau_c must be"):
         local_train(init_params(3, 4), features, targets, 3, tau_c, 0.1)
 
 
-@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint64])
-def test_local_train_takes_logit_targets_of_any_integer_dtype(dtype):
-    ds = toy_dataset()
-    params = init_params(3, 4, seed=2)
-    features, targets = ds.client_features[0], logit_targets(ds.client_labels[0])
-    expected = local_train(params, features, targets, 3, 2, 0.1)
-    assert np.array_equal(local_train(params, features, targets.astype(dtype), 3, 2, 0.1), expected)
+@pytest.mark.parametrize(
+    "dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+)
+def test_onehot_targets_of_any_integer_dtype(dtype):
+    expected = np.array([
+        [0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+    ])
+    targets = onehot_targets(np.array([2, 0, 1, 2, 2, 0], dtype=dtype), 3)
+    assert targets.dtype == np.float64 and np.array_equal(targets, expected)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.array([0, 3, 1]), r"^labels must lie in \[0, 3\), got 3$"),  # label K
+    (np.array([0, 1, -1]), r"^labels must lie in \[0, 3\), got -1$"),  # label -1
+    (np.array([[0, 1, 2]]), r"^labels must be a 1-D integer array .*\[\[0, 1, 2\]\]"),
+    (np.array([0.0, 1.0]), r"^labels must be a 1-D integer array .*\[0\., 1\.\]"),
+    (np.array([True, False]), r"^labels must be a 1-D integer array .*True, False"),
+    (np.zeros(0, np.int64), r"^labels must be a 1-D integer array .*array\(\[\]"),
+    ([0, 1, 2], r"^labels must be a 1-D integer array .*\[0, 1, 2\]$"),
+], ids=["label_k", "label_minus_one", "2d", "float", "bool", "empty", "list"])
+def test_onehot_targets_refuses_labels_it_cannot_place(labels, message):
+    with pytest.raises(InvalidValueError, match=message):
+        onehot_targets(labels, 3)
+
+
+@pytest.mark.parametrize("n_classes", [0, 2.0, True])
+def test_onehot_targets_refuses_a_class_count_that_is_not_a_positive_integer(n_classes):
+    with pytest.raises(InvalidValueError, match="^n_classes must be"):
+        onehot_targets(np.array([0, 0]), n_classes)
+
+
+def _flat_indices(targets):
+    """Flat true-class indices ``labels * n + arange(n)`` into a C-order (K, n) block."""
+    n = targets.shape[1]
+    return targets.argmax(axis=0) * n + np.arange(n)
 
 
 @pytest.mark.parametrize("change", [
-    lambda t: t // t.size,  # the plain labels
-    lambda t: t[:-1],  # one target short
-    lambda t: t.reshape(1, -1),
-    lambda t: t.astype(float),
+    lambda t: t.argmax(axis=0),  # the plain labels, shape (n,)
+    _flat_indices,
+    lambda t: t.T,  # (n, K)
+    lambda t: np.zeros((4, t.shape[1])),  # K + 1 rows
+    lambda t: t[:, :-1],  # one column short
+    lambda t: t.astype(np.int64),
+    lambda t: t.astype(np.float32),
     lambda t: t.astype(bool),
-    lambda t: list(t),
-    lambda t: np.where(np.arange(t.size) == 0, 3 * t.size, t),  # label K
-    lambda t: np.where(np.arange(t.size) == 0, -t.size, t),  # label -1
-    lambda t: np.roll(t, 1),  # each target in another sample's column
-], ids=["labels", "short", "2d", "float", "bool", "list", "label_k", "label_minus_one", "rolled"])
+    lambda t: t.tolist(),
+], ids=["labels", "flat_indices", "transposed", "wrong_k", "short", "int_dtype", "float",
+        "bool", "list"])
 def test_local_train_refuses_targets_before_its_first_step(monkeypatch, change):
     ds = toy_dataset()
-    features, targets = ds.client_features[0], logit_targets(ds.client_labels[0])
+    features, targets = ds.client_features[0], onehot_targets(ds.client_labels[0], 3)
 
     def no_step(*args):
         raise AssertionError("a gradient step ran on unchecked targets")
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
-    with pytest.raises(InvalidValueError, match=r"^targets must be logit_targets\(labels\)"):
+    with pytest.raises(InvalidValueError, match=r"^targets must be onehot_targets\(labels, 3\)"):
         local_train(init_params(3, 4), features, change(targets), 3, 4, 0.1)
 
 
@@ -273,7 +325,7 @@ def test_local_train_refuses_zero_samples_before_its_first_step(monkeypatch):
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     features = toy_dataset().client_features[0][:0]
     with pytest.raises(InvalidValueError, match="for 0 samples, at least one"):
-        local_train(init_params(3, 4), features, np.zeros(0, np.int64), 3, 5, 0.8)
+        local_train(init_params(3, 4), features, np.zeros((3, 0)), 3, 5, 0.8)
 
 
 # -- aggregation -------------------------------------------------------------------
@@ -387,11 +439,10 @@ def test_run_hfl_single_edge_single_round_equals_plain_fedavg():
     ds = toy_dataset(clients=3)
     out, curve = run_hfl([{0, 1, 2}], ds, tau_c=4, tau_e=1, tau_g=1, lr=0.05, seed=9)
     start = init_params(ds.n_classes, ds.n_features, 9)
+    k = ds.n_classes
     locals_ = [
-        local_train(
-            start, ds.client_features[n], logit_targets(ds.client_labels[n]), ds.n_classes, 4, 0.05
-        )
-        for n in range(3)
+        local_train(start, x, onehot_targets(y, k), k, 4, 0.05)
+        for x, y in zip(ds.client_features, ds.client_labels)
     ]
     manual = edge_aggregate(locals_, [len(ds.client_labels[n]) for n in range(3)])
     assert np.array_equal(out, manual)
@@ -405,7 +456,7 @@ def test_run_hfl_iid_separable_reaches_ninety_percent():
     pooled_x = np.concatenate(ds.client_features)
     pooled_y = np.concatenate(ds.client_labels)
     central = local_train(
-        init_params(3, 4, 0), pooled_x, logit_targets(pooled_y), 3, 250, 0.1
+        init_params(3, 4, 0), pooled_x, onehot_targets(pooled_y, 3), 3, 250, 0.1
     )
     assert accuracy(central, ds.test_features, ds.test_labels, 3) >= 0.9
 
@@ -514,20 +565,32 @@ def test_run_hfl_calls_through_module_bindings(monkeypatch):
     The benchmark's tracer wraps these two names to count one local
     training call per client per edge iteration and tau_c gradients per
     call; a refactor that binds or inlines them elsewhere fails here.
+    The wrapper also records the gradient buffer each step writes into:
+    ``local_train`` makes one per call, not one per step.
     """
     calls = {"local_train": 0, "softmax_loss_and_grad": 0}
-    for name in calls:
-        real = getattr(hfl, name)
+    buffers = []  # per local_train call, the gradient buffer of each step
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def counted_train(*args, _real=hfl.local_train, **kwargs):
+        calls["local_train"] += 1
+        buffers.append([])
+        return _real(*args, **kwargs)
 
-        monkeypatch.setattr(hfl, name, counted)
+    def counted_step(*args, _real=hfl.softmax_loss_and_grad, **kwargs):
+        calls["softmax_loss_and_grad"] += 1
+        buffers[-1].append(args[4])
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(hfl, "local_train", counted_train)
+    monkeypatch.setattr(hfl, "softmax_loss_and_grad", counted_step)
     ds = toy_dataset(clients=5)
     tau_c, tau_e, tau_g = 3, 2, 4
     run_hfl(np.array([0, 1, 0, 1, 1]), ds, tau_c=tau_c, tau_e=tau_e, tau_g=tau_g, lr=0.1)
     assert calls["local_train"] == 5 * tau_e * tau_g, "one local_train per client per edge step"
     assert calls["softmax_loss_and_grad"] == tau_c * calls["local_train"], (
         "tau_c softmax_loss_and_grad calls per local_train"
+    )
+    assert all(len(steps) == tau_c for steps in buffers)
+    assert all(grad is steps[0] for steps in buffers for grad in steps), (
+        "the tau_c steps of one local_train call share one gradient buffer"
     )
