@@ -76,7 +76,7 @@ class InfeasibleError(LeapsimError):
 
 
 class NonFiniteInputError(LeapsimError):
-    """A solver input holds NaN or an infinity."""
+    """A solver input, or a value computed from finite inputs, holds NaN or an infinity."""
 
 
 @dataclass
@@ -124,7 +124,7 @@ class GPTrace:
     objective_values: list[float] = field(default_factory=list)
     iterations_used: int = 0
     converged: bool = False
-    projected_gradient_norm: float = float("nan")
+    projected_gradient_norm: float | None = None
 
 
 def _checked_bandwidth(bandwidth, sizes: np.ndarray) -> np.ndarray:
@@ -225,10 +225,12 @@ def project_to_simplex(v: np.ndarray, total: float, floor: float = 0.0) -> np.nd
 
 
 def _pg_norm(b, grad, total, floor, step) -> float:
-    """Norm of the projected step, a first-order stationarity measure."""
-    return float(
-        np.linalg.norm(project_to_simplex(b - step * grad, total, floor) - b) / step
-    )
+    """Norm of the projected step, a first-order stationarity measure;
+    NonFiniteInputError if a tiny step makes it overflow."""
+    norm = float(np.linalg.norm(project_to_simplex(b - step * grad, total, floor) - b)) / step
+    if not math.isfinite(norm):
+        raise NonFiniteInputError(f"the projected-gradient norm overflowed at step size {step!r}")
+    return norm
 
 
 def gp_solve(
@@ -344,7 +346,8 @@ def build_plan(
     surrogate_objective: float | None = None,
     notes: list[str] | None = None,
 ) -> AllocationPlan:
-    """Assemble an AllocationPlan with every derived metric filled in."""
+    """Assemble an AllocationPlan with every derived metric filled in;
+    NonFiniteInputError names the fields that hold NaN or an infinity."""
     assignment, sizes = partition_arrays(partition, clients)
     bandwidth = _checked_bandwidth(bandwidth, sizes)
     power = np.asarray(power, dtype=float)
@@ -358,7 +361,7 @@ def build_plan(
     ok, all_ok = check_deadline(t_client, config)
     if surrogate_objective is None:
         surrogate_objective = p3_objective(bandwidth, assignment, clients, config)
-    return AllocationPlan(
+    plan = AllocationPlan(
         bandwidth=bandwidth,
         client_bandwidth=share,
         power=power,
@@ -379,6 +382,10 @@ def build_plan(
         feasible=all_ok,
         notes=notes or [],
     )
+    bad = [k for k, v in vars(plan).items() if k != "notes" and not np.isfinite(v).all()]
+    if bad:
+        raise NonFiniteInputError(f"the plan's {', '.join(bad)} are not finite")
+    return plan
 
 
 def plan_full(

@@ -221,7 +221,7 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
     """The plan rebuilt from the stored plan's bandwidth and power.
 
     Raises InputFileError when ``bandwidth`` or ``power`` is not a list
-    of one JSON number per edge or client, or when a total of
+    of one finite JSON number per edge or client, or when a total of
     PLAN_TOTALS is missing, not a JSON number or not the rebuild's
     (``feasible`` exactly, the others within PLAN_AUDIT_RTOL): the
     totals tie a plan to the scenario and partition it was solved for.
@@ -242,6 +242,15 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
                 raise InputFileError(
                     f"{path}: {name}[{i}] must be a JSON number, got {json.dumps(entry)}"
                 )
+        try:
+            finite = np.isfinite(np.array(value, dtype=float))
+        except OverflowError:
+            raise InputFileError(f"{path}: {name} holds an integer too large for a float") from None
+        if not finite.all():  # json reads NaN, Infinity and 1e400 as non-finite floats
+            i = int(finite.argmin())
+            raise InputFileError(
+                f"{path}: {name}[{i}] must be a finite number, got {json.dumps(value[i])}"
+            )
     plan = recompute_plan(
         scenario, partition.assignment, data["bandwidth"], data["power"], partition.denominator
     )
@@ -446,8 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy's generators take only non-negative seeds
-            raise InvalidValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        seed = getattr(args, "seed", 0)
+        if not 0 <= seed < 2**64:  # numpy's generators and the JSON writer take these only
+            bound = "a non-negative integer" if seed < 0 else "below 2**64"
+            raise InvalidValueError(f"--seed must be {bound}, got {seed}")
         return args.func(args)
     except (LeapsimError, OSError) as exc:
         print(f"leapsim {args.command}: error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alloc import GPConfig, GPTrace, build_plan, deadline_powers, plan_full
+from .alloc import GPConfig, GPTrace, NonFiniteInputError, build_plan, deadline_powers, plan_full
 from .errors import InvalidValueError, check_integer
 from .files import fields_dict, write_csv, write_json
 from .game import (
@@ -316,9 +316,10 @@ def run_experiment(
         "deadline_feasible": {name: m.feasible for name, m in report.methods.items()},
     }
     if "leap" in uplink and uplink["leap"] > 0:
-        summary["uplink_energy_ratio_vs_leap"] = {
-            name: value / uplink["leap"] for name, value in uplink.items()
-        }
+        ratios = {name: value / uplink["leap"] for name, value in uplink.items()}
+        if not all(map(math.isfinite, ratios.values())):
+            raise NonFiniteInputError("an uplink energy ratio to leap's is beyond the float range")
+        summary["uplink_energy_ratio_vs_leap"] = ratios
     report.summary = summary
     return report
 

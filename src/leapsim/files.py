@@ -2,14 +2,15 @@
 
 Every JSON file goes through ``write_json`` and every CSV file through
 ``write_csv``, so the formatting (sorted keys, two-space indent, a
-``# schema=...`` first line in CSV) is defined once.  ``write_json``
-writes the standard library's bytes, but it formats each list of plain
-numbers (a plan's per-client arrays, a game trace's rows) with orjson,
-which writes the same shortest round-trip float digits as ``repr``
-about twenty times faster; ``write_json`` says where ``json`` is used
-instead.  This is the one module that imports orjson.  ``fields_dict``
-is the one dataclass-to-JSON conversion, and ``encode_array`` /
-``decode_array`` the one binary array column format.
+``# schema=...`` first line in CSV) is defined once.  ``write_json`` is
+one ``orjson.dumps``: UTF-8 with non-ASCII text written raw, and floats
+in shortest round-trip digits that ``json.loads`` reads back bit for
+bit.  Its bytes are pinned per (Python, numpy, orjson) version, as the
+golden manifest's ``env`` records.  orjson writes NaN and infinities as
+null, so every float field is checked finite where it is computed, never
+by the writer.  This is the one module that imports orjson.
+``fields_dict`` is the one dataclass-to-JSON conversion, and
+``encode_array`` / ``decode_array`` the one binary array column format.
 
 Both writers build the whole text first and then replace the file: an
 existing file at the path is unlinked and a new one created, never
@@ -32,10 +33,7 @@ import io
 import json
 import math
 import os
-import re
 from dataclasses import fields
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -56,6 +54,7 @@ __all__ = [
 # the dtypes a binary column may hold, by their little-endian typestr
 _ARRAY_DTYPES = {"<f8": np.dtype(np.float64), "<i8": np.dtype(np.int64)}
 _ARRAY_KEYS = {"base64", "dtype", "shape"}
+_JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
 
 
 def read_json(path: str | Path, schema: str) -> dict:
@@ -76,151 +75,24 @@ def read_json(path: str | Path, schema: str) -> dict:
 
 
 def write_json(path: str | Path, payload) -> None:
-    """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.
+    """Replace the file with orjson's key-sorted, two-space-indented JSON
+    of ``payload`` and a final newline.
 
-    The bytes are the stdlib's, NaN and infinities included, and so is
-    the TypeError for a value or key JSON cannot hold; nothing is
-    written when encoding fails.  The stdlib formats an indented
-    document with a pure-Python generator one item at a time; this
-    encoder formats each list of plain numbers, booleans and nulls, and
-    each list of such non-empty rows (a game trace), with one
-    ``orjson.dumps`` whose commas are then re-indented.  orjson writes
-    the same integers, booleans, null and shortest round-trip float
-    digits as the stdlib, so its text is used as it is; a list in which
-    one of its tokens reads otherwise (an exponent, "1e16" for "1e+16"; a
-    positional float below 1e-4, "0.00001" for "1e-05"; null for NaN or
-    an infinity), or that holds an integer outside 64 bits, is encoded by
-    ``json`` instead.
-
-    The file is replaced as the module docstring says: unlinked and
-    created anew as UTF-8 text, after the whole document is encoded.
+    A value or key orjson cannot hold (a numpy scalar, a non-string key,
+    an integer outside [-2**63, 2**64)) raises TypeError and nothing is
+    written; NaN and infinities would be written as null.
     """
-    parts: list[str] = []
-    _encode(payload, "\n", parts)
-    parts.append("\n")
-    _replace(path, "".join(parts), newline=None)
+    _replace(path, orjson.dumps(payload, option=_JSON_OPTIONS))
 
 
-def _replace(path: str | Path, text: str, newline: str | None) -> None:
-    """Unlink any file at ``path``, then create it holding ``text`` as UTF-8.
-
-    ``newline`` is ``open``'s: None writes "\\n" as the platform line
-    separator, "" writes the text as it is.
-    """
+def _replace(path: str | Path, data: bytes) -> None:
+    """Unlink any file at ``path``, then create it holding ``data``."""
     try:
         os.unlink(path)
     except FileNotFoundError:
         pass
-    with open(path, "x", encoding="utf-8", newline=newline) as fh:
-        fh.write(text)
-
-
-# items whose compact JSON text never holds ",", "[" or "]"
-_PLAIN = {float, int, bool, type(None)}
-_ROWS = {list, tuple}
-
-
-def _plain_rows(value) -> bool:
-    """Whether every item of ``value`` is a non-empty list or tuple of plain items."""
-    return (
-        set(map(type, value)) <= _ROWS
-        and all(value)
-        and set(map(type, chain.from_iterable(value))) <= _PLAIN
-    )
-
-
-_STDLIB_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
-# an "e" that does not end true or false: an orjson exponent, "1e16" or
-# "1.5e-7" where the stdlib writes "1e+16" and "1.5e-07"
-_EXPONENT = re.compile(rb"e[-+0-9]")
-
-
-def _compact(value, rows: bool) -> str:
-    """``json.dumps(value, separators=(",", ":"))`` for a plain leaf (see
-    ``_encode``): a list of rows if ``rows``, else a list of items.
-
-    orjson's text is used unless it holds more null tokens than the leaf
-    has None items (it writes NaN and infinities as null), an exponent
-    (``_EXPONENT``) or a float in [1e-5, 1e-4) written positionally
-    (``_positional_tiny``); such a leaf, and one orjson refuses (an
-    integer outside 64 bits), is encoded by the stdlib instead.
-    """
-    try:
-        text = orjson.dumps(value)
-    except orjson.JSONEncodeError:
-        return _STDLIB_COMPACT(value)
-    nulls = text.count(b"null")
-    if nulls and nulls > (sum(row.count(None) for row in value) if rows else value.count(None)):
-        return _STDLIB_COMPACT(value)
-    if _EXPONENT.search(text) or _positional_tiny(text):
-        return _STDLIB_COMPACT(value)
-    return text.decode("ascii")
-
-
-def _positional_tiny(text: bytes) -> bool:
-    """Whether a token of ``text`` starts "0.0000" or "-0.0000", as orjson
-    writes 1e-5 <= |x| < 1e-4 and the stdlib never does (it writes "1e-05")."""
-    start = text.find(b"0.0000")
-    while start != -1:
-        if text[start - 1] in b"[,-":
-            return True
-        start = text.find(b"0.0000", start + 1)
-    return False
-
-
-def _encode(value, newline: str, parts: list[str]) -> None:
-    """Append ``value`` as indented JSON to ``parts``; ``newline`` is the
-    line break plus the indent of the line the value starts on.
-
-    A plain leaf, a list of numbers, booleans and nulls or a list of such
-    non-empty rows, is formatted whole by ``_compact`` and re-indented at
-    its commas."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        if type(value[0]) in _ROWS and _plain_rows(value):
-            # "[[a,b],[c,d]]": items part at ",", then rows at "],["
-            deeper = inner + "  "
-            rows = _compact(value, rows=True)[2:-2]
-            rows = rows.replace(",", "," + deeper)
-            rows = rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-            parts += "[", inner, "[", deeper, rows, inner, "]"
-        elif set(map(type, value)) <= _PLAIN:
-            parts += "[", inner, _compact(value, rows=False)[1:-1].replace(",", "," + inner)
-        else:
-            separator = inner
-            parts.append("[")
-            for item in value:
-                parts.append(separator)
-                _encode(item, inner, parts)
-                separator = "," + inner
-        parts += newline, "]"
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        separator = inner
-        parts.append("{")
-        for key, item in sorted(value.items()):
-            parts += separator, _key(key), ": "
-            _encode(item, inner, parts)
-            separator = "," + inner
-        parts += newline, "}"
-    else:
-        parts.append(json.dumps(value))
-
-
-def _key(key) -> str:
-    """A dict key as the stdlib writes it: a string, or a number, bool
-    or null in quotes."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + json.dumps(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    with open(path, "xb") as fh:
+        fh.write(data)
 
 
 def write_csv(path: str | Path, schema: str, header: list[str], rows: Iterable) -> None:
@@ -235,7 +107,7 @@ def write_csv(path: str | Path, schema: str, header: list[str], rows: Iterable) 
     writer = csv.writer(text)
     writer.writerow(header)
     writer.writerows(rows)
-    _replace(path, text.getvalue(), newline="")
+    _replace(path, text.getvalue().encode("utf-8"))
 
 
 def _plain(value):

@@ -144,12 +144,13 @@ def local_train(
     """tau_c full-batch gradient steps at ``targets`` (``onehot_targets``).
 
     Raises InvalidValueError, before the first step, unless ``tau_c`` is
-    an integer >= 1, ``features`` has a row and ``targets`` is a float64
+    an integer >= 1, ``features`` has a row, ``targets`` is a float64
     ndarray of shape (n_classes, n), one column per row of ``features``,
     so that plain labels and flat indices are refused by their shape or
-    dtype.  This check is O(1): the values of a matrix of that shape and
-    dtype are trusted, since ``onehot_targets`` checks the labels it is
-    built from.
+    dtype, and ``params`` holds ``param_dim(n_classes, d)`` values for
+    d features.  This check is O(1): the values of a matrix of that
+    shape and dtype are trusted, since ``onehot_targets`` checks the
+    labels it is built from.
 
     The weight and bias views of the trained copy, one gradient buffer
     and its weight and bias views are made once per call and reused by
@@ -180,6 +181,12 @@ def local_train(
         raise InvalidValueError(
             f"targets must be onehot_targets(labels, {n_classes}) for {n} samples, at least "
             f"one: float64 of shape ({n_classes}, {n})"
+        )
+    expected = param_dim(n_classes, features.shape[1])
+    if len(params) != expected:
+        raise InvalidValueError(
+            f"params must hold param_dim({n_classes}, {features.shape[1]}) = {expected} "
+            f"values, got {len(params)}"
         )
     out = params.copy()
     grad = np.empty_like(out)

@@ -162,6 +162,8 @@ def generate_scenario(
         raise InvalidValueError("choose exactly one of shards or dirichlet_alpha")
     if gain_mode not in ("pair", "client"):
         raise InvalidValueError("gain_mode must be 'pair' or 'client'")
+    if not math.isfinite(deadline_slack):  # meta holds it even when a deadline is given
+        raise InvalidValueError(f"deadline_slack must be finite, got {deadline_slack!r}")
     ranges = ranges or HardwareRanges()
 
     rng = np.random.default_rng(seed)
@@ -177,7 +179,7 @@ def generate_scenario(
         scheme = {"scheme": "shards", "shards": shards}
     else:
         counts = dirichlet_label_counts(rng, n_clients, n_classes, dirichlet_alpha, data_size)
-        scheme = {"scheme": "dirichlet", "alpha": dirichlet_alpha}
+        scheme = {"scheme": "dirichlet", "alpha": float(dirichlet_alpha)}
 
     clients = ClientTable(
         data_size=np.full(n_clients, data_size),
@@ -207,7 +209,7 @@ def generate_scenario(
         "n_classes": n_classes,
         "data_size": data_size,
         "gain_mode": gain_mode,
-        "deadline_slack": deadline_slack,
+        "deadline_slack": float(deadline_slack),
         **scheme,
     }
     if deadline is None:
@@ -233,7 +235,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read and check a scenario file; any bad field raises InputFileError.
 
     ``num_edges`` must be a JSON integer equal to the width of
-    ``channel_gains``, ``meta`` a JSON object, ``clients`` one
+    ``channel_gains``, ``meta`` a JSON object with no NaN or infinity
+    in it (``report.json`` copies it), ``clients`` one
     ``decode_array`` column per ClientTable field, and the config and
     the decoded columns must pass the NetworkConfig and ClientTable
     checks.
@@ -245,6 +248,10 @@ def load_scenario(path: str | Path) -> Scenario:
             raise InvalidValueError(f"num_edges must be a JSON integer, got {num_edges!r}")
         if not isinstance(meta, dict):
             raise InvalidValueError(f"meta must be a JSON object, got {json.dumps(meta)}")
+        try:
+            json.dumps(meta, allow_nan=False)
+        except ValueError:
+            raise InvalidValueError("meta must hold finite numbers only") from None
         columns = data["clients"]
         if not isinstance(columns, dict) or columns.keys() != set(_COLUMNS):
             found = sorted(columns) if isinstance(columns, dict) else type(columns).__name__

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from leapsim.alloc import (
     GPConfig,
+    GPTrace,
     InfeasibleError,
     NonFiniteInputError,
     build_plan,
@@ -541,6 +542,30 @@ def test_build_plan_metrics_are_consistent():
     assert plan.utility == pytest.approx(
         cfg.lambda1 * (1 - 0.25) - cfg.lambda2 * plan.total_energy, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("columns, fields", [
+    ({"cycles_per_item": 1e300, "cpu_freq": 1e-300},
+     "comp_latency, tx_latency, client_latency, coalition_latency, total_latency"),
+    ({"cpu_freq": 1e200}, "comp_energy, coalition_energy, total_energy, utility"),
+], ids=["latency", "energy"])
+def test_build_plan_refuses_a_plan_whose_floats_overflow(columns, fields):
+    clients = make_clients(
+        **{"data_size": 100, "cycles_per_item": 2e5, "cpu_freq": 1.5e9, **columns},
+        p_max=[1.0, 1.0], gains=1e-7, num_edges=2,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteInputError, match=f"^the plan's {fields} are not finite"):
+            build_plan([{0}, {1}], clients, power_config(10.0), np.array([5e6, 5e6]),
+                       clients.p_max, avg_js=0.0)
+
+
+def test_a_solve_sets_the_projected_gradient_norm_a_fresh_trace_lacks():
+    assert GPTrace().projected_gradient_norm is None
+    rng = np.random.default_rng(21)
+    coalitions, clients, cfg = make_alloc_instance(rng, 3)
+    _, trace = gp_solve(coalitions, clients, cfg)
+    assert math.isfinite(trace.projected_gradient_norm)
 
 
 # -- vectorized plan against the per-client reference -----------------------------------

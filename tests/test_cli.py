@@ -262,6 +262,7 @@ def _ragged_gains(scenario_file, row, gains):
     (["gen", "--clients", 6, "--edges", 1], "n_edges >= 2"),
     (["gen", "--dirichlet", "nan"], "alpha must be finite, got nan"),
     (["gen", "--dirichlet", "inf"], "alpha must be finite, got inf"),
+    (["gen", "--deadline", 5, "--deadline-slack", "nan"], "deadline_slack must be finite, got nan"),
     ("p_max", "p_max must be strictly positive"),
     pytest.param("channel_gains ragged",
                  "clients.channel_gains: 280 bytes of data, shape [12, 3] needs 288",
@@ -325,6 +326,8 @@ NAN, INF = float("nan"), float("inf")
                  "clients.channel_gains: shape must be a list of non-negative integers",
                  id="gains negative shape"),
     pytest.param(("meta",), [1], "meta must be a JSON object, got [1]", id="meta list"),
+    pytest.param(("meta", "deadline_slack"), NAN, "meta must hold finite numbers only",
+                 id="meta NaN"),
     pytest.param(("num_edges",), 3.0, "num_edges must be a JSON integer", id="num_edges 3.0"),
     pytest.param(("num_edges",), 2, "channel_gains has 3 columns, num_edges is 2",
                  id="num_edges 2"),
@@ -667,3 +670,122 @@ def test_every_flag_of_a_verb_is_read_by_its_command():
         if never:
             unread[verb] = sorted(never)
     assert unread == {}, f"flags their command never reads: {unread}"
+
+
+@pytest.mark.parametrize("verb", ["gen", "coalition", "simulate", "compare"])
+def test_a_seed_of_2_to_the_64_is_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, verb
+):
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = [verb, *_verb_inputs(verb, scenario_file, staged), "--seed", 2**64, "--out", out]
+    assert run(argv) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and f"--seed must be below 2**64, got {2**64}" in lines[0]
+    assert not out.exists()
+
+
+def test_the_largest_seed_is_written_as_it_is(tmp_path):
+    assert run(["gen", "--seed", 2**64 - 1, "--clients", 4, "--edges", 2, "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "scenario.json").read_text())["meta"]["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("text, words", [
+    ("NaN", "power[0] must be a finite number, got NaN"),
+    ("-Infinity", "power[0] must be a finite number, got -Infinity"),
+    ("1e400", "power[0] must be a finite number, got Infinity"),
+    ("1" + "0" * 400, "power holds an integer too large for a float"),
+])
+def test_report_rejects_plan_values_that_are_not_finite(
+    tmp_path, scenario_file, staged, capsys, text, words
+):
+    capsys.readouterr()
+    plan = json.loads((staged / "plan.json").read_text())
+    tampered = tmp_path / "plan.json"
+    tampered.write_text(json.dumps(plan).replace(json.dumps(plan["power"][0]), text, 1))
+    out = tmp_path / "bad"
+    argv = ["report", *_verb_inputs("allocate", scenario_file, staged), "--plan", tampered]
+    assert run([*argv, "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and str(tampered) in lines[0] and words in lines[0]
+    assert not out.exists()
+
+
+def _with_fields(path, edits):
+    """Rewrite the scenario file at ``path`` with each (section, name) of
+    ``edits`` set to its value, a client column to that value throughout."""
+    data = json.loads(path.read_text())
+    for (section, name), value in edits.items():
+        if section == "clients":
+            value = encode_array(np.full(data["clients"][name]["shape"], value))
+        data[section][name] = value
+    path.write_text(json.dumps(data))
+
+
+# (gen flags, scenario edits, solver flags, the exit code of each verb);
+# report runs only on a plan that allocate wrote
+DEGENERATE = [
+    pytest.param(["--clients", 4, "--edges", 4], {}, [],
+                 {"coalition": 0, "allocate": 0, "report": 0, "compare": 0},
+                 id="single-member coalitions"),
+    pytest.param(["--classes", 1, "--shards", 1], {}, [],
+                 {"coalition": 0, "allocate": 0, "report": 0, "compare": 0}, id="K=1"),
+    pytest.param(["--deadline", 1e-6], {}, [],
+                 {"coalition": 0, "allocate": 0, "report": 0, "compare": 0},
+                 id="infeasible deadline"),
+    pytest.param([], {("clients", "channel_gains"): 1e300}, [],
+                 {"coalition": 0, "allocate": 0, "report": 0, "compare": 0}, id="gains 1e300"),
+    pytest.param([], {("clients", "channel_gains"): 1e-300}, [],
+                 {"coalition": 0, "allocate": 2, "compare": 2}, id="gains 1e-300"),
+    pytest.param([], {("clients", "channel_gains"): 5e-324}, [],
+                 {"coalition": 0, "allocate": 2, "compare": 2}, id="gains 5e-324"),
+    pytest.param([], {("config", "model_size"): 1e-300}, [],
+                 {"coalition": 0, "allocate": 0, "report": 0, "compare": 0},
+                 id="model_size 1e-300"),
+    pytest.param([], {("config", "noise_power"): 1e-320}, [],
+                 {"coalition": 0, "allocate": 0, "report": 0, "compare": 0},
+                 id="noise_power 1e-320"),
+    pytest.param([], {("clients", "cycles_per_item"): 1e300, ("clients", "cpu_freq"): 1e-300}, [],
+                 {"coalition": 0, "allocate": 2, "compare": 2}, id="latency overflow"),
+    pytest.param([], {("clients", "cpu_freq"): 1e200}, [],
+                 {"coalition": 0, "allocate": 2, "compare": 2}, id="energy overflow"),
+    # the projection of the equal split onto the simplex is off by an ulp at
+    # M = 7, which this step size turns into an infinite projected-gradient norm
+    pytest.param(["--clients", 7, "--edges", 7, "--seed", 1], {}, ["--step", 5e-324],
+                 {"coalition": 0, "allocate": 2, "compare": 0}, id="step 5e-324"),
+]
+
+
+@pytest.mark.parametrize("gen_flags, edits, gp_flags, codes", DEGENERATE)
+def test_degenerate_inputs_end_in_one_line_or_in_finite_files(
+    tmp_path, capsys, finite_json, gen_flags, edits, gp_flags, codes
+):
+    """Each verb exits 2 with one line, or exits 0 having written no NaN
+    or infinity (``finite_json`` checks every payload)."""
+    gen = tmp_path / "gen"
+    assert run(["gen", "--seed", 7, "--clients", 12, "--edges", 3, *gen_flags, "--out", gen]) == 0
+    scenario = gen / "scenario.json"
+    _with_fields(scenario, edits)
+    stage, compared = tmp_path / "stage", tmp_path / "compare"
+    partition = ["--scenario", scenario, "--partition", stage / "partition.json"]
+    verbs = {
+        "coalition": ["coalition", "--scenario", scenario, "--out", stage],
+        "allocate": ["allocate", *partition, *gp_flags, "--out", stage],
+        "report": ["report", *partition, "--plan", stage / "plan.json", "--out", stage],
+        "compare": ["compare", "--scenario", scenario, *gp_flags, "--out", compared],
+    }
+    capsys.readouterr()
+    found = {}
+    with np.errstate(all="ignore"):  # the overflows on the way to a refusal are expected
+        for verb, argv in verbs.items():
+            if verb == "report" and found["allocate"] != 0:
+                continue
+            found[verb] = run(argv)
+            lines = _error_lines(capsys)
+            assert lines == [] if found[verb] == 0 else (
+                len(lines) == 1 and lines[0].startswith(f"leapsim {verb}: error: ")
+            ), lines
+    assert found == codes
+    assert (compared / "report.json").exists() == (codes["compare"] == 0)
+    # gen's scenario, and the one JSON file of each verb that exits 0
+    assert len(finite_json) == 1 + sum(code == 0 for code in found.values())

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+from leapsim import experiment
+from leapsim.alloc import NonFiniteInputError
 from leapsim.errors import InvalidValueError
 from leapsim.experiment import (
     METHODS,
@@ -219,3 +222,15 @@ def test_only_none_defers_a_training_period_to_the_scenario(scenario):
     assert TrainOptions(tau_c=1, tau_g=2).periods(config) == {
         "tau_c": 1, "tau_e": config.tau_e, "tau_g": 2
     }
+
+
+def test_an_uplink_ratio_beyond_the_float_range_is_refused(scenario, monkeypatch):
+    solve = experiment.plan_full
+
+    def subnormal_uplink(*args, **kwargs):
+        plan, trace = solve(*args, **kwargs)
+        return dataclasses.replace(plan, uplink_energy=5e-324), trace
+
+    monkeypatch.setattr(experiment, "plan_full", subnormal_uplink)
+    with pytest.raises(NonFiniteInputError, match="uplink energy ratio"):
+        run_experiment(scenario, methods=["leap", "rp"], master_seed=5)

@@ -328,6 +328,21 @@ def test_local_train_refuses_zero_samples_before_its_first_step(monkeypatch):
         local_train(init_params(3, 4), features, np.zeros((3, 0)), 3, 5, 0.8)
 
 
+@pytest.mark.parametrize("length", [3 * 4 - 1, 3 * 4, 3 * 4 + 3 + 1], ids=["Kd-1", "Kd", "Kd+K+1"])
+def test_local_train_refuses_params_of_the_wrong_length_before_its_first_step(
+    monkeypatch, length
+):
+    def no_step(*args):
+        raise AssertionError("a gradient step ran on parameters of the wrong length")
+
+    monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
+    ds = toy_dataset()
+    features, targets = ds.client_features[0], onehot_targets(ds.client_labels[0], 3)
+    message = rf"^params must hold param_dim\(3, 4\) = 15 values, got {length}$"
+    with pytest.raises(InvalidValueError, match=message):
+        local_train(np.zeros(length), features, targets, 3, 5, 0.1)
+
+
 # -- aggregation -------------------------------------------------------------------
 
 def test_edge_aggregate_idempotent_on_identical_inputs():

@@ -150,6 +150,15 @@ def test_save_load_roundtrip(tmp_path):
     assert again.to_dict() == sc.to_dict()
 
 
+def test_numpy_float_arguments_are_saved_as_plain_floats(tmp_path):
+    # the writer refuses numpy scalars, and meta keeps these two arguments as given
+    sc = generate_scenario(seed=3, n_clients=12, n_edges=3, shards=None,
+                           dirichlet_alpha=np.float64(0.5), deadline_slack=np.float64(2.0))
+    save_scenario(sc, tmp_path / "scenario.json")
+    meta = load_scenario(tmp_path / "scenario.json").meta
+    assert (meta["alpha"], meta["deadline_slack"]) == (0.5, 2.0)
+
+
 def test_load_rejects_wrong_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "other"}))
