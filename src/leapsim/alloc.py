@@ -206,6 +206,7 @@ def project_to_simplex(v: np.ndarray, total: float, floor: float = 0.0) -> np.nd
 
     Shifts by the floor, projects onto the scaled probability simplex
     with the exact sorting-based finite algorithm, and shifts back.
+    Entries so large that rounding swamps the total raise InvalidValueError.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
@@ -219,6 +220,10 @@ def project_to_simplex(v: np.ndarray, total: float, floor: float = 0.0) -> np.nd
     excess = np.cumsum(u) - mass
     ranks = np.arange(1, m + 1)
     support = np.nonzero(u - excess / ranks > 0)[0]
+    # the largest entry is always in the support unless rounding swamped the total
+    if not support.size or not math.isfinite(excess[-1]):
+        raise InvalidValueError(f"cannot project entries from {u[-1]:.3g} to {u[0]:.3g} onto a "
+                                f"total of {mass:.3g}: their sum overflows float precision")
     rho = support[-1]
     theta = excess[rho] / (rho + 1)
     return np.maximum(w - theta, 0.0) + floor

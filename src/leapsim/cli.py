@@ -15,7 +15,7 @@ variable (falling back to the working directory).  With --strict,
 allocate, report and compare exit nonzero when a plan misses the deadline.
 Rejected input (a missing or malformed file, files that disagree, a
 plan that differs from its recomputation, or any other typed leapsim
-error) ends with a one-line message on stderr and exit code 2.
+error) ends with a one-line message, all of stderr, and exit code 2.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def cmd_gen(args) -> int:
         tau_g=args.tau_g,
         gain_mode=args.gain_mode,
     )
-    path = _out_dir(args) / "scenario.json"
+    path = _out_dir(args) / "scenario.bin"
     save_scenario(scenario, path)
     print(f"wrote {path}")
     return 0
@@ -262,8 +262,12 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
             raise InputFileError(
                 f"{path}: malformed plan ({name} must be a JSON number, got {json.dumps(kept)})"
             )
-        if not (kept is bool(fresh) if name == "feasible"
-                else math.isclose(kept, fresh, rel_tol=PLAN_AUDIT_RTOL)):
+        try:
+            same = (kept is bool(fresh) if name == "feasible"
+                    else math.isclose(kept, fresh, rel_tol=PLAN_AUDIT_RTOL))
+        except OverflowError:
+            raise InputFileError(f"{path}: {name} is an integer too large for a float") from None
+        if not same:
             raise InputFileError(
                 f"{path}: stored {name} differs from the plan recomputed "
                 "from the scenario and partition"
@@ -459,7 +463,8 @@ def main(argv: list[str] | None = None) -> int:
         if not 0 <= seed < 2**64:  # numpy's generators and the JSON writer take these only
             bound = "a non-negative integer" if seed < 0 else "below 2**64"
             raise InvalidValueError(f"--seed must be {bound}, got {seed}")
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the typed checks report what overflows
+            return args.func(args)
     except (LeapsimError, OSError) as exc:
         print(f"leapsim {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,10 @@ golden manifest's ``env`` records.  orjson writes NaN and infinities as
 null, so every float field is checked finite where it is computed, never
 by the writer.  This is the one module that imports orjson.
 ``fields_dict`` is the one dataclass-to-JSON conversion, and
-``encode_array`` / ``decode_array`` the one binary array column format.
+``write_columns`` / ``read_columns`` the one binary format: a line of
+compact JSON, then float64 and int64 columns as raw little-endian bytes.
 
-Both writers build the whole text first and then replace the file: an
+Every writer builds the whole file in memory and then replaces it: an
 existing file at the path is unlinked and a new one created, never
 truncated and rewritten.  On ext4 (``auto_da_alloc``, its default) a
 file truncated to zero is flushed to disk when it is closed, and the
@@ -27,7 +28,6 @@ A module-wide test keeps every other module from writing files itself.
 
 from __future__ import annotations
 
-import binascii
 import csv
 import io
 import json
@@ -47,14 +47,19 @@ __all__ = [
     "write_json",
     "write_csv",
     "fields_dict",
-    "encode_array",
-    "decode_array",
+    "write_columns",
+    "read_columns",
 ]
 
 # the dtypes a binary column may hold, by their little-endian typestr
-_ARRAY_DTYPES = {"<f8": np.dtype(np.float64), "<i8": np.dtype(np.int64)}
-_ARRAY_KEYS = {"base64", "dtype", "shape"}
+_COLUMN_DTYPES = {"<f8": np.dtype(np.float64), "<i8": np.dtype(np.int64)}
 _JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+
+
+def _check_schema(path: str | Path, data, schema: str) -> None:
+    found = data.get("schema") if isinstance(data, dict) else None
+    if found != schema:
+        raise InputFileError(f"{path}: expected schema {schema!r}, found {found!r}")
 
 
 def read_json(path: str | Path, schema: str) -> dict:
@@ -66,11 +71,9 @@ def read_json(path: str | Path, schema: str) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise InputFileError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer of more digits than int() takes
         raise InputFileError(f"{path}: not valid JSON ({exc})") from exc
-    found = data.get("schema") if isinstance(data, dict) else None
-    if found != schema:
-        raise InputFileError(f"{path}: expected schema {schema!r}, found {found!r}")
+    _check_schema(path, data, schema)
     return data
 
 
@@ -122,77 +125,67 @@ def fields_dict(obj) -> dict:
     return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
 
 
-def encode_array(array: np.ndarray) -> dict:
-    """A float64 or int64 array as ``{"dtype", "shape", "base64"}``: its
-    little-endian C-order bytes in base64, the inverse of ``decode_array``."""
-    array = np.asarray(array)
-    code = array.dtype.newbyteorder("<").str
-    if code not in _ARRAY_DTYPES:
-        raise TypeError(f"only float64 and int64 arrays are encoded, got {array.dtype}")
-    data = np.ascontiguousarray(array, dtype=code).tobytes()
-    return {
-        "dtype": code,
-        "shape": list(array.shape),
-        "base64": binascii.b2a_base64(data, newline=False).decode("ascii"),
+def write_columns(path: str | Path, header: dict, key: str, columns: dict) -> None:
+    """Replace the file with ``header``, plus ``key`` mapping each column's
+    name to its dtype and shape, as one line of compact JSON (which holds
+    no raw newline), a newline, then each column's little-endian C-order
+    bytes; ``read_columns`` is the inverse.  A column that is not float64
+    or int64 raises TypeError and nothing is written."""
+    specs, data = {}, []
+    for name, array in columns.items():
+        array = np.asarray(array)
+        code = array.dtype.newbyteorder("<").str
+        if code not in _COLUMN_DTYPES:
+            raise TypeError(f"{name}: only float64 and int64 columns are written, got {code}")
+        specs[name] = {"dtype": code, "shape": list(array.shape)}
+        data.append(np.ascontiguousarray(array, dtype=code).tobytes())
+    _replace(path, b"".join([orjson.dumps({**header, key: specs}), b"\n", *data]))
+
+
+def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the columns of a ``write_columns`` file, read at once.
+
+    Raises InputFileError unless the first line is UTF-8 JSON with the
+    given ``schema``, ``key`` maps names to objects with exactly a dtype
+    ("<f8" or "<i8") and a shape (a list of non-negative JSON integers),
+    and the rest of the file is exactly those columns in the header's
+    order.  The arrays are native-order, writable copies."""
+    data = Path(path).read_bytes()
+    end = data.find(b"\n")
+    try:
+        if end < 0:
+            raise ValueError("no line break ends it")
+        header = json.loads(data[:end].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, an integer of too many digits
+        raise InputFileError(
+            f"{path}: not a {schema!r} file: its first line is not a JSON header ({exc})"
+        ) from exc
+    _check_schema(path, header, schema)
+    specs = header.get(key)
+    if not isinstance(specs, dict):
+        raise InputFileError(f"{path}: {key} must be an object, got {type(specs).__name__}")
+    layout, offset = [], end + 1
+    for name, spec in specs.items():
+        where = f"{path}: {key}.{name}"
+        if not isinstance(spec, dict) or spec.keys() != {"dtype", "shape"}:
+            found = sorted(spec) if isinstance(spec, dict) else type(spec).__name__
+            raise InputFileError(
+                f"{where} must be an object with keys dtype and shape, got {found}"
+            )
+        code, shape = spec["dtype"], spec["shape"]
+        if not isinstance(code, str) or code not in _COLUMN_DTYPES:
+            raise InputFileError(f"{where}: dtype must be '<f8' or '<i8', got {code!r}")
+        if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
+            raise InputFileError(
+                f"{where}: shape must be a list of non-negative integers, got {json.dumps(shape)}"
+            )
+        layout.append((name, code, shape, offset))
+        offset += 8 * math.prod(shape)
+    if offset != len(data):
+        raise InputFileError(f"{path}: {len(data) - end - 1} bytes follow the header, "
+                             f"the columns need {offset - end - 1}")
+    return header, {
+        name: np.frombuffer(data, code, math.prod(shape), start)
+        .astype(_COLUMN_DTYPES[code]).reshape(shape)
+        for name, code, shape, start in layout
     }
-
-
-_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-
-
-def _canonical_base64(text: str) -> bytes | None:
-    """The bytes ``text`` encodes if it is exactly what ``b2a_base64``
-    writes for them (no newline), else None.
-
-    ``a2b_base64`` skips stray characters, so its result alone proves
-    nothing.  The canonical text is ASCII, a multiple of 4 long, alphabet
-    characters followed by at most two "=", and its last quantum holds
-    zero pad bits, which re-encoding that quantum alone checks.
-    """
-    if not text.isascii() or len(text) % 4:
-        return None
-    raw = text.encode("ascii")
-    pad = raw.translate(None, _BASE64_ALPHABET)  # every non-alphabet character
-    if pad not in (b"", b"=", b"==") or not raw.endswith(pad):
-        return None
-    last = raw[-4:]
-    if binascii.b2a_base64(binascii.a2b_base64(last), newline=False) != last:
-        return None
-    return binascii.a2b_base64(raw)
-
-
-def decode_array(value, name: str) -> np.ndarray:
-    """The native-order array an ``encode_array`` object holds.
-
-    Raises InputFileError naming ``name`` unless ``value`` is an object
-    with exactly the keys dtype, shape and base64, the dtype is "<f8" or
-    "<i8", the shape is a list of non-negative JSON integers, the base64
-    text is the canonical encoding of its bytes and the data holds
-    exactly 8 bytes per element.
-    """
-    if not isinstance(value, dict) or value.keys() != _ARRAY_KEYS:
-        found = sorted(value) if isinstance(value, dict) else type(value).__name__
-        raise InputFileError(
-            f"{name} must be an object with keys base64, dtype and shape, got {found}"
-        )
-    code, shape, text = value["dtype"], value["shape"], value["base64"]
-    if not isinstance(code, str) or code not in _ARRAY_DTYPES:
-        raise InputFileError(f"{name}: dtype must be '<f8' or '<i8', got {code!r}")
-    if not isinstance(shape, list) or not all(
-        type(dim) is int and dim >= 0 for dim in shape
-    ):
-        raise InputFileError(
-            f"{name}: shape must be a list of non-negative integers, got {json.dumps(shape)}"
-        )
-    if not isinstance(text, str):
-        raise InputFileError(f"{name}: base64 must be a string, got {type(text).__name__}")
-    data = _canonical_base64(text)
-    if data is None:
-        raise InputFileError(f"{name}: invalid base64 (not the canonical encoding of its bytes)")
-    dtype = _ARRAY_DTYPES[code]
-    expected = dtype.itemsize * math.prod(shape)
-    if len(data) != expected:
-        raise InputFileError(
-            f"{name}: {len(data)} bytes of data, shape {shape} needs {expected}"
-        )
-    return np.frombuffer(data, dtype=code).astype(dtype).reshape(shape)

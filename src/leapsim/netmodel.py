@@ -263,7 +263,11 @@ class NetworkConfig:
             value = getattr(self, f.name)
             if f.type == "int":
                 check_integer(f.name, value, 1)
-            elif not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # a JSON integer beyond the float range
+                raise InvalidValueError(f"{f.name} is an integer too large for a float") from None
+            if not finite:
                 raise InvalidValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("total_bandwidth", "noise_power", "model_size", "deadline", "capacitance"):
             if getattr(self, name) <= 0:

@@ -11,8 +11,10 @@ n_classes, a partition with identical per-edge label mixes exists.
 
 Every draw goes through one seeded generator in a fixed order, so a
 seed fully determines the scenario and its serialized bytes.  The file
-stores each ClientTable field as one binary column (``encode_array``),
-so loading returns the saved arrays bit for bit.
+is a ``files.write_columns`` file: a one-line JSON header (schema,
+config, num_edges, meta and each column's dtype and shape) and then
+each ClientTable field as raw little-endian bytes, so loading returns
+the saved arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFileError, InvalidValueError, check_integer
-from .files import decode_array, encode_array, fields_dict, read_json, write_json
+from .files import fields_dict, read_columns, write_columns
 from .game import Partition
 from .netmodel import ClientTable, NetworkConfig, comp_latency, tx_latency
 
@@ -42,10 +44,11 @@ __all__ = [
     "shard_grouped_partition",
 ]
 
-SCENARIO_SCHEMA = "leapsim.scenario.v3"
+SCENARIO_SCHEMA = "leapsim.scenario.v4"
 
 # the ClientTable fields, each stored as one binary column under "clients"
 _COLUMNS = tuple(f.name for f in fields(ClientTable))
+_HEADER_KEYS = {"schema", "config", "num_edges", "meta", "clients"}
 
 
 @dataclass(frozen=True)
@@ -70,14 +73,6 @@ class Scenario:
     @property
     def n_clients(self) -> int:
         return len(self.clients)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCENARIO_SCHEMA,
-            **fields_dict(self),
-            "config": fields_dict(self.config),
-            "clients": {name: encode_array(getattr(self.clients, name)) for name in _COLUMNS},
-        }
 
 
 def shard_label_counts(
@@ -228,22 +223,27 @@ def generate_scenario(
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    write_json(path, scenario.to_dict())
+    header = {"schema": SCENARIO_SCHEMA, "config": fields_dict(scenario.config),
+              "num_edges": scenario.num_edges, "meta": scenario.meta}
+    columns = {name: getattr(scenario.clients, name) for name in _COLUMNS}
+    write_columns(path, header, "clients", columns)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read and check a scenario file; any bad field raises InputFileError.
 
-    ``num_edges`` must be a JSON integer equal to the width of
-    ``channel_gains``, ``meta`` a JSON object with no NaN or infinity
-    in it (``report.json`` copies it), ``clients`` one
-    ``decode_array`` column per ClientTable field, and the config and
-    the decoded columns must pass the NetworkConfig and ClientTable
-    checks.
+    Beyond the ``read_columns`` checks, the header must hold exactly
+    schema, config, num_edges, meta and clients; ``num_edges`` must be
+    a JSON integer equal to the width of ``channel_gains``, ``meta`` a
+    JSON object with no NaN or infinity in it (``report.json`` copies
+    it), and the config and the columns (one per ClientTable field) must
+    pass the NetworkConfig and ClientTable checks.
     """
-    data = read_json(path, SCENARIO_SCHEMA)
+    data, columns = read_columns(path, SCENARIO_SCHEMA, "clients")
     try:
-        num_edges, meta = data["num_edges"], data.get("meta", {})
+        if data.keys() != _HEADER_KEYS:
+            raise InvalidValueError(f"the header holds {sorted(data)}, not {sorted(_HEADER_KEYS)}")
+        num_edges, meta = data["num_edges"], data["meta"]
         if type(num_edges) is not int:
             raise InvalidValueError(f"num_edges must be a JSON integer, got {num_edges!r}")
         if not isinstance(meta, dict):
@@ -252,21 +252,13 @@ def load_scenario(path: str | Path) -> Scenario:
             json.dumps(meta, allow_nan=False)
         except ValueError:
             raise InvalidValueError("meta must hold finite numbers only") from None
-        columns = data["clients"]
-        if not isinstance(columns, dict) or columns.keys() != set(_COLUMNS):
-            found = sorted(columns) if isinstance(columns, dict) else type(columns).__name__
-            raise InvalidValueError(
-                f"clients must be an object with keys {', '.join(sorted(_COLUMNS))}, got {found}"
-            )
-        clients = ClientTable(
-            **{name: decode_array(columns[name], f"clients.{name}") for name in _COLUMNS}
-        )
+        clients = ClientTable(**columns)
         if clients.num_edges != num_edges:
             raise InvalidValueError(
                 f"channel_gains has {clients.num_edges} columns, num_edges is {num_edges}"
             )
         return Scenario(NetworkConfig(**data["config"]), clients, num_edges, meta)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputFileError(
             f"{path}: malformed scenario ({type(exc).__name__}: {exc})"
         ) from exc

@@ -30,22 +30,26 @@ def non_finite_path(value, path: str = "$") -> str | None:
 
 @pytest.fixture
 def finite_json(monkeypatch) -> list[Path]:
-    """Make every ``write_json`` of the package fail on a NaN or an
-    infinite float in its payload, which orjson would write as null.
+    """Make every ``write_json`` payload and ``write_columns`` header of
+    the package fail on a NaN or an infinite float, which orjson would
+    write as null.
 
     Returns the list of the paths written, so a test can see that its
     files went through the check."""
-    real = files.write_json
     written: list[Path] = []
 
-    def checked(path, payload):
-        bad = non_finite_path(payload)
-        assert bad is None, f"{path}: {bad} is not finite"
-        written.append(Path(path))
-        real(path, payload)
+    def checking(real):
+        def checked(path, payload, *rest):
+            bad = non_finite_path(payload)
+            assert bad is None, f"{path}: {bad} is not finite"
+            written.append(Path(path))
+            real(path, payload, *rest)
+        return checked
 
-    for name, module in list(sys.modules.items()):
-        in_package = name == "leapsim" or name.startswith("leapsim.")
-        if in_package and getattr(module, "write_json", None) is real:
-            monkeypatch.setattr(module, "write_json", checked)
+    for writer in ("write_json", "write_columns"):
+        real = getattr(files, writer)
+        for name, module in list(sys.modules.items()):
+            in_package = name == "leapsim" or name.startswith("leapsim.")
+            if in_package and getattr(module, writer, None) is real:
+                monkeypatch.setattr(module, writer, checking(real))
     return written

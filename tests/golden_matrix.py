@@ -29,7 +29,7 @@ from leapsim.cli import main as cli_main
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 REGENERATE = "PYTHONPATH=src python tests/golden_matrix.py"
 
-_SCENARIO = "{gen}/scenario.json"
+_SCENARIO = "{gen}/scenario.bin"
 _PARTITION = "{coalition}/partition.json"
 _TRAIN = ["--features", "4", "--tau-c", "2", "--tau-e", "2", "--tau-g", "3"]
 
@@ -53,7 +53,7 @@ RUNS: tuple[tuple[str, list[str]], ...] = (
      ["gen", "--seed", "4", "--clients", "16", "--edges", "4", "--classes", "6",
       "--dirichlet", "0.5", "--data-size", "30"]),
     ("compare_pairs",
-     ["compare", "--scenario", "{gen_dirichlet}/scenario.json", "--seed", "9",
+     ["compare", "--scenario", "{gen_dirichlet}/scenario.bin", "--seed", "9",
       "--denominator", "pairs"]),
 )
 

@@ -7,9 +7,10 @@ test comparing the two is a genuine dual-route check.
 
 from __future__ import annotations
 
-import binascii
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -606,14 +607,26 @@ def gp_solve_ref(assignment, clients, cfg, gp):
     return b, values, iterations, total_halvings, float(np.linalg.norm(moved) / base_step)
 
 
-def canonical_base64_ref(text):
-    """The bytes ``text`` encodes if re-encoding them gives ``text`` back,
-    else None: the whole-column check ``leapsim.files.decode_array`` made
-    before it checked the alphabet, the padding and the last quantum."""
-    try:
-        data = binascii.a2b_base64(text)
-    except ValueError:  # binascii.Error, or a non-ASCII character
-        return None
-    if binascii.b2a_base64(data, newline=False).decode("ascii") != text:
-        return None
-    return data
+def read_scenario_ref(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The JSON header and the columns of a ``leapsim.scenario.v4`` file,
+    read from its documented layout: one line of JSON, then each column
+    ``header["clients"]`` lists, in that order, as little-endian C-order
+    bytes, and nothing after them."""
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    header = json.loads(line)
+    columns, offset = {}, 0
+    for name, spec in header["clients"].items():
+        size = 8 * math.prod(spec["shape"])
+        data = np.frombuffer(payload[offset:offset + size], dtype=spec["dtype"])
+        columns[name] = data.reshape(spec["shape"]).copy()
+        offset += size
+    assert offset == len(payload), "bytes left after the columns"
+    return header, columns
+
+
+def write_scenario_ref(path, header: dict, columns: dict) -> None:
+    """A scenario file written by hand: ``header`` as ``json.dumps``
+    writes it (NaN stays NaN, nothing is checked against the columns),
+    then each column's little-endian C-order bytes in dict order."""
+    data = b"".join(a.astype(a.dtype.newbyteorder("<")).tobytes() for a in columns.values())
+    Path(path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + data)

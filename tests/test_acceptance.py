@@ -365,13 +365,13 @@ def test_c9_end_to_end_determinism(tmp_path):
              "--data-size", "40", "--out", str(out)]
         )
         assert code == 0
-    scenario_bytes = [(d / "scenario.json").read_bytes() for d in gen_dirs]
+    scenario_bytes = [(d / "scenario.bin").read_bytes() for d in gen_dirs]
     assert scenario_bytes[0] == scenario_bytes[1]
 
     run_dirs = [tmp_path / "run1", tmp_path / "run2"]
     for out in run_dirs:
         code = cli_main(
-            ["compare", "--scenario", str(gen_dirs[0] / "scenario.json"),
+            ["compare", "--scenario", str(gen_dirs[0] / "scenario.bin"),
              "--seed", "23", "--out", str(out), "--train",
              "--features", "4", "--tau-c", "2", "--tau-e", "2", "--tau-g", "3"]
         )

@@ -202,6 +202,17 @@ def test_projection_respects_floor():
     assert out.sum() == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("v", [
+    [1.63e296, 3.15e296, 1.67e296],  # the total is lost in rounding: no support at all
+    [5.0, -1e308, -1e308],  # a partial sum passes the float range: the result was inf
+])
+def test_projection_refuses_entries_that_swamp_the_total(v):
+    with np.errstate(over="ignore"), pytest.raises(
+        InvalidValueError, match="their sum overflows float precision"
+    ):
+        project_to_simplex(np.array(v), 1e7, floor=10.0)
+
+
 def test_projection_idempotent():
     rng = np.random.default_rng(8)
     for _ in range(20):

@@ -1,10 +1,8 @@
 import ast
-import binascii
 import json
 import math
 import os
 import re
-import string
 import struct
 import subprocess
 import sys
@@ -12,19 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leapsim.errors import InputFileError
 from leapsim.experiment import write_game_trace
-from leapsim.files import (
-    _canonical_base64,
-    decode_array,
-    encode_array,
-    write_csv,
-    write_json,
-)
-
-from oracles import canonical_base64_ref
+from leapsim.files import read_columns, write_columns, write_csv, write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -185,34 +176,59 @@ def test_write_json_raises_type_error_on_what_orjson_refuses(tmp_path, payload):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("array", [
-    np.array([1.5, -0.0, 5e-324, 1e300]),
-    np.arange(12, dtype=np.int64).reshape(3, 4),
-    np.arange(6.0).reshape(2, 3).T,  # not C-contiguous
-    np.array([2.5, 3.5], dtype=">f8"),  # big-endian in memory
-    np.empty((0, 3)),
-])
-def test_encode_decode_round_trip_is_bit_exact(array):
-    column = json.loads(json.dumps(encode_array(array)))
-    assert column["dtype"] in ("<f8", "<i8") and column["shape"] == list(array.shape)
-    again = decode_array(column, "clients.x")
-    assert again.dtype == array.dtype.newbyteorder("=") and again.flags.writeable
-    assert again.tobytes() == np.ascontiguousarray(array, dtype=again.dtype).tobytes()
+@st.composite
+def column_sets(draw):
+    """Up to four float64 or int64 arrays of any byte order, 0 to 3 dims
+    (empty sides included), every float bit pattern allowed."""
+    columns = {}
+    for i in range(draw(st.integers(0, 4))):
+        dtype = np.dtype(draw(st.sampled_from(["<f8", ">f8", "<i8", ">i8"])))
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+        elements = (st.floats(width=64) | st.sampled_from(EDGE_FLOATS)
+                    if dtype.kind == "f" else st.integers(-(2**63), 2**63 - 1))
+        columns[f"c{i}"] = draw(hnp.arrays(dtype, shape, elements=elements))
+    return columns
 
 
-def test_encode_array_refuses_other_dtypes():
-    for array in (np.zeros(2, dtype=np.float32), np.zeros(2, dtype=bool), np.array(["a"])):
-        with pytest.raises(TypeError):
-            encode_array(array)
+@given(columns=column_sets())
+@example(columns={"x": np.array([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 2, np.nan]),
+                  "t": np.arange(6.0).reshape(2, 3).T})  # not C-contiguous
+@settings(max_examples=200, deadline=None)
+def test_columns_round_trip_bit_for_bit(tmp_path_factory, columns):
+    path = tmp_path_factory.getbasetemp() / "columns.bin"
+    header = {"schema": "s", "note": "a\nb é"}  # a newline in a string stays escaped
+    write_columns(path, header, "clients", columns)
+    # the layout: one line of JSON, then the columns' little-endian C-order bytes
+    line, _, payload = path.read_bytes().partition(b"\n")
+    line = json.loads(line)
+    little = {name: a.astype(a.dtype.newbyteorder("<"), order="C") for name, a in columns.items()}
+    assert line == {**header, "clients": {
+        name: {"dtype": a.dtype.str, "shape": list(a.shape)} for name, a in little.items()
+    }}
+    assert payload == b"".join(a.tobytes() for a in little.values())
+    read, again = read_columns(path, "s", "clients")
+    assert read == line and list(again) == list(columns)
+    for name, array in again.items():
+        assert array.dtype == little[name].dtype.newbyteorder("=") and array.flags.writeable
+        assert array.shape == little[name].shape and array.tobytes() == little[name].tobytes()
 
 
-GOOD = encode_array(np.array([1.0, 2.0]))
+def test_write_columns_refuses_other_dtypes_and_writes_nothing(tmp_path):
+    path = tmp_path / "out.bin"
+    for array in (np.zeros(2, dtype=np.float32), np.zeros(2, dtype=bool), np.array(["a"]),
+                  np.zeros(2, dtype=np.int32)):
+        with pytest.raises(TypeError, match="only float64 and int64 columns"):
+            write_columns(path, {"schema": "s"}, "clients", {"x": array})
+    assert not path.exists()
+
+
+GOOD = {"dtype": "<f8", "shape": [2]}
 
 
 @pytest.mark.parametrize("column, words", [
-    ([1.0, 2.0], "must be an object with keys base64, dtype and shape, got list"),
-    ({"dtype": "<f8", "shape": [2]}, "got ['dtype', 'shape']"),
-    ({**GOOD, "order": "C"}, "got ['base64', 'dtype', 'order', 'shape']"),
+    ([1.0, 2.0], "clients.x must be an object with keys dtype and shape, got list"),
+    ({"dtype": "<f8"}, "got ['dtype']"),
+    ({**GOOD, "base64": ""}, "got ['base64', 'dtype', 'shape']"),
     ({**GOOD, "dtype": ">f8"}, "dtype must be '<f8' or '<i8', got '>f8'"),
     ({**GOOD, "dtype": "<f4"}, "dtype must be '<f8' or '<i8', got '<f4'"),
     ({**GOOD, "dtype": ["<f8"]}, "dtype must be '<f8' or '<i8', got ['<f8']"),
@@ -220,58 +236,36 @@ GOOD = encode_array(np.array([1.0, 2.0]))
     ({**GOOD, "shape": [True, 2]}, "shape must be a list of non-negative integers, got [true, 2]"),
     ({**GOOD, "shape": [2.0]}, "shape must be a list of non-negative integers, got [2.0]"),
     ({**GOOD, "shape": [-2, -1]}, "shape must be a list of non-negative integers, got [-2, -1]"),
-    ({**GOOD, "base64": 7}, "base64 must be a string, got int"),
-    ({**GOOD, "base64": GOOD["base64"] + "\n"}, "invalid base64"),
-    ({**GOOD, "base64": GOOD["base64"][:-1]}, "invalid base64"),
-    ({**GOOD, "base64": "é" + GOOD["base64"]}, "invalid base64"),
-    ({**GOOD, "base64": " " + GOOD["base64"]}, "invalid base64"),
-    ({**GOOD, "shape": [], "base64": "QR=="}, "invalid base64"),  # nonzero pad bits
-    ({**GOOD, "shape": [3]}, "16 bytes of data, shape [3] needs 24"),
-    ({**GOOD, "shape": [1]}, "16 bytes of data, shape [1] needs 8"),
-    ({**GOOD, "shape": []}, "16 bytes of data, shape [] needs 8"),
+    ({**GOOD, "shape": [3]}, "16 bytes follow the header, the columns need 24"),
+    ({**GOOD, "shape": [1]}, "16 bytes follow the header, the columns need 8"),
+    ({**GOOD, "shape": []}, "16 bytes follow the header, the columns need 8"),
+    ({**GOOD, "shape": [2**62, 2**62]}, "the columns need 170141183460469231731687303715884105728"),
 ])
-def test_decode_array_refusals_name_the_column(column, words):
-    with pytest.raises(InputFileError, match=re.escape("clients.x") + ".*" + re.escape(words)):
-        decode_array(column, "clients.x")
+def test_read_columns_refusals_name_the_file_and_the_column(tmp_path, column, words):
+    path = tmp_path / "out.bin"
+    header = json.dumps({"schema": "s", "clients": {"x": column}})
+    path.write_bytes(header.encode() + b"\n" + np.array([1.0, 2.0]).astype("<f8").tobytes())
+    with pytest.raises(InputFileError, match=re.escape(f"{path}: ") + ".*" + re.escape(words)):
+        read_columns(path, "s", "clients")
 
 
-# the base64 alphabet, padding, whitespace, the URL-safe pair and a non-ASCII letter
-BASE64_CHARS = string.ascii_letters + string.digits + "+/= \n-_é"
-
-
-@st.composite
-def mutated_encodings(draw):
-    """The canonical encoding of random bytes with up to three characters
-    inserted, replaced or deleted."""
-    text = binascii.b2a_base64(draw(st.binary(max_size=24)), newline=False).decode("ascii")
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(text)))
-        char = draw(st.sampled_from(BASE64_CHARS))
-        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
-        if edit == "insert":
-            text = text[:at] + char + text[at:]
-        else:
-            text = text[:at] + (char if edit == "replace" else "") + text[at + 1:]
-    return text
-
-
-@given(text=st.text(alphabet=BASE64_CHARS, max_size=16) | mutated_encodings())
-@settings(max_examples=1000, deadline=None)
-def test_canonical_base64_check_matches_the_re_encoding_reference(text):
-    data = canonical_base64_ref(text)
-    assert _canonical_base64(text) == data
-    column = {"dtype": "<i8", "shape": [len(data or b"") // 8], "base64": text}
-    if data is not None and len(data) % 8 == 0:
-        assert decode_array(column, "clients.x").tobytes() == data
-    elif data is None:
-        with pytest.raises(InputFileError, match="invalid base64"):
-            decode_array(column, "clients.x")
-
-
-@pytest.mark.parametrize("text", ["", "AAAA", "AA==", "AAA=", "+/+/", "QQ==", "QR==", "QUI=",
-                                  "QUJ=", "A===", "====", "AA=A", "AA==AA==", "AAAA\n", "AAA"])
-def test_canonical_base64_check_fixed_cases(text):
-    assert _canonical_base64(text) == canonical_base64_ref(text)
+@pytest.mark.parametrize("data, words", [
+    (b"", "its first line is not a JSON header (no line break ends it)"),
+    (b'{"schema": "s", "clients": {}}', "(no line break ends it)"),
+    (b'{"schema": "s",\n "clients": {}}\n', "its first line is not a JSON header (Expecting"),
+    (b'{"schema": "\xff", "clients": {}}\n', "its first line is not a JSON header ('utf-8'"),
+    (b'{"schema": 1' + b"0" * 5000 + b"}\n", "its first line is not a JSON header (Exceeds"),
+    (b'{"schema": "t", "clients": {}}\n', "expected schema 's', found 't'"),
+    (b'["s"]\n', "expected schema 's', found None"),
+    (b'{"schema": "s"}\n', "clients must be an object, got NoneType"),
+    (b'{"schema": "s", "clients": {"x": {"dtype": "<f8", "shape": []}, "y": 1}}\n',
+     "clients.y must be an object with keys dtype and shape, got int"),
+])
+def test_read_columns_refuses_a_bad_header(tmp_path, data, words):
+    path = tmp_path / "out.bin"
+    path.write_bytes(data)
+    with pytest.raises(InputFileError, match=re.escape(f"{path}: ") + ".*" + re.escape(words)):
+        read_columns(path, "s", "clients")
 
 
 def csv_bytes(rows, header=("a", "b")) -> bytes:

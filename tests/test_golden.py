@@ -10,9 +10,9 @@ from golden_matrix import MANIFEST, REGENERATE, build_manifest
 def test_golden_matrix_reproduces_the_manifest(tmp_path, finite_json):
     recorded = json.loads(MANIFEST.read_text(encoding="utf-8"))
     fresh = build_manifest(tmp_path)
-    # every JSON file of the matrix went through the finiteness check
+    # every JSON file and scenario header of the matrix went through the finiteness check
     assert sorted(p.relative_to(tmp_path).as_posix() for p in finite_json) == sorted(
-        name for name in fresh["files"] if name.endswith(".json")
+        name for name in fresh["files"] if name.endswith((".json", ".bin"))
     )
     assert fresh["runs"] == recorded["runs"], (
         f"the golden runs changed; regenerate the manifest with `{REGENERATE}`"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leapsim.errors import InputFileError, InvalidValueError
-from leapsim.files import decode_array, encode_array
+from leapsim.files import fields_dict
 from leapsim.netmodel import ClientTable
 from leapsim.scenario import (
     HardwareRanges,
@@ -20,20 +20,25 @@ from leapsim.scenario import (
     shard_label_counts,
 )
 
-from oracles import shard_grouped_assignment_ref, shard_label_counts_ref
+from oracles import (
+    read_scenario_ref,
+    shard_grouped_assignment_ref,
+    shard_label_counts_ref,
+    write_scenario_ref,
+)
 
 
 def test_same_seed_gives_byte_identical_files(tmp_path):
     for k in (1, 2):
         sc = generate_scenario(seed=123, n_clients=20, n_edges=4)
-        save_scenario(sc, tmp_path / f"s{k}.json")
-    assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+        save_scenario(sc, tmp_path / f"s{k}.bin")
+    assert (tmp_path / "s1.bin").read_bytes() == (tmp_path / "s2.bin").read_bytes()
 
 
-def test_different_seeds_differ():
-    a = generate_scenario(seed=1, n_clients=10, n_edges=2)
-    b = generate_scenario(seed=2, n_clients=10, n_edges=2)
-    assert a.to_dict() != b.to_dict()
+def test_different_seeds_differ(tmp_path):
+    for seed in (1, 2):
+        save_scenario(generate_scenario(seed=seed, n_clients=10, n_edges=2), tmp_path / f"{seed}")
+    assert (tmp_path / "1").read_bytes() != (tmp_path / "2").read_bytes()
 
 
 def test_shard_scheme_exact_support_size():
@@ -142,35 +147,107 @@ def test_explicit_deadline_respected():
     assert sc.config.deadline == 123.0
 
 
-def test_save_load_roundtrip(tmp_path):
+TABLE_FIELDS = [f.name for f in fields(ClientTable)]
+
+
+def assert_same_scenario(again, sc):
+    """``again`` holds ``sc``'s arrays bit for bit (as native-order,
+    writable arrays) and its config, num_edges and meta."""
+    for name in TABLE_FIELDS:
+        kept, loaded = getattr(sc.clients, name), getattr(again.clients, name)
+        assert loaded.dtype == kept.dtype and loaded.shape == kept.shape, name
+        assert loaded.tobytes() == kept.tobytes() and loaded.flags.writeable, name
+    assert (again.config, again.num_edges, again.meta) == (sc.config, sc.num_edges, sc.meta)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(shards=2),
+    dict(shards=None, dirichlet_alpha=0.3),
+    dict(shards=3, gain_mode="client"),
+], ids=["shards", "dirichlet", "client gains"])
+def test_save_load_roundtrip(tmp_path, kwargs):
+    sc = generate_scenario(seed=3, n_clients=12, n_edges=3, **kwargs)
+    save_scenario(sc, tmp_path / "a.bin")
+    again = load_scenario(tmp_path / "a.bin")
+    assert_same_scenario(again, sc)
+    save_scenario(again, tmp_path / "b.bin")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_the_file_is_a_json_line_then_the_columns(tmp_path):
     sc = generate_scenario(seed=3, n_clients=12, n_edges=3)
-    path = tmp_path / "scenario.json"
-    save_scenario(sc, path)
-    again = load_scenario(path)
-    assert again.to_dict() == sc.to_dict()
+    save_scenario(sc, tmp_path / "scenario.bin")
+    header, columns = read_scenario_ref(tmp_path / "scenario.bin")
+    assert header == {
+        "schema": "leapsim.scenario.v4",
+        "config": fields_dict(sc.config),
+        "num_edges": 3,
+        "meta": sc.meta,
+        "clients": {name: {"dtype": getattr(sc.clients, name).dtype.newbyteorder("<").str,
+                           "shape": list(getattr(sc.clients, name).shape)}
+                    for name in TABLE_FIELDS},
+    }
+    for name in TABLE_FIELDS:
+        assert columns[name].tobytes() == getattr(sc.clients, name).tobytes()
 
 
 def test_numpy_float_arguments_are_saved_as_plain_floats(tmp_path):
     # the writer refuses numpy scalars, and meta keeps these two arguments as given
     sc = generate_scenario(seed=3, n_clients=12, n_edges=3, shards=None,
                            dirichlet_alpha=np.float64(0.5), deadline_slack=np.float64(2.0))
-    save_scenario(sc, tmp_path / "scenario.json")
-    meta = load_scenario(tmp_path / "scenario.json").meta
+    save_scenario(sc, tmp_path / "scenario.bin")
+    meta = load_scenario(tmp_path / "scenario.bin").meta
     assert (meta["alpha"], meta["deadline_slack"]) == (0.5, 2.0)
 
 
 def test_load_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "other"}))
-    with pytest.raises(ValueError):
+    path = tmp_path / "bad.bin"
+    path.write_text(json.dumps({"schema": "other"}) + "\n")
+    with pytest.raises(InputFileError,
+                       match="expected schema 'leapsim.scenario.v4', found 'other'"):
         load_scenario(path)
 
 
 def test_schema_version_present(tmp_path):
     sc = generate_scenario(seed=3, n_clients=12, n_edges=3)
-    path = tmp_path / "scenario.json"
+    path = tmp_path / "scenario.bin"
     save_scenario(sc, path)
-    assert json.loads(path.read_text())["schema"] == "leapsim.scenario.v3"
+    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["schema"] == "leapsim.scenario.v4"
+
+
+def _refuses_an_older_json_file(tmp_path, schema):
+    # the earlier schemas were indented JSON, whose first line is "{"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schema": schema, "num_edges": 2}, indent=2) + "\n")
+    with pytest.raises(InputFileError, match=re.escape(
+        f"{path}: not a 'leapsim.scenario.v4' file: its first line is not a JSON header"
+    )):
+        load_scenario(path)
+
+
+def test_load_rejects_a_v1_file(tmp_path):
+    _refuses_an_older_json_file(tmp_path, "leapsim.scenario.v1")
+
+
+def test_load_rejects_a_v2_file(tmp_path):
+    _refuses_an_older_json_file(tmp_path, "leapsim.scenario.v2")
+
+
+def test_load_rejects_a_v3_file(tmp_path):
+    _refuses_an_older_json_file(tmp_path, "leapsim.scenario.v3")
+
+
+def test_every_prefix_and_a_trailing_byte_are_refused(tmp_path):
+    sc = generate_scenario(seed=3, n_clients=2, n_edges=2, n_classes=2, shards=1, data_size=4)
+    save_scenario(sc, tmp_path / "good.bin")
+    data = (tmp_path / "good.bin").read_bytes()
+    path = tmp_path / "bad.bin"
+    for cut in [*range(len(data)), None]:
+        path.write_bytes(data + b"\0" if cut is None else data[:cut])
+        with pytest.raises(InputFileError, match=re.escape(f"{path}: ")):
+            load_scenario(path)
+    path.write_bytes(data)
+    assert_same_scenario(load_scenario(path), sc)
 
 
 def test_grouped_partition_is_adversarial_and_valid():
@@ -210,11 +287,11 @@ def test_generator_refuses_a_count_that_is_not_a_positive_integer(name, value, w
 @pytest.mark.parametrize("field, value, words", [
     # a list is client 4's new row: a row of another length leaves data
     # that no longer fits the stored shape
+    # (6 clients, 2 edges and 10 classes make 768 bytes of columns)
     pytest.param("channel_gains", [1e-7, 1e-7, 1e-7],
-                 "clients.channel_gains: 104 bytes of data, shape [6, 2] needs 96",
+                 "776 bytes follow the header, the columns need 768",
                  id="channel_gains ragged row"),
-    pytest.param("label_counts", [100, 100],
-                 "clients.label_counts: 416 bytes of data, shape [6, 10] needs 480",
+    pytest.param("label_counts", [100, 100], "704 bytes follow the header, the columns need 768",
                  id="label_counts ragged row"),
     ("p_max", -1, "p_max"),
     # a string is the column's dtype: a string column's is not allowed
@@ -223,20 +300,17 @@ def test_generator_refuses_a_count_that_is_not_a_positive_integer(name, value, w
 ])
 def test_load_rejects_a_bad_client(tmp_path, field, value, words):
     sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
-    data = sc.to_dict()
-    column = data["clients"][field]
-    array = decode_array(column, field)
+    save_scenario(sc, tmp_path / "good.bin")
+    header, columns = read_scenario_ref(tmp_path / "good.bin")
+    array = columns[field]
     if isinstance(value, str):
-        column = {**column, "dtype": value}
-    elif isinstance(value, list):
-        rows = np.concatenate([array[:4].ravel(), value, array[5:].ravel()])
-        column = {**encode_array(rows.astype(array.dtype)), "shape": column["shape"]}
+        header["clients"][field]["dtype"] = value
+    elif isinstance(value, list):  # the header keeps the old shape
+        columns[field] = np.concatenate([array[:4].ravel(), value, array[5:].ravel()])
     else:
         array[4] = value
-        column = encode_array(array)
-    data["clients"][field] = column
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
+    path = tmp_path / "scenario.bin"
+    write_scenario_ref(path, header, columns)
     with pytest.raises(InputFileError, match=re.escape(words)):
         load_scenario(path)
 
@@ -247,9 +321,6 @@ def test_table_is_built_once_and_matches_the_profiles():
     assert sc.clients.channel_gains[:, 2].tolist() == [c.gain(2) for c in sc.clients]
     assert sc.clients.p_max.tolist() == [c.p_max for c in sc.clients]
     assert label_count_matrix(sc) is sc.clients.label_counts
-
-
-TABLE_FIELDS = [f.name for f in fields(ClientTable)]
 
 
 @given(
@@ -269,40 +340,9 @@ def test_save_load_returns_the_generated_arrays(
         shards=None if dirichlet else 2, dirichlet_alpha=0.4 if dirichlet else None,
         data_size=30, gain_mode=gain_mode,
     )
-    path = tmp_path_factory.mktemp("roundtrip") / "scenario.json"
+    path = tmp_path_factory.mktemp("roundtrip") / "scenario.bin"
     save_scenario(sc, path)
-    again = load_scenario(path)
-    for name in TABLE_FIELDS:
-        kept, loaded = getattr(sc.clients, name), getattr(again.clients, name)
-        assert loaded.dtype == kept.dtype and np.array_equal(loaded, kept), name
-    assert (again.config, again.num_edges, again.meta) == (sc.config, sc.num_edges, sc.meta)
-
-
-def _decoded_columns(data: dict) -> dict:
-    return {name: decode_array(column, name).tolist() for name, column in data["clients"].items()}
-
-
-def test_load_rejects_a_v1_file(tmp_path):
-    sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
-    data = {**sc.to_dict(), "schema": "leapsim.scenario.v1"}
-    columns = _decoded_columns(data)
-    data["clients"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(InputFileError, match="expected schema 'leapsim.scenario.v3', "
-                       "found 'leapsim.scenario.v1'"):
-        load_scenario(path)
-
-
-def test_load_rejects_a_v2_file(tmp_path):
-    sc = generate_scenario(seed=3, n_clients=6, n_edges=2)
-    data = {**sc.to_dict(), "schema": "leapsim.scenario.v2"}
-    data["clients"] = _decoded_columns(data)  # v2 held one JSON list per field
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(InputFileError, match="expected schema 'leapsim.scenario.v3', "
-                       "found 'leapsim.scenario.v2'"):
-        load_scenario(path)
+    assert_same_scenario(load_scenario(path), sc)
 
 
 @pytest.mark.parametrize("kwargs", [
