@@ -28,6 +28,7 @@ A module-wide test keeps every other module from writing files itself.
 
 from __future__ import annotations
 
+import binascii
 import csv
 import io
 import json
@@ -125,6 +126,28 @@ def fields_dict(obj) -> dict:
     return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
 
 
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _canonical_base64(text: str) -> bytes | None:
+    """The bytes ``text`` encodes if it is exactly what ``b2a_base64``
+    writes for them (no newline), else None: ASCII, a multiple of 4 long,
+    alphabet characters then at most two "=", and zero pad bits in the
+    last quantum, which re-encoding it alone checks.  No file format has
+    used it since scenario files hold raw bytes (``leapsim.scenario.v4``).
+    """
+    if not text.isascii() or len(text) % 4:
+        return None
+    raw = text.encode("ascii")
+    pad = raw.translate(None, _BASE64_ALPHABET)  # every non-alphabet character
+    if pad not in (b"", b"=", b"==") or not raw.endswith(pad):
+        return None
+    last = raw[-4:]
+    if binascii.b2a_base64(binascii.a2b_base64(last), newline=False) != last:
+        return None
+    return binascii.a2b_base64(raw)
+
+
 def write_columns(path: str | Path, header: dict, key: str, columns: dict) -> None:
     """Replace the file with ``header``, plus ``key`` mapping each column's
     name to its dtype and shape, as one line of compact JSON (which holds
@@ -164,7 +187,7 @@ def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[st
     specs = header.get(key)
     if not isinstance(specs, dict):
         raise InputFileError(f"{path}: {key} must be an object, got {type(specs).__name__}")
-    layout, offset = [], end + 1
+    layout = []
     for name, spec in specs.items():
         where = f"{path}: {key}.{name}"
         if not isinstance(spec, dict) or spec.keys() != {"dtype", "shape"}:
@@ -179,13 +202,19 @@ def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[st
             raise InputFileError(
                 f"{where}: shape must be a list of non-negative integers, got {json.dumps(shape)}"
             )
-        layout.append((name, code, shape, offset))
-        offset += 8 * math.prod(shape)
-    if offset != len(data):
-        raise InputFileError(f"{path}: {len(data) - end - 1} bytes follow the header, "
-                             f"the columns need {offset - end - 1}")
-    return header, {
-        name: np.frombuffer(data, code, math.prod(shape), start)
-        .astype(_COLUMN_DTYPES[code]).reshape(shape)
-        for name, code, shape, start in layout
-    }
+        layout.append((name, code, shape, 8 * math.prod(shape)))
+    # each column starts where the one before ends, and the last one ends the file
+    columns, start = {}, end + 1
+    for i, (name, code, shape, need) in enumerate(layout, 1):
+        have = len(data) - start if i == len(layout) else min(need, len(data) - start)
+        if have != need:
+            raise InputFileError(
+                f"{path}: {key}.{name}: {have} bytes of data, shape {shape} needs {need}"
+            )
+        array = np.frombuffer(data, code, need // 8, start)
+        columns[name] = array.astype(_COLUMN_DTYPES[code]).reshape(shape)
+        start += need
+    if start != len(data):
+        raise InputFileError(f"{path}: the header lists no columns, yet {len(data) - start} "
+                             "bytes follow it")
+    return header, columns

@@ -261,8 +261,8 @@ def _scenario_with(tmp_path, scenario_file, keys, value):
     (["gen", "--dirichlet", "inf"], "alpha must be finite, got inf"),
     (["gen", "--deadline", 5, "--deadline-slack", "nan"], "deadline_slack must be finite, got nan"),
     ("p_max", "p_max must be strictly positive"),
-    # 12 clients, 3 edges and 10 classes make 1632 bytes of columns
-    pytest.param("channel_gains ragged", "1624 bytes follow the header, the columns need 1632",
+    # 12 clients and 10 classes make 960 bytes of label_counts, the last column
+    pytest.param("channel_gains ragged", "label_counts: 952 bytes of data, shape [12, 10] needs 960",
                  id="channel_gains ragged row"),
 ])
 def test_bad_values_are_one_line_and_exit_2(tmp_path, scenario_file, capsys, argv, words):
@@ -318,11 +318,11 @@ NAN, INF = float("nan"), float("inf")
                  "unexpected keyword argument 'extra'", id="extra column"),
     pytest.param(("clients", "p_max", "order"), "C",
                  "keys dtype and shape, got ['dtype', 'order', 'shape']", id="p_max extra key"),
-    # 12 clients, 3 edges and 10 classes make 1632 bytes of columns
+    # 12 clients and 10 classes make 960 bytes of label_counts, the last column
     pytest.param(("clients", "p_max", "shape"), [13],
-                 "1632 bytes follow the header, the columns need 1640", id="p_max one row more"),
+                 "label_counts: 952 bytes of data, shape [12, 10] needs 960", id="p_max one row more"),
     pytest.param(("clients", "channel_gains", "shape"), [12, 2],
-                 "1632 bytes follow the header, the columns need 1536", id="gains one column less"),
+                 "label_counts: 1056 bytes of data, shape [12, 10] needs 960", id="gains one column less"),
     pytest.param(("clients", "p_max", "shape"), [True],
                  "clients.p_max: shape must be a list of non-negative integers, got [true]",
                  id="p_max bool shape"),

@@ -15,7 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 from leapsim.errors import InputFileError
 from leapsim.experiment import write_game_trace
-from leapsim.files import read_columns, write_columns, write_csv, write_json
+from leapsim.files import _canonical_base64, read_columns, write_columns, write_csv, write_json
+
+from oracles import canonical_base64_ref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -213,7 +215,27 @@ def test_columns_round_trip_bit_for_bit(tmp_path_factory, columns):
         assert array.shape == little[name].shape and array.tobytes() == little[name].tobytes()
 
 
-def test_write_columns_refuses_other_dtypes_and_writes_nothing(tmp_path):
+@pytest.mark.parametrize("array", [
+    np.array([1.5, -0.0, 5e-324, 1e300]),
+    np.arange(12, dtype=np.int64).reshape(3, 4),
+    np.arange(6.0).reshape(2, 3).T,  # not C-contiguous
+    np.array([2.5, 3.5], dtype=">f8"),  # big-endian in memory
+    np.empty((0, 3)),
+])
+def test_encode_decode_round_trip_is_bit_exact(tmp_path, array):
+    """One column through ``write_columns`` and ``read_columns``."""
+    write_columns(tmp_path / "out.bin", {"schema": "s"}, "clients", {"x": array})
+    header, again = read_columns(tmp_path / "out.bin", "s", "clients")
+    column = header["clients"]["x"]
+    assert column["dtype"] in ("<f8", "<i8") and column["shape"] == list(array.shape)
+    again = again["x"]
+    assert again.dtype == array.dtype.newbyteorder("=") and again.flags.writeable
+    assert again.tobytes() == np.ascontiguousarray(array, dtype=again.dtype).tobytes()
+
+
+def test_encode_array_refuses_other_dtypes(tmp_path):
+    """``write_columns`` writes float64 and int64 columns only, and
+    nothing at all when one column is of another dtype."""
     path = tmp_path / "out.bin"
     for array in (np.zeros(2, dtype=np.float32), np.zeros(2, dtype=bool), np.array(["a"]),
                   np.zeros(2, dtype=np.int32)):
@@ -228,7 +250,7 @@ GOOD = {"dtype": "<f8", "shape": [2]}
 @pytest.mark.parametrize("column, words", [
     ([1.0, 2.0], "clients.x must be an object with keys dtype and shape, got list"),
     ({"dtype": "<f8"}, "got ['dtype']"),
-    ({**GOOD, "base64": ""}, "got ['base64', 'dtype', 'shape']"),
+    ({**GOOD, "base64": "", "order": "C"}, "got ['base64', 'dtype', 'order', 'shape']"),
     ({**GOOD, "dtype": ">f8"}, "dtype must be '<f8' or '<i8', got '>f8'"),
     ({**GOOD, "dtype": "<f4"}, "dtype must be '<f8' or '<i8', got '<f4'"),
     ({**GOOD, "dtype": ["<f8"]}, "dtype must be '<f8' or '<i8', got ['<f8']"),
@@ -236,17 +258,31 @@ GOOD = {"dtype": "<f8", "shape": [2]}
     ({**GOOD, "shape": [True, 2]}, "shape must be a list of non-negative integers, got [true, 2]"),
     ({**GOOD, "shape": [2.0]}, "shape must be a list of non-negative integers, got [2.0]"),
     ({**GOOD, "shape": [-2, -1]}, "shape must be a list of non-negative integers, got [-2, -1]"),
-    ({**GOOD, "shape": [3]}, "16 bytes follow the header, the columns need 24"),
-    ({**GOOD, "shape": [1]}, "16 bytes follow the header, the columns need 8"),
-    ({**GOOD, "shape": []}, "16 bytes follow the header, the columns need 8"),
-    ({**GOOD, "shape": [2**62, 2**62]}, "the columns need 170141183460469231731687303715884105728"),
+    ({**GOOD, "dtype": None}, "dtype must be '<f8' or '<i8', got None"),
+    ({**GOOD, "shape": None}, "shape must be a list of non-negative integers, got null"),
+    ({**GOOD, "shape": ["2"]}, 'shape must be a list of non-negative integers, got ["2"]'),
+    ({**GOOD, "shape": [0]}, "16 bytes of data, shape [0] needs 0"),
+    ({**GOOD, "shape": [1, 3]}, "16 bytes of data, shape [1, 3] needs 24"),
+    ({**GOOD, "shape": [2**62, 2**62]}, "needs 170141183460469231731687303715884105728"),
+    ({**GOOD, "shape": [3]}, "16 bytes of data, shape [3] needs 24"),
+    ({**GOOD, "shape": [1]}, "16 bytes of data, shape [1] needs 8"),
+    ({**GOOD, "shape": []}, "16 bytes of data, shape [] needs 8"),
 ])
-def test_read_columns_refusals_name_the_file_and_the_column(tmp_path, column, words):
+def test_decode_array_refusals_name_the_column(tmp_path, column, words):
+    """``read_columns`` refuses a file whose one column ``x`` is declared
+    as ``column`` and holds 16 bytes, naming the file and the column."""
     path = tmp_path / "out.bin"
     header = json.dumps({"schema": "s", "clients": {"x": column}})
     path.write_bytes(header.encode() + b"\n" + np.array([1.0, 2.0]).astype("<f8").tobytes())
-    with pytest.raises(InputFileError, match=re.escape(f"{path}: ") + ".*" + re.escape(words)):
+    where = re.escape(f"{path}: clients.x") + ".*"
+    with pytest.raises(InputFileError, match=where + re.escape(words.removeprefix("clients.x"))):
         read_columns(path, "s", "clients")
+
+
+@pytest.mark.parametrize("text", ["", "AAAA", "AA==", "AAA=", "+/+/", "QQ==", "QR==", "QUI=",
+                                  "QUJ=", "A===", "====", "AA=A", "AA==AA==", "AAAA\n", "AAA"])
+def test_canonical_base64_check_fixed_cases(text):
+    assert _canonical_base64(text) == canonical_base64_ref(text)
 
 
 @pytest.mark.parametrize("data, words", [
@@ -260,6 +296,14 @@ def test_read_columns_refusals_name_the_file_and_the_column(tmp_path, column, wo
     (b'{"schema": "s"}\n', "clients must be an object, got NoneType"),
     (b'{"schema": "s", "clients": {"x": {"dtype": "<f8", "shape": []}, "y": 1}}\n',
      "clients.y must be an object with keys dtype and shape, got int"),
+    # the file ends inside a column, or holds bytes after the last one
+    (b'{"schema": "s", "clients": {"x": {"dtype": "<f8", "shape": [2]}, '
+     b'"y": {"dtype": "<f8", "shape": [1]}}}\n' + bytes(12),
+     "clients.x: 12 bytes of data, shape [2] needs 16"),
+    (b'{"schema": "s", "clients": {"x": {"dtype": "<f8", "shape": [1]}, '
+     b'"y": {"dtype": "<i8", "shape": [1]}}}\n' + bytes(20),
+     "clients.y: 12 bytes of data, shape [1] needs 8"),
+    (b'{"schema": "s", "clients": {}}\n\n', "the header lists no columns, yet 1 bytes follow it"),
 ])
 def test_read_columns_refuses_a_bad_header(tmp_path, data, words):
     path = tmp_path / "out.bin"
