@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidValueError, LeapsimError, check_integer
+from .errors import InvalidValueError, LeapsimError, check_integer, check_number
 from .netmodel import (
     AllocationPlan,
     ClientTable,
@@ -99,9 +99,8 @@ class GPConfig:
     def __post_init__(self):
         # NaN passes every comparison below, so finiteness comes first
         for name in ("step_size", "tolerance", "min_bandwidth_floor"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidValueError(f"{name} must be finite, got {value!r}")
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name))
         if self.step_size is not None and self.step_size <= 0:
             raise InvalidValueError("step_size must be strictly positive")
         if self.tolerance <= 0:

@@ -7,6 +7,7 @@ from ValueError because each of these errors reports an unusable value.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "InvalidPartitionError",
     "TrainingDivergedError",
     "check_integer",
+    "check_number",
 ]
 
 
@@ -40,7 +42,7 @@ class TrainingDivergedError(LeapsimError, FloatingPointError):
 
 
 def check_integer(name: str, value, minimum: int) -> None:
-    """Raise InvalidValueError unless ``value`` is an integer >= ``minimum``.
+    """Raise InvalidValueError unless ``value`` is an integer in [``minimum``, 2**63).
 
     Python and numpy integers pass; floats (``2.0`` included), bools and
     every other type are refused rather than truncated or cast.
@@ -49,3 +51,20 @@ def check_integer(name: str, value, minimum: int) -> None:
         raise InvalidValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidValueError(f"{name} must be at least {minimum}, got {value}")
+    check_number(name, value)
+
+
+def check_number(name: str, value) -> None:
+    """Raise InvalidValueError unless ``value`` is a finite real number:
+    not a bool, and an integer only within the int64 range, which both a
+    column and a JSON file hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidValueError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidValueError(f"{name} is an integer too large for a float") from None
+    if not finite:
+        raise InvalidValueError(f"{name} must be finite, got {value!r}")
+    if isinstance(value, numbers.Integral) and not -(2**63) <= value < 2**63:
+        raise InvalidValueError(f"{name} is an integer too large for an int64, got {value}")

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alloc import GPConfig, GPTrace, NonFiniteInputError, build_plan, deadline_powers, plan_full
-from .errors import InvalidValueError, check_integer
+from .errors import InvalidValueError, check_integer, check_number
 from .files import fields_dict, write_csv, write_json
 from .game import (
     GameTrace,
@@ -100,8 +100,7 @@ class TrainOptions:
 
     def __post_init__(self):
         for name in ("class_sep", "noise", "lr"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            check_number(name, getattr(self, name))
         if not self.lr > 0:
             raise InvalidValueError(f"lr must be strictly positive, got {self.lr}")
         check_integer("n_features", self.n_features, 1)

@@ -8,7 +8,8 @@ in shortest round-trip digits that ``json.loads`` reads back bit for
 bit.  Its bytes are pinned per (Python, numpy, orjson) version, as the
 golden manifest's ``env`` records.  orjson writes NaN and infinities as
 null, so every float field is checked finite where it is computed, never
-by the writer.  This is the one module that imports orjson.
+by the writer.  ``json_bytes`` lets a reader refuse what orjson cannot
+write.  This is the one module that imports orjson.
 ``fields_dict`` is the one dataclass-to-JSON conversion, and
 ``write_columns`` / ``read_columns`` the one binary format: a line of
 compact JSON, then float64 and int64 columns as raw little-endian bytes.
@@ -28,7 +29,6 @@ A module-wide test keeps every other module from writing files itself.
 
 from __future__ import annotations
 
-import binascii
 import csv
 import io
 import json
@@ -46,6 +46,7 @@ from .errors import InputFileError
 __all__ = [
     "read_json",
     "write_json",
+    "json_bytes",
     "write_csv",
     "fields_dict",
     "write_columns",
@@ -78,6 +79,11 @@ def read_json(path: str | Path, schema: str) -> dict:
     return data
 
 
+def json_bytes(payload) -> bytes:
+    """The bytes ``write_json`` writes for ``payload``, or its TypeError."""
+    return orjson.dumps(payload, option=_JSON_OPTIONS)
+
+
 def write_json(path: str | Path, payload) -> None:
     """Replace the file with orjson's key-sorted, two-space-indented JSON
     of ``payload`` and a final newline.
@@ -86,7 +92,7 @@ def write_json(path: str | Path, payload) -> None:
     an integer outside [-2**63, 2**64)) raises TypeError and nothing is
     written; NaN and infinities would be written as null.
     """
-    _replace(path, orjson.dumps(payload, option=_JSON_OPTIONS))
+    _replace(path, json_bytes(payload))
 
 
 def _replace(path: str | Path, data: bytes) -> None:
@@ -124,28 +130,6 @@ def fields_dict(obj) -> dict:
     Shallow: nested dataclasses and tuples are kept as they are.
     """
     return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-
-
-_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-
-
-def _canonical_base64(text: str) -> bytes | None:
-    """The bytes ``text`` encodes if it is exactly what ``b2a_base64``
-    writes for them (no newline), else None: ASCII, a multiple of 4 long,
-    alphabet characters then at most two "=", and zero pad bits in the
-    last quantum, which re-encoding it alone checks.  No file format has
-    used it since scenario files hold raw bytes (``leapsim.scenario.v4``).
-    """
-    if not text.isascii() or len(text) % 4:
-        return None
-    raw = text.encode("ascii")
-    pad = raw.translate(None, _BASE64_ALPHABET)  # every non-alphabet character
-    if pad not in (b"", b"=", b"==") or not raw.endswith(pad):
-        return None
-    last = raw[-4:]
-    if binascii.b2a_base64(binascii.a2b_base64(last), newline=False) != last:
-        return None
-    return binascii.a2b_base64(raw)
 
 
 def write_columns(path: str | Path, header: dict, key: str, columns: dict) -> None:

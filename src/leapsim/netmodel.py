@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidPartitionError, InvalidValueError, check_integer
+from .errors import InvalidPartitionError, InvalidValueError, check_integer, check_number
 from .files import fields_dict
 from .game import Partition
 
@@ -244,7 +244,7 @@ class NetworkConfig:
     and ``capacitance`` is the effective switched-capacitance
     coefficient of the compute chipset.  lambda1 and lambda2 weight
     distribution similarity against energy in the network utility.
-    Every field must be finite, and the tau counts integers >= 1 (not bool).
+    Every field must be a finite number, and the tau counts integers >= 1.
     """
 
     total_bandwidth: float
@@ -263,12 +263,8 @@ class NetworkConfig:
             value = getattr(self, f.name)
             if f.type == "int":
                 check_integer(f.name, value, 1)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # a JSON integer beyond the float range
-                raise InvalidValueError(f"{f.name} is an integer too large for a float") from None
-            if not finite:
-                raise InvalidValueError(f"{f.name} must be finite, got {value!r}")
+            else:
+                check_number(f.name, value)
         for name in ("total_bandwidth", "noise_power", "model_size", "deadline", "capacitance"):
             if getattr(self, name) <= 0:
                 raise InvalidValueError(f"{name} must be strictly positive")

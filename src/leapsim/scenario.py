@@ -1,13 +1,14 @@
 """Scenario synthesis: clients, channels, label skew and task constants.
 
 A scenario bundles the shared task constants with one ClientTable.
-Hardware is drawn from configurable ranges (channel gains
-log-uniformly, everything else uniformly); label histograms come from
-either a label-shard scheme, where client n holds ``shards`` classes
-tiled as (n * shards + k) mod n_classes, or a Dirichlet scheme drawing
-each client's class mix from Dirichlet(alpha).  The shard tiling makes
-balanced instances exact: when n_clients * shards is a multiple of
-n_classes, a partition with identical per-edge label mixes exists.
+Hardware is drawn from the ``*_RANGE`` constants (channel gains
+log-uniformly, everything else uniformly), and the rest of the config
+is fixed.  Label histograms come from either a label-shard scheme, where
+client n holds ``shards`` classes tiled as (n * shards + k) mod
+n_classes, or a Dirichlet scheme drawing each client's class mix from
+Dirichlet(alpha).  The shard tiling makes balanced instances exact: when
+n_clients * shards is a multiple of n_classes, a partition with
+identical per-edge label mixes exists.
 
 Every draw goes through one seeded generator in a fixed order, so a
 seed fully determines the scenario and its serialized bytes.  The file
@@ -20,20 +21,18 @@ the saved arrays bit for bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFileError, InvalidValueError, check_integer
-from .files import fields_dict, read_columns, write_columns
+from .errors import InputFileError, InvalidValueError, check_integer, check_number
+from .files import fields_dict, json_bytes, read_columns, write_columns
 from .game import Partition
 from .netmodel import ClientTable, NetworkConfig, comp_latency, tx_latency
 
 __all__ = [
     "SCENARIO_SCHEMA",
-    "HardwareRanges",
     "Scenario",
     "shard_label_counts",
     "dirichlet_label_counts",
@@ -51,14 +50,11 @@ _COLUMNS = tuple(f.name for f in fields(ClientTable))
 _HEADER_KEYS = {"schema", "config", "num_edges", "meta", "clients"}
 
 
-@dataclass(frozen=True)
-class HardwareRanges:
-    """Sampling ranges for client hardware, in SI units."""
-
-    cpu_freq: tuple[float, float] = (1e9, 2e9)          # cycles/s
-    cycles_per_item: tuple[float, float] = (1e5, 5e5)   # cycles/item
-    channel_gain: tuple[float, float] = (1e-8, 1e-6)    # linear, log-uniform
-    p_max: tuple[float, float] = (0.1, 1.0)             # Watts
+# the sampling ranges of client hardware, in SI units
+CPU_FREQ_RANGE = (1e9, 2e9)          # cycles/s
+CYCLES_PER_ITEM_RANGE = (1e5, 5e5)   # cycles/item
+CHANNEL_GAIN_RANGE = (1e-8, 1e-6)    # linear, drawn log-uniformly
+P_MAX_RANGE = (0.1, 1.0)             # Watts
 
 
 @dataclass
@@ -103,8 +99,7 @@ def dirichlet_label_counts(
     data_size: int,
 ) -> np.ndarray:
     """Per-client multinomial draws from Dirichlet(alpha) class mixes."""
-    if not math.isfinite(alpha):
-        raise InvalidValueError(f"alpha must be finite, got {alpha!r}")
+    check_number("alpha", alpha)
     if alpha <= 0:
         raise InvalidValueError("alpha must be strictly positive")
     counts = np.zeros((n_clients, n_classes), dtype=np.int64)
@@ -122,18 +117,11 @@ def generate_scenario(
     shards: int | None = 2,
     dirichlet_alpha: float | None = None,
     data_size: int = 200,
-    ranges: HardwareRanges | None = None,
-    total_bandwidth: float = 1e7,
-    noise_power: float = 1e-13,
-    model_size: float = 1e6,
     tau_c: int = 5,
     tau_e: int = 12,
     tau_g: int = 100,
     deadline: float | None = None,
     deadline_slack: float = 1.5,
-    capacitance: float = 1e-28,
-    lambda1: float = 1.0,
-    lambda2: float = 1.0,
     gain_mode: str = "pair",
 ) -> Scenario:
     """Deterministic scenario draw.
@@ -157,15 +145,13 @@ def generate_scenario(
         raise InvalidValueError("choose exactly one of shards or dirichlet_alpha")
     if gain_mode not in ("pair", "client"):
         raise InvalidValueError("gain_mode must be 'pair' or 'client'")
-    if not math.isfinite(deadline_slack):  # meta holds it even when a deadline is given
-        raise InvalidValueError(f"deadline_slack must be finite, got {deadline_slack!r}")
-    ranges = ranges or HardwareRanges()
+    check_number("deadline_slack", deadline_slack)  # meta holds it even when a deadline is given
 
     rng = np.random.default_rng(seed)
-    freqs = rng.uniform(*ranges.cpu_freq, size=n_clients)
-    cycles = rng.uniform(*ranges.cycles_per_item, size=n_clients)
-    p_caps = rng.uniform(*ranges.p_max, size=n_clients)
-    gain_lo, gain_hi = np.log(ranges.channel_gain[0]), np.log(ranges.channel_gain[1])
+    freqs = rng.uniform(*CPU_FREQ_RANGE, size=n_clients)
+    cycles = rng.uniform(*CYCLES_PER_ITEM_RANGE, size=n_clients)
+    p_caps = rng.uniform(*P_MAX_RANGE, size=n_clients)
+    gain_lo, gain_hi = np.log(CHANNEL_GAIN_RANGE[0]), np.log(CHANNEL_GAIN_RANGE[1])
     n_gains = n_edges if gain_mode == "pair" else 1
     gains = np.exp(rng.uniform(gain_lo, gain_hi, size=(n_clients, n_gains)))
 
@@ -186,16 +172,14 @@ def generate_scenario(
     )
 
     config = NetworkConfig(
-        total_bandwidth=total_bandwidth,
-        noise_power=noise_power,
-        model_size=model_size,
+        total_bandwidth=1e7,
+        noise_power=1e-13,
+        model_size=1e6,
         tau_c=tau_c,
         tau_e=tau_e,
         tau_g=tau_g,
         deadline=1.0 if deadline is None else float(deadline),
-        capacitance=capacitance,
-        lambda1=lambda1,
-        lambda2=lambda2,
+        capacitance=1e-28,
     )
     meta = {
         "seed": seed,
@@ -213,10 +197,8 @@ def generate_scenario(
         # in case re-association lands anywhere
         worst = np.max(
             comp_latency(clients, config)
-            + tx_latency(
-                total_bandwidth / n_clients, clients.p_max, clients.channel_gains.min(axis=1),
-                config,
-            )
+            + tx_latency(config.total_bandwidth / n_clients, clients.p_max,
+                         clients.channel_gains.min(axis=1), config)
         )
         config = replace(config, deadline=float(deadline_slack * tau_e * tau_g * worst))
     return Scenario(config=config, clients=clients, num_edges=n_edges, meta=meta)
@@ -235,9 +217,9 @@ def load_scenario(path: str | Path) -> Scenario:
     Beyond the ``read_columns`` checks, the header must hold exactly
     schema, config, num_edges, meta and clients; ``num_edges`` must be
     a JSON integer equal to the width of ``channel_gains``, ``meta`` a
-    JSON object with no NaN or infinity in it (``report.json`` copies
-    it), and the config and the columns (one per ClientTable field) must
-    pass the NetworkConfig and ClientTable checks.
+    JSON object that ``write_json`` writes unchanged (``report.json``
+    copies it), and the config and the columns (one per ClientTable
+    field) must pass the NetworkConfig and ClientTable checks.
     """
     data, columns = read_columns(path, SCENARIO_SCHEMA, "clients")
     try:
@@ -248,10 +230,11 @@ def load_scenario(path: str | Path) -> Scenario:
             raise InvalidValueError(f"num_edges must be a JSON integer, got {num_edges!r}")
         if not isinstance(meta, dict):
             raise InvalidValueError(f"meta must be a JSON object, got {json.dumps(meta)}")
-        try:
+        try:  # report.json copies meta; orjson writes NaN as null and refuses huge integers
             json.dumps(meta, allow_nan=False)
-        except ValueError:
-            raise InvalidValueError("meta must hold finite numbers only") from None
+            json_bytes(meta)
+        except (TypeError, ValueError) as exc:
+            raise InvalidValueError(f"meta must hold finite numbers only ({exc})") from None
         clients = ClientTable(**columns)
         if clients.num_edges != num_edges:
             raise InvalidValueError(

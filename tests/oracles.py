@@ -7,7 +7,6 @@ test comparing the two is a genuine dual-route check.
 
 from __future__ import annotations
 
-import binascii
 import itertools
 import json
 import math
@@ -606,19 +605,6 @@ def gp_solve_ref(assignment, clients, cfg, gp):
             break
     moved = project_to_simplex(b - base_step * grad, total, floor) - b
     return b, values, iterations, total_halvings, float(np.linalg.norm(moved) / base_step)
-
-
-def canonical_base64_ref(text):
-    """The bytes ``text`` encodes if re-encoding them gives ``text`` back,
-    else None: the whole-text check that ``leapsim.files._canonical_base64``
-    makes from the alphabet, the padding and the last quantum."""
-    try:
-        data = binascii.a2b_base64(text)
-    except ValueError:  # binascii.Error, or a non-ASCII character
-        return None
-    if binascii.b2a_base64(data, newline=False).decode("ascii") != text:
-        return None
-    return data
 
 
 def read_scenario_ref(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -310,6 +310,8 @@ def test_gp_config_validation():
                         ("min_bandwidth_floor", math.nan), ("min_bandwidth_floor", -math.inf)):
         with pytest.raises(InvalidValueError, match=f"{name} must be finite"):
             GPConfig(**{name: value})
+    with pytest.raises(InvalidValueError, match="tolerance is an integer too large for a float"):
+        GPConfig(tolerance=10**400)
 
 
 @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, np.float64(4.0), "10", None], ids=repr)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import base64
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import leapsim
 import leapsim.cli
 from leapsim.cli import build_parser, main
+from leapsim.scenario import generate_scenario
 
 from oracles import read_scenario_ref, write_scenario_ref
 
@@ -260,6 +262,10 @@ def _scenario_with(tmp_path, scenario_file, keys, value):
     (["gen", "--dirichlet", "nan"], "alpha must be finite, got nan"),
     (["gen", "--dirichlet", "inf"], "alpha must be finite, got inf"),
     (["gen", "--deadline", 5, "--deadline-slack", "nan"], "deadline_slack must be finite, got nan"),
+    # integers outside the int64 range
+    (["gen", "--tau-c", 2**70], f"tau_c is an integer too large for an int64, got {2**70}"),
+    (["gen", "--tau-g", 2**63], f"tau_g is an integer too large for an int64, got {2**63}"),
+    (["gen", "--data-size", 2**70], f"data_size is an integer too large for an int64, got {2**70}"),
     ("p_max", "p_max must be strictly positive"),
     # 12 clients and 10 classes make 960 bytes of label_counts, the last column
     pytest.param("channel_gains ragged", "label_counts: 952 bytes of data, shape [12, 10] needs 960",
@@ -299,6 +305,12 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(("config", "capacitance"), INF, "capacitance must be finite",
                  id="capacitance Infinity"),
     pytest.param(("config", "lambda1"), NAN, "lambda1 must be finite", id="lambda1 NaN"),
+    pytest.param(("config", "lambda1"), True, "lambda1 must be a number, got True",
+                 id="lambda1 true"),
+    pytest.param(("config", "total_bandwidth"), True, "total_bandwidth must be a number, got True",
+                 id="total_bandwidth true"),
+    pytest.param(("config", "lambda2"), 2**70,
+                 f"lambda2 is an integer too large for an int64, got {2**70}", id="lambda2 2**70"),
     pytest.param(("config", "tau_c"), 2.5, "tau_c must be an integer, got 2.5", id="tau_c 2.5"),
     pytest.param(("config", "tau_e"), 2.5, "tau_e must be an integer, got 2.5", id="tau_e 2.5"),
     pytest.param(("config", "tau_g"), True, "tau_g must be an integer, got True", id="tau_g true"),
@@ -332,6 +344,8 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(("meta",), [1], "meta must be a JSON object, got [1]", id="meta list"),
     pytest.param(("meta", "deadline_slack"), NAN, "meta must hold finite numbers only",
                  id="meta NaN"),
+    pytest.param(("meta", "seed"), 2**64,
+                 "meta must hold finite numbers only (Integer exceeds 64-bit range)", id="meta 2**64"),
     pytest.param(("num_edges",), 3.0, "num_edges must be a JSON integer", id="num_edges 3.0"),
     pytest.param(("num_edges",), 2, "channel_gains has 3 columns, num_edges is 2",
                  id="num_edges 2"),
@@ -700,6 +714,16 @@ def test_every_flag_of_a_verb_is_read_by_its_command():
         if never:
             unread[verb] = sorted(never)
     assert unread == {}, f"flags their command never reads: {unread}"
+
+
+def test_every_generate_scenario_option_is_a_gen_flag():
+    tree = ast.parse(Path(leapsim.cli.__file__).read_text(encoding="utf-8"))
+    [cmd_gen] = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "cmd_gen"]
+    [call] = [node for node in ast.walk(cmd_gen) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "generate_scenario"]
+    passed = {keyword.arg for keyword in call.keywords}
+    assert set(inspect.signature(generate_scenario).parameters) - passed == set()
 
 
 @pytest.mark.parametrize("verb", ["gen", "coalition", "simulate", "compare"])

@@ -193,6 +193,7 @@ def test_training_curves_attached_when_requested():
     ("n_features", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
     ("lr", float("inf")), ("class_sep", float("nan")), ("class_sep", float("-inf")),
     ("noise", float("inf")), ("noise", float("nan")),
+    pytest.param("lr", 10**400, id="lr-10**400"), ("lr", True),
     ("tau_c", 0), ("tau_e", -2), ("tau_g", 0),
 ])
 def test_train_options_reject_values_outside_their_domain(field, value):

@@ -15,9 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 from leapsim.errors import InputFileError
 from leapsim.experiment import write_game_trace
-from leapsim.files import _canonical_base64, read_columns, write_columns, write_csv, write_json
+from leapsim.files import read_columns, write_columns, write_csv, write_json
 
-from oracles import canonical_base64_ref
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -277,12 +276,6 @@ def test_decode_array_refusals_name_the_column(tmp_path, column, words):
     where = re.escape(f"{path}: clients.x") + ".*"
     with pytest.raises(InputFileError, match=where + re.escape(words.removeprefix("clients.x"))):
         read_columns(path, "s", "clients")
-
-
-@pytest.mark.parametrize("text", ["", "AAAA", "AA==", "AAA=", "+/+/", "QQ==", "QR==", "QUI=",
-                                  "QUJ=", "A===", "====", "AA=A", "AA==AA==", "AAAA\n", "AAA"])
-def test_canonical_base64_check_fixed_cases(text):
-    assert _canonical_base64(text) == canonical_base64_ref(text)
 
 
 @pytest.mark.parametrize("data, words", [

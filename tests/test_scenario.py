@@ -10,7 +10,10 @@ from leapsim.errors import InputFileError, InvalidValueError
 from leapsim.files import fields_dict
 from leapsim.netmodel import ClientTable
 from leapsim.scenario import (
-    HardwareRanges,
+    CHANNEL_GAIN_RANGE,
+    CPU_FREQ_RANGE,
+    CYCLES_PER_ITEM_RANGE,
+    P_MAX_RANGE,
     dirichlet_label_counts,
     generate_scenario,
     label_count_matrix,
@@ -94,6 +97,16 @@ def test_dirichlet_scheme():
     assert sc.meta["scheme"] == "dirichlet"
 
 
+@pytest.mark.parametrize("alpha, words", [
+    pytest.param(10**400, "alpha is an integer too large for a float", id="10**400"),
+    (True, "alpha must be a number, got True"),
+    (float("nan"), "alpha must be finite, got nan"),
+])
+def test_dirichlet_alpha_must_be_a_finite_number(alpha, words):
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        dirichlet_label_counts(np.random.default_rng(0), 4, 3, alpha=alpha, data_size=10)
+
+
 def test_large_scale_setting_runs():
     sc = generate_scenario(seed=0, n_clients=50, n_edges=5)
     assert sc.n_clients == 50 and sc.num_edges == 5
@@ -119,14 +132,13 @@ def test_gain_modes():
 
 
 def test_hardware_within_ranges():
-    ranges = HardwareRanges()
     sc = generate_scenario(seed=7, n_clients=25, n_edges=5)
     for c in sc.clients:
-        assert ranges.cpu_freq[0] <= c.cpu_freq <= ranges.cpu_freq[1]
-        assert ranges.cycles_per_item[0] <= c.cycles_per_item <= ranges.cycles_per_item[1]
-        assert ranges.p_max[0] <= c.p_max <= ranges.p_max[1]
+        assert CPU_FREQ_RANGE[0] <= c.cpu_freq <= CPU_FREQ_RANGE[1]
+        assert CYCLES_PER_ITEM_RANGE[0] <= c.cycles_per_item <= CYCLES_PER_ITEM_RANGE[1]
+        assert P_MAX_RANGE[0] <= c.p_max <= P_MAX_RANGE[1]
         for g in c.channel_gains:
-            assert ranges.channel_gain[0] <= g <= ranges.channel_gain[1]
+            assert CHANNEL_GAIN_RANGE[0] <= g <= CHANNEL_GAIN_RANGE[1]
 
 
 def test_auto_deadline_leaves_margin_at_full_power():
