@@ -43,7 +43,14 @@ from .experiment import (
     write_game_trace,
     write_gp_trace,
 )
-from .errors import InputFileError, InvalidPartitionError, InvalidValueError, LeapsimError
+from .errors import (
+    InputFileError,
+    InvalidPartitionError,
+    InvalidValueError,
+    LeapsimError,
+    check_integer,
+    check_number,
+)
 from .files import read_json, write_csv, write_json
 from .game import Partition
 from .netmodel import AllocationPlan
@@ -78,40 +85,30 @@ def _formats(value: str) -> set[str]:
     return tokens
 
 
-def _json_int(value, field: str, path: str) -> int:
-    """``value`` if it is a JSON integer (not a bool, not a float)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InvalidPartitionError(f"{path}: {field} must be a JSON integer, got {value!r}")
-
-
 def _load_partition(path: str, scenario: Scenario) -> Partition:
     data = read_json(path, PARTITION_SCHEMA)
     for key in ("assignment", "num_edges"):
         if key not in data:
             raise InvalidPartitionError(f"{path}: malformed partition (no {key!r})")
-    num_edges = _json_int(data["num_edges"], "num_edges", path)
-    if num_edges != scenario.num_edges:
-        raise InvalidPartitionError(
-            f"{path}: partition has {num_edges} edges, the scenario {scenario.num_edges}"
-        )
-    entries = data["assignment"]
-    if not isinstance(entries, list):
-        raise InvalidPartitionError(f"{path}: assignment must be a list, got {entries!r}")
-    if len(entries) != scenario.n_clients:
-        raise InvalidPartitionError(
-            f"{path}: partition assigns {len(entries)} clients, "
-            f"the scenario has {scenario.n_clients}"
-        )
-    assignment = [_json_int(a, f"assignment[{i}]", path) for i, a in enumerate(entries)]
+    num_edges, entries = data["num_edges"], data["assignment"]
     try:
+        check_integer("num_edges", num_edges, 1)
+        if num_edges != scenario.num_edges:
+            raise InvalidPartitionError(
+                f"partition has {num_edges} edges, the scenario {scenario.num_edges}"
+            )
+        if not isinstance(entries, list):
+            raise InvalidPartitionError(f"assignment must be a list, got {entries!r}")
+        if len(entries) != scenario.n_clients:
+            raise InvalidPartitionError(
+                f"partition assigns {len(entries)} clients, the scenario has {scenario.n_clients}"
+            )
+        for i, entry in enumerate(entries):
+            check_integer(f"assignment[{i}]", entry, 0)
         return Partition(
-            np.asarray(assignment, dtype=np.int64),
-            label_count_matrix(scenario),
-            num_edges,
-            data.get("denominator", "M"),
+            entries, label_count_matrix(scenario), num_edges, data.get("denominator", "M")
         )
-    except InvalidPartitionError as exc:  # an index out of range, an empty edge, the denominator
+    except (InvalidValueError, InvalidPartitionError) as exc:  # an entry, an edge, the denominator
         raise InvalidPartitionError(f"{path}: {exc}") from exc
 
 
@@ -217,14 +214,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_plan_number(path: str, name: str, value) -> None:
+    """``errors.check_number``, raising InputFileError that names the plan file."""
+    try:
+        check_number(name, value)
+    except InvalidValueError as exc:
+        raise InputFileError(f"{path}: {exc}") from None
+
+
 def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> AllocationPlan:
     """The plan rebuilt from the stored plan's bandwidth and power.
 
     Raises InputFileError when ``bandwidth`` or ``power`` is not a list
-    of one finite JSON number per edge or client, or when a total of
-    PLAN_TOTALS is missing, not a JSON number or not the rebuild's
-    (``feasible`` exactly, the others within PLAN_AUDIT_RTOL): the
-    totals tie a plan to the scenario and partition it was solved for.
+    of one number per edge or client, or when a total of PLAN_TOTALS is
+    missing or not the rebuild's (``feasible`` exactly, the others
+    within PLAN_AUDIT_RTOL): the totals tie a plan to the scenario and
+    partition it was solved for.  Each number must pass
+    ``errors.check_number``: finite, not a bool, and an integer only
+    within the int64 range.
     """
     data = read_json(path, PLAN_SCHEMA)
     for name, length in (("bandwidth", scenario.num_edges), ("power", scenario.n_clients)):
@@ -238,19 +245,7 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
         if len(value) != length:
             raise InputFileError(f"{path}: {name} has {len(value)} entries, expected {length}")
         for i, entry in enumerate(value):
-            if type(entry) not in (int, float):  # bool, str and None are refused, not cast
-                raise InputFileError(
-                    f"{path}: {name}[{i}] must be a JSON number, got {json.dumps(entry)}"
-                )
-        try:
-            finite = np.isfinite(np.array(value, dtype=float))
-        except OverflowError:
-            raise InputFileError(f"{path}: {name} holds an integer too large for a float") from None
-        if not finite.all():  # json reads NaN, Infinity and 1e400 as non-finite floats
-            i = int(finite.argmin())
-            raise InputFileError(
-                f"{path}: {name}[{i}] must be a finite number, got {json.dumps(value[i])}"
-            )
+            _check_plan_number(path, f"{name}[{i}]", entry)
     plan = recompute_plan(
         scenario, partition.assignment, data["bandwidth"], data["power"], partition.denominator
     )
@@ -258,15 +253,11 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
         if name not in data:
             raise InputFileError(f"{path}: malformed plan (no {name!r})")
         kept, fresh = data[name], getattr(plan, name)
-        if name != "feasible" and type(kept) not in (int, float):
-            raise InputFileError(
-                f"{path}: malformed plan ({name} must be a JSON number, got {json.dumps(kept)})"
-            )
-        try:
-            same = (kept is bool(fresh) if name == "feasible"
-                    else math.isclose(kept, fresh, rel_tol=PLAN_AUDIT_RTOL))
-        except OverflowError:
-            raise InputFileError(f"{path}: {name} is an integer too large for a float") from None
+        if name == "feasible":
+            same = kept is bool(fresh)
+        else:
+            _check_plan_number(path, name, kept)
+            same = math.isclose(kept, fresh, rel_tol=PLAN_AUDIT_RTOL)
         if not same:
             raise InputFileError(
                 f"{path}: stored {name} differs from the plan recomputed "

@@ -404,10 +404,7 @@ def recompute_plan(
     stored one within numerical tolerance.
     """
     partition = Partition(
-        np.asarray(assignment, dtype=np.int64),
-        label_count_matrix(scenario),
-        scenario.num_edges,
-        js_denominator,
+        assignment, label_count_matrix(scenario), scenario.num_edges, js_denominator
     )
     return build_plan(
         partition,

@@ -30,9 +30,11 @@ between two accepted switches) at most once per client.  It draws
 clients in blocks, holds a few samples ahead and prices every unpriced
 one among them in one batch; the prices are kept until the next
 accepted switch and handed to the stability certificate, which prices
-only the clients left over.  The kernel's rows, grid and row sums of
-each batch are kept too, and an accepted switch that was priced in a
-batch is applied from them without another kernel call.
+only the clients left over.  A sample is decided from its memo row by
+``best_switch``'s rule, and a ``SwitchProposal`` is built only for the
+switch that is accepted.  The kernel's rows, grid and row sums of each
+batch are kept too, and an accepted switch that was priced in a batch
+is applied from them without another kernel call.
 
 The potential is bounded below by 0, so a partition whose JS matrix is
 all zeros is a global minimum: every switch price is a sum of clipped,
@@ -44,7 +46,6 @@ exactly the verdicts pricing would, because SWITCH_TOLERANCE is >= 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -63,6 +64,7 @@ __all__ = [
     "SwitchProposal",
     "GameTrace",
     "Partition",
+    "assignment_vector",
     "switch_deltas",
     "evaluate_switch",
     "best_switch",
@@ -152,6 +154,26 @@ def _strict_upper(m: int) -> np.ndarray:
     return mask
 
 
+def assignment_vector(assignment, bound: int) -> np.ndarray:
+    """``assignment`` as a 1-D int64 array of coalition indices in [0, ``bound``).
+
+    Raises InvalidPartitionError unless it is 1-D with an integer dtype,
+    so floats, strings and bools are refused rather than cast, or when
+    an index lies outside the range.
+    """
+    try:
+        array = np.asarray(assignment)
+    except ValueError as exc:  # a ragged nesting of lists
+        raise InvalidPartitionError(f"an assignment must be a 1-D integer array ({exc})") from None
+    if array.ndim != 1 or array.dtype.kind not in "iu":
+        raise InvalidPartitionError(
+            f"an assignment must be a 1-D integer array, got {array.dtype} of shape {array.shape}"
+        )
+    if array.size and (array.min() < 0 or array.max() >= bound):
+        raise InvalidPartitionError("assignment index out of range")
+    return array.astype(np.int64, copy=False)
+
+
 class Partition:
     """Disjoint assignment of clients to M edge coalitions.
 
@@ -175,16 +197,12 @@ class Partition:
         num_coalitions: int,
         denominator: str = "M",
     ):
-        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment = assignment_vector(assignment, num_coalitions)
         client_label_counts = np.asarray(client_label_counts, dtype=np.int64)
-        if assignment.ndim != 1:
-            raise InvalidPartitionError("assignment must be a 1-D index vector")
         if client_label_counts.ndim != 2 or client_label_counts.shape[0] != assignment.shape[0]:
             raise InvalidPartitionError("label counts must be (n_clients, n_classes)")
         if client_label_counts.size and client_label_counts.min() < 0:
             raise InvalidPartitionError("label counts must be >= 0")
-        if assignment.size and (assignment.min() < 0 or assignment.max() >= num_coalitions):
-            raise InvalidPartitionError("assignment index out of range")
         if denominator not in ("M", "pairs"):
             raise InvalidPartitionError(
                 f"denominator must be 'M' or 'pairs', got {denominator!r}"
@@ -454,11 +472,13 @@ def run_coalition_formation(
     """Randomized improvement loop over single-client switches.
 
     Each iteration samples a client uniformly at random and applies its
-    best improving switch, if any (``best_switch``, ties included).  The
-    loop stops once no switch has been accepted for n_clients
-    consecutive samples and an exhaustive deviation check confirms
-    stability (random sampling alone can miss an improving client), or
-    when ``max_iters``, an integer >= 1, is reached.  The returned trace
+    best improving switch, if any: the target at the first minimum of
+    its ``switch_deltas`` row, taken when that delta is below
+    ``-SWITCH_TOLERANCE``, which is ``best_switch``'s rule, ties
+    included.  The loop stops once no switch has been accepted for
+    n_clients consecutive samples and an exhaustive deviation check
+    confirms stability (random sampling alone can miss an improving
+    client), or when ``max_iters``, an integer >= 1, is reached.  The returned trace
     records every sampled iteration, so its avg JS column is
     non-increasing.
 
@@ -470,9 +490,11 @@ def run_coalition_formation(
     one draw per iteration.  A sampled client that is not yet priced on
     the current partition is priced in one batch with every unpriced,
     movable client among the held draws.  The prices are kept until the
-    next accepted switch, and the stability check reuses them; the
-    batch's kernel rows, grid and row sums are kept as well, and an
-    accepted switch is applied from them (``Partition.apply``).
+    next accepted switch, and the stability check reuses them.  A sample
+    is decided from its row of those prices; only an accepted switch
+    gets a ``SwitchProposal`` (``evaluate_switch``), and it is applied
+    from the batch's kernel rows, grid and row sums
+    (``Partition.apply``), which are kept as well.
 
     An epoch whose JS matrix is all zeros is settled: it is a global
     minimum of the potential, so its sampled clients are recorded as
@@ -497,8 +519,11 @@ def run_coalition_formation(
     # each batch-priced client's (rows, grid, sums, position) in this
     # epoch's kernel arrays of its batch
     slots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
-    # per client: not alone in its coalition (a list, indexed per sample)
+    # per client, as lists indexed per sample: the coalition, not alone
+    # in it, and a row in ``known``
+    assignment = partition.assignment.tolist()
     movable = ((partition.sizes[partition.assignment] > 1) & (m > 1)).tolist()
+    priced = [False] * n
     settled = not partition.js_matrix.any()
     avg_js = partition.avg_js()
     draws: list[int] = []  # draws[taken:] are drawn and not yet sampled
@@ -515,41 +540,47 @@ def run_coalition_formation(
             undrawn -= size
         client = draws[taken]
         taken += 1
-        src = int(partition.assignment[client])
-        proposal = None
+        src = assignment[client]
+        target = None
         if movable[client] and not settled:
-            if math.isnan(known[client, 0]):
+            if not priced[client]:
                 batch = [client]
                 for other in draws[taken:taken + LOOKAHEAD_DRAWS - 1]:
-                    if movable[other] and math.isnan(known[other, 0]) and other not in batch:
+                    if movable[other] and not priced[other] and other not in batch:
                         batch.append(other)
                 known[batch], rows, grid, sums = _price_moves(partition, np.array(batch))
                 for position, other in enumerate(batch):
                     slots[other] = (rows, grid, sums, position)
-            proposal = best_switch(partition, client, known[client])
-        if proposal is not None:
-            priced = None  # rows priced by a failed certificate have no grid: apply prices it
-            if client in slots:
-                rows, grid, sums, position = slots[client]
-                priced = (rows[position], grid[position], sums[position])
-            partition.apply(proposal, priced)
+                    priced[other] = True
+            # best_switch's rule: the first minimum, if it beats staying
+            row = known[client]
+            best = int(row.argmin())
+            if row[best] < -SWITCH_TOLERANCE:
+                target = best
+        if target is not None:
+            slot = slots.get(client)  # a row priced by a failed certificate has no grid
+            if slot is not None:
+                rows, grid, sums, position = slot
+                slot = (rows[position], grid[position], sums[position])
+            partition.apply(evaluate_switch(partition, client, target, row), slot)
+            assignment[client] = target
             known.fill(np.nan)
             slots.clear()
             movable = (partition.sizes[partition.assignment] > 1).tolist()
+            priced = [False] * n
             settled = not partition.js_matrix.any()
             avg_js = partition.avg_js()
             quiet = 0
         else:
             quiet += 1
-        trace.entries.append(
-            (iteration, client, src, None if proposal is None else proposal.target, avg_js)
-        )
+        trace.entries.append((iteration, client, src, target, avg_js))
         iteration += 1
         if quiet >= n:
             if certify_stability(partition, known):
                 converged = True
                 break
             quiet = 0  # sampling missed an improving client; keep going
+            priced = (~np.isnan(known[:, 0])).tolist()
 
     trace.iterations_used = iteration
     trace.converged = converged or certify_stability(partition, known)

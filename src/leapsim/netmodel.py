@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidPartitionError, InvalidValueError, check_integer, check_number
 from .files import fields_dict
-from .game import Partition
+from .game import Partition, assignment_vector
 
 __all__ = [
     "ClientProfile",
@@ -193,11 +193,7 @@ def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndar
     if isinstance(partition, Partition):
         assignment, sizes = partition.assignment, partition.sizes
     elif isinstance(partition, np.ndarray):
-        assignment = partition
-        if assignment.ndim != 1 or not np.issubdtype(assignment.dtype, np.integer):
-            raise InvalidPartitionError("an assignment must be a 1-D integer array")
-        if assignment.size and assignment.min() < 0:
-            raise InvalidPartitionError("assignment index out of range")
+        assignment = assignment_vector(partition, n_clients)  # M <= n, or a coalition is empty
         sizes = np.bincount(assignment)
     else:
         groups = [np.fromiter(members, dtype=np.int64) for members in partition]

@@ -442,13 +442,25 @@ def test_simulate_reports_divergence_in_one_line_and_exit_2(tmp_path, scenario_f
 
 @pytest.mark.parametrize("field, value, words", [
     # 0.5 used to be truncated to edge 0 and true read as edge 1
-    ("assignment[0]", 0.5, "assignment[0] must be a JSON integer, got 0.5"),
-    ("assignment[0]", True, "assignment[0] must be a JSON integer, got True"),
-    ("assignment[0]", "0", "assignment[0] must be a JSON integer, got '0'"),
+    ("assignment[0]", 0.5, "assignment[0] must be an integer, got 0.5"),
+    ("assignment[0]", True, "assignment[0] must be an integer, got True"),
+    ("assignment[0]", "0", "assignment[0] must be an integer, got '0'"),
     ("assignment", {"0": 1}, "assignment must be a list"),
-    ("num_edges", "3", "num_edges must be a JSON integer, got '3'"),
-    ("num_edges", 3.0, "num_edges must be a JSON integer, got 3.0"),
-    ("num_edges", True, "num_edges must be a JSON integer, got True"),
+    ("num_edges", "3", "num_edges must be an integer, got '3'"),
+    ("num_edges", 3.0, "num_edges must be an integer, got 3.0"),
+    ("num_edges", True, "num_edges must be an integer, got True"),
+    # entries past the int64 range used to end in a bare OverflowError and exit 1
+    pytest.param("assignment[0]", 2**63, f"assignment[0] is an integer too large for an int64, "
+                 f"got {2**63}", id="assignment 2**63"),
+    pytest.param("assignment[0]", 2**64, f"assignment[0] is an integer too large for an int64, "
+                 f"got {2**64}", id="assignment 2**64"),
+    pytest.param("assignment[0]", 10**30, f"assignment[0] is an integer too large for an int64, "
+                 f"got {10**30}", id="assignment 10**30"),
+    pytest.param("assignment[0]", -1, "assignment[0] must be at least 0, got -1",
+                 id="assignment -1"),
+    pytest.param("num_edges", 2**63, f"num_edges is an integer too large for an int64, got {2**63}",
+                 id="num_edges 2**63"),
+    pytest.param("num_edges", 0, "num_edges must be at least 1, got 0", id="num_edges 0"),
 ])
 def test_partition_fields_must_be_json_integers(
     tmp_path, scenario_file, capsys, field, value, words
@@ -494,8 +506,11 @@ def test_report_rejects_plan_arrays_of_the_wrong_length(tmp_path, scenario_file,
 
 
 @pytest.mark.parametrize("field, index, value, words", [
-    ("power", 4, "0.5", 'power[4] must be a JSON number, got "0.5"'),
-    ("bandwidth", 1, True, "bandwidth[1] must be a JSON number, got true"),
+    ("power", 4, "0.5", "power[4] must be a number, got '0.5'"),
+    ("bandwidth", 1, True, "bandwidth[1] must be a number, got True"),
+    pytest.param("power", 2, None, "power[2] must be a number, got None", id="power null"),
+    pytest.param("power", 0, 2**63, f"power[0] is an integer too large for an int64, got {2**63}",
+                 id="power 2**63"),
 ])
 def test_report_rejects_plan_values_that_are_not_json_numbers(
     tmp_path, scenario_file, capsys, field, index, value, words
@@ -573,8 +588,9 @@ def test_report_refuses_a_plan_that_differs_from_its_recomputation(
         ("avg_js", plan["avg_js"] + 1e-3, "stored avg_js differs"),
         ("feasible", not plan["feasible"], "stored feasible differs"),
         ("total_energy", 10**400, "total_energy is an integer too large for a float"),
-        ("utility", "1.0", 'malformed plan (utility must be a JSON number, got "1.0")'),
-        ("uplink_energy", None, "malformed plan (uplink_energy must be a JSON number, got null)"),
+        ("utility", "1.0", "utility must be a number, got '1.0'"),
+        ("uplink_energy", None, "uplink_energy must be a number, got None"),
+        ("total_latency", float("nan"), "total_latency must be finite, got nan"),
         ("feasible", int(plan["feasible"]), "stored feasible differs"),
     ):
         tampered.write_text(json.dumps({**plan, name: value}))
@@ -745,10 +761,10 @@ def test_the_largest_seed_is_written_as_it_is(tmp_path):
 
 
 @pytest.mark.parametrize("text, words", [
-    ("NaN", "power[0] must be a finite number, got NaN"),
-    ("-Infinity", "power[0] must be a finite number, got -Infinity"),
-    ("1e400", "power[0] must be a finite number, got Infinity"),
-    ("1" + "0" * 400, "power holds an integer too large for a float"),
+    ("NaN", "power[0] must be finite, got nan"),
+    ("-Infinity", "power[0] must be finite, got -inf"),
+    ("1e400", "power[0] must be finite, got inf"),
+    ("1" + "0" * 400, "power[0] is an integer too large for a float"),
     # more digits than int() converts by default (4300)
     ("1" + "0" * 5000, "not valid JSON (Exceeds the limit"),
 ])

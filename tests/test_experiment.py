@@ -8,7 +8,7 @@ import pytest
 
 from leapsim import experiment
 from leapsim.alloc import NonFiniteInputError
-from leapsim.errors import InvalidValueError
+from leapsim.errors import InvalidPartitionError, InvalidValueError
 from leapsim.experiment import (
     METHODS,
     TrainOptions,
@@ -135,6 +135,13 @@ def test_audit_metrics_recomputable_from_plan(scenario, report):
         for key in ("total_latency", "total_energy", "uplink_energy", "utility", "avg_js"):
             assert fresh[key] == pytest.approx(m.plan[key], rel=1e-9), (name, key)
         assert fresh["feasible"] == m.plan["feasible"]
+
+
+def test_recompute_plan_refuses_an_assignment_it_would_have_cast(scenario, report):
+    m = report.methods["leap"]
+    for assignment in ([float(a) for a in m.assignment], [str(a) for a in m.assignment]):
+        with pytest.raises(InvalidPartitionError, match="an assignment must be a 1-D integer array"):
+            recompute_plan(scenario, assignment, m.plan["bandwidth"], m.plan["power"])
 
 
 def test_report_roundtrip(tmp_path, report):

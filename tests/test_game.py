@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,38 @@ def test_partition_rejects_empty_coalition():
 def test_partition_rejects_out_of_range_assignment():
     with pytest.raises(InvalidPartitionError):
         make_partition([0, 3], np.eye(2, dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("assignment, words", [
+    # 1.7, 1.0 and "1" used to be cast to edge 1, and False, True to edges 0, 1;
+    # 2**64 and the ragged list raised numpy's own errors
+    ([0, 1.7], "got float64 of shape (2,)"),
+    ([0, 1.0], "got float64 of shape (2,)"),
+    ([0, "1"], "got <U21 of shape (2,)"),
+    ([False, True], "got bool of shape (2,)"),
+    ([0, 2**64], "got object of shape (2,)"),
+    ([[0, 1]], "got int64 of shape (1, 2)"),
+    ([[0], [0, 1]], "inhomogeneous"),
+])
+def test_partition_refuses_an_assignment_that_is_not_integer(assignment, words):
+    words = re.escape("an assignment must be a 1-D integer array") + ".*" + re.escape(words)
+    with pytest.raises(InvalidPartitionError, match=words):
+        Partition(assignment, np.eye(2, dtype=np.int64) + 1, 2)
+
+
+def test_partition_refuses_an_index_past_int64_without_overflow():
+    counts = np.eye(2, dtype=np.int64) + 1
+    for assignment in ([0, 2**63], np.array([0, 2**63], dtype=np.uint64)):
+        with pytest.raises(InvalidPartitionError):  # a float list, or an index out of range
+            Partition(assignment, counts, 2)
+
+
+def test_partition_takes_integer_lists_and_arrays_of_any_integer_dtype():
+    counts = np.eye(4, 2, dtype=np.int64) + 1
+    for form in ([0, 1, 1, 0], np.array([0, 1, 1, 0], dtype=np.uint8),
+                 np.array([0, 1, 1, 0], dtype=np.int32), np.array([0, 1, 1, 0], dtype=np.uint64)):
+        part = Partition(form, counts, 2)
+        assert part.assignment.dtype == np.int64 and part.assignment.tolist() == [0, 1, 1, 0]
 
 
 @pytest.mark.parametrize("denominator", ["bogus", "m", "", 7, None])
@@ -691,19 +725,6 @@ def _settled_samples(initial, entries):
     return sum(before == 0.0 for before in values[:-1])
 
 
-def _priced_samples(initial, entries):
-    """Samples of a client that is not alone, taken at nonzero avg JS."""
-    assignment = initial.assignment.copy()
-    before = initial.avg_js()
-    priced = 0
-    for _, client, src, target, after in entries:
-        priced += before != 0.0 and np.count_nonzero(assignment == src) > 1
-        if target is not None:
-            assignment[client] = target
-        before = after
-    return priced
-
-
 def _balanced_case(rng, denominator):
     """One-hot clients in whole label groups: a zero-potential partition exists."""
     m, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
@@ -711,6 +732,56 @@ def _balanced_case(rng, denominator):
     counts = np.zeros((n, k), dtype=np.int64)
     counts[np.arange(n), np.arange(n) % k] = 3
     return random_partition(counts, m, rng, denominator)
+
+
+def _mirrored_case(rng, denominator):
+    """Coalitions 1 .. M-1 hold equal one-hot label counts, coalition 0 others.
+
+    A client of coalition 0 prices every mirrored coalition with the same
+    inputs, so its deltas tie exactly between them.
+    """
+    m, k = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+    own = rng.integers(k, size=int(rng.integers(3, 8)))
+    mirrored = rng.integers(k, size=int(rng.integers(1, 4)))
+    labels = np.concatenate([own, np.tile(mirrored, m - 1)])
+    assignment = np.repeat(np.arange(m), [len(own)] + [len(mirrored)] * (m - 1))
+    counts = np.zeros((len(labels), k), dtype=np.int64)
+    counts[np.arange(len(labels)), labels] = 3
+    return Partition(assignment, counts, m, denominator)
+
+
+def _tied_accepts(initial, entries):
+    """Accepted samples whose smallest delta is shared by two or more targets."""
+    part = initial.copy()
+    tied = 0
+    for _, client, _, target, _ in entries:
+        if target is not None:
+            deltas = switch_deltas(part, client)
+            tied += int(np.count_nonzero(deltas == deltas.min()) > 1)
+            part.apply(evaluate_switch(part, client, target, deltas))
+    return tied
+
+
+def test_loop_breaks_exact_ties_like_the_reference():
+    """A delta tied exactly between targets goes to the first minimum.
+
+    The loop decides from its memo row; ``best_switch``, which the
+    reference calls, takes ``argmin`` of the same row.  Mirrored
+    coalitions make many accepted switches tie exactly, so a loop that
+    took another tied target would leave the reference's trace.
+    """
+    rng = np.random.default_rng(37)
+    tied = 0
+    for case in range(40):
+        start = _mirrored_case(rng, "pairs" if case % 2 else "M")
+        seed = int(rng.integers(2**31))
+        final, trace = run_coalition_formation(start, max_iters=3000, rng_seed=seed)
+        ref_assignment, entries, used, converged, _ = coalition_formation_ref(start, 3000, seed)
+        assert trace.entries == entries
+        assert np.array_equal(final.assignment, ref_assignment)
+        assert (trace.iterations_used, trace.converged) == (used, converged)
+        tied += _tied_accepts(start, entries)
+    assert tied >= 10
 
 
 def test_batched_loop_matches_the_one_sample_reference_exactly():
@@ -941,9 +1012,9 @@ def test_loop_calls_through_module_bindings(monkeypatch):
         _, entries, _, _, failed = coalition_formation_ref(start, max_iters, case)
         assert seen["apply"] == len(accepted(trace)), "one Partition.apply per accepted switch"
         assert seen["certify_stability"] == failed + 1, "one certify per convergence check"
-        # game.switches_priced: one evaluate_switch per sample of a movable
-        # client on a partition with nonzero potential, and no other
-        assert seen["evaluate_switch"] == _priced_samples(start, entries)
+        # game.switches_priced: the loop decides from its memo row and
+        # builds a proposal only for the switch it applies
+        assert seen["evaluate_switch"] == len(accepted(trace)), "one proposal per accepted switch"
         unsettled += seen["evaluate_switch"] > 0
     assert unsettled >= 6
 

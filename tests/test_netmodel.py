@@ -426,6 +426,24 @@ def test_partition_forms_give_one_assignment():
         assert (found.tolist(), sizes.tolist()) == expected
 
 
+def test_an_assignment_array_gets_the_partition_index_check():
+    counts = np.ones((4, 2), dtype=np.int64)
+    for form in (np.array([0, 1, 1, 0], dtype=np.uint64), np.array([0, 1, 1, 0], dtype=np.int32)):
+        found, sizes = coalition_assignment(form, 4)
+        assert found.dtype == np.int64 and (found.tolist(), sizes.tolist()) == ([0, 1, 1, 0], [2, 2])
+    for bad, words in (
+        (np.array([0.0, 1.0, 1.0, 0.0]), "an assignment must be a 1-D integer array, got float64"),
+        (np.array([False, True, True, False]), "an assignment must be a 1-D integer array, got bool"),
+        (np.array([0, 1, 1, -1]), "assignment index out of range"),
+        # an index of n or more leaves a coalition empty; no bincount of its size is made
+        (np.array([0, 1, 1, 10**12]), "assignment index out of range"),
+        (np.array([0, 1, 1, 2**63], dtype=np.uint64), "assignment index out of range"),
+    ):
+        for check in (lambda: coalition_assignment(bad, 4), lambda: Partition(bad, counts, 2)):
+            with pytest.raises(InvalidPartitionError, match=re.escape(words)):
+                check()
+
+
 BAD_PARTITIONS = {
     "missing client": ([{0, 1, 2}, {3, 4}], "client 5 is missing"),
     "repeated client": ([{0, 1, 2}, {2, 3, 4, 5}], "client 2 is repeated"),
