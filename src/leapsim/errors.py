@@ -47,6 +47,8 @@ def check_integer(name: str, value, minimum: int) -> None:
     Python and numpy integers pass; floats (``2.0`` included), bools and
     every other type are refused rather than truncated or cast.
     """
+    if type(value) is int and -(2**63) <= value < 2**63 and value >= minimum:
+        return  # a plain int in range, answered without the ABC checks below
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:

@@ -154,21 +154,36 @@ def _strict_upper(m: int) -> np.ndarray:
     return mask
 
 
+def _integer_array(value, requirement: str) -> np.ndarray:
+    """``value`` as an ndarray of an integer dtype, never cast.
+
+    Raises InvalidPartitionError, "<requirement>, got ...", for any
+    other dtype, for a ragged nesting of lists and for a list that holds
+    a bool, which numpy would read as an integer (``[0, True]`` is
+    int64)."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting of lists
+        raise InvalidPartitionError(f"{requirement} ({exc})") from None
+    if array.dtype.kind not in "iu":
+        raise InvalidPartitionError(f"{requirement}, got {array.dtype} of shape {array.shape}")
+    entry_types = () if array is value else set(map(type, np.asarray(value, dtype=object).flat))
+    if any(issubclass(entry_type, (bool, np.bool_)) for entry_type in entry_types):
+        raise InvalidPartitionError(f"{requirement}, got a bool entry")
+    return array
+
+
 def assignment_vector(assignment, bound: int) -> np.ndarray:
     """``assignment`` as a 1-D int64 array of coalition indices in [0, ``bound``).
 
-    Raises InvalidPartitionError unless it is 1-D with an integer dtype,
-    so floats, strings and bools are refused rather than cast, or when
-    an index lies outside the range.
+    Raises InvalidPartitionError unless it is 1-D with an integer dtype
+    and, as a list, holds no bool, so floats, strings and bools are
+    refused rather than cast, or when an index lies outside the range.
     """
-    try:
-        array = np.asarray(assignment)
-    except ValueError as exc:  # a ragged nesting of lists
-        raise InvalidPartitionError(f"an assignment must be a 1-D integer array ({exc})") from None
-    if array.ndim != 1 or array.dtype.kind not in "iu":
-        raise InvalidPartitionError(
-            f"an assignment must be a 1-D integer array, got {array.dtype} of shape {array.shape}"
-        )
+    requirement = "an assignment must be a 1-D integer array"
+    array = _integer_array(assignment, requirement)
+    if array.ndim != 1:
+        raise InvalidPartitionError(f"{requirement}, got {array.dtype} of shape {array.shape}")
     if array.size and (array.min() < 0 or array.max() >= bound):
         raise InvalidPartitionError("assignment index out of range")
     return array.astype(np.int64, copy=False)
@@ -183,7 +198,8 @@ class Partition:
     ``counts`` (M, K), probability rows ``probs`` (M, K), their sums
     ``plogp`` (M,) of P_k log2 P_k (``dist.xlog2x_sums``: the input
     terms of every JS value against a coalition row) and the pairwise
-    JS matrix ``js_matrix`` (M, M).  Label counts must be integers >= 0.
+    JS matrix ``js_matrix`` (M, M).  Label counts must be an integer
+    array of values >= 0; floats and bools are refused, never cast.
     ``denominator`` fixes the avg-JS normalization for every operation
     on this partition: "M" divides the pairwise JS sum by the number of
     coalitions (the value can exceed 1 for M >= 5), "pairs" by the
@@ -198,7 +214,9 @@ class Partition:
         denominator: str = "M",
     ):
         assignment = assignment_vector(assignment, num_coalitions)
-        client_label_counts = np.asarray(client_label_counts, dtype=np.int64)
+        client_label_counts = _integer_array(
+            client_label_counts, "label counts must be an integer array"
+        ).astype(np.int64, copy=False)
         if client_label_counts.ndim != 2 or client_label_counts.shape[0] != assignment.shape[0]:
             raise InvalidPartitionError("label counts must be (n_clients, n_classes)")
         if client_label_counts.size and client_label_counts.min() < 0:

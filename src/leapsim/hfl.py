@@ -15,9 +15,11 @@ per-class biases), labels as their ``onehot_targets``, a float64
 counts one ``local_train`` per client per edge iteration and tau_c
 ``softmax_loss_and_grad`` calls in each, through this module's
 globals, so that call structure stays fixed.  Inside that structure a
-local step does gradient arithmetic only: ``local_train`` makes the
-parameter views and one gradient buffer once per call, the step
-computes no loss and writes its gradient into that buffer, and
+local step works on the design matrix [X | 1], so that the biases are
+one more weight column: one matmul gives the logits and one the whole
+gradient.  ``local_train`` builds the design, its mean ``design / n``,
+the working matrix [W | b] and the step's buffers once per call; the
+step computes no loss and writes its gradient into the buffer, and
 ``local_train`` checks once, after its last step, that the parameters
 are finite.
 """
@@ -93,36 +95,52 @@ def onehot_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def softmax_loss_and_grad(
     weights: np.ndarray,
-    biases: np.ndarray,
-    features: np.ndarray,
+    design: np.ndarray,
     targets: np.ndarray,
+    mean_design: np.ndarray,
     grad: np.ndarray,
-    grad_w: np.ndarray,
-    grad_b: np.ndarray,
+    logits: np.ndarray,
+    column: np.ndarray,
 ) -> None:
-    """Write the mean cross-entropy's gradient into the flat ``grad``.
+    """Write the mean cross-entropy's gradient, as a (K, d + 1) matrix, into ``grad``.
 
-    ``weights`` (K, d) and ``biases`` (K, 1) are views of the flat
-    parameters, ``targets`` is ``onehot_targets`` (K, n), and ``grad_w``
-    (K, d) and ``grad_b`` (K,) are views of ``grad``; ``local_train``
-    makes them once per call.  The logits are class-major, (K, n): the
-    softmax reduces over axis 0 and subtracting ``targets`` leaves the
-    logit gradient, softmax - onehot.  At a true class that is p - 1.0,
-    elsewhere p - 0.0, which is p for every softmax output (>= +0.0 or
-    NaN).  No loss is computed, since the learner reads none; the name
-    is the one the benchmark counts once per step."""
-    probs = np.dot(weights, features.T)
-    probs += biases
-    probs -= np.maximum.reduce(probs, axis=0)  # stable softmax
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=0)
-    probs -= targets
-    np.dot(probs, features, out=grad_w)
-    np.add.reduce(probs, axis=1, out=grad_b)
-    grad /= len(features)
+    ``weights`` is the working matrix [W | b] (K, d + 1), ``design`` the
+    design matrix [X | 1] (n, d + 1), ``targets`` is ``onehot_targets``
+    (K, n) and ``mean_design`` is ``design / n``; ``grad`` (K, d + 1),
+    ``logits`` (K, n) and ``column`` (n,) are buffers that
+    ``local_train`` makes once per call, so a step allocates nothing.
+    The logits are class-major, [W | b] [X | 1]^T: the softmax reduces
+    over axis 0 and subtracting ``targets`` leaves the logit gradient,
+    softmax - onehot.  At a true class that is p - 1.0, elsewhere
+    p - 0.0, which is p for every softmax output (>= +0.0 or NaN).  One
+    more matmul with ``mean_design`` gives the weight gradient and, in
+    the ones column, the bias gradient, both already divided by n.  No
+    loss is computed, since the learner reads none; the name is the one
+    the benchmark counts once per step."""
+    np.dot(weights, design.T, out=logits)
+    np.maximum.reduce(logits, axis=0, out=column)  # stable softmax
+    logits -= column
+    np.exp(logits, out=logits)
+    np.add.reduce(logits, axis=0, out=column)
+    logits /= column
+    logits -= targets
+    np.dot(logits, mean_design, out=grad)
+
+
+def _check_params(params: np.ndarray, n_classes: int, n_features: int) -> None:
+    """InvalidValueError unless ``params`` holds ``param_dim(n_classes, n_features)`` values."""
+    expected = param_dim(n_classes, n_features)
+    if len(params) != expected:
+        raise InvalidValueError(
+            f"params must hold param_dim({n_classes}, {n_features}) = {expected} "
+            f"values, got {len(params)}"
+        )
 
 
 def predict(params: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
+    """The most likely class of every row of ``features``; InvalidValueError
+    unless ``params`` holds ``param_dim(n_classes, d)`` values."""
+    _check_params(params, n_classes, features.shape[1])
     weights, biases = unpack_params(params, n_classes, features.shape[1])
     return np.argmax(features @ weights.T + biases, axis=1)
 
@@ -152,10 +170,13 @@ def local_train(
     shape and dtype are trusted, since ``onehot_targets`` checks the
     labels it is built from.
 
-    The weight and bias views of the trained copy, one gradient buffer
-    and its weight and bias views are made once per call and reused by
-    every step; ``out -= grad`` updates in place, so the views stay
-    valid.
+    The design matrix [X | 1], a fresh C-order copy whatever the layout
+    of ``features``, its mean ``design / n``, the working matrix
+    [W | b] and the step's buffers are made once per call and reused by
+    every step; ``work -= grad`` updates in place.  ``lr`` multiplies
+    the gradient, not the design, so the step's result stays the
+    gradient.  The result is packed back into a new flat [W, b] vector;
+    neither ``params`` nor ``features`` is written to.
 
     Raises TrainingDivergedError (a FloatingPointError) if the
     parameters after the tau_c steps are not finite; the overflows on
@@ -164,15 +185,16 @@ def local_train(
     every step of the parameters and of the loss, the mean of
     ``-log(p + 1e-300)`` over the true-class probabilities p, would:
 
-    - ``out -= lr * grad`` never makes a non-finite entry finite again:
+    - ``work -= lr * grad`` never makes a non-finite entry finite again:
       NaN stays NaN, +-inf minus a finite value stays +-inf, and
       inf - inf is NaN.  A parameter that leaves the finite range at
       some step is still outside it after the last.
     - That loss can only stop being finite through a NaN true-class
       probability: probabilities lie in [0, 1] and the ``+ 1e-300``
-      rules out log 0.  A NaN probability of class k puts NaN into
-      class k's bias gradient (its sum over samples), so the same step
-      leaves a NaN parameter.
+      rules out log 0.  A NaN probability of class k at some sample
+      meets that sample's 1 / n in the ones column of ``mean_design``,
+      so class k's bias gradient, the last column of ``grad``, is NaN
+      and the same step leaves a NaN parameter.
     """
     check_integer("tau_c", tau_c, 1)
     n = len(features)
@@ -182,25 +204,25 @@ def local_train(
             f"targets must be onehot_targets(labels, {n_classes}) for {n} samples, at least "
             f"one: float64 of shape ({n_classes}, {n})"
         )
-    expected = param_dim(n_classes, features.shape[1])
-    if len(params) != expected:
-        raise InvalidValueError(
-            f"params must hold param_dim({n_classes}, {features.shape[1]}) = {expected} "
-            f"values, got {len(params)}"
-        )
-    out = params.copy()
-    grad = np.empty_like(out)
-    weights, biases = unpack_params(out, n_classes, features.shape[1])
-    grad_w, grad_b = unpack_params(grad, n_classes, features.shape[1])
-    biases = biases[:, None]  # a column, added to every sample's logits
+    d = features.shape[1]
+    _check_params(params, n_classes, d)
+    design = np.empty((n, d + 1))
+    design[:, :d] = features
+    design[:, d] = 1.0
+    mean_design = design / n
+    work = np.empty((n_classes, d + 1))
+    work[:, :d], work[:, d] = unpack_params(params, n_classes, d)
+    grad = np.empty_like(work)
+    logits = np.empty((n_classes, n))
+    column = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            softmax_loss_and_grad(weights, biases, features, targets, grad, grad_w, grad_b)
+            softmax_loss_and_grad(work, design, targets, mean_design, grad, logits, column)
             grad *= lr
-            out -= grad
-        if not np.isfinite(out).all():
+            work -= grad
+        if not np.isfinite(work).all():
             raise TrainingDivergedError("training diverged; lower the learning rate")
-    return out
+    return np.concatenate((work[:, :d].ravel(), work[:, d]))
 
 
 def edge_aggregate(member_params: np.ndarray, member_sizes: Sequence[float]) -> np.ndarray:

@@ -453,15 +453,18 @@ def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
     """The class-major step indexed by labels: the slow exact reference.
 
     The same gradient arithmetic as ``hfl.softmax_loss_and_grad`` in the
-    same order, plus the mean loss that the fast step does not compute,
-    but it takes the labels and reads and writes the true-class entries
-    through a fresh ``(labels, arange(n))`` tuple index, so the fast
-    step's gradient must equal it bit for bit.
+    same order, on the design matrix [X | 1] and the working matrix
+    [W | b], plus the mean loss that the fast step does not compute, but
+    it takes the labels, reads and writes the true-class entries through
+    a fresh ``(labels, arange(n))`` tuple index and allocates every
+    temporary, so the fast step's gradient must equal it bit for bit.
     """
     n, d = features.shape
     kd = n_classes * d
-    probs = params[:kd].reshape(n_classes, d) @ features.T
-    probs += params[kd:, None]
+    design = np.ones((n, d + 1))  # C order, as local_train makes it
+    design[:, :d] = features
+    weights = np.concatenate((params[:kd].reshape(n_classes, d), params[kd:, None]), axis=1)
+    probs = np.dot(weights, design.T)
     probs -= np.maximum.reduce(probs, axis=0)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=0)
@@ -470,11 +473,8 @@ def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
     probs[true] = picked - 1.0
     picked += 1e-300
     loss = -float(np.add.reduce(np.log(picked, out=picked))) / n
-    grad = np.empty(kd + n_classes)
-    np.matmul(probs, features, out=grad[:kd].reshape(n_classes, d))
-    np.add.reduce(probs, axis=1, out=grad[kd:])
-    grad /= n
-    return loss, grad
+    grad = np.dot(probs, design / n)
+    return loss, np.concatenate((grad[:, :d].ravel(), grad[:, d]))
 
 
 def local_train_ref(params, features, labels, n_classes, tau_c, lr, step=softmax_loss_and_grad_ref):

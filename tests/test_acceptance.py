@@ -321,10 +321,15 @@ def test_c8_gradient_and_model_checks():
     features = rng.normal(size=(15, 5))
     labels = rng.integers(4, size=15)
     params = 0.3 * rng.standard_normal(param_dim(4, 5))
-    grad = np.empty_like(params)
-    (weights, biases), (grad_w, grad_b) = unpack_params(params, 4, 5), unpack_params(grad, 4, 5)
-    targets = onehot_targets(labels, 4)
-    softmax_loss_and_grad(weights, biases[:, None], features, targets, grad, grad_w, grad_b)
+    design = np.ones((15, 6))  # [X | 1]
+    design[:, :5] = features
+    weights, biases = unpack_params(params, 4, 5)
+    step = np.empty((4, 6))  # [grad_W | grad_b]
+    softmax_loss_and_grad(
+        np.column_stack((weights, biases)), design, onehot_targets(labels, 4), design / 15,
+        step, np.empty((4, 15)), np.empty(15),
+    )
+    grad = np.concatenate((step[:, :5].ravel(), step[:, 5]))
     eps = 1e-6
     for k in range(params.size):
         up, down = params.copy(), params.copy()

@@ -42,3 +42,42 @@ def test_check_integer_holds_its_integers_to_the_int64_range():
         check_integer("n", 2**63, 1)
     with pytest.raises(InvalidValueError, match="^n must be at least 1, got 0$"):
         check_integer("n", 0, 1)
+
+
+@pytest.mark.parametrize("value, words", [
+    (1, None),
+    (7, None),
+    (2**63 - 1, None),
+    (np.int64(1), None),
+    (np.int64(2**62), None),
+    (np.uint8(3), None),
+    (0, "n must be at least 1, got 0"),
+    (-5, "n must be at least 1, got -5"),
+    (np.int64(0), "n must be at least 1, got 0"),
+    (-(2**70), f"n must be at least 1, got {-(2**70)}"),
+    (2**63, f"n is an integer too large for an int64, got {2**63}"),
+    (np.uint64(2**63), f"n is an integer too large for an int64, got {2**63}"),
+    (True, "n must be an integer, got True"),
+    (False, "n must be an integer, got False"),
+    (np.bool_(True), "n must be an integer, got np.True_"),
+    (2.0, "n must be an integer, got 2.0"),
+    (np.float64(2.0), "n must be an integer, got np.float64(2.0)"),
+    ("2", "n must be an integer, got '2'"),
+    (None, "n must be an integer, got None"),
+], ids=repr)
+def test_check_integer_table(value, words):
+    """A plain int is answered before the numbers.Integral check; every
+    type, plain or not, gets the same outcome as through the full checks."""
+    if words is None:
+        check_integer("n", value, 1)
+    else:
+        with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+            check_integer("n", value, 1)
+
+
+def test_check_integer_fast_path_keeps_the_int64_floor():
+    # a minimum below the int64 range still leaves such integers refused
+    check_integer("n", -(2**63), -(2**64))
+    words = f"n is an integer too large for an int64, got {-(2**63) - 1}"
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        check_integer("n", -(2**63) - 1, -(2**64))

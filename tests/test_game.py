@@ -88,6 +88,39 @@ def test_partition_takes_integer_lists_and_arrays_of_any_integer_dtype():
         assert part.assignment.dtype == np.int64 and part.assignment.tolist() == [0, 1, 1, 0]
 
 
+@pytest.mark.parametrize("counts, words", [
+    # each used to be cast: [[0.5, 1.9], [1, 1]] became [[0, 1], [1, 1]]
+    ([[0.5, 1.9], [1, 1]], "got float64 of shape (2, 2)"),
+    (np.array([[2.7, 1.9], [1.0, 1.0]]), "got float64 of shape (2, 2)"),
+    ([[2.0, 1.0], [1.0, 1.0]], "got float64 of shape (2, 2)"),
+    ([[True, False], [False, True]], "got bool of shape (2, 2)"),
+    ([[True, False], [1, 1]], "got a bool entry"),  # numpy reads this list as int64
+    ([[np.True_, 0], [1, 1]], "got a bool entry"),
+    ([["1", "0"], ["0", "1"]], "got <U1 of shape (2, 2)"),
+    ([[1, 0], [0, 2**64]], "got object of shape (2, 2)"),
+    ([[1, 0], [0]], "inhomogeneous"),
+], ids=["float_list", "float_array", "integral_floats", "bool_list", "bool_in_int_list",
+        "numpy_bool_in_int_list", "strings", "past_uint64", "ragged"])
+def test_partition_refuses_label_counts_that_are_not_integer(counts, words):
+    pattern = re.escape("label counts must be an integer array") + ".*" + re.escape(words)
+    with pytest.raises(InvalidPartitionError, match=pattern):
+        Partition([0, 1], counts, 2)
+
+
+def test_partition_refuses_a_bool_inside_an_integer_assignment_list():
+    for assignment in ([0, True], [np.False_, 1]):
+        with pytest.raises(InvalidPartitionError, match="1-D integer array, got a bool entry"):
+            Partition(assignment, np.eye(2, dtype=np.int64) + 1, 2)
+
+
+def test_partition_takes_label_counts_of_any_integer_dtype():
+    for counts in ([[2, 1], [1, 2]], np.array([[2, 1], [1, 2]], dtype=np.uint8),
+                   [np.array([2, 1], dtype=np.int32), np.array([1, 2], dtype=np.int32)]):
+        part = Partition([0, 1], counts, 2)
+        assert part.client_counts.dtype == np.int64
+        assert part.client_counts.tolist() == [[2, 1], [1, 2]]
+
+
 @pytest.mark.parametrize("denominator", ["bogus", "m", "", 7, None])
 def test_partition_rejects_an_unknown_denominator(denominator):
     with pytest.raises(InvalidPartitionError, match="denominator must be 'M' or 'pairs'"):

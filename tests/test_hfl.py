@@ -14,6 +14,7 @@ from leapsim.hfl import (
     local_train,
     onehot_targets,
     param_dim,
+    predict,
     run_hfl,
     softmax_loss_and_grad,
     unpack_params,
@@ -37,14 +38,19 @@ def toy_dataset(seed=0, n_classes=3, n_features=4, per_class=30, clients=4):
 
 
 def gradient(params, features, labels, k):
-    """``softmax_loss_and_grad``'s flat gradient at ``params`` and ``labels``."""
-    grad = np.empty_like(params)
-    (weights, biases), (grad_w, grad_b) = (
-        unpack_params(params, k, features.shape[1]), unpack_params(grad, k, features.shape[1])
+    """``softmax_loss_and_grad``'s gradient at ``params`` and ``labels``, as
+    one flat vector like the parameters (class-by-feature weights, then
+    biases)."""
+    n, d = features.shape
+    design = np.ones((n, d + 1))  # C order, as local_train makes it
+    design[:, :d] = features
+    weights = np.concatenate((params[: k * d].reshape(k, d), params[k * d :, None]), axis=1)
+    grad = np.empty((k, d + 1))
+    softmax_loss_and_grad(
+        weights, design, onehot_targets(labels, k), design / n, grad, np.empty((k, n)),
+        np.empty(n),
     )
-    targets = onehot_targets(labels, k)
-    softmax_loss_and_grad(weights, biases[:, None], features, targets, grad, grad_w, grad_b)
-    return grad
+    return np.concatenate((grad[:, :d].ravel(), grad[:, d]))
 
 
 # -- learner ------------------------------------------------------------------
@@ -108,6 +114,23 @@ def test_local_train_decreases_loss_for_small_lr():
     assert after <= before
 
 
+def feature_layouts(values):
+    """The (n, d) ``values`` as C, Fortran, row-strided, column-strided and
+    transposed-view arrays, each holding the same numbers."""
+    n, d = values.shape
+    rows = np.zeros((2 * n, d))
+    rows[::2] = values
+    columns = np.zeros((n, 3 * d))
+    columns[:, 1::3] = values
+    return {
+        "c": values.copy(),
+        "fortran": np.asfortranarray(values),
+        "row_stride": rows[::2],
+        "col_stride": columns[:, 1::3],
+        "transposed": np.ascontiguousarray(values.T).T,
+    }
+
+
 @st.composite
 def learner_instance(draw):
     """A softmax step's inputs: sizes from 1, skewed labels, big or small
@@ -117,16 +140,7 @@ def learner_instance(draw):
     k = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layout = draw(st.sampled_from(["c", "fortran", "row_stride", "col_stride", "transposed"]))
-    if layout == "row_stride":
-        features = rng.normal(size=(2 * n, d))[::2]
-    elif layout == "col_stride":
-        features = rng.normal(size=(n, 3 * d))[:, 1::3]
-    elif layout == "transposed":
-        features = rng.normal(size=(d, n)).T
-    else:
-        features = rng.normal(size=(n, d))
-        if layout == "fortran":
-            features = np.asfortranarray(features)
+    features = feature_layouts(rng.normal(size=(n, d)))[layout]
     if draw(st.booleans()):
         labels = np.full(n, draw(st.integers(0, k - 1)), dtype=np.int64)
     else:
@@ -341,6 +355,39 @@ def test_local_train_refuses_params_of_the_wrong_length_before_its_first_step(
     message = rf"^params must hold param_dim\(3, 4\) = 15 values, got {length}$"
     with pytest.raises(InvalidValueError, match=message):
         local_train(np.zeros(length), features, targets, 3, 5, 0.1)
+
+
+@pytest.mark.parametrize("length", [5, 3 * 4, 3 * 4 + 3 + 1, 20], ids=["5", "Kd", "Kd+K+1", "20"])
+def test_predict_and_accuracy_refuse_params_of_the_wrong_length(length):
+    # 5 used to fail in numpy's reshape and 20 in a broadcast, both as bare ValueErrors
+    ds = toy_dataset()
+    message = rf"^params must hold param_dim\(3, 4\) = 15 values, got {length}$"
+    with pytest.raises(InvalidValueError, match=message):
+        predict(np.zeros(length), ds.test_features, 3)
+    with pytest.raises(InvalidValueError, match=message):
+        accuracy(np.zeros(length), ds.test_features, ds.test_labels, 3)
+
+
+@given(learner_instance(), st.integers(1, 4), st.sampled_from([0.0, 0.1, 0.8, 1e3, 1e300]))
+@settings(max_examples=100, deadline=None)
+def test_step_and_local_train_do_not_depend_on_the_feature_layout(instance, tau_c, lr):
+    """The design matrix is a fresh C-order copy, so the layout of the
+    features moves no bit of the step's gradient or of local_train's
+    result (a divergence included), and neither input is written to."""
+    params, features, labels, k = instance
+    values = np.ascontiguousarray(features)
+    targets = onehot_targets(labels, k)
+    kept = params.copy()
+    grads, trained = [], []
+    for layout in feature_layouts(values).values():
+        grads.append(gradient(params, layout, labels, k).tobytes())
+        try:
+            trained.append(local_train(params, layout, targets, k, tau_c, lr).tobytes())
+        except TrainingDivergedError:
+            trained.append(None)
+        assert np.array_equal(layout, values) and np.array_equal(params, kept)
+    assert grads.count(grads[0]) == len(grads)
+    assert trained.count(trained[0]) == len(trained)
 
 
 # -- aggregation -------------------------------------------------------------------
