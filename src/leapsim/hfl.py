@@ -10,18 +10,19 @@ again by data size, and the held-out accuracy is recorded once per
 global round.
 
 Parameters travel as one flat vector (class-by-feature weights, then
-per-class biases), labels as their ``onehot_targets``, a float64
-(n_classes, n) matrix built once per client per run.  The benchmark
-counts one ``local_train`` per client per edge iteration and tau_c
-``softmax_loss_and_grad`` calls in each, through this module's
-globals, so that call structure stays fixed.  Inside that structure a
-local step works on the design matrix [X | 1], so that the biases are
-one more weight column: one matmul gives the logits and one the whole
-gradient.  ``local_train`` builds the design, its mean ``design / n``,
-the working matrix [W | b] and the step's buffers once per call; the
-step computes no loss and writes its gradient into the buffer, and
-``local_train`` checks once, after its last step, that the parameters
-are finite.
+per-class biases).  A local step works on the design matrix [X | 1],
+so that the biases are one more weight column: one matmul gives the
+logits and one the whole gradient.  ``run_hfl`` prepares every client
+once per run: ``prepare_client`` checks its features and labels and
+builds the design, its mean ``design / n``, the float64 (n_classes, n)
+``onehot_targets`` and the step's two scratch buffers, and ``run_hfl``
+makes one working matrix [W | b] and one gradient buffer for all of
+them.  The benchmark counts one ``local_train`` per client per edge
+iteration and tau_c ``softmax_loss_and_grad`` calls in each, through
+this module's globals, so that call structure stays fixed; once per
+call ``local_train`` only unpacks the edge model into the working
+matrix, runs its steps, checks once that the parameters are finite and
+writes them into the member's row of the coalition's stack.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "softmax_loss_and_grad",
     "predict",
     "accuracy",
+    "PreparedClient",
+    "prepare_client",
     "local_train",
     "edge_aggregate",
     "run_hfl",
@@ -71,9 +74,8 @@ def onehot_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
     InvalidValueError, naming the bad value, unless ``n_classes`` is an
     integer >= 1 and ``labels`` is a 1-D integer array with at least one
-    entry, every one in [0, n_classes).  ``local_train`` trusts the
-    values of a matrix of the right shape and dtype; this is where they
-    are checked."""
+    entry, every one in [0, n_classes).  ``prepare_client`` builds a
+    client's targets here, and the learner trusts them from then on."""
     check_integer("n_classes", n_classes, 1)
     if not (
         isinstance(labels, np.ndarray)
@@ -107,8 +109,8 @@ def softmax_loss_and_grad(
     ``weights`` is the working matrix [W | b] (K, d + 1), ``design`` the
     design matrix [X | 1] (n, d + 1), ``targets`` is ``onehot_targets``
     (K, n) and ``mean_design`` is ``design / n``; ``grad`` (K, d + 1),
-    ``logits`` (K, n) and ``column`` (n,) are buffers that
-    ``local_train`` makes once per call, so a step allocates nothing.
+    ``logits`` (K, n) and ``column`` (n,) are buffers made once per run
+    (``prepare_client`` and ``run_hfl``), so a step allocates nothing.
     The logits are class-major, [W | b] [X | 1]^T: the softmax reduces
     over axis 0 and subtracting ``targets`` leaves the logit gradient,
     softmax - onehot.  At a true class that is p - 1.0, elsewhere
@@ -151,32 +153,88 @@ def accuracy(
     return float(np.mean(predict(params, features, n_classes) == labels))
 
 
+@dataclass(frozen=True, slots=True)
+class PreparedClient:
+    """One client's data as the local step reads it, built by ``prepare_client``.
+
+    ``design`` is [X | 1] (n, d + 1) in C order, ``mean_design`` is
+    ``design / n``, ``targets`` is ``onehot_targets`` (K, n); ``logits``
+    (K, n) and ``column`` (n,) are the step's scratch buffers."""
+
+    design: np.ndarray
+    mean_design: np.ndarray
+    targets: np.ndarray
+    logits: np.ndarray
+    column: np.ndarray
+
+
+def prepare_client(
+    features: np.ndarray, labels: np.ndarray, n_classes: int, client: int
+) -> PreparedClient:
+    """Check one client's data and build what its local steps read, once per run.
+
+    InvalidValueError, one line starting ``client <client>:``, unless
+    ``features`` is a 2-D array of finite real numbers, ``labels`` what
+    ``onehot_targets`` accepts and the two hold as many rows as labels.
+    The design is a fresh C-order copy, whatever the layout of
+    ``features``, so the layout moves no bit of a step; neither input is
+    written to."""
+    if not (
+        isinstance(features, np.ndarray)
+        and features.ndim == 2
+        and features.dtype.kind in "fiu"
+    ):
+        got = (
+            f"shape {features.shape} of dtype {features.dtype}"
+            if isinstance(features, np.ndarray)
+            else type(features).__name__
+        )
+        raise InvalidValueError(
+            f"client {client}: features must be a 2-D array of real numbers, got {got}"
+        )
+    try:
+        targets = onehot_targets(labels, n_classes)
+    except InvalidValueError as error:
+        raise InvalidValueError(f"client {client}: {error}") from None
+    n, d = features.shape
+    if n != labels.size:
+        raise InvalidValueError(
+            f"client {client}: features have {n} rows for {labels.size} labels"
+        )
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = np.unravel_index(finite.argmin(), finite.shape)
+        raise InvalidValueError(
+            f"client {client}: features must be finite, got {features[row, col]} at row "
+            f"{row}, column {col}"
+        )
+    design = np.empty((n, d + 1))
+    design[:, :d] = features
+    design[:, d] = 1.0
+    return PreparedClient(design, design / n, targets, np.empty((n_classes, n)), np.empty(n))
+
+
 def local_train(
     params: np.ndarray,
-    features: np.ndarray,
-    targets: np.ndarray,
-    n_classes: int,
+    client: PreparedClient,
     tau_c: int,
     lr: float,
+    work: np.ndarray,
+    grad: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """tau_c full-batch gradient steps at ``targets`` (``onehot_targets``).
+    """tau_c full-batch gradient steps from ``params`` on one prepared client.
 
+    ``work`` and ``grad`` are float64 (K, d + 1) buffers, the working
+    matrix [W | b] and the step's gradient, which ``run_hfl`` makes once
+    per run and shares among its clients.  The flat [W, b] result is
+    written into ``out`` and returned; ``params`` is not written to.
     Raises InvalidValueError, before the first step, unless ``tau_c`` is
-    an integer >= 1, ``features`` has a row, ``targets`` is a float64
-    ndarray of shape (n_classes, n), one column per row of ``features``,
-    so that plain labels and flat indices are refused by their shape or
-    dtype, and ``params`` holds ``param_dim(n_classes, d)`` values for
-    d features.  This check is O(1): the values of a matrix of that
-    shape and dtype are trusted, since ``onehot_targets`` checks the
-    labels it is built from.
+    an integer >= 1 and ``params`` holds ``param_dim(K, d)`` values.
 
-    The design matrix [X | 1], a fresh C-order copy whatever the layout
-    of ``features``, its mean ``design / n``, the working matrix
-    [W | b] and the step's buffers are made once per call and reused by
-    every step; ``work -= grad`` updates in place.  ``lr`` multiplies
-    the gradient, not the design, so the step's result stays the
-    gradient.  The result is packed back into a new flat [W, b] vector;
-    neither ``params`` nor ``features`` is written to.
+    Once per call ``params`` is unpacked into ``work``, and every step
+    updates it in place, ``work -= lr * grad``.  ``lr`` multiplies the
+    gradient, not the design, so the step's result stays the gradient.
 
     Raises TrainingDivergedError (a FloatingPointError) if the
     parameters after the tau_c steps are not finite; the overflows on
@@ -197,24 +255,11 @@ def local_train(
       and the same step leaves a NaN parameter.
     """
     check_integer("tau_c", tau_c, 1)
-    n = len(features)
-    shaped = isinstance(targets, np.ndarray) and targets.shape == (n_classes, n)
-    if n == 0 or not (shaped and targets.dtype == np.float64):
-        raise InvalidValueError(
-            f"targets must be onehot_targets(labels, {n_classes}) for {n} samples, at least "
-            f"one: float64 of shape ({n_classes}, {n})"
-        )
-    d = features.shape[1]
+    design, targets = client.design, client.targets
+    n_classes, d = targets.shape[0], design.shape[1] - 1
     _check_params(params, n_classes, d)
-    design = np.empty((n, d + 1))
-    design[:, :d] = features
-    design[:, d] = 1.0
-    mean_design = design / n
-    work = np.empty((n_classes, d + 1))
+    mean_design, logits, column = client.mean_design, client.logits, client.column
     work[:, :d], work[:, d] = unpack_params(params, n_classes, d)
-    grad = np.empty_like(work)
-    logits = np.empty((n_classes, n))
-    column = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
             softmax_loss_and_grad(work, design, targets, mean_design, grad, logits, column)
@@ -222,7 +267,9 @@ def local_train(
             work -= grad
         if not np.isfinite(work).all():
             raise TrainingDivergedError("training diverged; lower the learning rate")
-    return np.concatenate((work[:, :d].ravel(), work[:, d]))
+    out[: n_classes * d] = work[:, :d].ravel()
+    out[n_classes * d :] = work[:, d]
+    return out
 
 
 def edge_aggregate(member_params: np.ndarray, member_sizes: Sequence[float]) -> np.ndarray:
@@ -321,11 +368,14 @@ def run_hfl(
     """Nested client/edge/global training loop.
 
     ``partition`` takes any form ``netmodel.coalition_assignment``
-    accepts.  Members are visited in ascending id order inside every
-    aggregation so results do not depend on set iteration order, and
-    write their results into one (members, P) buffer per coalition.
+    accepts.  Every client is prepared once (``prepare_client``), and all
+    share one working matrix and one gradient buffer.  Members are
+    visited in ascending id order inside every aggregation so results do
+    not depend on set iteration order, and write their results into one
+    (members, P) buffer per coalition.
     Returns the final global parameters and one held-out accuracy per
-    global round; InvalidValueError if a tau is not an integer >= 1.
+    global round; InvalidValueError if a tau is not an integer >= 1 or a
+    client's data is refused by ``prepare_client``.
     """
     for name, tau in (("tau_c", tau_c), ("tau_e", tau_e), ("tau_g", tau_g)):
         check_integer(name, tau, 1)
@@ -334,10 +384,15 @@ def run_hfl(
     coalitions = [np.flatnonzero(assignment == m) for m in range(coalition_sizes.size)]
     member_sizes = [sizes[members] for members in coalitions]
     edge_sizes = np.bincount(assignment, weights=sizes)
-    features, n_classes = dataset.client_features, dataset.n_classes
-    targets = [onehot_targets(y, n_classes) for y in dataset.client_labels]
+    n_classes = dataset.n_classes
+    clients = [
+        prepare_client(x, y, n_classes, n)
+        for n, (x, y) in enumerate(zip(dataset.client_features, dataset.client_labels))
+    ]
 
     params = init_params(n_classes, dataset.n_features, seed)
+    work = np.empty((n_classes, dataset.n_features + 1))
+    grad = np.empty_like(work)
     buffers = [np.empty((members.size, params.size)) for members in coalitions]
     curve: list[float] = []
     for _ in range(tau_g):
@@ -347,7 +402,7 @@ def run_hfl(
                 edge_params, coalitions, member_sizes, buffers
             ):
                 for row, n in enumerate(members):
-                    stacked[row] = local_train(edge, features[n], targets[n], n_classes, tau_c, lr)
+                    local_train(edge, clients[n], tau_c, lr, work, grad, stacked[row])
                 edge[:] = edge_aggregate(stacked, data_sizes)
         params = edge_aggregate(edge_params, edge_sizes)
         curve.append(accuracy(params, dataset.test_features, dataset.test_labels, n_classes))

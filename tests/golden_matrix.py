@@ -1,7 +1,7 @@
 """The golden-output matrix: a fixed set of CLI runs and the sha256 of every file they write.
 
 ``tests/golden/manifest.json`` records the hashes, the runs that made
-them and the Python, numpy and orjson versions they were made on;
+them and the Python, numpy, orjson and BLAS versions they were made on;
 ``test_golden.py`` reruns the matrix and compares.  A change that is
 meant to move emitted bytes regenerates the manifest with
 
@@ -74,14 +74,27 @@ def run_matrix(root: Path) -> dict[str, str]:
     }
 
 
+def blas_env() -> dict[str, str]:
+    """The name, version and ``openblas configuration`` string of the BLAS
+    numpy was built against, as ``numpy.show_config`` reports them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "blas": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "blas_configuration": blas.get("openblas configuration", "unknown"),
+    }
+
+
 def build_manifest(root: Path) -> dict:
     return {
         "regenerate": REGENERATE,
-        # the versions the hashes depend on besides the code
+        # the versions the hashes depend on besides the code; the learner's
+        # bits also depend on the BLAS gemm kernel
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "orjson": orjson.__version__,
+            **blas_env(),
         },
         "runs": {name: " ".join(argv) for name, argv in RUNS},
         "files": run_matrix(root),

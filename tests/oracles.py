@@ -489,6 +489,66 @@ def local_train_ref(params, features, labels, n_classes, tau_c, lr, step=softmax
     return out
 
 
+def local_train_per_call_ref(params, features, targets, n_classes, tau_c, lr):
+    """``hfl.local_train`` as it was before clients were prepared once per run.
+
+    It steps with ``hfl.softmax_loss_and_grad`` but builds the design
+    [X | 1] (a fresh C-order copy), ``design / n``, the working matrix
+    and every buffer on each call, and returns a new flat [W, b] vector.
+    Raises ``TrainingDivergedError`` where ``local_train`` must.
+    """
+    from leapsim.errors import TrainingDivergedError
+    from leapsim.hfl import softmax_loss_and_grad, unpack_params
+
+    n, d = features.shape
+    design = np.empty((n, d + 1))
+    design[:, :d] = features
+    design[:, d] = 1.0
+    mean_design = design / n
+    work = np.empty((n_classes, d + 1))
+    work[:, :d], work[:, d] = unpack_params(params, n_classes, d)
+    grad = np.empty_like(work)
+    logits = np.empty((n_classes, n))
+    column = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tau_c):
+            softmax_loss_and_grad(work, design, targets, mean_design, grad, logits, column)
+            grad *= lr
+            work -= grad
+        if not np.isfinite(work).all():
+            raise TrainingDivergedError("training diverged; lower the learning rate")
+    return np.concatenate((work[:, :d].ravel(), work[:, d]))
+
+
+def run_hfl_per_call_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
+    """``hfl.run_hfl``'s loop around ``local_train_per_call_ref``: the same
+    aggregation calls in the same order, so its parameters and curve must
+    equal ``run_hfl``'s bit for bit."""
+    from leapsim.hfl import accuracy, edge_aggregate, init_params, onehot_targets
+
+    assignment = np.asarray(assignment)
+    sizes = np.asarray(dataset.client_sizes, dtype=float)
+    coalitions = [np.flatnonzero(assignment == m) for m in range(assignment.max() + 1)]
+    edge_sizes = np.bincount(assignment, weights=sizes)
+    n_classes = dataset.n_classes
+    targets = [onehot_targets(y, n_classes) for y in dataset.client_labels]
+    params = init_params(n_classes, dataset.n_features, seed)
+    curve = []
+    for _ in range(tau_g):
+        edge_params = np.tile(params, (len(coalitions), 1))
+        for _ in range(tau_e):
+            for edge, members in zip(edge_params, coalitions):
+                stacked = np.empty((members.size, params.size))
+                for row, n in enumerate(members):
+                    stacked[row] = local_train_per_call_ref(
+                        edge, dataset.client_features[n], targets[n], n_classes, tau_c, lr
+                    )
+                edge[:] = edge_aggregate(stacked, sizes[members])
+        params = edge_aggregate(edge_params, edge_sizes)
+        curve.append(accuracy(params, dataset.test_features, dataset.test_labels, n_classes))
+    return params, curve
+
+
 def run_hfl_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
     """HierFAVG (Liu et al., arXiv:1905.06641) as three nested plain loops.
 

@@ -15,6 +15,7 @@ from leapsim.hfl import (
     onehot_targets,
     param_dim,
     predict,
+    prepare_client,
     run_hfl,
     softmax_loss_and_grad,
     unpack_params,
@@ -22,7 +23,9 @@ from leapsim.hfl import (
 from leapsim.game import random_partition, run_coalition_formation
 from leapsim.scenario import generate_scenario, label_count_matrix
 from oracles import (
+    local_train_per_call_ref,
     local_train_ref,
+    run_hfl_per_call_ref,
     run_hfl_ref,
     softmax_loss_and_grad_labels_ref,
     softmax_loss_and_grad_ref,
@@ -38,19 +41,30 @@ def toy_dataset(seed=0, n_classes=3, n_features=4, per_class=30, clients=4):
 
 
 def gradient(params, features, labels, k):
-    """``softmax_loss_and_grad``'s gradient at ``params`` and ``labels``, as
-    one flat vector like the parameters (class-by-feature weights, then
-    biases)."""
-    n, d = features.shape
-    design = np.ones((n, d + 1))  # C order, as local_train makes it
-    design[:, :d] = features
+    """``softmax_loss_and_grad``'s gradient at ``params`` and ``labels`` on
+    the prepared client, as one flat vector like the parameters
+    (class-by-feature weights, then biases)."""
+    d = features.shape[1]
+    client = prepare_client(features, labels, k, 0)
     weights = np.concatenate((params[: k * d].reshape(k, d), params[k * d :, None]), axis=1)
     grad = np.empty((k, d + 1))
     softmax_loss_and_grad(
-        weights, design, onehot_targets(labels, k), design / n, grad, np.empty((k, n)),
-        np.empty(n),
+        weights, client.design, client.targets, client.mean_design, grad, client.logits,
+        client.column,
     )
     return np.concatenate((grad[:, :d].ravel(), grad[:, d]))
+
+
+def buffers(params, k, d):
+    """``local_train``'s working matrix, gradient buffer and result row."""
+    work = np.empty((k, d + 1))
+    return work, np.empty_like(work), np.empty_like(params, dtype=float)
+
+
+def train(params, features, labels, k, tau_c, lr):
+    """``local_train`` on a freshly prepared client, with buffers of its own."""
+    client = prepare_client(features, labels, k, 0)
+    return local_train(params, client, tau_c, lr, *buffers(params, k, features.shape[1]))
 
 
 # -- learner ------------------------------------------------------------------
@@ -98,8 +112,7 @@ def test_local_train_zero_lr_is_identity():
     rng = np.random.default_rng(1)
     params = rng.normal(size=param_dim(3, 4))
     ds = toy_dataset()
-    targets = onehot_targets(ds.client_labels[0], 3)
-    out = local_train(params, ds.client_features[0], targets, 3, 5, 0.0)
+    out = train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 0.0)
     assert np.array_equal(out, params)
     assert out is not params  # input untouched
 
@@ -109,9 +122,12 @@ def test_local_train_decreases_loss_for_small_lr():
     params = init_params(3, 4, seed=2)
     features, labels = ds.client_features[0], ds.client_labels[0]
     before, _ = softmax_loss_and_grad_labels_ref(params, features, labels, 3)
-    trained = local_train(params, features, onehot_targets(labels, 3), 3, 5, 0.01)
+    trained = train(params, features, labels, 3, 5, 0.01)
     after, _ = softmax_loss_and_grad_labels_ref(trained, features, labels, 3)
     assert after <= before
+
+
+LAYOUTS = ("c", "fortran", "row_stride", "col_stride", "transposed")
 
 
 def feature_layouts(values):
@@ -139,7 +155,7 @@ def learner_instance(draw):
     d = draw(st.integers(1, 8))
     k = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["c", "fortran", "row_stride", "col_stride", "transposed"]))
+    layout = draw(st.sampled_from(LAYOUTS))
     features = feature_layouts(rng.normal(size=(n, d)))[layout]
     if draw(st.booleans()):
         labels = np.full(n, draw(st.integers(0, k - 1)), dtype=np.int64)
@@ -193,18 +209,16 @@ def test_class_major_step_on_the_smallest_shapes(k):
 def test_local_train_raises_on_divergence():
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
-    targets = onehot_targets(ds.client_labels[0], 3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-        local_train(params, ds.client_features[0], targets, 3, 5, 1e308)
+        train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 1e308)
 
 
 def test_divergence_is_a_typed_error_without_warnings():
     # pytest turns warnings into errors here, so an unmuted overflow would fail
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
-    targets = onehot_targets(ds.client_labels[0], 3)
     with pytest.raises(TrainingDivergedError, match="lower the learning rate") as info:
-        local_train(params, ds.client_features[0], targets, 3, 5, 1e308)
+        train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 1e308)
     assert isinstance(info.value, LeapsimError) and isinstance(info.value, FloatingPointError)
 
 
@@ -251,9 +265,9 @@ def test_local_train_diverges_exactly_when_a_check_after_every_step_does(
         expected = None
     if expected is None:
         with pytest.raises(TrainingDivergedError, match="lower the learning rate"):
-            local_train(params, features, onehot_targets(labels, k), k, tau_c, lr)
+            train(params, features, labels, k, tau_c, lr)
     else:
-        trained = local_train(params, features, onehot_targets(labels, k), k, tau_c, lr)
+        trained = train(params, features, labels, k, tau_c, lr)
         np.testing.assert_allclose(trained, expected, rtol=0, atol=1e-12)
 
 
@@ -264,9 +278,10 @@ def test_local_train_refuses_a_step_count_before_its_first_step(monkeypatch, tau
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
-    features, targets = ds.client_features[0], onehot_targets(ds.client_labels[0], 3)
+    client = prepare_client(ds.client_features[0], ds.client_labels[0], 3, 0)
+    params = init_params(3, 4)
     with pytest.raises(InvalidValueError, match="^tau_c must be"):
-        local_train(init_params(3, 4), features, targets, 3, tau_c, 0.1)
+        local_train(params, client, tau_c, 0.1, *buffers(params, 3, 4))
 
 
 @pytest.mark.parametrize(
@@ -309,7 +324,7 @@ def _flat_indices(targets):
 
 
 @pytest.mark.parametrize("change", [
-    lambda t: t.argmax(axis=0),  # the plain labels, shape (n,)
+    lambda t: t,  # the one-hot matrix itself
     _flat_indices,
     lambda t: t.T,  # (n, K)
     lambda t: np.zeros((4, t.shape[1])),  # K + 1 rows
@@ -318,9 +333,12 @@ def _flat_indices(targets):
     lambda t: t.astype(np.float32),
     lambda t: t.astype(bool),
     lambda t: t.tolist(),
-], ids=["labels", "flat_indices", "transposed", "wrong_k", "short", "int_dtype", "float",
+], ids=["onehot", "flat_indices", "transposed", "wrong_k", "short", "int_dtype", "float",
         "bool", "list"])
 def test_local_train_refuses_targets_before_its_first_step(monkeypatch, change):
+    """``prepare_client`` builds the targets from the labels; the one-hot
+    matrix in any form, handed over in place of the labels, is refused
+    there and names the client."""
     ds = toy_dataset()
     features, targets = ds.client_features[0], onehot_targets(ds.client_labels[0], 3)
 
@@ -328,8 +346,8 @@ def test_local_train_refuses_targets_before_its_first_step(monkeypatch, change):
         raise AssertionError("a gradient step ran on unchecked targets")
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
-    with pytest.raises(InvalidValueError, match=r"^targets must be onehot_targets\(labels, 3\)"):
-        local_train(init_params(3, 4), features, change(targets), 3, 4, 0.1)
+    with pytest.raises(InvalidValueError, match=r"^client 0: labels must (be|lie)"):
+        train(init_params(3, 4), features, change(targets), 3, 4, 0.1)
 
 
 def test_local_train_refuses_zero_samples_before_its_first_step(monkeypatch):
@@ -337,9 +355,10 @@ def test_local_train_refuses_zero_samples_before_its_first_step(monkeypatch):
         raise AssertionError("a gradient step ran without samples")
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
-    features = toy_dataset().client_features[0][:0]
-    with pytest.raises(InvalidValueError, match="for 0 samples, at least one"):
-        local_train(init_params(3, 4), features, np.zeros((3, 0)), 3, 5, 0.8)
+    ds = toy_dataset()
+    features, labels = ds.client_features[0][:0], ds.client_labels[0][:0]
+    with pytest.raises(InvalidValueError, match="^client 0: labels .* at least one entry"):
+        train(init_params(3, 4), features, labels, 3, 5, 0.8)
 
 
 @pytest.mark.parametrize("length", [3 * 4 - 1, 3 * 4, 3 * 4 + 3 + 1], ids=["Kd-1", "Kd", "Kd+K+1"])
@@ -351,10 +370,9 @@ def test_local_train_refuses_params_of_the_wrong_length_before_its_first_step(
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
-    features, targets = ds.client_features[0], onehot_targets(ds.client_labels[0], 3)
     message = rf"^params must hold param_dim\(3, 4\) = 15 values, got {length}$"
     with pytest.raises(InvalidValueError, match=message):
-        local_train(np.zeros(length), features, targets, 3, 5, 0.1)
+        train(np.zeros(length), ds.client_features[0], ds.client_labels[0], 3, 5, 0.1)
 
 
 @pytest.mark.parametrize("length", [5, 3 * 4, 3 * 4 + 3 + 1, 20], ids=["5", "Kd", "Kd+K+1", "20"])
@@ -368,26 +386,121 @@ def test_predict_and_accuracy_refuse_params_of_the_wrong_length(length):
         accuracy(np.zeros(length), ds.test_features, ds.test_labels, 3)
 
 
+def _nan_at(features, row, col):
+    out = features.copy()
+    out[row, col] = math.nan
+    return out
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(5), np.array([0, 1, 2, 0, 1]),
+     r"features must be a 2-D array of real numbers, got shape \(5,\) of dtype float64$"),
+    (np.zeros((5, 1, 2)), np.array([0, 1, 2, 0, 1]), r"features must be a 2-D array .* shape \(5, 1, 2\)"),
+    ([[1.0], [2.0]], np.array([0, 1]), "features must be a 2-D array of real numbers, got list$"),
+    (np.ones((2, 2), dtype=bool), np.array([0, 1]), "features must .* real numbers, got shape .* dtype bool$"),
+    (np.ones((2, 2), dtype=complex), np.array([0, 1]), "features must .* real numbers, .* dtype complex128$"),
+    (_nan_at(np.ones((5, 4)), 3, 1), np.array([0, 1, 2, 0, 1]),
+     "features must be finite, got nan at row 3, column 1$"),
+    (np.full((2, 4), -math.inf), np.array([0, 1]), "features must be finite, got -inf at row 0, column 0$"),
+    (np.ones((4, 4)), np.array([0, 1, 2, 0, 1]), "features have 4 rows for 5 labels$"),
+    (np.ones((6, 4)), np.array([0, 1, 2, 0, 1]), "features have 6 rows for 5 labels$"),
+    (np.ones((5, 4)), np.array([0, 1, 3, 0, 1]), r"labels must lie in \[0, 3\), got 3$"),
+], ids=["1d", "3d", "list", "bool", "complex", "nan", "inf", "fewer_rows", "more_rows",
+        "label_k"])
+def test_prepare_client_refuses_data_it_cannot_train_on_by_client(features, labels, message):
+    """One line naming the client, instead of a bare IndexError (1-D
+    features), a divergence blamed on the learning rate (NaN features)
+    or a word about targets the caller never built (a row count)."""
+    with pytest.raises(InvalidValueError, match="^client 7: " + message) as info:
+        prepare_client(features, labels, 3, 7)
+    assert "\n" not in str(info.value)
+
+
+def test_run_hfl_names_the_client_whose_data_is_refused():
+    ds = toy_dataset()
+    ds.client_features[2] = _nan_at(ds.client_features[2], 0, 0)
+    with pytest.raises(InvalidValueError, match="^client 2: features must be finite"):
+        run_hfl(np.array([0, 0, 1, 1]), ds, tau_c=1, tau_e=1, tau_g=1, lr=0.1)
+
+
+def test_prepare_client_builds_the_design_once_in_c_order():
+    ds = toy_dataset()
+    features, labels = np.asfortranarray(ds.client_features[1]), ds.client_labels[1]
+    kept = features.copy()
+    client = prepare_client(features, labels, 3, 1)
+    n = len(labels)
+    assert client.design.flags.c_contiguous and client.design.shape == (n, 5)
+    assert np.array_equal(client.design, np.column_stack((features, np.ones(n))))
+    assert np.array_equal(client.mean_design, client.design / n)
+    assert np.array_equal(client.targets, onehot_targets(labels, 3))
+    assert client.logits.shape == (3, n) and client.column.shape == (n,)
+    assert np.array_equal(features, kept)
+
+
 @given(learner_instance(), st.integers(1, 4), st.sampled_from([0.0, 0.1, 0.8, 1e3, 1e300]))
 @settings(max_examples=100, deadline=None)
 def test_step_and_local_train_do_not_depend_on_the_feature_layout(instance, tau_c, lr):
-    """The design matrix is a fresh C-order copy, so the layout of the
-    features moves no bit of the step's gradient or of local_train's
-    result (a divergence included), and neither input is written to."""
+    """``prepare_client`` makes the design a fresh C-order copy, so the
+    layout of the features moves no bit of the step's gradient or of
+    local_train's result (a divergence included), and neither input is
+    written to."""
     params, features, labels, k = instance
     values = np.ascontiguousarray(features)
-    targets = onehot_targets(labels, k)
     kept = params.copy()
     grads, trained = [], []
     for layout in feature_layouts(values).values():
         grads.append(gradient(params, layout, labels, k).tobytes())
         try:
-            trained.append(local_train(params, layout, targets, k, tau_c, lr).tobytes())
+            trained.append(train(params, layout, labels, k, tau_c, lr).tobytes())
         except TrainingDivergedError:
             trained.append(None)
         assert np.array_equal(layout, values) and np.array_equal(params, kept)
     assert grads.count(grads[0]) == len(grads)
     assert trained.count(trained[0]) == len(trained)
+
+
+def hfl_train_like(seed):
+    """An hfl_train-shaped instance with tau_e cut to 3: 20 clients of
+    unequal sizes (15-90 samples, Dirichlet(0.5) labels over 10 classes)
+    on 4 edges, 8 features, each client's features in a layout of its
+    own (C, Fortran, row- or column-strided, transposed view)."""
+    rng = np.random.default_rng(seed)
+    counts = [rng.multinomial(rng.integers(15, 91), rng.dirichlet([0.5] * 10)) for _ in range(20)]
+    ds = SyntheticDataset.generate(
+        [c.tolist() for c in counts], n_features=8, seed=seed, class_sep=1.0, noise=1.0,
+        test_per_class=20,
+    )
+    ds.client_features = [
+        feature_layouts(x)[LAYOUTS[int(rng.integers(len(LAYOUTS)))]] for x in ds.client_features
+    ]
+    assignment = rng.permutation(np.arange(20) % 4)
+    return assignment, ds, dict(tau_c=5, tau_e=3, tau_g=2, lr=0.8, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_prepared_run_hfl_equals_the_per_call_build_bit_for_bit(seed):
+    """Preparing each client once per run moves no bit: parameters and
+    curves equal the per-call build's exactly; and on poisoned edge
+    parameters both sides diverge, or neither does and their bits agree."""
+    assignment, ds, periods = hfl_train_like(seed)
+    params, curve = run_hfl(assignment, ds, **periods)
+    params_ref, curve_ref = run_hfl_per_call_ref(assignment, ds, **periods)
+    assert params.tobytes() == params_ref.tobytes() and curve == curve_ref
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20))
+    features, labels = ds.client_features[n], ds.client_labels[n]
+    where = ["none", "weight", "bias", "both"][seed % 4]
+    poisoned = _poisoned(params, 10, where, [math.inf, -math.inf, math.nan][seed % 3])
+    lr = [0.8, 1e3, 1e300][seed // 4 % 3]
+
+    def outcome(run, data):
+        try:
+            return run(poisoned, features, data, 10, 5, lr).tobytes()
+        except TrainingDivergedError:
+            return None
+
+    assert outcome(train, labels) == outcome(local_train_per_call_ref, onehot_targets(labels, 10))
 
 
 # -- aggregation -------------------------------------------------------------------
@@ -502,10 +615,7 @@ def test_run_hfl_single_edge_single_round_equals_plain_fedavg():
     out, curve = run_hfl([{0, 1, 2}], ds, tau_c=4, tau_e=1, tau_g=1, lr=0.05, seed=9)
     start = init_params(ds.n_classes, ds.n_features, 9)
     k = ds.n_classes
-    locals_ = [
-        local_train(start, x, onehot_targets(y, k), k, 4, 0.05)
-        for x, y in zip(ds.client_features, ds.client_labels)
-    ]
+    locals_ = [train(start, x, y, k, 4, 0.05) for x, y in zip(ds.client_features, ds.client_labels)]
     manual = edge_aggregate(locals_, [len(ds.client_labels[n]) for n in range(3)])
     assert np.array_equal(out, manual)
     assert len(curve) == 1
@@ -517,9 +627,7 @@ def test_run_hfl_iid_separable_reaches_ninety_percent():
     ds = toy_dataset(seed=10, clients=4)
     pooled_x = np.concatenate(ds.client_features)
     pooled_y = np.concatenate(ds.client_labels)
-    central = local_train(
-        init_params(3, 4, 0), pooled_x, onehot_targets(pooled_y, 3), 3, 250, 0.1
-    )
+    central = train(init_params(3, 4, 0), pooled_x, pooled_y, 3, 250, 0.1)
     assert accuracy(central, ds.test_features, ds.test_labels, 3) >= 0.9
 
     _, curve = run_hfl([{0, 1}, {2, 3}], ds, tau_c=5, tau_e=1, tau_g=50, lr=0.1, seed=0)
@@ -656,3 +764,16 @@ def test_run_hfl_calls_through_module_bindings(monkeypatch):
     assert all(grad is steps[0] for steps in buffers for grad in steps), (
         "the tau_c steps of one local_train call share one gradient buffer"
     )
+
+
+def test_run_hfl_prepares_each_client_once_per_run(monkeypatch):
+    prepared = []
+
+    def counted_prepare(*args, _real=hfl.prepare_client):
+        prepared.append(args[3])
+        return _real(*args)
+
+    monkeypatch.setattr(hfl, "prepare_client", counted_prepare)
+    ds = toy_dataset(clients=5)
+    run_hfl(np.array([0, 1, 0, 1, 1]), ds, tau_c=3, tau_e=2, tau_g=4, lr=0.1)
+    assert prepared == [0, 1, 2, 3, 4], "one prepare_client per client per run_hfl"
