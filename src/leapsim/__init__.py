@@ -21,7 +21,6 @@ from .errors import (
 )
 from .game import (
     certify_stability,
-    evaluate_switch,
     random_partition,
     run_coalition_formation,
 )

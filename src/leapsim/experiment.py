@@ -209,7 +209,8 @@ def run_experiment(
     """Run the requested methods on one scenario and collect the report.
 
     Each association, and each association's ``plan_full``, is computed
-    at most once however many methods share it.
+    at most once however many methods share it.  ``master_seed``, an
+    integer in [0, 2**64), seeds every stream.
     """
     unknown = [m for m in methods if m not in METHOD_STAGES]
     if unknown:
@@ -221,6 +222,13 @@ def run_experiment(
     n_edges = scenario.num_edges
     if game_max_iters is not None:  # checked even when no requested method runs the game
         check_integer("max_iters", game_max_iters, 1)
+    # the CLI's --seed range, past check_integer's int64 cap
+    integral = isinstance(master_seed, (int, np.integer)) and not isinstance(master_seed, bool)
+    if not (integral and 0 <= master_seed < 2**64):
+        raise InvalidValueError(
+            f"master_seed must be an integer in [0, 2**64), got {master_seed!r}"
+        )
+    master_seed = int(master_seed)
 
     seed_rng = np.random.default_rng(master_seed)
     seeds = {

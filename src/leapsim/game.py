@@ -5,7 +5,12 @@ for another one; a move is accepted only when it strictly lowers the
 average cross-coalition Jensen-Shannon divergence (the coalition-friendly
 preference).  The improvement loop samples clients uniformly at random
 and applies the best admissible switch, so it is a randomized local
-search whose state is the partition itself.
+search whose state is the partition itself.  A client's best switch is
+the target at the first minimum of its row of switch prices, taken only
+when that price is below ``-SWITCH_TOLERANCE``.  Prices equal as floats
+resolve to the lowest coalition index; prices tied in exact arithmetic
+but summed in a different order per target resolve by that rounding,
+reproducibly but not always to the lower index.
 
 The game is an exact potential game.  Its potential is the
 un-normalized pairwise JS sum, ``partition.avg_js() *
@@ -21,20 +26,14 @@ Partitions keep exact integer label counts per coalition plus dense
 caches of the coalition probability rows, their entropy sums and the
 pairwise JS matrix.  Pricing a client's switches only recomputes the
 pairs that touch the source and the target coalition, and
-``switch_deltas`` does that for every target at once with a single call
-of the broadcasting JS kernel; ``certify_stability`` runs the same
-computation over blocks of clients.
+``_price_moves`` does that for every target of a batch of clients with
+a single call of the broadcasting JS kernel; the loop prices its
+lookahead batches with it and ``certify_stability`` blocks of clients.
 
 The improvement loop prices each partition state (an epoch: the span
-between two accepted switches) at most once per client.  It draws
-clients in blocks, holds a few samples ahead and prices every unpriced
-one among them in one batch; the prices are kept until the next
-accepted switch and handed to the stability certificate, which prices
-only the clients left over.  A sample is decided from its memo row by
-``best_switch``'s rule, and a ``SwitchProposal`` is built only for the
-switch that is accepted.  The kernel's rows, grid and row sums of each
-batch are kept too, and an accepted switch that was priced in a batch
-is applied from them without another kernel call.
+between two accepted switches) at most once per client, in lookahead
+batches whose prices and kernel arrays it keeps for the epoch; see
+``run_coalition_formation``.
 
 The potential is bounded below by 0, so a partition whose JS matrix is
 all zeros is a global minimum: every switch price is a sum of clipped,
@@ -65,9 +64,7 @@ __all__ = [
     "GameTrace",
     "Partition",
     "assignment_vector",
-    "switch_deltas",
     "evaluate_switch",
-    "best_switch",
     "run_coalition_formation",
     "default_max_iters",
     "certify_stability",
@@ -109,7 +106,7 @@ class SwitchProposal:
 
     ``delta_js`` is avg JS after the move minus avg JS before, computed
     incrementally over the pairs that touch the source and target
-    coalitions only (see ``switch_deltas``).
+    coalitions only (see ``_price_moves``).
     """
 
     client: int
@@ -189,6 +186,14 @@ def assignment_vector(assignment, bound: int) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+def _check_coalition_count(num_coalitions) -> None:
+    """Raise InvalidPartitionError unless ``num_coalitions`` is an integer in [1, 2**63)."""
+    try:
+        check_integer("num_coalitions", num_coalitions, 1)
+    except InvalidValueError as exc:
+        raise InvalidPartitionError(str(exc)) from None
+
+
 class Partition:
     """Disjoint assignment of clients to M edge coalitions.
 
@@ -199,7 +204,8 @@ class Partition:
     ``plogp`` (M,) of P_k log2 P_k (``dist.xlog2x_sums``: the input
     terms of every JS value against a coalition row) and the pairwise
     JS matrix ``js_matrix`` (M, M).  Label counts must be an integer
-    array of values >= 0; floats and bools are refused, never cast.
+    array of values >= 0 and ``num_coalitions`` an integer >= 1; floats
+    and bools are refused, never cast.
     ``denominator`` fixes the avg-JS normalization for every operation
     on this partition: "M" divides the pairwise JS sum by the number of
     coalitions (the value can exceed 1 for M >= 5), "pairs" by the
@@ -213,6 +219,7 @@ class Partition:
         num_coalitions: int,
         denominator: str = "M",
     ):
+        _check_coalition_count(num_coalitions)
         assignment = assignment_vector(assignment, num_coalitions)
         client_label_counts = _integer_array(
             client_label_counts, "label counts must be an integer array"
@@ -409,33 +416,13 @@ def _price_moves(
     return deltas, rows, grid, row_sums
 
 
-def switch_deltas(partition: Partition, client: int) -> np.ndarray:
-    """Avg-JS change of moving ``client`` to each of the M coalitions.
-
-    Entry t is avg JS after the move to t minus avg JS before; the
-    client's own coalition holds +inf.  All targets are priced with a
-    single kernel call.  Raises InvalidSwitchError when the client is
-    alone in its coalition, since every move would empty it, or when
-    there is no other coalition.
-    """
-    if partition.num_coalitions < 2:
-        raise InvalidSwitchError("there is no other coalition to switch to")
-    if partition.sizes[partition.assignment[client]] == 1:
-        raise InvalidSwitchError("switch would empty the source coalition")
-    return _price_moves(partition, np.array([client]))[0][0]
-
-
 def evaluate_switch(
-    partition: Partition,
-    client: int,
-    target: int,
-    deltas: np.ndarray | None = None,
+    partition: Partition, client: int, target: int, deltas: np.ndarray
 ) -> SwitchProposal:
-    """Price a single-client move without mutating the partition.
+    """The move of ``client`` to ``target`` as a proposal priced ``deltas[target]``.
 
-    The price is entry ``target`` of ``switch_deltas``.  ``deltas``,
-    when given, is that vector for this client and the partition's
-    current state, and saves recomputing it.
+    ``deltas`` is the client's ``_price_moves`` row on the partition's
+    current state.  The partition is not mutated.
     """
     src = int(partition.assignment[client])
     if target == src:
@@ -444,37 +431,7 @@ def evaluate_switch(
         raise InvalidSwitchError("target coalition index out of range")
     if partition.sizes[src] == 1:
         raise InvalidSwitchError("switch would empty the source coalition")
-    if deltas is None:
-        deltas = switch_deltas(partition, client)
-    return SwitchProposal(
-        client=client, source=src, target=target, delta_js=float(deltas[target])
-    )
-
-
-def best_switch(
-    partition: Partition,
-    client: int,
-    deltas: np.ndarray | None = None,
-) -> SwitchProposal | None:
-    """Best admissible move for one client, or None when staying wins.
-
-    All target coalitions are priced; ``deltas``, when given, is the
-    client's ``switch_deltas`` vector on the partition's current state
-    and saves recomputing it.  The target with the smallest delta is
-    returned provided it beats staying by more than SWITCH_TOLERANCE.
-    Deltas that are equal as floats resolve to the lowest coalition
-    index (``argmin`` returns the first minimum).  Deltas that are tied
-    in exact arithmetic but differ in the last bits, because each
-    target's pair changes are summed in a different order, resolve by
-    that rounding: reproducibly, but not always to the lower index.
-    """
-    src = int(partition.assignment[client])
-    if partition.num_coalitions < 2 or partition.sizes[src] == 1:
-        return None
-    if deltas is None:
-        deltas = switch_deltas(partition, client)
-    best = evaluate_switch(partition, client, int(deltas.argmin()), deltas)
-    return best if best.delta_js < -SWITCH_TOLERANCE else None
+    return SwitchProposal(client, src, target, float(deltas[target]))
 
 
 def default_max_iters(n_clients: int) -> int:
@@ -491,14 +448,13 @@ def run_coalition_formation(
 
     Each iteration samples a client uniformly at random and applies its
     best improving switch, if any: the target at the first minimum of
-    its ``switch_deltas`` row, taken when that delta is below
-    ``-SWITCH_TOLERANCE``, which is ``best_switch``'s rule, ties
-    included.  The loop stops once no switch has been accepted for
-    n_clients consecutive samples and an exhaustive deviation check
-    confirms stability (random sampling alone can miss an improving
-    client), or when ``max_iters``, an integer >= 1, is reached.  The returned trace
-    records every sampled iteration, so its avg JS column is
-    non-increasing.
+    its ``_price_moves`` row, taken when that delta is below
+    ``-SWITCH_TOLERANCE``.  The loop stops once no switch has been
+    accepted for n_clients consecutive samples and an exhaustive
+    deviation check confirms stability (random sampling alone can miss
+    an improving client), or when ``max_iters``, an integer >= 1, is
+    reached.  The returned trace records every sampled iteration, so its
+    avg JS column is non-increasing.
 
     ``rng_seed``, None or an integer >= 0, seeds
     ``numpy.random.default_rng``.  Clients are drawn DRAW_BLOCK at a
@@ -514,12 +470,8 @@ def run_coalition_formation(
     from the batch's kernel rows, grid and row sums
     (``Partition.apply``), which are kept as well.
 
-    An epoch whose JS matrix is all zeros is settled: it is a global
-    minimum of the potential, so its sampled clients are recorded as
-    rejections without pricing, and ``certify_stability`` answers it
-    without pricing.  Pricing would reject the same clients: every delta
-    is a sum of non-negative kernel values, and none is below
-    ``-SWITCH_TOLERANCE``.
+    An all-zero JS matrix is a global minimum of the potential: such a
+    settled epoch records its samples as rejections without pricing.
     """
     check_integer("max_iters", max_iters, 1)
     if rng_seed is not None and (
@@ -532,7 +484,7 @@ def run_coalition_formation(
     trace = GameTrace(seed=rng_seed)
 
     n, m = partition.n_clients, partition.num_coalitions
-    # this epoch's switch_deltas rows; NaN rows are not priced yet
+    # this epoch's _price_moves rows; NaN rows are not priced yet
     known = np.full((n, m), np.nan)
     # each batch-priced client's (rows, grid, sums, position) in this
     # epoch's kernel arrays of its batch
@@ -570,7 +522,7 @@ def run_coalition_formation(
                 for position, other in enumerate(batch):
                     slots[other] = (rows, grid, sums, position)
                     priced[other] = True
-            # best_switch's rule: the first minimum, if it beats staying
+            # the first minimum of the row, accepted below -SWITCH_TOLERANCE
             row = known[client]
             best = int(row.argmin())
             if row[best] < -SWITCH_TOLERANCE:
@@ -616,7 +568,7 @@ def certify_stability(partition: Partition, known: np.ndarray | None = None) -> 
     sum of non-negative kernel values.
 
     ``known``, when given, is a float array of shape (n_clients, M)
-    holding the ``switch_deltas`` vector of each client already priced
+    holding the ``_price_moves`` row of each client already priced
     on the partition's current state and NaN in every other row.  An
     improving known row fails the check at once; only the movable
     clients with a NaN row are priced, and their rows are written into
@@ -663,11 +615,10 @@ def random_partition(
 
     One client is dealt to each coalition first (divergences are
     undefined on an empty coalition), the rest are assigned uniformly.
-    ``num_coalitions`` must be at least 1 and at most the client count.
+    ``num_coalitions`` must be an integer from 1 to the client count.
     """
     n = np.asarray(client_label_counts).shape[0]
-    if num_coalitions <= 0:
-        raise InvalidPartitionError(f"num_coalitions must be at least 1, got {num_coalitions}")
+    _check_coalition_count(num_coalitions)
     if n < num_coalitions:
         raise InvalidPartitionError("fewer clients than coalitions")
     assignment = np.empty(n, dtype=np.int64)

@@ -187,8 +187,9 @@ def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndar
 
     ``partition`` is a Partition, a 1-D integer array holding each
     client's coalition index, or a sequence of member collections, one
-    per coalition.  Raises InvalidPartitionError when a client is
-    missing, repeated or out of range, or a coalition is empty.
+    per coalition.  Raises InvalidPartitionError when it is none of these
+    (a list of indices is not), a client is missing, repeated or out of
+    range, or a coalition is empty.
     """
     if isinstance(partition, Partition):
         assignment, sizes = partition.assignment, partition.sizes
@@ -196,7 +197,13 @@ def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndar
         assignment = assignment_vector(partition, n_clients)  # M <= n, or a coalition is empty
         sizes = np.bincount(assignment)
     else:
-        groups = [np.fromiter(members, dtype=np.int64) for members in partition]
+        try:
+            groups = [np.fromiter(members, dtype=np.int64) for members in partition]
+        except TypeError:  # not iterable, or a member that is no collection
+            raise InvalidPartitionError(
+                "a partition must be a Partition, a 1-D integer array of coalition indices or "
+                f"member collections, got {type(partition).__name__} {partition!r:.60}"
+            ) from None
         sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
         members = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
         if members.size and (members.min() < 0 or members.max() >= n_clients):

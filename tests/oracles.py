@@ -378,24 +378,58 @@ def random_partition_ref(client_label_counts, num_coalitions, rng, denominator="
     return Partition(assignment, client_label_counts, num_coalitions, denominator)
 
 
+def switch_deltas_ref(partition, client):
+    """Avg-JS change of moving ``client`` alone to each of the M coalitions.
+
+    Entry t is avg JS after the move to t minus avg JS before; the
+    client's own coalition holds +inf.  The client is priced by a
+    one-client ``leapsim.game._price_moves`` batch.  Raises
+    InvalidSwitchError when there is no other coalition, or when the
+    client is alone in its coalition, since every move would empty it.
+    """
+    from leapsim.game import InvalidSwitchError, _price_moves
+
+    if partition.num_coalitions < 2:
+        raise InvalidSwitchError("there is no other coalition to switch to")
+    if partition.sizes[partition.assignment[client]] == 1:
+        raise InvalidSwitchError("switch would empty the source coalition")
+    return _price_moves(partition, np.array([client]))[0][0]
+
+
+def best_switch_ref(partition, client):
+    """The best switch of ``client`` priced alone, or None when staying wins.
+
+    The target at the first minimum of ``switch_deltas_ref``'s row, as a
+    ``SwitchProposal``, when its price is below ``-SWITCH_TOLERANCE``;
+    None also when the client has nowhere to go.
+    """
+    from leapsim.game import SWITCH_TOLERANCE, evaluate_switch
+
+    src = int(partition.assignment[client])
+    if partition.num_coalitions < 2 or partition.sizes[src] == 1:
+        return None
+    deltas = switch_deltas_ref(partition, client)
+    best = evaluate_switch(partition, client, int(deltas.argmin()), deltas)
+    return best if best.delta_js < -SWITCH_TOLERANCE else None
+
+
 def coalition_formation_ref(initial, max_iters, rng_seed=0):
     """The improvement loop one sample at a time, with nothing reused.
 
-    Each iteration draws one client, prices it alone with ``best_switch``,
-    applies an improving switch and recomputes avg JS; the stability
-    check asks every client for a ``best_switch``, each priced alone by
-    ``switch_deltas``, so it shares neither ``certify_stability`` nor
-    its zero-potential shortcut.  It shares the package's partition
-    primitives, so it pins the batched loop's sampling, reuse of prices,
-    settled epochs and stopping rule to this plain form, decision for
-    decision.  Returns (final assignment, trace entries, iterations
-    used, converged, failed stability checks).
+    Each iteration draws one client, prices it alone with
+    ``best_switch_ref``, applies an improving switch and recomputes avg
+    JS; the stability check asks every client for a ``best_switch_ref``,
+    each priced alone, so it shares neither the loop's memo nor
+    ``certify_stability`` and its zero-potential shortcut.  It shares
+    the package's partition primitives, so it pins the batched loop's
+    sampling, reuse of prices, settled epochs and stopping rule to this
+    plain form, decision for decision.  Returns (final assignment, trace
+    entries, iterations used, converged, failed stability checks).
     """
-    from leapsim.game import best_switch
 
     def stable(partition):
         return all(
-            best_switch(partition, client) is None
+            best_switch_ref(partition, client) is None
             for client in range(partition.n_clients)
         )
 
@@ -408,7 +442,7 @@ def coalition_formation_ref(initial, max_iters, rng_seed=0):
     while iteration < max_iters:
         client = int(rng.integers(n))
         src = int(partition.assignment[client])
-        proposal = best_switch(partition, client)
+        proposal = best_switch_ref(partition, client)
         if proposal is not None:
             partition.apply(proposal)
             quiet = 0

@@ -14,6 +14,7 @@ import pytest
 
 import leapsim as L
 from leapsim.cli import main as cli_main
+from leapsim.game import evaluate_switch
 from leapsim.hfl import (
     SyntheticDataset,
     edge_aggregate,
@@ -35,6 +36,7 @@ from oracles import (
     random_counts,
     softmax_loss_and_grad_labels_ref,
     surrogate_objective_ref,
+    switch_deltas_ref,
 )
 
 
@@ -64,7 +66,7 @@ def test_c1_exact_potential_property():
         if partition.sizes[source] == 1:
             continue
         target = int(rng.choice([k for k in range(m) if k != source]))
-        proposal = L.evaluate_switch(partition, client, target)
+        proposal = evaluate_switch(partition, client, target, switch_deltas_ref(partition, client))
 
         moved = partition.assignment.copy()
         moved[client] = target

@@ -53,6 +53,24 @@ def test_game_budget_is_checked_when_no_method_plays_the_game(scenario, max_iter
         run_experiment(scenario, methods=["random_assoc"], game_max_iters=max_iters)
 
 
+@pytest.mark.parametrize("seed", [True, -1, 1.5, 2**64, np.float64(3), "7", None])
+def test_master_seed_outside_the_cli_seed_range_is_refused(scenario, seed):
+    # True was recorded in report.json as true; -1, 1.5 and None ended in numpy's errors
+    words = f"master_seed must be an integer in [0, 2**64), got {seed!r}"
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        run_experiment(scenario, methods=["random_assoc"], master_seed=seed)
+
+
+def test_master_seed_takes_the_whole_cli_seed_range(scenario):
+    # past check_integer's int64 cap, and numpy integers recorded as plain ints
+    for seed in (2**64 - 1, np.uint64(2**64 - 1), np.int32(5)):
+        rep = run_experiment(scenario, methods=["random_assoc"], master_seed=seed)
+        assert type(rep.master_seed) is int and rep.master_seed == seed
+    numpy_seed = run_experiment(scenario, methods=["random_assoc"], master_seed=np.int32(5))
+    plain_seed = run_experiment(scenario, methods=["random_assoc"], master_seed=5)
+    assert numpy_seed.to_dict() == plain_seed.to_dict()
+
+
 def test_leap_never_worse_than_random_association(scenario):
     # the improvement loop only ever accepts strictly improving switches
     for seed in range(5):

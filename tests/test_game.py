@@ -13,23 +13,23 @@ from leapsim.game import (
     Partition,
     SwitchProposal,
     _price_moves,
-    best_switch,
     certify_stability,
     evaluate_switch,
     random_partition,
     run_coalition_formation,
-    switch_deltas,
 )
 
 from leapsim.experiment import write_game_trace
 
 from oracles import (
+    best_switch_ref,
     coalition_formation_ref,
     partition_avg_js_ref,
     potential_ref,
     random_counts,
     random_partition_ref,
     stable_ref,
+    switch_deltas_ref,
 )
 
 ONE_HOT_4 = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)
@@ -37,6 +37,11 @@ ONE_HOT_4 = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)
 
 def make_partition(assignment, counts, m, denominator="M"):
     return Partition(np.asarray(assignment), np.asarray(counts), m, denominator)
+
+
+def priced_switch(part, client, target):
+    """``evaluate_switch`` of the move, priced by the client's reference row."""
+    return evaluate_switch(part, client, target, switch_deltas_ref(part, client))
 
 
 def accepted(trace):
@@ -142,6 +147,27 @@ def test_random_partition_rejects_fewer_than_one_coalition(num_coalitions):
         random_partition(ONE_HOT_4, num_coalitions, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("num_coalitions, words", [
+    # 2.0 and np.float64(2) ended in a bare TypeError, True in "an integer is
+    # required" and 10**30 in an OverflowError
+    (0, "num_coalitions must be at least 1, got 0"),
+    (-1, "num_coalitions must be at least 1, got -1"),
+    (2.0, "num_coalitions must be an integer, got 2.0"),
+    (np.float64(2), "num_coalitions must be an integer, got np.float64(2.0)"),
+    (True, "num_coalitions must be an integer, got True"),
+    ("2", "num_coalitions must be an integer, got '2'"),
+    (10**30, "num_coalitions is an integer too large for an int64"),
+])
+def test_partition_and_random_partition_check_the_coalition_count(num_coalitions, words):
+    pattern = "^" + re.escape(words)
+    for assignment in ([0, 1, 0, 1], [0, 0, 0, 0]):
+        with pytest.raises(InvalidPartitionError, match=pattern):
+            make_partition(assignment, ONE_HOT_4, num_coalitions)
+    with pytest.raises(InvalidPartitionError, match=pattern):
+        random_partition(ONE_HOT_4, num_coalitions, np.random.default_rng(0))
+    assert make_partition([0, 1, 0, 1], ONE_HOT_4, np.int64(2)).num_coalitions == 2
+
+
 def test_partition_caches_match_fresh_computation():
     rng = np.random.default_rng(0)
     counts = random_counts(rng, 8, 4)
@@ -157,15 +183,15 @@ def test_one_coalition_has_zero_avg_js_and_is_stable(denominator):
     part = make_partition([0, 0], [[1, 0], [0, 1]], 1, denominator)
     assert part.avg_js() == 0.0
     assert certify_stability(part)
-    assert best_switch(part, 0) is None
+    assert best_switch_ref(part, 0) is None
     with pytest.raises(InvalidSwitchError):
-        switch_deltas(part, 0)
+        switch_deltas_ref(part, 0)
 
 
 def test_partition_copy_is_independent():
     part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
     clone = part.copy()
-    prop = evaluate_switch(clone, 0, 1)
+    prop = priced_switch(clone, 0, 1)
     clone.apply(prop)
     assert part.assignment.tolist() == [0, 0, 1, 1]
     part.validate()
@@ -196,7 +222,7 @@ def test_apply_updates_caches_incrementally():
         if part.sizes[src] == 1:
             continue
         target = (src + 1) % 3
-        part.apply(evaluate_switch(part, client, target))
+        part.apply(priced_switch(part, client, target))
         part.validate()  # cached distributions and JS matrix vs rebuild
         assert part.plogp.tobytes() == xlog2x_sums(part.probs).tobytes()
 
@@ -206,7 +232,7 @@ def test_validate_catches_a_stale_entropy_cache():
     part = random_partition(random_counts(rng, 9, 4), 3, rng)
     before = part.plogp.copy()
     client = int(np.flatnonzero(part.sizes[part.assignment] > 1)[0])
-    part.apply(evaluate_switch(part, client, (int(part.assignment[client]) + 1) % 3))
+    part.apply(priced_switch(part, client, (int(part.assignment[client]) + 1) % 3))
     part.validate()
     assert not np.array_equal(part.plogp, before)
     for stale in (before, part.plogp + 1e-9, np.where(np.arange(3) == 1, np.nan, part.plogp)):
@@ -230,7 +256,7 @@ def test_switch_into_opposite_coalition_improves():
     # two same-label clients together, loner apart: moving one of them
     # over equalizes both coalitions
     part = make_partition([0, 0, 1], np.array([[1, 0], [1, 0], [0, 1]]), 2)
-    prop = evaluate_switch(part, 0, 1)
+    prop = priced_switch(part, 0, 1)
     assert prop.delta_js < 0
 
 
@@ -238,7 +264,7 @@ def test_switch_indifferent_client_changes_nothing():
     # client matches both coalition distributions exactly
     counts = np.array([[1, 1], [1, 1], [1, 1], [1, 1]])
     part = make_partition([0, 0, 1, 1], counts, 2)
-    prop = evaluate_switch(part, 0, 1)
+    prop = priced_switch(part, 0, 1)
     assert prop.delta_js == pytest.approx(0.0, abs=1e-12)
 
 
@@ -246,20 +272,20 @@ def test_switch_between_identical_balanced_coalitions_does_not_improve():
     part = make_partition([0, 1, 0, 1], ONE_HOT_4, 2)  # both coalitions {e0, e1}
     for client in range(4):
         src = int(part.assignment[client])
-        prop = evaluate_switch(part, client, 1 - src)
+        prop = priced_switch(part, client, 1 - src)
         assert prop.delta_js >= -1e-15
 
 
 def test_switch_same_target_rejected():
     part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
     with pytest.raises(InvalidSwitchError):
-        evaluate_switch(part, 0, 0)
+        evaluate_switch(part, 0, 0, switch_deltas_ref(part, 0))
 
 
 def test_switch_emptying_source_rejected():
     part = make_partition([0, 1, 1, 1], ONE_HOT_4, 2)
-    with pytest.raises(InvalidSwitchError):
-        evaluate_switch(part, 0, 1)
+    with pytest.raises(InvalidSwitchError):  # refused before the row is read
+        evaluate_switch(part, 0, 1, np.zeros(2))
 
 
 def test_incremental_delta_matches_full_recompute():
@@ -274,7 +300,7 @@ def test_incremental_delta_matches_full_recompute():
         if part.sizes[src] == 1:
             continue
         target = int(rng.choice([k for k in range(m) if k != src]))
-        prop = evaluate_switch(part, client, target)
+        prop = priced_switch(part, client, target)
         before = partition_avg_js_ref(part.assignment, counts, m)
         after_assignment = part.assignment.copy()
         after_assignment[client] = target
@@ -302,9 +328,9 @@ def test_switch_deltas_match_full_recompute_for_every_target():
             src = int(part.assignment[client])
             if part.sizes[src] == 1:
                 with pytest.raises(InvalidSwitchError):
-                    switch_deltas(part, client)
+                    switch_deltas_ref(part, client)
                 continue
-            deltas = switch_deltas(part, client)
+            deltas = switch_deltas_ref(part, client)
             assert deltas.shape == (m,) and deltas[src] == np.inf
             for target in range(m):
                 if target == src:
@@ -313,28 +339,28 @@ def test_switch_deltas_match_full_recompute_for_every_target():
                 moved[client] = target
                 after = partition_avg_js_ref(moved, counts, m, part.denominator)
                 assert deltas[target] == pytest.approx(after - before, abs=1e-12)
-                assert evaluate_switch(part, client, target).delta_js == deltas[target]
+                assert evaluate_switch(part, client, target, deltas).delta_js == deltas[target]
                 checked += 1
     assert checked > 500
 
 
-# -- best_switch ----------------------------------------------------------------
+# -- best_switch_ref ------------------------------------------------------------
 
 def test_best_switch_blocked_for_singleton():
     part = make_partition([0, 1, 1, 1], ONE_HOT_4, 2)
-    assert best_switch(part, 0) is None
+    assert best_switch_ref(part, 0) is None
 
 
 def test_best_switch_finds_unique_improvement():
     part = make_partition([0, 0, 1], np.array([[1, 0], [1, 0], [0, 1]]), 2)
-    prop = best_switch(part, 0)
+    prop = best_switch_ref(part, 0)
     assert prop is not None and prop.target == 1
 
 
 def test_best_switch_none_when_all_moves_worse():
     part = make_partition([0, 1, 0, 1], ONE_HOT_4, 2)
     for client in range(4):
-        assert best_switch(part, client) is None
+        assert best_switch_ref(part, client) is None
 
 
 def test_best_switch_exhaustive_oracle():
@@ -347,15 +373,15 @@ def test_best_switch_exhaustive_oracle():
         client = int(rng.integers(n))
         src = int(part.assignment[client])
         if part.sizes[src] == 1:
-            assert best_switch(part, client) is None
+            assert best_switch_ref(part, client) is None
             continue
         deltas = {
-            t: evaluate_switch(part, client, t).delta_js
+            t: priced_switch(part, client, t).delta_js
             for t in range(m)
             if t != src
         }
         expected_target = min(deltas, key=lambda t: (deltas[t], t))
-        got = best_switch(part, client)
+        got = best_switch_ref(part, client)
         if deltas[expected_target] < -1e-10:
             assert got is not None and got.target == expected_target
         else:
@@ -367,10 +393,10 @@ def test_best_switch_tie_breaks_to_lowest_index():
     # client of coalition 0 into either is an exactly tied improvement
     counts = np.array([[1, 1], [3, 1], [2, 0], [0, 2], [2, 0], [0, 2]])
     part = make_partition([0, 0, 1, 1, 2, 2], counts, 3)
-    deltas = [evaluate_switch(part, 1, t).delta_js for t in (1, 2)]
+    deltas = [priced_switch(part, 1, t).delta_js for t in (1, 2)]
     assert deltas[0] == deltas[1]
     assert deltas[0] < -1e-10
-    prop = best_switch(part, 1)
+    prop = best_switch_ref(part, 1)
     assert prop is not None and prop.target == 1
 
 
@@ -488,7 +514,7 @@ def test_exact_potential_on_random_switches():
         if part.sizes[src] == 1:
             continue
         target = int(rng.choice([k for k in range(m) if k != src]))
-        prop = evaluate_switch(part, client, target)
+        prop = priced_switch(part, client, target)
         post = part.copy()
         post.apply(prop)
         before = potential_ref(part.assignment, counts, m)
@@ -505,7 +531,7 @@ def test_accepted_switch_strictly_decreases_potential():
     part = random_partition(counts, 3, rng)
     improving = 0
     for client in range(10):
-        prop = best_switch(part, client)
+        prop = best_switch_ref(part, client)
         if prop is None:
             continue
         post = part.copy()
@@ -602,7 +628,7 @@ def test_certify_spans_several_default_blocks():
 
     # moving the last client off balance makes moving it back improving
     last = n - 1
-    part.apply(evaluate_switch(part, last, (int(assignment[last]) + 1) % m))
+    part.apply(priced_switch(part, last, (int(assignment[last]) + 1) % m))
     assert not certify_stability(part)
     assert not stable_ref(part.assignment, counts, m)
 
@@ -628,7 +654,7 @@ def test_batch_rows_equal_single_client_pricing_bit_for_bit():
     shapes = set()
     for part in _pricing_cases(rng):
         movable = _movable(part)
-        single = {int(c): switch_deltas(part, int(c)) for c in movable}
+        single = {int(c): switch_deltas_ref(part, int(c)) for c in movable}
         for size in range(1, movable.size + 1):
             # unsorted, non-consecutive ids; every other size as a strided view
             ids = rng.permutation(movable)[:size]
@@ -789,7 +815,7 @@ def _tied_accepts(initial, entries):
     tied = 0
     for _, client, _, target, _ in entries:
         if target is not None:
-            deltas = switch_deltas(part, client)
+            deltas = switch_deltas_ref(part, client)
             tied += int(np.count_nonzero(deltas == deltas.min()) > 1)
             part.apply(evaluate_switch(part, client, target, deltas))
     return tied
@@ -798,7 +824,7 @@ def _tied_accepts(initial, entries):
 def test_loop_breaks_exact_ties_like_the_reference():
     """A delta tied exactly between targets goes to the first minimum.
 
-    The loop decides from its memo row; ``best_switch``, which the
+    The loop decides from its memo row; ``best_switch_ref``, which the
     reference calls, takes ``argmin`` of the same row.  Mirrored
     coalitions make many accepted switches tie exactly, so a loop that
     took another tied target would leave the reference's trace.
@@ -966,8 +992,8 @@ def test_priced_apply_equals_recomputing_apply_bit_for_bit():
                                               part.assignment[client])))
             # the client's slice of a batch of every movable client, in random order
             priced = _priced(part, rng.permutation(movable))[client]
-            part.apply(evaluate_switch(part, client, target), priced)
-            unpriced.apply(evaluate_switch(unpriced, client, target))
+            part.apply(priced_switch(part, client, target), priced)
+            unpriced.apply(priced_switch(unpriced, client, target))
             fresh = _rebuilt(part)
             for name in STATE:
                 assert np.array_equal(getattr(part, name), getattr(fresh, name)), name
@@ -992,7 +1018,7 @@ def test_priced_apply_rejects_inadmissible_or_misshapen_input_untouched():
             part.apply(proposal, priced.get(proposal.client, priced[0]))
         assert _state(part) == before
     rows, grid, sums = priced[0]
-    good = evaluate_switch(part, 0, 1)
+    good = priced_switch(part, 0, 1)
     for bad in (
         (rows[:-1], grid, sums), (rows, grid[:, :-1], sums), (rows[..., None], grid, sums),
         (rows, grid.T[0], sums), (rows, grid, sums[:-1]), (rows, grid, sums[:, None]),

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import leapsim.hfl as hfl
-from leapsim.errors import InvalidValueError, LeapsimError, TrainingDivergedError
+from leapsim.errors import (
+    InvalidPartitionError,
+    InvalidValueError,
+    LeapsimError,
+    TrainingDivergedError,
+)
 from leapsim.hfl import (
     SyntheticDataset,
     accuracy,
@@ -21,6 +26,7 @@ from leapsim.hfl import (
     unpack_params,
 )
 from leapsim.game import random_partition, run_coalition_formation
+from leapsim.netmodel import coalition_assignment
 from leapsim.scenario import generate_scenario, label_count_matrix
 from oracles import (
     local_train_per_call_ref,
@@ -421,6 +427,19 @@ def test_run_hfl_names_the_client_whose_data_is_refused():
     ds.client_features[2] = _nan_at(ds.client_features[2], 0, 0)
     with pytest.raises(InvalidValueError, match="^client 2: features must be finite"):
         run_hfl(np.array([0, 0, 1, 1]), ds, tau_c=1, tau_e=1, tau_g=1, lr=0.1)
+
+
+@pytest.mark.parametrize("form", [[0, 0, 1, 1], (0, 0, 1, 1)], ids=["list", "tuple"])
+def test_a_plain_sequence_of_coalition_indices_is_refused_with_the_accepted_forms(form):
+    """A list or tuple of indices is neither an index array nor member
+    collections; it used to end in a bare TypeError."""
+    words = "a partition must be a Partition, a 1-D integer array of coalition indices or " \
+        "member collections, got "
+    with pytest.raises(InvalidPartitionError, match=words):
+        coalition_assignment(form, 4)
+    with pytest.raises(InvalidPartitionError, match=words):
+        run_hfl(form, toy_dataset(), tau_c=1, tau_e=1, tau_g=1, lr=0.1)
+    assert coalition_assignment(np.array(form), 4)[0].tolist() == [0, 0, 1, 1]
 
 
 def test_prepare_client_builds_the_design_once_in_c_order():
