@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 __all__ = [
     "LeapsimError",
     "InputFileError",
@@ -18,6 +20,8 @@ __all__ = [
     "TrainingDivergedError",
     "check_integer",
     "check_number",
+    "check_seed",
+    "integer_array",
 ]
 
 
@@ -70,3 +74,37 @@ def check_number(name: str, value) -> None:
         raise InvalidValueError(f"{name} must be finite, got {value!r}")
     if isinstance(value, numbers.Integral) and not -(2**63) <= value < 2**63:
         raise InvalidValueError(f"{name} is an integer too large for an int64, got {value}")
+
+
+def check_seed(name: str, value) -> int:
+    """``value`` as a plain int; InvalidValueError unless it is an integer in
+    [0, 2**64), the seeds numpy's generators and the JSON writer take.
+
+    Python and numpy integers pass; bools, floats and strings are
+    refused rather than cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not (
+        0 <= value < 2**64
+    ):
+        raise InvalidValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
+def integer_array(
+    value, requirement: str, error: type[LeapsimError] = InvalidValueError
+) -> np.ndarray:
+    """``value`` as an ndarray of an integer dtype, never cast.
+
+    Raises ``error``, "<requirement>, got ...", for any other dtype, for
+    a ragged nesting of lists and for a list that holds a bool, which
+    numpy would read as an integer (``[0, True]`` is int64).  An ndarray
+    is taken as it is, with no scan of its entries."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting of lists
+        raise error(f"{requirement} ({exc})") from None
+    if array.dtype.kind not in "iu":
+        raise error(f"{requirement}, got {array.dtype} of shape {array.shape}")
+    entry_types = () if array is value else set(map(type, np.asarray(value, dtype=object).flat))
+    if any(issubclass(entry_type, (bool, np.bool_)) for entry_type in entry_types):
+        raise error(f"{requirement}, got a bool entry")
+    return array

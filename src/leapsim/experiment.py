@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alloc import GPConfig, GPTrace, NonFiniteInputError, build_plan, deadline_powers, plan_full
-from .errors import InvalidValueError, check_integer, check_number
+from .errors import InvalidValueError, check_integer, check_number, check_seed
 from .files import fields_dict, write_csv, write_json
 from .game import (
     GameTrace,
@@ -186,7 +186,7 @@ def train_curves(
     """Test accuracy per global round of one HFL run on each partition, all
     on one synthetic dataset drawn from ``data_seed`` and the scenario's labels."""
     dataset = SyntheticDataset.generate(
-        label_counts=label_count_matrix(scenario).tolist(),
+        label_counts=label_count_matrix(scenario),
         n_features=opts.n_features,
         seed=data_seed,
         class_sep=opts.class_sep,
@@ -222,13 +222,7 @@ def run_experiment(
     n_edges = scenario.num_edges
     if game_max_iters is not None:  # checked even when no requested method runs the game
         check_integer("max_iters", game_max_iters, 1)
-    # the CLI's --seed range, past check_integer's int64 cap
-    integral = isinstance(master_seed, (int, np.integer)) and not isinstance(master_seed, bool)
-    if not (integral and 0 <= master_seed < 2**64):
-        raise InvalidValueError(
-            f"master_seed must be an integer in [0, 2**64), got {master_seed!r}"
-        )
-    master_seed = int(master_seed)
+    master_seed = check_seed("master_seed", master_seed)  # the CLI's --seed range
 
     seed_rng = np.random.default_rng(master_seed)
     seeds = {

@@ -54,7 +54,13 @@ from .dist import EmptyDistributionError, js_rows, xlog2x_sums
 # the game no longer calls the scalar JS; the name stays bound here
 # because perfbench's tracer wraps leapsim.game.js_divergence
 from .dist import js_divergence  # noqa: F401
-from .errors import InvalidPartitionError, InvalidValueError, LeapsimError, check_integer
+from .errors import (
+    InvalidPartitionError,
+    InvalidValueError,
+    LeapsimError,
+    check_integer,
+    integer_array,
+)
 
 __all__ = [
     "SWITCH_TOLERANCE",
@@ -151,25 +157,6 @@ def _strict_upper(m: int) -> np.ndarray:
     return mask
 
 
-def _integer_array(value, requirement: str) -> np.ndarray:
-    """``value`` as an ndarray of an integer dtype, never cast.
-
-    Raises InvalidPartitionError, "<requirement>, got ...", for any
-    other dtype, for a ragged nesting of lists and for a list that holds
-    a bool, which numpy would read as an integer (``[0, True]`` is
-    int64)."""
-    try:
-        array = np.asarray(value)
-    except ValueError as exc:  # a ragged nesting of lists
-        raise InvalidPartitionError(f"{requirement} ({exc})") from None
-    if array.dtype.kind not in "iu":
-        raise InvalidPartitionError(f"{requirement}, got {array.dtype} of shape {array.shape}")
-    entry_types = () if array is value else set(map(type, np.asarray(value, dtype=object).flat))
-    if any(issubclass(entry_type, (bool, np.bool_)) for entry_type in entry_types):
-        raise InvalidPartitionError(f"{requirement}, got a bool entry")
-    return array
-
-
 def assignment_vector(assignment, bound: int) -> np.ndarray:
     """``assignment`` as a 1-D int64 array of coalition indices in [0, ``bound``).
 
@@ -178,7 +165,7 @@ def assignment_vector(assignment, bound: int) -> np.ndarray:
     refused rather than cast, or when an index lies outside the range.
     """
     requirement = "an assignment must be a 1-D integer array"
-    array = _integer_array(assignment, requirement)
+    array = integer_array(assignment, requirement, InvalidPartitionError)
     if array.ndim != 1:
         raise InvalidPartitionError(f"{requirement}, got {array.dtype} of shape {array.shape}")
     if array.size and (array.min() < 0 or array.max() >= bound):
@@ -221,8 +208,8 @@ class Partition:
     ):
         _check_coalition_count(num_coalitions)
         assignment = assignment_vector(assignment, num_coalitions)
-        client_label_counts = _integer_array(
-            client_label_counts, "label counts must be an integer array"
+        client_label_counts = integer_array(
+            client_label_counts, "label counts must be an integer array", InvalidPartitionError
         ).astype(np.int64, copy=False)
         if client_label_counts.ndim != 2 or client_label_counts.shape[0] != assignment.shape[0]:
             raise InvalidPartitionError("label counts must be (n_clients, n_classes)")

@@ -9,20 +9,20 @@ parameters by data size.  Global aggregation averages the edge models,
 again by data size, and the held-out accuracy is recorded once per
 global round.
 
-Parameters travel as one flat vector (class-by-feature weights, then
-per-class biases).  A local step works on the design matrix [X | 1],
-so that the biases are one more weight column: one matmul gives the
-logits and one the whole gradient.  ``run_hfl`` prepares every client
-once per run: ``prepare_client`` checks its features and labels and
-builds the design, its mean ``design / n``, the float64 (n_classes, n)
-``onehot_targets`` and the step's two scratch buffers, and ``run_hfl``
-makes one working matrix [W | b] and one gradient buffer for all of
-them.  The benchmark counts one ``local_train`` per client per edge
-iteration and tau_c ``softmax_loss_and_grad`` calls in each, through
-this module's globals, so that call structure stays fixed; once per
-call ``local_train`` only unpacks the edge model into the working
-matrix, runs its steps, checks once that the parameters are finite and
-writes them into the member's row of the coalition's stack.
+A model is one (n_classes, n_features + 1) matrix [W | b], the
+class-by-feature weights with the per-class biases as one more column,
+and a local step works on the design matrix [X | 1], so that one matmul
+gives the logits and one the whole gradient.  ``run_hfl`` prepares
+every client once per run: ``prepare_client`` checks its features and
+labels and builds the design, its mean ``design / n``, the float64
+(n_classes, n) ``onehot_targets`` and the step's two scratch buffers,
+and ``run_hfl`` makes one gradient buffer for all of them.  The
+benchmark counts one ``local_train`` per client per edge iteration and
+tau_c ``softmax_loss_and_grad`` calls in each, through this module's
+globals, so that call structure stays fixed; once per call
+``local_train`` copies the edge model into the member's row of the
+coalition's (members, K, d + 1) stack, runs its steps there and checks
+once that the result is finite.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidValueError, TrainingDivergedError, check_integer
+from .errors import InvalidValueError, TrainingDivergedError
+from .errors import check_integer, check_seed, integer_array
 from .netmodel import coalition_assignment
 
 __all__ = [
-    "param_dim",
     "init_params",
-    "unpack_params",
     "onehot_targets",
     "softmax_loss_and_grad",
     "predict",
@@ -53,20 +52,13 @@ __all__ = [
 ]
 
 
-def param_dim(n_classes: int, n_features: int) -> int:
-    return n_classes * n_features + n_classes
-
-
-def init_params(n_classes: int, n_features: int, seed: int | None = 0) -> np.ndarray:
-    """Small Gaussian initialization, reproducible per seed."""
-    rng = np.random.default_rng(seed)
-    return 0.01 * rng.standard_normal(param_dim(n_classes, n_features))
-
-
-def unpack_params(params: np.ndarray, n_classes: int, n_features: int):
-    weights = params[: n_classes * n_features].reshape(n_classes, n_features)
-    biases = params[n_classes * n_features :]
-    return weights, biases
+def init_params(n_classes: int, n_features: int, seed: int = 0) -> np.ndarray:
+    """The model [W | b] (n_classes, n_features + 1), a small Gaussian draw
+    reproducible per ``seed``, an integer in [0, 2**64) (InvalidValueError
+    otherwise): the first K·d draws fill W row by row, the last K fill b."""
+    kd = n_classes * n_features
+    draws = 0.01 * np.random.default_rng(check_seed("seed", seed)).standard_normal(kd + n_classes)
+    return np.column_stack((draws[:kd].reshape(n_classes, n_features), draws[kd:]))
 
 
 def onehot_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -106,7 +98,7 @@ def softmax_loss_and_grad(
 ) -> None:
     """Write the mean cross-entropy's gradient, as a (K, d + 1) matrix, into ``grad``.
 
-    ``weights`` is the working matrix [W | b] (K, d + 1), ``design`` the
+    ``weights`` is the model [W | b] (K, d + 1), ``design`` the
     design matrix [X | 1] (n, d + 1), ``targets`` is ``onehot_targets``
     (K, n) and ``mean_design`` is ``design / n``; ``grad`` (K, d + 1),
     ``logits`` (K, n) and ``column`` (n,) are buffers made once per run
@@ -129,28 +121,27 @@ def softmax_loss_and_grad(
     np.dot(logits, mean_design, out=grad)
 
 
-def _check_params(params: np.ndarray, n_classes: int, n_features: int) -> None:
-    """InvalidValueError unless ``params`` holds ``param_dim(n_classes, n_features)`` values."""
-    expected = param_dim(n_classes, n_features)
-    if len(params) != expected:
+def _check_model(model: np.ndarray, n_classes: int, n_features: int) -> None:
+    """InvalidValueError unless ``model`` is a (n_classes, n_features + 1) matrix."""
+    shape = (n_classes, n_features + 1)
+    if np.shape(model) != shape:
         raise InvalidValueError(
-            f"params must hold param_dim({n_classes}, {n_features}) = {expected} "
-            f"values, got {len(params)}"
+            f"model must be a {shape} matrix [W | b], got shape {np.shape(model)}"
         )
 
 
-def predict(params: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
+def predict(model: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
     """The most likely class of every row of ``features``; InvalidValueError
-    unless ``params`` holds ``param_dim(n_classes, d)`` values."""
-    _check_params(params, n_classes, features.shape[1])
-    weights, biases = unpack_params(params, n_classes, features.shape[1])
-    return np.argmax(features @ weights.T + biases, axis=1)
+    unless ``model`` is a (n_classes, d + 1) matrix [W | b]."""
+    d = features.shape[1]
+    _check_model(model, n_classes, d)
+    return np.argmax(features @ model[:, :d].T + model[:, d], axis=1)
 
 
 def accuracy(
-    params: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int
+    model: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> float:
-    return float(np.mean(predict(params, features, n_classes) == labels))
+    return float(np.mean(predict(model, features, n_classes) == labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,26 +206,24 @@ def prepare_client(
 
 
 def local_train(
-    params: np.ndarray,
+    model: np.ndarray,
     client: PreparedClient,
     tau_c: int,
     lr: float,
-    work: np.ndarray,
     grad: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """tau_c full-batch gradient steps from ``params`` on one prepared client.
+    """tau_c full-batch gradient steps from ``model`` on one prepared client.
 
-    ``work`` and ``grad`` are float64 (K, d + 1) buffers, the working
-    matrix [W | b] and the step's gradient, which ``run_hfl`` makes once
-    per run and shares among its clients.  The flat [W, b] result is
-    written into ``out`` and returned; ``params`` is not written to.
-    Raises InvalidValueError, before the first step, unless ``tau_c`` is
-    an integer >= 1 and ``params`` holds ``param_dim(K, d)`` values.
-
-    Once per call ``params`` is unpacked into ``work``, and every step
-    updates it in place, ``work -= lr * grad``.  ``lr`` multiplies the
-    gradient, not the design, so the step's result stays the gradient.
+    ``model`` is copied into ``out``, a float64 (K, d + 1) matrix (in
+    ``run_hfl`` the member's row of the coalition's stack), and every
+    step updates ``out`` in place, ``out -= lr * grad``; ``out`` is
+    returned and ``model`` is not written to.  ``grad`` is the step's
+    (K, d + 1) gradient buffer, which ``run_hfl`` makes once per run and
+    shares among its clients.  ``lr`` multiplies the gradient, not the
+    design, so the step's result stays the gradient.  Raises
+    InvalidValueError, before the first step, unless ``tau_c`` is an
+    integer >= 1 and ``model`` a (K, d + 1) matrix [W | b].
 
     Raises TrainingDivergedError (a FloatingPointError) if the
     parameters after the tau_c steps are not finite; the overflows on
@@ -243,7 +232,7 @@ def local_train(
     every step of the parameters and of the loss, the mean of
     ``-log(p + 1e-300)`` over the true-class probabilities p, would:
 
-    - ``work -= lr * grad`` never makes a non-finite entry finite again:
+    - ``out -= lr * grad`` never makes a non-finite entry finite again:
       NaN stays NaN, +-inf minus a finite value stays +-inf, and
       inf - inf is NaN.  A parameter that leaves the finite range at
       some step is still outside it after the last.
@@ -256,29 +245,27 @@ def local_train(
     """
     check_integer("tau_c", tau_c, 1)
     design, targets = client.design, client.targets
-    n_classes, d = targets.shape[0], design.shape[1] - 1
-    _check_params(params, n_classes, d)
+    _check_model(model, targets.shape[0], design.shape[1] - 1)
     mean_design, logits, column = client.mean_design, client.logits, client.column
-    work[:, :d], work[:, d] = unpack_params(params, n_classes, d)
+    out[:] = model
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            softmax_loss_and_grad(work, design, targets, mean_design, grad, logits, column)
+            softmax_loss_and_grad(out, design, targets, mean_design, grad, logits, column)
             grad *= lr
-            work -= grad
-        if not np.isfinite(work).all():
+            out -= grad
+        if not np.isfinite(out).all():
             raise TrainingDivergedError("training diverged; lower the learning rate")
-    out[: n_classes * d] = work[:, :d].ravel()
-    out[n_classes * d :] = work[:, d]
     return out
 
 
-def edge_aggregate(member_params: np.ndarray, member_sizes: Sequence[float]) -> np.ndarray:
-    """Data-size weighted mean of the (members, P) rows, at the edge and the cloud alike.
+def edge_aggregate(stack: np.ndarray, sizes: Sequence[float]) -> np.ndarray:
+    """Data-size weighted mean over the first axis of ``stack``, at the edge and the cloud alike.
 
     InvalidValueError if there is no row, if the sizes are not one per
     row, or if their total is not positive and finite."""
-    rows = len(member_params)
-    weights = np.asarray(member_sizes, dtype=float)
+    stack = np.asarray(stack)
+    rows = len(stack)
+    weights = np.asarray(sizes, dtype=float)
     if rows == 0 or weights.shape != (rows,):
         raise InvalidValueError(
             f"edge_aggregate needs at least one row and one size per row, got {rows} rows "
@@ -287,7 +274,7 @@ def edge_aggregate(member_params: np.ndarray, member_sizes: Sequence[float]) -> 
     total = weights.sum()
     if not 0.0 < total < math.inf:
         raise InvalidValueError(f"member sizes must have a positive finite total, got {total}")
-    return weights @ member_params / total
+    return (weights @ stack.reshape(rows, -1) / total).reshape(stack.shape[1:])
 
 
 @dataclass
@@ -324,23 +311,24 @@ class SyntheticDataset:
         """Draw every client's samples, then the test set, from one seeded stream.
 
         Each client's row of per-class counts must hold integers >= 0 with
-        a positive total, as many as the first row's; InvalidValueError
-        names the first client whose row does not, and so does an
-        ``n_features`` or ``test_per_class`` that is not an integer >= 1."""
+        a positive total, as many as the first row's (a bool is no
+        integer); InvalidValueError names the first client whose row does
+        not, and so does an ``n_features`` or ``test_per_class`` that is
+        not an integer >= 1 or a ``seed`` outside [0, 2**64)."""
         check_integer("n_features", n_features, 1)
         check_integer("test_per_class", test_per_class, 1)
+        rng = np.random.default_rng(check_seed("seed", seed))
         if len(label_counts) == 0:
             raise InvalidValueError("label_counts must hold at least one client")
         n_classes = len(label_counts[0])
         for client, counts in enumerate(label_counts):
-            row = np.asarray(counts)
-            shaped = row.shape == (n_classes,) and row.dtype.kind in "iu"
-            if not (shaped and row.min(initial=0) >= 0 and row.any()):
-                raise InvalidValueError(
-                    f"client {client}: label counts must be {n_classes} integers >= 0 with a "
-                    f"positive total, got {counts!r}"
-                )
-        rng = np.random.default_rng(seed)
+            requirement = (
+                f"client {client}: label counts must be {n_classes} integers >= 0 with a "
+                "positive total"
+            )
+            row = integer_array(counts, requirement)
+            if not (row.shape == (n_classes,) and row.min(initial=0) >= 0 and row.any()):
+                raise InvalidValueError(f"{requirement}, got {counts!r}")
         means = class_sep * rng.standard_normal((n_classes, n_features))
 
         def draw(count_vector):
@@ -369,13 +357,14 @@ def run_hfl(
 
     ``partition`` takes any form ``netmodel.coalition_assignment``
     accepts.  Every client is prepared once (``prepare_client``), and all
-    share one working matrix and one gradient buffer.  Members are
-    visited in ascending id order inside every aggregation so results do
-    not depend on set iteration order, and write their results into one
-    (members, P) buffer per coalition.
-    Returns the final global parameters and one held-out accuracy per
-    global round; InvalidValueError if a tau is not an integer >= 1 or a
-    client's data is refused by ``prepare_client``.
+    share one gradient buffer.  Members are visited in ascending id order
+    inside every aggregation so results do not depend on set iteration
+    order, and train into their rows of one (members, K, d + 1) stack per
+    coalition.
+    Returns the final global model [W | b] and one held-out accuracy per
+    global round; InvalidValueError if a tau is not an integer >= 1, the
+    seed is refused by ``init_params`` or a client's data by
+    ``prepare_client``.
     """
     for name, tau in (("tau_c", tau_c), ("tau_e", tau_e), ("tau_g", tau_g)):
         check_integer(name, tau, 1)
@@ -390,20 +379,19 @@ def run_hfl(
         for n, (x, y) in enumerate(zip(dataset.client_features, dataset.client_labels))
     ]
 
-    params = init_params(n_classes, dataset.n_features, seed)
-    work = np.empty((n_classes, dataset.n_features + 1))
-    grad = np.empty_like(work)
-    buffers = [np.empty((members.size, params.size)) for members in coalitions]
+    model = init_params(n_classes, dataset.n_features, seed)
+    grad = np.empty_like(model)
+    stacks = [np.empty((members.size, *model.shape)) for members in coalitions]
     curve: list[float] = []
     for _ in range(tau_g):
-        edge_params = np.tile(params, (len(coalitions), 1))
+        edge_models = np.tile(model, (len(coalitions), 1, 1))
         for _ in range(tau_e):
-            for edge, members, data_sizes, stacked in zip(
-                edge_params, coalitions, member_sizes, buffers
+            for edge, members, data_sizes, stack in zip(
+                edge_models, coalitions, member_sizes, stacks
             ):
                 for row, n in enumerate(members):
-                    local_train(edge, clients[n], tau_c, lr, work, grad, stacked[row])
-                edge[:] = edge_aggregate(stacked, data_sizes)
-        params = edge_aggregate(edge_params, edge_sizes)
-        curve.append(accuracy(params, dataset.test_features, dataset.test_labels, n_classes))
-    return params, curve
+                    local_train(edge, clients[n], tau_c, lr, grad, stack[row])
+                edge[:] = edge_aggregate(stack, data_sizes)
+        model = edge_aggregate(edge_models, edge_sizes)
+        curve.append(accuracy(model, dataset.test_features, dataset.test_labels, n_classes))
+    return model, curve

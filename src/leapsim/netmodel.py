@@ -34,7 +34,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidPartitionError, InvalidValueError, check_integer, check_number
+from .errors import (
+    InvalidPartitionError,
+    InvalidValueError,
+    check_integer,
+    check_number,
+    integer_array,
+)
 from .files import fields_dict
 from .game import Partition, assignment_vector
 
@@ -85,7 +91,7 @@ _MATRIX_FIELDS = ("channel_gains", "label_counts")
 def _numeric(name: str, value) -> np.ndarray:
     """``value`` as an int64 or float array; raises InvalidValueError on
     rows of unequal length or non-empty values of a non-numeric (for an
-    integer field, non-integer) dtype."""
+    integer field, non-integer, or a list holding a bool) dtype."""
     try:
         array = np.asarray(value)
     except ValueError:  # rows of unequal length
@@ -94,12 +100,13 @@ def _numeric(name: str, value) -> np.ndarray:
         raise InvalidValueError(
             f"client {n} has {widths[n]} {name.replace('_', ' ')}, client 0 has {widths[0]}"
         ) from None
-    integer = name in _INTEGER_FIELDS
-    if array.size and array.dtype.kind not in ("iu" if integer else "iuf"):
-        raise InvalidValueError(
-            f"{name} must hold {'integers' if integer else 'numbers'}, got {array.dtype.name}"
-        )
-    return array.astype(np.int64 if integer else float, copy=False)
+    if name in _INTEGER_FIELDS:
+        if array.size:  # an empty field is refused by the table, for its count
+            array = integer_array(value, f"{name} must hold integers")
+        return array.astype(np.int64, copy=False)
+    if array.size and array.dtype.kind not in "iuf":
+        raise InvalidValueError(f"{name} must hold numbers, got {array.dtype.name}")
+    return array.astype(float, copy=False)
 
 
 def _require(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
@@ -188,8 +195,9 @@ def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndar
     ``partition`` is a Partition, a 1-D integer array holding each
     client's coalition index, or a sequence of member collections, one
     per coalition.  Raises InvalidPartitionError when it is none of these
-    (a list of indices is not), a client is missing, repeated or out of
-    range, or a coalition is empty.
+    (a list of indices is not), a member id is not an integer (floats,
+    strings and bools are refused, not cast), a client is missing,
+    repeated or out of range, or a coalition is empty.
     """
     if isinstance(partition, Partition):
         assignment, sizes = partition.assignment, partition.sizes
@@ -198,15 +206,22 @@ def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndar
         sizes = np.bincount(assignment)
     else:
         try:
-            groups = [np.fromiter(members, dtype=np.int64) for members in partition]
+            groups = [m if isinstance(m, np.ndarray) else list(m) for m in partition]
         except TypeError:  # not iterable, or a member that is no collection
             raise InvalidPartitionError(
                 "a partition must be a Partition, a 1-D integer array of coalition indices or "
                 f"member collections, got {type(partition).__name__} {partition!r:.60}"
             ) from None
         sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-        members = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
-        if members.size and (members.min() < 0 or members.max() >= n_clients):
+        requirement = "member ids must be integers"
+        members = [np.empty(0, dtype=np.int64)]
+        for group in filter(len, groups):  # an empty coalition is named below
+            ids = integer_array(group, requirement, InvalidPartitionError)  # never cast
+            if ids.ndim != 1:
+                raise InvalidPartitionError(f"{requirement}, got {ids.dtype} of shape {ids.shape}")
+            members.append(ids.astype(np.int64, copy=False))  # uint64 past 2**63 wraps below 0
+        members = np.concatenate(members)
+        if members.min(initial=0) < 0 or members.max(initial=0) >= n_clients:
             raise InvalidPartitionError(f"a member id lies outside [0, {n_clients})")
         seen = np.bincount(members, minlength=n_clients)
         if np.any(seen != 1):

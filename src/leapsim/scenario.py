@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFileError, InvalidValueError, check_integer, check_number
+from .errors import InputFileError, InvalidValueError, check_integer, check_number, check_seed
 from .files import fields_dict, json_bytes, read_columns, write_columns
 from .game import Partition
 from .netmodel import ClientTable, NetworkConfig, comp_latency, tx_latency
@@ -133,8 +133,10 @@ def generate_scenario(
     which leaves every client feasible at p_max with margin.
     ``gain_mode`` "pair" draws one gain per (client, edge); "client"
     draws a single gain per client and repeats it across the client's
-    row of ``channel_gains``.
+    row of ``channel_gains``.  ``seed`` is an integer in [0, 2**64),
+    which ``meta`` records as a plain int.
     """
+    seed = check_seed("seed", seed)
     for name, value in (("n_clients", n_clients), ("n_edges", n_edges), ("n_classes", n_classes),
                         ("data_size", data_size), ("shards", shards)):
         if value is not None:  # shards is None with dirichlet_alpha

@@ -461,6 +461,23 @@ def coalition_formation_ref(initial, max_iters, rng_seed=0):
     return partition.assignment, entries, iteration, converged, failed
 
 
+def flat_params(model):
+    """The flat layout of a model [W | b] (K, d + 1): the class-by-feature
+    weights row by row, then the K biases.
+
+    The textbook learner references below take and return this layout,
+    and every comparison between them and ``leapsim.hfl``'s models goes
+    through this converter or its inverse ``model_params``."""
+    return np.concatenate((model[:, :-1].ravel(), model[:, -1]))
+
+
+def model_params(flat, n_classes, n_features):
+    """The model [W | b] (n_classes, n_features + 1) of a flat vector;
+    the inverse of ``flat_params``."""
+    kd = n_classes * n_features
+    return np.column_stack((flat[:kd].reshape(n_classes, n_features), flat[kd:]))
+
+
 def softmax_loss_and_grad_ref(params, features, labels, n_classes):
     """Row-major softmax cross-entropy: logits (n, K), mean over samples.
 
@@ -487,18 +504,17 @@ def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
     """The class-major step indexed by labels: the slow exact reference.
 
     The same gradient arithmetic as ``hfl.softmax_loss_and_grad`` in the
-    same order, on the design matrix [X | 1] and the working matrix
-    [W | b], plus the mean loss that the fast step does not compute, but
-    it takes the labels, reads and writes the true-class entries through
-    a fresh ``(labels, arange(n))`` tuple index and allocates every
-    temporary, so the fast step's gradient must equal it bit for bit.
+    same order, on the design matrix [X | 1] and the model [W | b], plus
+    the mean loss that the fast step does not compute, but it takes the
+    labels, reads and writes the true-class entries through a fresh
+    ``(labels, arange(n))`` tuple index and allocates every temporary,
+    so the fast step's gradient must equal it bit for bit.  Parameters
+    and gradient are flat, like the other learner references.
     """
     n, d = features.shape
-    kd = n_classes * d
-    design = np.ones((n, d + 1))  # C order, as local_train makes it
+    design = np.ones((n, d + 1))  # C order, as prepare_client makes it
     design[:, :d] = features
-    weights = np.concatenate((params[:kd].reshape(n_classes, d), params[kd:, None]), axis=1)
-    probs = np.dot(weights, design.T)
+    probs = np.dot(model_params(params, n_classes, d), design.T)
     probs -= np.maximum.reduce(probs, axis=0)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=0)
@@ -507,8 +523,7 @@ def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
     probs[true] = picked - 1.0
     picked += 1e-300
     loss = -float(np.add.reduce(np.log(picked, out=picked))) / n
-    grad = np.dot(probs, design / n)
-    return loss, np.concatenate((grad[:, :d].ravel(), grad[:, d]))
+    return loss, flat_params(np.dot(probs, design / n))
 
 
 def local_train_ref(params, features, labels, n_classes, tau_c, lr, step=softmax_loss_and_grad_ref):
@@ -523,24 +538,23 @@ def local_train_ref(params, features, labels, n_classes, tau_c, lr, step=softmax
     return out
 
 
-def local_train_per_call_ref(params, features, targets, n_classes, tau_c, lr):
+def local_train_per_call_ref(model, features, targets, n_classes, tau_c, lr):
     """``hfl.local_train`` as it was before clients were prepared once per run.
 
-    It steps with ``hfl.softmax_loss_and_grad`` but builds the design
-    [X | 1] (a fresh C-order copy), ``design / n``, the working matrix
-    and every buffer on each call, and returns a new flat [W, b] vector.
+    It steps with ``hfl.softmax_loss_and_grad`` on a copy of the model
+    [W | b] but builds the design [X | 1] (a fresh C-order copy),
+    ``design / n`` and every buffer on each call, and returns the copy.
     Raises ``TrainingDivergedError`` where ``local_train`` must.
     """
     from leapsim.errors import TrainingDivergedError
-    from leapsim.hfl import softmax_loss_and_grad, unpack_params
+    from leapsim.hfl import softmax_loss_and_grad
 
     n, d = features.shape
     design = np.empty((n, d + 1))
     design[:, :d] = features
     design[:, d] = 1.0
     mean_design = design / n
-    work = np.empty((n_classes, d + 1))
-    work[:, :d], work[:, d] = unpack_params(params, n_classes, d)
+    work = np.array(model, dtype=float)
     grad = np.empty_like(work)
     logits = np.empty((n_classes, n))
     column = np.empty(n)
@@ -551,7 +565,7 @@ def local_train_per_call_ref(params, features, targets, n_classes, tau_c, lr):
             work -= grad
         if not np.isfinite(work).all():
             raise TrainingDivergedError("training diverged; lower the learning rate")
-    return np.concatenate((work[:, :d].ravel(), work[:, d]))
+    return work
 
 
 def run_hfl_per_call_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
@@ -566,21 +580,21 @@ def run_hfl_per_call_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
     edge_sizes = np.bincount(assignment, weights=sizes)
     n_classes = dataset.n_classes
     targets = [onehot_targets(y, n_classes) for y in dataset.client_labels]
-    params = init_params(n_classes, dataset.n_features, seed)
+    model = init_params(n_classes, dataset.n_features, seed)
     curve = []
     for _ in range(tau_g):
-        edge_params = np.tile(params, (len(coalitions), 1))
+        edge_models = np.tile(model, (len(coalitions), 1, 1))
         for _ in range(tau_e):
-            for edge, members in zip(edge_params, coalitions):
-                stacked = np.empty((members.size, params.size))
+            for edge, members in zip(edge_models, coalitions):
+                stack = np.empty((members.size, *model.shape))
                 for row, n in enumerate(members):
-                    stacked[row] = local_train_per_call_ref(
+                    stack[row] = local_train_per_call_ref(
                         edge, dataset.client_features[n], targets[n], n_classes, tau_c, lr
                     )
-                edge[:] = edge_aggregate(stacked, sizes[members])
-        params = edge_aggregate(edge_params, edge_sizes)
-        curve.append(accuracy(params, dataset.test_features, dataset.test_labels, n_classes))
-    return params, curve
+                edge[:] = edge_aggregate(stack, sizes[members])
+        model = edge_aggregate(edge_models, edge_sizes)
+        curve.append(accuracy(model, dataset.test_features, dataset.test_labels, n_classes))
+    return model, curve
 
 
 def run_hfl_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
@@ -590,7 +604,8 @@ def run_hfl_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
     model m; the edge keeps the data-size weighted mean of its members'
     tau_c-step results, and after tau_e edge iterations the cloud keeps
     the data-size weighted mean of the edge models.  Returns the final
-    parameters and the held-out accuracy after every global round.
+    parameters, flat (``flat_params``), and the held-out accuracy after
+    every global round.
     """
     n_classes, d = dataset.n_classes, dataset.n_features
     sizes = [float(len(y)) for y in dataset.client_labels]

@@ -20,18 +20,18 @@ from leapsim.hfl import (
     edge_aggregate,
     init_params,
     onehot_targets,
-    param_dim,
     run_hfl,
     softmax_loss_and_grad,
-    unpack_params,
 )
 from leapsim.netmodel import comp_latency, tx_latency
 
 from oracles import (
     bisect_min_feasible_power,
     enumerate_best_avg_js,
+    flat_params,
     make_alloc_instance,
     make_clients,
+    model_params,
     potential_ref,
     random_counts,
     softmax_loss_and_grad_labels_ref,
@@ -322,16 +322,15 @@ def test_c8_gradient_and_model_checks():
     worst_lr = 0.0
     features = rng.normal(size=(15, 5))
     labels = rng.integers(4, size=15)
-    params = 0.3 * rng.standard_normal(param_dim(4, 5))
+    params = 0.3 * rng.standard_normal(4 * (5 + 1))  # flat, as the reference perturbs it
     design = np.ones((15, 6))  # [X | 1]
     design[:, :5] = features
-    weights, biases = unpack_params(params, 4, 5)
     step = np.empty((4, 6))  # [grad_W | grad_b]
     softmax_loss_and_grad(
-        np.column_stack((weights, biases)), design, onehot_targets(labels, 4), design / 15,
+        model_params(params, 4, 5), design, onehot_targets(labels, 4), design / 15,
         step, np.empty((4, 15)), np.empty(15),
     )
-    grad = np.concatenate((step[:, :5].ravel(), step[:, 5]))
+    grad = flat_params(step)
     eps = 1e-6
     for k in range(params.size):
         up, down = params.copy(), params.copy()
@@ -346,15 +345,16 @@ def test_c8_gradient_and_model_checks():
 
     worst_agg = 0.0
     for _ in range(20):
-        vectors = [rng.normal(size=9) for _ in range(7)]
+        models = [rng.normal(size=(3, 3)) for _ in range(7)]  # [W | b], K = 3, d = 2
         sizes = rng.integers(1, 50, size=7).astype(float)
         groups = [[0, 1, 2], [3, 4], [5, 6]]
-        edge_params = [
-            edge_aggregate([vectors[i] for i in g], [sizes[i] for i in g]) for g in groups
+        edge_models = [
+            edge_aggregate([models[i] for i in g], [sizes[i] for i in g]) for g in groups
         ]
         edge_sizes = [sum(sizes[i] for i in g) for g in groups]
-        nested = edge_aggregate(edge_params, edge_sizes)
-        flat = edge_aggregate(vectors, sizes)
+        nested = edge_aggregate(edge_models, edge_sizes)
+        flat = edge_aggregate(models, sizes)
+        assert nested.shape == flat.shape == (3, 3)
         worst_agg = max(worst_agg, float(np.max(np.abs(nested - flat))))
         assert np.max(np.abs(nested - flat)) <= 1e-12
 

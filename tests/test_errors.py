@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from leapsim.errors import InvalidValueError, check_integer, check_number
+from leapsim.errors import (
+    InvalidPartitionError,
+    InvalidValueError,
+    check_integer,
+    check_number,
+    check_seed,
+    integer_array,
+)
 
 
 @pytest.mark.parametrize("value, words", [
@@ -81,3 +88,36 @@ def test_check_integer_fast_path_keeps_the_int64_floor():
     words = f"n is an integer too large for an int64, got {-(2**63) - 1}"
     with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
         check_integer("n", -(2**63) - 1, -(2**64))
+
+
+@pytest.mark.parametrize("value", [0, 7, 2**64 - 1, np.uint64(2**64 - 1), np.int32(5)], ids=repr)
+def test_check_seed_takes_the_integers_numpy_generators_take_as_plain_ints(value):
+    seed = check_seed("seed", value)
+    assert type(seed) is int and seed == value
+
+
+@pytest.mark.parametrize(
+    "value", [-1, 2**64, 2**70, 1.5, 3.0, np.float64(3), "3", None, True, np.bool_(True)], ids=repr
+)
+def test_check_seed_refuses_what_is_not_an_integer_in_the_seed_range(value):
+    words = f"seed must be an integer in [0, 2**64), got {value!r}"
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        check_seed("seed", value)
+
+
+def test_integer_array_takes_an_ndarray_as_it_is_and_scans_a_list_for_bools():
+    array = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    assert integer_array(array, "x") is array
+    assert integer_array([[1, 2], [np.int32(3), 4]], "x").tolist() == [[1, 2], [3, 4]]
+    for value, words in (
+        ([0, True], "x, got a bool entry"),  # numpy reads this list as int64
+        ([[1, 2], [np.True_, 0]], "x, got a bool entry"),
+        ([True, False], "x, got bool of shape (2,)"),
+        ([0.5, 1], "x, got float64 of shape (2,)"),
+        (np.array([1.0, 2.0]), "x, got float64 of shape (2,)"),
+        (["0", 1], "x, got <U21 of shape (2,)"),
+    ):
+        with pytest.raises(InvalidPartitionError, match=f"^{re.escape(words)}$"):
+            integer_array(value, "x", InvalidPartitionError)
+    with pytest.raises(InvalidValueError, match=r"^x \(setting an array element"):
+        integer_array([[1, 2], [3]], "x")

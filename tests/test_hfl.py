@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,19 +19,19 @@ from leapsim.hfl import (
     init_params,
     local_train,
     onehot_targets,
-    param_dim,
     predict,
     prepare_client,
     run_hfl,
     softmax_loss_and_grad,
-    unpack_params,
 )
 from leapsim.game import random_partition, run_coalition_formation
 from leapsim.netmodel import coalition_assignment
-from leapsim.scenario import generate_scenario, label_count_matrix
+from leapsim.scenario import generate_scenario, label_count_matrix, load_scenario, save_scenario
 from oracles import (
+    flat_params,
     local_train_per_call_ref,
     local_train_ref,
+    model_params,
     run_hfl_per_call_ref,
     run_hfl_ref,
     softmax_loss_and_grad_labels_ref,
@@ -47,46 +48,54 @@ def toy_dataset(seed=0, n_classes=3, n_features=4, per_class=30, clients=4):
 
 
 def gradient(params, features, labels, k):
-    """``softmax_loss_and_grad``'s gradient at ``params`` and ``labels`` on
-    the prepared client, as one flat vector like the parameters
-    (class-by-feature weights, then biases)."""
+    """``softmax_loss_and_grad``'s gradient at the flat ``params`` and
+    ``labels`` on the prepared client, flat like the parameters, as the
+    textbook references take and return them."""
     d = features.shape[1]
     client = prepare_client(features, labels, k, 0)
-    weights = np.concatenate((params[: k * d].reshape(k, d), params[k * d :, None]), axis=1)
     grad = np.empty((k, d + 1))
     softmax_loss_and_grad(
-        weights, client.design, client.targets, client.mean_design, grad, client.logits,
-        client.column,
+        model_params(params, k, d), client.design, client.targets, client.mean_design, grad,
+        client.logits, client.column,
     )
-    return np.concatenate((grad[:, :d].ravel(), grad[:, d]))
+    return flat_params(grad)
 
 
-def buffers(params, k, d):
-    """``local_train``'s working matrix, gradient buffer and result row."""
-    work = np.empty((k, d + 1))
-    return work, np.empty_like(work), np.empty_like(params, dtype=float)
+def buffers(k, d):
+    """``local_train``'s gradient buffer and result matrix."""
+    return np.empty((k, d + 1)), np.empty((k, d + 1))
 
 
-def train(params, features, labels, k, tau_c, lr):
+def train(model, features, labels, k, tau_c, lr):
     """``local_train`` on a freshly prepared client, with buffers of its own."""
     client = prepare_client(features, labels, k, 0)
-    return local_train(params, client, tau_c, lr, *buffers(params, k, features.shape[1]))
+    return local_train(model, client, tau_c, lr, *buffers(k, features.shape[1]))
 
 
 # -- learner ------------------------------------------------------------------
 
-def test_param_dim_and_unpack():
-    params = init_params(3, 4, seed=0)
-    assert params.shape == (param_dim(3, 4),)
-    w, b = unpack_params(params, 3, 4)
-    assert w.shape == (3, 4) and b.shape == (3,)
+def test_init_params_holds_the_flat_draws_weights_row_by_row_then_biases():
+    """The model [W | b] holds the draws of the flat layout it replaced:
+    the first K·d fill W row by row, the last K fill b; and ``predict``
+    gives the labels the flat layout's weights and biases give."""
+    draws = 0.01 * np.random.default_rng(5).standard_normal(3 * 4 + 3)
+    model = init_params(3, 4, seed=5)
+    assert model.shape == (3, 5) and model.dtype == np.float64
+    assert np.array_equal(model[:, :4], draws[:12].reshape(3, 4))
+    assert np.array_equal(model[:, 4], draws[12:])
+    assert np.array_equal(flat_params(model), draws)
+    features = toy_dataset().test_features
+    for flat in (draws, np.random.default_rng(6).normal(size=15)):
+        labels = np.argmax(features @ flat[:12].reshape(3, 4).T + flat[12:], axis=1)
+        assert np.array_equal(predict(model_params(flat, 3, 4), features, 3), labels)
+    assert len(set(labels.tolist())) == 3
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     features = rng.normal(size=(12, 4))
     labels = rng.integers(3, size=12)
-    params = 0.5 * rng.standard_normal(param_dim(3, 4))
+    params = 0.5 * rng.standard_normal(3 * (4 + 1))
     grad = gradient(params, features, labels, 3)
     eps = 1e-6
     for k in range(params.size):
@@ -104,7 +113,7 @@ def test_single_step_matches_analytic_softmax_gradient():
     # one sample: grad_W = (softmax - onehot) x^T, grad_b = softmax - onehot
     x = np.array([[1.0, -2.0]])
     y = np.array([1])
-    params = np.zeros(param_dim(2, 2))
+    params = np.zeros(2 * (2 + 1))
     grad = gradient(params, x, y, 2)
     probs = np.array([0.5, 0.5])  # zero logits
     delta = probs - np.array([0.0, 1.0])
@@ -116,20 +125,21 @@ def test_single_step_matches_analytic_softmax_gradient():
 
 def test_local_train_zero_lr_is_identity():
     rng = np.random.default_rng(1)
-    params = rng.normal(size=param_dim(3, 4))
+    model = rng.normal(size=(3, 5))
+    kept = model.copy()
     ds = toy_dataset()
-    out = train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 0.0)
-    assert np.array_equal(out, params)
-    assert out is not params  # input untouched
+    out = train(model, ds.client_features[0], ds.client_labels[0], 3, 5, 0.0)
+    assert np.array_equal(out, model)
+    assert out is not model and np.array_equal(model, kept)  # input untouched
 
 
 def test_local_train_decreases_loss_for_small_lr():
     ds = toy_dataset()
-    params = init_params(3, 4, seed=2)
+    model = init_params(3, 4, seed=2)
     features, labels = ds.client_features[0], ds.client_labels[0]
-    before, _ = softmax_loss_and_grad_labels_ref(params, features, labels, 3)
-    trained = train(params, features, labels, 3, 5, 0.01)
-    after, _ = softmax_loss_and_grad_labels_ref(trained, features, labels, 3)
+    before, _ = softmax_loss_and_grad_labels_ref(flat_params(model), features, labels, 3)
+    trained = train(model, features, labels, 3, 5, 0.01)
+    after, _ = softmax_loss_and_grad_labels_ref(flat_params(trained), features, labels, 3)
     assert after <= before
 
 
@@ -156,7 +166,7 @@ def feature_layouts(values):
 @st.composite
 def learner_instance(draw):
     """A softmax step's inputs: sizes from 1, skewed labels, big or small
-    parameters, and features that may be a non-contiguous view."""
+    flat parameters, and features that may be a non-contiguous view."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 8))
     k = draw(st.integers(1, 6))
@@ -169,7 +179,7 @@ def learner_instance(draw):
         labels = rng.integers(k, size=n)
     # scale 1e3 pushes logits past exp's overflow point without the max shift
     scale = draw(st.sampled_from([0.0, 0.01, 1.0, 30.0, 1e3]))
-    params = scale * rng.standard_normal(param_dim(k, d))
+    params = scale * rng.standard_normal(k * (d + 1))
     return params, features, labels, k
 
 
@@ -228,13 +238,13 @@ def test_divergence_is_a_typed_error_without_warnings():
     assert isinstance(info.value, LeapsimError) and isinstance(info.value, FloatingPointError)
 
 
-def _poisoned(params, k, where, value):
-    """``params`` with ``value`` written at one weight, one bias or both."""
-    out = params.copy()
+def _poisoned(model, where, value):
+    """The model [W | b] with ``value`` written at one weight, one bias or both."""
+    out = model.copy()
     if where in ("weight", "both"):
-        out[0] = value
+        out[0, 0] = value
     if where in ("bias", "both"):
-        out[-k] = value
+        out[0, -1] = value
     return out
 
 
@@ -261,20 +271,22 @@ def test_local_train_diverges_exactly_when_a_check_after_every_step_does(
     where lr * grad overflows.  Starting parameters may hold +-inf or NaN;
     a -inf bias keeps the loss finite while the parameters are not."""
     params, features, labels, k = instance
-    params = params if where == "none" else _poisoned(params, k, where, value)
+    model = model_params(params, k, features.shape[1])
+    model = model if where == "none" else _poisoned(model, where, value)
     try:
         with np.errstate(all="ignore"):
             expected = local_train_ref(
-                params, features, labels, k, tau_c, lr, step=softmax_loss_and_grad_labels_ref
+                flat_params(model), features, labels, k, tau_c, lr,
+                step=softmax_loss_and_grad_labels_ref,
             )
     except FloatingPointError:
         expected = None
     if expected is None:
         with pytest.raises(TrainingDivergedError, match="lower the learning rate"):
-            train(params, features, labels, k, tau_c, lr)
+            train(model, features, labels, k, tau_c, lr)
     else:
-        trained = train(params, features, labels, k, tau_c, lr)
-        np.testing.assert_allclose(trained, expected, rtol=0, atol=1e-12)
+        trained = train(model, features, labels, k, tau_c, lr)
+        np.testing.assert_allclose(flat_params(trained), expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tau_c", [0, -1, 2.5, 2.0, True, None])
@@ -285,9 +297,8 @@ def test_local_train_refuses_a_step_count_before_its_first_step(monkeypatch, tau
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
     client = prepare_client(ds.client_features[0], ds.client_labels[0], 3, 0)
-    params = init_params(3, 4)
     with pytest.raises(InvalidValueError, match="^tau_c must be"):
-        local_train(params, client, tau_c, 0.1, *buffers(params, 3, 4))
+        local_train(init_params(3, 4), client, tau_c, 0.1, *buffers(3, 4))
 
 
 @pytest.mark.parametrize(
@@ -367,29 +378,42 @@ def test_local_train_refuses_zero_samples_before_its_first_step(monkeypatch):
         train(init_params(3, 4), features, labels, 3, 5, 0.8)
 
 
-@pytest.mark.parametrize("length", [3 * 4 - 1, 3 * 4, 3 * 4 + 3 + 1], ids=["Kd-1", "Kd", "Kd+K+1"])
+def _wrong_model_message(shape):
+    """The refusal of a model of ``shape`` where K = 3, d = 4 need (3, 5)."""
+    return rf"^model must be a \(3, 5\) matrix \[W \| b\], got shape {re.escape(str(shape))}$"
+
+
+# flat vectors around the old flat layout's K·d + K = 15 values, that
+# layout itself, and matrices one row or column off
+@pytest.mark.parametrize(
+    "shape", [(11,), (12,), (16,), (15,), (3, 4), (4, 5), (1, 3, 5)],
+    ids=["Kd-1", "Kd", "Kd+K+1", "flat", "K_by_d", "K+1_by_d+1", "3d"],
+)
 def test_local_train_refuses_params_of_the_wrong_length_before_its_first_step(
-    monkeypatch, length
+    monkeypatch, shape
 ):
+    """A model that is not the (K, d + 1) matrix [W | b], the old flat
+    layout included, is refused before a step writes into the stack."""
     def no_step(*args):
-        raise AssertionError("a gradient step ran on parameters of the wrong length")
+        raise AssertionError("a gradient step ran on a model of the wrong shape")
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
-    message = rf"^params must hold param_dim\(3, 4\) = 15 values, got {length}$"
-    with pytest.raises(InvalidValueError, match=message):
-        train(np.zeros(length), ds.client_features[0], ds.client_labels[0], 3, 5, 0.1)
+    with pytest.raises(InvalidValueError, match=_wrong_model_message(shape)):
+        train(np.zeros(shape), ds.client_features[0], ds.client_labels[0], 3, 5, 0.1)
 
 
-@pytest.mark.parametrize("length", [5, 3 * 4, 3 * 4 + 3 + 1, 20], ids=["5", "Kd", "Kd+K+1", "20"])
-def test_predict_and_accuracy_refuse_params_of_the_wrong_length(length):
-    # 5 used to fail in numpy's reshape and 20 in a broadcast, both as bare ValueErrors
+@pytest.mark.parametrize(
+    "shape", [(5,), (12,), (16,), (20,), (15,), (3, 4), (3, 6)],
+    ids=["5", "Kd", "Kd+K+1", "20", "flat", "K_by_d", "K_by_d+2"],
+)
+def test_predict_and_accuracy_refuse_params_of_the_wrong_length(shape):
+    # (3, 6) would broadcast silently and a flat vector fail in numpy's indexing
     ds = toy_dataset()
-    message = rf"^params must hold param_dim\(3, 4\) = 15 values, got {length}$"
-    with pytest.raises(InvalidValueError, match=message):
-        predict(np.zeros(length), ds.test_features, 3)
-    with pytest.raises(InvalidValueError, match=message):
-        accuracy(np.zeros(length), ds.test_features, ds.test_labels, 3)
+    with pytest.raises(InvalidValueError, match=_wrong_model_message(shape)):
+        predict(np.zeros(shape), ds.test_features, 3)
+    with pytest.raises(InvalidValueError, match=_wrong_model_message(shape)):
+        accuracy(np.zeros(shape), ds.test_features, ds.test_labels, 3)
 
 
 def _nan_at(features, row, col):
@@ -442,6 +466,65 @@ def test_a_plain_sequence_of_coalition_indices_is_refused_with_the_accepted_form
     assert coalition_assignment(np.array(form), 4)[0].tolist() == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("partition, words", [
+    ([[0.5, 1.7], [2, 3]], "got float64 of shape (2,)"),
+    ([["0", 1], [2, 3]], "got <U21 of shape (2,)"),
+    ([[True, False], [2, 3]], "got bool of shape (2,)"),
+    ([[0, True], [2, 3]], "got a bool entry"),  # numpy reads this list as int64
+    ([{0, 1}, [[2, 3]]], "got int64 of shape (1, 2)"),
+], ids=["floats", "string", "bools", "bool_in_ints", "nested"])
+def test_member_ids_that_are_not_integers_are_refused_not_cast(partition, words):
+    """Each of these used to become the assignment [0, 0, 1, 1]."""
+    message = "^" + re.escape(f"member ids must be integers, {words}") + "$"
+    with pytest.raises(InvalidPartitionError, match=message):
+        coalition_assignment(partition, 4)
+    with pytest.raises(InvalidPartitionError, match=message):
+        run_hfl(partition, toy_dataset(), tau_c=1, tau_e=1, tau_g=1, lr=0.1)
+
+
+def test_member_collections_of_integer_ids_are_taken_in_any_form():
+    for form in (
+        [[0, 1], [2, 3]],
+        ([0, 1], (3, 2)),
+        [{1, 0}, frozenset({2, 3})],
+        [np.array([0, 1], dtype=np.uint64), np.array([2, 3], dtype=np.int32)],
+        [[np.int64(0), 1], np.array([3, 2])],
+    ):
+        found, sizes = coalition_assignment(form, 4)
+        assert found.dtype == np.int64
+        assert (found.tolist(), sizes.tolist()) == ([0, 0, 1, 1], [2, 2])
+    for empty in ([], set(), np.array([], dtype=float)):
+        with pytest.raises(InvalidPartitionError, match="^coalition 0 is empty$"):
+            coalition_assignment([empty, [0, 1, 2, 3]], 4)
+    with pytest.raises(InvalidPartitionError, match=r"^a member id lies outside \[0, 4\)$"):
+        coalition_assignment([np.array([2**64 - 1, 1], dtype=np.uint64), [2, 3]], 4)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, 2**64, 2**70, None], ids=repr)
+def test_every_seed_is_an_integer_in_the_numpy_range(seed):
+    """-1, 1.5, "3" and None ended in numpy's bare errors, True was taken
+    as 1, and a scenario drawn from 2**70 could not be saved."""
+    words = re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    calls = [
+        lambda: generate_scenario(seed=seed, n_clients=4, n_edges=2),
+        lambda: init_params(3, 4, seed),
+        lambda: run_hfl([[0, 1], [2, 3]], toy_dataset(), tau_c=1, tau_e=1, tau_g=1, lr=0.1,
+                        seed=seed),
+        lambda: SyntheticDataset.generate([[2, 1]], seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidValueError, match=f"^{words}$"):
+            call()
+
+
+def test_a_numpy_integer_seed_is_recorded_as_a_plain_int(tmp_path):
+    scenario = generate_scenario(seed=np.uint64(5), n_clients=4, n_edges=2)
+    assert type(scenario.meta["seed"]) is int and scenario.meta["seed"] == 5
+    save_scenario(scenario, tmp_path / "s.bin")  # used to fail in the JSON header
+    assert load_scenario(tmp_path / "s.bin").meta == scenario.meta
+    assert np.array_equal(init_params(3, 4, np.uint64(5)), init_params(3, 4, 5))
+
+
 def test_prepare_client_builds_the_design_once_in_c_order():
     ds = toy_dataset()
     features, labels = np.asfortranarray(ds.client_features[1]), ds.client_labels[1]
@@ -465,15 +548,16 @@ def test_step_and_local_train_do_not_depend_on_the_feature_layout(instance, tau_
     written to."""
     params, features, labels, k = instance
     values = np.ascontiguousarray(features)
+    model = model_params(params, k, values.shape[1])
     kept = params.copy()
     grads, trained = [], []
     for layout in feature_layouts(values).values():
         grads.append(gradient(params, layout, labels, k).tobytes())
         try:
-            trained.append(train(params, layout, labels, k, tau_c, lr).tobytes())
+            trained.append(train(model, layout, labels, k, tau_c, lr).tobytes())
         except TrainingDivergedError:
             trained.append(None)
-        assert np.array_equal(layout, values) and np.array_equal(params, kept)
+        assert np.array_equal(layout, values) and np.array_equal(flat_params(model), kept)
     assert grads.count(grads[0]) == len(grads)
     assert trained.count(trained[0]) == len(trained)
 
@@ -498,19 +582,20 @@ def hfl_train_like(seed):
 
 @pytest.mark.parametrize("seed", range(32))
 def test_prepared_run_hfl_equals_the_per_call_build_bit_for_bit(seed):
-    """Preparing each client once per run moves no bit: parameters and
-    curves equal the per-call build's exactly; and on poisoned edge
-    parameters both sides diverge, or neither does and their bits agree."""
+    """Preparing each client once per run moves no bit: models and curves
+    equal the per-call build's exactly; and on poisoned edge models both
+    sides diverge, or neither does and their bits agree."""
     assignment, ds, periods = hfl_train_like(seed)
-    params, curve = run_hfl(assignment, ds, **periods)
-    params_ref, curve_ref = run_hfl_per_call_ref(assignment, ds, **periods)
-    assert params.tobytes() == params_ref.tobytes() and curve == curve_ref
+    model, curve = run_hfl(assignment, ds, **periods)
+    model_ref, curve_ref = run_hfl_per_call_ref(assignment, ds, **periods)
+    assert model.shape == model_ref.shape == (10, 9)
+    assert model.tobytes() == model_ref.tobytes() and curve == curve_ref
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20))
     features, labels = ds.client_features[n], ds.client_labels[n]
     where = ["none", "weight", "bias", "both"][seed % 4]
-    poisoned = _poisoned(params, 10, where, [math.inf, -math.inf, math.nan][seed % 3])
+    poisoned = _poisoned(model, where, [math.inf, -math.inf, math.nan][seed % 3])
     lr = [0.8, 1e3, 1e300][seed // 4 % 3]
 
     def outcome(run, data):
@@ -556,6 +641,17 @@ def test_global_of_edges_equals_flat_weighted_mean():
     assert np.max(np.abs(nested - flat)) <= 1e-12
 
 
+def test_edge_aggregate_averages_a_stack_of_models_elementwise():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(4, 3, 5))
+    sizes = np.array([1.0, 2.0, 3.0, 4.0])
+    mean = edge_aggregate(stack, sizes)
+    assert mean.shape == (3, 5)
+    np.testing.assert_allclose(
+        mean, (sizes[:, None, None] * stack).sum(axis=0) / sizes.sum(), rtol=0, atol=1e-15
+    )
+
+
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
         edge_aggregate([], [])
@@ -599,12 +695,23 @@ def test_dataset_honors_label_counts():
         ([[2, 1], [0, 0], [1, 1]], 1),  # a client without samples
         ([[3, 1], [2, -1]], 1),  # a negative count
         ([[1.0, 2]], 0),  # a float count
+        ([[2, 2], [True, 3]], 1),  # numpy reads this row as int64, and the client had 4 samples
+        ([[2, 2], [np.True_, 3]], 1),
     ],
-    ids=["ragged", "all_zero", "negative", "float"],
+    ids=["ragged", "all_zero", "negative", "float", "bool", "numpy_bool"],
 )
 def test_dataset_rejects_a_bad_client_row_by_name(counts, client):
     with pytest.raises(InvalidValueError, match=f"^client {client}: label counts must be"):
         SyntheticDataset.generate(counts, n_features=2, seed=0)
+
+
+def test_dataset_takes_the_label_count_matrix_as_it_takes_its_rows():
+    counts = np.array([[5, 0, 7], [0, 3, 1]])
+    a = SyntheticDataset.generate(counts, n_features=3, seed=8)
+    b = SyntheticDataset.generate(counts.tolist(), n_features=3, seed=8)
+    assert a.client_sizes == [12, 4]
+    assert all(np.array_equal(x, y) for x, y in zip(a.client_features, b.client_features))
+    assert np.array_equal(a.test_features, b.test_features)
 
 
 def test_dataset_rejects_an_empty_client_list():
@@ -706,10 +813,10 @@ def test_run_hfl_matches_the_reference_loop(case):
         ds = toy_dataset(seed=14)
         assignment = np.array([0, 1, 1, 0] if case == "toy_two_edges" else [0, 0, 0, 0])
         periods = dict(tau_c=3, tau_e=4, tau_g=5, lr=0.1, seed=3)
-    params, curve = run_hfl(assignment, ds, **periods)
+    model, curve = run_hfl(assignment, ds, **periods)
     params_ref, curve_ref = run_hfl_ref(assignment.tolist(), ds, **periods)
     assert curve == curve_ref
-    np.testing.assert_allclose(params, params_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(flat_params(model), params_ref, rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -742,10 +849,10 @@ def tiny_hfl_instance(draw):
 @settings(max_examples=60, deadline=None)
 def test_run_hfl_matches_the_reference_loop_on_degenerate_instances(instance):
     assignment, ds, periods = instance
-    params, curve = run_hfl(assignment, ds, **periods)
+    model, curve = run_hfl(assignment, ds, **periods)
     params_ref, curve_ref = run_hfl_ref(assignment.tolist(), ds, **periods)
     assert curve == curve_ref
-    np.testing.assert_allclose(params, params_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(flat_params(model), params_ref, rtol=0, atol=1e-12)
 
 
 def test_run_hfl_calls_through_module_bindings(monkeypatch):

@@ -393,6 +393,12 @@ GOOD_GAINS = [[1e-7, 2e-7], [3e-7, 4e-7], [5e-7, 6e-7]]
                  id="float data size"),
     pytest.param(dict(label_counts=[[4.0, 0.0], [1.0, 1.0], [0.0, 3.0]]),
                  "label_counts must hold integers, got float64", id="float labels"),
+    pytest.param(dict(data_size=[True, 2, 3], label_counts=[[1, 0], [1, 1], [0, 3]]),
+                 "data_size must hold integers, got a bool entry", id="bool data size"),
+    pytest.param(dict(label_counts=[[4, 0], [True, 1], [0, 3]]),
+                 "label_counts must hold integers, got a bool entry", id="bool label count"),
+    pytest.param(dict(label_counts=[[4, 0], [1, np.True_], [0, 3]]),
+                 "label_counts must hold integers, got a bool entry", id="numpy bool label count"),
     pytest.param(dict(cpu_freq=["fast"] * 3), "cpu_freq must hold numbers, got str",
                  id="string field"),
     pytest.param(dict(p_max=[True] * 3), "p_max must hold numbers, got bool", id="bool field"),
