@@ -50,6 +50,7 @@ from .errors import (
     LeapsimError,
     check_integer,
     check_number,
+    check_seed,
 )
 from .files import read_json, write_csv, write_json
 from .game import Partition
@@ -324,6 +325,7 @@ def cmd_report(args) -> int:
 
 def cmd_compare(args) -> int:
     formats = _formats(args.format)
+    train_options = _train_options(args)  # refused without --train too
     scenario = load_scenario(args.scenario)
     report = run_experiment(
         scenario,
@@ -332,8 +334,7 @@ def cmd_compare(args) -> int:
         master_seed=args.seed,
         game_max_iters=args.max_iters,
         js_denominator=args.denominator,
-        train=args.train,
-        train_options=_train_options(args),
+        train_options=train_options if args.train else None,
     )
     out = _out_dir(args)
     written = emit_report(report, out, formats=tuple(formats))
@@ -450,10 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        seed = getattr(args, "seed", 0)
-        if not 0 <= seed < 2**64:  # numpy's generators and the JSON writer take these only
-            bound = "a non-negative integer" if seed < 0 else "below 2**64"
-            raise InvalidValueError(f"--seed must be {bound}, got {seed}")
+        check_seed("--seed", getattr(args, "seed", 0))
         with np.errstate(all="ignore"):  # the typed checks report what overflows
             return args.func(args)
     except (LeapsimError, OSError) as exc:

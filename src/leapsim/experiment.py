@@ -15,7 +15,7 @@ report is a pure function of (scenario, methods, master seed).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -203,14 +203,14 @@ def run_experiment(
     master_seed: int = 0,
     game_max_iters: int | None = None,
     js_denominator: str = "M",
-    train: bool = False,
     train_options: TrainOptions | None = None,
 ) -> ExperimentReport:
     """Run the requested methods on one scenario and collect the report.
 
     Each association, and each association's ``plan_full``, is computed
     at most once however many methods share it.  ``master_seed``, an
-    integer in [0, 2**64), seeds every stream.
+    integer in [0, 2**64), seeds every stream.  Given ``train_options``,
+    every full-pipeline method also gets its accuracy curve.
     """
     unknown = [m for m in methods if m not in METHOD_STAGES]
     if unknown:
@@ -267,7 +267,7 @@ def run_experiment(
         if bandwidth_stage == "gp" and power_stage == "deadline":
             plan, gp_trace = full_plans[association]
             used_seeds = association_seeds
-            if train:
+            if train_options is not None:
                 trained[name] = partition
         else:
             game_trace = gp_trace = None
@@ -299,13 +299,13 @@ def run_experiment(
             plan=plan.to_dict(),
             feasible=plan.feasible,
             game_trace=game_trace,
-            gp_trace=None if gp_trace is None else asdict(gp_trace),
+            gp_trace=None if gp_trace is None else fields_dict(gp_trace),
         )
 
     if trained:
-        opts = train_options or TrainOptions()
-        data_seed = seeds["training_data"]
-        curves = train_curves(scenario, [*trained.values()], opts, data_seed, master_seed)
+        curves = train_curves(
+            scenario, [*trained.values()], train_options, seeds["training_data"], master_seed
+        )
         for name, curve in zip(trained, curves):
             report.methods[name].accuracy = curve
 

@@ -59,6 +59,7 @@ from .errors import (
     InvalidValueError,
     LeapsimError,
     check_integer,
+    check_seed,
     integer_array,
 )
 
@@ -443,7 +444,7 @@ def run_coalition_formation(
     reached.  The returned trace records every sampled iteration, so its
     avg JS column is non-increasing.
 
-    ``rng_seed``, None or an integer >= 0, seeds
+    ``rng_seed``, None or an integer in [0, 2**64), seeds
     ``numpy.random.default_rng``.  Clients are drawn DRAW_BLOCK at a
     time, at most ``max_iters`` in all, and LOOKAHEAD_DRAWS samples are
     held ahead wherever the budget allows.  A block of draws is the same
@@ -461,10 +462,7 @@ def run_coalition_formation(
     settled epoch records its samples as rejections without pricing.
     """
     check_integer("max_iters", max_iters, 1)
-    if rng_seed is not None and (
-        isinstance(rng_seed, bool) or not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0
-    ):
-        raise InvalidValueError(f"rng_seed must be None or an integer >= 0, got {rng_seed!r}")
+    rng_seed = None if rng_seed is None else check_seed("rng_seed", rng_seed)
     initial.validate()
     partition = initial.copy()
     rng = np.random.default_rng(rng_seed)

@@ -130,18 +130,17 @@ def _check_model(model: np.ndarray, n_classes: int, n_features: int) -> None:
         )
 
 
-def predict(model: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
-    """The most likely class of every row of ``features``; InvalidValueError
-    unless ``model`` is a (n_classes, d + 1) matrix [W | b]."""
-    d = features.shape[1]
-    _check_model(model, n_classes, d)
+def predict(model: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """The most likely of the model's K classes for every row of ``features``;
+    InvalidValueError unless ``model`` is a (K, d + 1) matrix [W | b], K >= 1."""
+    d, shape = features.shape[1], np.shape(model)
+    if len(shape) != 2 or shape[0] == 0 or shape[1] != d + 1:
+        raise InvalidValueError(f"model must be a (K, {d + 1}) matrix [W | b], got shape {shape}")
     return np.argmax(features @ model[:, :d].T + model[:, d], axis=1)
 
 
-def accuracy(
-    model: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int
-) -> float:
-    return float(np.mean(predict(model, features, n_classes) == labels))
+def accuracy(model: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(predict(model, features) == labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,7 +291,10 @@ class SyntheticDataset:
     test_features: np.ndarray
     test_labels: np.ndarray
     n_classes: int
-    n_features: int
+
+    @property
+    def n_features(self) -> int:
+        return self.test_features.shape[1]
 
     @property
     def client_sizes(self) -> list[int]:
@@ -339,9 +341,7 @@ class SyntheticDataset:
 
         clients = [draw(counts) for counts in label_counts]
         test_x, test_y = draw([test_per_class] * n_classes)
-        return cls(
-            [x for x, _ in clients], [y for _, y in clients], test_x, test_y, n_classes, n_features
-        )
+        return cls([x for x, _ in clients], [y for _, y in clients], test_x, test_y, n_classes)
 
 
 def run_hfl(
@@ -393,5 +393,5 @@ def run_hfl(
                     local_train(edge, clients[n], tau_c, lr, grad, stack[row])
                 edge[:] = edge_aggregate(stack, data_sizes)
         model = edge_aggregate(edge_models, edge_sizes)
-        curve.append(accuracy(model, dataset.test_features, dataset.test_labels, n_classes))
+        curve.append(accuracy(model, dataset.test_features, dataset.test_labels))
     return model, curve

@@ -63,12 +63,15 @@ class Scenario:
 
     config: NetworkConfig
     clients: ClientTable
-    num_edges: int
     meta: dict = field(default_factory=dict)
 
     @property
     def n_clients(self) -> int:
         return len(self.clients)
+
+    @property
+    def num_edges(self) -> int:
+        return self.clients.num_edges
 
 
 def shard_label_counts(
@@ -203,7 +206,7 @@ def generate_scenario(
                          clients.channel_gains.min(axis=1), config)
         )
         config = replace(config, deadline=float(deadline_slack * tau_e * tau_g * worst))
-    return Scenario(config=config, clients=clients, num_edges=n_edges, meta=meta)
+    return Scenario(config=config, clients=clients, meta=meta)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -242,7 +245,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise InvalidValueError(
                 f"channel_gains has {clients.num_edges} columns, num_edges is {num_edges}"
             )
-        return Scenario(NetworkConfig(**data["config"]), clients, num_edges, meta)
+        return Scenario(NetworkConfig(**data["config"]), clients, meta)
     except (TypeError, ValueError) as exc:
         raise InputFileError(
             f"{path}: malformed scenario ({type(exc).__name__}: {exc})"

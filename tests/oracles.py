@@ -593,7 +593,7 @@ def run_hfl_per_call_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
                     )
                 edge[:] = edge_aggregate(stack, sizes[members])
         model = edge_aggregate(edge_models, edge_sizes)
-        curve.append(accuracy(model, dataset.test_features, dataset.test_labels, n_classes))
+        curve.append(accuracy(model, dataset.test_features, dataset.test_labels))
     return model, curve
 
 

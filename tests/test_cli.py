@@ -654,7 +654,7 @@ def test_a_negative_seed_is_one_line_and_exit_2(tmp_path, scenario_file, staged,
     argv = [verb, *_verb_inputs(verb, scenario_file, staged), "--seed", -3, "--out", out]
     assert run(argv) == 2
     lines = _error_lines(capsys)
-    assert len(lines) == 1 and "--seed must be a non-negative integer, got -3" in lines[0]
+    assert len(lines) == 1 and "--seed must be an integer in [0, 2**64), got -3" in lines[0]
     assert not out.exists()
 
 
@@ -751,7 +751,7 @@ def test_a_seed_of_2_to_the_64_is_one_line_and_exit_2(
     argv = [verb, *_verb_inputs(verb, scenario_file, staged), "--seed", 2**64, "--out", out]
     assert run(argv) == 2
     lines = _error_lines(capsys)
-    assert len(lines) == 1 and f"--seed must be below 2**64, got {2**64}" in lines[0]
+    assert len(lines) == 1 and f"--seed must be an integer in [0, 2**64), got {2**64}" in lines[0]
     assert not out.exists()
 
 

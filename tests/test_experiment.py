@@ -107,7 +107,7 @@ def test_each_method_runs_the_stages_it_is_defined_by(scenario, report):
     the other methods keep the formed coalitions and replace the bandwidth,
     the power or both, each reporting only the seed streams it draws from."""
     trained = run_experiment(
-        scenario, master_seed=5, train=True,
+        scenario, master_seed=5,
         train_options=TrainOptions(n_features=4, tau_c=1, tau_e=1, tau_g=2),
     )
     full = {"leap", "random_assoc"}
@@ -203,15 +203,21 @@ def test_training_curves_attached_when_requested():
     sc = generate_scenario(seed=2, n_clients=8, n_edges=2, data_size=30)
     from leapsim.experiment import TrainOptions
 
+    methods = ["leap", "random_assoc", "rb"]
     rep = run_experiment(
         sc,
-        methods=["leap", "random_assoc"],
+        methods=methods,
         master_seed=1,
-        train=True,
         train_options=TrainOptions(n_features=4, tau_c=2, tau_e=2, tau_g=3, lr=0.1),
     )
-    for name in ("leap", "random_assoc"):
-        assert len(rep.methods[name].accuracy) == 3
+    # one curve per full-pipeline method, none for a baseline
+    curves = {name: m.accuracy for name, m in rep.methods.items() if m.accuracy is not None}
+    assert {name: len(curve) for name, curve in curves.items()} == {"leap": 3, "random_assoc": 3}
+    untrained = run_experiment(sc, methods=methods, master_seed=1)
+    assert all(m.accuracy is None for m in untrained.methods.values())
+    for name, m in untrained.methods.items():
+        m.accuracy = rep.methods[name].accuracy
+    assert untrained.to_dict() == rep.to_dict()
 
 
 @pytest.mark.parametrize("field, value", [

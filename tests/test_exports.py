@@ -2,10 +2,14 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import leapsim
+from leapsim.experiment import run_experiment
+from leapsim.hfl import SyntheticDataset, accuracy, predict
+from leapsim.scenario import Scenario
 
 
 def test_every_export_exists_once_and_the_package_imports_only_exports():
@@ -32,3 +36,22 @@ def test_every_export_exists_once_and_the_package_imports_only_exports():
         f"{module}.{name}" for module, name in imported if name not in exporting[module].__all__
     ]
     assert unexported == [], "leapsim/__init__.py imports names their modules do not export"
+
+
+def test_no_signature_asks_for_a_count_its_arrays_hold():
+    # the edge count is the width of channel_gains, the feature count that
+    # of the features, the class count the model's rows, and training is
+    # asked for by giving its options
+    def names(callable_):
+        return list(inspect.signature(callable_).parameters)
+
+    assert names(Scenario) == ["config", "clients", "meta"]
+    assert names(SyntheticDataset) == [
+        "client_features", "client_labels", "test_features", "test_labels", "n_classes"
+    ]
+    assert names(predict) == ["model", "features"]
+    assert names(accuracy) == ["model", "features", "labels"]
+    assert names(run_experiment) == [
+        "scenario", "methods", "gp", "master_seed", "game_max_iters", "js_denominator",
+        "train_options",
+    ]

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from leapsim.dist import js_rows, xlog2x_sums
 from leapsim.errors import InvalidValueError
+from leapsim.files import fields_dict, write_json
 from leapsim.game import (
     DRAW_BLOCK,
     LOOKAHEAD_DRAWS,
@@ -450,12 +452,25 @@ def test_run_requires_valid_initial_partition():
 
 
 @pytest.mark.parametrize(
-    "rng_seed", [-1, 1.5, True, False, np.bool_(True), np.float64(2.0), "3", [1]], ids=repr
+    "rng_seed",
+    [-1, 1.5, True, False, np.bool_(True), np.float64(2.0), "3", [1], 2**64, 2**70],
+    ids=repr,
 )
 def test_loop_rejects_a_seed_that_is_not_none_or_an_integer_at_least_0(rng_seed):
+    # 2**64 and beyond used to run and leave a trace the JSON writer refused
     part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
-    with pytest.raises(InvalidValueError, match="rng_seed must be None or an integer >= 0"):
+    words = re.escape(f"rng_seed must be an integer in [0, 2**64), got {rng_seed!r}")
+    with pytest.raises(InvalidValueError, match=f"^{words}$"):
         run_coalition_formation(part, max_iters=10, rng_seed=rng_seed)
+
+
+def test_loop_runs_on_the_largest_seed_and_its_trace_writes(tmp_path):
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    for seed in (2**64 - 1, np.uint64(2**64 - 1)):
+        _, trace = run_coalition_formation(part, max_iters=50, rng_seed=seed)
+        assert type(trace.seed) is int and trace.seed == 2**64 - 1
+        write_json(tmp_path / "trace.json", fields_dict(trace))
+        assert json.loads((tmp_path / "trace.json").read_text())["seed"] == 2**64 - 1
 
 
 def test_loop_accepts_numpy_integer_seeds_and_none():

@@ -87,7 +87,7 @@ def test_init_params_holds_the_flat_draws_weights_row_by_row_then_biases():
     features = toy_dataset().test_features
     for flat in (draws, np.random.default_rng(6).normal(size=15)):
         labels = np.argmax(features @ flat[:12].reshape(3, 4).T + flat[12:], axis=1)
-        assert np.array_equal(predict(model_params(flat, 3, 4), features, 3), labels)
+        assert np.array_equal(predict(model_params(flat, 3, 4), features), labels)
     assert len(set(labels.tolist())) == 3
 
 
@@ -404,16 +404,26 @@ def test_local_train_refuses_params_of_the_wrong_length_before_its_first_step(
 
 
 @pytest.mark.parametrize(
-    "shape", [(5,), (12,), (16,), (20,), (15,), (3, 4), (3, 6)],
-    ids=["5", "Kd", "Kd+K+1", "20", "flat", "K_by_d", "K_by_d+2"],
+    "shape", [(5,), (12,), (16,), (20,), (15,), (3, 4), (3, 6), (0, 5)],
+    ids=["5", "Kd", "Kd+K+1", "20", "flat", "K_by_d", "K_by_d+2", "no_class"],
 )
 def test_predict_and_accuracy_refuse_params_of_the_wrong_length(shape):
-    # (3, 6) would broadcast silently and a flat vector fail in numpy's indexing
+    # (3, 6) would broadcast silently, a flat vector fail in numpy's indexing
+    # and (0, 5) in an argmax over no class; K is the model's row count
     ds = toy_dataset()
-    with pytest.raises(InvalidValueError, match=_wrong_model_message(shape)):
-        predict(np.zeros(shape), ds.test_features, 3)
-    with pytest.raises(InvalidValueError, match=_wrong_model_message(shape)):
-        accuracy(np.zeros(shape), ds.test_features, ds.test_labels, 3)
+    words = rf"^model must be a \(K, 5\) matrix \[W \| b\], got shape {re.escape(str(shape))}$"
+    with pytest.raises(InvalidValueError, match=words):
+        predict(np.zeros(shape), ds.test_features)
+    with pytest.raises(InvalidValueError, match=words):
+        accuracy(np.zeros(shape), ds.test_features, ds.test_labels)
+
+
+def test_predict_and_accuracy_take_the_class_count_from_the_model():
+    ds = toy_dataset()
+    model = np.zeros((7, 5))
+    model[6, 4] = 1.0  # class 6's bias: every sample is predicted class 6
+    assert np.array_equal(predict(model, ds.test_features), np.full(len(ds.test_labels), 6))
+    assert accuracy(model, ds.test_features, ds.test_labels) == 0.0
 
 
 def _nan_at(features, row, col):
@@ -686,6 +696,8 @@ def test_dataset_honors_label_counts():
     for n, expected in enumerate(counts):
         hist = np.bincount(ds.client_labels[n], minlength=3)
         assert hist.tolist() == expected
+    assert ds.n_features == 4
+    assert [x.shape[1] for x in ds.client_features] == [ds.n_features] * len(counts)
 
 
 @pytest.mark.parametrize(
@@ -754,7 +766,7 @@ def test_run_hfl_iid_separable_reaches_ninety_percent():
     pooled_x = np.concatenate(ds.client_features)
     pooled_y = np.concatenate(ds.client_labels)
     central = train(init_params(3, 4, 0), pooled_x, pooled_y, 3, 250, 0.1)
-    assert accuracy(central, ds.test_features, ds.test_labels, 3) >= 0.9
+    assert accuracy(central, ds.test_features, ds.test_labels) >= 0.9
 
     _, curve = run_hfl([{0, 1}, {2, 3}], ds, tau_c=5, tau_e=1, tau_g=50, lr=0.1, seed=0)
     assert max(curve) >= 0.9

@@ -177,6 +177,7 @@ def assert_reloads_bit_for_bit(tmp_path, **kwargs):
     save_scenario(sc, tmp_path / "a.bin")
     again = load_scenario(tmp_path / "a.bin")
     assert_same_scenario(again, sc)
+    assert sc.num_edges == again.num_edges == again.clients.channel_gains.shape[1] == 3
     save_scenario(again, tmp_path / "b.bin")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
