@@ -38,7 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidValueError, LeapsimError, check_integer, check_number
+from .errors import (
+    InvalidPartitionError, InvalidValueError, LeapsimError, check_integer, check_number,
+)
+from .game import Partition
 from .netmodel import (
     AllocationPlan,
     ClientTable,
@@ -166,7 +169,7 @@ def surrogate_terms(partition, clients: ClientTable, config: NetworkConfig) -> S
     if isinstance(partition, SurrogateTerms):
         return partition
     assignment, sizes = partition_arrays(partition, clients)
-    worst = worst_members(assignment, clients)
+    worst = worst_members(partition, clients)
     p = clients.p_max[worst]
     h = clients.channel_gains[worst, np.arange(sizes.size)]
     k = config.lambda2 * sizes * config.tau_g * config.tau_e * p * config.model_size
@@ -340,31 +343,38 @@ def deadline_powers(
     return np.fmin(clients.p_max, needed), notes
 
 
+def _check_plan_partition(partition) -> None:
+    if not isinstance(partition, Partition):
+        raise InvalidPartitionError(f"a plan needs a Partition, got {type(partition).__name__}: "
+                                    "a plan reports its partition's avg JS")
+
+
 def build_plan(
-    partition,
+    partition: Partition,
     clients: ClientTable,
     config: NetworkConfig,
     bandwidth: np.ndarray,
     power: np.ndarray,
-    avg_js: float,
     surrogate_objective: float | None = None,
     notes: list[str] | None = None,
 ) -> AllocationPlan:
-    """Assemble an AllocationPlan with every derived metric filled in;
-    NonFiniteInputError names the fields that hold NaN or an infinity."""
+    """Assemble an AllocationPlan with every derived metric filled in, avg JS from the
+    partition; NonFiniteInputError names the fields that hold NaN or an infinity."""
+    _check_plan_partition(partition)
     assignment, sizes = partition_arrays(partition, clients)
     bandwidth = _checked_bandwidth(bandwidth, sizes)
     power = np.asarray(power, dtype=float)
     share = bandwidth[assignment] / sizes[assignment]
 
     t_client, t_coalition, t_total = round_and_total_latency(
-        assignment, clients, share, power, config
+        partition, clients, share, power, config
     )
     t_comp = comp_latency(clients, config)
-    breakdown = energies(assignment, clients, share, power, config)
+    breakdown = energies(partition, clients, share, power, config)
     ok, all_ok = check_deadline(t_client, config)
     if surrogate_objective is None:
-        surrogate_objective = p3_objective(bandwidth, assignment, clients, config)
+        surrogate_objective = p3_objective(bandwidth, partition, clients, config)
+    avg_js = partition.avg_js()
     plan = AllocationPlan(
         bandwidth=bandwidth,
         client_bandwidth=share,
@@ -393,11 +403,10 @@ def build_plan(
 
 
 def plan_full(
-    partition,
+    partition: Partition,
     clients: ClientTable,
     config: NetworkConfig,
     gp: GPConfig | None = None,
-    avg_js: float = 0.0,
 ) -> tuple[AllocationPlan, GPTrace]:
     """Bandwidth by gradient projection, then per-client deadline power.
 
@@ -406,11 +415,11 @@ def plan_full(
     equal share.  Clients that cannot meet the deadline even at p_max
     stay at p_max and are flagged in the plan instead of raising.
     """
-    assignment, _ = partition_arrays(partition, clients)
-    bandwidth, trace = gp_solve(assignment, clients, config, gp)
-    power, notes = deadline_powers(assignment, clients, config, bandwidth)
+    _check_plan_partition(partition)
+    bandwidth, trace = gp_solve(partition, clients, config, gp)
+    power, notes = deadline_powers(partition, clients, config, bandwidth)
     plan = build_plan(
-        assignment, clients, config, bandwidth, power, avg_js,
+        partition, clients, config, bandwidth, power,
         surrogate_objective=trace.objective_values[-1], notes=notes,
     )
     return plan, trace

@@ -175,9 +175,7 @@ def _gp_config(args) -> GPConfig:
 def cmd_allocate(args) -> int:
     scenario = load_scenario(args.scenario)
     partition = _load_partition(args.partition, scenario)
-    plan, trace = plan_full(
-        partition, scenario.clients, scenario.config, _gp_config(args), avg_js=partition.avg_js()
-    )
+    plan, trace = plan_full(partition, scenario.clients, scenario.config, _gp_config(args))
     out = _out_dir(args)
     stored = plan.to_dict()
     write_json(out / "plan.json", {"schema": PLAN_SCHEMA, **{k: stored[k] for k in PLAN_KEYS}})

@@ -260,9 +260,7 @@ def run_experiment(
                 associations[association] = (partition, None, {"association": seeds[association]})
         partition, game_trace, association_seeds = associations[association]
         if bandwidth_stage == "gp" and association not in full_plans:
-            full_plans[association] = plan_full(
-                partition, clients, config, gp, avg_js=partition.avg_js()
-            )
+            full_plans[association] = plan_full(partition, clients, config, gp)
 
         if bandwidth_stage == "gp" and power_stage == "deadline":
             plan, gp_trace = full_plans[association]
@@ -286,16 +284,13 @@ def run_experiment(
                 rng = np.random.default_rng(seeds[power_stage])
                 power, notes = clients.p_max * (1.0 - rng.random(len(clients))), []
                 used_seeds[power_stage] = seeds[power_stage]
-            plan = build_plan(
-                partition, clients, config, bandwidth, power,
-                avg_js=partition.avg_js(), notes=notes,
-            )
+            plan = build_plan(partition, clients, config, bandwidth, power, notes=notes)
 
         report.methods[name] = MethodResult(
             name=name,
             seeds=used_seeds,
             assignment=partition.assignment.tolist(),
-            avg_js=partition.avg_js(),
+            avg_js=plan.avg_js,
             plan=plan.to_dict(),
             feasible=plan.feasible,
             game_trace=game_trace,
@@ -408,11 +403,4 @@ def recompute_plan(
     partition = Partition(
         assignment, label_count_matrix(scenario), scenario.num_edges, js_denominator
     )
-    return build_plan(
-        partition,
-        scenario.clients,
-        scenario.config,
-        np.asarray(bandwidth, dtype=float),
-        np.asarray(power, dtype=float),
-        avg_js=partition.avg_js(),
-    )
+    return build_plan(partition, scenario.clients, scenario.config, bandwidth, power)

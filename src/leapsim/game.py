@@ -410,16 +410,12 @@ def evaluate_switch(
     """The move of ``client`` to ``target`` as a proposal priced ``deltas[target]``.
 
     ``deltas`` is the client's ``_price_moves`` row on the partition's
-    current state.  The partition is not mutated.
+    current state.  The partition is not mutated, and ``Partition.apply``
+    alone judges whether the switch is admissible.
     """
-    src = int(partition.assignment[client])
-    if target == src:
-        raise InvalidSwitchError("target equals the client's current coalition")
     if not 0 <= target < partition.num_coalitions:
         raise InvalidSwitchError("target coalition index out of range")
-    if partition.sizes[src] == 1:
-        raise InvalidSwitchError("switch would empty the source coalition")
-    return SwitchProposal(client, src, target, float(deltas[target]))
+    return SwitchProposal(client, int(partition.assignment[client]), target, float(deltas[target]))
 
 
 def default_max_iters(n_clients: int) -> int:

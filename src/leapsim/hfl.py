@@ -130,9 +130,21 @@ def _check_model(model: np.ndarray, n_classes: int, n_features: int) -> None:
         )
 
 
+def _check_features(features, prefix: str = "") -> None:
+    """InvalidValueError, its line starting ``prefix``, unless ``features``
+    is a 2-D array of real numbers."""
+    if isinstance(features, np.ndarray) and features.ndim == 2 and features.dtype.kind in "fiu":
+        return
+    got = (f"shape {features.shape} of dtype {features.dtype}"
+           if isinstance(features, np.ndarray) else type(features).__name__)
+    raise InvalidValueError(f"{prefix}features must be a 2-D array of real numbers, got {got}")
+
+
 def predict(model: np.ndarray, features: np.ndarray) -> np.ndarray:
     """The most likely of the model's K classes for every row of ``features``;
-    InvalidValueError unless ``model`` is a (K, d + 1) matrix [W | b], K >= 1."""
+    InvalidValueError unless ``features`` is a 2-D array of real numbers and
+    ``model`` a (K, d + 1) matrix [W | b], K >= 1."""
+    _check_features(features)
     d, shape = features.shape[1], np.shape(model)
     if len(shape) != 2 or shape[0] == 0 or shape[1] != d + 1:
         raise InvalidValueError(f"model must be a (K, {d + 1}) matrix [W | b], got shape {shape}")
@@ -140,7 +152,13 @@ def predict(model: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 
 def accuracy(model: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(predict(model, features) == labels))
+    """The share of ``features`` rows that ``predict`` gives their label;
+    InvalidValueError unless ``labels`` is 1-D with one entry per row."""
+    predicted = predict(model, features)
+    if np.shape(labels) != predicted.shape:
+        raise InvalidValueError("labels must be 1-D with one entry per feature row "
+                                f"({predicted.size}), got shape {np.shape(labels)}")
+    return float(np.mean(predicted == labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,19 +187,7 @@ def prepare_client(
     The design is a fresh C-order copy, whatever the layout of
     ``features``, so the layout moves no bit of a step; neither input is
     written to."""
-    if not (
-        isinstance(features, np.ndarray)
-        and features.ndim == 2
-        and features.dtype.kind in "fiu"
-    ):
-        got = (
-            f"shape {features.shape} of dtype {features.dtype}"
-            if isinstance(features, np.ndarray)
-            else type(features).__name__
-        )
-        raise InvalidValueError(
-            f"client {client}: features must be a 2-D array of real numbers, got {got}"
-        )
+    _check_features(features, f"client {client}: ")
     try:
         targets = onehot_targets(labels, n_classes)
     except InvalidValueError as error:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from leapsim.alloc import (
     project_to_simplex,
     worst_members,
 )
-from leapsim.errors import InvalidValueError
+from leapsim.errors import InvalidPartitionError, InvalidValueError
+from leapsim.game import Partition
 from leapsim.netmodel import ClientTable, NetworkConfig, energies, partition_arrays
 
 from oracles import (
@@ -39,6 +41,19 @@ def simple_clients(p_max, gain, n_edges=2):
         data_size=100, cycles_per_item=2e5, cpu_freq=1.5e9, p_max=p_max, gains=gain,
         num_edges=n_edges,
     )
+
+
+def as_partition(coalitions, clients):
+    """The coalitions as a Partition of the clients' label counts."""
+    assignment, sizes = partition_arrays(coalitions, clients)
+    return Partition(assignment, clients.label_counts, len(sizes))
+
+
+def with_class_labels(clients, n_classes=3):
+    """The clients with all of client n's data in class n % n_classes."""
+    counts = np.zeros((len(clients), n_classes), dtype=np.int64)
+    counts[np.arange(len(clients)), np.arange(len(clients)) % n_classes] = clients.data_size
+    return dataclasses.replace(clients, label_counts=counts)
 
 
 # -- worst client ---------------------------------------------------------------
@@ -396,7 +411,7 @@ def test_gp_solve_builds_the_terms_once_and_evaluates_through_the_public_functio
             "worst_members": 1,
         }
         calls.update(dict.fromkeys(calls, 0))
-        plan_full(coalitions, clients, cfg, gp)  # the plan reuses the solve's objective
+        plan_full(as_partition(coalitions, clients), clients, cfg, gp)  # reuses the objective
         assert calls["worst_members"] == 1
         assert calls["p3_objective"] == 1 + iterations + halvings
 
@@ -516,7 +531,7 @@ def test_power_optimization_never_increases_energy():
 def test_plan_full_symmetric_instance():
     rng = np.random.default_rng(18)
     coalitions, clients, cfg = make_alloc_instance(rng, 3, symmetric=True, deadline=1e7)
-    plan, trace = plan_full(coalitions, clients, cfg)
+    plan, trace = plan_full(as_partition(coalitions, clients), clients, cfg)
     equal = cfg.total_bandwidth / 3
     assert np.all(np.abs(plan.bandwidth - equal) / equal < 1e-6)
     assert np.allclose(plan.power, plan.power[0], rtol=1e-6)
@@ -526,7 +541,7 @@ def test_plan_full_symmetric_instance():
 def test_plan_full_latencies_within_budget_by_construction():
     rng = np.random.default_rng(19)
     coalitions, clients, cfg = make_alloc_instance(rng, 3, deadline=1e7)
-    plan, _ = plan_full(coalitions, clients, cfg)
+    plan, _ = plan_full(as_partition(coalitions, clients), clients, cfg)
     assert plan.feasible
     assert np.all(plan.client_latency <= cfg.iteration_budget * (1 + 1e-9))
 
@@ -537,23 +552,41 @@ def test_plan_full_flags_impossible_clients_instead_of_raising():
         num_edges=2,
     )
     cfg = power_config(deadline=10.0)
-    plan, _ = plan_full([{0}, {1}], clients, cfg)
+    plan, _ = plan_full(as_partition([{0}, {1}], clients), clients, cfg)
     assert not plan.feasible
     assert not plan.per_client_feasible[0]
     assert plan.notes  # structured infeasibility report
 
 
+@pytest.mark.parametrize("form", ["assignment", "member sets"])
+def test_plans_refuse_a_partition_that_is_not_a_partition_object(form):
+    # a plan reports its partition's avg JS, which an array or member sets lack
+    rng = np.random.default_rng(22)
+    coalitions, clients, cfg = make_alloc_instance(rng, 2)
+    partition = coalitions if form == "member sets" else partition_arrays(coalitions, clients)[0]
+    got = type(partition).__name__
+    words = f"^a plan needs a Partition, got {got}: a plan reports its partition's avg JS$"
+    with pytest.raises(InvalidPartitionError, match=words):
+        plan_full(partition, clients, cfg)
+    with pytest.raises(InvalidPartitionError, match=words):
+        build_plan(partition, clients, cfg, np.array([4e6, 6e6]), clients.p_max)
+
+
 def test_build_plan_metrics_are_consistent():
     rng = np.random.default_rng(20)
     coalitions, clients, cfg = make_alloc_instance(rng, 2, deadline=1e7)
+    clients = with_class_labels(clients)
+    partition = as_partition(coalitions, clients)
+    assert partition.avg_js() > 0
     bandwidth = np.array([4e6, 6e6])
     power = np.array([c.p_max for c in clients])
-    plan = build_plan(coalitions, clients, cfg, bandwidth, power, avg_js=0.25)
+    plan = build_plan(partition, clients, cfg, bandwidth, power)
+    assert plan.avg_js == partition.avg_js()
     assert plan.total_energy == pytest.approx(float(plan.coalition_energy.sum()), rel=1e-12)
     rounds = cfg.tau_g * cfg.tau_e
     assert plan.uplink_energy == pytest.approx(rounds * float(plan.tx_energy.sum()), rel=1e-12)
     assert plan.utility == pytest.approx(
-        cfg.lambda1 * (1 - 0.25) - cfg.lambda2 * plan.total_energy, rel=1e-12
+        cfg.lambda1 * (1 - partition.avg_js()) - cfg.lambda2 * plan.total_energy, rel=1e-12
     )
 
 
@@ -569,8 +602,8 @@ def test_build_plan_refuses_a_plan_whose_floats_overflow(columns, fields):
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteInputError, match=f"^the plan's {fields} are not finite"):
-            build_plan([{0}, {1}], clients, power_config(10.0), np.array([5e6, 5e6]),
-                       clients.p_max, avg_js=0.0)
+            build_plan(as_partition([{0}, {1}], clients), clients, power_config(10.0),
+                       np.array([5e6, 5e6]), clients.p_max)
 
 
 def test_a_solve_sets_the_projected_gradient_norm_a_fresh_trace_lacks():
@@ -633,9 +666,10 @@ def test_deadline_powers_and_build_plan_match_the_per_client_reference():
     from oracles import deadline_powers_ref, plan_ref
 
     rng = np.random.default_rng(41)
-    seen = {"late": 0, "clipped": 0, "client_mode": 0}
+    seen = {"late": 0, "clipped": 0, "client_mode": 0, "js": 0}
     for _ in range(60):
         assignment, coalitions, clients, cfg, bandwidth = random_plan_instance(rng)
+        clients = with_class_labels(clients)
         power, notes = deadline_powers(assignment, clients, cfg, bandwidth)
         ref_power, ref_notes = deadline_powers_ref(coalitions, clients, cfg, bandwidth)
         np.testing.assert_allclose(power, ref_power, rtol=1e-12, atol=0)
@@ -645,9 +679,12 @@ def test_deadline_powers_and_build_plan_match_the_per_client_reference():
         seen["clipped"] += int(np.sum(power == p_max)) - len(notes)
         seen["client_mode"] += bool(np.all(clients.channel_gains == clients.channel_gains[:, :1]))
 
+        partition = as_partition(coalitions, clients)
+        avg_js = partition.avg_js()
+        seen["js"] += avg_js > 0
         for trial_power in (power, p_max * rng.uniform(0.01, 1.0, size=len(clients))):
-            plan = build_plan(coalitions, clients, cfg, bandwidth, trial_power, avg_js=0.3)
+            plan = build_plan(partition, clients, cfg, bandwidth, trial_power)
             assert_plan_matches(
-                plan, plan_ref(coalitions, clients, cfg, bandwidth, trial_power, 0.3)
+                plan, plan_ref(coalitions, clients, cfg, bandwidth, trial_power, avg_js)
             )
     assert all(count > 0 for count in seen.values()), seen

@@ -7,6 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import leapsim
+from leapsim.alloc import build_plan, plan_full
 from leapsim.experiment import run_experiment
 from leapsim.hfl import SyntheticDataset, accuracy, predict
 from leapsim.scenario import Scenario
@@ -40,8 +41,8 @@ def test_every_export_exists_once_and_the_package_imports_only_exports():
 
 def test_no_signature_asks_for_a_count_its_arrays_hold():
     # the edge count is the width of channel_gains, the feature count that
-    # of the features, the class count the model's rows, and training is
-    # asked for by giving its options
+    # of the features, the class count the model's rows, training is asked
+    # for by giving its options, and a plan's avg JS is its partition's
     def names(callable_):
         return list(inspect.signature(callable_).parameters)
 
@@ -54,4 +55,8 @@ def test_no_signature_asks_for_a_count_its_arrays_hold():
     assert names(run_experiment) == [
         "scenario", "methods", "gp", "master_seed", "game_max_iters", "js_denominator",
         "train_options",
+    ]
+    assert names(plan_full) == ["partition", "clients", "config", "gp"]
+    assert names(build_plan) == [
+        "partition", "clients", "config", "bandwidth", "power", "surrogate_objective", "notes"
     ]

@@ -280,14 +280,22 @@ def test_switch_between_identical_balanced_coalitions_does_not_improve():
 
 def test_switch_same_target_rejected():
     part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
-    with pytest.raises(InvalidSwitchError):
-        evaluate_switch(part, 0, 0, switch_deltas_ref(part, 0))
+    with pytest.raises(InvalidSwitchError):  # Partition.apply judges admissibility
+        part.apply(evaluate_switch(part, 0, 0, switch_deltas_ref(part, 0)))
 
 
 def test_switch_emptying_source_rejected():
     part = make_partition([0, 1, 1, 1], ONE_HOT_4, 2)
-    with pytest.raises(InvalidSwitchError):  # refused before the row is read
-        evaluate_switch(part, 0, 1, np.zeros(2))
+    with pytest.raises(InvalidSwitchError):  # refused before the client is priced
+        part.apply(evaluate_switch(part, 0, 1, np.zeros(2)))
+
+
+@pytest.mark.parametrize("target", [-1, 2])
+def test_switch_target_outside_the_coalitions_rejected(target):
+    # numpy would wrap -1 to the last coalition's price and raise a bare IndexError at 2
+    part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)
+    with pytest.raises(InvalidSwitchError, match="^target coalition index out of range$"):
+        evaluate_switch(part, 0, target, switch_deltas_ref(part, 0))
 
 
 def test_incremental_delta_matches_full_recompute():

@@ -426,6 +426,35 @@ def test_predict_and_accuracy_take_the_class_count_from_the_model():
     assert accuracy(model, ds.test_features, ds.test_labels) == 0.0
 
 
+@pytest.mark.parametrize("features, got", [
+    (np.ones(4), "shape (4,) of dtype float64"),
+    (np.ones((1, 2, 4)), "shape (1, 2, 4) of dtype float64"),
+    (np.ones((6, 4), dtype=complex), "shape (6, 4) of dtype complex128"),
+    (np.full((6, 4), "1"), "shape (6, 4) of dtype <U1"),
+    ([[1.0] * 4] * 6, "list"),
+], ids=["1-D", "3-D", "complex", "strings", "list"])
+def test_predict_and_accuracy_refuse_features_that_are_not_a_2d_real_array(features, got):
+    # a 1-D array has no features.shape[1] to read
+    words = f"^features must be a 2-D array of real numbers, got {re.escape(got)}$"
+    with pytest.raises(InvalidValueError, match=words):
+        predict(np.zeros((3, 5)), features)
+    with pytest.raises(InvalidValueError, match=words):
+        accuracy(np.zeros((3, 5)), features, np.zeros(6, dtype=np.int64))
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0]), np.array([0, 1]), np.zeros(7, dtype=np.int64), np.zeros((6, 1), dtype=np.int64),
+], ids=["one", "two", "seven", "column"])
+def test_accuracy_refuses_labels_that_are_not_one_per_feature_row(labels):
+    # one label would broadcast to a silent 1.0, two to a bare numpy ValueError
+    features = np.ones((6, 4))
+    words = (r"^labels must be 1-D with one entry per feature row \(6\), "
+             rf"got shape {re.escape(str(labels.shape))}$")
+    with pytest.raises(InvalidValueError, match=words):
+        accuracy(np.zeros((3, 5)), features, labels)
+    assert accuracy(np.zeros((3, 5)), features, np.zeros(6, dtype=np.int64)) == 1.0
+
+
 def _nan_at(features, row, col):
     out = features.copy()
     out[row, col] = math.nan

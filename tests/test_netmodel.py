@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from leapsim.alloc import plan_full
+from leapsim.alloc import gp_solve
 from leapsim.errors import InvalidPartitionError, InvalidValueError
 from leapsim.game import Partition
 from leapsim.netmodel import (
@@ -459,7 +459,7 @@ BAD_PARTITIONS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_PARTITIONS))
-@pytest.mark.parametrize("solver", ["energies", "round_and_total_latency", "plan_full"])
+@pytest.mark.parametrize("solver", ["energies", "round_and_total_latency", "gp_solve"])
 def test_solvers_reject_a_partition_that_is_not_a_disjoint_cover(case, solver):
     coalitions, words = BAD_PARTITIONS[case]
     rng = np.random.default_rng(3)
@@ -475,4 +475,4 @@ def test_solvers_reject_a_partition_that_is_not_a_disjoint_cover(case, solver):
         elif solver == "round_and_total_latency":
             round_and_total_latency(coalitions, clients, share, power, cfg)
         else:
-            plan_full(coalitions, clients, cfg)
+            gp_solve(coalitions, clients, cfg)
