@@ -343,10 +343,15 @@ def deadline_powers(
     return np.fmin(clients.p_max, needed), notes
 
 
-def _check_plan_partition(partition) -> None:
+def _check_plan_partition(partition, clients: ClientTable) -> None:
     if not isinstance(partition, Partition):
         raise InvalidPartitionError(f"a plan needs a Partition, got {type(partition).__name__}: "
                                     "a plan reports its partition's avg JS")
+    # every product path builds its Partition on the table's own array
+    counts = partition.client_counts
+    if counts is not clients.label_counts and not np.array_equal(counts, clients.label_counts):
+        raise InvalidPartitionError("a plan needs a Partition of the clients' label_counts, "
+                                    "got other label counts: a plan reports its partition's avg JS")
 
 
 def build_plan(
@@ -359,8 +364,10 @@ def build_plan(
     notes: list[str] | None = None,
 ) -> AllocationPlan:
     """Assemble an AllocationPlan with every derived metric filled in, avg JS from the
-    partition; NonFiniteInputError names the fields that hold NaN or an infinity."""
-    _check_plan_partition(partition)
+    partition, which must be a Partition of ``clients.label_counts``
+    (InvalidPartitionError otherwise); NonFiniteInputError names the fields
+    that hold NaN or an infinity."""
+    _check_plan_partition(partition, clients)
     assignment, sizes = partition_arrays(partition, clients)
     bandwidth = _checked_bandwidth(bandwidth, sizes)
     power = np.asarray(power, dtype=float)
@@ -415,7 +422,7 @@ def plan_full(
     equal share.  Clients that cannot meet the deadline even at p_max
     stay at p_max and are flagged in the plan instead of raising.
     """
-    _check_plan_partition(partition)
+    _check_plan_partition(partition, clients)
     bandwidth, trace = gp_solve(partition, clients, config, gp)
     power, notes = deadline_powers(partition, clients, config, bandwidth)
     plan = build_plan(

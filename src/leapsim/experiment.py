@@ -14,7 +14,12 @@ report is a pure function of (scenario, methods, master seed).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -81,6 +86,13 @@ _SEED_STREAMS = (
 )
 
 _PERIODS = ("tau_c", "tau_e", "tau_g")
+
+# train_curves trains runs in forked children only when one run takes at
+# least this many client gradient steps (N * tau_c * tau_e * tau_g): on a
+# 2-core Xeon VM a fork, pipe and waitpid round trip took 2.5-2.7 ms and
+# one local step about 21 us, so a shorter run gains too little to pay
+# for the fork.
+FORK_MIN_STEPS = 2000
 
 
 @dataclass
@@ -184,7 +196,19 @@ def train_curves(
     seed: int,
 ) -> list[list[float]]:
     """Test accuracy per global round of one HFL run on each partition, all
-    on one synthetic dataset drawn from ``data_seed`` and the scenario's labels."""
+    on one synthetic dataset drawn from ``data_seed`` and the scenario's labels.
+
+    The runs share only read-only inputs.  When there are two runs or
+    more, one run takes at least ``FORK_MIN_STEPS`` client gradient steps
+    and ``os.sched_getaffinity`` gives this process two CPUs or more, up
+    to one run per CPU goes at once, each kept on a CPU of its own: this
+    process trains the first and a child made by ``os.fork`` each other,
+    which sends back its curve or its exception.  Otherwise every run
+    trains here, one after the other.
+    The curves, and the error raised when runs fail (the first run's in
+    partition order), are the same either way, byte for byte, and no
+    child outlives the call.
+    """
     dataset = SyntheticDataset.generate(
         label_counts=label_count_matrix(scenario),
         n_features=opts.n_features,
@@ -193,7 +217,133 @@ def train_curves(
         noise=opts.noise,
     )
     periods = opts.periods(scenario.config)
-    return [run_hfl(p, dataset, **periods, lr=opts.lr, seed=seed)[1] for p in partitions]
+
+    def train(partition: Partition) -> list[float]:
+        return run_hfl(partition, dataset, **periods, lr=opts.lr, seed=seed)[1]
+
+    width = _runs_at_once(len(partitions), scenario.n_clients * math.prod(periods.values()))
+    curves: list[list[float]] = []
+    for start in range(0, len(partitions), width):
+        curves += _train_at_once(train, partitions[start:start + width])
+    return curves
+
+
+def _runs_at_once(n_runs: int, steps: int) -> int:
+    """1, or one run per CPU this process may use when there are two runs or
+    more of ``steps`` >= FORK_MIN_STEPS client gradient steps each."""
+    if n_runs < 2 or steps < FORK_MIN_STEPS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(n_runs, len(os.sched_getaffinity(0)))
+
+
+def _train_at_once(train, partitions: Sequence[Partition]) -> list[list[float]]:
+    """``train`` on every partition: the first in this process, each other in
+    a forked child, each run kept on a CPU of its own; the first error in
+    partition order is raised.  Children still running when this process's
+    run or an earlier child fails are killed; every child is reaped before
+    this returns or raises."""
+    cpus = sorted(os.sched_getaffinity(0)) if len(partitions) > 1 else []
+    children: list[tuple[int, int]] = []
+    try:
+        for cpu, partition in zip(cpus[1:], partitions[1:]):
+            children.append(_fork_run(train, partition, cpu))
+        if cpus:
+            _keep_on({cpus[0]})
+        try:
+            curves = [train(partitions[0])]
+        finally:
+            if cpus:
+                _keep_on(set(cpus))
+        while children:
+            curves.append(_child_result(*children.pop(0)))
+        return curves
+    finally:
+        for pid, reader in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(reader)
+            os.waitpid(pid, 0)
+
+
+def _keep_on(cpus: set[int]) -> None:
+    """Keep the calling thread on ``cpus``.  Left to itself, Linux may keep
+    a new child on its parent's CPU with another CPU idle, and the two runs
+    then take turns: on a 2-core Xeon VM a fork of two equal runs took 30 ms
+    on two CPUs, and twice that for seconds at a time on one.  Placement
+    only changes the speed, so a refused request is ignored."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _fork_run(train, partition: Partition, cpu: int) -> tuple[int, int]:
+    """Fork a child that keeps to ``cpu``, writes ``_run_outcome(train,
+    partition)`` to a pipe and leaves by ``os._exit``, which runs no atexit
+    hook, flushes no stdio buffer and never returns into the caller; (its
+    pid, the read end)."""
+    reader, writer = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn when a process with other threads
+            # forks (OpenBLAS's pool, when BLAS is not pinned): a lock that
+            # another thread held stays locked in the child.  This child
+            # runs numpy only, on its copy of the data, and leaves by
+            # os._exit without reaching interpreter shutdown.
+            warnings.filterwarnings(
+                "ignore",
+                r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to "
+                r"deadlocks in the child",
+                DeprecationWarning,
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            _keep_on({cpu})
+            os.close(reader)
+            with os.fdopen(writer, "wb") as pipe:
+                pipe.write(_run_outcome(train, partition))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(writer)
+    return pid, reader
+
+
+def _run_outcome(train, partition: Partition) -> bytes:
+    """Pickled (True, curve), or (False, the exception) when the run raises;
+    an exception that does not pickle and unpickle comes as a RuntimeError
+    naming it."""
+    try:
+        return pickle.dumps((True, train(partition)))
+    except Exception as error:
+        try:
+            outcome = pickle.dumps((False, error))
+            pickle.loads(outcome)
+            return outcome
+        except Exception:
+            return pickle.dumps((False, RuntimeError(f"{type(error).__name__}: {error}")))
+
+
+def _child_result(pid: int, reader: int) -> list[float]:
+    """The curve the child ``pid`` sent to ``reader``, read to EOF before
+    the child is reaped; raises the exception it sent instead."""
+    try:
+        with os.fdopen(reader, "rb") as pipe:
+            outcome = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not outcome:
+        raise RuntimeError(
+            f"a training child exited with code {os.waitstatus_to_exitcode(status)} "
+            "and sent no result"
+        )
+    ok, value = pickle.loads(outcome)
+    if not ok:
+        raise value
+    return value
 
 
 def run_experiment(

@@ -153,8 +153,13 @@ def predict(model: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 def accuracy(model: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
     """The share of ``features`` rows that ``predict`` gives their label;
-    InvalidValueError unless ``labels`` is 1-D with one entry per row."""
+    InvalidValueError unless there is a row and ``labels`` is 1-D with one
+    entry per row."""
     predicted = predict(model, features)
+    if predicted.size == 0:
+        raise InvalidValueError(
+            f"accuracy needs at least one feature row, got shape {features.shape}"
+        )
     if np.shape(labels) != predicted.shape:
         raise InvalidValueError("labels must be 1-D with one entry per feature row "
                                 f"({predicted.size}), got shape {np.shape(labels)}")

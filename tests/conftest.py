@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +27,17 @@ def non_finite_path(value, path: str = "$") -> str | None:
         if found is not None:
             return found
     return None
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail every test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave {left})")
 
 
 @pytest.fixture

@@ -558,14 +558,27 @@ def test_plan_full_flags_impossible_clients_instead_of_raising():
     assert plan.notes  # structured infeasibility report
 
 
-@pytest.mark.parametrize("form", ["assignment", "member sets"])
+@pytest.mark.parametrize("form", ["assignment", "member sets", "other counts"])
 def test_plans_refuse_a_partition_that_is_not_a_partition_object(form):
-    # a plan reports its partition's avg JS, which an array or member sets lack
+    # a plan reports its partition's avg JS, which an array or member sets
+    # lack and a Partition of other clients' label counts gets wrong
     rng = np.random.default_rng(22)
     coalitions, clients, cfg = make_alloc_instance(rng, 2)
-    partition = coalitions if form == "member sets" else partition_arrays(coalitions, clients)[0]
-    got = type(partition).__name__
-    words = f"^a plan needs a Partition, got {got}: a plan reports its partition's avg JS$"
+    assignment = partition_arrays(coalitions, clients)[0]
+    if form == "other counts":
+        # an equal copy of the clients' counts plans like the table's own array
+        same = Partition(assignment, clients.label_counts.copy(), 2)
+        assert plan_full(same, clients, cfg)[0].avg_js == plan_full(
+            as_partition(coalitions, clients), clients, cfg)[0].avg_js
+        other = clients.label_counts.copy()
+        other[0, 0] += 1
+        partition = Partition(assignment, other, 2)
+        words = ("^a plan needs a Partition of the clients' label_counts, got other label "
+                 "counts: a plan reports its partition's avg JS$")
+    else:
+        partition = coalitions if form == "member sets" else assignment
+        got = type(partition).__name__
+        words = f"^a plan needs a Partition, got {got}: a plan reports its partition's avg JS$"
     with pytest.raises(InvalidPartitionError, match=words):
         plan_full(partition, clients, cfg)
     with pytest.raises(InvalidPartitionError, match=words):

@@ -1,22 +1,27 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import time
 
 import numpy as np
 import pytest
 
 from leapsim import experiment
 from leapsim.alloc import NonFiniteInputError
-from leapsim.errors import InvalidPartitionError, InvalidValueError
+from leapsim.cli import main
+from leapsim.errors import InvalidPartitionError, InvalidValueError, TrainingDivergedError
 from leapsim.experiment import (
     METHODS,
     TrainOptions,
     emit_report,
     recompute_plan,
     run_experiment,
+    train_curves,
 )
-from leapsim.scenario import generate_scenario
+from leapsim.game import random_partition
+from leapsim.scenario import generate_scenario, save_scenario
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +271,200 @@ def test_an_uplink_ratio_beyond_the_float_range_is_refused(scenario, monkeypatch
     monkeypatch.setattr(experiment, "plan_full", subnormal_uplink)
     with pytest.raises(NonFiniteInputError, match="uplink energy ratio"):
         run_experiment(scenario, methods=["leap", "rp"], master_seed=5)
+
+
+# -- training runs in forked children -------------------------------------------
+
+SMALL_TRAINING = TrainOptions(n_features=4, tau_c=2, tau_e=2, tau_g=3, lr=0.1)  # 96 steps at N=8
+
+
+@pytest.fixture(scope="module")
+def small():
+    return generate_scenario(seed=2, n_clients=8, n_edges=2, data_size=30)
+
+
+def small_partitions(scenario, count):
+    return [
+        random_partition(scenario.clients.label_counts, 2, np.random.default_rng(s))
+        for s in range(count)
+    ]
+
+
+def force_forks(monkeypatch, cpus=2, min_steps=1):
+    """Let train_curves fork for runs of ``min_steps`` client steps as if
+    this process had ``cpus`` CPUs (None: no ``os.sched_getaffinity``);
+    returns the list of the forks this process makes."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(experiment, "FORK_MIN_STEPS", min_steps)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_run(monkeypatch, partition, failure):
+    """Make experiment.run_hfl call ``failure()`` for ``partition`` alone;
+    a forked child inherits the patch."""
+    run = experiment.run_hfl
+
+    def run_or_fail(part, *args, **kwargs):
+        return failure() if part is partition else run(part, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_hfl", run_or_fail)
+
+
+@pytest.mark.parametrize("runs, cpus, min_steps, forked", [
+    (3, 2, 1, 1),  # two CPUs train three runs as two at once, then one
+    (3, 3, 1, 2),
+    (2, 2, 96, 1),  # a run of these options takes 96 client steps
+    (2, 2, 97, 0),
+    (1, 2, 1, 0),
+    (2, 1, 1, 0),
+    (2, None, 1, 0),
+])
+def test_forked_training_gives_the_serial_curves(
+    small, monkeypatch, runs, cpus, min_steps, forked
+):
+    partitions = small_partitions(small, runs)
+    serial = train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    assert len({tuple(curve) for curve in serial}) == runs  # a swapped curve would show
+    forks = force_forks(monkeypatch, cpus, min_steps)
+    assert train_curves(small, partitions, SMALL_TRAINING, 4, 5) == serial
+    assert len(forks) == forked
+    assert_no_child_left()
+
+
+def test_compare_train_writes_the_same_bytes_with_a_forked_run(small, tmp_path, monkeypatch):
+    save_scenario(small, tmp_path / "scenario.bin")
+
+    def compare(out):
+        assert main([
+            "compare", "--scenario", str(tmp_path / "scenario.bin"), "--seed", "3", "--train",
+            "--features", "4", "--tau-c", "2", "--tau-e", "2", "--tau-g", "3",
+            "--out", str(out),
+        ]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    serial = compare(tmp_path / "serial")
+    forks = force_forks(monkeypatch)
+    assert compare(tmp_path / "forked") == serial
+    assert len(forks) == 1
+    methods = json.loads(serial["report.json"])["methods"]
+    assert [len(methods[name]["accuracy"]) for name in ("leap", "random_assoc")] == [3, 3]
+    assert_no_child_left()
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but its one stored argument does not unpickle."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("no pickling")
+
+
+@pytest.mark.parametrize("error, surfaced", [
+    (TrainingDivergedError("training diverged; lower the learning rate"), None),
+    (InvalidValueError("client 3: features must be a 2-D array of real numbers"), None),
+    (NeedsTwoArguments("one", "two"), RuntimeError("NeedsTwoArguments: one and two")),
+    (Unpicklable("words"), RuntimeError("Unpicklable: words")),
+], ids=["diverged", "invalid", "no unpickling", "no pickling"])
+def test_an_error_in_the_childs_run_alone_surfaces_in_this_process(
+    small, monkeypatch, error, surfaced
+):
+    partitions = small_partitions(small, 2)
+
+    def fail():
+        raise error
+
+    fail_in_run(monkeypatch, partitions[1], fail)
+    with pytest.raises(type(error)) as serial:
+        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    forks = force_forks(monkeypatch)
+    surfaced = surfaced or error
+    with pytest.raises(type(surfaced)) as forked:
+        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    assert len(forks) == 1
+    assert (str(serial.value), str(forked.value)) == (str(error), str(surfaced))
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_without_a_result_is_an_error(small, monkeypatch):
+    partitions = small_partitions(small, 2)
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "the second run trained in this process"
+        os._exit(3)
+
+    fail_in_run(monkeypatch, partitions[1], die)
+    force_forks(monkeypatch)
+    words = "^a training child exited with code 3 and sent no result$"
+    with pytest.raises(RuntimeError, match=words):
+        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    assert_no_child_left()
+
+
+def test_an_error_in_this_processs_run_kills_and_reaps_the_child(small, monkeypatch):
+    partitions = small_partitions(small, 2)
+
+    def diverge():
+        raise TrainingDivergedError("training diverged; lower the learning rate")
+
+    fail_in_run(monkeypatch, partitions[1], lambda: time.sleep(60))  # the child would hang
+    fail_in_run(monkeypatch, partitions[0], diverge)
+    forks = force_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(TrainingDivergedError, match="^training diverged; lower the learning rate$"):
+        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two CPUs"
+)
+@pytest.mark.parametrize("parent_fails", [False, True])
+def test_each_forked_run_keeps_to_a_cpu_of_its_own(small, monkeypatch, parent_fails):
+    cpus = sorted(os.sched_getaffinity(0))
+    partitions = small_partitions(small, 2)
+    seen = []
+    run = experiment.run_hfl
+
+    def run_and_report(part, *args, **kwargs):
+        where = sorted(os.sched_getaffinity(0))
+        if part is partitions[1]:
+            raise InvalidValueError(f"the child ran on {where}")
+        seen.append(where)
+        if parent_fails:
+            raise TrainingDivergedError("training diverged; lower the learning rate")
+        return run(part, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_hfl", run_and_report)
+    monkeypatch.setattr(experiment, "FORK_MIN_STEPS", 1)
+    error, words = (
+        (TrainingDivergedError, "^training diverged; lower the learning rate$") if parent_fails
+        else (InvalidValueError, rf"^the child ran on \[{cpus[1]}\]$")
+    )
+    with pytest.raises(error, match=words):
+        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    assert seen == [[cpus[0]]]
+    assert sorted(os.sched_getaffinity(0)) == cpus
+    assert_no_child_left()

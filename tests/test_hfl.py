@@ -455,6 +455,13 @@ def test_accuracy_refuses_labels_that_are_not_one_per_feature_row(labels):
     assert accuracy(np.zeros((3, 5)), features, np.zeros(6, dtype=np.int64)) == 1.0
 
 
+def test_accuracy_refuses_an_empty_test_set():
+    # zero rows used to give NaN after numpy's "Mean of empty slice" warning
+    words = r"^accuracy needs at least one feature row, got shape \(0, 4\)$"
+    with pytest.raises(InvalidValueError, match=words):
+        accuracy(np.zeros((3, 5)), np.ones((0, 4)), np.zeros(0, dtype=np.int64))
+
+
 def _nan_at(features, row, col):
     out = features.copy()
     out[row, col] = math.nan
