@@ -12,15 +12,12 @@ global round.
 A model is one (n_classes, n_features + 1) matrix [W | b], the
 class-by-feature weights with the per-class biases as one more column,
 and a local step works on the design matrix [X | 1], so that one matmul
-gives the logits and one the whole gradient.  ``run_hfl`` prepares
-every client once per run: ``prepare_client`` checks its features and
-labels and builds the design, its mean ``design / n``, the float64
-(n_classes, n) ``onehot_targets`` and the step's two scratch buffers,
-and ``run_hfl`` makes one gradient buffer for all of them.  The
-benchmark counts one ``local_train`` per client per edge iteration and
-tau_c ``softmax_loss_and_grad`` calls in each, through this module's
-globals, so that call structure stays fixed; once per call
-``local_train`` copies the edge model into the member's row of the
+gives the logits and one the whole gradient.  ``SyntheticDataset``
+holds every client's rows in one array and is checked where it is
+built.  The benchmark counts one ``local_train`` per client per edge
+iteration and tau_c ``softmax_loss_and_grad`` calls in each, through
+this module's globals, so that call structure stays fixed; once per
+call ``local_train`` copies the edge model into the member's row of the
 coalition's (members, K, d + 1) stack, runs its steps there and checks
 once that the result is finite.
 """
@@ -34,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidValueError, TrainingDivergedError
-from .errors import check_integer, check_seed, integer_array
+from .errors import check_integer, check_number, check_seed, integer_array
 from .netmodel import coalition_assignment
 
 __all__ = [
@@ -44,7 +41,7 @@ __all__ = [
     "predict",
     "accuracy",
     "PreparedClient",
-    "prepare_client",
+    "prepare_clients",
     "local_train",
     "edge_aggregate",
     "run_hfl",
@@ -62,26 +59,9 @@ def init_params(n_classes: int, n_features: int, seed: int = 0) -> np.ndarray:
 
 
 def onehot_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """The float64 (n_classes, n) matrix with 1.0 at (labels[i], i), 0.0 elsewhere.
-
-    InvalidValueError, naming the bad value, unless ``n_classes`` is an
-    integer >= 1 and ``labels`` is a 1-D integer array with at least one
-    entry, every one in [0, n_classes).  ``prepare_client`` builds a
-    client's targets here, and the learner trusts them from then on."""
-    check_integer("n_classes", n_classes, 1)
-    if not (
-        isinstance(labels, np.ndarray)
-        and labels.ndim == 1
-        and labels.dtype.kind in "iu"
-        and labels.size > 0
-    ):
-        raise InvalidValueError(
-            f"labels must be a 1-D integer array with at least one entry, got {labels!r}"
-        )
-    outside = (labels < 0) | (labels >= n_classes)
-    if outside.any():
-        bad = labels[outside.argmax()]
-        raise InvalidValueError(f"labels must lie in [0, {n_classes}), got {bad}")
+    """The float64 (n_classes, n) matrix with 1.0 at (labels[i], i), 0.0
+    elsewhere, for 1-D integer labels in [0, n_classes), which
+    ``SyntheticDataset`` checks."""
     targets = np.zeros((n_classes, labels.size))
     targets[labels, np.arange(labels.size)] = 1.0
     return targets
@@ -102,7 +82,7 @@ def softmax_loss_and_grad(
     design matrix [X | 1] (n, d + 1), ``targets`` is ``onehot_targets``
     (K, n) and ``mean_design`` is ``design / n``; ``grad`` (K, d + 1),
     ``logits`` (K, n) and ``column`` (n,) are buffers made once per run
-    (``prepare_client`` and ``run_hfl``), so a step allocates nothing.
+    (``prepare_clients`` and ``run_hfl``), so a step allocates nothing.
     The logits are class-major, [W | b] [X | 1]^T: the softmax reduces
     over axis 0 and subtracting ``targets`` leaves the logit gradient,
     softmax - onehot.  At a true class that is p - 1.0, elsewhere
@@ -168,11 +148,14 @@ def accuracy(model: np.ndarray, features: np.ndarray, labels: np.ndarray) -> flo
 
 @dataclass(frozen=True, slots=True)
 class PreparedClient:
-    """One client's data as the local step reads it, built by ``prepare_client``.
+    """One client's data as the local step reads it, built by ``prepare_clients``.
 
-    ``design`` is [X | 1] (n, d + 1) in C order, ``mean_design`` is
-    ``design / n``, ``targets`` is ``onehot_targets`` (K, n); ``logits``
-    (K, n) and ``column`` (n,) are the step's scratch buffers."""
+    ``design`` is the client's row block (n, d + 1) of the design [X | 1]
+    and ``mean_design`` its row block of ``design / n``, both views;
+    ``targets`` is its ``onehot_targets`` (K, n), and ``logits`` (K, n)
+    and ``column`` (n,) are the step's scratch buffers, all three its own
+    C-order arrays.  (A column block of one (K, rows) targets matrix is
+    strided; with it a ``local_train`` at hfl_train's shape took ~6% longer.)"""
 
     design: np.ndarray
     mean_design: np.ndarray
@@ -181,38 +164,24 @@ class PreparedClient:
     column: np.ndarray
 
 
-def prepare_client(
-    features: np.ndarray, labels: np.ndarray, n_classes: int, client: int
-) -> PreparedClient:
-    """Check one client's data and build what its local steps read, once per run.
-
-    InvalidValueError, one line starting ``client <client>:``, unless
-    ``features`` is a 2-D array of finite real numbers, ``labels`` what
-    ``onehot_targets`` accepts and the two hold as many rows as labels.
-    The design is a fresh C-order copy, whatever the layout of
-    ``features``, so the layout moves no bit of a step; neither input is
-    written to."""
-    _check_features(features, f"client {client}: ")
-    try:
-        targets = onehot_targets(labels, n_classes)
-    except InvalidValueError as error:
-        raise InvalidValueError(f"client {client}: {error}") from None
-    n, d = features.shape
-    if n != labels.size:
-        raise InvalidValueError(
-            f"client {client}: features have {n} rows for {labels.size} labels"
-        )
-    finite = np.isfinite(features)
-    if not finite.all():
-        row, col = np.unravel_index(finite.argmin(), finite.shape)
-        raise InvalidValueError(
-            f"client {client}: features must be finite, got {features[row, col]} at row "
-            f"{row}, column {col}"
-        )
-    design = np.empty((n, d + 1))
-    design[:, :d] = features
+def prepare_clients(dataset: SyntheticDataset) -> list[PreparedClient]:
+    """What the local steps read, built once per run: the design [X | 1] of
+    all rows as one fresh C-order array, whatever the layout of the
+    features (so the layout moves no bit of a step), each row divided by
+    its client's n, and every client's one-hot targets."""
+    sizes, n_classes = dataset.client_sizes, dataset.n_classes
+    rows, d = dataset.features.shape
+    design = np.empty((rows, d + 1))
+    design[:, :d] = dataset.features
     design[:, d] = 1.0
-    return PreparedClient(design, design / n, targets, np.empty((n_classes, n)), np.empty(n))
+    mean_design = design / np.repeat(sizes, sizes)[:, None]
+    ends = np.cumsum(sizes)
+    return [
+        PreparedClient(design[a:b], mean_design[a:b],
+                       onehot_targets(dataset.labels[a:b], n_classes),
+                       np.empty((n_classes, b - a)), np.empty(b - a))
+        for a, b in zip(ends - sizes, ends)
+    ]
 
 
 def local_train(
@@ -287,29 +256,73 @@ def edge_aggregate(stack: np.ndarray, sizes: Sequence[float]) -> np.ndarray:
     return (weights @ stack.reshape(rows, -1) / total).reshape(stack.shape[1:])
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, eq=False)
 class SyntheticDataset:
-    """Gaussian class clusters split across clients by label histogram.
+    """The clients' training rows, client after client, and a held-out test set.
 
-    Each class c has a fixed mean in feature space; every sample of
-    class c is that mean plus isotropic noise.  Client data honors the
-    requested per-client label counts exactly, and a balanced held-out
-    test set is drawn from the same clusters.
+    Client n holds ``client_sizes[n]`` rows of ``features`` (rows, d) and
+    ``labels`` (rows,).  The data is checked here and nowhere else:
+    InvalidValueError refuses what ``run_hfl`` cannot train on or score
+    well, and a refusal of a client's rows starts ``client <n>:`` and
+    names the row within that client.  No array is copied or written to;
+    ``client_sizes`` is kept as int64.
     """
 
-    client_features: list[np.ndarray]
-    client_labels: list[np.ndarray]
+    features: np.ndarray
+    labels: np.ndarray
+    client_sizes: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
     n_classes: int
 
-    @property
-    def n_features(self) -> int:
-        return self.test_features.shape[1]
+    def __post_init__(self) -> None:
+        check_integer("n_classes", k := self.n_classes, 1)
+        tables = (("", self.features, self.labels), ("test_", self.test_features, self.test_labels))
+        for prefix, features, labels in tables:
+            _check_features(features, prefix)
+            if not (isinstance(labels, np.ndarray) and labels.ndim == 1
+                    and labels.dtype.kind in "iu" and labels.size > 0):
+                raise InvalidValueError(f"{prefix}labels must be a 1-D integer array with at "
+                                        f"least one entry, got {labels!r}")
+            if len(features) != labels.size:
+                raise InvalidValueError(f"{prefix}features have {len(features)} rows for "
+                                        f"{labels.size} {prefix}labels")
+        (rows, d), width = self.features.shape, self.test_features.shape[1]
+        if width != d:
+            raise InvalidValueError(f"test_features must have the clients' {d} columns, "
+                                    f"got {width}")
+        sizes = integer_array(self.client_sizes, "client_sizes must be integers")
+        total = sizes.sum(dtype=object)  # exact, whatever the integer dtype
+        if sizes.ndim != 1 or sizes.size == 0 or total != rows:
+            raise InvalidValueError(f"client_sizes must be 1-D and sum to the {rows} feature "
+                                    f"rows, got shape {sizes.shape} summing to {total}")
+        if sizes.min() < 1:
+            n = int(np.argmax(sizes < 1))
+            raise InvalidValueError(f"client {n}: labels must hold at least one entry, got "
+                                    f"client_sizes[{n}] = {sizes[n]}")
+        object.__setattr__(self, "client_sizes", sizes := sizes.astype(np.int64))
+        starts = np.cumsum(sizes) - sizes
+
+        def client(row: int) -> tuple[str, int]:  # the line's prefix, the row within the client
+            n = int(np.searchsorted(starts, row, side="right")) - 1
+            return f"client {n}: ", row - starts[n]
+
+        for prefix, features, labels in tables:
+            finite = np.isfinite(features)
+            if not finite.all():
+                row, col = np.unravel_index(finite.argmin(), finite.shape)
+                where, at = (prefix, row) if prefix else client(row)
+                raise InvalidValueError(f"{where}features must be finite, got "
+                                        f"{features[row, col]} at row {at}, column {col}")
+            outside = (labels < 0) | (labels >= k)
+            if outside.any():
+                row = outside.argmax()
+                where = prefix or client(row)[0]
+                raise InvalidValueError(f"{where}labels must lie in [0, {k}), got {labels[row]}")
 
     @property
-    def client_sizes(self) -> list[int]:
-        return [len(y) for y in self.client_labels]
+    def n_features(self) -> int:
+        return self.features.shape[1]
 
     @classmethod
     def generate(
@@ -323,17 +336,26 @@ class SyntheticDataset:
     ) -> "SyntheticDataset":
         """Draw every client's samples, then the test set, from one seeded stream.
 
+        Each class c has a fixed mean in feature space; every sample of
+        class c is that mean plus isotropic noise.  Client n gets exactly
+        the label counts ``label_counts[n]``, and the test set
+        ``test_per_class`` samples of every class.
+
         Each client's row of per-class counts must hold integers >= 0 with
         a positive total, as many as the first row's (a bool is no
         integer); InvalidValueError names the first client whose row does
         not, and so does an ``n_features`` or ``test_per_class`` that is
-        not an integer >= 1 or a ``seed`` outside [0, 2**64)."""
+        not an integer >= 1, a ``class_sep`` or ``noise`` that is not a
+        finite number or a ``seed`` outside [0, 2**64)."""
         check_integer("n_features", n_features, 1)
         check_integer("test_per_class", test_per_class, 1)
+        check_number("class_sep", class_sep)
+        check_number("noise", noise)
         rng = np.random.default_rng(check_seed("seed", seed))
         if len(label_counts) == 0:
             raise InvalidValueError("label_counts must hold at least one client")
         n_classes = len(label_counts[0])
+        sizes = np.empty(len(label_counts), dtype=np.int64)
         for client, counts in enumerate(label_counts):
             requirement = (
                 f"client {client}: label counts must be {n_classes} integers >= 0 with a "
@@ -342,6 +364,7 @@ class SyntheticDataset:
             row = integer_array(counts, requirement)
             if not (row.shape == (n_classes,) and row.min(initial=0) >= 0 and row.any()):
                 raise InvalidValueError(f"{requirement}, got {counts!r}")
+            sizes[client] = row.sum()
         means = class_sep * rng.standard_normal((n_classes, n_features))
 
         def draw(count_vector):
@@ -350,9 +373,13 @@ class SyntheticDataset:
             order = rng.permutation(labels.size)
             return features[order], labels[order]
 
-        clients = [draw(counts) for counts in label_counts]
-        test_x, test_y = draw([test_per_class] * n_classes)
-        return cls([x for x, _ in clients], [y for _, y in clients], test_x, test_y, n_classes)
+        ends = np.cumsum(sizes)
+        features = np.empty((ends[-1], n_features))
+        labels = np.empty(ends[-1], dtype=np.int64)
+        for counts, a, b in zip(label_counts, ends - sizes, ends):
+            features[a:b], labels[a:b] = draw(counts)
+        test_features, test_labels = draw([test_per_class] * n_classes)
+        return cls(features, labels, sizes, test_features, test_labels, n_classes)
 
 
 def run_hfl(
@@ -367,30 +394,25 @@ def run_hfl(
     """Nested client/edge/global training loop.
 
     ``partition`` takes any form ``netmodel.coalition_assignment``
-    accepts.  Every client is prepared once (``prepare_client``), and all
-    share one gradient buffer.  Members are visited in ascending id order
-    inside every aggregation so results do not depend on set iteration
-    order, and train into their rows of one (members, K, d + 1) stack per
-    coalition.
+    accepts.  The clients are prepared once (``prepare_clients``), and
+    all share one gradient buffer.  Members are visited in ascending id
+    order inside every aggregation so results do not depend on set
+    iteration order, and train into their rows of one (members, K, d + 1)
+    stack per coalition.
     Returns the final global model [W | b] and one held-out accuracy per
-    global round; InvalidValueError if a tau is not an integer >= 1, the
-    seed is refused by ``init_params`` or a client's data by
-    ``prepare_client``.
+    global round; InvalidValueError if a tau is not an integer >= 1 or
+    the seed is refused by ``init_params``.
     """
     for name, tau in (("tau_c", tau_c), ("tau_e", tau_e), ("tau_g", tau_g)):
         check_integer(name, tau, 1)
-    assignment, coalition_sizes = coalition_assignment(partition, len(dataset.client_labels))
-    sizes = np.asarray(dataset.client_sizes, dtype=float)
+    sizes = dataset.client_sizes.astype(float)
+    assignment, coalition_sizes = coalition_assignment(partition, sizes.size)
     coalitions = [np.flatnonzero(assignment == m) for m in range(coalition_sizes.size)]
     member_sizes = [sizes[members] for members in coalitions]
     edge_sizes = np.bincount(assignment, weights=sizes)
-    n_classes = dataset.n_classes
-    clients = [
-        prepare_client(x, y, n_classes, n)
-        for n, (x, y) in enumerate(zip(dataset.client_features, dataset.client_labels))
-    ]
+    clients = prepare_clients(dataset)
 
-    model = init_params(n_classes, dataset.n_features, seed)
+    model = init_params(dataset.n_classes, dataset.n_features, seed)
     grad = np.empty_like(model)
     stacks = [np.empty((members.size, *model.shape)) for members in coalitions]
     curve: list[float] = []

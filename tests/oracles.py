@@ -512,7 +512,7 @@ def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
     and gradient are flat, like the other learner references.
     """
     n, d = features.shape
-    design = np.ones((n, d + 1))  # C order, as prepare_client makes it
+    design = np.ones((n, d + 1))  # C order, as prepare_clients makes it
     design[:, :d] = features
     probs = np.dot(model_params(params, n_classes, d), design.T)
     probs -= np.maximum.reduce(probs, axis=0)
@@ -536,6 +536,32 @@ def local_train_ref(params, features, labels, n_classes, tau_c, lr, step=softmax
         if not (np.isfinite(loss) and np.isfinite(out).all()):
             raise FloatingPointError("training diverged")
     return out
+
+
+def client_data(dataset, n):
+    """Client ``n``'s features and labels: its rows of the dataset's
+    arrays, sliced here from ``client_sizes``, never from the learner's
+    prepared views."""
+    end = int(np.sum(dataset.client_sizes[: n + 1]))
+    rows = slice(end - int(dataset.client_sizes[n]), end)
+    return dataset.features[rows], dataset.labels[rows]
+
+
+def synthetic_data_ref(label_counts, n_features, seed, class_sep, noise, test_per_class):
+    """``SyntheticDataset.generate``'s draws as first written, one client at a
+    time: a list of (features, labels) per client, then the test set's pair."""
+    n_classes = len(label_counts[0])
+    rng = np.random.default_rng(seed)
+    means = class_sep * rng.standard_normal((n_classes, n_features))
+
+    def draw(counts):
+        labels = np.repeat(np.arange(n_classes), counts)
+        features = means[labels] + noise * rng.standard_normal((labels.size, n_features))
+        order = rng.permutation(labels.size)
+        return features[order], labels[order]
+
+    clients = [draw(counts) for counts in label_counts]
+    return clients, draw([test_per_class] * n_classes)
 
 
 def local_train_per_call_ref(model, features, targets, n_classes, tau_c, lr):
@@ -579,7 +605,8 @@ def run_hfl_per_call_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
     coalitions = [np.flatnonzero(assignment == m) for m in range(assignment.max() + 1)]
     edge_sizes = np.bincount(assignment, weights=sizes)
     n_classes = dataset.n_classes
-    targets = [onehot_targets(y, n_classes) for y in dataset.client_labels]
+    clients = [client_data(dataset, n) for n in range(sizes.size)]
+    targets = [onehot_targets(y, n_classes) for _, y in clients]
     model = init_params(n_classes, dataset.n_features, seed)
     curve = []
     for _ in range(tau_g):
@@ -589,7 +616,7 @@ def run_hfl_per_call_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
                 stack = np.empty((members.size, *model.shape))
                 for row, n in enumerate(members):
                     stack[row] = local_train_per_call_ref(
-                        edge, dataset.client_features[n], targets[n], n_classes, tau_c, lr
+                        edge, clients[n][0], targets[n], n_classes, tau_c, lr
                     )
                 edge[:] = edge_aggregate(stack, sizes[members])
         model = edge_aggregate(edge_models, edge_sizes)
@@ -608,7 +635,8 @@ def run_hfl_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
     every global round.
     """
     n_classes, d = dataset.n_classes, dataset.n_features
-    sizes = [float(len(y)) for y in dataset.client_labels]
+    clients = [client_data(dataset, n) for n in range(len(assignment))]
+    sizes = [float(len(y)) for _, y in clients]
     groups = [
         [n for n, a in enumerate(assignment) if a == m] for m in range(max(assignment) + 1)
     ]
@@ -620,10 +648,7 @@ def run_hfl_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
             for m, members in enumerate(groups):
                 total = np.zeros_like(params)
                 for n in members:
-                    trained = local_train_ref(
-                        edges[m], dataset.client_features[n], dataset.client_labels[n],
-                        n_classes, tau_c, lr,
-                    )
+                    trained = local_train_ref(edges[m], *clients[n], n_classes, tau_c, lr)
                     total += sizes[n] * trained
                 edges[m] = total / sum(sizes[n] for n in members)
         total = np.zeros_like(params)

@@ -48,7 +48,7 @@ def test_no_signature_asks_for_a_count_its_arrays_hold():
 
     assert names(Scenario) == ["config", "clients", "meta"]
     assert names(SyntheticDataset) == [
-        "client_features", "client_labels", "test_features", "test_labels", "n_classes"
+        "features", "labels", "client_sizes", "test_features", "test_labels", "n_classes"
     ]
     assert names(predict) == ["model", "features"]
     assert names(accuracy) == ["model", "features", "labels"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -20,7 +21,7 @@ from leapsim.hfl import (
     local_train,
     onehot_targets,
     predict,
-    prepare_client,
+    prepare_clients,
     run_hfl,
     softmax_loss_and_grad,
 )
@@ -28,6 +29,7 @@ from leapsim.game import random_partition, run_coalition_formation
 from leapsim.netmodel import coalition_assignment
 from leapsim.scenario import generate_scenario, label_count_matrix, load_scenario, save_scenario
 from oracles import (
+    client_data,
     flat_params,
     local_train_per_call_ref,
     local_train_ref,
@@ -36,6 +38,7 @@ from oracles import (
     run_hfl_ref,
     softmax_loss_and_grad_labels_ref,
     softmax_loss_and_grad_ref,
+    synthetic_data_ref,
 )
 
 
@@ -47,12 +50,20 @@ def toy_dataset(seed=0, n_classes=3, n_features=4, per_class=30, clients=4):
     )
 
 
+def prepared(features, labels, k):
+    """The one client of a dataset of ``features`` and ``labels`` (its test
+    set as well), prepared as ``run_hfl`` prepares its clients."""
+    dataset = SyntheticDataset(features, labels, np.array([len(labels)]), features, labels, k)
+    (client,) = prepare_clients(dataset)
+    return client
+
+
 def gradient(params, features, labels, k):
     """``softmax_loss_and_grad``'s gradient at the flat ``params`` and
     ``labels`` on the prepared client, flat like the parameters, as the
     textbook references take and return them."""
     d = features.shape[1]
-    client = prepare_client(features, labels, k, 0)
+    client = prepared(features, labels, k)
     grad = np.empty((k, d + 1))
     softmax_loss_and_grad(
         model_params(params, k, d), client.design, client.targets, client.mean_design, grad,
@@ -68,7 +79,7 @@ def buffers(k, d):
 
 def train(model, features, labels, k, tau_c, lr):
     """``local_train`` on a freshly prepared client, with buffers of its own."""
-    client = prepare_client(features, labels, k, 0)
+    client = prepared(features, labels, k)
     return local_train(model, client, tau_c, lr, *buffers(k, features.shape[1]))
 
 
@@ -128,7 +139,7 @@ def test_local_train_zero_lr_is_identity():
     model = rng.normal(size=(3, 5))
     kept = model.copy()
     ds = toy_dataset()
-    out = train(model, ds.client_features[0], ds.client_labels[0], 3, 5, 0.0)
+    out = train(model, *client_data(ds, 0), 3, 5, 0.0)
     assert np.array_equal(out, model)
     assert out is not model and np.array_equal(model, kept)  # input untouched
 
@@ -136,7 +147,7 @@ def test_local_train_zero_lr_is_identity():
 def test_local_train_decreases_loss_for_small_lr():
     ds = toy_dataset()
     model = init_params(3, 4, seed=2)
-    features, labels = ds.client_features[0], ds.client_labels[0]
+    features, labels = client_data(ds, 0)
     before, _ = softmax_loss_and_grad_labels_ref(flat_params(model), features, labels, 3)
     trained = train(model, features, labels, 3, 5, 0.01)
     after, _ = softmax_loss_and_grad_labels_ref(flat_params(trained), features, labels, 3)
@@ -226,7 +237,7 @@ def test_local_train_raises_on_divergence():
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-        train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 1e308)
+        train(params, *client_data(ds, 0), 3, 5, 1e308)
 
 
 def test_divergence_is_a_typed_error_without_warnings():
@@ -234,7 +245,7 @@ def test_divergence_is_a_typed_error_without_warnings():
     ds = toy_dataset()
     params = init_params(3, 4, seed=3)
     with pytest.raises(TrainingDivergedError, match="lower the learning rate") as info:
-        train(params, ds.client_features[0], ds.client_labels[0], 3, 5, 1e308)
+        train(params, *client_data(ds, 0), 3, 5, 1e308)
     assert isinstance(info.value, LeapsimError) and isinstance(info.value, FloatingPointError)
 
 
@@ -296,9 +307,8 @@ def test_local_train_refuses_a_step_count_before_its_first_step(monkeypatch, tau
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
-    client = prepare_client(ds.client_features[0], ds.client_labels[0], 3, 0)
     with pytest.raises(InvalidValueError, match="^tau_c must be"):
-        local_train(init_params(3, 4), client, tau_c, 0.1, *buffers(3, 4))
+        local_train(init_params(3, 4), prepare_clients(ds)[0], tau_c, 0.1, *buffers(3, 4))
 
 
 @pytest.mark.parametrize(
@@ -312,70 +322,6 @@ def test_onehot_targets_of_any_integer_dtype(dtype):
     ])
     targets = onehot_targets(np.array([2, 0, 1, 2, 2, 0], dtype=dtype), 3)
     assert targets.dtype == np.float64 and np.array_equal(targets, expected)
-
-
-@pytest.mark.parametrize("labels, message", [
-    (np.array([0, 3, 1]), r"^labels must lie in \[0, 3\), got 3$"),  # label K
-    (np.array([0, 1, -1]), r"^labels must lie in \[0, 3\), got -1$"),  # label -1
-    (np.array([[0, 1, 2]]), r"^labels must be a 1-D integer array .*\[\[0, 1, 2\]\]"),
-    (np.array([0.0, 1.0]), r"^labels must be a 1-D integer array .*\[0\., 1\.\]"),
-    (np.array([True, False]), r"^labels must be a 1-D integer array .*True, False"),
-    (np.zeros(0, np.int64), r"^labels must be a 1-D integer array .*array\(\[\]"),
-    ([0, 1, 2], r"^labels must be a 1-D integer array .*\[0, 1, 2\]$"),
-], ids=["label_k", "label_minus_one", "2d", "float", "bool", "empty", "list"])
-def test_onehot_targets_refuses_labels_it_cannot_place(labels, message):
-    with pytest.raises(InvalidValueError, match=message):
-        onehot_targets(labels, 3)
-
-
-@pytest.mark.parametrize("n_classes", [0, 2.0, True])
-def test_onehot_targets_refuses_a_class_count_that_is_not_a_positive_integer(n_classes):
-    with pytest.raises(InvalidValueError, match="^n_classes must be"):
-        onehot_targets(np.array([0, 0]), n_classes)
-
-
-def _flat_indices(targets):
-    """Flat true-class indices ``labels * n + arange(n)`` into a C-order (K, n) block."""
-    n = targets.shape[1]
-    return targets.argmax(axis=0) * n + np.arange(n)
-
-
-@pytest.mark.parametrize("change", [
-    lambda t: t,  # the one-hot matrix itself
-    _flat_indices,
-    lambda t: t.T,  # (n, K)
-    lambda t: np.zeros((4, t.shape[1])),  # K + 1 rows
-    lambda t: t[:, :-1],  # one column short
-    lambda t: t.astype(np.int64),
-    lambda t: t.astype(np.float32),
-    lambda t: t.astype(bool),
-    lambda t: t.tolist(),
-], ids=["onehot", "flat_indices", "transposed", "wrong_k", "short", "int_dtype", "float",
-        "bool", "list"])
-def test_local_train_refuses_targets_before_its_first_step(monkeypatch, change):
-    """``prepare_client`` builds the targets from the labels; the one-hot
-    matrix in any form, handed over in place of the labels, is refused
-    there and names the client."""
-    ds = toy_dataset()
-    features, targets = ds.client_features[0], onehot_targets(ds.client_labels[0], 3)
-
-    def no_step(*args):
-        raise AssertionError("a gradient step ran on unchecked targets")
-
-    monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
-    with pytest.raises(InvalidValueError, match=r"^client 0: labels must (be|lie)"):
-        train(init_params(3, 4), features, change(targets), 3, 4, 0.1)
-
-
-def test_local_train_refuses_zero_samples_before_its_first_step(monkeypatch):
-    def no_step(*args):
-        raise AssertionError("a gradient step ran without samples")
-
-    monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
-    ds = toy_dataset()
-    features, labels = ds.client_features[0][:0], ds.client_labels[0][:0]
-    with pytest.raises(InvalidValueError, match="^client 0: labels .* at least one entry"):
-        train(init_params(3, 4), features, labels, 3, 5, 0.8)
 
 
 def _wrong_model_message(shape):
@@ -400,7 +346,7 @@ def test_local_train_refuses_params_of_the_wrong_length_before_its_first_step(
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
     with pytest.raises(InvalidValueError, match=_wrong_model_message(shape)):
-        train(np.zeros(shape), ds.client_features[0], ds.client_labels[0], 3, 5, 0.1)
+        train(np.zeros(shape), *client_data(ds, 0), 3, 5, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -460,43 +406,6 @@ def test_accuracy_refuses_an_empty_test_set():
     words = r"^accuracy needs at least one feature row, got shape \(0, 4\)$"
     with pytest.raises(InvalidValueError, match=words):
         accuracy(np.zeros((3, 5)), np.ones((0, 4)), np.zeros(0, dtype=np.int64))
-
-
-def _nan_at(features, row, col):
-    out = features.copy()
-    out[row, col] = math.nan
-    return out
-
-
-@pytest.mark.parametrize("features, labels, message", [
-    (np.zeros(5), np.array([0, 1, 2, 0, 1]),
-     r"features must be a 2-D array of real numbers, got shape \(5,\) of dtype float64$"),
-    (np.zeros((5, 1, 2)), np.array([0, 1, 2, 0, 1]), r"features must be a 2-D array .* shape \(5, 1, 2\)"),
-    ([[1.0], [2.0]], np.array([0, 1]), "features must be a 2-D array of real numbers, got list$"),
-    (np.ones((2, 2), dtype=bool), np.array([0, 1]), "features must .* real numbers, got shape .* dtype bool$"),
-    (np.ones((2, 2), dtype=complex), np.array([0, 1]), "features must .* real numbers, .* dtype complex128$"),
-    (_nan_at(np.ones((5, 4)), 3, 1), np.array([0, 1, 2, 0, 1]),
-     "features must be finite, got nan at row 3, column 1$"),
-    (np.full((2, 4), -math.inf), np.array([0, 1]), "features must be finite, got -inf at row 0, column 0$"),
-    (np.ones((4, 4)), np.array([0, 1, 2, 0, 1]), "features have 4 rows for 5 labels$"),
-    (np.ones((6, 4)), np.array([0, 1, 2, 0, 1]), "features have 6 rows for 5 labels$"),
-    (np.ones((5, 4)), np.array([0, 1, 3, 0, 1]), r"labels must lie in \[0, 3\), got 3$"),
-], ids=["1d", "3d", "list", "bool", "complex", "nan", "inf", "fewer_rows", "more_rows",
-        "label_k"])
-def test_prepare_client_refuses_data_it_cannot_train_on_by_client(features, labels, message):
-    """One line naming the client, instead of a bare IndexError (1-D
-    features), a divergence blamed on the learning rate (NaN features)
-    or a word about targets the caller never built (a row count)."""
-    with pytest.raises(InvalidValueError, match="^client 7: " + message) as info:
-        prepare_client(features, labels, 3, 7)
-    assert "\n" not in str(info.value)
-
-
-def test_run_hfl_names_the_client_whose_data_is_refused():
-    ds = toy_dataset()
-    ds.client_features[2] = _nan_at(ds.client_features[2], 0, 0)
-    with pytest.raises(InvalidValueError, match="^client 2: features must be finite"):
-        run_hfl(np.array([0, 0, 1, 1]), ds, tau_c=1, tau_e=1, tau_g=1, lr=0.1)
 
 
 @pytest.mark.parametrize("form", [[0, 0, 1, 1], (0, 0, 1, 1)], ids=["list", "tuple"])
@@ -571,24 +480,10 @@ def test_a_numpy_integer_seed_is_recorded_as_a_plain_int(tmp_path):
     assert np.array_equal(init_params(3, 4, np.uint64(5)), init_params(3, 4, 5))
 
 
-def test_prepare_client_builds_the_design_once_in_c_order():
-    ds = toy_dataset()
-    features, labels = np.asfortranarray(ds.client_features[1]), ds.client_labels[1]
-    kept = features.copy()
-    client = prepare_client(features, labels, 3, 1)
-    n = len(labels)
-    assert client.design.flags.c_contiguous and client.design.shape == (n, 5)
-    assert np.array_equal(client.design, np.column_stack((features, np.ones(n))))
-    assert np.array_equal(client.mean_design, client.design / n)
-    assert np.array_equal(client.targets, onehot_targets(labels, 3))
-    assert client.logits.shape == (3, n) and client.column.shape == (n,)
-    assert np.array_equal(features, kept)
-
-
 @given(learner_instance(), st.integers(1, 4), st.sampled_from([0.0, 0.1, 0.8, 1e3, 1e300]))
 @settings(max_examples=100, deadline=None)
 def test_step_and_local_train_do_not_depend_on_the_feature_layout(instance, tau_c, lr):
-    """``prepare_client`` makes the design a fresh C-order copy, so the
+    """``prepare_clients`` makes the design a fresh C-order copy, so the
     layout of the features moves no bit of the step's gradient or of
     local_train's result (a divergence included), and neither input is
     written to."""
@@ -611,26 +506,26 @@ def test_step_and_local_train_do_not_depend_on_the_feature_layout(instance, tau_
 def hfl_train_like(seed):
     """An hfl_train-shaped instance with tau_e cut to 3: 20 clients of
     unequal sizes (15-90 samples, Dirichlet(0.5) labels over 10 classes)
-    on 4 edges, 8 features, each client's features in a layout of its
-    own (C, Fortran, row- or column-strided, transposed view)."""
+    on 4 edges, 8 features, the whole features array in one layout (C,
+    Fortran, row- or column-strided, transposed view)."""
     rng = np.random.default_rng(seed)
     counts = [rng.multinomial(rng.integers(15, 91), rng.dirichlet([0.5] * 10)) for _ in range(20)]
     ds = SyntheticDataset.generate(
         [c.tolist() for c in counts], n_features=8, seed=seed, class_sep=1.0, noise=1.0,
         test_per_class=20,
     )
-    ds.client_features = [
-        feature_layouts(x)[LAYOUTS[int(rng.integers(len(LAYOUTS)))]] for x in ds.client_features
-    ]
     assignment = rng.permutation(np.arange(20) % 4)
+    layout = LAYOUTS[int(rng.integers(len(LAYOUTS)))]
+    ds = dataclasses.replace(ds, features=feature_layouts(ds.features)[layout])
     return assignment, ds, dict(tau_c=5, tau_e=3, tau_g=2, lr=0.8, seed=seed)
 
 
 @pytest.mark.parametrize("seed", range(32))
 def test_prepared_run_hfl_equals_the_per_call_build_bit_for_bit(seed):
-    """Preparing each client once per run moves no bit: models and curves
-    equal the per-call build's exactly; and on poisoned edge models both
-    sides diverge, or neither does and their bits agree."""
+    """Preparing the whole dataset once per run and stepping on views of
+    it moves no bit: models and curves equal the per-call build's
+    exactly; and on poisoned edge models one client's view and the
+    per-call build both diverge, or neither does and their bits agree."""
     assignment, ds, periods = hfl_train_like(seed)
     model, curve = run_hfl(assignment, ds, **periods)
     model_ref, curve_ref = run_hfl_per_call_ref(assignment, ds, **periods)
@@ -639,18 +534,23 @@ def test_prepared_run_hfl_equals_the_per_call_build_bit_for_bit(seed):
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20))
-    features, labels = ds.client_features[n], ds.client_labels[n]
+    features, labels = client_data(ds, n)
+    client = prepare_clients(ds)[n]
     where = ["none", "weight", "bias", "both"][seed % 4]
     poisoned = _poisoned(model, where, [math.inf, -math.inf, math.nan][seed % 3])
     lr = [0.8, 1e3, 1e300][seed // 4 % 3]
 
-    def outcome(run, data):
+    def outcome(run):
         try:
-            return run(poisoned, features, data, 10, 5, lr).tobytes()
+            return run().tobytes()
         except TrainingDivergedError:
             return None
 
-    assert outcome(train, labels) == outcome(local_train_per_call_ref, onehot_targets(labels, 10))
+    assert outcome(
+        lambda: local_train(poisoned, client, 5, lr, *buffers(10, 8))
+    ) == outcome(
+        lambda: local_train_per_call_ref(poisoned, features, onehot_targets(labels, 10), 10, 5, lr)
+    )
 
 
 # -- aggregation -------------------------------------------------------------------
@@ -730,10 +630,11 @@ def test_dataset_honors_label_counts():
     counts = [[5, 0, 7], [0, 3, 0]]
     ds = SyntheticDataset.generate(counts, n_features=4, seed=5)
     for n, expected in enumerate(counts):
-        hist = np.bincount(ds.client_labels[n], minlength=3)
+        hist = np.bincount(client_data(ds, n)[1], minlength=3)
         assert hist.tolist() == expected
     assert ds.n_features == 4
-    assert [x.shape[1] for x in ds.client_features] == [ds.n_features] * len(counts)
+    assert ds.features.shape == (15, 4) and ds.test_features.shape == (300, 4)
+    assert ds.client_sizes.dtype == np.int64 and ds.client_sizes.tolist() == [12, 3]
 
 
 @pytest.mark.parametrize(
@@ -757,8 +658,8 @@ def test_dataset_takes_the_label_count_matrix_as_it_takes_its_rows():
     counts = np.array([[5, 0, 7], [0, 3, 1]])
     a = SyntheticDataset.generate(counts, n_features=3, seed=8)
     b = SyntheticDataset.generate(counts.tolist(), n_features=3, seed=8)
-    assert a.client_sizes == [12, 4]
-    assert all(np.array_equal(x, y) for x, y in zip(a.client_features, b.client_features))
+    assert a.client_sizes.tolist() == [12, 4]
+    assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.test_features, b.test_features)
 
 
@@ -774,12 +675,221 @@ def test_dataset_rejects_a_count_that_is_not_a_positive_integer(name, value):
         SyntheticDataset.generate([[2, 1]], seed=0, **{name: value})
 
 
+@pytest.mark.parametrize("value, words", [
+    ("1", "must be a number, got '1'"),
+    (True, "must be a number, got True"),
+    (math.nan, "must be finite, got nan"),
+    (math.inf, "must be finite, got inf"),
+], ids=["string", "bool", "nan", "inf"])
+@pytest.mark.parametrize("name", ["class_sep", "noise"])
+def test_dataset_rejects_a_spread_that_is_not_a_finite_number(name, value, words):
+    """A string noise ended in numpy's bare UFuncTypeError, and a NaN one
+    was blamed on client 0's features."""
+    with pytest.raises(InvalidValueError, match=f"^{name} {re.escape(words)}$"):
+        SyntheticDataset.generate([[2, 1]], seed=0, **{name: value})
+
+
+def test_dataset_draws_the_values_of_the_per_client_draws():
+    """Concatenating keeps every value: the arrays equal the client blocks
+    drawn one client at a time from the same stream."""
+    counts = [[5, 0, 7], [0, 3, 1], [2, 2, 2]]
+    ds = SyntheticDataset.generate(counts, n_features=3, seed=4, class_sep=1.5, noise=0.5,
+                                   test_per_class=7)
+    clients, (test_features, test_labels) = synthetic_data_ref(counts, 3, 4, 1.5, 0.5, 7)
+    for n, (features, labels) in enumerate(clients):
+        assert client_data(ds, n)[0].tobytes() == features.tobytes()
+        assert np.array_equal(client_data(ds, n)[1], labels)
+    assert ds.test_features.tobytes() == test_features.tobytes()
+    assert np.array_equal(ds.test_labels, test_labels)
+
+
 def test_dataset_deterministic_per_seed():
     counts = [[4, 4], [4, 4]]
     a = SyntheticDataset.generate(counts, n_features=3, seed=6)
     b = SyntheticDataset.generate(counts, n_features=3, seed=6)
     assert np.array_equal(a.test_features, b.test_features)
-    assert all(np.array_equal(x, y) for x, y in zip(a.client_features, b.client_features))
+    assert np.array_equal(a.features, b.features)
+
+
+def small_dataset():
+    """Eight clients, 3 classes and 4 features: clients 0-6 hold 3 rows
+    each and client 7 the last 5 (rows 21-25); 45 test rows."""
+    return SyntheticDataset.generate(
+        [[1, 1, 1]] * 7 + [[2, 2, 1]], n_features=4, seed=0, test_per_class=15
+    )
+
+
+def _nan_at(features, row, col):
+    out = features.copy()
+    out[row, col] = math.nan
+    return out
+
+
+def _label_at(labels, row, label):
+    out = labels.copy()
+    out[row] = label
+    return out
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda ds: dict(features=np.zeros(26)),
+     r"^features must be a 2-D array of real numbers, got shape \(26,\) of dtype float64$"),
+    (lambda ds: dict(features=np.zeros((26, 1, 2))),
+     r"^features must be a 2-D array .* shape \(26, 1, 2\)"),
+    (lambda ds: dict(features=ds.features.tolist()),
+     "^features must be a 2-D array of real numbers, got list$"),
+    (lambda ds: dict(features=np.ones((26, 4), dtype=bool)),
+     "^features must .* real numbers, got shape .* dtype bool$"),
+    (lambda ds: dict(features=np.ones((26, 4), dtype=complex)),
+     "^features must .* real numbers, .* dtype complex128$"),
+    (lambda ds: dict(features=_nan_at(ds.features, 21 + 3, 1)),
+     "^client 7: features must be finite, got nan at row 3, column 1$"),
+    (lambda ds: dict(features=np.where(np.arange(26)[:, None] >= 21, -math.inf, ds.features)),
+     "^client 7: features must be finite, got -inf at row 0, column 0$"),
+    (lambda ds: dict(features=ds.features[:-1]), "^features have 25 rows for 26 labels$"),
+    (lambda ds: dict(features=np.ones((27, 4))), "^features have 27 rows for 26 labels$"),
+    (lambda ds: dict(labels=_label_at(ds.labels, 21 + 2, 3)),
+     r"^client 7: labels must lie in \[0, 3\), got 3$"),
+    # what the type closes: each of these used to train or fail late
+    (lambda ds: dict(test_labels=ds.test_labels + 5),
+     r"^test_labels must lie in \[0, 3\), got [5-7]$"),
+    (lambda ds: dict(test_features=np.ones((45, 5))),
+     "^test_features must have the clients' 4 columns, got 5$"),
+    (lambda ds: dict(test_features=ds.test_features[:-1]),
+     "^test_features have 44 rows for 45 test_labels$"),
+    (lambda ds: dict(test_features=_nan_at(ds.test_features, 2, 1)),
+     "^test_features must be finite, got nan at row 2, column 1$"),
+    (lambda ds: dict(test_features=ds.test_features[:, 0]),
+     r"^test_features must be a 2-D array of real numbers, got shape \(45,\)"),
+    (lambda ds: dict(client_sizes=ds.client_sizes[:-1]),
+     r"^client_sizes must be 1-D and sum to the 26 feature rows, got shape \(7,\) summing "
+     "to 21$"),
+    (lambda ds: dict(client_sizes=np.append(ds.client_sizes, 1)),
+     "^client_sizes must be 1-D and sum to the 26 feature rows, .* summing to 27$"),
+    (lambda ds: dict(client_sizes=ds.client_sizes.reshape(2, 4)),
+     r"^client_sizes must be 1-D .*, got shape \(2, 4\) summing to 26$"),
+    (lambda ds: dict(client_sizes=ds.client_sizes.astype(float)),
+     r"^client_sizes must be integers, got float64 of shape \(8,\)$"),
+    (lambda ds: dict(client_sizes=np.array([3] * 6 + [9, -1])),
+     r"^client 7: labels must hold at least one entry, got client_sizes\[7\] = -1$"),
+    (lambda ds: dict(client_sizes=np.array([2**64 - 1] + [3] * 6 + [6], dtype=np.uint64)),
+     f"^client_sizes must be 1-D and sum to the 26 feature rows, .* summing to {2**64 + 23}$"),
+], ids=["1d", "3d", "list", "bool", "complex", "nan", "inf", "fewer_rows", "more_rows",
+        "label_k", "test_label_k", "test_width", "test_rows", "test_nan", "test_1d",
+        "sizes_one_short",
+        "sizes_one_over", "sizes_2d", "sizes_float", "sizes_negative", "sizes_huge"])
+def test_dataset_refuses_data_it_cannot_train_on(change, message):
+    """One line, naming the client and the row within it where a client's
+    rows are at fault, instead of a bare IndexError (1-D features), a
+    divergence blamed on the learning rate (NaN features), a silent
+    [0.0] curve (test labels of no class), a silent score (NaN test
+    features), a model shape the caller never gave (a test set of
+    another width) or a partition error (one client size short)."""
+    ds = small_dataset()
+    assert ds.client_sizes.tolist() == [3] * 7 + [5]
+    with pytest.raises(InvalidValueError, match=message) as info:
+        dataclasses.replace(ds, **change(ds))
+    assert "\n" not in str(info.value)
+
+
+def test_dataset_names_the_client_and_its_row_whose_features_are_refused():
+    ds = toy_dataset()  # 4 clients of 90 rows
+    with pytest.raises(InvalidValueError,
+                       match="^client 2: features must be finite, got nan at row 1, column 0$"):
+        dataclasses.replace(ds, features=_nan_at(ds.features, 2 * 90 + 1, 0))
+
+
+def test_dataset_refuses_a_client_without_samples():
+    ds = small_dataset()
+    sizes = np.array([0, 6] + [3] * 5 + [5])
+    words = r"^client 0: labels must hold at least one entry, got client_sizes\[0\] = 0$"
+    with pytest.raises(InvalidValueError, match=words):
+        dataclasses.replace(ds, client_sizes=sizes)
+
+
+def one_client(labels, n_classes=3):
+    """A one-client dataset of ``labels`` on 2-feature rows, with a valid test set."""
+    features = np.ones((len(labels), 2))
+    return SyntheticDataset(
+        features, labels, np.array([len(labels)]), np.ones((3, 2)), np.array([0, 1, 2]),
+        n_classes,
+    )
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.array([0, 3, 1]), r"^client 0: labels must lie in \[0, 3\), got 3$"),  # label K
+    (np.array([0, 1, -1]), r"^client 0: labels must lie in \[0, 3\), got -1$"),  # label -1
+    (np.array([[0, 1, 2]]), r"^labels must be a 1-D integer array .*\[\[0, 1, 2\]\]"),
+    (np.array([0.0, 1.0]), r"^labels must be a 1-D integer array .*\[0\., 1\.\]"),
+    (np.array([True, False]), r"^labels must be a 1-D integer array .*True, False"),
+    (np.zeros(0, np.int64), r"^labels must be a 1-D integer array .*array\(\[\]"),
+    ([0, 1, 2], r"^labels must be a 1-D integer array .*\[0, 1, 2\]$"),
+], ids=["label_k", "label_minus_one", "2d", "float", "bool", "empty", "list"])
+def test_dataset_refuses_labels_it_cannot_place(labels, message):
+    with pytest.raises(InvalidValueError, match=message):
+        one_client(labels)
+
+
+@pytest.mark.parametrize("n_classes", [0, 2.0, True])
+def test_dataset_refuses_a_class_count_that_is_not_a_positive_integer(n_classes):
+    # 2.0 used to be blamed on "client 0: n_classes must be an integer"
+    with pytest.raises(InvalidValueError, match=f"^n_classes must be .*, got {n_classes!r}$"):
+        one_client(np.array([0, 0]), n_classes)
+
+
+def _flat_indices(targets):
+    """Flat true-class indices ``labels * n + arange(n)`` into a C-order (K, n) block."""
+    n = targets.shape[1]
+    return targets.argmax(axis=0) * n + np.arange(n)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda t: t, "labels must be a 1-D"),  # the one-hot matrix itself
+    (_flat_indices, r"client 0: labels must lie in \[0, 3\)"),
+    (lambda t: t.T, "labels must be a 1-D"),  # (n, K)
+    (lambda t: np.zeros((4, t.shape[1])), "labels must be a 1-D"),  # K + 1 rows
+    (lambda t: t[:, :-1], "labels must be a 1-D"),  # one column short
+    (lambda t: t.astype(np.int64), "labels must be a 1-D"),
+    (lambda t: t.astype(np.float32), "labels must be a 1-D"),
+    (lambda t: t.astype(bool), "labels must be a 1-D"),
+    (lambda t: t.tolist(), "labels must be a 1-D"),
+], ids=["onehot", "flat_indices", "transposed", "wrong_k", "short", "int_dtype", "float",
+        "bool", "list"])
+def test_dataset_refuses_targets_in_place_of_labels(change, message):
+    """The dataset holds labels, and the learner builds its targets from
+    them; the one-hot matrix in any form, handed over in place of a
+    client's labels, is refused where the dataset is built."""
+    features, labels = client_data(toy_dataset(), 0)
+    targets = onehot_targets(labels, 3)
+    with pytest.raises(InvalidValueError, match="^" + message):
+        SyntheticDataset(features, change(targets), np.array([len(labels)]), features, labels, 3)
+
+
+def test_prepare_clients_builds_one_design_in_c_order_and_views_of_its_blocks():
+    """One fresh C-order design [X | 1] for all rows, whatever the layout of
+    the features, with each client's rows divided by its own n; each
+    client reads views of its blocks and owns C-order targets and step
+    buffers."""
+    ds = SyntheticDataset.generate([[5, 0, 7], [0, 3, 1], [2, 2, 2]], n_features=4, seed=3)
+    ds = dataclasses.replace(ds, features=np.asfortranarray(ds.features))
+    kept = ds.features.copy()
+    clients = prepare_clients(ds)
+    assert len(clients) == 3
+    design = clients[0].design.base
+    assert design.flags.c_contiguous and design.shape == (22, 5)
+    for n, client in enumerate(clients):
+        features, labels = client_data(ds, n)
+        size = len(labels)
+        assert client.design.base is design and client.design.flags.c_contiguous
+        assert np.array_equal(client.design, np.column_stack((features, np.ones(size))))
+        assert client.mean_design.tobytes() == (client.design / size).tobytes()
+        assert np.array_equal(client.targets, onehot_targets(labels, 3))
+        assert client.targets.flags.c_contiguous
+        assert client.logits.shape == (3, size) and client.column.shape == (size,)
+        assert client.mean_design.base is clients[0].mean_design.base
+    assert not np.shares_memory(clients[0].targets, clients[1].targets)
+    assert not np.shares_memory(clients[0].logits, clients[1].logits)
+    assert np.array_equal(ds.features, kept)
 
 
 # -- training loop ---------------------------------------------------------------------
@@ -789,8 +899,8 @@ def test_run_hfl_single_edge_single_round_equals_plain_fedavg():
     out, curve = run_hfl([{0, 1, 2}], ds, tau_c=4, tau_e=1, tau_g=1, lr=0.05, seed=9)
     start = init_params(ds.n_classes, ds.n_features, 9)
     k = ds.n_classes
-    locals_ = [train(start, x, y, k, 4, 0.05) for x, y in zip(ds.client_features, ds.client_labels)]
-    manual = edge_aggregate(locals_, [len(ds.client_labels[n]) for n in range(3)])
+    locals_ = [train(start, *client_data(ds, n), k, 4, 0.05) for n in range(3)]
+    manual = edge_aggregate(locals_, [len(client_data(ds, n)[1]) for n in range(3)])
     assert np.array_equal(out, manual)
     assert len(curve) == 1
 
@@ -799,9 +909,7 @@ def test_run_hfl_iid_separable_reaches_ninety_percent():
     # central upper-bound first: the same learner trained on the pooled
     # data must clear the bar for the federated claim to be meaningful
     ds = toy_dataset(seed=10, clients=4)
-    pooled_x = np.concatenate(ds.client_features)
-    pooled_y = np.concatenate(ds.client_labels)
-    central = train(init_params(3, 4, 0), pooled_x, pooled_y, 3, 250, 0.1)
+    central = train(init_params(3, 4, 0), ds.features, ds.labels, 3, 250, 0.1)
     assert accuracy(central, ds.test_features, ds.test_labels) >= 0.9
 
     _, curve = run_hfl([{0, 1}, {2, 3}], ds, tau_c=5, tau_e=1, tau_g=50, lr=0.1, seed=0)
@@ -943,11 +1051,12 @@ def test_run_hfl_calls_through_module_bindings(monkeypatch):
 def test_run_hfl_prepares_each_client_once_per_run(monkeypatch):
     prepared = []
 
-    def counted_prepare(*args, _real=hfl.prepare_client):
-        prepared.append(args[3])
-        return _real(*args)
+    def counted_prepare(dataset, _real=hfl.prepare_clients):
+        clients = _real(dataset)
+        prepared.append((dataset, len(clients)))
+        return clients
 
-    monkeypatch.setattr(hfl, "prepare_client", counted_prepare)
+    monkeypatch.setattr(hfl, "prepare_clients", counted_prepare)
     ds = toy_dataset(clients=5)
     run_hfl(np.array([0, 1, 0, 1, 1]), ds, tau_c=3, tau_e=2, tau_g=4, lr=0.1)
-    assert prepared == [0, 1, 2, 3, 4], "one prepare_client per client per run_hfl"
+    assert prepared == [(ds, 5)], "one whole-dataset preparation per run_hfl"
