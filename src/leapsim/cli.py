@@ -30,13 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import GPConfig, plan_full
+from .alloc import GPConfig, build_plan, plan_full
 from .experiment import (
     METHODS,
     TrainOptions,
     emit_report,
     form_coalitions,
-    recompute_plan,
     run_experiment,
     train_curves,
     write_accuracy,
@@ -245,8 +244,8 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
             raise InputFileError(f"{path}: {name} has {len(value)} entries, expected {length}")
         for i, entry in enumerate(value):
             _check_plan_number(path, f"{name}[{i}]", entry)
-    plan = recompute_plan(
-        scenario, partition.assignment, data["bandwidth"], data["power"], partition.denominator
+    plan = build_plan(
+        partition, scenario.clients, scenario.config, data["bandwidth"], data["power"]
     )
     for name in PLAN_TOTALS:
         if name not in data:

@@ -87,7 +87,7 @@ _SEED_STREAMS = (
 
 _PERIODS = ("tau_c", "tau_e", "tau_g")
 
-# train_curves trains runs in forked children only when one run takes at
+# train_curves trains runs in a forked child only when one run takes at
 # least this many client gradient steps (N * tau_c * tau_e * tau_g): on a
 # 2-core Xeon VM a fork, pipe and waitpid round trip took 2.5-2.7 ms and
 # one local step about 21 us, so a shorter run gains too little to pay
@@ -198,16 +198,13 @@ def train_curves(
     """Test accuracy per global round of one HFL run on each partition, all
     on one synthetic dataset drawn from ``data_seed`` and the scenario's labels.
 
-    The runs share only read-only inputs.  When there are two runs or
-    more, one run takes at least ``FORK_MIN_STEPS`` client gradient steps
-    and ``os.sched_getaffinity`` gives this process two CPUs or more, up
-    to one run per CPU goes at once, each kept on a CPU of its own: this
-    process trains the first and a child made by ``os.fork`` each other,
-    which sends back its curve or its exception.  Otherwise every run
-    trains here, one after the other.
-    The curves, and the error raised when runs fail (the first run's in
-    partition order), are the same either way, byte for byte, and no
-    child outlives the call.
+    Given two runs or more of at least ``FORK_MIN_STEPS`` client gradient
+    steps each and two CPUs from ``os.sched_getaffinity``, one child made
+    by ``os.fork`` trains every run but the first, in order, on the second
+    CPU while this process trains the first on the first CPU.  The curves,
+    and the error raised when runs fail (the first in partition order),
+    are the same as when every run trains here, one after the other, and
+    no child outlives the call.
     """
     dataset = SyntheticDataset.generate(
         label_counts=label_count_matrix(scenario),
@@ -221,47 +218,22 @@ def train_curves(
     def train(partition: Partition) -> list[float]:
         return run_hfl(partition, dataset, **periods, lr=opts.lr, seed=seed)[1]
 
-    width = _runs_at_once(len(partitions), scenario.n_clients * math.prod(periods.values()))
-    curves: list[list[float]] = []
-    for start in range(0, len(partitions), width):
-        curves += _train_at_once(train, partitions[start:start + width])
-    return curves
-
-
-def _runs_at_once(n_runs: int, steps: int) -> int:
-    """1, or one run per CPU this process may use when there are two runs or
-    more of ``steps`` >= FORK_MIN_STEPS client gradient steps each."""
-    if n_runs < 2 or steps < FORK_MIN_STEPS or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(n_runs, len(os.sched_getaffinity(0)))
-
-
-def _train_at_once(train, partitions: Sequence[Partition]) -> list[list[float]]:
-    """``train`` on every partition: the first in this process, each other in
-    a forked child, each run kept on a CPU of its own; the first error in
-    partition order is raised.  Children still running when this process's
-    run or an earlier child fails are killed; every child is reaped before
-    this returns or raises."""
-    cpus = sorted(os.sched_getaffinity(0)) if len(partitions) > 1 else []
-    children: list[tuple[int, int]] = []
+    steps = scenario.n_clients * math.prod(periods.values())
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(partitions) < 2 or steps < FORK_MIN_STEPS or len(cpus) < 2:
+        return [train(partition) for partition in partitions]
+    pid, reader = _fork_run(train, partitions[1:], cpus[1])
+    _keep_on({cpus[0]})
     try:
-        for cpu, partition in zip(cpus[1:], partitions[1:]):
-            children.append(_fork_run(train, partition, cpu))
-        if cpus:
-            _keep_on({cpus[0]})
-        try:
-            curves = [train(partitions[0])]
-        finally:
-            if cpus:
-                _keep_on(set(cpus))
-        while children:
-            curves.append(_child_result(*children.pop(0)))
-        return curves
+        first = train(partitions[0])
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.close(reader)
+        os.waitpid(pid, 0)
+        raise
     finally:
-        for pid, reader in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(reader)
-            os.waitpid(pid, 0)
+        _keep_on(set(cpus))
+    return [first, *_child_result(pid, reader)]
 
 
 def _keep_on(cpus: set[int]) -> None:
@@ -274,9 +246,9 @@ def _keep_on(cpus: set[int]) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _fork_run(train, partition: Partition, cpu: int) -> tuple[int, int]:
+def _fork_run(train, partitions: Sequence[Partition], cpu: int) -> tuple[int, int]:
     """Fork a child that keeps to ``cpu``, writes ``_run_outcome(train,
-    partition)`` to a pipe and leaves by ``os._exit``, which runs no atexit
+    partitions)`` to a pipe and leaves by ``os._exit``, which runs no atexit
     hook, flushes no stdio buffer and never returns into the caller; (its
     pid, the read end)."""
     reader, writer = os.pipe()
@@ -304,7 +276,7 @@ def _fork_run(train, partition: Partition, cpu: int) -> tuple[int, int]:
             _keep_on({cpu})
             os.close(reader)
             with os.fdopen(writer, "wb") as pipe:
-                pipe.write(_run_outcome(train, partition))
+                pipe.write(_run_outcome(train, partitions))
             status = 0
         finally:
             os._exit(status)
@@ -312,12 +284,12 @@ def _fork_run(train, partition: Partition, cpu: int) -> tuple[int, int]:
     return pid, reader
 
 
-def _run_outcome(train, partition: Partition) -> bytes:
-    """Pickled (True, curve), or (False, the exception) when the run raises;
-    an exception that does not pickle and unpickle comes as a RuntimeError
-    naming it."""
+def _run_outcome(train, partitions: Sequence[Partition]) -> bytes:
+    """Pickled (True, the curves of the runs in order), or (False, the
+    exception) at the first run that raises; an exception that does not
+    pickle and unpickle comes as a RuntimeError naming it."""
     try:
-        return pickle.dumps((True, train(partition)))
+        return pickle.dumps((True, [train(partition) for partition in partitions]))
     except Exception as error:
         try:
             outcome = pickle.dumps((False, error))
@@ -327,8 +299,8 @@ def _run_outcome(train, partition: Partition) -> bytes:
             return pickle.dumps((False, RuntimeError(f"{type(error).__name__}: {error}")))
 
 
-def _child_result(pid: int, reader: int) -> list[float]:
-    """The curve the child ``pid`` sent to ``reader``, read to EOF before
+def _child_result(pid: int, reader: int) -> list[list[float]]:
+    """The curves the child ``pid`` sent to ``reader``, read to EOF before
     the child is reaped; raises the exception it sent instead."""
     try:
         with os.fdopen(reader, "rb") as pipe:

@@ -115,9 +115,15 @@ def _check_features(features, prefix: str = "") -> None:
     is a 2-D array of real numbers."""
     if isinstance(features, np.ndarray) and features.ndim == 2 and features.dtype.kind in "fiu":
         return
-    got = (f"shape {features.shape} of dtype {features.dtype}"
-           if isinstance(features, np.ndarray) else type(features).__name__)
-    raise InvalidValueError(f"{prefix}features must be a 2-D array of real numbers, got {got}")
+    raise InvalidValueError(f"{prefix}features must be a 2-D array of real numbers, "
+                            f"got {_described(features)}")
+
+
+def _described(value) -> str:
+    """An array by its shape and dtype, anything else by its type, in one line."""
+    if isinstance(value, np.ndarray):
+        return f"shape {value.shape} of dtype {value.dtype}"
+    return type(value).__name__
 
 
 def predict(model: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -283,7 +289,7 @@ class SyntheticDataset:
             if not (isinstance(labels, np.ndarray) and labels.ndim == 1
                     and labels.dtype.kind in "iu" and labels.size > 0):
                 raise InvalidValueError(f"{prefix}labels must be a 1-D integer array with at "
-                                        f"least one entry, got {labels!r}")
+                                        f"least one entry, got {_described(labels)}")
             if len(features) != labels.size:
                 raise InvalidValueError(f"{prefix}features have {len(features)} rows for "
                                         f"{labels.size} {prefix}labels")
@@ -343,8 +349,9 @@ class SyntheticDataset:
 
         Each client's row of per-class counts must hold integers >= 0 with
         a positive total, as many as the first row's (a bool is no
-        integer); InvalidValueError names the first client whose row does
-        not, and so does an ``n_features`` or ``test_per_class`` that is
+        integer), and all rows must total at most the int64 maximum;
+        InvalidValueError names the first client whose row does not, and
+        so does an ``n_features`` or ``test_per_class`` that is
         not an integer >= 1, a ``class_sep`` or ``noise`` that is not a
         finite number or a ``seed`` outside [0, 2**64)."""
         check_integer("n_features", n_features, 1)
@@ -355,7 +362,8 @@ class SyntheticDataset:
         if len(label_counts) == 0:
             raise InvalidValueError("label_counts must hold at least one client")
         n_classes = len(label_counts[0])
-        sizes = np.empty(len(label_counts), dtype=np.int64)
+        table = np.empty((len(label_counts), n_classes), dtype=np.int64)
+        room = int(np.iinfo(np.int64).max)  # the rows the int64 offsets can still count
         for client, counts in enumerate(label_counts):
             requirement = (
                 f"client {client}: label counts must be {n_classes} integers >= 0 with a "
@@ -364,7 +372,13 @@ class SyntheticDataset:
             row = integer_array(counts, requirement)
             if not (row.shape == (n_classes,) and row.min(initial=0) >= 0 and row.any()):
                 raise InvalidValueError(f"{requirement}, got {counts!r}")
-            sizes[client] = row.sum()
+            total = row.sum(dtype=object)  # exact, whatever the integer dtype
+            if total > room:
+                raise InvalidValueError(f"client {client}: label counts must be at most {room} "
+                                        f"in total, got {total}")
+            room -= total
+            table[client] = row
+        sizes = table.sum(axis=1)
         means = class_sep * rng.standard_normal((n_classes, n_features))
 
         def draw(count_vector):
@@ -376,7 +390,7 @@ class SyntheticDataset:
         ends = np.cumsum(sizes)
         features = np.empty((ends[-1], n_features))
         labels = np.empty(ends[-1], dtype=np.int64)
-        for counts, a, b in zip(label_counts, ends - sizes, ends):
+        for counts, a, b in zip(table, ends - sizes, ends):
             features[a:b], labels[a:b] = draw(counts)
         test_features, test_labels = draw([test_per_class] * n_classes)
         return cls(features, labels, sizes, test_features, test_labels, n_classes)

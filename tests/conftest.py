@@ -40,6 +40,25 @@ def no_child_process_left():
     pytest.fail(f"the test left a child process behind (waitpid gave {left})")
 
 
+_cpu_set = getattr(os, "sched_getaffinity", None)  # the real one, whatever a test patches
+
+
+@pytest.fixture(autouse=True)
+def no_cpu_set_changed():
+    """Fail every test that leaves this process on another set of CPUs than
+    it started on, and give the set back: a pin left behind would run every
+    later test on fewer CPUs, and fail none of them."""
+    if _cpu_set is None:
+        yield
+        return
+    before = _cpu_set(0)
+    yield
+    after = _cpu_set(0)
+    if after != before:
+        os.sched_setaffinity(0, before)
+        pytest.fail(f"the test left this process on CPUs {sorted(after)}, not {sorted(before)}")
+
+
 @pytest.fixture
 def finite_json(monkeypatch) -> list[Path]:
     """Make every ``write_json`` payload and ``write_columns`` header of

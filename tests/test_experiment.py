@@ -293,7 +293,10 @@ def small_partitions(scenario, count):
 def force_forks(monkeypatch, cpus=2, min_steps=1):
     """Let train_curves fork for runs of ``min_steps`` client steps as if
     this process had ``cpus`` CPUs (None: no ``os.sched_getaffinity``);
-    returns the list of the forks this process makes."""
+    returns the list of the forks this process makes.  No process is kept
+    on these made-up CPUs, so none is left on fewer than its own
+    (``test_each_forked_run_keeps_to_a_cpu_of_its_own`` places runs on
+    the real ones)."""
     forks = []
     fork = os.fork
 
@@ -306,6 +309,7 @@ def force_forks(monkeypatch, cpus=2, min_steps=1):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     return forks
 
@@ -327,8 +331,8 @@ def fail_in_run(monkeypatch, partition, failure):
 
 
 @pytest.mark.parametrize("runs, cpus, min_steps, forked", [
-    (3, 2, 1, 1),  # two CPUs train three runs as two at once, then one
-    (3, 3, 1, 2),
+    (3, 2, 1, 1),  # one child trains the second run and then the third
+    (3, 3, 1, 1),  # however many CPUs there are
     (2, 2, 96, 1),  # a run of these options takes 96 client steps
     (2, 2, 97, 0),
     (1, 2, 1, 0),
@@ -434,6 +438,50 @@ def test_an_error_in_this_processs_run_kills_and_reaps_the_child(small, monkeypa
     with pytest.raises(TrainingDivergedError, match="^training diverged; lower the learning rate$"):
         train_curves(small, partitions, SMALL_TRAINING, 4, 5)
     assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def raising(error):
+    def fail():
+        raise error
+    return fail
+
+
+@pytest.mark.parametrize("failures", [
+    {2: TrainingDivergedError("training diverged; lower the learning rate")},
+    {1: InvalidValueError("the second run failed"), 2: TrainingDivergedError("the third run")},
+], ids=["second_run_only", "both_runs"])
+def test_the_first_error_of_the_childs_runs_in_partition_order_surfaces(
+    small, monkeypatch, failures
+):
+    """The child trains the second run and then the third; the error of the
+    first to fail surfaces here, as on the serial path."""
+    partitions = small_partitions(small, 3)
+    for i, error in failures.items():
+        fail_in_run(monkeypatch, partitions[i], raising(error))
+    first = failures[min(failures)]
+    words = f"^{re.escape(str(first))}$"
+    with pytest.raises(type(first), match=words):
+        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    forks = force_forks(monkeypatch)
+    with pytest.raises(type(first), match=words):
+        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_an_error_in_this_processs_run_kills_the_child_holding_two_runs(small, monkeypatch):
+    partitions = small_partitions(small, 3)
+    for partition in partitions[1:]:
+        fail_in_run(monkeypatch, partition, lambda: time.sleep(30))  # 60 s in the child
+    diverge = raising(TrainingDivergedError("training diverged; lower the learning rate"))
+    fail_in_run(monkeypatch, partitions[0], diverge)
+    forks = force_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(TrainingDivergedError, match="^training diverged; lower the learning rate$"):
+        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
+    assert time.monotonic() - start < 15
     assert len(forks) == 1
     assert_no_child_left()
 

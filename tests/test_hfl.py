@@ -646,12 +646,25 @@ def test_dataset_honors_label_counts():
         ([[1.0, 2]], 0),  # a float count
         ([[2, 2], [True, 3]], 1),  # numpy reads this row as int64, and the client had 4 samples
         ([[2, 2], [np.True_, 3]], 1),
+        ([[2**62, 2**62], [1, 1]], 0),  # its total wraps to -2**63 in int64
+        ([[2**62, 1], [2**62, 1], [1, 1]], 1),  # so does the total of the first two rows
     ],
-    ids=["ragged", "all_zero", "negative", "float", "bool", "numpy_bool"],
+    ids=["ragged", "all_zero", "negative", "float", "bool", "numpy_bool", "row_beyond_int64",
+         "rows_beyond_int64"],
 )
 def test_dataset_rejects_a_bad_client_row_by_name(counts, client):
     with pytest.raises(InvalidValueError, match=f"^client {client}: label counts must be"):
         SyntheticDataset.generate(counts, n_features=2, seed=0)
+
+
+def test_dataset_takes_uint64_label_counts_as_it_takes_int64_ones():
+    """np.repeat refuses to cast uint64 counts; the checked rows are taken as int64."""
+    counts = np.array([[2, 1], [1, 2]])
+    a = SyntheticDataset.generate(counts.astype(np.uint64), n_features=2, seed=3)
+    b = SyntheticDataset.generate(counts, n_features=2, seed=3)
+    for name in ("features", "labels", "client_sizes", "test_features", "test_labels"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.client_sizes.dtype == np.int64
 
 
 def test_dataset_takes_the_label_count_matrix_as_it_takes_its_rows():
@@ -774,10 +787,14 @@ def _label_at(labels, row, label):
      r"^client 7: labels must hold at least one entry, got client_sizes\[7\] = -1$"),
     (lambda ds: dict(client_sizes=np.array([2**64 - 1] + [3] * 6 + [6], dtype=np.uint64)),
      f"^client_sizes must be 1-D and sum to the 26 feature rows, .* summing to {2**64 + 23}$"),
+    (lambda ds: dict(labels=ds.labels.reshape(2, 13)),  # its repr takes two lines
+     r"^labels must be a 1-D integer array with at least one entry, got shape \(2, 13\) of "
+     "dtype int64$"),
 ], ids=["1d", "3d", "list", "bool", "complex", "nan", "inf", "fewer_rows", "more_rows",
         "label_k", "test_label_k", "test_width", "test_rows", "test_nan", "test_1d",
         "sizes_one_short",
-        "sizes_one_over", "sizes_2d", "sizes_float", "sizes_negative", "sizes_huge"])
+        "sizes_one_over", "sizes_2d", "sizes_float", "sizes_negative", "sizes_huge",
+        "labels_2d"])
 def test_dataset_refuses_data_it_cannot_train_on(change, message):
     """One line, naming the client and the row within it where a client's
     rows are at fault, instead of a bare IndexError (1-D features), a
@@ -819,11 +836,15 @@ def one_client(labels, n_classes=3):
 @pytest.mark.parametrize("labels, message", [
     (np.array([0, 3, 1]), r"^client 0: labels must lie in \[0, 3\), got 3$"),  # label K
     (np.array([0, 1, -1]), r"^client 0: labels must lie in \[0, 3\), got -1$"),  # label -1
-    (np.array([[0, 1, 2]]), r"^labels must be a 1-D integer array .*\[\[0, 1, 2\]\]"),
-    (np.array([0.0, 1.0]), r"^labels must be a 1-D integer array .*\[0\., 1\.\]"),
-    (np.array([True, False]), r"^labels must be a 1-D integer array .*True, False"),
-    (np.zeros(0, np.int64), r"^labels must be a 1-D integer array .*array\(\[\]"),
-    ([0, 1, 2], r"^labels must be a 1-D integer array .*\[0, 1, 2\]$"),
+    (np.array([[0, 1, 2]]), r"^labels must be a 1-D integer array .*, got shape \(1, 3\) of "
+                            "dtype int64$"),
+    (np.array([0.0, 1.0]), r"^labels must be a 1-D integer array .*, got shape \(2,\) of dtype "
+                           "float64$"),
+    (np.array([True, False]), r"^labels must be a 1-D integer array .*, got shape \(2,\) of "
+                              "dtype bool$"),
+    (np.zeros(0, np.int64), r"^labels must be a 1-D integer array .*, got shape \(0,\) of dtype "
+                            "int64$"),
+    ([0, 1, 2], "^labels must be a 1-D integer array .*, got list$"),
 ], ids=["label_k", "label_minus_one", "2d", "float", "bool", "empty", "list"])
 def test_dataset_refuses_labels_it_cannot_place(labels, message):
     with pytest.raises(InvalidValueError, match=message):
