@@ -32,6 +32,7 @@ import numpy as np
 
 from .alloc import GPConfig, build_plan, plan_full
 from .experiment import (
+    FORMATS,
     METHODS,
     TrainOptions,
     emit_report,
@@ -66,7 +67,6 @@ PLAN_TOTALS = ("total_latency", "total_energy", "uplink_energy", "avg_js", "util
 PLAN_KEYS = ("bandwidth", "power", "notes", *PLAN_TOTALS)
 # relative tolerance of the plan audit in ``report``
 PLAN_AUDIT_RTOL = 1e-9
-FORMATS = ("json", "csv")
 
 
 def _out_dir(args) -> Path:
@@ -92,7 +92,7 @@ def _load_partition(path: str, scenario: Scenario) -> Partition:
             raise InvalidPartitionError(f"{path}: malformed partition (no {key!r})")
     num_edges, entries = data["num_edges"], data["assignment"]
     try:
-        check_integer("num_edges", num_edges, 1)
+        check_integer("num_edges", num_edges, 1, InvalidPartitionError)
         if num_edges != scenario.num_edges:
             raise InvalidPartitionError(
                 f"partition has {num_edges} edges, the scenario {scenario.num_edges}"
@@ -104,11 +104,11 @@ def _load_partition(path: str, scenario: Scenario) -> Partition:
                 f"partition assigns {len(entries)} clients, the scenario has {scenario.n_clients}"
             )
         for i, entry in enumerate(entries):
-            check_integer(f"assignment[{i}]", entry, 0)
+            check_integer(f"assignment[{i}]", entry, 0, InvalidPartitionError)
         return Partition(
             entries, label_count_matrix(scenario), num_edges, data.get("denominator", "M")
         )
-    except (InvalidValueError, InvalidPartitionError) as exc:  # an entry, an edge, the denominator
+    except InvalidPartitionError as exc:  # an entry, an edge, the denominator
         raise InvalidPartitionError(f"{path}: {exc}") from exc
 
 
@@ -212,14 +212,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_plan_number(path: str, name: str, value) -> None:
-    """``errors.check_number``, raising InputFileError that names the plan file."""
-    try:
-        check_number(name, value)
-    except InvalidValueError as exc:
-        raise InputFileError(f"{path}: {exc}") from None
-
-
 def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> AllocationPlan:
     """The plan rebuilt from the stored plan's bandwidth and power.
 
@@ -243,7 +235,7 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
         if len(value) != length:
             raise InputFileError(f"{path}: {name} has {len(value)} entries, expected {length}")
         for i, entry in enumerate(value):
-            _check_plan_number(path, f"{name}[{i}]", entry)
+            check_number(f"{path}: {name}[{i}]", entry, InputFileError)
     plan = build_plan(
         partition, scenario.clients, scenario.config, data["bandwidth"], data["power"]
     )
@@ -254,7 +246,7 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
         if name == "feasible":
             same = kept is bool(fresh)
         else:
-            _check_plan_number(path, name, kept)
+            check_number(f"{path}: {name}", kept, InputFileError)
             same = math.isclose(kept, fresh, rel_tol=PLAN_AUDIT_RTOL)
         if not same:
             raise InputFileError(

@@ -15,6 +15,7 @@ report is a pure function of (scenario, methods, master seed).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import pickle
@@ -44,6 +45,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "METHOD_STAGES",
     "METHODS",
+    "FORMATS",
     "TrainOptions",
     "MethodResult",
     "ExperimentReport",
@@ -77,6 +79,7 @@ METHOD_STAGES = {
 }
 
 METHODS = tuple(METHOD_STAGES)
+FORMATS = ("json", "csv")
 
 # fixed-order seed block so each stream is independent of which
 # methods were requested
@@ -359,33 +362,32 @@ def run_experiment(
         weights={"lambda1": config.lambda1, "lambda2": config.lambda2},
     )
 
-    # association -> (partition, game trace as JSON reads it back, the seeds it used)
-    associations: dict[str, tuple[Partition, dict | None, dict[str, int]]] = {}
-    full_plans: dict[str, tuple[AllocationPlan, GPTrace]] = {}
+    @functools.cache
+    def associate(kind: str) -> tuple[Partition, dict | None, dict[str, int]]:
+        """The partition, the game trace as JSON reads it back and the seeds used."""
+        if kind == "game":
+            _, partition, trace = form_coalitions(
+                scenario, js_denominator, seeds["init_partition"], seeds["game"], game_max_iters
+            )
+            return (
+                partition,
+                {**fields_dict(trace), "entries": [list(e) for e in trace.entries]},
+                {"init_partition": seeds["init_partition"], "game": seeds["game"]},
+            )
+        rng = np.random.default_rng(seeds[kind])
+        partition = random_partition(counts, n_edges, rng, js_denominator)
+        return partition, None, {"association": seeds[kind]}
+
+    @functools.cache
+    def full_plan(kind: str) -> tuple[AllocationPlan, GPTrace]:
+        return plan_full(associate(kind)[0], clients, config, gp)
+
     trained: dict[str, Partition] = {}
     for name in methods:
         association, bandwidth_stage, power_stage = METHOD_STAGES[name]
-        if association not in associations:
-            if association == "game":
-                _, partition, trace = form_coalitions(
-                    scenario, js_denominator, seeds["init_partition"], seeds["game"],
-                    game_max_iters,
-                )
-                associations[association] = (
-                    partition,
-                    {**fields_dict(trace), "entries": [list(e) for e in trace.entries]},
-                    {"init_partition": seeds["init_partition"], "game": seeds["game"]},
-                )
-            else:
-                rng = np.random.default_rng(seeds[association])
-                partition = random_partition(counts, n_edges, rng, js_denominator)
-                associations[association] = (partition, None, {"association": seeds[association]})
-        partition, game_trace, association_seeds = associations[association]
-        if bandwidth_stage == "gp" and association not in full_plans:
-            full_plans[association] = plan_full(partition, clients, config, gp)
-
+        partition, game_trace, association_seeds = associate(association)
         if bandwidth_stage == "gp" and power_stage == "deadline":
-            plan, gp_trace = full_plans[association]
+            plan, gp_trace = full_plan(association)
             used_seeds = association_seeds
             if train_options is not None:
                 trained[name] = partition
@@ -393,7 +395,7 @@ def run_experiment(
             game_trace = gp_trace = None
             used_seeds = {}
             if bandwidth_stage == "gp":
-                bandwidth = full_plans[association][0].bandwidth
+                bandwidth = full_plan(association)[0].bandwidth
             elif bandwidth_stage == "equal":
                 bandwidth = np.full(n_edges, config.total_bandwidth / n_edges)
             else:
@@ -473,9 +475,14 @@ def write_accuracy(path: str | Path, curve: Sequence[float], avg_js: float) -> N
 def emit_report(
     report: ExperimentReport,
     out_dir: str | Path,
-    formats: tuple[str, ...] = ("json", "csv"),
+    formats: tuple[str, ...] = FORMATS,
 ) -> list[Path]:
-    """Write the report and its CSV projections; returns the paths."""
+    """Write the report and its CSV projections; returns the paths.
+
+    ``formats`` is a subset of FORMATS; any other format is refused."""
+    unknown = [f for f in formats if f not in FORMATS]
+    if unknown:
+        raise InvalidValueError(f"unknown report formats {unknown}; expected a subset of {FORMATS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

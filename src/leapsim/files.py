@@ -33,7 +33,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
@@ -97,10 +96,7 @@ def write_json(path: str | Path, payload) -> None:
 
 def _replace(path: str | Path, data: bytes) -> None:
     """Unlink any file at ``path``, then create it holding ``data``."""
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
+    Path(path).unlink(missing_ok=True)
     with open(path, "xb") as fh:
         fh.write(data)
 

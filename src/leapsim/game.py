@@ -60,6 +60,7 @@ from .errors import (
     LeapsimError,
     check_integer,
     check_seed,
+    described,
     integer_array,
 )
 
@@ -168,18 +169,10 @@ def assignment_vector(assignment, bound: int) -> np.ndarray:
     requirement = "an assignment must be a 1-D integer array"
     array = integer_array(assignment, requirement, InvalidPartitionError)
     if array.ndim != 1:
-        raise InvalidPartitionError(f"{requirement}, got {array.dtype} of shape {array.shape}")
+        raise InvalidPartitionError(f"{requirement}, got {described(array)}")
     if array.size and (array.min() < 0 or array.max() >= bound):
         raise InvalidPartitionError("assignment index out of range")
     return array.astype(np.int64, copy=False)
-
-
-def _check_coalition_count(num_coalitions) -> None:
-    """Raise InvalidPartitionError unless ``num_coalitions`` is an integer in [1, 2**63)."""
-    try:
-        check_integer("num_coalitions", num_coalitions, 1)
-    except InvalidValueError as exc:
-        raise InvalidPartitionError(str(exc)) from None
 
 
 class Partition:
@@ -207,7 +200,7 @@ class Partition:
         num_coalitions: int,
         denominator: str = "M",
     ):
-        _check_coalition_count(num_coalitions)
+        check_integer("num_coalitions", num_coalitions, 1, InvalidPartitionError)
         assignment = assignment_vector(assignment, num_coalitions)
         client_label_counts = integer_array(
             client_label_counts, "label counts must be an integer array", InvalidPartitionError
@@ -599,7 +592,7 @@ def random_partition(
     ``num_coalitions`` must be an integer from 1 to the client count.
     """
     n = np.asarray(client_label_counts).shape[0]
-    _check_coalition_count(num_coalitions)
+    check_integer("num_coalitions", num_coalitions, 1, InvalidPartitionError)
     if n < num_coalitions:
         raise InvalidPartitionError("fewer clients than coalitions")
     assignment = np.empty(n, dtype=np.int64)

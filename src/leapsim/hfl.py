@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidValueError, TrainingDivergedError
-from .errors import check_integer, check_number, check_seed, integer_array
+from .errors import check_integer, check_number, check_seed, described, integer_array
 from .netmodel import coalition_assignment
 
 __all__ = [
@@ -116,14 +116,7 @@ def _check_features(features, prefix: str = "") -> None:
     if isinstance(features, np.ndarray) and features.ndim == 2 and features.dtype.kind in "fiu":
         return
     raise InvalidValueError(f"{prefix}features must be a 2-D array of real numbers, "
-                            f"got {_described(features)}")
-
-
-def _described(value) -> str:
-    """An array by its shape and dtype, anything else by its type, in one line."""
-    if isinstance(value, np.ndarray):
-        return f"shape {value.shape} of dtype {value.dtype}"
-    return type(value).__name__
+                            f"got {described(features)}")
 
 
 def predict(model: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -289,7 +282,7 @@ class SyntheticDataset:
             if not (isinstance(labels, np.ndarray) and labels.ndim == 1
                     and labels.dtype.kind in "iu" and labels.size > 0):
                 raise InvalidValueError(f"{prefix}labels must be a 1-D integer array with at "
-                                        f"least one entry, got {_described(labels)}")
+                                        f"least one entry, got {described(labels)}")
             if len(features) != labels.size:
                 raise InvalidValueError(f"{prefix}features have {len(features)} rows for "
                                         f"{labels.size} {prefix}labels")

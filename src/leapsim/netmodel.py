@@ -39,6 +39,7 @@ from .errors import (
     InvalidValueError,
     check_integer,
     check_number,
+    described,
     integer_array,
 )
 from .files import fields_dict
@@ -218,7 +219,7 @@ def coalition_assignment(partition, n_clients: int) -> tuple[np.ndarray, np.ndar
         for group in filter(len, groups):  # an empty coalition is named below
             ids = integer_array(group, requirement, InvalidPartitionError)  # never cast
             if ids.ndim != 1:
-                raise InvalidPartitionError(f"{requirement}, got {ids.dtype} of shape {ids.shape}")
+                raise InvalidPartitionError(f"{requirement}, got {described(ids)}")
             members.append(ids.astype(np.int64, copy=False))  # uint64 past 2**63 wraps below 0
         members = np.concatenate(members)
         if members.min(initial=0) < 0 or members.max(initial=0) >= n_clients:

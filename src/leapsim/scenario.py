@@ -151,6 +151,8 @@ def generate_scenario(
     if gain_mode not in ("pair", "client"):
         raise InvalidValueError("gain_mode must be 'pair' or 'client'")
     check_number("deadline_slack", deadline_slack)  # meta holds it even when a deadline is given
+    if deadline is not None:
+        check_number("deadline", deadline)
 
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(*CPU_FREQ_RANGE, size=n_clients)

@@ -688,6 +688,44 @@ def _surrogate_ref(bandwidth, assignment, clients, cfg):
     return sizes, x, g, k
 
 
+def uplink_energy_ref(splits, assignment, clients, cfg):
+    """Total uplink energy of each bandwidth split, a row of ``splits``
+    (G, M), with the deadline powers recomputed at that split.
+
+    A client's power is the smallest that meets the per-iteration budget
+    at its coalition's equal per-client share, clipped at p_max, and
+    p_max where computation alone exceeds the budget.  Its uplink energy
+    is tau_g * tau_e * power * model_size / rate.  Returns (G,)."""
+    splits = np.asarray(splits, dtype=float)
+    sizes = np.bincount(assignment, minlength=splits.shape[1])
+    share = splits[:, assignment] / sizes[assignment]  # (G, N)
+    gain = clients.channel_gains[np.arange(len(assignment)), assignment]
+    comp = cfg.tau_c * clients.cycles_per_item * clients.data_size / clients.cpu_freq
+    budget = cfg.iteration_budget - comp
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # where budget <= 0
+        growth = np.expm1(cfg.model_size * LN2 / (share * budget))
+    power = np.where(
+        budget > 0, np.minimum(clients.p_max, share * cfg.noise_power * growth / gain), clients.p_max
+    )
+    rate = share * np.log1p(power * gain / (share * cfg.noise_power)) / LN2
+    return cfg.tau_g * cfg.tau_e * (power * cfg.model_size / rate).sum(axis=1)
+
+
+def min_uplink_energy_grid_ref(assignment, clients, cfg, points=200):
+    """The least total uplink energy over a ``points`` x ``points`` grid
+    of the M=3 bandwidth simplex (each edge at least 1e-6 of the total),
+    powers recomputed at every split; returns (energy, split)."""
+    total, floor = cfg.total_bandwidth, 1e-6 * cfg.total_bandwidth
+    axis = np.linspace(floor, total - 2 * floor, points)
+    b1, b2 = np.meshgrid(axis, axis)
+    b3 = total - b1 - b2
+    keep = b3 >= floor
+    splits = np.stack([b1[keep], b2[keep], b3[keep]], axis=1)
+    energy = uplink_energy_ref(splits, np.asarray(assignment), clients, cfg)
+    best = int(np.argmin(energy))
+    return float(energy[best]), splits[best]
+
+
 def gp_solve_ref(assignment, clients, cfg, gp):
     """The projected-gradient loop of ``gp_solve``, every objective and
     gradient evaluation rebuilding its terms from the assignment.

@@ -31,12 +31,14 @@ from oracles import (
     flat_params,
     make_alloc_instance,
     make_clients,
+    min_uplink_energy_grid_ref,
     model_params,
     potential_ref,
     random_counts,
     softmax_loss_and_grad_labels_ref,
     surrogate_objective_ref,
     switch_deltas_ref,
+    uplink_energy_ref,
 )
 
 
@@ -389,3 +391,41 @@ def test_c9_end_to_end_determinism(tmp_path):
         assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
     report(f"C9 PASS determinism: {len(names) + 1} output files byte-identical "
            f"across two full pipeline runs (incl. training curves)")
+
+
+def test_c10_what_the_bandwidth_stage_buys():
+    """C10: the GP's split lowers the worst-member surrogate, lands near the
+    least total uplink energy, and the random baselines use more.
+
+    Measured at these seeds (N=30, M=3): ``leap`` 0.04-0.41% above the
+    grid optimum of total uplink energy, ``rp`` 1.09-1.30x and ``rb_rp``
+    1.19-1.66x ``leap``'s uplink energy.  The GP minimizes the surrogate,
+    not total uplink energy, so ``leap`` is not always below ``equal_split``
+    on the latter; only the surrogate is guaranteed."""
+    gaps, rp_ratios, rb_rp_ratios = [], [], []
+    for seed in range(1, 11):
+        scenario = L.generate_scenario(seed=seed, n_clients=30, n_edges=3)
+        rep = L.run_experiment(
+            scenario, methods=["leap", "equal_split", "rp", "rb_rp"], master_seed=seed
+        )
+        leap, equal = rep.methods["leap"].plan, rep.methods["equal_split"].plan
+        # the GP starts from the equal split and accepts only descents
+        assert leap["surrogate_objective"] <= equal["surrogate_objective"], seed
+
+        assignment = np.asarray(rep.methods["leap"].assignment)
+        clients, cfg = scenario.clients, scenario.config
+        at_leap = uplink_energy_ref([leap["bandwidth"]], assignment, clients, cfg)[0]
+        assert math.isclose(at_leap, leap["uplink_energy"], rel_tol=1e-9), seed
+        optimum, _ = min_uplink_energy_grid_ref(assignment, clients, cfg)
+        gap = leap["uplink_energy"] / optimum - 1.0
+        # the grid optimum lies within ~2e-6 of a finer grid's at these seeds
+        assert -1e-5 <= gap <= 0.01, (seed, gap)
+        gaps.append(gap)
+
+        rp_ratios.append(rep.methods["rp"].plan["uplink_energy"] / leap["uplink_energy"])
+        rb_rp_ratios.append(rep.methods["rb_rp"].plan["uplink_energy"] / leap["uplink_energy"])
+        assert rp_ratios[-1] >= 1.05 and rb_rp_ratios[-1] >= 1.10, seed
+    report(f"C10 PASS bandwidth stage: surrogate leap <= equal_split in 10/10, leap "
+           f"{min(gaps):.2%}-{max(gaps):.2%} above the grid's least uplink energy (<= 1%), "
+           f"rp {min(rp_ratios):.2f}-{max(rp_ratios):.2f}x (>= 1.05x) and rb_rp "
+           f"{min(rb_rp_ratios):.2f}-{max(rb_rp_ratios):.2f}x (>= 1.10x) leap's uplink energy")

@@ -1,18 +1,24 @@
+import ast
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from leapsim.errors import (
+    InputFileError,
     InvalidPartitionError,
     InvalidValueError,
     check_integer,
     check_number,
     check_seed,
+    described,
     integer_array,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("value, words", [
@@ -121,3 +127,79 @@ def test_integer_array_takes_an_ndarray_as_it_is_and_scans_a_list_for_bools():
             integer_array(value, "x", InvalidPartitionError)
     with pytest.raises(InvalidValueError, match=r"^x \(setting an array element"):
         integer_array([[1, 2], [3]], "x")
+
+
+@pytest.mark.parametrize("error", [InvalidPartitionError, InputFileError])
+@pytest.mark.parametrize("check, args", [
+    pytest.param(check_integer, ("n", True, 1), id="integer_bool"),
+    pytest.param(check_integer, ("n", 2.0, 1), id="integer_float"),
+    pytest.param(check_integer, ("n", 0, 1), id="integer_below_minimum"),
+    pytest.param(check_integer, ("n", 2**63, 1), id="integer_beyond_int64"),
+    pytest.param(check_number, ("x", "1"), id="number_str"),
+    pytest.param(check_number, ("x", math.nan), id="number_nan"),
+    pytest.param(check_number, ("x", 10**400), id="number_beyond_float"),
+    pytest.param(check_number, ("x", -(2**63) - 1), id="number_beyond_int64"),
+    pytest.param(integer_array, ([[1, 2], [3]], "x"), id="array_ragged"),
+    pytest.param(integer_array, ([0.5, 1], "x"), id="array_float"),
+    pytest.param(integer_array, ([0, True], "x"), id="array_bool_entry"),
+])
+def test_each_check_raises_the_callers_error_type_with_the_default_message(check, args, error):
+    with pytest.raises(InvalidValueError) as default:
+        check(*args)
+    with pytest.raises(error) as raised:
+        check(*args, error)
+    assert type(default.value) is InvalidValueError and type(raised.value) is error
+    assert str(raised.value) == str(default.value)
+
+
+def test_each_check_takes_a_good_value_whatever_the_error_type():
+    check_integer("n", np.int64(3), 1, InputFileError)
+    check_number("x", 0.5, InvalidPartitionError)
+    assert integer_array([1, 2], "x", InputFileError).tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("value, words", [
+    (np.zeros((2, 3)), "float64 of shape (2, 3)"),
+    (np.array(["a"]), "<U1 of shape (1,)"),
+    (np.int64(3), "int64"),
+    ([1, 2], "list"),
+    (None, "NoneType"),
+], ids=["2d", "str", "numpy_scalar", "list", "none"])
+def test_described_gives_an_array_by_dtype_and_shape_else_its_type(value, words):
+    assert described(value) == words
+
+
+def array_descriptions(tree: ast.AST) -> list[str]:
+    """The f-strings in ``tree`` that format a ``.dtype`` together with a
+    shape (``.shape``, ``np.shape(...)`` or a name ``shape``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            parts = [sub for value in node.values if isinstance(value, ast.FormattedValue)
+                     for sub in ast.walk(value.value)]
+            attrs = {sub.attr for sub in parts if isinstance(sub, ast.Attribute)}
+            names = {sub.id for sub in parts if isinstance(sub, ast.Name)}
+            if "dtype" in attrs and "shape" in attrs | names:
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("code, found", [
+    ('f"got {a.dtype} of shape {a.shape}"', True),
+    ('f"got shape {a.shape} of dtype {a.dtype}"', True),
+    ('f"{x}, got {np.shape(a)} {a.dtype.name}"', True),
+    ('f"got {a.dtype} of shape {shape}"', True),
+    ('f"got {a.dtype.name}"', False),
+    ('f"got shape {a.shape} summing to {total}"', False),
+    ('f"got {described(a)}"', False),
+    ('"got {} of shape {}".format(a.dtype, a.shape)', False),
+])
+def test_array_description_detector(code, found):
+    assert bool(array_descriptions(ast.parse(code))) is found
+
+
+def test_errors_is_the_only_module_that_describes_a_refused_array():
+    modules = sorted((SRC / "leapsim").glob("*.py"))
+    found = {m.name: array_descriptions(ast.parse(m.read_text(encoding="utf-8"))) for m in modules}
+    assert found.pop("errors.py"), "the detector no longer sees the description in errors.py"
+    assert len(found) >= 9 and not any(found.values()), found

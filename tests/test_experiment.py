@@ -7,11 +7,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leapsim import experiment
 from leapsim.alloc import NonFiniteInputError
 from leapsim.cli import main
-from leapsim.errors import InvalidPartitionError, InvalidValueError, TrainingDivergedError
+from leapsim.errors import (
+    InvalidPartitionError,
+    InvalidValueError,
+    LeapsimError,
+    TrainingDivergedError,
+)
 from leapsim.experiment import (
     METHODS,
     TrainOptions,
@@ -21,6 +27,7 @@ from leapsim.experiment import (
     train_curves,
 )
 from leapsim.game import random_partition
+from leapsim.netmodel import check_deadline
 from leapsim.scenario import generate_scenario, save_scenario
 
 
@@ -171,6 +178,20 @@ def test_report_roundtrip(tmp_path, report):
     paths = emit_report(report, tmp_path)
     assert json.loads((tmp_path / "report.json").read_text()) == report.to_dict()
     assert any(p.name == "summary.csv" for p in paths)
+
+
+@pytest.mark.parametrize("formats, unknown", [
+    (("xml",), ["xml"]),
+    (("json", "xml"), ["xml"]),
+    (("JSON", "csv", ""), ["JSON", ""]),
+], ids=["xml", "json_xml", "case_and_empty"])
+def test_emit_report_refuses_a_format_it_does_not_know(tmp_path, report, formats, unknown):
+    # it used to write nothing for ("xml",) and return []
+    words = f"unknown report formats {unknown}; expected a subset of ('json', 'csv')"
+    out = tmp_path / "o"
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        emit_report(report, out, formats=formats)
+    assert not out.exists()
 
 
 def test_csv_row_counts_match_traces(tmp_path, report):
@@ -516,3 +537,72 @@ def test_each_forked_run_keeps_to_a_cpu_of_its_own(small, monkeypatch, parent_fa
     assert seen == [[cpus[0]]]
     assert sorted(os.sched_getaffinity(0)) == cpus
     assert_no_child_left()
+
+
+# (part of the scenario, field, value): one field pushed to an extreme
+EXTREMES = [
+    ("clients", "channel_gains", 1e-300),
+    ("clients", "p_max", 1e-300),
+    ("config", "total_bandwidth", 1e-300),
+    ("config", "total_bandwidth", 1e300),
+    ("config", "capacitance", 1e300),
+    ("clients", "cpu_freq", 1e300),
+    ("config", "lambda2", 1e300),
+    ("config", "deadline", 1e-300),
+    ("config", "deadline", 1e300),
+]
+# one shape at an edge: M = N, K = 1, or N = M + 1, where every partition
+# has M - 1 single-member coalitions
+SHAPE_EDGES = ["m_equals_n", "one_class", "single_members"]
+
+
+@st.composite
+def degenerate_scenarios(draw, case):
+    """A scenario of at most 7 clients with ``case``, an entry of EXTREMES
+    or of SHAPE_EDGES, applied to it."""
+    n = draw(st.integers(2, 6))
+    m, k = draw(st.integers(2, max(2, n))), draw(st.integers(1, 4))
+    if case == "m_equals_n":
+        m = n
+    elif case == "one_class":
+        k = 1
+    elif case == "single_members":
+        n = m + 1
+    dirichlet = draw(st.booleans())
+    scenario = generate_scenario(
+        draw(st.integers(0, 2**32)), n, m, n_classes=k, data_size=8,
+        shards=None if dirichlet else min(2, k), dirichlet_alpha=0.3 if dirichlet else None,
+    )
+    if case in SHAPE_EDGES:
+        return scenario
+    where, name, value = case
+    part = getattr(scenario, where)
+    if where == "clients":
+        value = np.full_like(getattr(part, name), value, dtype=float)
+    return dataclasses.replace(scenario, **{where: dataclasses.replace(part, **{name: value})})
+
+
+@pytest.mark.parametrize(
+    "case", EXTREMES + SHAPE_EDGES,
+    ids=[f"{name}={value:g}" for _, name, value in EXTREMES] + SHAPE_EDGES,
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), master_seed=st.integers(0, 2**32))
+def test_degenerate_planner_instances_end_typed_or_valid(case, data, master_seed):
+    """Every method ends in a LeapsimError or in plans whose deadline flags
+    are check_deadline's of their client latencies.
+
+    It runs under np.errstate(all="ignore"), as ``cli.main`` does: several
+    of these instances overflow or divide by zero on the way to their
+    typed error, and the suite's filterwarnings = error would raise
+    numpy's RuntimeWarnings instead."""
+    scenario = data.draw(degenerate_scenarios(case))
+    with np.errstate(all="ignore"):
+        try:
+            report = run_experiment(scenario, master_seed=master_seed)
+        except LeapsimError:
+            return
+        for name, method in report.methods.items():
+            ok, feasible = check_deadline(method.plan["client_latency"], scenario.config)
+            assert ok.tolist() == method.plan["per_client_feasible"], name
+            assert feasible is method.feasible, name

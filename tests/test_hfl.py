@@ -373,10 +373,10 @@ def test_predict_and_accuracy_take_the_class_count_from_the_model():
 
 
 @pytest.mark.parametrize("features, got", [
-    (np.ones(4), "shape (4,) of dtype float64"),
-    (np.ones((1, 2, 4)), "shape (1, 2, 4) of dtype float64"),
-    (np.ones((6, 4), dtype=complex), "shape (6, 4) of dtype complex128"),
-    (np.full((6, 4), "1"), "shape (6, 4) of dtype <U1"),
+    (np.ones(4), "float64 of shape (4,)"),
+    (np.ones((1, 2, 4)), "float64 of shape (1, 2, 4)"),
+    (np.ones((6, 4), dtype=complex), "complex128 of shape (6, 4)"),
+    (np.full((6, 4), "1"), "<U1 of shape (6, 4)"),
     ([[1.0] * 4] * 6, "list"),
 ], ids=["1-D", "3-D", "complex", "strings", "list"])
 def test_predict_and_accuracy_refuse_features_that_are_not_a_2d_real_array(features, got):
@@ -746,15 +746,15 @@ def _label_at(labels, row, label):
 
 @pytest.mark.parametrize("change, message", [
     (lambda ds: dict(features=np.zeros(26)),
-     r"^features must be a 2-D array of real numbers, got shape \(26,\) of dtype float64$"),
+     r"^features must be a 2-D array of real numbers, got float64 of shape \(26,\)$"),
     (lambda ds: dict(features=np.zeros((26, 1, 2))),
      r"^features must be a 2-D array .* shape \(26, 1, 2\)"),
     (lambda ds: dict(features=ds.features.tolist()),
      "^features must be a 2-D array of real numbers, got list$"),
     (lambda ds: dict(features=np.ones((26, 4), dtype=bool)),
-     "^features must .* real numbers, got shape .* dtype bool$"),
+     r"^features must .* real numbers, got bool of shape \(26, 4\)$"),
     (lambda ds: dict(features=np.ones((26, 4), dtype=complex)),
-     "^features must .* real numbers, .* dtype complex128$"),
+     r"^features must .* real numbers, got complex128 of shape \(26, 4\)$"),
     (lambda ds: dict(features=_nan_at(ds.features, 21 + 3, 1)),
      "^client 7: features must be finite, got nan at row 3, column 1$"),
     (lambda ds: dict(features=np.where(np.arange(26)[:, None] >= 21, -math.inf, ds.features)),
@@ -773,7 +773,7 @@ def _label_at(labels, row, label):
     (lambda ds: dict(test_features=_nan_at(ds.test_features, 2, 1)),
      "^test_features must be finite, got nan at row 2, column 1$"),
     (lambda ds: dict(test_features=ds.test_features[:, 0]),
-     r"^test_features must be a 2-D array of real numbers, got shape \(45,\)"),
+     r"^test_features must be a 2-D array of real numbers, got float64 of shape \(45,\)"),
     (lambda ds: dict(client_sizes=ds.client_sizes[:-1]),
      r"^client_sizes must be 1-D and sum to the 26 feature rows, got shape \(7,\) summing "
      "to 21$"),
@@ -788,8 +788,8 @@ def _label_at(labels, row, label):
     (lambda ds: dict(client_sizes=np.array([2**64 - 1] + [3] * 6 + [6], dtype=np.uint64)),
      f"^client_sizes must be 1-D and sum to the 26 feature rows, .* summing to {2**64 + 23}$"),
     (lambda ds: dict(labels=ds.labels.reshape(2, 13)),  # its repr takes two lines
-     r"^labels must be a 1-D integer array with at least one entry, got shape \(2, 13\) of "
-     "dtype int64$"),
+     r"^labels must be a 1-D integer array with at least one entry, got int64 of shape "
+     r"\(2, 13\)$"),
 ], ids=["1d", "3d", "list", "bool", "complex", "nan", "inf", "fewer_rows", "more_rows",
         "label_k", "test_label_k", "test_width", "test_rows", "test_nan", "test_1d",
         "sizes_one_short",
@@ -836,14 +836,14 @@ def one_client(labels, n_classes=3):
 @pytest.mark.parametrize("labels, message", [
     (np.array([0, 3, 1]), r"^client 0: labels must lie in \[0, 3\), got 3$"),  # label K
     (np.array([0, 1, -1]), r"^client 0: labels must lie in \[0, 3\), got -1$"),  # label -1
-    (np.array([[0, 1, 2]]), r"^labels must be a 1-D integer array .*, got shape \(1, 3\) of "
-                            "dtype int64$"),
-    (np.array([0.0, 1.0]), r"^labels must be a 1-D integer array .*, got shape \(2,\) of dtype "
-                           "float64$"),
-    (np.array([True, False]), r"^labels must be a 1-D integer array .*, got shape \(2,\) of "
-                              "dtype bool$"),
-    (np.zeros(0, np.int64), r"^labels must be a 1-D integer array .*, got shape \(0,\) of dtype "
-                            "int64$"),
+    (np.array([[0, 1, 2]]), r"^labels must be a 1-D integer array .*, got int64 of shape "
+                            r"\(1, 3\)$"),
+    (np.array([0.0, 1.0]), r"^labels must be a 1-D integer array .*, got float64 of shape "
+                           r"\(2,\)$"),
+    (np.array([True, False]), r"^labels must be a 1-D integer array .*, got bool of shape "
+                              r"\(2,\)$"),
+    (np.zeros(0, np.int64), r"^labels must be a 1-D integer array .*, got int64 of shape "
+                            r"\(0,\)$"),
     ([0, 1, 2], "^labels must be a 1-D integer array .*, got list$"),
 ], ids=["label_k", "label_minus_one", "2d", "float", "bool", "empty", "list"])
 def test_dataset_refuses_labels_it_cannot_place(labels, message):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields
 
@@ -302,6 +303,21 @@ def test_generator_argument_errors_are_typed():
 def test_generator_refuses_a_count_that_is_not_a_positive_integer(name, value, words):
     with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
         generate_scenario(**{"seed": 0, "n_clients": 20, "n_edges": 4, name: value})
+
+
+@pytest.mark.parametrize("name, value, words", [
+    ("deadline", True, "deadline must be a number, got True"),
+    ("deadline", np.True_, "deadline must be a number, got np.True_"),
+    ("deadline", "5", "deadline must be a number, got '5'"),
+    ("deadline", math.inf, "deadline must be finite, got inf"),
+    pytest.param("deadline", 10**400, "deadline is an integer too large for a float",
+                 id="deadline-10**400"),
+    ("deadline_slack", True, "deadline_slack must be a number, got True"),
+])
+def test_generator_refuses_a_deadline_that_is_not_a_finite_number(name, value, words):
+    # each used to be cast: deadline=True gave a 1.0 s deadline, "5" a 5.0 s one
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        generate_scenario(**{"seed": 0, "n_clients": 6, "n_edges": 2, name: value})
 
 
 @pytest.mark.parametrize("field, value, words", [
