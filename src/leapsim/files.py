@@ -14,9 +14,11 @@ write.  This is the one module that imports orjson.
 ``write_columns`` / ``read_columns`` the one binary format: a line of
 compact JSON, then float64 and int64 columns as raw little-endian bytes.
 
-Every writer builds the whole file in memory and then replaces it: an
-existing file at the path is unlinked and a new one created, never
-truncated and rewritten.  On ext4 (``auto_da_alloc``, its default) a
+Every writer encodes and checks its whole payload before it touches the
+file, and then replaces it: an existing file at the path is unlinked and
+a new one created, never truncated and rewritten.  Columns are written
+from the arrays' own memory, with no copy unless a column is not
+little-endian and C-ordered.  On ext4 (``auto_da_alloc``, its default) a
 file truncated to zero is flushed to disk when it is closed, and the
 next truncation of the same path waits for that flush, so rerunning a
 command into the same directory used to stall on disk writeback for
@@ -33,6 +35,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
@@ -94,11 +97,12 @@ def write_json(path: str | Path, payload) -> None:
     _replace(path, json_bytes(payload))
 
 
-def _replace(path: str | Path, data: bytes) -> None:
-    """Unlink any file at ``path``, then create it holding ``data``."""
+def _replace(path: str | Path, *chunks) -> None:
+    """Unlink any file at ``path``, then create it holding ``chunks``
+    (bytes-like objects, C-contiguous) one after another."""
     Path(path).unlink(missing_ok=True)
     with open(path, "xb") as fh:
-        fh.write(data)
+        fh.writelines(chunks)
 
 
 def write_csv(path: str | Path, schema: str, header: list[str], rows: Iterable) -> None:
@@ -141,8 +145,9 @@ def write_columns(path: str | Path, header: dict, key: str, columns: dict) -> No
         if code not in _COLUMN_DTYPES:
             raise TypeError(f"{name}: only float64 and int64 columns are written, got {code}")
         specs[name] = {"dtype": code, "shape": list(array.shape)}
-        data.append(np.ascontiguousarray(array, dtype=code).tobytes())
-    _replace(path, b"".join([orjson.dumps({**header, key: specs}), b"\n", *data]))
+        # a little-endian C-order column is written as it is, not copied
+        data.append(np.ascontiguousarray(array, dtype=code))
+    _replace(path, orjson.dumps({**header, key: specs}), b"\n", *data)
 
 
 def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -152,13 +157,19 @@ def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[st
     given ``schema``, ``key`` maps names to objects with exactly a dtype
     ("<f8" or "<i8") and a shape (a list of non-negative JSON integers),
     and the rest of the file is exactly those columns in the header's
-    order.  The arrays are native-order, writable copies."""
-    data = Path(path).read_bytes()
-    end = data.find(b"\n")
+    order.  The arrays are native-order, writable, aligned arrays in one
+    block private to the call."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        # the rest of the file in one read, into a block aligned for 8-byte
+        # items; each column starts a multiple of 8 bytes into it
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        block = np.empty(-(-size // 8), np.int64).view(np.uint8)[:size]
+        size = fh.readinto(block)  # a short read counts as what arrived
     try:
-        if end < 0:
+        if not line.endswith(b"\n"):
             raise ValueError("no line break ends it")
-        header = json.loads(data[:end].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, an integer of too many digits
         raise InputFileError(
             f"{path}: not a {schema!r} file: its first line is not a JSON header ({exc})"
@@ -184,17 +195,17 @@ def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[st
             )
         layout.append((name, code, shape, 8 * math.prod(shape)))
     # each column starts where the one before ends, and the last one ends the file
-    columns, start = {}, end + 1
+    columns, start = {}, 0
     for i, (name, code, shape, need) in enumerate(layout, 1):
-        have = len(data) - start if i == len(layout) else min(need, len(data) - start)
+        have = size - start if i == len(layout) else min(need, size - start)
         if have != need:
             raise InputFileError(
                 f"{path}: {key}.{name}: {have} bytes of data, shape {shape} needs {need}"
             )
-        array = np.frombuffer(data, code, need // 8, start)
-        columns[name] = array.astype(_COLUMN_DTYPES[code]).reshape(shape)
+        array = block[start:start + need].view(code)
+        columns[name] = array.astype(_COLUMN_DTYPES[code], copy=False).reshape(shape)
         start += need
-    if start != len(data):
-        raise InputFileError(f"{path}: the header lists no columns, yet {len(data) - start} "
+    if start != size:
+        raise InputFileError(f"{path}: the header lists no columns, yet {size - start} "
                              "bytes follow it")
     return header, columns

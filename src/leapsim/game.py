@@ -558,7 +558,7 @@ def certify_stability(partition: Partition, known: np.ndarray | None = None) -> 
     ):
         raise InvalidValueError(
             f"known must be a float array of shape {(partition.n_clients, m)}, "
-            f"got {np.shape(known)} {getattr(known, 'dtype', type(known).__name__)}"
+            f"got {described(known)}"
         )
     if m < 2 or not partition.js_matrix.any():
         return True

@@ -160,7 +160,8 @@ def generate_scenario(
     p_caps = rng.uniform(*P_MAX_RANGE, size=n_clients)
     gain_lo, gain_hi = np.log(CHANNEL_GAIN_RANGE[0]), np.log(CHANNEL_GAIN_RANGE[1])
     n_gains = n_edges if gain_mode == "pair" else 1
-    gains = np.exp(rng.uniform(gain_lo, gain_hi, size=(n_clients, n_gains)))
+    gains = rng.uniform(gain_lo, gain_hi, size=(n_clients, n_gains))
+    np.exp(gains, out=gains)
 
     if shards is not None:
         counts = shard_label_counts(n_clients, n_classes, shards, data_size)
@@ -173,7 +174,7 @@ def generate_scenario(
         data_size=np.full(n_clients, data_size),
         cycles_per_item=cycles,
         cpu_freq=freqs,
-        channel_gains=np.broadcast_to(gains, (n_clients, n_edges)).copy(),
+        channel_gains=gains if gain_mode == "pair" else np.repeat(gains, n_edges, axis=1),
         p_max=p_caps,
         label_counts=counts,
     )

@@ -5,6 +5,7 @@ lines alongside the pytest verdicts.  Every tolerance is pinned here;
 nothing is deferred to later calibration.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -14,7 +15,8 @@ import pytest
 
 import leapsim as L
 from leapsim.cli import main as cli_main
-from leapsim.game import evaluate_switch
+from leapsim.experiment import form_coalitions
+from leapsim.game import Partition, evaluate_switch
 from leapsim.hfl import (
     SyntheticDataset,
     edge_aggregate,
@@ -429,3 +431,32 @@ def test_c10_what_the_bandwidth_stage_buys():
            f"{min(gaps):.2%}-{max(gaps):.2%} above the grid's least uplink energy (<= 1%), "
            f"rp {min(rp_ratios):.2f}-{max(rp_ratios):.2f}x (>= 1.05x) and rb_rp "
            f"{min(rb_rp_ratios):.2f}-{max(rb_rp_ratios):.2f}x (>= 1.10x) leap's uplink energy")
+
+
+@pytest.mark.parametrize("kwargs, iterations, assignment_sha, accepted_sha", [
+    # the north star's shape
+    (dict(n_clients=1000, n_edges=20, n_classes=10, shards=None, dirichlet_alpha=0.5), 9091,
+     "e7564b1ce52ffdeacbad321cfd2134564b1b8efaddb697d87ec3c5d373e37653",
+     "2b1fa0c0b87634e06838b507406b67c9068600d695674054f91dbd0fc1e5aad5"),
+    (dict(n_clients=600, n_edges=40, n_classes=10, shards=3), 1617,
+     "d22b7402305e11866b26ad54a118acf1cbdf955fabee184dd9f5a8980ae82cd6",
+     "fdadef3d2b0ec0ce2ce279b22d2bf4689fb5d959faf7ee684f8298cebf54326b"),
+], ids=["N1000-M20-dirichlet", "N600-M40-shards"])
+def test_game_decisions_are_pinned_at_large_m(kwargs, iterations, assignment_sha, accepted_sha):
+    """The game's decisions at M=20 and M=40, which the golden matrix
+    (M <= 4) cannot see, are pinned: the sha256 of the final assignment and
+    of the accepted switches (iteration, client, source, target) as
+    little-endian int64, and the iteration count.  Like the golden
+    manifest's, the hashes hold per Python and numpy version; a change
+    meant to move them names the shape and the reason in CHANGES.md."""
+    scenario = L.generate_scenario(seed=7, **kwargs)
+    _, partition, trace = form_coalitions(scenario, "M", 1, 2)
+    accepted = [entry[:4] for entry in trace.entries if entry[3] is not None]
+    assert trace.converged and trace.iterations_used == iterations
+    digests = [hashlib.sha256(np.asarray(rows, dtype="<i8").tobytes()).hexdigest()
+               for rows in (partition.assignment, accepted)]
+    assert digests == [assignment_sha, accepted_sha]
+    fresh = Partition(partition.assignment, scenario.clients.label_counts, scenario.num_edges, "M")
+    assert L.certify_stability(fresh)
+    report(f"LARGE-M PASS decisions pinned at N={scenario.n_clients}, M={scenario.num_edges}: "
+           f"{iterations} iterations, {len(accepted)} accepted, certified stable")

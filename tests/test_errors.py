@@ -170,14 +170,16 @@ def test_described_gives_an_array_by_dtype_and_shape_else_its_type(value, words)
 
 
 def array_descriptions(tree: ast.AST) -> list[str]:
-    """The f-strings in ``tree`` that format a ``.dtype`` together with a
-    shape (``.shape``, ``np.shape(...)`` or a name ``shape``)."""
+    """The f-strings in ``tree`` that format a dtype (``.dtype`` or
+    ``getattr(..., 'dtype', ...)``) together with a shape (``.shape``,
+    ``np.shape(...)`` or a name ``shape``)."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.JoinedStr):
             parts = [sub for value in node.values if isinstance(value, ast.FormattedValue)
                      for sub in ast.walk(value.value)]
             attrs = {sub.attr for sub in parts if isinstance(sub, ast.Attribute)}
+            attrs |= {sub.value for sub in parts if isinstance(sub, ast.Constant)}
             names = {sub.id for sub in parts if isinstance(sub, ast.Name)}
             if "dtype" in attrs and "shape" in attrs | names:
                 found.append(ast.unparse(node))
@@ -189,6 +191,7 @@ def array_descriptions(tree: ast.AST) -> list[str]:
     ('f"got shape {a.shape} of dtype {a.dtype}"', True),
     ('f"{x}, got {np.shape(a)} {a.dtype.name}"', True),
     ('f"got {a.dtype} of shape {shape}"', True),
+    ("f\"got {np.shape(a)} {getattr(a, 'dtype', type(a).__name__)}\"", True),
     ('f"got {a.dtype.name}"', False),
     ('f"got shape {a.shape} summing to {total}"', False),
     ('f"got {described(a)}"', False),

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import os
@@ -194,6 +195,8 @@ def column_sets(draw):
 @given(columns=column_sets())
 @example(columns={"x": np.array([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 2, np.nan]),
                   "t": np.arange(6.0).reshape(2, 3).T})  # not C-contiguous
+@example(columns={"e": np.empty((2, 0)), "i": np.arange(3), "z": np.empty(0, dtype=">i8"),
+                  "s": np.array(2.5)})  # zero-size columns between others, and a 0-d one
 @settings(max_examples=200, deadline=None)
 def test_columns_round_trip_bit_for_bit(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "columns.bin"
@@ -212,6 +215,9 @@ def test_columns_round_trip_bit_for_bit(tmp_path_factory, columns):
     for name, array in again.items():
         assert array.dtype == little[name].dtype.newbyteorder("=") and array.flags.writeable
         assert array.shape == little[name].shape and array.tobytes() == little[name].tobytes()
+    # every array is aligned, C-ordered and writable, and none shares memory with another
+    assert all(a.flags.aligned and a.flags.c_contiguous for a in again.values())
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(again.values(), 2))
 
 
 @pytest.mark.parametrize("array", [

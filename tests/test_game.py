@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from leapsim.dist import js_rows, xlog2x_sums
-from leapsim.errors import InvalidValueError
+from leapsim.errors import InvalidValueError, described
 from leapsim.files import fields_dict, write_json
 from leapsim.game import (
     DRAW_BLOCK,
@@ -781,7 +781,8 @@ def test_loop_accepts_numpy_integer_budgets():
 )
 def test_certify_rejects_a_memo_of_the_wrong_shape_or_type(known):
     part = make_partition([0, 0, 1, 1, 0], np.eye(5, 2, dtype=np.int64) + 1, 2)
-    with pytest.raises(InvalidValueError, match=r"known must be a float array of shape \(5, 2\)"):
+    words = f"known must be a float array of shape (5, 2), got {described(known)}"
+    with pytest.raises(InvalidValueError, match=re.escape(words) + "$"):
         certify_stability(part, known=known)
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -193,6 +195,43 @@ def test_save_load_roundtrip(tmp_path):
 ], ids=["dirichlet", "client gains"])
 def test_other_scenario_kinds_save_load_roundtrip(tmp_path, kwargs):
     assert_reloads_bit_for_bit(tmp_path, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(seed=5, n_clients=30, n_edges=4, shards=3, gain_mode="client"),
+     "9db5b8b96e70f28cb7aa95fa5ac86bc80cadd9c89b148138eee1d47af3c12845"),
+    (dict(seed=6, n_clients=30, n_edges=4, shards=None, dirichlet_alpha=0.3),
+     "f7028888aa7bf0403f12d0aa00e9f6b5f6c4835d495b716c29925667ddbe36c4"),
+], ids=["client gains", "dirichlet"])
+def test_saved_bytes_are_pinned(tmp_path, kwargs, digest):
+    """The sha256 of two saved scenarios the golden matrix does not write.
+    Like the golden manifest's, the bytes are pinned per Python, numpy
+    and orjson version; a change meant to move them says so in CHANGES.md."""
+    save_scenario(generate_scenario(**kwargs), tmp_path / "scenario.bin")
+    assert hashlib.sha256((tmp_path / "scenario.bin").read_bytes()).hexdigest() == digest
+
+
+def test_save_and_load_hold_no_copy_of_the_columns(tmp_path):
+    """Saving writes the columns from the arrays' own memory, and loading
+    reads them into one block: above the scenario itself, saving holds
+    next to nothing and loading little more than the arrays it returns."""
+    sc = generate_scenario(seed=3, n_clients=4000, n_edges=40)
+    path = tmp_path / "scenario.bin"
+    tracemalloc.start()
+    try:
+        save_scenario(sc, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        again = load_scenario(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert_same_scenario(again, sc)
+    size = path.stat().st_size
+    assert size > 1_600_000
+    assert save_peak < 0.05 * size, (save_peak, size)
+    assert load_peak < 1.5 * size, (load_peak, size)
 
 
 def test_the_file_is_a_json_line_then_the_columns(tmp_path):
