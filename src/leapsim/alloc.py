@@ -421,6 +421,10 @@ def plan_full(
     p_max); each member then gets the energy-optimal power for its
     equal share.  Clients that cannot meet the deadline even at p_max
     stay at p_max and are flagged in the plan instead of raising.
+
+    numpy may warn of overflow or division by zero on extreme inputs
+    before a typed error or a valid plan; the CLI runs inside ``with
+    np.errstate(all="ignore"):``, which silences them.
     """
     _check_plan_partition(partition, clients)
     bandwidth, trace = gp_solve(partition, clients, config, gp)

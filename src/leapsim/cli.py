@@ -61,6 +61,9 @@ PARTITION_SCHEMA = "leapsim.partition.v1"
 PLAN_SCHEMA = "leapsim.plan.v2"
 METRICS_SCHEMA = "leapsim.metrics.v1"
 
+# partition.json holds the association and the game's run (denominator optional)
+PARTITION_KEYS = ("assignment", "num_edges", "denominator", "avg_js", "initial_avg_js",
+                  "converged", "iterations_used", "seed")
 # plan.json holds the decision, allocate's notes and the totals report audits
 PLAN_TOTALS = ("total_latency", "total_energy", "uplink_energy", "avg_js", "utility",
                "surrogate_objective", "feasible")
@@ -86,7 +89,7 @@ def _formats(value: str) -> set[str]:
 
 
 def _load_partition(path: str, scenario: Scenario) -> Partition:
-    data = read_json(path, PARTITION_SCHEMA)
+    data = read_json(path, PARTITION_SCHEMA, PARTITION_KEYS)
     for key in ("assignment", "num_edges"):
         if key not in data:
             raise InvalidPartitionError(f"{path}: malformed partition (no {key!r})")
@@ -223,7 +226,7 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
     ``errors.check_number``: finite, not a bool, and an integer only
     within the int64 range.
     """
-    data = read_json(path, PLAN_SCHEMA)
+    data = read_json(path, PLAN_SCHEMA, PLAN_KEYS)
     for name, length in (("bandwidth", scenario.num_edges), ("power", scenario.n_clients)):
         if name not in data:
             raise InputFileError(f"{path}: malformed plan (no {name!r})")

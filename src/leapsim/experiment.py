@@ -14,7 +14,6 @@ report is a pure function of (scenario, methods, master seed).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -92,9 +91,9 @@ _PERIODS = ("tau_c", "tau_e", "tau_g")
 
 # train_curves trains runs in a forked child only when one run takes at
 # least this many client gradient steps (N * tau_c * tau_e * tau_g): on a
-# 2-core Xeon VM a fork, pipe and waitpid round trip took 2.5-2.7 ms and
-# one local step about 21 us, so a shorter run gains too little to pay
-# for the fork.
+# 2-core Xeon VM, forking two runs of up to 1200 steps took longer than
+# training both here, and paid from 1600 on.  perfbench's scaled-down
+# hfl_train (160 steps) must stay in one process, where it is traced.
 FORK_MIN_STEPS = 2000
 
 
@@ -203,11 +202,10 @@ def train_curves(
 
     Given two runs or more of at least ``FORK_MIN_STEPS`` client gradient
     steps each and two CPUs from ``os.sched_getaffinity``, one child made
-    by ``os.fork`` trains every run but the first, in order, on the second
-    CPU while this process trains the first on the first CPU.  The curves,
-    and the error raised when runs fail (the first in partition order),
-    are the same as when every run trains here, one after the other, and
-    no child outlives the call.
+    by ``os.fork`` trains every run but the first, in order, while this
+    process trains the first.  The curves, and the error raised when runs
+    fail (the first in partition order), are the same as when every run
+    trains here, one after the other, and no child outlives the call.
     """
     dataset = SyntheticDataset.generate(
         label_counts=label_count_matrix(scenario),
@@ -222,11 +220,10 @@ def train_curves(
         return run_hfl(partition, dataset, **periods, lr=opts.lr, seed=seed)[1]
 
     steps = scenario.n_clients * math.prod(periods.values())
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(partitions) < 2 or steps < FORK_MIN_STEPS or len(cpus) < 2:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(partitions) < 2 or steps < FORK_MIN_STEPS or cpus < 2:
         return [train(partition) for partition in partitions]
-    pid, reader = _fork_run(train, partitions[1:], cpus[1])
-    _keep_on({cpus[0]})
+    pid, reader = _fork_run(train, partitions[1:])
     try:
         first = train(partitions[0])
     except BaseException:
@@ -234,26 +231,13 @@ def train_curves(
         os.close(reader)
         os.waitpid(pid, 0)
         raise
-    finally:
-        _keep_on(set(cpus))
     return [first, *_child_result(pid, reader)]
 
 
-def _keep_on(cpus: set[int]) -> None:
-    """Keep the calling thread on ``cpus``.  Left to itself, Linux may keep
-    a new child on its parent's CPU with another CPU idle, and the two runs
-    then take turns: on a 2-core Xeon VM a fork of two equal runs took 30 ms
-    on two CPUs, and twice that for seconds at a time on one.  Placement
-    only changes the speed, so a refused request is ignored."""
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, cpus)
-
-
-def _fork_run(train, partitions: Sequence[Partition], cpu: int) -> tuple[int, int]:
-    """Fork a child that keeps to ``cpu``, writes ``_run_outcome(train,
-    partitions)`` to a pipe and leaves by ``os._exit``, which runs no atexit
-    hook, flushes no stdio buffer and never returns into the caller; (its
-    pid, the read end)."""
+def _fork_run(train, partitions: Sequence[Partition]) -> tuple[int, int]:
+    """Fork a child that writes ``_run_outcome(train, partitions)`` to a
+    pipe and leaves by ``os._exit``, which runs no atexit hook, flushes no
+    stdio buffer and never returns into the caller; (its pid, the read end)."""
     reader, writer = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -276,7 +260,6 @@ def _fork_run(train, partitions: Sequence[Partition], cpu: int) -> tuple[int, in
     if pid == 0:
         status = 1
         try:
-            _keep_on({cpu})
             os.close(reader)
             with os.fdopen(writer, "wb") as pipe:
                 pipe.write(_run_outcome(train, partitions))
@@ -336,6 +319,10 @@ def run_experiment(
     at most once however many methods share it.  ``master_seed``, an
     integer in [0, 2**64), seeds every stream.  Given ``train_options``,
     every full-pipeline method also gets its accuracy curve.
+
+    numpy may warn of overflow or division by zero on a degenerate
+    scenario before a typed error or a valid report; the CLI runs inside
+    ``with np.errstate(all="ignore"):``, which silences them.
     """
     unknown = [m for m in methods if m not in METHOD_STAGES]
     if unknown:

@@ -66,8 +66,8 @@ def _check_schema(path: str | Path, data, schema: str) -> None:
         raise InputFileError(f"{path}: expected schema {schema!r}, found {found!r}")
 
 
-def read_json(path: str | Path, schema: str) -> dict:
-    """Parse a leapsim JSON file and check its ``schema`` tag.
+def read_json(path: str | Path, schema: str, keys: tuple[str, ...]) -> dict:
+    """Parse a leapsim JSON file of this ``schema`` and no key outside ``keys``.
 
     A missing file raises FileNotFoundError as usual.
     """
@@ -78,6 +78,9 @@ def read_json(path: str | Path, schema: str) -> dict:
     except ValueError as exc:  # not JSON, or an integer of more digits than int() takes
         raise InputFileError(f"{path}: not valid JSON ({exc})") from exc
     _check_schema(path, data, schema)
+    unknown = sorted(data.keys() - {"schema", *keys})
+    if unknown:
+        raise InputFileError(f"{path}: unknown keys {unknown}, expected {list(keys)}")
     return data
 
 

@@ -8,6 +8,7 @@ nothing is deferred to later calibration.
 import hashlib
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -441,14 +442,27 @@ def test_c10_what_the_bandwidth_stage_buys():
     (dict(n_clients=600, n_edges=40, n_classes=10, shards=3), 1617,
      "d22b7402305e11866b26ad54a118acf1cbdf955fabee184dd9f5a8980ae82cd6",
      "fdadef3d2b0ec0ce2ce279b22d2bf4689fb5d959faf7ee684f8298cebf54326b"),
-], ids=["N1000-M20-dirichlet", "N600-M40-shards"])
+    # ~3 s of game and certification, too slow for every run
+    pytest.param(
+        dict(n_clients=2000, n_edges=40, n_classes=10, shards=None, dirichlet_alpha=0.5), 10380,
+        "5b6c2e6cac92cd26827de13a3ac2a62cbb23eff763ba7fe03a820f0b9acbc74a",
+        "442bb9fb4efade8a6a44c26b046bd614fef99d69bf483805b5a0b90bd26638a8",
+        marks=pytest.mark.skipif(os.environ.get("LEAPSIM_LARGE_M") != "1",
+                                 reason="set LEAPSIM_LARGE_M=1 to run")),
+], ids=["N1000-M20-dirichlet", "N600-M40-shards", "N2000-M40-dirichlet"])
 def test_game_decisions_are_pinned_at_large_m(kwargs, iterations, assignment_sha, accepted_sha):
     """The game's decisions at M=20 and M=40, which the golden matrix
     (M <= 4) cannot see, are pinned: the sha256 of the final assignment and
     of the accepted switches (iteration, client, source, target) as
     little-endian int64, and the iteration count.  Like the golden
     manifest's, the hashes hold per Python and numpy version; a change
-    meant to move them names the shape and the reason in CHANGES.md."""
+    meant to move them names the shape and the reason in CHANGES.md.
+
+    The N=2000, M=40 case runs only with ``LEAPSIM_LARGE_M=1`` in the
+    environment: ``LEAPSIM_LARGE_M=1 pytest tests/test_acceptance.py -k
+    large_m``.  A change that can move the game's decisions at large M
+    (order-free switch prices, repaired memo rows, pricing per client
+    type) runs it."""
     scenario = L.generate_scenario(seed=7, **kwargs)
     _, partition, trace = form_coalitions(scenario, "M", 1, 2)
     accepted = [entry[:4] for entry in trace.entries if entry[3] is not None]

@@ -647,6 +647,44 @@ def _verb_inputs(verb, scenario_file, stage):
     }[verb]
 
 
+def test_partition_holds_the_association_and_the_game_run(staged):
+    from leapsim.cli import PARTITION_KEYS
+
+    partition = json.loads((staged / "partition.json").read_text())
+    assert set(partition) == {"schema", *PARTITION_KEYS}
+
+
+@pytest.mark.parametrize("name, verb", [
+    ("partition.json", "allocate"),
+    ("partition.json", "simulate"),
+    ("partition.json", "report"),
+    ("plan.json", "report"),
+])
+def test_a_key_its_writer_does_not_write_is_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, name, verb
+):
+    data = json.loads((staged / name).read_text())
+    data["extra"] = 1
+    (staged / name).write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run([verb, *_verb_inputs(verb, scenario_file, staged), "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and f"error: {staged / name}: unknown keys ['extra'], expected" in lines[0]
+    assert not out.exists()
+
+
+def test_a_partition_without_its_denominator_loads_as_m(tmp_path, scenario_file, staged):
+    data = json.loads((staged / "partition.json").read_text())
+    assert data.pop("denominator") == "M"
+    bare = tmp_path / "partition.json"
+    bare.write_text(json.dumps(data))
+    for partition, out in ((staged / "partition.json", tmp_path / "a"), (bare, tmp_path / "b")):
+        assert run(["allocate", "--scenario", scenario_file, "--partition", partition,
+                    "--out", out]) == 0
+    assert (tmp_path / "a" / "plan.json").read_bytes() == (tmp_path / "b" / "plan.json").read_bytes()
+
+
 @pytest.mark.parametrize("verb", ["gen", "coalition", "simulate", "compare"])
 def test_a_negative_seed_is_one_line_and_exit_2(tmp_path, scenario_file, staged, capsys, verb):
     capsys.readouterr()

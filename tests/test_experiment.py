@@ -314,10 +314,7 @@ def small_partitions(scenario, count):
 def force_forks(monkeypatch, cpus=2, min_steps=1):
     """Let train_curves fork for runs of ``min_steps`` client steps as if
     this process had ``cpus`` CPUs (None: no ``os.sched_getaffinity``);
-    returns the list of the forks this process makes.  No process is kept
-    on these made-up CPUs, so none is left on fewer than its own
-    (``test_each_forked_run_keeps_to_a_cpu_of_its_own`` places runs on
-    the real ones)."""
+    returns the list of the forks this process makes."""
     forks = []
     fork = os.fork
 
@@ -330,7 +327,6 @@ def force_forks(monkeypatch, cpus=2, min_steps=1):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     return forks
 
@@ -504,38 +500,6 @@ def test_an_error_in_this_processs_run_kills_the_child_holding_two_runs(small, m
         train_curves(small, partitions, SMALL_TRAINING, 4, 5)
     assert time.monotonic() - start < 15
     assert len(forks) == 1
-    assert_no_child_left()
-
-
-@pytest.mark.skipif(
-    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two CPUs"
-)
-@pytest.mark.parametrize("parent_fails", [False, True])
-def test_each_forked_run_keeps_to_a_cpu_of_its_own(small, monkeypatch, parent_fails):
-    cpus = sorted(os.sched_getaffinity(0))
-    partitions = small_partitions(small, 2)
-    seen = []
-    run = experiment.run_hfl
-
-    def run_and_report(part, *args, **kwargs):
-        where = sorted(os.sched_getaffinity(0))
-        if part is partitions[1]:
-            raise InvalidValueError(f"the child ran on {where}")
-        seen.append(where)
-        if parent_fails:
-            raise TrainingDivergedError("training diverged; lower the learning rate")
-        return run(part, *args, **kwargs)
-
-    monkeypatch.setattr(experiment, "run_hfl", run_and_report)
-    monkeypatch.setattr(experiment, "FORK_MIN_STEPS", 1)
-    error, words = (
-        (TrainingDivergedError, "^training diverged; lower the learning rate$") if parent_fails
-        else (InvalidValueError, rf"^the child ran on \[{cpus[1]}\]$")
-    )
-    with pytest.raises(error, match=words):
-        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    assert seen == [[cpus[0]]]
-    assert sorted(os.sched_getaffinity(0)) == cpus
     assert_no_child_left()
 
 
