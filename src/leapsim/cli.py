@@ -16,6 +16,9 @@ allocate, report and compare exit nonzero when a plan misses the deadline.
 Rejected input (a missing or malformed file, files that disagree, a
 plan that differs from its recomputation, or any other typed leapsim
 error) ends with a one-line message, all of stderr, and exit code 2.
+A partition or plan file is audited where it is loaded: it holds each
+key its writer writes (but a partition's optional denominator) and no
+other, each of its type, and its avg_js and totals match the rebuild's.
 """
 
 from __future__ import annotations
@@ -90,9 +93,15 @@ def _formats(value: str) -> set[str]:
 
 def _load_partition(path: str, scenario: Scenario) -> Partition:
     data = read_json(path, PARTITION_SCHEMA, PARTITION_KEYS)
-    for key in ("assignment", "num_edges"):
-        if key not in data:
-            raise InvalidPartitionError(f"{path}: malformed partition (no {key!r})")
+    for key in PARTITION_KEYS:
+        if key not in data and key != "denominator":
+            raise InputFileError(f"{path}: malformed partition (no {key!r})")
+    for key in ("avg_js", "initial_avg_js"):
+        check_number(f"{path}: {key}", data[key], InputFileError)
+    if type(data["converged"]) is not bool:
+        raise InputFileError(f"{path}: converged must be a bool, got {data['converged']!r}")
+    check_integer(f"{path}: iterations_used", data["iterations_used"], 0, InputFileError)
+    check_seed(f"{path}: seed", data["seed"], InputFileError)
     num_edges, entries = data["num_edges"], data["assignment"]
     try:
         check_integer("num_edges", num_edges, 1, InvalidPartitionError)
@@ -108,11 +117,14 @@ def _load_partition(path: str, scenario: Scenario) -> Partition:
             )
         for i, entry in enumerate(entries):
             check_integer(f"assignment[{i}]", entry, 0, InvalidPartitionError)
-        return Partition(
+        partition = Partition(
             entries, label_count_matrix(scenario), num_edges, data.get("denominator", "M")
         )
     except InvalidPartitionError as exc:  # an entry, an edge, the denominator
         raise InvalidPartitionError(f"{path}: {exc}") from exc
+    if not math.isclose(data["avg_js"], partition.avg_js(), rel_tol=PLAN_AUDIT_RTOL):
+        raise InputFileError(f"{path}: stored avg_js differs from the partition's own")
+    return partition
 
 
 def cmd_gen(args) -> int:
@@ -147,7 +159,7 @@ def cmd_coalition(args) -> int:
         out / "partition.json",
         {
             "schema": PARTITION_SCHEMA,
-            "assignment": partition.assignment.tolist(),
+            "assignment": partition.assignment,
             "num_edges": partition.num_coalitions,
             "denominator": partition.denominator,
             "avg_js": partition.avg_js(),
@@ -218,18 +230,23 @@ def cmd_simulate(args) -> int:
 def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> AllocationPlan:
     """The plan rebuilt from the stored plan's bandwidth and power.
 
-    Raises InputFileError when ``bandwidth`` or ``power`` is not a list
-    of one number per edge or client, or when a total of PLAN_TOTALS is
-    missing or not the rebuild's (``feasible`` exactly, the others
+    Raises InputFileError when a key of PLAN_KEYS is missing, when
+    ``notes`` is not a list of strings, when ``bandwidth`` or ``power`` is
+    not a list of one number per edge or client, or when a total of
+    PLAN_TOTALS is not the rebuild's (``feasible`` exactly, the others
     within PLAN_AUDIT_RTOL): the totals tie a plan to the scenario and
     partition it was solved for.  Each number must pass
     ``errors.check_number``: finite, not a bool, and an integer only
     within the int64 range.
     """
     data = read_json(path, PLAN_SCHEMA, PLAN_KEYS)
-    for name, length in (("bandwidth", scenario.num_edges), ("power", scenario.n_clients)):
+    for name in PLAN_KEYS:
         if name not in data:
             raise InputFileError(f"{path}: malformed plan (no {name!r})")
+    notes = data["notes"]
+    if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
+        raise InputFileError(f"{path}: notes must be a list of strings, got {json.dumps(notes)}")
+    for name, length in (("bandwidth", scenario.num_edges), ("power", scenario.n_clients)):
         value = data[name]
         if not isinstance(value, list):
             raise InputFileError(
@@ -243,8 +260,6 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
         partition, scenario.clients, scenario.config, data["bandwidth"], data["power"]
     )
     for name in PLAN_TOTALS:
-        if name not in data:
-            raise InputFileError(f"{path}: malformed plan (no {name!r})")
         kept, fresh = data[name], getattr(plan, name)
         if name == "feasible":
             same = kept is bool(fresh)
@@ -286,7 +301,7 @@ def cmd_report(args) -> int:
             "bandwidth": plan["bandwidth"],
             "latency": plan["coalition_latency"],
             "energy": plan["coalition_energy"],
-            "size": partition.sizes.tolist(),
+            "size": partition.sizes,
         },
         "system": {
             key: plan[key]
@@ -307,7 +322,7 @@ def cmd_report(args) -> int:
             ["client", "coalition", "comp_latency", "tx_latency",
              "comp_energy", "tx_energy", "power", "bandwidth_share", "deadline_ok"],
             zip(range(partition.n_clients), partition.assignment.tolist(),
-                *(plan[c] for c in columns)),
+                *(plan[c].tolist() for c in columns)),  # numpy floats print as np.float64(...)
         )
         print(f"wrote {path}")
     if args.strict and not plan["feasible"]:

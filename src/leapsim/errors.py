@@ -4,10 +4,10 @@ Every typed leapsim error derives from ``LeapsimError``, so callers (the
 CLI in particular) can tell a rejected input from a bug.  It derives
 from ValueError because each of these errors reports an unusable value.
 
-``check_integer``, ``check_number`` and ``integer_array`` raise the
-caller's error type, passed as ``error`` (InvalidValueError by default),
-with the same message whatever the type.  ``described`` is the one
-description of a refused value.
+``check_integer``, ``check_number``, ``check_seed`` and ``integer_array``
+raise the caller's error type, passed as ``error`` (InvalidValueError by
+default), with the same message whatever the type.  ``described`` is the
+one description of a refused value.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def check_number(name: str, value, error: type[LeapsimError] = InvalidValueError
         raise error(f"{name} is an integer too large for an int64, got {value}")
 
 
-def check_seed(name: str, value) -> int:
-    """``value`` as a plain int; InvalidValueError unless it is an integer in
+def check_seed(name: str, value, error: type[LeapsimError] = InvalidValueError) -> int:
+    """``value`` as a plain int; ``error`` unless it is an integer in
     [0, 2**64), the seeds numpy's generators and the JSON writer take.
 
     Python and numpy integers pass; bools, floats and strings are
@@ -93,7 +93,7 @@ def check_seed(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not (
         0 <= value < 2**64
     ):
-        raise InvalidValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        raise error(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return int(value)
 
 

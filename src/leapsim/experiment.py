@@ -132,9 +132,11 @@ class TrainOptions:
 
 @dataclass
 class MethodResult:
+    """One method's run; ``assignment`` and the columns of ``plan`` are numpy arrays."""
+
     name: str
     seeds: dict
-    assignment: list[int]
+    assignment: np.ndarray
     avg_js: float
     plan: dict
     feasible: bool
@@ -400,7 +402,7 @@ def run_experiment(
         report.methods[name] = MethodResult(
             name=name,
             seeds=used_seeds,
-            assignment=partition.assignment.tolist(),
+            assignment=partition.assignment,
             avg_js=plan.avg_js,
             plan=plan.to_dict(),
             feasible=plan.feasible,

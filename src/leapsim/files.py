@@ -8,8 +8,13 @@ in shortest round-trip digits that ``json.loads`` reads back bit for
 bit.  Its bytes are pinned per (Python, numpy, orjson) version, as the
 golden manifest's ``env`` records.  orjson writes NaN and infinities as
 null, so every float field is checked finite where it is computed, never
-by the writer.  ``json_bytes`` lets a reader refuse what orjson cannot
-write.  This is the one module that imports orjson.
+by the writer.  A bool, int64 or float64 numpy scalar or C-contiguous
+array of one or more dims is written as its ``.tolist()``; other dtypes
+as orjson formats them (``np.float32(0.1)`` as ``0.1``).  A 0-d or
+non-C-contiguous array raises TypeError, and orjson 3.8 writes a
+byte-swapped one as wrong numbers; ``fields_dict`` gives neither.
+``json_bytes`` lets a reader refuse what orjson cannot write.  This is
+the one module that imports orjson.
 ``fields_dict`` is the one dataclass-to-JSON conversion, and
 ``write_columns`` / ``read_columns`` the one binary format: a line of
 compact JSON, then float64 and int64 columns as raw little-endian bytes.
@@ -57,7 +62,8 @@ __all__ = [
 
 # the dtypes a binary column may hold, by their little-endian typestr
 _COLUMN_DTYPES = {"<f8": np.dtype(np.float64), "<i8": np.dtype(np.int64)}
-_JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+_JSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+                 | orjson.OPT_SERIALIZE_NUMPY)
 
 
 def _check_schema(path: str | Path, data, schema: str) -> None:
@@ -93,9 +99,10 @@ def write_json(path: str | Path, payload) -> None:
     """Replace the file with orjson's key-sorted, two-space-indented JSON
     of ``payload`` and a final newline.
 
-    A value or key orjson cannot hold (a numpy scalar, a non-string key,
-    an integer outside [-2**63, 2**64)) raises TypeError and nothing is
-    written; NaN and infinities would be written as null.
+    numpy values are written as the module docstring says.  A value or
+    key orjson cannot hold (a 0-d or non-C-contiguous array, a non-string
+    key, an integer outside [-2**63, 2**64)) raises TypeError and nothing
+    is written; NaN and infinities would be written as null.
     """
     _replace(path, json_bytes(payload))
 
@@ -124,11 +131,19 @@ def write_csv(path: str | Path, schema: str, header: list[str], rows: Iterable) 
 
 
 def _plain(value):
-    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    if not isinstance(value, (np.ndarray, np.generic)):
+        return value
+    if value.ndim == 0:
+        return value.item()
+    return np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("="))
 
 
 def fields_dict(obj) -> dict:
-    """A dataclass instance as {field name: value}, numpy values as plain Python.
+    """A dataclass instance as {field name: value}, for ``write_json``.
+
+    A numpy scalar or 0-d array becomes a Python number.  Any other array
+    stays an array, copied only when it is not C-contiguous or not in
+    native byte order, the memory layout orjson reads.
 
     Shallow: nested dataclasses and tuples are kept as they are.
     """

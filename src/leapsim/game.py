@@ -224,8 +224,11 @@ class Partition:
         if empty.size:
             raise InvalidPartitionError(f"coalition {empty[0]} is empty")
 
-        self.counts = np.zeros((num_coalitions, client_label_counts.shape[1]), dtype=np.int64)
-        np.add.at(self.counts, self.assignment, self.client_counts)
+        # one 1-D scatter at the flat indices coalition * K + class
+        k = client_label_counts.shape[1]
+        self.counts = np.zeros((num_coalitions, k), dtype=np.int64)
+        flat = (self.assignment[:, None] * k + np.arange(k)).ravel()
+        np.add.at(self.counts.reshape(-1), flat, self.client_counts.ravel())
         self.probs = _normalized(self.counts)
         self.plogp = xlog2x_sums(self.probs)
         self.js_matrix = js_rows(

@@ -7,6 +7,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leapsim import files
@@ -16,6 +17,9 @@ def non_finite_path(value, path: str = "$") -> str | None:
     """The path of the first NaN or infinite float in a JSON payload, or None."""
     if isinstance(value, float):
         return None if math.isfinite(value) else path
+    if isinstance(value, np.ndarray):  # written by orjson as a list
+        bad = np.argwhere(~np.isfinite(value)) if value.dtype.kind == "f" else ()
+        return f"{path}{list(map(int, bad[0]))}" if len(bad) else None
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, (list, tuple)):

@@ -59,6 +59,12 @@ def avg_js_ref(prob_rows, denominator="M"):
     return total / (m if denominator == "M" else m * (m - 1) / 2)
 
 
+def coalition_counts_ref(assignment, counts, num_coalitions):
+    """Each coalition's integer label counts, one masked sum per coalition."""
+    assignment, counts = np.asarray(assignment), np.asarray(counts)
+    return np.array([counts[assignment == m].sum(axis=0) for m in range(num_coalitions)])
+
+
 def partition_avg_js_ref(assignment, counts, num_coalitions, denominator="M"):
     """Average JS of a partition recomputed from scratch."""
     rows = []

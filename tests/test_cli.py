@@ -1,8 +1,11 @@
 import argparse
 import ast
 import base64
+import contextlib
 import inspect
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leapsim
 import leapsim.cli
@@ -595,7 +599,7 @@ def test_report_refuses_a_plan_that_differs_from_its_recomputation(
     ):
         tampered.write_text(json.dumps({**plan, name: value}))
         refused(tampered, words)
-    for name in ("total_latency", "surrogate_objective"):
+    for name in ("total_latency", "surrogate_objective", "notes"):
         tampered.write_text(json.dumps({k: v for k, v in plan.items() if k != name}))
         refused(tampered, f"malformed plan (no {name!r})")
     tampered.write_text(json.dumps({**plan, "schema": "leapsim.plan.v1"}))
@@ -672,6 +676,198 @@ def test_a_key_its_writer_does_not_write_is_one_line_and_exit_2(
     lines = _error_lines(capsys)
     assert len(lines) == 1 and f"error: {staged / name}: unknown keys ['extra'], expected" in lines[0]
     assert not out.exists()
+
+
+RUN_FIELD_REFUSALS = [
+    ("avg_js", float("nan"), "avg_js must be finite, got nan"),
+    ("avg_js", float("inf"), "avg_js must be finite, got inf"),
+    ("avg_js", "0.1", "avg_js must be a number, got '0.1'"),
+    ("avg_js", [0.1], "avg_js must be a number, got [0.1]"),
+    ("avg_js", None, "avg_js must be a number, got None"),
+    ("avg_js", True, "avg_js must be a number, got True"),
+    ("avg_js", 10**60, "avg_js is an integer too large for an int64"),
+    ("initial_avg_js", float("-inf"), "initial_avg_js must be finite, got -inf"),
+    ("initial_avg_js", "x", "initial_avg_js must be a number, got 'x'"),
+    ("converged", 1, "converged must be a bool, got 1"),
+    ("converged", None, "converged must be a bool, got None"),
+    ("converged", "true", "converged must be a bool, got 'true'"),
+    ("iterations_used", -1, "iterations_used must be at least 0, got -1"),
+    ("iterations_used", 2.0, "iterations_used must be an integer, got 2.0"),
+    ("iterations_used", True, "iterations_used must be an integer, got True"),
+    ("iterations_used", 2**63, f"iterations_used is an integer too large for an int64, got {2**63}"),
+    ("seed", -1, "seed must be an integer in [0, 2**64), got -1"),
+    ("seed", 2**64, f"seed must be an integer in [0, 2**64), got {2**64}"),
+    ("seed", 1.0, "seed must be an integer in [0, 2**64), got 1.0"),
+    ("seed", "3", "seed must be an integer in [0, 2**64), got '3'"),
+]
+
+
+@pytest.mark.parametrize("key, value, words", RUN_FIELD_REFUSALS,
+                         ids=[f"{key}={value!r}" for key, value, _ in RUN_FIELD_REFUSALS])
+@pytest.mark.parametrize("verb", ["allocate", "simulate", "report"])
+def test_a_partition_run_field_of_the_wrong_kind_is_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, verb, key, value, words
+):
+    data = json.loads((staged / "partition.json").read_text())
+    data[key] = value
+    (staged / "partition.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run([verb, *_verb_inputs(verb, scenario_file, staged), "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and f"error: {staged / 'partition.json'}: {words}" in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["avg_js", "initial_avg_js", "converged", "iterations_used",
+                                 "seed", "assignment", "num_edges"])
+def test_a_partition_without_a_key_its_writer_writes_is_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, key
+):
+    data = json.loads((staged / "partition.json").read_text())
+    del data[key]
+    (staged / "partition.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(["allocate", *_verb_inputs("allocate", scenario_file, staged), "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1
+    assert f"error: {staged / 'partition.json'}: malformed partition (no {key!r})" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6, 0.0])
+def test_a_partition_whose_avg_js_is_not_its_own_is_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, scale
+):
+    data = json.loads((staged / "partition.json").read_text())
+    assert data["avg_js"] > 0
+    data["avg_js"] *= scale
+    (staged / "partition.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(["allocate", *_verb_inputs("allocate", scenario_file, staged), "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1
+    assert f"error: {staged / 'partition.json'}: stored avg_js differs from the partition's" \
+        in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, words", [
+    (None, "null"),
+    (float("nan"), "NaN"),
+    (float("-inf"), "-Infinity"),
+    (10**60, str(10**60)),
+    ("a note", '"a note"'),
+    ({"a": "b"}, '{"a": "b"}'),
+    ([1], "[1]"),
+    (["ok", None], '["ok", null]'),
+    ([["nested"]], '[["nested"]]'),
+], ids=repr)
+def test_plan_notes_that_are_not_a_list_of_strings_are_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, value, words
+):
+    plan = json.loads((staged / "plan.json").read_text())
+    tampered = tmp_path / "plan.json"
+    tampered.write_text(json.dumps({**plan, "notes": value}))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = ["report", *_verb_inputs("allocate", scenario_file, staged), "--plan", tampered]
+    assert run([*argv, "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1
+    assert f"error: {tampered}: notes must be a list of strings, got {words}" in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def staged_once(tmp_path_factory):
+    """A scenario, a partition and a plan, written once for the module."""
+    stage = tmp_path_factory.mktemp("staged_once")
+    assert run(["gen", "--seed", 7, "--clients", 12, "--edges", 3, "--out", stage]) == 0
+    assert run(["coalition", "--scenario", stage / "scenario.bin", "--out", stage]) == 0
+    assert run(["allocate", "--scenario", stage / "scenario.bin",
+                "--partition", stage / "partition.json", "--out", stage]) == 0
+    return stage
+
+
+DELETED = object()
+SWAPS = [float("nan"), float("inf"), -float("inf"), 10**60, -1, 0, 2.5, True, None, "x", [1], {}]
+
+
+def _still_valid(name, key, value, original) -> bool:
+    """Whether the file stays loadable with ``key`` set to ``value``
+    (or deleted): the run fields need only their type, every other key
+    is the decision or is audited against the rebuild from it."""
+    if value is DELETED:
+        return (name, key) == ("partition.json", "denominator")
+    if name == "partition.json" and key == "seed":
+        return type(value) is int and 0 <= value < 2**64
+    if name == "partition.json" and key == "iterations_used":
+        return type(value) is int and 0 <= value < 2**63
+    if name == "partition.json" and key == "initial_avg_js":
+        return (type(value) is float and math.isfinite(value)
+                or type(value) is int and -(2**63) <= value < 2**63)
+    if name == "partition.json" and key == "converged":
+        return type(value) is bool
+    return type(value) is type(original) and value == original
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_mutated_partition_or_plan_loads_only_when_it_stays_valid(staged_once, data):
+    """A key deleted or its value swapped, as a mutation fuzzer does: each
+    verb that reads the file exits 0 exactly when the file stays valid,
+    and otherwise exits 2 with one line naming the file."""
+    name = data.draw(st.sampled_from(["partition.json", "plan.json"]))
+    good = json.loads((staged_once / name).read_text())
+    key = data.draw(st.sampled_from(sorted(good)))
+    value = data.draw(st.sampled_from([DELETED, *SWAPS]))
+    mutated = {k: v for k, v in good.items() if k != key}
+    if value is not DELETED:
+        mutated[key] = value
+    path = staged_once / "mutated" / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(mutated))
+    files = {"partition.json": staged_once / "partition.json",
+             "plan.json": staged_once / "plan.json", name: path}
+    inputs = ["--scenario", staged_once / "scenario.bin", "--partition", files["partition.json"]]
+    verbs = {"report": ["report", *inputs, "--plan", files["plan.json"]]}
+    if name == "partition.json":
+        verbs["allocate"] = ["allocate", *inputs]
+    for verb, argv in verbs.items():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run([*argv, "--out", staged_once / "out"])
+        lines = [line for line in err.getvalue().splitlines() if line]
+        if _still_valid(name, key, value, good.get(key)):
+            assert code == 0 and lines == [], (verb, key, value, lines)
+        else:
+            assert code == 2 and len(lines) == 1, (verb, key, value, lines)
+            assert lines[0].startswith(f"leapsim {verb}: error: {path}"), lines
+
+
+@pytest.mark.parametrize("gen_flags, coalition_flags", [
+    ([], []),
+    ([], ["--denominator", "pairs"]),
+    ([], ["--grouped-start"]),
+    (["--dirichlet", 0.3, "--classes", 20], ["--denominator", "pairs"]),
+    (["--clients", 4, "--edges", 4], []),
+    (["--classes", 1, "--shards", 1], []),
+    (["--deadline", 1e-6], []),
+], ids=repr)
+def test_every_file_coalition_and_allocate_write_loads(tmp_path, gen_flags, coalition_flags):
+    """Notes included: an infeasible deadline makes allocate write some."""
+    for seed in range(4):
+        out = tmp_path / str(seed)
+        assert run(["gen", "--seed", seed, "--clients", 12, "--edges", 3, *gen_flags,
+                    "--out", out]) == 0
+        inputs = ["--scenario", out / "scenario.bin", "--partition", out / "partition.json"]
+        assert run(["coalition", *inputs[:2], "--seed", seed, *coalition_flags,
+                    "--out", out]) == 0
+        assert run(["allocate", *inputs, "--out", out]) == 0
+        assert run(["report", *inputs, "--plan", out / "plan.json", "--out", out]) == 0
 
 
 def test_a_partition_without_its_denominator_loads_as_m(tmp_path, scenario_file, staged):

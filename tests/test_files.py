@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,14 @@ from hypothesis.extra import numpy as hnp
 
 from leapsim.errors import InputFileError
 from leapsim.experiment import write_game_trace
-from leapsim.files import read_columns, write_columns, write_csv, write_json
+from leapsim.files import (
+    fields_dict,
+    json_bytes,
+    read_columns,
+    write_columns,
+    write_csv,
+    write_json,
+)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -146,10 +154,10 @@ class Unknown:
 
 
 @pytest.mark.parametrize("payload", [
-    np.int64(3),
-    [1.0, np.int64(2)],
+    np.array(3),  # 0-d
+    [1.0, np.arange(3)[::2]],  # not C-contiguous
     {"a": {1, 2}},
-    {"a": np.bool_(True)},
+    {"a": np.array(True)},
     [Unknown()],
     {(1, 2): 3},
     {1: "a", "b": 2},
@@ -164,8 +172,8 @@ def test_write_json_raises_type_error_where_the_stdlib_does(tmp_path, payload):
 
 
 @pytest.mark.parametrize("payload", [
-    np.float64(1.5),  # a float subclass: fields_dict converts numpy values
-    {"a": [1.0, np.float64(2.5)]},
+    np.arange(6.0).reshape(2, 3).T,  # not C-contiguous
+    {"a": [1.0, np.array(2.5)]},  # 0-d
     {1: "a"},
     {"a": {None: 1}},
     2**64,
@@ -176,6 +184,103 @@ def test_write_json_raises_type_error_on_what_orjson_refuses(tmp_path, payload):
     with pytest.raises(TypeError):
         write_json(tmp_path / "out.json", payload)
     assert not (tmp_path / "out.json").exists()
+
+
+def listed(value):
+    """``value`` with every numpy array and scalar inside dicts and lists
+    as its ``.tolist()``."""
+    if isinstance(value, dict):
+        return {key: listed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [listed(item) for item in value]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+
+
+@pytest.mark.parametrize("payload", [
+    np.int64(3),
+    [1.0, np.int64(2)],
+    {"a": np.bool_(True)},
+    np.float64(1.5),
+    {"a": [1.0, np.float64(2.5)]},
+    np.uint64(2**64 - 1),
+])
+def test_write_json_writes_numpy_scalars_as_python_numbers(tmp_path_factory, payload):
+    assert bytes_written(tmp_path_factory, payload) == bytes_written(
+        tmp_path_factory, listed(payload)
+    )
+
+
+def test_write_json_writes_other_dtypes_as_orjson_formats_them(tmp_path):
+    # np.float32(0.1).item() is 0.10000000149011612
+    write_json(tmp_path / "out.json", {"f": np.float32(0.1), "a": np.array([0.1], np.float32)})
+    assert (tmp_path / "out.json").read_bytes() == b'{\n  "a": [\n    0.1\n  ],\n  "f": 0.1\n}\n'
+
+
+# float64 bit patterns orjson and repr() write in exponent form, and the ends
+EDGE_BITS = np.array(
+    EDGE_FLOATS + [1e17, 1e21, 1e22, -math.inf, math.inf, math.nan], dtype=np.float64
+).view(np.uint64).tolist()
+
+
+@st.composite
+def numpy_payloads(draw):
+    """(a dict of one to four bool, int64 or float64 arrays of 0 to 3 dims
+    (empty sides included, every float64 bit pattern), each at the top or
+    inside a list or a nested dict; whether one of them is 0-d)."""
+    payload, zero_d = {}, False
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["bool", "int64", "float64"]))
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+        if kind == "float64":
+            bits = st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_BITS)
+            array = draw(hnp.arrays(np.uint64, shape, elements=bits)).view(np.float64)
+        else:
+            array = draw(hnp.arrays(np.dtype(kind), shape))
+        payload[f"c{i}"] = draw(st.sampled_from([array, [1, array], {"x": array}]))
+        zero_d |= array.ndim == 0
+    return payload, zero_d
+
+
+RANDOM_BITS = np.random.default_rng(0).integers(0, 2**64, 100_000, dtype=np.uint64)
+
+
+@given(drawn=numpy_payloads())
+@example(drawn=({"bits": RANDOM_BITS.view(np.float64)}, False))
+@settings(max_examples=200, deadline=None)
+def test_json_bytes_writes_numpy_arrays_as_their_lists(drawn):
+    """An array of one or more dims is written as its ``.tolist()``; a
+    0-d one is refused."""
+    payload, zero_d = drawn
+    if zero_d:
+        with pytest.raises(TypeError):
+            json_bytes(payload)
+    else:
+        assert json_bytes(payload) == json_bytes(listed(payload))
+
+
+@dataclasses.dataclass
+class Fields:
+    swapped: np.ndarray
+    strided: np.ndarray
+    zero_d: np.ndarray
+    scalar: np.generic
+    kept: np.ndarray
+
+
+def test_fields_dict_gives_arrays_orjson_writes_as_their_lists():
+    """orjson refuses a strided array and reads a byte-swapped one as
+    native-endian, so fields_dict hands it native, C-contiguous arrays;
+    one that is both already is kept, not copied."""
+    kept = np.arange(4.0)
+    obj = Fields(
+        swapped=np.array([1.0, -2.5], dtype=">f8"), strided=np.arange(6).reshape(2, 3).T,
+        zero_d=np.array(0.1), scalar=np.int64(7), kept=kept,
+    )
+    found = fields_dict(obj)
+    assert found["zero_d"] == 0.1 and type(found["zero_d"]) is float
+    assert found["scalar"] == 7 and type(found["scalar"]) is int
+    assert np.shares_memory(found["kept"], kept)
+    assert json_bytes(found) == json_bytes(listed(dataclasses.asdict(obj)))
 
 
 @st.composite

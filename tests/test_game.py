@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leapsim.dist import js_rows, xlog2x_sums
 from leapsim.errors import InvalidValueError, described
@@ -22,9 +24,11 @@ from leapsim.game import (
 )
 
 from leapsim.experiment import write_game_trace
+from leapsim.scenario import generate_scenario, label_count_matrix
 
 from oracles import (
     best_switch_ref,
+    coalition_counts_ref,
     coalition_formation_ref,
     partition_avg_js_ref,
     potential_ref,
@@ -168,6 +172,36 @@ def test_partition_and_random_partition_check_the_coalition_count(num_coalitions
     with pytest.raises(InvalidPartitionError, match=pattern):
         random_partition(ONE_HOT_4, num_coalitions, np.random.default_rng(0))
     assert make_partition([0, 1, 0, 1], ONE_HOT_4, np.int64(2)).num_coalitions == 2
+
+
+@st.composite
+def partition_inputs(draw):
+    """(assignment, label counts, M): 1-6 coalitions, none empty and some of
+    one member, over 1-5 classes, every client holding a label."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    extra = draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+    assignment = draw(st.permutations(list(range(m)) + extra))
+    counts = draw(hnp.arrays(np.int64, (len(assignment), k), elements=st.integers(0, 2**40)))
+    counts[:, draw(st.integers(0, k - 1))] += 1
+    return assignment, counts, m
+
+
+@given(case=partition_inputs())
+@example(case=([0, 1, 2], np.array([[3], [1], [2]]), 3))  # K = 1, every coalition single
+@settings(max_examples=200, deadline=None)
+def test_partition_counts_equal_the_per_coalition_sums(case):
+    assignment, counts, m = case
+    part = Partition(assignment, counts, m)
+    assert part.counts.dtype == np.int64
+    assert np.array_equal(part.counts, coalition_counts_ref(assignment, counts, m))
+    part.validate()
+
+
+def test_partition_counts_equal_the_per_coalition_sums_at_4000_clients():
+    counts = label_count_matrix(generate_scenario(seed=1, n_clients=4000, n_edges=40, shards=2))
+    part = random_partition(counts, 40, np.random.default_rng(3))
+    assert np.array_equal(part.counts, coalition_counts_ref(part.assignment, counts, 40))
+    part.validate()
 
 
 def test_partition_caches_match_fresh_computation():
