@@ -29,6 +29,9 @@ pairs that touch the source and the target coalition, and
 ``_price_moves`` does that for every target of a batch of clients with
 a single call of the broadcasting JS kernel; the loop prices its
 lookahead batches with it and ``certify_stability`` blocks of clients.
+A call on B clients builds grids of B * (M+1)^2 * K elements, and both
+kinds of batch hold as many clients as KERNEL_BLOCK_ELEMENTS allows, at
+least one; a lookahead batch holds at most LOOKAHEAD_DRAWS.
 
 The improvement loop prices each partition state (an epoch: the span
 between two accepted switches) at most once per client, in lookahead
@@ -84,17 +87,20 @@ __all__ = [
 # which is what guarantees termination.
 SWITCH_TOLERANCE = 1e-10
 
-# Upper bound on the elements of one JS-kernel grid while certifying:
-# clients are priced in blocks whose (M+1)^2 * K grid stays below it,
-# so each kernel temporary stays under 128 kB and peak memory does not
-# grow with the number of clients.
-CERTIFY_BLOCK_ELEMENTS = 1 << 14
+# Upper bound on the elements of one JS-kernel grid: certification prices
+# clients in blocks, and the improvement loop in lookahead batches, of
+# B clients whose B * (M+1)^2 * K grid stays within it (B >= 1), so no
+# kernel temporary crosses glibc's 128 KiB mmap threshold (each one would
+# be mapped and unmapped per call) and peak memory does not grow with the
+# number of clients.
+KERNEL_BLOCK_ELEMENTS = 1 << 14
 
 # Draws the improvement loop holds, the sampled one included: a sampled
 # client without a price on the current partition is priced in one
-# batch with the unpriced clients among the other held draws.  Deeper
-# windows price more clients that an accepted switch makes stale before
-# they are sampled; 6 to 8 were fastest on the benchmark's game workloads.
+# batch with the unpriced clients among the next held draws, as many as
+# KERNEL_BLOCK_ELEMENTS allows (``_block_clients``).  Deeper windows
+# price more clients that an accepted switch makes stale before they are
+# sampled; 6 to 8 were fastest on the benchmark's game workloads.
 LOOKAHEAD_DRAWS = 8
 
 # Samples the improvement loop draws from its generator per call.  A
@@ -145,6 +151,14 @@ def _normalized(counts: np.ndarray) -> np.ndarray:
     if not totals.all():
         raise EmptyDistributionError("a coalition holds no labels")
     return counts / totals
+
+
+@lru_cache(maxsize=64)
+def _arange(n: int) -> np.ndarray:
+    """Read-only ``np.arange(n)``, for the index vectors of every pricing call."""
+    indices = np.arange(n)
+    indices.setflags(write=False)
+    return indices
 
 
 @lru_cache(maxsize=32)
@@ -340,11 +354,18 @@ class Partition:
         self.probs[tgt] = rows[1 + tgt]
         self.plogp[src] = sums[0]
         self.plogp[tgt] = sums[1 + tgt]
-        js = grid[[0, 1 + tgt], :m]  # against the old rows; fix the touched columns
-        js[0, src] = js[1, tgt] = 0.0
-        js[0, tgt] = js[1, src] = grid[1 + tgt, m]
-        self.js_matrix[[src, tgt], :] = js
-        self.js_matrix[:, [src, tgt]] = js.T
+        js = self.js_matrix
+        # against the old rows; the four entries among s and t are set after
+        js[src] = js[:, src] = grid[0, :m]
+        js[tgt] = js[:, tgt] = grid[1 + tgt, :m]
+        js[src, src] = js[tgt, tgt] = 0.0
+        js[src, tgt] = js[tgt, src] = grid[1 + tgt, m]
+
+
+def _block_clients(partition: Partition) -> int:
+    """Clients one kernel call may price within KERNEL_BLOCK_ELEMENTS, at least 1."""
+    m, k = partition.counts.shape
+    return max(1, KERNEL_BLOCK_ELEMENTS // ((m + 1) ** 2 * k))
 
 
 def _price_moves(
@@ -388,10 +409,10 @@ def _price_moves(
 
     current = partition.js_matrix
     src_rows = current[src]
-    each = np.arange(len(clients))
+    each = _arange(len(clients))
     # [c, t, k]: change of pairs (s, k) and (t, k) when c moves to t
     changes = (grid[:, :1, :m] - src_rows[:, None, :]) + (grid[:, 1:, :m] - current[None, :, :])
-    every = np.arange(m)
+    every = _arange(m)
     changes[:, every, every] = 0.0  # k == t: no pair (t, t); (s, t) is the pair itself
     changes[each, :, src] = 0.0  # k == s: no pair (s, s); (t, s) likewise
     deltas = (grid[:, 1:, m] - src_rows) + changes.sum(axis=2)
@@ -443,11 +464,14 @@ def run_coalition_formation(
     stream as one scalar draw per sample, so the samples are those of
     one draw per iteration.  A sampled client that is not yet priced on
     the current partition is priced in one batch with every unpriced,
-    movable client among the held draws.  The prices are kept until the
-    next accepted switch, and the stability check reuses them.  A sample
-    is decided from its row of those prices; only an accepted switch
-    gets a ``SwitchProposal`` (``evaluate_switch``), and it is applied
-    from the batch's kernel rows, grid and row sums
+    movable client among the next B - 1 held draws, where B is
+    max(1, min(LOOKAHEAD_DRAWS, KERNEL_BLOCK_ELEMENTS // ((M+1)^2 * K))):
+    B is 8 up to (M+1)^2 * K = 2048 and 1 past 8192.  A price does not
+    depend on its batch, so B moves no decision.  The prices are kept
+    until the next accepted switch, and the stability check reuses them.
+    A sample is decided from its row of those prices; only an accepted
+    switch gets a ``SwitchProposal`` (``evaluate_switch``), and it is
+    applied from the batch's kernel rows, grid and row sums
     (``Partition.apply``), which are kept as well.
 
     An all-zero JS matrix is a global minimum of the potential: such a
@@ -461,6 +485,8 @@ def run_coalition_formation(
     trace = GameTrace(seed=rng_seed)
 
     n, m = partition.n_clients, partition.num_coalitions
+    # the sampled draw and the held draws after it that may join its batch
+    width = min(LOOKAHEAD_DRAWS, _block_clients(partition))
     # this epoch's _price_moves rows; NaN rows are not priced yet
     known = np.full((n, m), np.nan)
     # each batch-priced client's (rows, grid, sums, position) in this
@@ -492,10 +518,11 @@ def run_coalition_formation(
         if movable[client] and not settled:
             if not priced[client]:
                 batch = [client]
-                for other in draws[taken:taken + LOOKAHEAD_DRAWS - 1]:
+                for other in draws[taken:taken + width - 1]:
                     if movable[other] and not priced[other] and other not in batch:
                         batch.append(other)
-                known[batch], rows, grid, sums = _price_moves(partition, np.array(batch))
+                index = np.array(batch)
+                known[index], rows, grid, sums = _price_moves(partition, index)
                 for position, other in enumerate(batch):
                     slots[other] = (rows, grid, sums, position)
                     priced[other] = True
@@ -513,7 +540,10 @@ def run_coalition_formation(
             assignment[client] = target
             known.fill(np.nan)
             slots.clear()
-            movable = (partition.sizes[partition.assignment] > 1).tolist()
+            # only a coalition whose size crosses between 1 and 2 changes
+            # whether its members may move
+            if partition.sizes[src] == 1 or partition.sizes[target] == 2:
+                movable = (partition.sizes[partition.assignment] > 1).tolist()
             priced = [False] * n
             settled = not partition.js_matrix.any()
             avg_js = partition.avg_js()
@@ -538,7 +568,7 @@ def certify_stability(partition: Partition, known: np.ndarray | None = None) -> 
     """Exhaustively confirm that no single-client switch improves avg JS.
 
     Every client that is not alone in its coalition is priced against
-    every target, in blocks of clients sized by CERTIFY_BLOCK_ELEMENTS.
+    every target, in blocks of clients sized by KERNEL_BLOCK_ELEMENTS.
     With a single coalition no client has anywhere to go.  A partition
     whose JS matrix is all zeros is stable at once, with nothing priced:
     it is a global minimum of the potential, and every price there is a
@@ -571,7 +601,7 @@ def certify_stability(partition: Partition, known: np.ndarray | None = None) -> 
             return False
         unpriced &= np.isnan(known[:, 0])
     movable = np.flatnonzero(unpriced)
-    block = max(1, CERTIFY_BLOCK_ELEMENTS // ((m + 1) ** 2 * partition.counts.shape[1]))
+    block = _block_clients(partition)
     for start in range(0, movable.size, block):
         clients = movable[start:start + block]
         deltas = _price_moves(partition, clients)[0]

@@ -85,17 +85,21 @@ def blas_env() -> dict[str, str]:
     }
 
 
+def environment() -> dict[str, str]:
+    """The versions the hashes depend on besides the code; the learner's
+    bits also depend on the BLAS gemm kernel."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "orjson": orjson.__version__,
+        **blas_env(),
+    }
+
+
 def build_manifest(root: Path) -> dict:
     return {
         "regenerate": REGENERATE,
-        # the versions the hashes depend on besides the code; the learner's
-        # bits also depend on the BLAS gemm kernel
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "orjson": orjson.__version__,
-            **blas_env(),
-        },
+        "env": environment(),
         "runs": {name: " ".join(argv) for name, argv in RUNS},
         "files": run_matrix(root),
     }

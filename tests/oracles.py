@@ -49,6 +49,18 @@ def js_rows_ratio_ref(p, q):
     return np.clip(0.5 * total, 0.0, 1.0)
 
 
+def xlog2x_sums_ref(x):
+    """sum_k x_k log2 x_k along the last axis with the zero guard
+    ``leapsim.dist.xlog2x_sums`` used before it added 2**-1074: each term
+    is x log2(max(x, 2**-1074)), exactly 0 at x = 0.  The terms are summed
+    as the package sums them, one contiguous C-order row at a time, so
+    the two differ only where their guards do."""
+    terms = np.maximum(x, 5e-324, order="C")
+    np.log2(terms, out=terms)
+    terms *= x
+    return np.add.reduce(terms, axis=-1)
+
+
 def avg_js_ref(prob_rows, denominator="M"):
     m = len(prob_rows)
     total = sum(

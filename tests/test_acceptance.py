@@ -28,6 +28,7 @@ from leapsim.hfl import (
 )
 from leapsim.netmodel import comp_latency, tx_latency
 
+from golden_matrix import environment
 from oracles import (
     bisect_min_feasible_power,
     enumerate_best_avg_js,
@@ -434,6 +435,18 @@ def test_c10_what_the_bandwidth_stage_buys():
            f"{min(rb_rp_ratios):.2f}-{max(rb_rp_ratios):.2f}x (>= 1.10x) leap's uplink energy")
 
 
+# the environment the large-M hashes were pinned under, in the golden manifest's form
+LARGE_M_ENV = {
+    "python": "3.11.7",
+    "numpy": "2.4.6",
+    "orjson": "3.8.3",
+    "blas": "scipy-openblas",
+    "blas_version": "0.3.31.188.0",
+    "blas_configuration": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell "
+                          "MAX_THREADS=64",
+}
+
+
 @pytest.mark.parametrize("kwargs, iterations, assignment_sha, accepted_sha", [
     # the north star's shape
     (dict(n_clients=1000, n_edges=20, n_classes=10, shards=None, dirichlet_alpha=0.5), 9091,
@@ -455,8 +468,10 @@ def test_game_decisions_are_pinned_at_large_m(kwargs, iterations, assignment_sha
     (M <= 4) cannot see, are pinned: the sha256 of the final assignment and
     of the accepted switches (iteration, client, source, target) as
     little-endian int64, and the iteration count.  Like the golden
-    manifest's, the hashes hold per Python and numpy version; a change
-    meant to move them names the shape and the reason in CHANGES.md.
+    manifest's, the hashes hold per Python and numpy version, and
+    ``LARGE_M_ENV`` records the versions they were pinned under; a
+    mismatch names both environments.  A change meant to move them names
+    the shape and the reason in CHANGES.md.
 
     The N=2000, M=40 case runs only with ``LEAPSIM_LARGE_M=1`` in the
     environment: ``LEAPSIM_LARGE_M=1 pytest tests/test_acceptance.py -k
@@ -466,10 +481,18 @@ def test_game_decisions_are_pinned_at_large_m(kwargs, iterations, assignment_sha
     scenario = L.generate_scenario(seed=7, **kwargs)
     _, partition, trace = form_coalitions(scenario, "M", 1, 2)
     accepted = [entry[:4] for entry in trace.entries if entry[3] is not None]
-    assert trace.converged and trace.iterations_used == iterations
     digests = [hashlib.sha256(np.asarray(rows, dtype="<i8").tobytes()).hexdigest()
                for rows in (partition.assignment, accepted)]
-    assert digests == [assignment_sha, accepted_sha]
+    found = (trace.converged, trace.iterations_used, *digests)
+    pinned = (True, iterations, assignment_sha, accepted_sha)
+    if found != pinned:
+        here = environment()
+        raise AssertionError(
+            f"the game's decisions moved at N={scenario.n_clients}, M={scenario.num_edges}: "
+            f"(converged, iterations, assignment sha256, accepted sha256) is {found}, "
+            f"pinned {pinned}; the environment here is {here}, the pinned one {LARGE_M_ENV}"
+            + ("" if here == LARGE_M_ENV else ", so the decisions may move without a code change")
+        )
     fresh = Partition(partition.assignment, scenario.clients.label_counts, scenario.num_edges, "M")
     assert L.certify_stability(fresh)
     report(f"LARGE-M PASS decisions pinned at N={scenario.n_clients}, M={scenario.num_edges}: "

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -846,6 +847,67 @@ def test_a_mutated_partition_or_plan_loads_only_when_it_stays_valid(staged_once,
         else:
             assert code == 2 and len(lines) == 1, (verb, key, value, lines)
             assert lines[0].startswith(f"leapsim {verb}: error: {path}"), lines
+
+
+# values written into one slot of a client column; a float widens an
+# integer column to "<f8", which the loader refuses
+SLOTS = [float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, 2.5, -1.0, 0.0, -1, 0, 3]
+
+
+def _header_paths(header, prefix=()):
+    """Every key path of a scenario header, sections and leaves alike."""
+    for key, value in header.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _header_paths(value, (*prefix, key))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_mutated_scenario_loads_or_is_one_line_and_exit_2(staged_once, data):
+    """A header key deleted or its value swapped, one column slot
+    overwritten, or one axis of a column's shape moved by one: each verb
+    that reads the scenario exits 0 with nothing on stderr, or 2 with one
+    line."""
+    header, columns = read_scenario_ref(staged_once / "scenario.bin")
+    kind = data.draw(st.sampled_from(["key", "slot", "shape"]))
+    if kind == "key":
+        *parents, key = data.draw(st.sampled_from(sorted(_header_paths(header))))
+        value = data.draw(st.sampled_from([DELETED, *SWAPS]))
+        section = header
+        for parent in parents:
+            section = section[parent]
+        if value is DELETED:
+            del section[key]
+        else:
+            section[key] = value
+    else:
+        name = data.draw(st.sampled_from(sorted(columns)))
+        spec = header["clients"][name]
+        if kind == "slot":
+            value = data.draw(st.sampled_from(SLOTS))
+            array = columns[name].astype(np.result_type(columns[name], value))
+            array.flat[data.draw(st.integers(0, array.size - 1))] = value
+            columns[name], spec["dtype"] = array, array.dtype.str
+        else:
+            spec["shape"][data.draw(st.integers(0, len(spec["shape"]) - 1))] += data.draw(
+                st.sampled_from([-1, 1]))
+    # a fresh directory per example: on ext4, replacing a file that exists
+    # flushes it to disk, which costs tens of ms a file on a busy disk
+    example = Path(tempfile.mkdtemp(dir=staged_once))
+    path = example / "scenario.bin"
+    write_scenario_ref(path, header, columns)
+    inputs = ["--scenario", path, "--partition", staged_once / "partition.json"]
+    training = ["--features", 4, "--tau-c", 2, "--tau-e", 2, "--tau-g", 3]
+    for argv in (["compare", "--scenario", path], ["coalition", "--scenario", path],
+                 ["allocate", *inputs], ["simulate", *inputs, *training]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run([*argv, "--out", example / argv[0]])
+        lines = [line for line in err.getvalue().splitlines() if line]
+        assert (code, lines) == (0, []) or code == 2 and len(lines) == 1, (argv[0], code, lines)
+        if code == 2:
+            assert lines[0].startswith(f"leapsim {argv[0]}: error: "), lines
 
 
 @pytest.mark.parametrize("gen_flags, coalition_flags", [

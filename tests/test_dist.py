@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leapsim.dist import EmptyDistributionError, js_divergence, js_rows, xlog2x_sums
 from leapsim.game import InvalidPartitionError, Partition, random_partition
@@ -12,6 +13,7 @@ from oracles import (
     partition_avg_js_ref,
     random_counts,
     switch_deltas_ref,
+    xlog2x_sums_ref,
 )
 
 
@@ -395,3 +397,40 @@ def test_js_rows_k1_grid_is_exactly_zero():
     one = np.ones((4, 1))
     assert np.array_equal(js_rows(one[:, None, :], one[None, :, :]), np.zeros((4, 4)))
 
+
+# -- the zero guard: x + 2**-1074 against the max(x, 2**-1074) it replaced ---------
+
+@st.composite
+def guarded_rows(draw):
+    """(n, K) rows, K up to 50, of one of two kinds: exact zeros mixed with
+    values in [2**-1020, 1], or rows normalized from integer counts
+    together with the midpoints of two such rows, as the kernel's grid
+    forms them."""
+    k = draw(st.integers(min_value=1, max_value=50))
+    n = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        value = st.one_of(st.just(0.0), st.floats(min_value=2.0**-1020, max_value=1.0))
+        return draw(hnp.arrays(float, (n, k), elements=value))
+    count = st.one_of(st.integers(0, 9), st.integers(0, 2**40))
+    counts = draw(hnp.arrays(np.int64, (2, n, k), elements=count))
+    counts[..., draw(st.integers(0, k - 1))] += 1  # no row without labels
+    p, q = counts / counts.sum(axis=-1, keepdims=True)
+    mid = p + q
+    mid *= 0.5
+    return np.concatenate([p, q, mid])
+
+
+@given(guarded_rows())
+@settings(max_examples=300, deadline=None)
+def test_the_additive_zero_guard_keeps_every_bit_of_the_maximum_guard(rows):
+    expected = xlog2x_sums_ref(rows).tobytes()
+    assert xlog2x_sums(rows).tobytes() == expected
+    assert xlog2x_sums(np.asfortranarray(rows)).tobytes() == expected
+
+
+def test_the_two_zero_guards_may_differ_below_2_to_the_minus_1020():
+    # 2**-1074 + 2**-1074 is 2**-1073, so the term's logarithm moves by
+    # one; max leaves the subnormal as it is.  Both terms are below 1e-320
+    x = np.array([2.0**-1074, 0.0])
+    assert xlog2x_sums(x) == -1073 * 2.0**-1074
+    assert xlog2x_sums_ref(x) == -1074 * 2.0**-1074

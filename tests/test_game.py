@@ -618,7 +618,7 @@ def test_certify_matches_brute_force_oracle(monkeypatch, block_elements):
     import leapsim.game
 
     if block_elements is not None:
-        monkeypatch.setattr(leapsim.game, "CERTIFY_BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(leapsim.game, "KERNEL_BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(22)
     verdicts, with_singletons = set(), 0
     for case in range(40):
@@ -679,7 +679,7 @@ def test_certify_spans_several_default_blocks():
     counts[np.arange(n), np.arange(n) % k] = 5
     assignment = (np.arange(n) // k) % m
     part = make_partition(assignment, counts, m)
-    block = leapsim.game.CERTIFY_BLOCK_ELEMENTS // ((m + 1) ** 2 * k)
+    block = leapsim.game.KERNEL_BLOCK_ELEMENTS // ((m + 1) ** 2 * k)
     assert n > 3 * block
     assert certify_stability(part) and stable_ref(assignment, counts, m)
 
@@ -743,7 +743,7 @@ def test_certify_with_a_partial_memo_matches_certify_without(monkeypatch, block_
     import leapsim.game
 
     if block_elements is not None:
-        monkeypatch.setattr(leapsim.game, "CERTIFY_BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(leapsim.game, "KERNEL_BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(32)
     seen = set()
     for case in range(60):
@@ -1000,6 +1000,59 @@ def test_batched_loop_matches_the_reference_across_draw_blocks(monkeypatch, bloc
         spans.append((full // size, len(budgets)))
     assert sum(blocks >= 2 for blocks, _ in spans) >= 6
     assert sum(games == 2 for _, games in spans) >= 6
+
+
+@pytest.mark.parametrize("m, k, n, width", [(40, 10, 90, 1), (20, 10, 50, 3), (5, 50, 40, 8)],
+                         ids=["M40-K10", "M20-K10", "M5-K50"])
+def test_loop_batches_stay_inside_the_kernel_element_budget(monkeypatch, m, k, n, width):
+    """A lookahead batch of B clients holds a grid of B * (M+1)^2 * K
+    elements, within KERNEL_BLOCK_ELEMENTS unless B is 1.
+
+    At M=40, K=10 one client's grid is past the budget and the loop prices
+    one client per call; at M=20, K=10 the budget holds 3; at M=5, K=50
+    it holds 9, and LOOKAHEAD_DRAWS bounds the batch at 8.  Certification
+    blocks keep the same budget.  Each game is the reference's.
+    """
+    import leapsim.game
+
+    budget, cells = leapsim.game.KERNEL_BLOCK_ELEMENTS, (m + 1) ** 2 * k
+    assert width == min(LOOKAHEAD_DRAWS, max(1, budget // cells))
+
+    def recording(partition, clients):
+        batches.append((certifying, len(clients)))
+        return real_price(partition, clients)
+
+    def certify(partition, known=None):
+        nonlocal certifying
+        certifying = True
+        try:
+            return real_certify(partition, known)
+        finally:
+            certifying = False
+
+    real_price, real_certify = leapsim.game._price_moves, leapsim.game.certify_stability
+    batches, certifying = [], False
+    monkeypatch.setattr(leapsim.game, "_price_moves", recording)
+    monkeypatch.setattr(leapsim.game, "certify_stability", certify)
+    rng = np.random.default_rng(39)
+    for case in range(2):
+        batches.clear()
+        start = random_partition(random_counts(rng, n, k), m, rng, "pairs" if case else "M")
+        seed = int(rng.integers(2**31))
+        final, trace = run_coalition_formation(start, max_iters=3000, rng_seed=seed)
+        priced = [*batches]  # the reference prices through _price_moves too
+        ref_assignment, entries, used, converged, _ = coalition_formation_ref(start, 3000, seed)
+        assert trace.entries == entries
+        assert np.array_equal(final.assignment, ref_assignment)
+        assert (trace.iterations_used, trace.converged) == (used, converged)
+
+        assert all(size == 1 or size * cells <= budget for _, size in priced), priced
+        assert any(certified for certified, _ in priced)
+        # the widest lookahead batch fills the window
+        assert max(size for certified, size in priced if not certified) == width, priced
+        # a window wider than one sample holds repeated clients, which join once
+        _, repeats = _replay_facts(start, entries, width)
+        assert (repeats > 0) == (width > 1)
 
 
 # -- applying a switch from its priced rows ---------------------------------------
