@@ -129,13 +129,19 @@ class GPTrace:
     projected_gradient_norm: float | None = None
 
 
+def _checked_positive(values, count: int, name: str) -> np.ndarray:
+    """``values`` as a float array, InvalidValueError unless it holds
+    ``count`` entries, one per coalition or client, none <= 0."""
+    array = np.asarray(values, dtype=float)
+    if array.shape != (count,):
+        raise InvalidValueError(f"expected {count} {name}s, got {array.size}")
+    if np.any(array <= 0):
+        raise InvalidValueError(f"every {name} must be strictly positive")
+    return array
+
+
 def _checked_bandwidth(bandwidth, sizes: np.ndarray) -> np.ndarray:
-    b = np.asarray(bandwidth, dtype=float)
-    if b.shape != sizes.shape:
-        raise InvalidValueError(f"expected {sizes.size} coalition bandwidths, got {b.size}")
-    if np.any(b <= 0):
-        raise InvalidValueError("every coalition bandwidth must be strictly positive")
-    return b
+    return _checked_positive(bandwidth, sizes.size, "coalition bandwidth")
 
 
 def worst_members(partition, clients: ClientTable) -> np.ndarray:
@@ -365,12 +371,14 @@ def build_plan(
 ) -> AllocationPlan:
     """Assemble an AllocationPlan with every derived metric filled in, avg JS from the
     partition, which must be a Partition of ``clients.label_counts``
-    (InvalidPartitionError otherwise); NonFiniteInputError names the fields
+    (InvalidPartitionError otherwise); InvalidValueError unless
+    ``bandwidth`` holds one entry per coalition and ``power`` one per
+    client, each strictly positive; NonFiniteInputError names the fields
     that hold NaN or an infinity."""
     _check_plan_partition(partition, clients)
     assignment, sizes = partition_arrays(partition, clients)
     bandwidth = _checked_bandwidth(bandwidth, sizes)
-    power = np.asarray(power, dtype=float)
+    power = _checked_positive(power, assignment.size, "client power")
     share = bandwidth[assignment] / sizes[assignment]
 
     t_client, t_coalition, t_total = round_and_total_latency(

@@ -237,7 +237,9 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
     within PLAN_AUDIT_RTOL): the totals tie a plan to the scenario and
     partition it was solved for.  Each number must pass
     ``errors.check_number``: finite, not a bool, and an integer only
-    within the int64 range.
+    within the int64 range.  An error of ``build_plan`` (a bandwidth or
+    power <= 0, a metric beyond the float range) keeps its type and gains
+    the path in front.
     """
     data = read_json(path, PLAN_SCHEMA, PLAN_KEYS)
     for name in PLAN_KEYS:
@@ -256,9 +258,12 @@ def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> Alloca
             raise InputFileError(f"{path}: {name} has {len(value)} entries, expected {length}")
         for i, entry in enumerate(value):
             check_number(f"{path}: {name}[{i}]", entry, InputFileError)
-    plan = build_plan(
-        partition, scenario.clients, scenario.config, data["bandwidth"], data["power"]
-    )
+    try:
+        plan = build_plan(
+            partition, scenario.clients, scenario.config, data["bandwidth"], data["power"]
+        )
+    except LeapsimError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     for name in PLAN_TOTALS:
         kept, fresh = data[name], getattr(plan, name)
         if name == "feasible":

@@ -16,10 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import pickle
-import signal
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -88,13 +84,6 @@ _SEED_STREAMS = (
 )
 
 _PERIODS = ("tau_c", "tau_e", "tau_g")
-
-# train_curves trains runs in a forked child only when one run takes at
-# least this many client gradient steps (N * tau_c * tau_e * tau_g): on a
-# 2-core Xeon VM, forking two runs of up to 1200 steps took longer than
-# training both here, and paid from 1600 on.  perfbench's scaled-down
-# hfl_train (160 steps) must stay in one process, where it is traced.
-FORK_MIN_STEPS = 2000
 
 
 @dataclass
@@ -202,12 +191,10 @@ def train_curves(
     """Test accuracy per global round of one HFL run on each partition, all
     on one synthetic dataset drawn from ``data_seed`` and the scenario's labels.
 
-    Given two runs or more of at least ``FORK_MIN_STEPS`` client gradient
-    steps each and two CPUs from ``os.sched_getaffinity``, one child made
-    by ``os.fork`` trains every run but the first, in order, while this
-    process trains the first.  The curves, and the error raised when runs
-    fail (the first in partition order), are the same as when every run
-    trains here, one after the other, and no child outlives the call.
+    The runs train here, one after the other in partition order, so the
+    first run that raises ends the call with its error.  Each run batches
+    its local steps as ``hfl.run_hfl`` does from ``hfl.BATCH_MIN_STEPS``
+    client gradient steps on.
     """
     dataset = SyntheticDataset.generate(
         label_counts=label_count_matrix(scenario),
@@ -217,93 +204,10 @@ def train_curves(
         noise=opts.noise,
     )
     periods = opts.periods(scenario.config)
-
-    def train(partition: Partition) -> list[float]:
-        return run_hfl(partition, dataset, **periods, lr=opts.lr, seed=seed)[1]
-
-    steps = scenario.n_clients * math.prod(periods.values())
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(partitions) < 2 or steps < FORK_MIN_STEPS or cpus < 2:
-        return [train(partition) for partition in partitions]
-    pid, reader = _fork_run(train, partitions[1:])
-    try:
-        first = train(partitions[0])
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.close(reader)
-        os.waitpid(pid, 0)
-        raise
-    return [first, *_child_result(pid, reader)]
-
-
-def _fork_run(train, partitions: Sequence[Partition]) -> tuple[int, int]:
-    """Fork a child that writes ``_run_outcome(train, partitions)`` to a
-    pipe and leaves by ``os._exit``, which runs no atexit hook, flushes no
-    stdio buffer and never returns into the caller; (its pid, the read end)."""
-    reader, writer = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 and later warn when a process with other threads
-            # forks (OpenBLAS's pool, when BLAS is not pinned): a lock that
-            # another thread held stays locked in the child.  This child
-            # runs numpy only, on its copy of the data, and leaves by
-            # os._exit without reaching interpreter shutdown.
-            warnings.filterwarnings(
-                "ignore",
-                r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to "
-                r"deadlocks in the child",
-                DeprecationWarning,
-            )
-            pid = os.fork()
-    except OSError:
-        os.close(reader)
-        os.close(writer)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(reader)
-            with os.fdopen(writer, "wb") as pipe:
-                pipe.write(_run_outcome(train, partitions))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(writer)
-    return pid, reader
-
-
-def _run_outcome(train, partitions: Sequence[Partition]) -> bytes:
-    """Pickled (True, the curves of the runs in order), or (False, the
-    exception) at the first run that raises; an exception that does not
-    pickle and unpickle comes as a RuntimeError naming it."""
-    try:
-        return pickle.dumps((True, [train(partition) for partition in partitions]))
-    except Exception as error:
-        try:
-            outcome = pickle.dumps((False, error))
-            pickle.loads(outcome)
-            return outcome
-        except Exception:
-            return pickle.dumps((False, RuntimeError(f"{type(error).__name__}: {error}")))
-
-
-def _child_result(pid: int, reader: int) -> list[list[float]]:
-    """The curves the child ``pid`` sent to ``reader``, read to EOF before
-    the child is reaped; raises the exception it sent instead."""
-    try:
-        with os.fdopen(reader, "rb") as pipe:
-            outcome = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not outcome:
-        raise RuntimeError(
-            f"a training child exited with code {os.waitstatus_to_exitcode(status)} "
-            "and sent no result"
-        )
-    ok, value = pickle.loads(outcome)
-    if not ok:
-        raise value
-    return value
+    return [
+        run_hfl(partition, dataset, **periods, lr=opts.lr, seed=seed)[1]
+        for partition in partitions
+    ]
 
 
 def run_experiment(

@@ -14,10 +14,15 @@ class-by-feature weights with the per-class biases as one more column,
 and a local step works on the design matrix [X | 1], so that one matmul
 gives the logits and one the whole gradient.  ``SyntheticDataset``
 holds every client's rows in one array and is checked where it is
-built.  The benchmark counts one ``local_train`` per client per edge
-iteration and tau_c ``softmax_loss_and_grad`` calls in each, through
-this module's globals, so that call structure stays fixed; once per
-call ``local_train`` copies the edge model into the member's row of the
+built.  A ``run_hfl`` of fewer than ``BATCH_MIN_STEPS`` client gradient
+steps calls ``local_train`` once per client per edge iteration and
+tau_c ``softmax_loss_and_grad`` in each, through this module's globals,
+which the benchmark's scaled-down hfl_train counts.  From that threshold
+on, each coalition's members, in ascending id order, are cut into
+maximal runs of equal sample count, and each such run takes its tau_c
+steps as one (B, K, d + 1) stack, in one ``local_train`` call per edge
+iteration.  Either way a member's parameters hold the same bits:
+``local_train`` copies the edge model into the members' rows of the
 coalition's (members, K, d + 1) stack, runs its steps there and checks
 once that the result is finite.
 """
@@ -34,14 +39,23 @@ from .errors import InvalidValueError, TrainingDivergedError
 from .errors import check_integer, check_number, check_seed, described, integer_array
 from .netmodel import coalition_assignment
 
+# run_hfl trains each run of equal-size coalition members as one stack
+# when a run takes at least this many client gradient steps
+# (N * tau_c * tau_e * tau_g); below it, one local_train call per client.
+# perfbench's scaled-down hfl_train (160 steps) counts one local_train call
+# per client per edge iteration, so it must stay on the per-client path.
+BATCH_MIN_STEPS = 2000
+
 __all__ = [
     "init_params",
     "onehot_targets",
     "softmax_loss_and_grad",
     "predict",
     "accuracy",
+    "BATCH_MIN_STEPS",
     "PreparedClient",
     "prepare_clients",
+    "prepare_runs",
     "local_train",
     "edge_aggregate",
     "run_hfl",
@@ -83,22 +97,27 @@ def softmax_loss_and_grad(
     (K, n) and ``mean_design`` is ``design / n``; ``grad`` (K, d + 1),
     ``logits`` (K, n) and ``column`` (n,) are buffers made once per run
     (``prepare_clients`` and ``run_hfl``), so a step allocates nothing.
+    Every argument may instead be a stack of B clients of one sample
+    count n, (B, K, d + 1), (B, n, d + 1), (B, K, n), (B, n, d + 1),
+    (B, K, d + 1), (B, K, n) and (B, n) (``prepare_runs``): numpy's
+    stacked matmul runs one gemm per matrix, so each client's gradient
+    keeps the bits it has alone.
     The logits are class-major, [W | b] [X | 1]^T: the softmax reduces
-    over axis 0 and subtracting ``targets`` leaves the logit gradient,
-    softmax - onehot.  At a true class that is p - 1.0, elsewhere
-    p - 0.0, which is p for every softmax output (>= +0.0 or NaN).  One
-    more matmul with ``mean_design`` gives the weight gradient and, in
-    the ones column, the bias gradient, both already divided by n.  No
-    loss is computed, since the learner reads none; the name is the one
-    the benchmark counts once per step."""
-    np.dot(weights, design.T, out=logits)
-    np.maximum.reduce(logits, axis=0, out=column)  # stable softmax
-    logits -= column
+    over the class axis and subtracting ``targets`` leaves the logit
+    gradient, softmax - onehot.  At a true class that is p - 1.0,
+    elsewhere p - 0.0, which is p for every softmax output (>= +0.0 or
+    NaN).  One more matmul with ``mean_design`` gives the weight
+    gradient and, in the ones column, the bias gradient, both already
+    divided by n.  No loss is computed, since the learner reads none;
+    the name is the one the benchmark counts once per step."""
+    np.matmul(weights, design.swapaxes(-1, -2), out=logits)
+    np.maximum.reduce(logits, axis=-2, out=column)  # stable softmax
+    logits -= column[..., None, :]
     np.exp(logits, out=logits)
-    np.add.reduce(logits, axis=0, out=column)
-    logits /= column
+    np.add.reduce(logits, axis=-2, out=column)
+    logits /= column[..., None, :]
     logits -= targets
-    np.dot(logits, mean_design, out=grad)
+    np.matmul(logits, mean_design, out=grad)
 
 
 def _check_model(model: np.ndarray, n_classes: int, n_features: int) -> None:
@@ -147,14 +166,17 @@ def accuracy(model: np.ndarray, features: np.ndarray, labels: np.ndarray) -> flo
 
 @dataclass(frozen=True, slots=True)
 class PreparedClient:
-    """One client's data as the local step reads it, built by ``prepare_clients``.
+    """One client's data as the local step reads it, built by ``prepare_clients``,
+    or a run of B clients' stacked, built by ``prepare_runs``.
 
-    ``design`` is the client's row block (n, d + 1) of the design [X | 1]
-    and ``mean_design`` its row block of ``design / n``, both views;
-    ``targets`` is its ``onehot_targets`` (K, n), and ``logits`` (K, n)
-    and ``column`` (n,) are the step's scratch buffers, all three its own
-    C-order arrays.  (A column block of one (K, rows) targets matrix is
-    strided; with it a ``local_train`` at hfl_train's shape took ~6% longer.)"""
+    For one client, ``design`` is the client's row block (n, d + 1) of
+    the design [X | 1] and ``mean_design`` its row block of
+    ``design / n``, both views; ``targets`` is its ``onehot_targets``
+    (K, n), and ``logits`` (K, n) and ``column`` (n,) are the step's
+    scratch buffers, all three its own C-order arrays.  (A column block
+    of one (K, rows) targets matrix is strided; with it a ``local_train``
+    at hfl_train's shape took ~6% longer.)  For a run, each field gains
+    a leading axis of B, and all five are the run's own C-order arrays."""
 
     design: np.ndarray
     mean_design: np.ndarray
@@ -183,6 +205,35 @@ def prepare_clients(dataset: SyntheticDataset) -> list[PreparedClient]:
     ]
 
 
+def prepare_runs(
+    dataset: SyntheticDataset, members: np.ndarray
+) -> list[tuple[slice, PreparedClient]]:
+    """One coalition's ``members``, ascending client ids, cut into maximal
+    runs of equal sample count, each as the local step reads a stack.
+
+    A run of B members of n samples gets a design [X | 1] (B, n, d + 1),
+    that design divided by n, the members' ``onehot_targets`` (B, K, n)
+    and the buffers (B, K, n) and (B, n), built straight from the
+    dataset's rows with the bits of ``prepare_clients``' blocks.  Returns
+    (the run's rows of the coalition's stack, the run) in member order."""
+    sizes, k, d = dataset.client_sizes, dataset.n_classes, dataset.n_features
+    starts = np.cumsum(sizes) - sizes
+    bounds = [0, *np.flatnonzero(np.diff(sizes[members])) + 1, members.size]
+    runs = []
+    for a, b in zip(bounds, bounds[1:]):
+        n = int(sizes[members[a]])
+        design = np.empty((b - a, n, d + 1))
+        targets = np.empty((b - a, k, n))
+        for row, start in enumerate(starts[members[a:b]]):
+            design[row, :, :d] = dataset.features[start:start + n]
+            targets[row] = onehot_targets(dataset.labels[start:start + n], k)
+        design[:, :, d] = 1.0
+        run = PreparedClient(design, design / n, targets,
+                             np.empty((b - a, k, n)), np.empty((b - a, n)))
+        runs.append((slice(a, b), run))
+    return runs
+
+
 def local_train(
     model: np.ndarray,
     client: PreparedClient,
@@ -191,24 +242,29 @@ def local_train(
     grad: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """tau_c full-batch gradient steps from ``model`` on one prepared client.
+    """tau_c full-batch gradient steps from ``model`` on one prepared client or run.
 
-    ``model`` is copied into ``out``, a float64 (K, d + 1) matrix (in
-    ``run_hfl`` the member's row of the coalition's stack), and every
-    step updates ``out`` in place, ``out -= lr * grad``; ``out`` is
-    returned and ``model`` is not written to.  ``grad`` is the step's
-    (K, d + 1) gradient buffer, which ``run_hfl`` makes once per run and
-    shares among its clients.  ``lr`` multiplies the gradient, not the
-    design, so the step's result stays the gradient.  Raises
+    ``model`` is copied into ``out``, a float64 (K, d + 1) matrix for a
+    client or (B, K, d + 1) stack for a run of B clients (in ``run_hfl``
+    the members' rows of the coalition's stack), and every step updates
+    ``out`` in place, ``out -= lr * grad``; ``out`` is returned and
+    ``model`` is not written to.  ``grad`` is the step's gradient
+    buffer, of ``out``'s shape, which ``run_hfl`` cuts from one buffer
+    made once per run.  ``lr`` multiplies the gradient, not the design,
+    so the step's result stays the gradient.  K and d are read from the
+    trailing axes of the client's targets and design.  Raises
     InvalidValueError, before the first step, unless ``tau_c`` is an
     integer >= 1 and ``model`` a (K, d + 1) matrix [W | b].
 
     Raises TrainingDivergedError (a FloatingPointError) if the
-    parameters after the tau_c steps are not finite; the overflows on
-    the way there are expected and not reported as numpy warnings.  This
-    one check after the last step raises exactly when a check after
-    every step of the parameters and of the loss, the mean of
-    ``-log(p + 1e-300)`` over the true-class probabilities p, would:
+    parameters after the tau_c steps are not finite, anywhere in a
+    stack; the overflows on the way there are expected and not reported
+    as numpy warnings.  Each member of a stack steps with the bits it
+    has alone, so a stack raises exactly when one of its members,
+    trained alone, would.  This one check after the last step raises
+    exactly when a check after every step of the parameters and of the
+    loss, the mean of ``-log(p + 1e-300)`` over the true-class
+    probabilities p, would:
 
     - ``out -= lr * grad`` never makes a non-finite entry finite again:
       NaN stays NaN, +-inf minus a finite value stays +-inf, and
@@ -223,7 +279,7 @@ def local_train(
     """
     check_integer("tau_c", tau_c, 1)
     design, targets = client.design, client.targets
-    _check_model(model, targets.shape[0], design.shape[1] - 1)
+    _check_model(model, targets.shape[-2], design.shape[-1] - 1)
     mean_design, logits, column = client.mean_design, client.logits, client.column
     out[:] = model
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,11 +457,15 @@ def run_hfl(
     """Nested client/edge/global training loop.
 
     ``partition`` takes any form ``netmodel.coalition_assignment``
-    accepts.  The clients are prepared once (``prepare_clients``), and
-    all share one gradient buffer.  Members are visited in ascending id
-    order inside every aggregation so results do not depend on set
-    iteration order, and train into their rows of one (members, K, d + 1)
-    stack per coalition.
+    accepts.  Members are visited in ascending id order inside every
+    aggregation so results do not depend on set iteration order, and
+    train into their rows of one (members, K, d + 1) stack per
+    coalition.  Below ``BATCH_MIN_STEPS`` client gradient steps
+    (N * tau_c * tau_e * tau_g) every client is prepared once
+    (``prepare_clients``) and trains in its own ``local_train`` call;
+    from there on each coalition's runs of equal-size members are
+    prepared once (``prepare_runs``) and each run trains in one call.
+    The models and curves are the same bits either way.
     Returns the final global model [W | b] and one held-out accuracy per
     global round; InvalidValueError if a tau is not an integer >= 1 or
     the seed is refused by ``init_params``.
@@ -417,20 +477,22 @@ def run_hfl(
     coalitions = [np.flatnonzero(assignment == m) for m in range(coalition_sizes.size)]
     member_sizes = [sizes[members] for members in coalitions]
     edge_sizes = np.bincount(assignment, weights=sizes)
-    clients = prepare_clients(dataset)
+    if sizes.size * tau_c * tau_e * tau_g >= BATCH_MIN_STEPS:
+        work = [prepare_runs(dataset, members) for members in coalitions]
+    else:
+        clients = prepare_clients(dataset)
+        work = [[(row, clients[n]) for row, n in enumerate(members)] for members in coalitions]
 
     model = init_params(dataset.n_classes, dataset.n_features, seed)
-    grad = np.empty_like(model)
+    grad = np.empty((coalition_sizes.max(), *model.shape))
     stacks = [np.empty((members.size, *model.shape)) for members in coalitions]
     curve: list[float] = []
     for _ in range(tau_g):
         edge_models = np.tile(model, (len(coalitions), 1, 1))
         for _ in range(tau_e):
-            for edge, members, data_sizes, stack in zip(
-                edge_models, coalitions, member_sizes, stacks
-            ):
-                for row, n in enumerate(members):
-                    local_train(edge, clients[n], tau_c, lr, grad, stack[row])
+            for edge, runs, data_sizes, stack in zip(edge_models, work, member_sizes, stacks):
+                for rows, client in runs:
+                    local_train(edge, client, tau_c, lr, grad[rows], stack[rows])
                 edge[:] = edge_aggregate(stack, data_sizes)
         model = edge_aggregate(edge_models, edge_sizes)
         curve.append(accuracy(model, dataset.test_features, dataset.test_labels))

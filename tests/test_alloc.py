@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -601,6 +602,30 @@ def test_build_plan_metrics_are_consistent():
     assert plan.utility == pytest.approx(
         cfg.lambda1 * (1 - partition.avg_js()) - cfg.lambda2 * plan.total_energy, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("bandwidth, power, words", [
+    ([4e6, 6e6], 0.5, "expected 7 client powers, got 1"),
+    ([4e6, 6e6], [0.5] * 6, "expected 7 client powers, got 6"),
+    ([4e6, 6e6], [[0.5] * 7], "expected 7 client powers, got 7"),
+    ([4e6, 6e6], [0.5] * 6 + [0.0], "every client power must be strictly positive"),
+    ([4e6, 6e6], [-0.5] + [0.5] * 6, "every client power must be strictly positive"),
+    ([4e6], [0.5] * 7, "expected 2 coalition bandwidths, got 1"),
+    ([4e6, 0.0], [0.5] * 7, "every coalition bandwidth must be strictly positive"),
+], ids=["scalar_power", "short_power", "2d_power", "zero_power", "negative_power",
+        "short_bandwidth", "zero_bandwidth"])
+def test_build_plan_checks_one_positive_power_per_client_as_it_checks_bandwidth(
+    bandwidth, power, words
+):
+    """A scalar power was broadcast to every client and a short one ended
+    in numpy's broadcasting error; both are refused as a short bandwidth is."""
+    clients = make_clients(
+        data_size=100, cycles_per_item=2e5, cpu_freq=1.5e9, p_max=[1.0] * 7, gains=1e-7,
+        num_edges=2,
+    )
+    partition = as_partition([{0, 1, 2}, {3, 4, 5, 6}], clients)
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        build_plan(partition, clients, power_config(10.0), bandwidth, power)
 
 
 @pytest.mark.parametrize("columns, fields", [

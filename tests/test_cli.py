@@ -538,6 +538,33 @@ def test_report_rejects_plan_values_that_are_not_json_numbers(
     assert not (tmp_path / "bad" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("field, index, value, words", [
+    ("power", 0, 0.0, "every client power must be strictly positive"),
+    ("power", 5, -2, "every client power must be strictly positive"),
+    ("bandwidth", 1, -1.5, "every coalition bandwidth must be strictly positive"),
+])
+def test_report_names_the_plan_whose_decision_is_out_of_range(
+    tmp_path, scenario_file, capsys, field, index, value, words
+):
+    """A number that is valid JSON but not a decision ends in build_plan's
+    check, and the one line names the plan file before its words."""
+    stage = tmp_path / "stage"
+    assert run(["coalition", "--scenario", scenario_file, "--seed", 3, "--out", stage]) == 0
+    partition = stage / "partition.json"
+    assert run(
+        ["allocate", "--scenario", scenario_file, "--partition", partition, "--out", stage]
+    ) == 0
+    capsys.readouterr()
+    data = json.loads((stage / "plan.json").read_text())
+    data[field][index] = value
+    tampered = tmp_path / "plan.json"
+    tampered.write_text(json.dumps(data))
+    assert run(["report", "--scenario", scenario_file, "--partition", partition,
+                "--plan", tampered, "--out", tmp_path / "bad"]) == 2
+    assert _error_lines(capsys) == [f"leapsim report: error: {tampered}: {words}"]
+    assert not (tmp_path / "bad" / "metrics.json").exists()
+
+
 def test_coalition_and_compare_share_the_default_game_budget(
     tmp_path, scenario_file, monkeypatch
 ):
@@ -828,8 +855,9 @@ def test_a_mutated_partition_or_plan_loads_only_when_it_stays_valid(staged_once,
     mutated = {k: v for k, v in good.items() if k != key}
     if value is not DELETED:
         mutated[key] = value
-    path = staged_once / "mutated" / name
-    path.parent.mkdir(exist_ok=True)
+    # a fresh directory per example, as in the scenario property below
+    example = Path(tempfile.mkdtemp(dir=staged_once))
+    path = example / name
     path.write_text(json.dumps(mutated))
     files = {"partition.json": staged_once / "partition.json",
              "plan.json": staged_once / "plan.json", name: path}
@@ -840,7 +868,7 @@ def test_a_mutated_partition_or_plan_loads_only_when_it_stays_valid(staged_once,
     for verb, argv in verbs.items():
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run([*argv, "--out", staged_once / "out"])
+            code = run([*argv, "--out", example / verb])
         lines = [line for line in err.getvalue().splitlines() if line]
         if _still_valid(name, key, value, good.get(key)):
             assert code == 0 and lines == [], (verb, key, value, lines)

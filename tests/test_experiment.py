@@ -3,15 +3,15 @@ import dataclasses
 import gc
 import json
 import os
+import math
 import re
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leapsim import experiment
+from leapsim import experiment, hfl
 from leapsim.alloc import NonFiniteInputError
 from leapsim.cli import main
 from leapsim.errors import (
@@ -177,6 +177,18 @@ def test_recompute_plan_refuses_an_assignment_it_would_have_cast(scenario, repor
             recompute_plan(scenario, assignment, m.plan["bandwidth"], m.plan["power"])
 
 
+@pytest.mark.parametrize("power, words", [
+    (0.5, "expected 15 client powers, got 1"),  # was broadcast to every client
+    ([0.5] * 14, "expected 15 client powers, got 14"),  # was numpy's broadcasting error
+])
+def test_recompute_plan_refuses_a_power_that_is_not_one_per_client(
+    scenario, report, power, words
+):
+    m = report.methods["leap"]
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        recompute_plan(scenario, m.assignment, m.plan["bandwidth"], power)
+
+
 def test_report_roundtrip(tmp_path, report):
     paths = emit_report(report, tmp_path)
     assert (tmp_path / "report.json").read_bytes() == json_bytes(report.to_dict())
@@ -318,7 +330,7 @@ def test_an_uplink_ratio_beyond_the_float_range_is_refused(scenario, monkeypatch
         run_experiment(scenario, methods=["leap", "rp"], master_seed=5)
 
 
-# -- training runs in forked children -------------------------------------------
+# -- training runs in this process -----------------------------------------------
 
 SMALL_TRAINING = TrainOptions(n_features=4, tau_c=2, tau_e=2, tau_g=3, lr=0.1)  # 96 steps at N=8
 
@@ -335,152 +347,72 @@ def small_partitions(scenario, count):
     ]
 
 
-def force_forks(monkeypatch, cpus=2, min_steps=1):
-    """Let train_curves fork for runs of ``min_steps`` client steps as if
-    this process had ``cpus`` CPUs (None: no ``os.sched_getaffinity``);
-    returns the list of the forks this process makes."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(experiment, "FORK_MIN_STEPS", min_steps)
-    if cpus is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
+def compare_train(scenario, out, *training):
+    """``compare --train`` on ``scenario`` with the ``training`` flags; the
+    files it writes, by name."""
+    save_scenario(scenario, out.parent / f"{out.name}.bin")
+    assert main([
+        "compare", "--scenario", str(out.parent / f"{out.name}.bin"), "--seed", "3",
+        "--train", *training, "--out", str(out),
+    ]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def count_local_train(monkeypatch) -> list[int]:
+    """Count ``hfl.local_train`` calls into the last entry of the list returned."""
+    calls = [0]
+    real = hfl.local_train
+
+    def counted(*args):
+        calls[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(hfl, "local_train", counted)
+    return calls
+
+
+def test_compare_train_writes_the_same_bytes_batched_and_per_client(
+    small, tmp_path, monkeypatch
+):
+    training = ["--features", "4", "--tau-c", "2", "--tau-e", "2", "--tau-g", "3"]
+    calls = count_local_train(monkeypatch)
+    written = []
+    for threshold in (math.inf, 0):
+        monkeypatch.setattr(hfl, "BATCH_MIN_STEPS", threshold)
+        written.append(compare_train(small, tmp_path / f"at_{threshold}", *training))
+        calls.append(0)
+    assert written[1] == written[0]
+    assert calls == [2 * 8 * 2 * 3, 2 * 2 * 2 * 3, 0]  # two runs: per client, per coalition
+    methods = json.loads(written[0]["report.json"])["methods"]
+    assert [len(methods[name]["accuracy"]) for name in ("leap", "random_assoc")] == [3, 3]
+
+
+def test_compare_train_at_hfl_trains_shape_starts_no_process(tmp_path, monkeypatch):
+    """Both runs of hfl_train's shape (N = 20 clients of 60 samples on 4
+    edges, 8000 client steps each) train batched in this process: one
+    ``local_train`` call per coalition per edge iteration."""
+    def no_fork():
+        raise AssertionError("a training run forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    calls = count_local_train(monkeypatch)
+    scenario = generate_scenario(
+        seed=0, n_clients=20, n_edges=4, n_classes=10, shards=2, data_size=60, tau_e=40, tau_g=2
+    )
+    written = compare_train(scenario, tmp_path / "hfl_train", "--features", "8", "--lr", "0.8")
+    assert calls == [2 * 4 * 40 * 2]
+    methods = json.loads(written["report.json"])["methods"]
+    assert [len(methods[name]["accuracy"]) for name in ("leap", "random_assoc")] == [2, 2]
 
 
 def fail_in_run(monkeypatch, partition, failure):
-    """Make experiment.run_hfl call ``failure()`` for ``partition`` alone;
-    a forked child inherits the patch."""
+    """Make experiment.run_hfl call ``failure()`` for ``partition`` alone."""
     run = experiment.run_hfl
 
     def run_or_fail(part, *args, **kwargs):
         return failure() if part is partition else run(part, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "run_hfl", run_or_fail)
-
-
-@pytest.mark.parametrize("runs, cpus, min_steps, forked", [
-    (3, 2, 1, 1),  # one child trains the second run and then the third
-    (3, 3, 1, 1),  # however many CPUs there are
-    (2, 2, 96, 1),  # a run of these options takes 96 client steps
-    (2, 2, 97, 0),
-    (1, 2, 1, 0),
-    (2, 1, 1, 0),
-    (2, None, 1, 0),
-])
-def test_forked_training_gives_the_serial_curves(
-    small, monkeypatch, runs, cpus, min_steps, forked
-):
-    partitions = small_partitions(small, runs)
-    serial = train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    assert len({tuple(curve) for curve in serial}) == runs  # a swapped curve would show
-    forks = force_forks(monkeypatch, cpus, min_steps)
-    assert train_curves(small, partitions, SMALL_TRAINING, 4, 5) == serial
-    assert len(forks) == forked
-    assert_no_child_left()
-
-
-def test_compare_train_writes_the_same_bytes_with_a_forked_run(small, tmp_path, monkeypatch):
-    save_scenario(small, tmp_path / "scenario.bin")
-
-    def compare(out):
-        assert main([
-            "compare", "--scenario", str(tmp_path / "scenario.bin"), "--seed", "3", "--train",
-            "--features", "4", "--tau-c", "2", "--tau-e", "2", "--tau-g", "3",
-            "--out", str(out),
-        ]) == 0
-        return {path.name: path.read_bytes() for path in out.iterdir()}
-
-    serial = compare(tmp_path / "serial")
-    forks = force_forks(monkeypatch)
-    assert compare(tmp_path / "forked") == serial
-    assert len(forks) == 1
-    methods = json.loads(serial["report.json"])["methods"]
-    assert [len(methods[name]["accuracy"]) for name in ("leap", "random_assoc")] == [3, 3]
-    assert_no_child_left()
-
-
-class NeedsTwoArguments(Exception):
-    """Pickles, but its one stored argument does not unpickle."""
-
-    def __init__(self, first, second):
-        super().__init__(f"{first} and {second}")
-
-
-class Unpicklable(Exception):
-    def __reduce__(self):
-        raise TypeError("no pickling")
-
-
-@pytest.mark.parametrize("error, surfaced", [
-    (TrainingDivergedError("training diverged; lower the learning rate"), None),
-    (InvalidValueError("client 3: features must be a 2-D array of real numbers"), None),
-    (NeedsTwoArguments("one", "two"), RuntimeError("NeedsTwoArguments: one and two")),
-    (Unpicklable("words"), RuntimeError("Unpicklable: words")),
-], ids=["diverged", "invalid", "no unpickling", "no pickling"])
-def test_an_error_in_the_childs_run_alone_surfaces_in_this_process(
-    small, monkeypatch, error, surfaced
-):
-    partitions = small_partitions(small, 2)
-
-    def fail():
-        raise error
-
-    fail_in_run(monkeypatch, partitions[1], fail)
-    with pytest.raises(type(error)) as serial:
-        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    forks = force_forks(monkeypatch)
-    surfaced = surfaced or error
-    with pytest.raises(type(surfaced)) as forked:
-        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    assert len(forks) == 1
-    assert (str(serial.value), str(forked.value)) == (str(error), str(surfaced))
-    assert_no_child_left()
-
-
-def test_a_child_that_dies_without_a_result_is_an_error(small, monkeypatch):
-    partitions = small_partitions(small, 2)
-    parent = os.getpid()
-
-    def die():
-        assert os.getpid() != parent, "the second run trained in this process"
-        os._exit(3)
-
-    fail_in_run(monkeypatch, partitions[1], die)
-    force_forks(monkeypatch)
-    words = "^a training child exited with code 3 and sent no result$"
-    with pytest.raises(RuntimeError, match=words):
-        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    assert_no_child_left()
-
-
-def test_an_error_in_this_processs_run_kills_and_reaps_the_child(small, monkeypatch):
-    partitions = small_partitions(small, 2)
-
-    def diverge():
-        raise TrainingDivergedError("training diverged; lower the learning rate")
-
-    fail_in_run(monkeypatch, partitions[1], lambda: time.sleep(60))  # the child would hang
-    fail_in_run(monkeypatch, partitions[0], diverge)
-    forks = force_forks(monkeypatch)
-    start = time.monotonic()
-    with pytest.raises(TrainingDivergedError, match="^training diverged; lower the learning rate$"):
-        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    assert time.monotonic() - start < 30
-    assert len(forks) == 1
-    assert_no_child_left()
 
 
 def raising(error):
@@ -490,41 +422,27 @@ def raising(error):
 
 
 @pytest.mark.parametrize("failures", [
-    {2: TrainingDivergedError("training diverged; lower the learning rate")},
+    {1: TrainingDivergedError("training diverged; lower the learning rate")},
     {1: InvalidValueError("the second run failed"), 2: TrainingDivergedError("the third run")},
 ], ids=["second_run_only", "both_runs"])
-def test_the_first_error_of_the_childs_runs_in_partition_order_surfaces(
-    small, monkeypatch, failures
-):
-    """The child trains the second run and then the third; the error of the
-    first to fail surfaces here, as on the serial path."""
+def test_the_first_failing_run_in_partition_order_raises_its_error(small, monkeypatch, failures):
+    """The runs train one after the other: the first to fail ends the call
+    with its type and words, and no later run trains."""
     partitions = small_partitions(small, 3)
     for i, error in failures.items():
         fail_in_run(monkeypatch, partitions[i], raising(error))
+    trained = []
+    run = experiment.run_hfl
+
+    def recorded(part, *args, **kwargs):
+        trained.append(part)
+        return run(part, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_hfl", recorded)
     first = failures[min(failures)]
-    words = f"^{re.escape(str(first))}$"
-    with pytest.raises(type(first), match=words):
+    with pytest.raises(type(first), match=f"^{re.escape(str(first))}$"):
         train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    forks = force_forks(monkeypatch)
-    with pytest.raises(type(first), match=words):
-        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    assert len(forks) == 1
-    assert_no_child_left()
-
-
-def test_an_error_in_this_processs_run_kills_the_child_holding_two_runs(small, monkeypatch):
-    partitions = small_partitions(small, 3)
-    for partition in partitions[1:]:
-        fail_in_run(monkeypatch, partition, lambda: time.sleep(30))  # 60 s in the child
-    diverge = raising(TrainingDivergedError("training diverged; lower the learning rate"))
-    fail_in_run(monkeypatch, partitions[0], diverge)
-    forks = force_forks(monkeypatch)
-    start = time.monotonic()
-    with pytest.raises(TrainingDivergedError, match="^training diverged; lower the learning rate$"):
-        train_curves(small, partitions, SMALL_TRAINING, 4, 5)
-    assert time.monotonic() - start < 15
-    assert len(forks) == 1
-    assert_no_child_left()
+    assert [id(p) for p in trained] == [id(p) for p in partitions[:min(failures) + 1]]
 
 
 # (part of the scenario, field, value): one field pushed to an extreme

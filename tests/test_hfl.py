@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from leapsim.hfl import (
     onehot_targets,
     predict,
     prepare_clients,
+    prepare_runs,
     run_hfl,
     softmax_loss_and_grad,
 )
@@ -70,6 +72,14 @@ def gradient(params, features, labels, k):
         client.logits, client.column,
     )
     return flat_params(grad)
+
+
+def dataset_of(members, k):
+    """A dataset of one client per (features, labels) pair of ``members``,
+    scored on the first."""
+    features, labels = (np.concatenate(column) for column in zip(*members))
+    sizes = np.array([len(y) for _, y in members])
+    return SyntheticDataset(features, labels, sizes, *members[0], k)
 
 
 def buffers(k, d):
@@ -298,6 +308,27 @@ def test_local_train_diverges_exactly_when_a_check_after_every_step_does(
     else:
         trained = train(model, features, labels, k, tau_c, lr)
         np.testing.assert_allclose(flat_params(trained), expected, rtol=0, atol=1e-12)
+
+    # a stack of three members of n samples, this one and two with its
+    # rows rescaled and its labels rolled: it raises exactly when one of
+    # them, trained alone, would, and otherwise holds their bits
+    members = [(scale * np.ascontiguousarray(features), np.roll(labels, shift))
+               for scale, shift in ((1.0, 0), (0.1, 1), (30.0, 2))]
+    alone = []
+    for member in members:
+        try:
+            alone.append(train(model, *member, k, tau_c, lr).tobytes())
+        except TrainingDivergedError:
+            alone.append(None)
+    (rows, run), = prepare_runs(dataset_of(members, k), np.arange(3))
+    grad, out = np.empty((3, *model.shape)), np.empty((3, *model.shape))
+    if None in alone:
+        words = "^training diverged; lower the learning rate$"
+        with pytest.raises(TrainingDivergedError, match=words):
+            local_train(model, run, tau_c, lr, grad, out)
+    else:
+        assert local_train(model, run, tau_c, lr, grad, out) is out
+        assert [row.tobytes() for row in out] == alone
 
 
 @pytest.mark.parametrize("tau_c", [0, -1, 2.5, 2.0, True, None])
@@ -1081,3 +1112,100 @@ def test_run_hfl_prepares_each_client_once_per_run(monkeypatch):
     ds = toy_dataset(clients=5)
     run_hfl(np.array([0, 1, 0, 1, 1]), ds, tau_c=3, tau_e=2, tau_g=4, lr=0.1)
     assert prepared == [(ds, 5)], "one whole-dataset preparation per run_hfl"
+
+
+# -- batched local steps ----------------------------------------------------------------
+
+def test_prepare_runs_cuts_members_into_equal_size_runs_with_the_per_client_bits():
+    """Maximal runs of equal sample count in member order, each stacked in
+    fresh C-order arrays that hold the bits of ``prepare_clients``' blocks."""
+    ds = SyntheticDataset.generate(
+        [[2, 1], [3, 0], [1, 2], [2, 2], [0, 4], [1, 1]], n_features=3, seed=4
+    )
+    ds = dataclasses.replace(ds, features=np.asfortranarray(ds.features))
+    clients = prepare_clients(ds)
+    members = np.array([0, 1, 2, 3, 4, 5])  # sizes 3, 3, 3, 4, 4, 2
+    runs = prepare_runs(ds, members)
+    assert [rows for rows, _ in runs] == [slice(0, 3), slice(3, 5), slice(5, 6)]
+    for rows, run in runs:
+        for field in dataclasses.fields(run):
+            stacked = getattr(run, field.name)
+            assert stacked.flags.c_contiguous and stacked.base is None
+            if field.name in ("design", "mean_design", "targets"):
+                assert stacked.tobytes() == b"".join(
+                    getattr(clients[n], field.name).tobytes() for n in members[rows]
+                )
+            else:
+                assert stacked.shape[0] == rows.stop - rows.start
+                assert stacked.shape[1:] == getattr(clients[members[rows][0]], field.name).shape
+    assert [rows for rows, _ in prepare_runs(ds, np.array([1, 3, 5]))] == [
+        slice(0, 1), slice(1, 2), slice(2, 3)
+    ]
+
+
+def either_way(assignment, ds, **periods):
+    """``run_hfl``'s outcome with every client in its own ``local_train``
+    call and with each run of equal-size members in one: the model's
+    bytes and the curve, or the words of its ``TrainingDivergedError``;
+    and the number of ``local_train`` calls of each."""
+    outcomes, calls = [], []
+    real = hfl.local_train
+
+    def counted(*args):
+        calls[-1] += 1
+        return real(*args)
+
+    for threshold in (math.inf, 0):
+        calls.append(0)
+        with mock.patch.object(hfl, "BATCH_MIN_STEPS", threshold), \
+                mock.patch.object(hfl, "local_train", counted):
+            try:
+                model, curve = run_hfl(assignment, ds, **periods)
+                outcomes.append((model.tobytes(), curve))
+            except TrainingDivergedError as error:
+                outcomes.append(str(error))
+    return outcomes, calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_run_hfl_equals_the_per_client_one_on_c7_runs(seed):
+    """C7's ten runs (five seeds, the game's partition and a random one):
+    equal sizes put each coalition in one run, one call per edge step."""
+    assignment, ds = c7_like(seed)
+    random = random_partition(
+        label_count_matrix(generate_scenario(
+            seed=1000 + seed, n_clients=20, n_edges=4, n_classes=10, shards=2, data_size=60
+        )), 4, np.random.default_rng(7000 + seed),
+    ).assignment
+    for partition in (assignment, random):
+        (per_client, batched), calls = either_way(
+            partition, ds, tau_c=5, tau_e=40, tau_g=8, lr=0.8, seed=seed
+        )
+        assert isinstance(per_client, tuple) and batched == per_client
+        assert calls == [20 * 40 * 8, 4 * 40 * 8]
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_batched_run_hfl_equals_the_per_client_one_on_unequal_sizes(seed):
+    assignment, ds, periods = hfl_train_like(seed)
+    (per_client, batched), calls = either_way(assignment, ds, **periods)
+    assert isinstance(per_client, tuple) and batched == per_client
+    assert calls[1] <= calls[0] == 20 * 3 * 2
+
+
+@given(
+    tiny_hfl_instance(),
+    st.sampled_from([None, None, 1e3, 1e300, 1e308, np.finfo(float).max]),
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_run_hfl_equals_the_per_client_one_on_degenerate_instances(instance, lr):
+    """1-sample clients, K = 1, singleton coalitions, unequal sizes, and
+    learning rates that diverge: the same bits, or the same error.  (Near
+    1e308 an aggregation or a prediction may overflow on finite
+    parameters; the CLI silences numpy's warnings, and so does this test.)"""
+    assignment, ds, periods = instance
+    if lr is not None:
+        periods = {**periods, "lr": lr}
+    with np.errstate(all="ignore"):
+        (per_client, batched), _ = either_way(assignment, ds, **periods)
+    assert batched == per_client

@@ -301,11 +301,14 @@ def test_every_prefix_and_a_trailing_byte_are_refused(tmp_path):
     sc = generate_scenario(seed=3, n_clients=2, n_edges=2, n_classes=2, shards=1, data_size=4)
     save_scenario(sc, tmp_path / "good.bin")
     data = (tmp_path / "good.bin").read_bytes()
-    path = tmp_path / "bad.bin"
+    # a fresh file per case: on ext4, replacing a file that exists flushes
+    # it to disk, which costs tens of ms a file on a busy disk
     for cut in [*range(len(data)), None]:
+        path = tmp_path / f"bad_{cut}.bin"
         path.write_bytes(data + b"\0" if cut is None else data[:cut])
         with pytest.raises(InputFileError, match=re.escape(f"{path}: ")):
             load_scenario(path)
+    path = tmp_path / "whole.bin"
     path.write_bytes(data)
     assert_same_scenario(load_scenario(path), sc)
 
