@@ -10,9 +10,10 @@ golden manifest's ``env`` records.  orjson writes NaN and infinities as
 null, so every float field is checked finite where it is computed, never
 by the writer.  A bool, int64 or float64 numpy scalar or C-contiguous
 array of one or more dims is written as its ``.tolist()``; other dtypes
-as orjson formats them (``np.float32(0.1)`` as ``0.1``).  A 0-d or
-non-C-contiguous array raises TypeError, and orjson 3.8 writes a
-byte-swapped one as wrong numbers; ``fields_dict`` gives neither.
+as orjson formats them (``np.float32(0.1)`` as ``0.1``).  A 0-d,
+non-C-contiguous or byte-swapped array raises TypeError; orjson 3.8
+would write the last as wrong numbers, so the writer looks for one once
+orjson has encoded the payload.  ``fields_dict`` gives none of the three.
 ``json_bytes`` lets a reader refuse what orjson cannot write.  This is
 the one module that imports orjson.
 ``fields_dict`` is the one dataclass-to-JSON conversion, and
@@ -92,7 +93,15 @@ def read_json(path: str | Path, schema: str, keys: tuple[str, ...]) -> dict:
 
 def json_bytes(payload) -> bytes:
     """The bytes ``write_json`` writes for ``payload``, or its TypeError."""
-    return orjson.dumps(payload, option=_JSON_OPTIONS)
+    data = orjson.dumps(payload, option=_JSON_OPTIONS)
+    # a second pass with no numpy support hands every numpy value to
+    # ``default``, at orjson's speed, to look for a byte-swapped array
+    swapped = []
+    orjson.dumps(payload, default=lambda value: swapped.append(
+        isinstance(value, np.ndarray) and not value.dtype.isnative))
+    if any(swapped):
+        raise TypeError("a numpy array of non-native byte order would be written as wrong numbers")
+    return data
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -100,8 +109,8 @@ def write_json(path: str | Path, payload) -> None:
     of ``payload`` and a final newline.
 
     numpy values are written as the module docstring says.  A value or
-    key orjson cannot hold (a 0-d or non-C-contiguous array, a non-string
-    key, an integer outside [-2**63, 2**64)) raises TypeError and nothing
+    key orjson cannot hold (a 0-d, non-C-contiguous or byte-swapped array,
+    a non-string key, an integer outside [-2**63, 2**64)) raises TypeError and nothing
     is written; NaN and infinities would be written as null.
     """
     _replace(path, json_bytes(payload))

@@ -14,17 +14,20 @@ class-by-feature weights with the per-class biases as one more column,
 and a local step works on the design matrix [X | 1], so that one matmul
 gives the logits and one the whole gradient.  ``SyntheticDataset``
 holds every client's rows in one array and is checked where it is
-built.  A ``run_hfl`` of fewer than ``BATCH_MIN_STEPS`` client gradient
-steps calls ``local_train`` once per client per edge iteration and
-tau_c ``softmax_loss_and_grad`` in each, through this module's globals,
-which the benchmark's scaled-down hfl_train counts.  From that threshold
-on, each coalition's members, in ascending id order, are cut into
-maximal runs of equal sample count, and each such run takes its tau_c
-steps as one (B, K, d + 1) stack, in one ``local_train`` call per edge
-iteration.  Either way a member's parameters hold the same bits:
-``local_train`` copies the edge model into the members' rows of the
-coalition's (members, K, d + 1) stack, runs its steps there and checks
-once that the result is finite.
+built.  ``run_hfl`` trains every client in its row of one (N, K, d + 1)
+stack in client id order: each edge iteration writes every client's
+edge model into its row, steps the rows in place, and aggregates each
+coalition's rows, in ascending id order.  A run of fewer than
+``BATCH_MIN_STEPS`` client gradient steps calls ``local_train`` once per
+client per edge iteration and tau_c ``softmax_loss_and_grad`` in each,
+through this module's globals, which the benchmark's scaled-down
+hfl_train counts.  From that threshold on, the clients are cut into
+maximal runs of equal sample count, each run into chunks of at most
+``CHUNK_BYTES`` of logits, and each chunk takes its tau_c steps in one
+``local_train`` call.  numpy's stacked matmul runs one gemm per matrix,
+so either way, and whatever the chunk size, a client's parameters hold
+the bits it has alone.  ``local_train`` checks once that its result is
+finite, and ``run_hfl`` checks each aggregate.
 """
 
 from __future__ import annotations
@@ -39,12 +42,20 @@ from .errors import InvalidValueError, TrainingDivergedError
 from .errors import check_integer, check_number, check_seed, described, integer_array
 from .netmodel import coalition_assignment
 
-# run_hfl trains each run of equal-size coalition members as one stack
-# when a run takes at least this many client gradient steps
+# run_hfl trains each chunk of equal-size clients as one stack when a run
+# takes at least this many client gradient steps
 # (N * tau_c * tau_e * tau_g); below it, one local_train call per client.
 # perfbench's scaled-down hfl_train (160 steps) counts one local_train call
 # per client per edge iteration, so it must stay on the per-client path.
 BATCH_MIN_STEPS = 2000
+
+# prepare_runs cuts each run of equal-size clients into chunks of at most
+# this many bytes of (B, K, n) logits, 16 clients at the north star's shape
+# (N=1000, n=200, d=16, K=10).  There, two runs (2-CPU AMD EPYC, BLAS on one
+# thread, medians of three) took 0.83 s, as long as one stack per
+# coalition; 2**19 took 3% less, within the noise, 2**16 13% more, 2**17 5%
+# and 2**22 14%.
+CHUNK_BYTES = 2**18
 
 __all__ = [
     "init_params",
@@ -167,7 +178,7 @@ def accuracy(model: np.ndarray, features: np.ndarray, labels: np.ndarray) -> flo
 @dataclass(frozen=True, slots=True)
 class PreparedClient:
     """One client's data as the local step reads it, built by ``prepare_clients``,
-    or a run of B clients' stacked, built by ``prepare_runs``.
+    or a chunk of B clients' stacked, built by ``prepare_runs``.
 
     For one client, ``design`` is the client's row block (n, d + 1) of
     the design [X | 1] and ``mean_design`` its row block of
@@ -175,8 +186,9 @@ class PreparedClient:
     (K, n), and ``logits`` (K, n) and ``column`` (n,) are the step's
     scratch buffers, all three its own C-order arrays.  (A column block
     of one (K, rows) targets matrix is strided; with it a ``local_train``
-    at hfl_train's shape took ~6% longer.)  For a run, each field gains
-    a leading axis of B, and all five are the run's own C-order arrays."""
+    at hfl_train's shape took ~6% longer.)  For a chunk of B clients,
+    each field gains a leading axis of B, and all five are the chunk's
+    own C-order arrays."""
 
     design: np.ndarray
     mean_design: np.ndarray
@@ -205,56 +217,60 @@ def prepare_clients(dataset: SyntheticDataset) -> list[PreparedClient]:
     ]
 
 
-def prepare_runs(
-    dataset: SyntheticDataset, members: np.ndarray
-) -> list[tuple[slice, PreparedClient]]:
-    """One coalition's ``members``, ascending client ids, cut into maximal
-    runs of equal sample count, each as the local step reads a stack.
+def prepare_runs(dataset: SyntheticDataset) -> list[tuple[slice, PreparedClient]]:
+    """All clients, in id order, cut into maximal runs of equal sample
+    count and each run into chunks of at most ``CHUNK_BYTES`` of (B, K, n)
+    logits, each chunk as the local step reads a stack.
 
-    A run of B members of n samples gets a design [X | 1] (B, n, d + 1),
-    that design divided by n, the members' ``onehot_targets`` (B, K, n)
+    A chunk of B clients of n samples gets a design [X | 1] (B, n, d + 1),
+    that design divided by n, the clients' ``onehot_targets`` (B, K, n)
     and the buffers (B, K, n) and (B, n), built straight from the
-    dataset's rows with the bits of ``prepare_clients``' blocks.  Returns
-    (the run's rows of the coalition's stack, the run) in member order."""
+    dataset's rows, which are one block for consecutive clients, with the
+    bits of ``prepare_clients``' blocks.  Returns (the chunk's client ids
+    as a slice, the chunk) in id order; it depends on the dataset alone,
+    not on a partition."""
     sizes, k, d = dataset.client_sizes, dataset.n_classes, dataset.n_features
-    starts = np.cumsum(sizes) - sizes
-    bounds = [0, *np.flatnonzero(np.diff(sizes[members])) + 1, members.size]
-    runs = []
+    ends = np.cumsum(sizes)
+    bounds = [0, *np.flatnonzero(np.diff(sizes)) + 1, sizes.size]
+    chunks = []
     for a, b in zip(bounds, bounds[1:]):
-        n = int(sizes[members[a]])
-        design = np.empty((b - a, n, d + 1))
-        targets = np.empty((b - a, k, n))
-        for row, start in enumerate(starts[members[a:b]]):
-            design[row, :, :d] = dataset.features[start:start + n]
-            targets[row] = onehot_targets(dataset.labels[start:start + n], k)
-        design[:, :, d] = 1.0
-        run = PreparedClient(design, design / n, targets,
-                             np.empty((b - a, k, n)), np.empty((b - a, n)))
-        runs.append((slice(a, b), run))
-    return runs
+        n = int(sizes[a])
+        step = max(1, CHUNK_BYTES // (8 * k * n))
+        for lo in range(a, b, step):
+            rows = slice(lo, min(lo + step, b))
+            block, count = slice(ends[lo] - n, ends[rows.stop - 1]), rows.stop - lo
+            design = np.empty((count, n, d + 1))  # C order, whatever the features' layout
+            design[..., :d] = dataset.features[block].reshape(count, n, d)
+            design[..., d] = 1.0
+            labels = dataset.labels[block].reshape(count, 1, n)
+            chunks.append((rows, PreparedClient(
+                design, design / n, (labels == np.arange(k)[:, None]).astype(float),
+                np.empty((count, k, n)), np.empty((count, n)))))
+    return chunks
 
 
 def local_train(
-    model: np.ndarray,
+    model: np.ndarray | None,
     client: PreparedClient,
     tau_c: int,
     lr: float,
     grad: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """tau_c full-batch gradient steps from ``model`` on one prepared client or run.
+    """tau_c full-batch gradient steps on one prepared client or chunk, in ``out``.
 
-    ``model`` is copied into ``out``, a float64 (K, d + 1) matrix for a
-    client or (B, K, d + 1) stack for a run of B clients (in ``run_hfl``
-    the members' rows of the coalition's stack), and every step updates
-    ``out`` in place, ``out -= lr * grad``; ``out`` is returned and
-    ``model`` is not written to.  ``grad`` is the step's gradient
-    buffer, of ``out``'s shape, which ``run_hfl`` cuts from one buffer
-    made once per run.  ``lr`` multiplies the gradient, not the design,
-    so the step's result stays the gradient.  K and d are read from the
-    trailing axes of the client's targets and design.  Raises
+    ``out`` is a float64 (K, d + 1) matrix for a client or (B, K, d + 1)
+    stack for a chunk of B clients (in ``run_hfl`` their rows of the run's
+    one (N, K, d + 1) stack).  The steps start from ``model``, copied into
+    every matrix of ``out`` and not written to, or, if ``model`` is None,
+    from what ``out`` already holds; every step updates ``out`` in place,
+    ``out -= lr * grad``, and ``out`` is returned.  ``grad`` is the step's
+    gradient buffer, of ``out``'s shape, which ``run_hfl`` cuts from one
+    buffer made once per run.  ``lr`` multiplies the gradient, not the
+    design, so the step's result stays the gradient.  K and d are read
+    from the trailing axes of the client's targets and design.  Raises
     InvalidValueError, before the first step, unless ``tau_c`` is an
-    integer >= 1 and ``model`` a (K, d + 1) matrix [W | b].
+    integer >= 1 and ``model`` None or a (K, d + 1) matrix [W | b].
 
     Raises TrainingDivergedError (a FloatingPointError) if the
     parameters after the tau_c steps are not finite, anywhere in a
@@ -279,17 +295,23 @@ def local_train(
     """
     check_integer("tau_c", tau_c, 1)
     design, targets = client.design, client.targets
-    _check_model(model, targets.shape[-2], design.shape[-1] - 1)
+    if model is not None:
+        _check_model(model, targets.shape[-2], design.shape[-1] - 1)
+        out[:] = model
     mean_design, logits, column = client.mean_design, client.logits, client.column
-    out[:] = model
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
             softmax_loss_and_grad(out, design, targets, mean_design, grad, logits, column)
             grad *= lr
             out -= grad
-        if not np.isfinite(out).all():
-            raise TrainingDivergedError("training diverged; lower the learning rate")
+    _check_finite(out)
     return out
+
+
+def _check_finite(params: np.ndarray) -> None:
+    """TrainingDivergedError unless every parameter is finite."""
+    if not np.isfinite(params).all():
+        raise TrainingDivergedError("training diverged; lower the learning rate")
 
 
 def edge_aggregate(stack: np.ndarray, sizes: Sequence[float]) -> np.ndarray:
@@ -457,18 +479,22 @@ def run_hfl(
     """Nested client/edge/global training loop.
 
     ``partition`` takes any form ``netmodel.coalition_assignment``
-    accepts.  Members are visited in ascending id order inside every
-    aggregation so results do not depend on set iteration order, and
-    train into their rows of one (members, K, d + 1) stack per
-    coalition.  Below ``BATCH_MIN_STEPS`` client gradient steps
+    accepts.  Every client trains in its row of one (N, K, d + 1) stack,
+    in id order, which each edge iteration fills with the clients' edge
+    models by one ``np.take``; each coalition then averages its members'
+    rows in ascending id order, so results do not depend on set
+    iteration order.  Below ``BATCH_MIN_STEPS`` client gradient steps
     (N * tau_c * tau_e * tau_g) every client is prepared once
     (``prepare_clients``) and trains in its own ``local_train`` call;
-    from there on each coalition's runs of equal-size members are
-    prepared once (``prepare_runs``) and each run trains in one call.
-    The models and curves are the same bits either way.
+    from there on the clients are prepared once as chunks of equal size
+    (``prepare_runs``) and each chunk trains in one call.  The models and
+    curves are the same bits either way.
     Returns the final global model [W | b] and one held-out accuracy per
     global round; InvalidValueError if a tau is not an integer >= 1 or
-    the seed is refused by ``init_params``.
+    the seed is refused by ``init_params``, and TrainingDivergedError if
+    a local step, an edge aggregate or the global one is not finite
+    (an aggregate sums size x parameter before it divides, so finite
+    parameters near the float max may overflow there).
     """
     for name, tau in (("tau_c", tau_c), ("tau_e", tau_e), ("tau_g", tau_g)):
         check_integer(name, tau, 1)
@@ -478,22 +504,24 @@ def run_hfl(
     member_sizes = [sizes[members] for members in coalitions]
     edge_sizes = np.bincount(assignment, weights=sizes)
     if sizes.size * tau_c * tau_e * tau_g >= BATCH_MIN_STEPS:
-        work = [prepare_runs(dataset, members) for members in coalitions]
+        work = prepare_runs(dataset)
     else:
-        clients = prepare_clients(dataset)
-        work = [[(row, clients[n]) for row, n in enumerate(members)] for members in coalitions]
+        work = list(enumerate(prepare_clients(dataset)))
 
     model = init_params(dataset.n_classes, dataset.n_features, seed)
-    grad = np.empty((coalition_sizes.max(), *model.shape))
-    stacks = [np.empty((members.size, *model.shape)) for members in coalitions]
+    stack = np.empty((sizes.size, *model.shape))
+    grad = np.empty_like(stack)
     curve: list[float] = []
     for _ in range(tau_g):
         edge_models = np.tile(model, (len(coalitions), 1, 1))
         for _ in range(tau_e):
-            for edge, runs, data_sizes, stack in zip(edge_models, work, member_sizes, stacks):
-                for rows, client in runs:
-                    local_train(edge, client, tau_c, lr, grad[rows], stack[rows])
-                edge[:] = edge_aggregate(stack, data_sizes)
+            np.take(edge_models, assignment, axis=0, out=stack)
+            for rows, client in work:
+                local_train(None, client, tau_c, lr, grad[rows], stack[rows])
+            for edge, members, data_sizes in zip(edge_models, coalitions, member_sizes):
+                edge[:] = edge_aggregate(stack[members], data_sizes)
+            _check_finite(edge_models)
         model = edge_aggregate(edge_models, edge_sizes)
+        _check_finite(model)
         curve.append(accuracy(model, dataset.test_features, dataset.test_labels))
     return model, curve

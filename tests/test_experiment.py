@@ -382,7 +382,7 @@ def test_compare_train_writes_the_same_bytes_batched_and_per_client(
         written.append(compare_train(small, tmp_path / f"at_{threshold}", *training))
         calls.append(0)
     assert written[1] == written[0]
-    assert calls == [2 * 8 * 2 * 3, 2 * 2 * 2 * 3, 0]  # two runs: per client, per coalition
+    assert calls == [2 * 8 * 2 * 3, 2 * 1 * 2 * 3, 0]  # two runs: per client, per chunk
     methods = json.loads(written[0]["report.json"])["methods"]
     assert [len(methods[name]["accuracy"]) for name in ("leap", "random_assoc")] == [3, 3]
 
@@ -390,7 +390,7 @@ def test_compare_train_writes_the_same_bytes_batched_and_per_client(
 def test_compare_train_at_hfl_trains_shape_starts_no_process(tmp_path, monkeypatch):
     """Both runs of hfl_train's shape (N = 20 clients of 60 samples on 4
     edges, 8000 client steps each) train batched in this process: one
-    ``local_train`` call per coalition per edge iteration."""
+    ``local_train`` call per edge iteration, all twenty clients in one chunk."""
     def no_fork():
         raise AssertionError("a training run forked")
 
@@ -400,7 +400,7 @@ def test_compare_train_at_hfl_trains_shape_starts_no_process(tmp_path, monkeypat
         seed=0, n_clients=20, n_edges=4, n_classes=10, shards=2, data_size=60, tau_e=40, tau_g=2
     )
     written = compare_train(scenario, tmp_path / "hfl_train", "--features", "8", "--lr", "0.8")
-    assert calls == [2 * 4 * 40 * 2]
+    assert calls == [2 * 1 * 40 * 2]
     methods = json.loads(written["report.json"])["methods"]
     assert [len(methods[name]["accuracy"]) for name in ("leap", "random_assoc")] == [2, 2]
 

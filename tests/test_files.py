@@ -75,6 +75,16 @@ def written(tmp_path, payload):
     return read_back(path)
 
 
+_EXAMPLES = itertools.count()
+
+
+def fresh_path(tmp_path_factory, name: str) -> Path:
+    """A path in the test run's base directory that no earlier call gave,
+    so that no hypothesis example replaces the file of an earlier one and
+    waits on the disk for it."""
+    return tmp_path_factory.getbasetemp() / f"{next(_EXAMPLES)}_{name}"
+
+
 def bytes_written(tmp_path_factory, payload) -> bytes:
     """What ``write_json`` writes for ``payload`` into a new file."""
     path = tmp_path_factory.mktemp("fresh") / "out.json"
@@ -110,7 +120,7 @@ json_values = st.recursive(
 @given(payload=json_values)
 @settings(max_examples=300, deadline=None)
 def test_write_json_round_trips_bit_for_bit(tmp_path_factory, payload):
-    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    path = fresh_path(tmp_path_factory, "round_trip.json")
     write_json(path, payload)
     assert path.read_bytes().endswith(b"\n")
     assert same(read_back(path), as_written(payload))
@@ -184,6 +194,27 @@ def test_write_json_raises_type_error_on_what_orjson_refuses(tmp_path, payload):
     with pytest.raises(TypeError):
         write_json(tmp_path / "out.json", payload)
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("dtype", ["f8", "i8"])
+@pytest.mark.parametrize("place", ["top", "dict", "list", "tuple"])
+def test_json_bytes_refuses_a_byte_swapped_array_and_writes_the_native_one(
+    tmp_path, dtype, place
+):
+    """orjson 3.8 reads a byte-swapped array's memory as native, so
+    ``[1.0, 2.0]`` as ">f8" would be written ``[3.03865e-319,3.16e-322]``:
+    the writer refuses it, wherever it sits, and writes the native one as
+    its list."""
+    def placed(array):
+        return {"top": array, "dict": {"a": {"b": array}}, "list": [1, [array]],
+                "tuple": (1, (array,))}[place]
+
+    swapped, native = (np.array([1, 2], dtype=order + dtype) for order in (">", "<"))
+    assert not swapped.dtype.isnative and native.dtype.isnative  # a little-endian host
+    with pytest.raises(TypeError, match="non-native byte order"):
+        write_json(tmp_path / "out.json", placed(swapped))
+    assert not (tmp_path / "out.json").exists()
+    assert json_bytes(placed(native)) == json_bytes(placed(native.tolist()))
 
 
 def listed(value):
@@ -304,7 +335,7 @@ def column_sets(draw):
                   "s": np.array(2.5)})  # zero-size columns between others, and a 0-d one
 @settings(max_examples=200, deadline=None)
 def test_columns_round_trip_bit_for_bit(tmp_path_factory, columns):
-    path = tmp_path_factory.getbasetemp() / "columns.bin"
+    path = fresh_path(tmp_path_factory, "columns.bin")
     header = {"schema": "s", "note": "a\nb é"}  # a newline in a string stays escaped
     write_columns(path, header, "clients", columns)
     # the layout: one line of JSON, then the columns' little-endian C-order bytes

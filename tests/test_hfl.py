@@ -320,7 +320,7 @@ def test_local_train_diverges_exactly_when_a_check_after_every_step_does(
             alone.append(train(model, *member, k, tau_c, lr).tobytes())
         except TrainingDivergedError:
             alone.append(None)
-    (rows, run), = prepare_runs(dataset_of(members, k), np.arange(3))
+    (rows, run), = prepare_runs(dataset_of(members, k))
     grad, out = np.empty((3, *model.shape)), np.empty((3, *model.shape))
     if None in alone:
         words = "^training diverged; lower the learning rate$"
@@ -1116,36 +1116,42 @@ def test_run_hfl_prepares_each_client_once_per_run(monkeypatch):
 
 # -- batched local steps ----------------------------------------------------------------
 
-def test_prepare_runs_cuts_members_into_equal_size_runs_with_the_per_client_bits():
-    """Maximal runs of equal sample count in member order, each stacked in
-    fresh C-order arrays that hold the bits of ``prepare_clients``' blocks."""
+@pytest.mark.parametrize("chunk_bytes, cuts", [
+    (hfl.CHUNK_BYTES, [(0, 3), (3, 5), (5, 6)]),
+    (100, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),  # 48 bytes of logits / client of 3
+    (1, [(n, n + 1) for n in range(6)]),
+], ids=["default", "two_of_three", "one"])
+def test_prepare_runs_cuts_clients_into_equal_size_chunks_with_the_per_client_bits(
+    monkeypatch, chunk_bytes, cuts
+):
+    """Maximal runs of equal sample count in id order, cut into chunks of
+    at most ``CHUNK_BYTES`` of logits, each stacked in fresh C-order
+    arrays that hold the bits of ``prepare_clients``' blocks."""
     ds = SyntheticDataset.generate(
         [[2, 1], [3, 0], [1, 2], [2, 2], [0, 4], [1, 1]], n_features=3, seed=4
-    )
+    )  # sizes 3, 3, 3, 4, 4, 2
     ds = dataclasses.replace(ds, features=np.asfortranarray(ds.features))
     clients = prepare_clients(ds)
-    members = np.array([0, 1, 2, 3, 4, 5])  # sizes 3, 3, 3, 4, 4, 2
-    runs = prepare_runs(ds, members)
-    assert [rows for rows, _ in runs] == [slice(0, 3), slice(3, 5), slice(5, 6)]
-    for rows, run in runs:
-        for field in dataclasses.fields(run):
-            stacked = getattr(run, field.name)
+    monkeypatch.setattr(hfl, "CHUNK_BYTES", chunk_bytes)
+    chunks = prepare_runs(ds)
+    assert [(rows.start, rows.stop) for rows, _ in chunks] == cuts
+    for rows, chunk in chunks:
+        assert chunk.logits.nbytes <= chunk_bytes or rows.stop - rows.start == 1
+        for field in dataclasses.fields(chunk):
+            stacked = getattr(chunk, field.name)
             assert stacked.flags.c_contiguous and stacked.base is None
             if field.name in ("design", "mean_design", "targets"):
                 assert stacked.tobytes() == b"".join(
-                    getattr(clients[n], field.name).tobytes() for n in members[rows]
+                    getattr(clients[n], field.name).tobytes() for n in range(6)[rows]
                 )
             else:
                 assert stacked.shape[0] == rows.stop - rows.start
-                assert stacked.shape[1:] == getattr(clients[members[rows][0]], field.name).shape
-    assert [rows for rows, _ in prepare_runs(ds, np.array([1, 3, 5]))] == [
-        slice(0, 1), slice(1, 2), slice(2, 3)
-    ]
+                assert stacked.shape[1:] == getattr(clients[rows.start], field.name).shape
 
 
 def either_way(assignment, ds, **periods):
     """``run_hfl``'s outcome with every client in its own ``local_train``
-    call and with each run of equal-size members in one: the model's
+    call and with each chunk of equal-size clients in one: the model's
     bytes and the curve, or the words of its ``TrainingDivergedError``;
     and the number of ``local_train`` calls of each."""
     outcomes, calls = [], []
@@ -1170,7 +1176,7 @@ def either_way(assignment, ds, **periods):
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_run_hfl_equals_the_per_client_one_on_c7_runs(seed):
     """C7's ten runs (five seeds, the game's partition and a random one):
-    equal sizes put each coalition in one run, one call per edge step."""
+    equal sizes put all twenty clients in one chunk, one call per edge step."""
     assignment, ds = c7_like(seed)
     random = random_partition(
         label_count_matrix(generate_scenario(
@@ -1182,7 +1188,7 @@ def test_batched_run_hfl_equals_the_per_client_one_on_c7_runs(seed):
             partition, ds, tau_c=5, tau_e=40, tau_g=8, lr=0.8, seed=seed
         )
         assert isinstance(per_client, tuple) and batched == per_client
-        assert calls == [20 * 40 * 8, 4 * 40 * 8]
+        assert calls == [20 * 40 * 8, 1 * 40 * 8]
 
 
 @pytest.mark.parametrize("seed", range(32))
@@ -1191,6 +1197,48 @@ def test_batched_run_hfl_equals_the_per_client_one_on_unequal_sizes(seed):
     (per_client, batched), calls = either_way(assignment, ds, **periods)
     assert isinstance(per_client, tuple) and batched == per_client
     assert calls[1] <= calls[0] == 20 * 3 * 2
+
+
+@pytest.mark.parametrize("clients_per_chunk, calls", [(1, 20), (7, 3), (20, 1)])
+def test_batched_run_hfl_moves_no_bit_with_the_chunk_size(monkeypatch, clients_per_chunk, calls):
+    """Chunks of 1, 7 and all N clients train to the per-client bits, in
+    one ``local_train`` call per chunk per edge iteration."""
+    assignment, ds = c7_like(1)
+    periods = dict(tau_c=5, tau_e=10, tau_g=2, lr=0.8, seed=1)
+    logits_per_client = 8 * ds.n_classes * int(ds.client_sizes[0])
+    assert np.all(ds.client_sizes == ds.client_sizes[0]) and ds.client_sizes.size == 20
+    monkeypatch.setattr(hfl, "CHUNK_BYTES", clients_per_chunk * logits_per_client)
+    (per_client, batched), counts = either_way(assignment, ds, **periods)
+    assert isinstance(per_client, tuple) and batched == per_client
+    assert counts == [20 * 10 * 2, calls * 10 * 2]
+
+
+def test_batched_run_hfl_equals_the_per_client_one_when_runs_cross_coalitions():
+    """Equal-size runs of ids 0-3, 4-5 and 6-7 each hold members of both
+    coalitions: the chunks follow the ids, the aggregation the partition."""
+    rng = np.random.default_rng(5)
+    sizes = [3, 3, 3, 3, 5, 5, 2, 2]
+    counts = [rng.multinomial(size, [0.25] * 4).tolist() for size in sizes]
+    ds = SyntheticDataset.generate(counts, n_features=3, seed=5, test_per_class=10)
+    assignment = np.array([0, 1, 0, 1, 1, 0, 0, 1])
+    periods = dict(tau_c=3, tau_e=4, tau_g=3, lr=0.5, seed=5)
+    (per_client, batched), calls = either_way(assignment, ds, **periods)
+    assert isinstance(per_client, tuple) and batched == per_client
+    assert calls == [8 * 4 * 3, 3 * 4 * 3]
+    model, curve = run_hfl(assignment, ds, **periods)
+    params_ref, curve_ref = run_hfl_ref(assignment.tolist(), ds, **periods)
+    assert curve == curve_ref
+    np.testing.assert_allclose(flat_params(model), params_ref, rtol=0, atol=1e-12)
+
+
+def test_run_hfl_raises_when_an_aggregation_overflows():
+    """One client of 3 samples whose finite parameters near the float max
+    overflow in the data-size weighted sum: a typed error on both paths,
+    not a model of +-inf."""
+    ds = SyntheticDataset.generate([[1, 2]], n_features=2, seed=0)
+    with np.errstate(all="ignore"):
+        outcomes, _ = either_way(np.array([0]), ds, tau_c=1, tau_e=1, tau_g=2, lr=1e308)
+    assert outcomes == ["training diverged; lower the learning rate"] * 2
 
 
 @given(
