@@ -17,17 +17,24 @@ holds every client's rows in one array and is checked where it is
 built.  ``run_hfl`` trains every client in its row of one (N, K, d + 1)
 stack in client id order: each edge iteration writes every client's
 edge model into its row, steps the rows in place, and aggregates each
-coalition's rows, in ascending id order.  A run of fewer than
-``BATCH_MIN_STEPS`` client gradient steps calls ``local_train`` once per
-client per edge iteration and tau_c ``softmax_loss_and_grad`` in each,
-through this module's globals, which the benchmark's scaled-down
-hfl_train counts.  From that threshold on, the clients are cut into
-maximal runs of equal sample count, each run into chunks of at most
-``CHUNK_BYTES`` of logits, and each chunk takes its tau_c steps in one
-``local_train`` call.  numpy's stacked matmul runs one gemm per matrix,
-so either way, and whatever the chunk size, a client's parameters hold
-the bits it has alone.  ``local_train`` checks once that its result is
-finite, and ``run_hfl`` checks each aggregate.
+coalition's rows, in ascending id order.  One builder,
+``prepare_runs``, cuts the clients into maximal runs of equal sample
+count and each run into chunks of at most a byte budget of logits, and
+each chunk takes its tau_c steps in one ``local_train`` call.  A run of
+fewer than ``BATCH_MIN_STEPS`` client gradient steps has no budget, so
+every chunk holds one client: one ``local_train`` call per client per
+edge iteration and tau_c ``softmax_loss_and_grad`` in each, through this
+module's globals, which the benchmark's scaled-down hfl_train counts.
+From that threshold on the budget is ``CHUNK_BYTES``.  A chunk of B
+clients of n samples keeps its logits class-major, one (K, B·n) block,
+so the softmax's passes along the class axis run over B·n long columns
+rather than B·K short rows; its two matmuls see the block as a strided
+(B, K, n) stack, and numpy's stacked matmul runs one gemm per matrix.
+So either way, and whatever the chunk size, a client's parameters hold
+the bits it has alone; clients of one sample, whose class sums would
+otherwise change their order, are always chunks of one.  ``local_train``
+checks once that its result is finite, ``run_hfl`` checks each
+aggregate, and ``predict`` each held-out logit.
 """
 
 from __future__ import annotations
@@ -49,12 +56,12 @@ from .netmodel import coalition_assignment
 # per client per edge iteration, so it must stay on the per-client path.
 BATCH_MIN_STEPS = 2000
 
-# prepare_runs cuts each run of equal-size clients into chunks of at most
-# this many bytes of (B, K, n) logits, 16 clients at the north star's shape
-# (N=1000, n=200, d=16, K=10).  There, two runs (2-CPU AMD EPYC, BLAS on one
-# thread, medians of three) took 0.83 s, as long as one stack per
-# coalition; 2**19 took 3% less, within the noise, 2**16 13% more, 2**17 5%
-# and 2**22 14%.
+# run_hfl's byte budget for prepare_runs: each run of equal-size clients is
+# cut into chunks of at most this many bytes of (K, B·n) logits, 16 clients
+# at the north star's shape (N=1000, n=200, d=16, K=10).  There, two runs
+# (2-CPU AMD EPYC, BLAS on one thread, medians of three) took 0.79 s with
+# class-major chunks; 2**19 took as long, 2**16 15% more, 2**17 5%, 2**20
+# 8% and 2**22 34%.
 CHUNK_BYTES = 2**18
 
 __all__ = [
@@ -65,7 +72,6 @@ __all__ = [
     "accuracy",
     "BATCH_MIN_STEPS",
     "PreparedClient",
-    "prepare_clients",
     "prepare_runs",
     "local_train",
     "edge_aggregate",
@@ -107,12 +113,20 @@ def softmax_loss_and_grad(
     design matrix [X | 1] (n, d + 1), ``targets`` is ``onehot_targets``
     (K, n) and ``mean_design`` is ``design / n``; ``grad`` (K, d + 1),
     ``logits`` (K, n) and ``column`` (n,) are buffers made once per run
-    (``prepare_clients`` and ``run_hfl``), so a step allocates nothing.
-    Every argument may instead be a stack of B clients of one sample
-    count n, (B, K, d + 1), (B, n, d + 1), (B, K, n), (B, n, d + 1),
-    (B, K, d + 1), (B, K, n) and (B, n) (``prepare_runs``): numpy's
-    stacked matmul runs one gemm per matrix, so each client's gradient
-    keeps the bits it has alone.
+    (``prepare_runs`` and ``run_hfl``), so a step keeps no array (numpy's
+    broadcasting subtract and divide each allocate a transient iterator
+    buffer, ~58 KB at hfl_train's shape).
+    The arguments may instead be a chunk of B clients of one sample
+    count n (``prepare_runs``): ``weights`` and ``grad`` (B, K, d + 1),
+    ``design`` and ``mean_design`` (B, n, d + 1), and ``targets`` and
+    ``logits`` one class-major (K, B·n) block, client b in columns b·n to
+    (b + 1)·n - 1, with ``column`` (B·n,).  The two matmuls write and
+    read the block through its (B, K, n) view, whose rows are B·n apart,
+    which numpy hands to BLAS as one gemm per matrix without a copy; the
+    class-axis max and sum reduce the block's K rows over all B·n
+    columns at once, and the subtract and the divide broadcast
+    ``column`` over them.  Each client's gradient keeps the bits it has
+    alone, except for n = 1, which ``prepare_runs`` never stacks.
     The logits are class-major, [W | b] [X | 1]^T: the softmax reduces
     over the class axis and subtracting ``targets`` leaves the logit
     gradient, softmax - onehot.  At a true class that is p - 1.0,
@@ -121,14 +135,15 @@ def softmax_loss_and_grad(
     gradient and, in the ones column, the bias gradient, both already
     divided by n.  No loss is computed, since the learner reads none;
     the name is the one the benchmark counts once per step."""
-    np.matmul(weights, design.swapaxes(-1, -2), out=logits)
-    np.maximum.reduce(logits, axis=-2, out=column)  # stable softmax
-    logits -= column[..., None, :]
+    batch = logits.reshape(len(logits), *design.shape[:-1]).swapaxes(0, -2)  # (B, K, n) view
+    np.matmul(weights, design.swapaxes(-1, -2), out=batch)
+    np.maximum.reduce(logits, axis=0, out=column)  # stable softmax
+    logits -= column
     np.exp(logits, out=logits)
-    np.add.reduce(logits, axis=-2, out=column)
-    logits /= column[..., None, :]
+    np.add.reduce(logits, axis=0, out=column)
+    logits /= column
     logits -= targets
-    np.matmul(logits, mean_design, out=grad)
+    np.matmul(batch, mean_design, out=grad)
 
 
 def _check_model(model: np.ndarray, n_classes: int, n_features: int) -> None:
@@ -152,12 +167,18 @@ def _check_features(features, prefix: str = "") -> None:
 def predict(model: np.ndarray, features: np.ndarray) -> np.ndarray:
     """The most likely of the model's K classes for every row of ``features``;
     InvalidValueError unless ``features`` is a 2-D array of real numbers and
-    ``model`` a (K, d + 1) matrix [W | b], K >= 1."""
+    ``model`` a (K, d + 1) matrix [W | b], K >= 1.  The logits are
+    computed with numpy's overflow warnings off, and TrainingDivergedError
+    refuses them unless every one is finite: a finite model near the float
+    max can overflow there, and an argmax over infinities scores nothing."""
     _check_features(features)
     d, shape = features.shape[1], np.shape(model)
     if len(shape) != 2 or shape[0] == 0 or shape[1] != d + 1:
         raise InvalidValueError(f"model must be a (K, {d + 1}) matrix [W | b], got shape {shape}")
-    return np.argmax(features @ model[:, :d].T + model[:, d], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = features @ model[:, :d].T + model[:, d]
+    _check_finite(logits)
+    return np.argmax(logits, axis=1)
 
 
 def accuracy(model: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -177,18 +198,16 @@ def accuracy(model: np.ndarray, features: np.ndarray, labels: np.ndarray) -> flo
 
 @dataclass(frozen=True, slots=True)
 class PreparedClient:
-    """One client's data as the local step reads it, built by ``prepare_clients``,
-    or a chunk of B clients' stacked, built by ``prepare_runs``.
+    """A chunk of B >= 1 clients of one sample count n as the local step
+    reads it, built by ``prepare_runs``.
 
-    For one client, ``design`` is the client's row block (n, d + 1) of
-    the design [X | 1] and ``mean_design`` its row block of
-    ``design / n``, both views; ``targets`` is its ``onehot_targets``
-    (K, n), and ``logits`` (K, n) and ``column`` (n,) are the step's
-    scratch buffers, all three its own C-order arrays.  (A column block
-    of one (K, rows) targets matrix is strided; with it a ``local_train``
-    at hfl_train's shape took ~6% longer.)  For a chunk of B clients,
-    each field gains a leading axis of B, and all five are the chunk's
-    own C-order arrays."""
+    ``design`` (B, n, d + 1) holds each client's design [X | 1] and
+    ``mean_design`` that design divided by n; ``targets`` is one
+    class-major (K, B·n) block of the clients' ``onehot_targets``,
+    client b in columns b·n to (b + 1)·n - 1, and ``logits`` (K, B·n)
+    and ``column`` (B·n,) are the step's scratch buffers.  All five are
+    the chunk's own C-order arrays.  For B = 1 the block is the client's
+    (K, n)."""
 
     design: np.ndarray
     mean_design: np.ndarray
@@ -197,55 +216,42 @@ class PreparedClient:
     column: np.ndarray
 
 
-def prepare_clients(dataset: SyntheticDataset) -> list[PreparedClient]:
-    """What the local steps read, built once per run: the design [X | 1] of
-    all rows as one fresh C-order array, whatever the layout of the
-    features (so the layout moves no bit of a step), each row divided by
-    its client's n, and every client's one-hot targets."""
-    sizes, n_classes = dataset.client_sizes, dataset.n_classes
-    rows, d = dataset.features.shape
-    design = np.empty((rows, d + 1))
-    design[:, :d] = dataset.features
-    design[:, d] = 1.0
-    mean_design = design / np.repeat(sizes, sizes)[:, None]
-    ends = np.cumsum(sizes)
-    return [
-        PreparedClient(design[a:b], mean_design[a:b],
-                       onehot_targets(dataset.labels[a:b], n_classes),
-                       np.empty((n_classes, b - a)), np.empty(b - a))
-        for a, b in zip(ends - sizes, ends)
-    ]
-
-
-def prepare_runs(dataset: SyntheticDataset) -> list[tuple[slice, PreparedClient]]:
+def prepare_runs(
+    dataset: SyntheticDataset, chunk_bytes: int
+) -> list[tuple[slice, PreparedClient]]:
     """All clients, in id order, cut into maximal runs of equal sample
-    count and each run into chunks of at most ``CHUNK_BYTES`` of (B, K, n)
-    logits, each chunk as the local step reads a stack.
+    count and each run into chunks of at most ``chunk_bytes`` of logits
+    (at least one client each), each chunk as the local step reads it;
+    ``run_hfl`` passes 0 below ``BATCH_MIN_STEPS``, one client per chunk.
 
     A chunk of B clients of n samples gets a design [X | 1] (B, n, d + 1),
-    that design divided by n, the clients' ``onehot_targets`` (B, K, n)
-    and the buffers (B, K, n) and (B, n), built straight from the
-    dataset's rows, which are one block for consecutive clients, with the
-    bits of ``prepare_clients``' blocks.  Returns (the chunk's client ids
-    as a slice, the chunk) in id order; it depends on the dataset alone,
-    not on a partition."""
+    fresh and in C order whatever the layout of the features (so the
+    layout moves no bit of a step), that design divided by n, the
+    clients' ``onehot_targets`` (K, B·n), client b in columns b·n to
+    (b + 1)·n - 1, and the buffers (K, B·n) and (B·n,), built straight
+    from the dataset's rows, which are one block for consecutive clients.
+    For n = 1 the class-axis sums would run over a flat (K, B) block,
+    which numpy adds up sequentially, while a client alone, (K, 1), is
+    one contiguous column that numpy sums pairwise from K = 8 on, so
+    each such client is a chunk of its own.  Returns (the chunk's client
+    ids as a slice, the chunk) in id order; it depends on the dataset
+    alone, not on a partition."""
     sizes, k, d = dataset.client_sizes, dataset.n_classes, dataset.n_features
     ends = np.cumsum(sizes)
     bounds = [0, *np.flatnonzero(np.diff(sizes)) + 1, sizes.size]
     chunks = []
     for a, b in zip(bounds, bounds[1:]):
         n = int(sizes[a])
-        step = max(1, CHUNK_BYTES // (8 * k * n))
+        step = max(1, chunk_bytes // (8 * k * n)) if n > 1 else 1
         for lo in range(a, b, step):
             rows = slice(lo, min(lo + step, b))
             block, count = slice(ends[lo] - n, ends[rows.stop - 1]), rows.stop - lo
             design = np.empty((count, n, d + 1))  # C order, whatever the features' layout
             design[..., :d] = dataset.features[block].reshape(count, n, d)
             design[..., d] = 1.0
-            labels = dataset.labels[block].reshape(count, 1, n)
             chunks.append((rows, PreparedClient(
-                design, design / n, (labels == np.arange(k)[:, None]).astype(float),
-                np.empty((count, k, n)), np.empty((count, n)))))
+                design, design / n, onehot_targets(dataset.labels[block], k),
+                np.empty((k, count * n)), np.empty(count * n))))
     return chunks
 
 
@@ -257,20 +263,20 @@ def local_train(
     grad: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """tau_c full-batch gradient steps on one prepared client or chunk, in ``out``.
+    """tau_c full-batch gradient steps on one prepared chunk, in ``out``.
 
-    ``out`` is a float64 (K, d + 1) matrix for a client or (B, K, d + 1)
-    stack for a chunk of B clients (in ``run_hfl`` their rows of the run's
-    one (N, K, d + 1) stack).  The steps start from ``model``, copied into
-    every matrix of ``out`` and not written to, or, if ``model`` is None,
-    from what ``out`` already holds; every step updates ``out`` in place,
-    ``out -= lr * grad``, and ``out`` is returned.  ``grad`` is the step's
-    gradient buffer, of ``out``'s shape, which ``run_hfl`` cuts from one
-    buffer made once per run.  ``lr`` multiplies the gradient, not the
-    design, so the step's result stays the gradient.  K and d are read
-    from the trailing axes of the client's targets and design.  Raises
-    InvalidValueError, before the first step, unless ``tau_c`` is an
-    integer >= 1 and ``model`` None or a (K, d + 1) matrix [W | b].
+    ``out`` is a float64 (B, K, d + 1) stack for a chunk of B clients (in
+    ``run_hfl`` their rows of the run's one (N, K, d + 1) stack).  The
+    steps start from ``model``, copied into every matrix of ``out`` and
+    not written to, or, if ``model`` is None, from what ``out`` already
+    holds; every step updates ``out`` in place, ``out -= lr * grad``, and
+    ``out`` is returned.  ``grad`` is the step's gradient buffer, of
+    ``out``'s shape, which ``run_hfl`` cuts from one buffer made once per
+    run.  ``lr`` multiplies the gradient, not the design, so the step's
+    result stays the gradient.  K and d are read from the chunk's targets
+    and design.  Raises InvalidValueError, before the first step, unless
+    ``tau_c`` is an integer >= 1 and ``model`` None or a (K, d + 1)
+    matrix [W | b].
 
     Raises TrainingDivergedError (a FloatingPointError) if the
     parameters after the tau_c steps are not finite, anywhere in a
@@ -483,18 +489,21 @@ def run_hfl(
     in id order, which each edge iteration fills with the clients' edge
     models by one ``np.take``; each coalition then averages its members'
     rows in ascending id order, so results do not depend on set
-    iteration order.  Below ``BATCH_MIN_STEPS`` client gradient steps
-    (N * tau_c * tau_e * tau_g) every client is prepared once
-    (``prepare_clients``) and trains in its own ``local_train`` call;
-    from there on the clients are prepared once as chunks of equal size
-    (``prepare_runs``) and each chunk trains in one call.  The models and
-    curves are the same bits either way.
+    iteration order.  The clients are prepared once per run by
+    ``prepare_runs``, as chunks of equal size with their logits in one
+    class-major (K, B·n) block, and each chunk trains in one
+    ``local_train`` call.  Below ``BATCH_MIN_STEPS`` client gradient steps
+    (N * tau_c * tau_e * tau_g) the byte budget is 0, so every client is
+    a chunk of its own; from there on it is ``CHUNK_BYTES``, and clients
+    of one sample stay chunks of one.  The models and curves are the same
+    bits either way.
     Returns the final global model [W | b] and one held-out accuracy per
     global round; InvalidValueError if a tau is not an integer >= 1 or
     the seed is refused by ``init_params``, and TrainingDivergedError if
-    a local step, an edge aggregate or the global one is not finite
-    (an aggregate sums size x parameter before it divides, so finite
-    parameters near the float max may overflow there).
+    a local step, an edge aggregate, the global one or a held-out logit
+    is not finite (an aggregate sums size x parameter before it divides,
+    and the logits sum products, so finite parameters near the float max
+    may overflow there).
     """
     for name, tau in (("tau_c", tau_c), ("tau_e", tau_e), ("tau_g", tau_g)):
         check_integer(name, tau, 1)
@@ -503,10 +512,8 @@ def run_hfl(
     coalitions = [np.flatnonzero(assignment == m) for m in range(coalition_sizes.size)]
     member_sizes = [sizes[members] for members in coalitions]
     edge_sizes = np.bincount(assignment, weights=sizes)
-    if sizes.size * tau_c * tau_e * tau_g >= BATCH_MIN_STEPS:
-        work = prepare_runs(dataset)
-    else:
-        work = list(enumerate(prepare_clients(dataset)))
+    batched = sizes.size * tau_c * tau_e * tau_g >= BATCH_MIN_STEPS
+    work = prepare_runs(dataset, CHUNK_BYTES if batched else 0)
 
     model = init_params(dataset.n_classes, dataset.n_features, seed)
     stack = np.empty((sizes.size, *model.shape))

@@ -38,6 +38,11 @@ _TRAIN = ["--features", "4", "--tau-c", "2", "--tau-e", "2", "--tau-g", "3"]
 RUNS: tuple[tuple[str, list[str]], ...] = (
     ("gen", ["gen", "--seed", "17", "--clients", "12", "--edges", "3", "--data-size", "40"]),
     ("compare", ["compare", "--scenario", _SCENARIO, "--seed", "23", "--train", *_TRAIN]),
+    # 12 * 2 * 30 * 3 = 2160 client steps, at least hfl.BATCH_MIN_STEPS: the
+    # 12 equal-size clients train as one stacked chunk
+    ("compare_batched",
+     ["compare", "--scenario", _SCENARIO, "--seed", "29", "--train", "--features", "4",
+      "--tau-c", "2", "--tau-e", "30", "--tau-g", "3"]),
     ("coalition", ["coalition", "--scenario", _SCENARIO, "--seed", "5"]),
     ("coalition_grouped",
      ["coalition", "--scenario", _SCENARIO, "--seed", "5", "--grouped-start"]),

@@ -530,7 +530,7 @@ def softmax_loss_and_grad_labels_ref(params, features, labels, n_classes):
     and gradient are flat, like the other learner references.
     """
     n, d = features.shape
-    design = np.ones((n, d + 1))  # C order, as prepare_clients makes it
+    design = np.ones((n, d + 1))  # C order, as prepare_runs makes it
     design[:, :d] = features
     probs = np.dot(model_params(params, n_classes, d), design.T)
     probs -= np.maximum.reduce(probs, axis=0)

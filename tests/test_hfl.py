@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 from unittest import mock
@@ -22,7 +23,6 @@ from leapsim.hfl import (
     local_train,
     onehot_targets,
     predict,
-    prepare_clients,
     prepare_runs,
     run_hfl,
     softmax_loss_and_grad,
@@ -54,9 +54,10 @@ def toy_dataset(seed=0, n_classes=3, n_features=4, per_class=30, clients=4):
 
 def prepared(features, labels, k):
     """The one client of a dataset of ``features`` and ``labels`` (its test
-    set as well), prepared as ``run_hfl`` prepares its clients."""
+    set as well), prepared as ``run_hfl`` prepares its clients below
+    ``BATCH_MIN_STEPS``: a chunk of one."""
     dataset = SyntheticDataset(features, labels, np.array([len(labels)]), features, labels, k)
-    (client,) = prepare_clients(dataset)
+    ((_, client),) = prepare_runs(dataset, 0)
     return client
 
 
@@ -66,12 +67,12 @@ def gradient(params, features, labels, k):
     textbook references take and return them."""
     d = features.shape[1]
     client = prepared(features, labels, k)
-    grad = np.empty((k, d + 1))
+    grad = np.empty((1, k, d + 1))
     softmax_loss_and_grad(
         model_params(params, k, d), client.design, client.targets, client.mean_design, grad,
         client.logits, client.column,
     )
-    return flat_params(grad)
+    return flat_params(grad[0])
 
 
 def dataset_of(members, k):
@@ -83,14 +84,15 @@ def dataset_of(members, k):
 
 
 def buffers(k, d):
-    """``local_train``'s gradient buffer and result matrix."""
-    return np.empty((k, d + 1)), np.empty((k, d + 1))
+    """``local_train``'s gradient buffer and result stack for a chunk of one client."""
+    return np.empty((1, k, d + 1)), np.empty((1, k, d + 1))
 
 
 def train(model, features, labels, k, tau_c, lr):
-    """``local_train`` on a freshly prepared client, with buffers of its own."""
+    """``local_train`` on a freshly prepared client, with buffers of its
+    own: the client's trained (K, d + 1) matrix."""
     client = prepared(features, labels, k)
-    return local_train(model, client, tau_c, lr, *buffers(k, features.shape[1]))
+    return local_train(model, client, tau_c, lr, *buffers(k, features.shape[1]))[0]
 
 
 # -- learner ------------------------------------------------------------------
@@ -311,7 +313,8 @@ def test_local_train_diverges_exactly_when_a_check_after_every_step_does(
 
     # a stack of three members of n samples, this one and two with its
     # rows rescaled and its labels rolled: it raises exactly when one of
-    # them, trained alone, would, and otherwise holds their bits
+    # them, trained alone, would, and otherwise holds their bits.  Members
+    # of one sample each are one-client chunks, stepped one after another.
     members = [(scale * np.ascontiguousarray(features), np.roll(labels, shift))
                for scale, shift in ((1.0, 0), (0.1, 1), (30.0, 2))]
     alone = []
@@ -320,14 +323,22 @@ def test_local_train_diverges_exactly_when_a_check_after_every_step_does(
             alone.append(train(model, *member, k, tau_c, lr).tobytes())
         except TrainingDivergedError:
             alone.append(None)
-    (rows, run), = prepare_runs(dataset_of(members, k))
+    chunks = prepare_runs(dataset_of(members, k), hfl.CHUNK_BYTES)
+    cuts = [(0, 3)] if labels.size > 1 else [(0, 1), (1, 2), (2, 3)]
+    assert [(rows.start, rows.stop) for rows, _ in chunks] == cuts
     grad, out = np.empty((3, *model.shape)), np.empty((3, *model.shape))
+
+    def step_every_chunk():
+        for rows, run in chunks:
+            rows_out = out[rows]
+            assert local_train(model, run, tau_c, lr, grad[rows], rows_out) is rows_out
+
     if None in alone:
         words = "^training diverged; lower the learning rate$"
         with pytest.raises(TrainingDivergedError, match=words):
-            local_train(model, run, tau_c, lr, grad, out)
+            step_every_chunk()
     else:
-        assert local_train(model, run, tau_c, lr, grad, out) is out
+        step_every_chunk()
         assert [row.tobytes() for row in out] == alone
 
 
@@ -339,7 +350,7 @@ def test_local_train_refuses_a_step_count_before_its_first_step(monkeypatch, tau
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
     with pytest.raises(InvalidValueError, match="^tau_c must be"):
-        local_train(init_params(3, 4), prepare_clients(ds)[0], tau_c, 0.1, *buffers(3, 4))
+        local_train(init_params(3, 4), prepare_runs(ds, 0)[0][1], tau_c, 0.1, *buffers(3, 4))
 
 
 @pytest.mark.parametrize(
@@ -514,7 +525,7 @@ def test_a_numpy_integer_seed_is_recorded_as_a_plain_int(tmp_path):
 @given(learner_instance(), st.integers(1, 4), st.sampled_from([0.0, 0.1, 0.8, 1e3, 1e300]))
 @settings(max_examples=100, deadline=None)
 def test_step_and_local_train_do_not_depend_on_the_feature_layout(instance, tau_c, lr):
-    """``prepare_clients`` makes the design a fresh C-order copy, so the
+    """``prepare_runs`` makes the design a fresh C-order copy, so the
     layout of the features moves no bit of the step's gradient or of
     local_train's result (a divergence included), and neither input is
     written to."""
@@ -566,7 +577,7 @@ def test_prepared_run_hfl_equals_the_per_call_build_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20))
     features, labels = client_data(ds, n)
-    client = prepare_clients(ds)[n]
+    _, client = prepare_runs(ds, 0)[n]
     where = ["none", "weight", "bias", "both"][seed % 4]
     poisoned = _poisoned(model, where, [math.inf, -math.inf, math.nan][seed % 3])
     lr = [0.8, 1e3, 1e300][seed // 4 % 3]
@@ -917,33 +928,6 @@ def test_dataset_refuses_targets_in_place_of_labels(change, message):
         SyntheticDataset(features, change(targets), np.array([len(labels)]), features, labels, 3)
 
 
-def test_prepare_clients_builds_one_design_in_c_order_and_views_of_its_blocks():
-    """One fresh C-order design [X | 1] for all rows, whatever the layout of
-    the features, with each client's rows divided by its own n; each
-    client reads views of its blocks and owns C-order targets and step
-    buffers."""
-    ds = SyntheticDataset.generate([[5, 0, 7], [0, 3, 1], [2, 2, 2]], n_features=4, seed=3)
-    ds = dataclasses.replace(ds, features=np.asfortranarray(ds.features))
-    kept = ds.features.copy()
-    clients = prepare_clients(ds)
-    assert len(clients) == 3
-    design = clients[0].design.base
-    assert design.flags.c_contiguous and design.shape == (22, 5)
-    for n, client in enumerate(clients):
-        features, labels = client_data(ds, n)
-        size = len(labels)
-        assert client.design.base is design and client.design.flags.c_contiguous
-        assert np.array_equal(client.design, np.column_stack((features, np.ones(size))))
-        assert client.mean_design.tobytes() == (client.design / size).tobytes()
-        assert np.array_equal(client.targets, onehot_targets(labels, 3))
-        assert client.targets.flags.c_contiguous
-        assert client.logits.shape == (3, size) and client.column.shape == (size,)
-        assert client.mean_design.base is clients[0].mean_design.base
-    assert not np.shares_memory(clients[0].targets, clients[1].targets)
-    assert not np.shares_memory(clients[0].logits, clients[1].logits)
-    assert np.array_equal(ds.features, kept)
-
-
 # -- training loop ---------------------------------------------------------------------
 
 def test_run_hfl_single_edge_single_round_equals_plain_fedavg():
@@ -1101,17 +1085,20 @@ def test_run_hfl_calls_through_module_bindings(monkeypatch):
 
 
 def test_run_hfl_prepares_each_client_once_per_run(monkeypatch):
+    """Below ``BATCH_MIN_STEPS`` (120 client steps here) one call of the one
+    builder prepares the whole dataset, with no byte budget: one chunk per
+    client."""
     prepared = []
 
-    def counted_prepare(dataset, _real=hfl.prepare_clients):
-        clients = _real(dataset)
-        prepared.append((dataset, len(clients)))
-        return clients
+    def counted_prepare(dataset, chunk_bytes, _real=hfl.prepare_runs):
+        chunks = _real(dataset, chunk_bytes)
+        prepared.append((dataset, chunk_bytes, len(chunks)))
+        return chunks
 
-    monkeypatch.setattr(hfl, "prepare_clients", counted_prepare)
+    monkeypatch.setattr(hfl, "prepare_runs", counted_prepare)
     ds = toy_dataset(clients=5)
     run_hfl(np.array([0, 1, 0, 1, 1]), ds, tau_c=3, tau_e=2, tau_g=4, lr=0.1)
-    assert prepared == [(ds, 5)], "one whole-dataset preparation per run_hfl"
+    assert prepared == [(ds, 0, 5)], "one whole-dataset preparation per run_hfl"
 
 
 # -- batched local steps ----------------------------------------------------------------
@@ -1122,31 +1109,76 @@ def test_run_hfl_prepares_each_client_once_per_run(monkeypatch):
     (1, [(n, n + 1) for n in range(6)]),
 ], ids=["default", "two_of_three", "one"])
 def test_prepare_runs_cuts_clients_into_equal_size_chunks_with_the_per_client_bits(
-    monkeypatch, chunk_bytes, cuts
+    chunk_bytes, cuts
 ):
     """Maximal runs of equal sample count in id order, cut into chunks of
-    at most ``CHUNK_BYTES`` of logits, each stacked in fresh C-order
-    arrays that hold the bits of ``prepare_clients``' blocks."""
+    at most ``chunk_bytes`` of logits, each in fresh C-order arrays,
+    whatever the layout of the features, which are not written to.  A
+    chunk of B clients of n samples holds client b's design [X | 1] and
+    its rows divided by n at b, and its one-hot targets (K, n) in columns
+    b·n to (b + 1)·n - 1 of one (K, B·n) block; the step's buffers are
+    (K, B·n) and (B·n,)."""
     ds = SyntheticDataset.generate(
         [[2, 1], [3, 0], [1, 2], [2, 2], [0, 4], [1, 1]], n_features=3, seed=4
     )  # sizes 3, 3, 3, 4, 4, 2
     ds = dataclasses.replace(ds, features=np.asfortranarray(ds.features))
-    clients = prepare_clients(ds)
-    monkeypatch.setattr(hfl, "CHUNK_BYTES", chunk_bytes)
-    chunks = prepare_runs(ds)
+    kept = ds.features.copy()
+    chunks = prepare_runs(ds, chunk_bytes)
     assert [(rows.start, rows.stop) for rows, _ in chunks] == cuts
     for rows, chunk in chunks:
-        assert chunk.logits.nbytes <= chunk_bytes or rows.stop - rows.start == 1
+        count, size = rows.stop - rows.start, int(ds.client_sizes[rows.start])
+        assert chunk.logits.nbytes <= chunk_bytes or count == 1
         for field in dataclasses.fields(chunk):
-            stacked = getattr(chunk, field.name)
-            assert stacked.flags.c_contiguous and stacked.base is None
-            if field.name in ("design", "mean_design", "targets"):
-                assert stacked.tobytes() == b"".join(
-                    getattr(clients[n], field.name).tobytes() for n in range(6)[rows]
-                )
-            else:
-                assert stacked.shape[0] == rows.stop - rows.start
-                assert stacked.shape[1:] == getattr(clients[rows.start], field.name).shape
+            array = getattr(chunk, field.name)
+            assert array.flags.c_contiguous and array.base is None
+        assert chunk.design.shape == chunk.mean_design.shape == (count, size, 4)
+        assert chunk.targets.shape == chunk.logits.shape == (2, count * size)
+        assert chunk.column.shape == (count * size,)
+        for b, n in enumerate(range(6)[rows]):
+            features, labels = client_data(ds, n)
+            design = np.column_stack((features, np.ones(size)))
+            assert chunk.design[b].tobytes() == design.tobytes()
+            assert chunk.mean_design[b].tobytes() == (design / size).tobytes()
+            columns = chunk.targets[:, b * size:(b + 1) * size]
+            assert np.ascontiguousarray(columns).tobytes() == onehot_targets(labels, 2).tobytes()
+    assert np.array_equal(ds.features, kept)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 60])
+def test_a_stacked_step_gives_every_client_the_gradient_bits_it_has_alone(n):
+    """A grid of B clients of n samples, K classes and d + 1 design
+    columns, each in chunks of ``prepare_runs`` with room for all B: the
+    gradient of a stacked step, at a model of the client's own, equals
+    the bits of that client stepped alone in the (K, n) layout.  One
+    sample per client (from K = 8 on numpy sums a contiguous class column
+    pairwise) gives one-client chunks."""
+    rng = np.random.default_rng(n)
+    for count, k, width in itertools.product(
+        [1, 2, 3, 7, 20], [1, 2, 3, 7, 8, 9, 10, 11, 16, 50], [1, 2, 9, 17]
+    ):
+        d = width - 1
+        features = rng.standard_normal((count * n, d))
+        labels = rng.integers(k, size=count * n)
+        ds = SyntheticDataset(features, labels, np.full(count, n), features, labels, k)
+        chunks = prepare_runs(ds, 8 * k * n * count)
+        cuts = [(0, count)] if n > 1 else [(b, b + 1) for b in range(count)]
+        assert [(rows.start, rows.stop) for rows, _ in chunks] == cuts
+        models = 3.0 * rng.standard_normal((count, k, width))
+        grad = np.empty_like(models)
+        for rows, chunk in chunks:
+            softmax_loss_and_grad(
+                models[rows], chunk.design, chunk.targets, chunk.mean_design, grad[rows],
+                chunk.logits, chunk.column,
+            )
+        for b in range(count):
+            rows = slice(b * n, (b + 1) * n)
+            design = np.column_stack((features[rows], np.ones(n)))
+            alone = np.empty((k, width))
+            softmax_loss_and_grad(
+                models[b], design, onehot_targets(labels[rows], k), design / n, alone,
+                np.empty((k, n)), np.empty(n),
+            )
+            assert grad[b].tobytes() == alone.tobytes(), (count, k, n, width, b)
 
 
 def either_way(assignment, ds, **periods):
@@ -1231,14 +1263,37 @@ def test_batched_run_hfl_equals_the_per_client_one_when_runs_cross_coalitions():
     np.testing.assert_allclose(flat_params(model), params_ref, rtol=0, atol=1e-12)
 
 
-def test_run_hfl_raises_when_an_aggregation_overflows():
+def test_run_hfl_raises_when_an_aggregation_overflows(monkeypatch):
     """One client of 3 samples whose finite parameters near the float max
-    overflow in the data-size weighted sum: a typed error on both paths,
-    not a model of +-inf."""
+    (8.5e307 at lr 1.5e308) overflow in the data-size weighted sum of the
+    first edge iteration: a typed error on both paths, not a model of
+    +-inf, before any held-out score."""
+    def no_score(*args):
+        raise AssertionError("a model was scored before its aggregate was checked")
+
+    monkeypatch.setattr(hfl, "accuracy", no_score)
     ds = SyntheticDataset.generate([[1, 2]], n_features=2, seed=0)
     with np.errstate(all="ignore"):
-        outcomes, _ = either_way(np.array([0]), ds, tau_c=1, tau_e=1, tau_g=2, lr=1e308)
+        outcomes, _ = either_way(np.array([0]), ds, tau_c=1, tau_e=1, tau_g=2, lr=1.5e308)
     assert outcomes == ["training diverged; lower the learning rate"] * 2
+
+
+def test_run_hfl_raises_when_the_held_out_logits_overflow():
+    """The same client at lr 1e308 trains to a finite model (max |entry|
+    5.7e307) whose test logits overflow: a typed error, not a curve of
+    argmaxes over infinities; and ``predict`` and ``accuracy`` refuse such
+    a model with no numpy warning (which this suite turns into errors)."""
+    ds = SyntheticDataset.generate([[1, 2]], n_features=2, seed=0)
+    with np.errstate(all="ignore"):
+        outcomes, _ = either_way(np.array([0]), ds, tau_c=1, tau_e=1, tau_g=1, lr=1e308)
+    assert outcomes == ["training diverged; lower the learning rate"] * 2
+    model = np.array([[5e307, -5e307, 0.0], [-5e307, 5e307, 1.0]])
+    assert np.isfinite(model).all()
+    words = "^training diverged; lower the learning rate$"
+    with pytest.raises(TrainingDivergedError, match=words):
+        predict(model, ds.test_features)
+    with pytest.raises(TrainingDivergedError, match=words):
+        accuracy(model, ds.test_features, ds.test_labels)
 
 
 @given(
