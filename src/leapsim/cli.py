@@ -319,15 +319,13 @@ def cmd_report(args) -> int:
         print(f"wrote {out / 'metrics.json'}")
     if "csv" in formats:
         path = out / "metrics.csv"
-        columns = ("comp_latency", "tx_latency", "comp_energy", "tx_energy", "power",
-                   "client_bandwidth", "per_client_feasible")
+        columns = {k: v for k, v in payload["per_client"].items() if k != "latency"}
         write_csv(
             path,
             METRICS_SCHEMA,
-            ["client", "coalition", "comp_latency", "tx_latency",
-             "comp_energy", "tx_energy", "power", "bandwidth_share", "deadline_ok"],
+            ["client", "coalition", *columns],
             zip(range(partition.n_clients), partition.assignment.tolist(),
-                *(plan[c].tolist() for c in columns)),  # numpy floats print as np.float64(...)
+                *(v.tolist() for v in columns.values())),  # numpy floats print as np.float64(...)
         )
         print(f"wrote {path}")
     if args.strict and not plan["feasible"]:

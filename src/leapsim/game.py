@@ -35,8 +35,8 @@ least one; a lookahead batch holds at most LOOKAHEAD_DRAWS.
 
 The improvement loop prices each partition state (an epoch: the span
 between two accepted switches) at most once per client, in lookahead
-batches whose prices and kernel arrays it keeps for the epoch; see
-``run_coalition_formation``.
+batches.  It keeps every priced client's prices for the epoch, but the
+kernel arrays of the last batch only; see ``run_coalition_formation``.
 
 The potential is bounded below by 0, so a partition whose JS matrix is
 all zeros is a global minimum: every switch price is a sum of clipped,
@@ -471,8 +471,14 @@ def run_coalition_formation(
     until the next accepted switch, and the stability check reuses them.
     A sample is decided from its row of those prices; only an accepted
     switch gets a ``SwitchProposal`` (``evaluate_switch``), and it is
-    applied from the batch's kernel rows, grid and row sums
-    (``Partition.apply``), which are kept as well.
+    applied (``Partition.apply``) from the kernel rows, grid and row
+    sums of the last batch, which alone are kept.  Every held draw
+    between a batch's first client and its other members is priced when
+    the batch is, so each member is decided before the next batch is
+    priced, and a client rejected once stays rejected for the epoch.  So
+    an accepted switch either comes from the last batch or was priced by
+    a failed stability check, which keeps no kernel arrays; ``apply``
+    prices such a switch itself.
 
     An all-zero JS matrix is a global minimum of the potential: such a
     settled epoch records its samples as rejections without pricing.
@@ -489,9 +495,9 @@ def run_coalition_formation(
     width = min(LOOKAHEAD_DRAWS, _block_clients(partition))
     # this epoch's _price_moves rows; NaN rows are not priced yet
     known = np.full((n, m), np.nan)
-    # each batch-priced client's (rows, grid, sums, position) in this
-    # epoch's kernel arrays of its batch
-    slots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+    # the clients of this epoch's last batch, and its kernel (rows, grid, sums)
+    batch: list[int] = []
+    kernel: list[np.ndarray] = []
     # per client, as lists indexed per sample: the coalition, not alone
     # in it, and a row in ``known``
     assignment = partition.assignment.tolist()
@@ -522,9 +528,8 @@ def run_coalition_formation(
                     if movable[other] and not priced[other] and other not in batch:
                         batch.append(other)
                 index = np.array(batch)
-                known[index], rows, grid, sums = _price_moves(partition, index)
-                for position, other in enumerate(batch):
-                    slots[other] = (rows, grid, sums, position)
+                known[index], *kernel = _price_moves(partition, index)
+                for other in batch:
                     priced[other] = True
             # the first minimum of the row, accepted below -SWITCH_TOLERANCE
             row = known[client]
@@ -532,14 +537,13 @@ def run_coalition_formation(
             if row[best] < -SWITCH_TOLERANCE:
                 target = best
         if target is not None:
-            slot = slots.get(client)  # a row priced by a failed certificate has no grid
-            if slot is not None:
-                rows, grid, sums, position = slot
-                slot = (rows[position], grid[position], sums[position])
+            slot = None  # a row priced by a failed certificate has no grid
+            if client in batch:
+                slot = tuple(array[batch.index(client)] for array in kernel)
             partition.apply(evaluate_switch(partition, client, target, row), slot)
             assignment[client] = target
             known.fill(np.nan)
-            slots.clear()
+            batch, kernel = [], []
             # only a coalition whose size crosses between 1 and 2 changes
             # whether its members may move
             if partition.sizes[src] == 1 or partition.sizes[target] == 2:

@@ -19,8 +19,12 @@ stack in client id order: each edge iteration writes every client's
 edge model into its row, steps the rows in place, and aggregates each
 coalition's rows, in ascending id order.  One builder,
 ``prepare_runs``, cuts the clients into maximal runs of equal sample
-count and each run into chunks of at most a byte budget of logits, and
-each chunk takes its tau_c steps in one ``local_train`` call.  A run of
+count and each run into chunks of at most a byte budget of logits.  A
+chunk, a ``PreparedClient``, owns all that its step reads and writes
+but the models: the clients' design and targets and the step's logits,
+column and gradient buffers.  ``local_train(chunk, tau_c, lr, out)``
+takes its tau_c steps on the chunk's rows of the stack, each one
+``softmax_loss_and_grad(weights, chunk)``.  A run of
 fewer than ``BATCH_MIN_STEPS`` client gradient steps has no budget, so
 every chunk holds one client: one ``local_train`` call per client per
 edge iteration and tau_c ``softmax_loss_and_grad`` in each, through this
@@ -98,35 +102,22 @@ def onehot_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return targets
 
 
-def softmax_loss_and_grad(
-    weights: np.ndarray,
-    design: np.ndarray,
-    targets: np.ndarray,
-    mean_design: np.ndarray,
-    grad: np.ndarray,
-    logits: np.ndarray,
-    column: np.ndarray,
-) -> None:
-    """Write the mean cross-entropy's gradient, as a (K, d + 1) matrix, into ``grad``.
+def softmax_loss_and_grad(weights: np.ndarray, chunk: PreparedClient) -> None:
+    """Write the mean cross-entropy's gradient at ``weights`` into ``chunk.grad``.
 
-    ``weights`` is the model [W | b] (K, d + 1), ``design`` the
-    design matrix [X | 1] (n, d + 1), ``targets`` is ``onehot_targets``
-    (K, n) and ``mean_design`` is ``design / n``; ``grad`` (K, d + 1),
-    ``logits`` (K, n) and ``column`` (n,) are buffers made once per run
-    (``prepare_runs`` and ``run_hfl``), so a step keeps no array (numpy's
-    broadcasting subtract and divide each allocate a transient iterator
-    buffer, ~58 KB at hfl_train's shape).
-    The arguments may instead be a chunk of B clients of one sample
-    count n (``prepare_runs``): ``weights`` and ``grad`` (B, K, d + 1),
-    ``design`` and ``mean_design`` (B, n, d + 1), and ``targets`` and
-    ``logits`` one class-major (K, B·n) block, client b in columns b·n to
-    (b + 1)·n - 1, with ``column`` (B·n,).  The two matmuls write and
-    read the block through its (B, K, n) view, whose rows are B·n apart,
-    which numpy hands to BLAS as one gemm per matrix without a copy; the
-    class-axis max and sum reduce the block's K rows over all B·n
-    columns at once, and the subtract and the divide broadcast
-    ``column`` over them.  Each client's gradient keeps the bits it has
-    alone, except for n = 1, which ``prepare_runs`` never stacks.
+    ``chunk`` holds B clients of n samples each, as ``prepare_runs``
+    builds it, and ``weights`` one model [W | b] (K, d + 1) per client,
+    a (B, K, d + 1) stack.  The step writes the clients' logits into the
+    chunk's class-major (K, B·n) ``logits`` block and its class-axis max
+    and sum into ``column``, so it keeps no array (numpy's broadcasting
+    subtract and divide each allocate a transient iterator buffer, ~58 KB
+    at hfl_train's shape).  The two matmuls write and read the block
+    through its (B, K, n) view, whose rows are B·n apart, which numpy
+    hands to BLAS as one gemm per matrix without a copy; the class-axis
+    max and sum reduce the block's K rows over all B·n columns at once,
+    and the subtract and the divide broadcast ``column`` over them.  Each
+    client's gradient keeps the bits it has alone, except for n = 1,
+    which ``prepare_runs`` never stacks.
     The logits are class-major, [W | b] [X | 1]^T: the softmax reduces
     over the class axis and subtracting ``targets`` leaves the logit
     gradient, softmax - onehot.  At a true class that is p - 1.0,
@@ -135,6 +126,7 @@ def softmax_loss_and_grad(
     gradient and, in the ones column, the bias gradient, both already
     divided by n.  No loss is computed, since the learner reads none;
     the name is the one the benchmark counts once per step."""
+    design, logits, column = chunk.design, chunk.logits, chunk.column
     batch = logits.reshape(len(logits), *design.shape[:-1]).swapaxes(0, -2)  # (B, K, n) view
     np.matmul(weights, design.swapaxes(-1, -2), out=batch)
     np.maximum.reduce(logits, axis=0, out=column)  # stable softmax
@@ -142,17 +134,8 @@ def softmax_loss_and_grad(
     np.exp(logits, out=logits)
     np.add.reduce(logits, axis=0, out=column)
     logits /= column
-    logits -= targets
-    np.matmul(batch, mean_design, out=grad)
-
-
-def _check_model(model: np.ndarray, n_classes: int, n_features: int) -> None:
-    """InvalidValueError unless ``model`` is a (n_classes, n_features + 1) matrix."""
-    shape = (n_classes, n_features + 1)
-    if np.shape(model) != shape:
-        raise InvalidValueError(
-            f"model must be a {shape} matrix [W | b], got shape {np.shape(model)}"
-        )
+    logits -= chunk.targets
+    np.matmul(batch, chunk.mean_design, out=chunk.grad)
 
 
 def _check_features(features, prefix: str = "") -> None:
@@ -204,16 +187,17 @@ class PreparedClient:
     ``design`` (B, n, d + 1) holds each client's design [X | 1] and
     ``mean_design`` that design divided by n; ``targets`` is one
     class-major (K, B·n) block of the clients' ``onehot_targets``,
-    client b in columns b·n to (b + 1)·n - 1, and ``logits`` (K, B·n)
-    and ``column`` (B·n,) are the step's scratch buffers.  All five are
-    the chunk's own C-order arrays.  For B = 1 the block is the client's
-    (K, n)."""
+    client b in columns b·n to (b + 1)·n - 1.  ``logits`` (K, B·n),
+    ``column`` (B·n,) and ``grad`` (B, K, d + 1) are the step's scratch
+    buffers.  All six are the chunk's own C-order arrays.  For B = 1 the
+    block is the client's (K, n)."""
 
     design: np.ndarray
     mean_design: np.ndarray
     targets: np.ndarray
     logits: np.ndarray
     column: np.ndarray
+    grad: np.ndarray
 
 
 def prepare_runs(
@@ -228,8 +212,9 @@ def prepare_runs(
     fresh and in C order whatever the layout of the features (so the
     layout moves no bit of a step), that design divided by n, the
     clients' ``onehot_targets`` (K, B·n), client b in columns b·n to
-    (b + 1)·n - 1, and the buffers (K, B·n) and (B·n,), built straight
-    from the dataset's rows, which are one block for consecutive clients.
+    (b + 1)·n - 1, and the buffers (K, B·n), (B·n,) and (B, K, d + 1),
+    built straight from the dataset's rows, which are one block for
+    consecutive clients.
     For n = 1 the class-axis sums would run over a flat (K, B) block,
     which numpy adds up sequentially, while a client alone, (K, 1), is
     one contiguous column that numpy sums pairwise from K = 8 on, so
@@ -251,32 +236,21 @@ def prepare_runs(
             design[..., d] = 1.0
             chunks.append((rows, PreparedClient(
                 design, design / n, onehot_targets(dataset.labels[block], k),
-                np.empty((k, count * n)), np.empty(count * n))))
+                np.empty((k, count * n)), np.empty(count * n), np.empty((count, k, d + 1)))))
     return chunks
 
 
-def local_train(
-    model: np.ndarray | None,
-    client: PreparedClient,
-    tau_c: int,
-    lr: float,
-    grad: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
+def local_train(chunk: PreparedClient, tau_c: int, lr: float, out: np.ndarray) -> np.ndarray:
     """tau_c full-batch gradient steps on one prepared chunk, in ``out``.
 
-    ``out`` is a float64 (B, K, d + 1) stack for a chunk of B clients (in
-    ``run_hfl`` their rows of the run's one (N, K, d + 1) stack).  The
-    steps start from ``model``, copied into every matrix of ``out`` and
-    not written to, or, if ``model`` is None, from what ``out`` already
-    holds; every step updates ``out`` in place, ``out -= lr * grad``, and
-    ``out`` is returned.  ``grad`` is the step's gradient buffer, of
-    ``out``'s shape, which ``run_hfl`` cuts from one buffer made once per
-    run.  ``lr`` multiplies the gradient, not the design, so the step's
-    result stays the gradient.  K and d are read from the chunk's targets
-    and design.  Raises InvalidValueError, before the first step, unless
-    ``tau_c`` is an integer >= 1 and ``model`` None or a (K, d + 1)
-    matrix [W | b].
+    ``out`` is the chunk's float64 (B, K, d + 1) stack of models, one per
+    client (in ``run_hfl`` their rows of the run's one (N, K, d + 1)
+    stack).  The steps start from what it holds and update it in place,
+    ``out -= lr * chunk.grad``, and ``out`` is returned.  ``lr``
+    multiplies the gradient, not the design, so the step's result stays
+    the gradient.  Raises InvalidValueError, before the first step,
+    unless ``tau_c`` is an integer >= 1 and ``out`` a float64 array of
+    the chunk's (B, K, d + 1) shape.
 
     Raises TrainingDivergedError (a FloatingPointError) if the
     parameters after the tau_c steps are not finite, anywhere in a
@@ -300,14 +274,13 @@ def local_train(
       and the same step leaves a NaN parameter.
     """
     check_integer("tau_c", tau_c, 1)
-    design, targets = client.design, client.targets
-    if model is not None:
-        _check_model(model, targets.shape[-2], design.shape[-1] - 1)
-        out[:] = model
-    mean_design, logits, column = client.mean_design, client.logits, client.column
+    grad = chunk.grad
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == grad.shape):
+        raise InvalidValueError(f"out must be a float64 array of shape {grad.shape}, "
+                                f"got {described(out)}")
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            softmax_loss_and_grad(out, design, targets, mean_design, grad, logits, column)
+            softmax_loss_and_grad(out, chunk)
             grad *= lr
             out -= grad
     _check_finite(out)
@@ -517,14 +490,13 @@ def run_hfl(
 
     model = init_params(dataset.n_classes, dataset.n_features, seed)
     stack = np.empty((sizes.size, *model.shape))
-    grad = np.empty_like(stack)
     curve: list[float] = []
     for _ in range(tau_g):
         edge_models = np.tile(model, (len(coalitions), 1, 1))
         for _ in range(tau_e):
             np.take(edge_models, assignment, axis=0, out=stack)
-            for rows, client in work:
-                local_train(None, client, tau_c, lr, grad[rows], stack[rows])
+            for rows, chunk in work:
+                local_train(chunk, tau_c, lr, stack[rows])
             for edge, members, data_sizes in zip(edge_models, coalitions, member_sizes):
                 edge[:] = edge_aggregate(stack[members], data_sizes)
             _check_finite(edge_models)

@@ -1,7 +1,8 @@
 """The golden-output matrix: a fixed set of CLI runs and the sha256 of every file they write.
 
 ``tests/golden/manifest.json`` records the hashes, the runs that made
-them and the Python, numpy, orjson and BLAS versions they were made on;
+them and the Python, numpy, orjson and BLAS versions and the CPU model
+they were made on;
 ``test_golden.py`` reruns the matrix and compares.  A change that is
 meant to move emitted bytes regenerates the manifest with
 
@@ -90,14 +91,26 @@ def blas_env() -> dict[str, str]:
     }
 
 
+def cpu_model() -> str:
+    """The ``model name`` line of /proc/cpuinfo, as perfbench's ``env``
+    reads it, or ``platform.processor()`` where there is none."""
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    return platform.processor() or "unknown"
+
+
 def environment() -> dict[str, str]:
     """The versions the hashes depend on besides the code; the learner's
-    bits also depend on the BLAS gemm kernel."""
+    bits also depend on the BLAS gemm kernel, which a DYNAMIC_ARCH
+    OpenBLAS picks by CPU at run time, so the CPU model names the host."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "orjson": orjson.__version__,
         **blas_env(),
+        "cpu_model": cpu_model(),
     }
 
 

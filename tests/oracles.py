@@ -586,30 +586,29 @@ def local_train_per_call_ref(model, features, targets, n_classes, tau_c, lr):
     """``hfl.local_train`` as it was before clients were prepared once per run.
 
     It steps with ``hfl.softmax_loss_and_grad`` on a copy of the model
-    [W | b] but builds the design [X | 1] (a fresh C-order copy),
-    ``design / n`` and every buffer on each call, and returns the copy.
-    Raises ``TrainingDivergedError`` where ``local_train`` must.
+    [W | b] but builds a chunk of one client, ``hfl.PreparedClient``, on
+    each call, not through ``prepare_runs``: the design [X | 1] (a fresh
+    C-order copy), ``design / n`` and every buffer; and it returns the
+    copy.  Raises ``TrainingDivergedError`` where ``local_train`` must.
     """
     from leapsim.errors import TrainingDivergedError
-    from leapsim.hfl import softmax_loss_and_grad
+    from leapsim.hfl import PreparedClient, softmax_loss_and_grad
 
     n, d = features.shape
-    design = np.empty((n, d + 1))
-    design[:, :d] = features
-    design[:, d] = 1.0
-    mean_design = design / n
-    work = np.array(model, dtype=float)
+    design = np.empty((1, n, d + 1))
+    design[0, :, :d] = features
+    design[0, :, d] = 1.0
+    work = np.array(model, dtype=float)[None]
     grad = np.empty_like(work)
-    logits = np.empty((n_classes, n))
-    column = np.empty(n)
+    chunk = PreparedClient(design, design / n, targets, np.empty((n_classes, n)), np.empty(n), grad)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            softmax_loss_and_grad(work, design, targets, mean_design, grad, logits, column)
+            softmax_loss_and_grad(work, chunk)
             grad *= lr
             work -= grad
         if not np.isfinite(work).all():
             raise TrainingDivergedError("training diverged; lower the learning rate")
-    return work
+    return work[0]
 
 
 def run_hfl_per_call_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):

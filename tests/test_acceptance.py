@@ -19,6 +19,7 @@ from leapsim.cli import main as cli_main
 from leapsim.experiment import form_coalitions
 from leapsim.game import Partition, evaluate_switch
 from leapsim.hfl import (
+    PreparedClient,
     SyntheticDataset,
     edge_aggregate,
     init_params,
@@ -329,14 +330,14 @@ def test_c8_gradient_and_model_checks():
     features = rng.normal(size=(15, 5))
     labels = rng.integers(4, size=15)
     params = 0.3 * rng.standard_normal(4 * (5 + 1))  # flat, as the reference perturbs it
-    design = np.ones((15, 6))  # [X | 1]
-    design[:, :5] = features
-    step = np.empty((4, 6))  # [grad_W | grad_b]
-    softmax_loss_and_grad(
-        model_params(params, 4, 5), design, onehot_targets(labels, 4), design / 15,
-        step, np.empty((4, 15)), np.empty(15),
+    design = np.ones((1, 15, 6))  # a chunk of one client, [X | 1]
+    design[0, :, :5] = features
+    chunk = PreparedClient(
+        design, design / 15, onehot_targets(labels, 4), np.empty((4, 15)), np.empty(15),
+        np.empty((1, 4, 6)),  # [grad_W | grad_b]
     )
-    grad = flat_params(step)
+    softmax_loss_and_grad(model_params(params, 4, 5)[None], chunk)
+    grad = flat_params(chunk.grad[0])
     eps = 1e-6
     for k in range(params.size):
         up, down = params.copy(), params.copy()
@@ -435,7 +436,8 @@ def test_c10_what_the_bandwidth_stage_buys():
            f"{min(rb_rp_ratios):.2f}-{max(rb_rp_ratios):.2f}x (>= 1.10x) leap's uplink energy")
 
 
-# the environment the large-M hashes were pinned under, in the golden manifest's form
+# the versions the large-M hashes were pinned under, in the golden manifest's form
+# (its env without the CPU model)
 LARGE_M_ENV = {
     "python": "3.11.7",
     "numpy": "2.4.6",
@@ -487,11 +489,12 @@ def test_game_decisions_are_pinned_at_large_m(kwargs, iterations, assignment_sha
     pinned = (True, iterations, assignment_sha, accepted_sha)
     if found != pinned:
         here = environment()
+        same = all(here[key] == value for key, value in LARGE_M_ENV.items())
         raise AssertionError(
             f"the game's decisions moved at N={scenario.n_clients}, M={scenario.num_edges}: "
             f"(converged, iterations, assignment sha256, accepted sha256) is {found}, "
             f"pinned {pinned}; the environment here is {here}, the pinned one {LARGE_M_ENV}"
-            + ("" if here == LARGE_M_ENV else ", so the decisions may move without a code change")
+            + ("" if same else ", so the decisions may move without a code change")
         )
     fresh = Partition(partition.assignment, scenario.clients.label_counts, scenario.num_edges, "M")
     assert L.certify_stability(fresh)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1197,7 +1198,83 @@ def test_loop_calls_through_module_bindings(monkeypatch):
     assert calls == dict(evaluate_switch=0, certify_stability=1, _price_moves=0, apply=0)
 
 
-# -- trace serialization ------------------------------------------------------------
+# -- the epoch's memo: prices for every client, kernel arrays for the last batch ---------
+
+# the scenario shapes of the benchmark's game workloads
+GAME_SHARDS = dict(n_clients=120, n_edges=8, n_classes=10, shards=2)
+GAME_DIRICHLET = dict(n_clients=40, n_edges=5, n_classes=50, shards=None, dirichlet_alpha=0.3)
+
+
+def game_start(seed, **shape):
+    """A random start partition of a scenario of ``shape`` drawn from ``seed``."""
+    scenario = generate_scenario(seed=seed, **shape)
+    return random_partition(
+        label_count_matrix(scenario), scenario.num_edges, np.random.default_rng(seed)
+    )
+
+
+# (shape, switches a failed certificate priced over seeds 1-10)
+@pytest.mark.parametrize("shape, self_priced", [(GAME_SHARDS, 0), (GAME_DIRICHLET, 11)],
+                         ids=["shards", "dirichlet"])
+def test_apply_prices_a_switch_itself_only_after_a_failed_certificate_priced_it(
+    monkeypatch, shape, self_priced
+):
+    """The loop keeps the kernel arrays of its last batch only.  A batch's
+    members are decided before the next batch is priced, so every
+    accepted switch is applied from the last batch's arrays, unless a
+    failed ``certify_stability`` wrote the client's row in this epoch:
+    only then does ``Partition.apply`` get no arrays and price it."""
+    import leapsim.game
+
+    written = set()  # clients whose rows a failed certificate wrote this epoch
+    applied = {"from_batch": 0, "self_priced": 0}
+    real_certify, real_apply = leapsim.game.certify_stability, Partition.apply
+
+    def recording_certify(partition, known):
+        unpriced = np.isnan(known[:, 0])
+        stable = real_certify(partition, known)
+        if not stable:
+            written.update(np.flatnonzero(unpriced & ~np.isnan(known[:, 0])).tolist())
+        return stable
+
+    def recording_apply(self, proposal, priced=None):
+        if priced is None:
+            assert proposal.client in written, "a batch-priced switch was priced again"
+            applied["self_priced"] += 1
+        else:
+            applied["from_batch"] += 1
+        written.clear()  # the next epoch prices every row afresh
+        return real_apply(self, proposal, priced)
+
+    monkeypatch.setattr(leapsim.game, "certify_stability", recording_certify)
+    monkeypatch.setattr(Partition, "apply", recording_apply)
+    for seed in range(1, 11):
+        start = game_start(seed, **shape)
+        written.clear()
+        partition, trace = run_coalition_formation(start, max_iters=200 * start.n_clients,
+                                                   rng_seed=seed)
+        assert trace.converged
+        partition.validate()
+    assert applied["self_priced"] == self_priced and applied["from_batch"] > 300
+
+
+def test_a_large_m_game_keeps_no_kernel_arrays_past_its_last_batch():
+    """At N=600, M=40 (the large-M pin's 3-shard shape) a game's
+    tracemalloc peak stays below 2 MB; keeping every batch-priced
+    client's kernel arrays for the epoch took it to ~7.4 MB."""
+    scenario = generate_scenario(seed=7, n_clients=600, n_edges=40, n_classes=10, shards=3)
+    start = random_partition(label_count_matrix(scenario), 40, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, trace = run_coalition_formation(start, max_iters=200 * 600, rng_seed=2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.converged and trace.iterations_used > 1000
+    assert peak < 2_000_000, peak
+
+
 
 def test_trace_csv_roundtrip_row_count(tmp_path):
     part = make_partition([0, 0, 1, 1], ONE_HOT_4, 2)

@@ -65,14 +65,9 @@ def gradient(params, features, labels, k):
     """``softmax_loss_and_grad``'s gradient at the flat ``params`` and
     ``labels`` on the prepared client, flat like the parameters, as the
     textbook references take and return them."""
-    d = features.shape[1]
     client = prepared(features, labels, k)
-    grad = np.empty((1, k, d + 1))
-    softmax_loss_and_grad(
-        model_params(params, k, d), client.design, client.targets, client.mean_design, grad,
-        client.logits, client.column,
-    )
-    return flat_params(grad[0])
+    softmax_loss_and_grad(model_params(params, k, features.shape[1])[None], client)
+    return flat_params(client.grad[0])
 
 
 def dataset_of(members, k):
@@ -83,16 +78,16 @@ def dataset_of(members, k):
     return SyntheticDataset(features, labels, sizes, *members[0], k)
 
 
-def buffers(k, d):
-    """``local_train``'s gradient buffer and result stack for a chunk of one client."""
-    return np.empty((1, k, d + 1)), np.empty((1, k, d + 1))
+def stack_of(model):
+    """A fresh (1, K, d + 1) stack holding a copy of the model [W | b]:
+    the ``out`` of a chunk of one client that starts from ``model``."""
+    return np.array(model, dtype=float)[None]
 
 
 def train(model, features, labels, k, tau_c, lr):
-    """``local_train`` on a freshly prepared client, with buffers of its
-    own: the client's trained (K, d + 1) matrix."""
-    client = prepared(features, labels, k)
-    return local_train(model, client, tau_c, lr, *buffers(k, features.shape[1]))[0]
+    """``local_train`` on a freshly prepared client from a copy of
+    ``model``: the client's trained (K, d + 1) matrix."""
+    return local_train(prepared(features, labels, k), tau_c, lr, stack_of(model))[0]
 
 
 # -- learner ------------------------------------------------------------------
@@ -326,12 +321,13 @@ def test_local_train_diverges_exactly_when_a_check_after_every_step_does(
     chunks = prepare_runs(dataset_of(members, k), hfl.CHUNK_BYTES)
     cuts = [(0, 3)] if labels.size > 1 else [(0, 1), (1, 2), (2, 3)]
     assert [(rows.start, rows.stop) for rows, _ in chunks] == cuts
-    grad, out = np.empty((3, *model.shape)), np.empty((3, *model.shape))
+    out = np.empty((3, *model.shape))
 
     def step_every_chunk():
+        out[:] = model
         for rows, run in chunks:
             rows_out = out[rows]
-            assert local_train(model, run, tau_c, lr, grad[rows], rows_out) is rows_out
+            assert local_train(run, tau_c, lr, rows_out) is rows_out
 
     if None in alone:
         words = "^training diverged; lower the learning rate$"
@@ -350,7 +346,7 @@ def test_local_train_refuses_a_step_count_before_its_first_step(monkeypatch, tau
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
     ds = toy_dataset()
     with pytest.raises(InvalidValueError, match="^tau_c must be"):
-        local_train(init_params(3, 4), prepare_runs(ds, 0)[0][1], tau_c, 0.1, *buffers(3, 4))
+        local_train(prepare_runs(ds, 0)[0][1], tau_c, 0.1, stack_of(init_params(3, 4)))
 
 
 @pytest.mark.parametrize(
@@ -366,29 +362,33 @@ def test_onehot_targets_of_any_integer_dtype(dtype):
     assert targets.dtype == np.float64 and np.array_equal(targets, expected)
 
 
-def _wrong_model_message(shape):
-    """The refusal of a model of ``shape`` where K = 3, d = 4 need (3, 5)."""
-    return rf"^model must be a \(3, 5\) matrix \[W \| b\], got shape {re.escape(str(shape))}$"
-
-
-# flat vectors around the old flat layout's K·d + K = 15 values, that
-# layout itself, and matrices one row or column off
-@pytest.mark.parametrize(
-    "shape", [(11,), (12,), (16,), (15,), (3, 4), (4, 5), (1, 3, 5)],
-    ids=["Kd-1", "Kd", "Kd+K+1", "flat", "K_by_d", "K+1_by_d+1", "3d"],
-)
-def test_local_train_refuses_params_of_the_wrong_length_before_its_first_step(
-    monkeypatch, shape
+# the model [W | b] without the chunk's axis, the old flat layout of its
+# K·d + K = 15 values, stacks one row, column or client off, and the
+# right shape in another dtype or as a list
+@pytest.mark.parametrize("out, got", [
+    (np.zeros((3, 5)), "float64 of shape (3, 5)"),
+    (np.zeros(15), "float64 of shape (15,)"),
+    (np.zeros((1, 3, 4)), "float64 of shape (1, 3, 4)"),
+    (np.zeros((1, 4, 5)), "float64 of shape (1, 4, 5)"),
+    (np.zeros((2, 3, 5)), "float64 of shape (2, 3, 5)"),
+    (np.zeros((1, 3, 5), dtype=np.float32), "float32 of shape (1, 3, 5)"),
+    (np.zeros((1, 3, 5), dtype=np.int64), "int64 of shape (1, 3, 5)"),
+    (np.zeros((1, 3, 5)).tolist(), "list"),
+], ids=["model", "flat", "K_by_d", "K+1_by_d+1", "two_clients", "float32", "int64", "list"])
+def test_local_train_refuses_an_out_that_is_not_the_chunks_stack_before_its_first_step(
+    monkeypatch, out, got
 ):
-    """A model that is not the (K, d + 1) matrix [W | b], the old flat
-    layout included, is refused before a step writes into the stack."""
+    """An ``out`` that is not a float64 array of the chunk's (B, K, d + 1)
+    shape is refused before a step runs; it used to end in numpy's own
+    error after the first step, or to broadcast."""
     def no_step(*args):
-        raise AssertionError("a gradient step ran on a model of the wrong shape")
+        raise AssertionError("a gradient step ran on an out of the wrong shape")
 
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", no_step)
-    ds = toy_dataset()
-    with pytest.raises(InvalidValueError, match=_wrong_model_message(shape)):
-        train(np.zeros(shape), *client_data(ds, 0), 3, 5, 0.1)
+    chunk = prepared(*client_data(toy_dataset(), 0), 3)
+    words = rf"^out must be a float64 array of shape \(1, 3, 5\), got {re.escape(got)}$"
+    with pytest.raises(InvalidValueError, match=words):
+        local_train(chunk, 5, 0.1, out)
 
 
 @pytest.mark.parametrize(
@@ -589,7 +589,7 @@ def test_prepared_run_hfl_equals_the_per_call_build_bit_for_bit(seed):
             return None
 
     assert outcome(
-        lambda: local_train(poisoned, client, 5, lr, *buffers(10, 8))
+        lambda: local_train(client, 5, lr, stack_of(poisoned))[0]
     ) == outcome(
         lambda: local_train_per_call_ref(poisoned, features, onehot_targets(labels, 10), 10, 5, lr)
     )
@@ -1053,21 +1053,23 @@ def test_run_hfl_calls_through_module_bindings(monkeypatch):
     The benchmark's tracer wraps these two names to count one local
     training call per client per edge iteration and tau_c gradients per
     call; a refactor that binds or inlines them elsewhere fails here.
-    The wrapper also records the gradient buffer each step writes into:
-    ``local_train`` makes one per call, not one per step.
+    The wrappers also record what each call is handed: every step of a
+    ``local_train`` call reads that call's chunk and steps its ``out``,
+    and the five clients are five chunks, each called every edge
+    iteration.
     """
     calls = {"local_train": 0, "softmax_loss_and_grad": 0}
-    buffers = []  # per local_train call, the gradient buffer of each step
+    handed = []  # per local_train call: (chunk, out, [(weights, chunk) of each step])
 
-    def counted_train(*args, _real=hfl.local_train, **kwargs):
+    def counted_train(chunk, tau_c, lr, out, _real=hfl.local_train):
         calls["local_train"] += 1
-        buffers.append([])
-        return _real(*args, **kwargs)
+        handed.append((chunk, out, []))
+        return _real(chunk, tau_c, lr, out)
 
-    def counted_step(*args, _real=hfl.softmax_loss_and_grad, **kwargs):
+    def counted_step(weights, chunk, _real=hfl.softmax_loss_and_grad):
         calls["softmax_loss_and_grad"] += 1
-        buffers[-1].append(args[4])
-        return _real(*args, **kwargs)
+        handed[-1][2].append((weights, chunk))
+        return _real(weights, chunk)
 
     monkeypatch.setattr(hfl, "local_train", counted_train)
     monkeypatch.setattr(hfl, "softmax_loss_and_grad", counted_step)
@@ -1078,10 +1080,12 @@ def test_run_hfl_calls_through_module_bindings(monkeypatch):
     assert calls["softmax_loss_and_grad"] == tau_c * calls["local_train"], (
         "tau_c softmax_loss_and_grad calls per local_train"
     )
-    assert all(len(steps) == tau_c for steps in buffers)
-    assert all(grad is steps[0] for steps in buffers for grad in steps), (
-        "the tau_c steps of one local_train call share one gradient buffer"
+    assert all(len(steps) == tau_c for _, _, steps in handed)
+    assert all(weights is out and step_chunk is chunk
+               for chunk, out, steps in handed for weights, step_chunk in steps), (
+        "the tau_c steps of one local_train call step its out on its chunk"
     )
+    assert len({id(chunk) for chunk, _, _ in handed}) == 5
 
 
 def test_run_hfl_prepares_each_client_once_per_run(monkeypatch):
@@ -1117,7 +1121,7 @@ def test_prepare_runs_cuts_clients_into_equal_size_chunks_with_the_per_client_bi
     chunk of B clients of n samples holds client b's design [X | 1] and
     its rows divided by n at b, and its one-hot targets (K, n) in columns
     b·n to (b + 1)·n - 1 of one (K, B·n) block; the step's buffers are
-    (K, B·n) and (B·n,)."""
+    (K, B·n), (B·n,) and (B, K, d + 1)."""
     ds = SyntheticDataset.generate(
         [[2, 1], [3, 0], [1, 2], [2, 2], [0, 4], [1, 1]], n_features=3, seed=4
     )  # sizes 3, 3, 3, 4, 4, 2
@@ -1134,6 +1138,7 @@ def test_prepare_runs_cuts_clients_into_equal_size_chunks_with_the_per_client_bi
         assert chunk.design.shape == chunk.mean_design.shape == (count, size, 4)
         assert chunk.targets.shape == chunk.logits.shape == (2, count * size)
         assert chunk.column.shape == (count * size,)
+        assert chunk.grad.shape == (count, 2, 4)
         for b, n in enumerate(range(6)[rows]):
             features, labels = client_data(ds, n)
             design = np.column_stack((features, np.ones(size)))
@@ -1144,14 +1149,44 @@ def test_prepare_runs_cuts_clients_into_equal_size_chunks_with_the_per_client_bi
     assert np.array_equal(ds.features, kept)
 
 
+@pytest.mark.parametrize("chunk_bytes", [hfl.CHUNK_BYTES, 320, 0], ids=["default", "two", "one"])
+def test_chunks_share_no_memory_and_a_local_train_writes_its_own_chunk_alone(chunk_bytes):
+    """No two arrays of one ``prepare_runs`` share memory, within a chunk
+    or across chunks of the same shape, and a ``local_train`` on one
+    chunk leaves every other chunk's arrays, and every other row of the
+    stack, bit for bit as they were.  (320 bytes hold the logits of two
+    clients of 4 samples.)"""
+    rng = np.random.default_rng(3)
+    sizes = [4] * 6 + [7] * 4 + [1] * 3 + [4] * 2
+    ds = SyntheticDataset.generate(
+        [rng.multinomial(size, [0.2] * 5).tolist() for size in sizes], n_features=3, seed=3
+    )
+    chunks = prepare_runs(ds, chunk_bytes)
+    owned = [[getattr(chunk, field.name) for field in dataclasses.fields(chunk)]
+             for _, chunk in chunks]
+    for first, second in itertools.combinations(itertools.chain(*owned), 2):
+        assert not np.shares_memory(first, second)
+    stack = rng.standard_normal((len(sizes), 5, 4))
+    for (rows, chunk), mine in zip(chunks, owned):
+        others = [array for arrays in owned if arrays is not mine for array in arrays]
+        kept, kept_stack = [array.tobytes() for array in others], stack.copy()
+        local_train(chunk, 3, 0.1, stack[rows])
+        assert [array.tobytes() for array in others] == kept
+        outside = np.ones(len(stack), dtype=bool)
+        outside[rows] = False
+        assert stack[outside].tobytes() == kept_stack[outside].tobytes()
+        assert not np.array_equal(stack[rows], kept_stack[rows])
+    assert len(chunks) > 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 60])
 def test_a_stacked_step_gives_every_client_the_gradient_bits_it_has_alone(n):
     """A grid of B clients of n samples, K classes and d + 1 design
     columns, each in chunks of ``prepare_runs`` with room for all B: the
     gradient of a stacked step, at a model of the client's own, equals
-    the bits of that client stepped alone in the (K, n) layout.  One
-    sample per client (from K = 8 on numpy sums a contiguous class column
-    pairwise) gives one-client chunks."""
+    the bits of that client stepped alone, as a chunk of one whose logits
+    are its own (K, n).  One sample per client (from K = 8 on numpy sums
+    a contiguous class column pairwise) gives one-client chunks."""
     rng = np.random.default_rng(n)
     for count, k, width in itertools.product(
         [1, 2, 3, 7, 20], [1, 2, 3, 7, 8, 9, 10, 11, 16, 50], [1, 2, 9, 17]
@@ -1164,21 +1199,14 @@ def test_a_stacked_step_gives_every_client_the_gradient_bits_it_has_alone(n):
         cuts = [(0, count)] if n > 1 else [(b, b + 1) for b in range(count)]
         assert [(rows.start, rows.stop) for rows, _ in chunks] == cuts
         models = 3.0 * rng.standard_normal((count, k, width))
-        grad = np.empty_like(models)
         for rows, chunk in chunks:
-            softmax_loss_and_grad(
-                models[rows], chunk.design, chunk.targets, chunk.mean_design, grad[rows],
-                chunk.logits, chunk.column,
-            )
+            softmax_loss_and_grad(models[rows], chunk)
+        grad = np.concatenate([chunk.grad for _, chunk in chunks])
         for b in range(count):
             rows = slice(b * n, (b + 1) * n)
-            design = np.column_stack((features[rows], np.ones(n)))
-            alone = np.empty((k, width))
-            softmax_loss_and_grad(
-                models[b], design, onehot_targets(labels[rows], k), design / n, alone,
-                np.empty((k, n)), np.empty(n),
-            )
-            assert grad[b].tobytes() == alone.tobytes(), (count, k, n, width, b)
+            alone = prepared(features[rows], labels[rows], k)
+            softmax_loss_and_grad(models[b:b + 1], alone)
+            assert grad[b].tobytes() == alone.grad[0].tobytes(), (count, k, n, width, b)
 
 
 def either_way(assignment, ds, **periods):
