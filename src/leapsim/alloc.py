@@ -140,10 +140,6 @@ def _checked_positive(values, count: int, name: str) -> np.ndarray:
     return array
 
 
-def _checked_bandwidth(bandwidth, sizes: np.ndarray) -> np.ndarray:
-    return _checked_positive(bandwidth, sizes.size, "coalition bandwidth")
-
-
 def worst_members(partition, clients: ClientTable) -> np.ndarray:
     """Each coalition's weakest transmitter, the member minimizing p_max * gain.
 
@@ -184,7 +180,7 @@ def surrogate_terms(partition, clients: ClientTable, config: NetworkConfig) -> S
 
 def _surrogate_parts(bandwidth, terms: SurrogateTerms, config: NetworkConfig):
     """(x, g) of the surrogate terms K / g at the given bandwidth."""
-    share = _checked_bandwidth(bandwidth, terms.sizes) / terms.sizes
+    share = _checked_positive(bandwidth, terms.sizes.size, "coalition bandwidth") / terms.sizes
     x = terms.strength / (share * config.noise_power)
     g = share * np.log1p(x) / _LN2
     return x, g
@@ -336,7 +332,8 @@ def deadline_powers(
     the deadline check on the assembled plan flags them.
     """
     assignment, sizes = partition_arrays(partition, clients)
-    share = _checked_bandwidth(bandwidth, sizes)[assignment] / sizes[assignment]
+    bandwidth = _checked_positive(bandwidth, sizes.size, "coalition bandwidth")
+    share = bandwidth[assignment] / sizes[assignment]
     budget = config.iteration_budget - comp_latency(clients, config)
     budget = np.where(budget > 0, budget, np.nan)  # NaN: no time left to transmit
     exponent = config.model_size / (share * budget)
@@ -377,7 +374,7 @@ def build_plan(
     that hold NaN or an infinity."""
     _check_plan_partition(partition, clients)
     assignment, sizes = partition_arrays(partition, clients)
-    bandwidth = _checked_bandwidth(bandwidth, sizes)
+    bandwidth = _checked_positive(bandwidth, sizes.size, "coalition bandwidth")
     power = _checked_positive(power, assignment.size, "client power")
     share = bandwidth[assignment] / sizes[assignment]
 

@@ -16,9 +16,11 @@ allocate, report and compare exit nonzero when a plan misses the deadline.
 Rejected input (a missing or malformed file, files that disagree, a
 plan that differs from its recomputation, or any other typed leapsim
 error) ends with a one-line message, all of stderr, and exit code 2.
-A partition or plan file is audited where it is loaded: it holds each
-key its writer writes (but a partition's optional denominator) and no
-other, each of its type, and its avg_js and totals match the rebuild's.
+A scenario, partition or plan file is audited where it is loaded:
+``files.check_keys`` refuses a missing key (but a partition's optional
+denominator) and an unknown one, the JSON readers a key written twice;
+each value must be of its type, and a partition's avg_js and a plan's
+totals must match the rebuild's.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .alloc import GPConfig, build_plan, plan_full
 from .experiment import (
     FORMATS,
     METHODS,
+    SYSTEM_TOTALS,
     TrainOptions,
     emit_report,
     form_coalitions,
@@ -58,7 +61,7 @@ from .errors import (
 from .files import read_json, write_csv, write_json
 from .game import Partition
 from .netmodel import AllocationPlan
-from .scenario import Scenario, generate_scenario, label_count_matrix, load_scenario, save_scenario
+from .scenario import Scenario, generate_scenario, load_scenario, save_scenario
 
 PARTITION_SCHEMA = "leapsim.partition.v1"
 PLAN_SCHEMA = "leapsim.plan.v2"
@@ -68,8 +71,7 @@ METRICS_SCHEMA = "leapsim.metrics.v1"
 PARTITION_KEYS = ("assignment", "num_edges", "denominator", "avg_js", "initial_avg_js",
                   "converged", "iterations_used", "seed")
 # plan.json holds the decision, allocate's notes and the totals report audits
-PLAN_TOTALS = ("total_latency", "total_energy", "uplink_energy", "avg_js", "utility",
-               "surrogate_objective", "feasible")
+PLAN_TOTALS = (*SYSTEM_TOTALS, "surrogate_objective")
 PLAN_KEYS = ("bandwidth", "power", "notes", *PLAN_TOTALS)
 # relative tolerance of the plan audit in ``report``
 PLAN_AUDIT_RTOL = 1e-9
@@ -92,10 +94,7 @@ def _formats(value: str) -> set[str]:
 
 
 def _load_partition(path: str, scenario: Scenario) -> Partition:
-    data = read_json(path, PARTITION_SCHEMA, PARTITION_KEYS)
-    for key in PARTITION_KEYS:
-        if key not in data and key != "denominator":
-            raise InputFileError(f"{path}: malformed partition (no {key!r})")
+    data = read_json(path, PARTITION_SCHEMA, PARTITION_KEYS, optional=("denominator",))
     for key in ("avg_js", "initial_avg_js"):
         check_number(f"{path}: {key}", data[key], InputFileError)
     if type(data["converged"]) is not bool:
@@ -118,7 +117,7 @@ def _load_partition(path: str, scenario: Scenario) -> Partition:
         for i, entry in enumerate(entries):
             check_integer(f"assignment[{i}]", entry, 0, InvalidPartitionError)
         partition = Partition(
-            entries, label_count_matrix(scenario), num_edges, data.get("denominator", "M")
+            entries, scenario.clients.label_counts, num_edges, data.get("denominator", "M")
         )
     except InvalidPartitionError as exc:  # an entry, an edge, the denominator
         raise InvalidPartitionError(f"{path}: {exc}") from exc
@@ -230,21 +229,18 @@ def cmd_simulate(args) -> int:
 def _audited_plan(path: str, scenario: Scenario, partition: Partition) -> AllocationPlan:
     """The plan rebuilt from the stored plan's bandwidth and power.
 
-    Raises InputFileError when a key of PLAN_KEYS is missing, when
-    ``notes`` is not a list of strings, when ``bandwidth`` or ``power`` is
-    not a list of one number per edge or client, or when a total of
-    PLAN_TOTALS is not the rebuild's (``feasible`` exactly, the others
-    within PLAN_AUDIT_RTOL): the totals tie a plan to the scenario and
-    partition it was solved for.  Each number must pass
+    Raises InputFileError when the file does not hold exactly PLAN_KEYS
+    (``files.read_json``), when ``notes`` is not a list of strings, when
+    ``bandwidth`` or ``power`` is not a list of one number per edge or
+    client, or when a total of PLAN_TOTALS is not the rebuild's
+    (``feasible`` exactly, the others within PLAN_AUDIT_RTOL): the totals
+    tie a plan to the scenario and partition it was solved for.  Each number must pass
     ``errors.check_number``: finite, not a bool, and an integer only
     within the int64 range.  An error of ``build_plan`` (a bandwidth or
     power <= 0, a metric beyond the float range) keeps its type and gains
     the path in front.
     """
     data = read_json(path, PLAN_SCHEMA, PLAN_KEYS)
-    for name in PLAN_KEYS:
-        if name not in data:
-            raise InputFileError(f"{path}: malformed plan (no {name!r})")
     notes = data["notes"]
     if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
         raise InputFileError(f"{path}: notes must be a list of strings, got {json.dumps(notes)}")
@@ -308,11 +304,7 @@ def cmd_report(args) -> int:
             "energy": plan["coalition_energy"],
             "size": partition.sizes,
         },
-        "system": {
-            key: plan[key]
-            for key in ("avg_js", "total_latency", "total_energy", "uplink_energy",
-                        "utility", "feasible")
-        },
+        "system": {key: plan[key] for key in SYSTEM_TOTALS},
     }
     if "json" in formats:
         write_json(out / "metrics.json", payload)

@@ -34,13 +34,14 @@ from .game import (
 )
 from .hfl import SyntheticDataset, run_hfl
 from .netmodel import AllocationPlan, NetworkConfig
-from .scenario import Scenario, label_count_matrix, shard_grouped_partition
+from .scenario import Scenario, shard_grouped_partition
 
 __all__ = [
     "REPORT_SCHEMA",
     "METHOD_STAGES",
     "METHODS",
     "FORMATS",
+    "SYSTEM_TOTALS",
     "TrainOptions",
     "MethodResult",
     "ExperimentReport",
@@ -75,6 +76,9 @@ METHOD_STAGES = {
 
 METHODS = tuple(METHOD_STAGES)
 FORMATS = ("json", "csv")
+# a plan's system totals, in summary.csv's column order; metrics.json's
+# system block and plan.json hold them too
+SYSTEM_TOTALS = ("avg_js", "total_latency", "total_energy", "uplink_energy", "utility", "feasible")
 
 # fixed-order seed block so each stream is independent of which
 # methods were requested
@@ -170,7 +174,7 @@ def form_coalitions(
         start = shard_grouped_partition(scenario, denominator)
     else:
         start = random_partition(
-            label_count_matrix(scenario),
+            scenario.clients.label_counts,
             scenario.num_edges,
             np.random.default_rng(init_seed),
             denominator,
@@ -197,7 +201,7 @@ def train_curves(
     client gradient steps on.
     """
     dataset = SyntheticDataset.generate(
-        label_counts=label_count_matrix(scenario),
+        label_counts=scenario.clients.label_counts,
         n_features=opts.n_features,
         seed=data_seed,
         class_sep=opts.class_sep,
@@ -234,7 +238,6 @@ def run_experiment(
     if unknown:
         raise InvalidValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
 
-    counts = label_count_matrix(scenario)
     config = scenario.config
     clients = scenario.clients
     n_edges = scenario.num_edges
@@ -268,7 +271,7 @@ def run_experiment(
                 {"init_partition": seeds["init_partition"], "game": seeds["game"]},
             )
         rng = np.random.default_rng(seeds[kind])
-        partition = random_partition(counts, n_edges, rng, js_denominator)
+        partition = random_partition(clients.label_counts, n_edges, rng, js_denominator)
         return partition, None, {"association": seeds[kind]}
 
     @functools.cache
@@ -389,13 +392,8 @@ def emit_report(
         write_csv(
             written[-1],
             "leapsim.summary.v1",
-            ["method", "avg_js", "total_latency", "total_energy",
-             "uplink_energy", "utility", "feasible"],
-            (
-                [name, m.avg_js, m.plan["total_latency"], m.plan["total_energy"],
-                 m.plan["uplink_energy"], m.plan["utility"], m.feasible]
-                for name, m in report.methods.items()
-            ),
+            ["method", *SYSTEM_TOTALS],
+            ([name, *(m.plan[key] for key in SYSTEM_TOTALS)] for name, m in report.methods.items()),
         )
         for name, m in report.methods.items():
             if m.game_trace is not None:
@@ -423,6 +421,6 @@ def recompute_plan(
     stored one within numerical tolerance.
     """
     partition = Partition(
-        assignment, label_count_matrix(scenario), scenario.num_edges, js_denominator
+        assignment, scenario.clients.label_counts, scenario.num_edges, js_denominator
     )
     return build_plan(partition, scenario.clients, scenario.config, bandwidth, power)

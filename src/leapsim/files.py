@@ -16,6 +16,9 @@ would write the last as wrong numbers, so the writer looks for one once
 orjson has encoded the payload.  ``fields_dict`` gives none of the three.
 ``json_bytes`` lets a reader refuse what orjson cannot write.  This is
 the one module that imports orjson.
+``check_keys`` is the one check that a file holds exactly the keys its
+writer writes, and both readers refuse a JSON object, at any depth, that
+holds a key twice (``json.loads`` alone would keep the last value).
 ``fields_dict`` is the one dataclass-to-JSON conversion, and
 ``write_columns`` / ``read_columns`` the one binary format: a line of
 compact JSON, then float64 and int64 columns as raw little-endian bytes.
@@ -52,6 +55,7 @@ import orjson
 from .errors import InputFileError
 
 __all__ = [
+    "check_keys",
     "read_json",
     "write_json",
     "json_bytes",
@@ -73,21 +77,43 @@ def _check_schema(path: str | Path, data, schema: str) -> None:
         raise InputFileError(f"{path}: expected schema {schema!r}, found {found!r}")
 
 
-def read_json(path: str | Path, schema: str, keys: tuple[str, ...]) -> dict:
-    """Parse a leapsim JSON file of this ``schema`` and no key outside ``keys``.
+def check_keys(where: str, data, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Raise InputFileError, naming ``where``, unless ``data`` is a dict that
+    holds each of ``keys`` (any of ``optional`` may be missing) and no other."""
+    if not isinstance(data, dict):
+        raise InputFileError(f"{where}: expected an object, got {type(data).__name__}")
+    found = {"missing": [key for key in keys if key not in data and key not in optional],
+             "unknown": sorted(data.keys() - set(keys))}
+    wrong = [f"{kind} keys {names}" for kind, names in found.items() if names]
+    if wrong:
+        raise InputFileError(f"{where}: {' and '.join(wrong)}, expected {list(keys)}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The ``json.loads`` object hook of both readers: a key written twice
+    raises ValueError, where ``json.loads`` alone would keep the last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        twice = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ValueError(f"key {twice!r} is written twice")
+    return data
+
+
+def read_json(path: str | Path, schema: str, keys: tuple[str, ...],
+              optional: tuple[str, ...] = ()) -> dict:
+    """Parse a leapsim JSON file of this ``schema`` that holds no key twice
+    and the keys ``check_keys`` allows.
 
     A missing file raises FileNotFoundError as usual.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise InputFileError(f"{path}: not UTF-8 text ({exc})") from exc
-    except ValueError as exc:  # not JSON, or an integer of more digits than int() takes
+    except ValueError as exc:  # not JSON, a key twice, an integer of more digits than int() takes
         raise InputFileError(f"{path}: not valid JSON ({exc})") from exc
     _check_schema(path, data, schema)
-    unknown = sorted(data.keys() - {"schema", *keys})
-    if unknown:
-        raise InputFileError(f"{path}: unknown keys {unknown}, expected {list(keys)}")
+    check_keys(str(path), data, ("schema", *keys), optional)
     return data
 
 
@@ -180,9 +206,10 @@ def write_columns(path: str | Path, header: dict, key: str, columns: dict) -> No
 def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the columns of a ``write_columns`` file, read at once.
 
-    Raises InputFileError unless the first line is UTF-8 JSON with the
-    given ``schema``, ``key`` maps names to objects with exactly a dtype
-    ("<f8" or "<i8") and a shape (a list of non-negative JSON integers),
+    Raises InputFileError unless the first line is UTF-8 JSON, with no
+    key twice, of the given ``schema``, ``key`` maps names to objects
+    with exactly a dtype ("<f8" or "<i8") and a shape (a list of
+    non-negative JSON integers), as ``check_keys`` checks them,
     and the rest of the file is exactly those columns in the header's
     order.  The arrays are native-order, writable, aligned arrays in one
     block private to the call."""
@@ -196,8 +223,8 @@ def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[st
     try:
         if not line.endswith(b"\n"):
             raise ValueError("no line break ends it")
-        header = json.loads(line[:-1].decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, an integer of too many digits
+        header = json.loads(line[:-1].decode("utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # not UTF-8, not JSON, a key twice, an integer of too many digits
         raise InputFileError(
             f"{path}: not a {schema!r} file: its first line is not a JSON header ({exc})"
         ) from exc
@@ -208,11 +235,7 @@ def read_columns(path: str | Path, schema: str, key: str) -> tuple[dict, dict[st
     layout = []
     for name, spec in specs.items():
         where = f"{path}: {key}.{name}"
-        if not isinstance(spec, dict) or spec.keys() != {"dtype", "shape"}:
-            found = sorted(spec) if isinstance(spec, dict) else type(spec).__name__
-            raise InputFileError(
-                f"{where} must be an object with keys dtype and shape, got {found}"
-            )
+        check_keys(where, spec, ("dtype", "shape"))
         code, shape = spec["dtype"], spec["shape"]
         if not isinstance(code, str) or code not in _COLUMN_DTYPES:
             raise InputFileError(f"{where}: dtype must be '<f8' or '<i8', got {code!r}")

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFileError, InvalidValueError, check_integer, check_number, check_seed
-from .files import fields_dict, json_bytes, read_columns, write_columns
+from .files import check_keys, fields_dict, json_bytes, read_columns, write_columns
 from .game import Partition
 from .netmodel import ClientTable, NetworkConfig, comp_latency, tx_latency
 
@@ -47,7 +47,8 @@ SCENARIO_SCHEMA = "leapsim.scenario.v4"
 
 # the ClientTable fields, each stored as one binary column under "clients"
 _COLUMNS = tuple(f.name for f in fields(ClientTable))
-_HEADER_KEYS = {"schema", "config", "num_edges", "meta", "clients"}
+_HEADER_KEYS = ("schema", "config", "num_edges", "meta", "clients")
+_CONFIG_KEYS = tuple(f.name for f in fields(NetworkConfig))
 
 
 # the sampling ranges of client hardware, in SI units
@@ -223,16 +224,18 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read and check a scenario file; any bad field raises InputFileError.
 
     Beyond the ``read_columns`` checks, the header must hold exactly
-    schema, config, num_edges, meta and clients; ``num_edges`` must be
-    a JSON integer equal to the width of ``channel_gains``, ``meta`` a
-    JSON object that ``write_json`` writes unchanged (``report.json``
-    copies it), and the config and the columns (one per ClientTable
-    field) must pass the NetworkConfig and ClientTable checks.
+    schema, config, num_edges, meta and clients, and ``config`` exactly
+    the NetworkConfig fields, as ``files.check_keys`` checks them.
+    ``num_edges`` must be a JSON integer equal to the width of
+    ``channel_gains``, ``meta`` a JSON object that ``write_json`` writes
+    unchanged (``report.json`` copies it), and the config and the columns
+    (one per ClientTable field) must pass the NetworkConfig and
+    ClientTable checks.
     """
     data, columns = read_columns(path, SCENARIO_SCHEMA, "clients")
+    check_keys(str(path), data, _HEADER_KEYS)
+    check_keys(f"{path}: config", data["config"], _CONFIG_KEYS)
     try:
-        if data.keys() != _HEADER_KEYS:
-            raise InvalidValueError(f"the header holds {sorted(data)}, not {sorted(_HEADER_KEYS)}")
         num_edges, meta = data["num_edges"], data["meta"]
         if type(num_edges) is not int:
             raise InvalidValueError(f"num_edges must be a JSON integer, got {num_edges!r}")
@@ -277,4 +280,4 @@ def shard_grouped_partition(scenario: Scenario, denominator: str = "M") -> Parti
     n, m = scenario.n_clients, scenario.num_edges
     assignment = np.empty(n, dtype=np.int64)
     assignment[order] = np.minimum(np.arange(n) / (n / m), m - 1).astype(np.int64)
-    return Partition(assignment, label_count_matrix(scenario), m, denominator)
+    return Partition(assignment, scenario.clients.label_counts, m, denominator)

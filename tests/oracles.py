@@ -743,6 +743,65 @@ def min_uplink_energy_grid_ref(assignment, clients, cfg, points=200):
     return float(energy[best]), splits[best]
 
 
+def min_uplink_energy_kkt_ref(assignment, clients, cfg, steps=50, rounds=5, points=33):
+    """The least total uplink energy over the bandwidth simplex, any M,
+    powers as ``uplink_energy_ref`` sets them; returns (energy, split).
+
+    Where no member is held at p_max, a client's uplink energy
+    tau_g*tau_e * b * s*N0/h * (2^(D/(s*b)) - 1), b its transmit budget
+    and s its share, is the perspective of a convex function: decreasing
+    and convex in its coalition's bandwidth.  The total is separable, so
+    the least one has every dE_m/dB_m at one multiplier -lambda, which
+    lies between the coalitions' slopes at the equal split.  Each of
+    ``rounds`` passes narrows lambda to two neighbours of ``points``
+    log-spaced values, whose splits a bisection of ``steps`` halvings
+    per coalition finds for all values at once.  Where a member is held
+    at p_max (it then misses the deadline) the energy has a concave kink,
+    so a split that holds members there is not certified optimal.
+    """
+    assignment = np.asarray(assignment)
+    m, total = clients.num_edges, cfg.total_bandwidth
+    sizes = np.bincount(assignment, minlength=m)
+    member = np.eye(m)[assignment] / sizes  # (N, M): dE_m/dB_m sums dE_i/ds over |G_m|
+    gain = clients.channel_gains[np.arange(len(assignment)), assignment]
+    comp = cfg.tau_c * clients.cycles_per_item * clients.data_size / clients.cpu_freq
+    budget = cfg.iteration_budget - comp
+    periods, n0 = cfg.tau_g * cfg.tau_e, cfg.noise_power
+    strength = clients.p_max * gain / n0
+
+    def slope(split):
+        """dE_m/dB_m of each coalition at each row of ``split`` (K, M)."""
+        share = split[:, assignment] / sizes[assignment]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = cfg.model_size / (share * budget)
+            at_deadline = share * n0 * np.expm1(x * LN2) / gain <= clients.p_max
+            deadline = periods * budget * n0 / gain * (np.exp2(x) * (1.0 - x * LN2) - 1.0)
+            # held at p_max: E = periods * p_max * D / r, r = s * log2(1 + strength / s)
+            rate = share * np.log1p(strength / share) / LN2
+            rate_slope = rate / share - strength / ((share + strength) * LN2)
+            capped = -periods * clients.p_max * cfg.model_size * rate_slope / rate**2
+        return np.where((budget > 0) & at_deadline, deadline, capped) @ member
+
+    def splits(lams):
+        lo, hi = np.zeros((len(lams), m)), np.full((len(lams), m), float(total))
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            steeper = slope(mid) < -lams[:, None]  # the coalition takes more
+            lo, hi = np.where(steeper, mid, lo), np.where(steeper, hi, mid)
+        return hi
+
+    at_equal = -slope(np.full((1, m), total / m))[0]
+    log_lo, log_hi = math.log(at_equal.min()), math.log(at_equal.max())
+    for _ in range(rounds):
+        logs = np.linspace(log_lo, log_hi, points)
+        over = splits(np.exp(logs)).sum(axis=1) > total  # falls as lambda grows
+        j = min(int(over.sum()), points - 1)
+        log_lo, log_hi = logs[max(j - 1, 0)], logs[j]
+    split = splits(np.exp([log_hi]))[0]
+    split *= total / split.sum()
+    return float(uplink_energy_ref([split], assignment, clients, cfg)[0]), split
+
+
 def gp_solve_ref(assignment, clients, cfg, gp):
     """The projected-gradient loop of ``gp_solve``, every objective and
     gradient evaluation rebuilding its terms from the assignment.

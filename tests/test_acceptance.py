@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import leapsim as L
+from leapsim.alloc import build_plan
 from leapsim.cli import main as cli_main
 from leapsim.experiment import form_coalitions
 from leapsim.game import Partition, evaluate_switch
@@ -37,6 +38,7 @@ from oracles import (
     make_alloc_instance,
     make_clients,
     min_uplink_energy_grid_ref,
+    min_uplink_energy_kkt_ref,
     model_params,
     potential_ref,
     random_counts,
@@ -434,6 +436,71 @@ def test_c10_what_the_bandwidth_stage_buys():
            f"{min(gaps):.2%}-{max(gaps):.2%} above the grid's least uplink energy (<= 1%), "
            f"rp {min(rp_ratios):.2f}-{max(rp_ratios):.2f}x (>= 1.05x) and rb_rp "
            f"{min(rb_rp_ratios):.2f}-{max(rb_rp_ratios):.2f}x (>= 1.10x) leap's uplink energy")
+
+
+def test_the_kkt_optimum_matches_the_grid_at_m3():
+    """The KKT oracle is exact, so no grid split beats it, and the 200 x 200
+    grid's least energy lies within 1e-6 of it (2e-7 to 9e-7 at these seeds)."""
+    for seed in range(1, 5):
+        scenario = L.generate_scenario(seed=seed, n_clients=30, n_edges=3)
+        _, partition, _ = form_coalitions(scenario, "M", 1, 2)
+        clients, cfg = scenario.clients, scenario.config
+        optimum, split = min_uplink_energy_kkt_ref(partition.assignment, clients, cfg)
+        assert math.isclose(split.sum(), cfg.total_bandwidth, rel_tol=1e-12) and split.min() > 0
+        grid, _ = min_uplink_energy_grid_ref(partition.assignment, clients, cfg)
+        assert 0.0 <= grid / optimum - 1.0 <= 1e-6, seed
+
+
+# (n_clients, n_edges) -> least rp and rb_rp uplink energy, as multiples of leap's, at seeds 1-3
+C12_SHAPES = {(30, 3): (1.10, 1.20), (120, 8): (1.40, 1.50)}
+
+
+def test_c12_what_the_bandwidth_stage_buys_against_the_exact_optimum():
+    """C12: at N=30, M=3 and N=120, M=8 (label shards, seeds 1-3), the GP's
+    split and the equal split each lie within 2% of the least total uplink
+    energy of leap's association, and the random baselines use more.
+
+    Measured at these seeds: ``leap`` 1.0004-1.0034 (N=30) and
+    1.0037-1.0066 (N=120) of the optimum, ``equal_split`` 1.0024-1.0067
+    and 1.0021-1.0055.  ``equal_split`` is below ``leap`` at 2 of the 3
+    N=120 seeds, so neither is asserted below the other.  ``rp`` used
+    1.18-1.30x (N=30) and 1.49-1.51x (N=120) ``leap``'s uplink energy and
+    ``rb_rp`` 1.26-1.34x and 1.58-2.14x, short of the paper's 2.24x, and
+    these baselines met the deadline in 1 and 0 of the 6 runs: their
+    ratios compare plans of unequal feasibility.  The optimum's own plan
+    meets the deadline in every run."""
+    lines = []
+    for (n_clients, n_edges), (rp_least, rb_rp_least) in C12_SHAPES.items():
+        gaps, ratios, met = {"leap": [], "equal_split": []}, {"rp": [], "rb_rp": []}, {}
+        for seed in range(1, 4):
+            scenario = L.generate_scenario(seed=seed, n_clients=n_clients, n_edges=n_edges)
+            rep = L.run_experiment(
+                scenario, methods=["leap", "equal_split", "rp", "rb_rp"], master_seed=seed
+            )
+            assignment = rep.methods["leap"].assignment
+            clients, cfg = scenario.clients, scenario.config
+            optimum, split = min_uplink_energy_kkt_ref(assignment, clients, cfg)
+            # the package's own plan at the optimum's split holds its energy and meets the deadline
+            partition = Partition(assignment, clients.label_counts, n_edges)
+            power, _ = L.deadline_powers(partition, clients, cfg, split)
+            at_optimum = build_plan(partition, clients, cfg, split, power)
+            assert math.isclose(at_optimum.uplink_energy, optimum, rel_tol=1e-9), seed
+            assert at_optimum.feasible, seed
+            leap = rep.methods["leap"].plan["uplink_energy"]
+            for name, found in gaps.items():
+                method = rep.methods[name]
+                assert method.feasible and np.array_equal(method.assignment, assignment), name
+                found.append(method.plan["uplink_energy"] / optimum)
+                assert 1.0 - 1e-9 <= found[-1] <= 1.02, (name, seed, found[-1])
+            for name, found in ratios.items():
+                found.append(rep.methods[name].plan["uplink_energy"] / leap)
+                met[name] = met.get(name, 0) + rep.methods[name].feasible
+            assert ratios["rp"][-1] >= rp_least and ratios["rb_rp"][-1] >= rb_rp_least, seed
+        spread = ", ".join(f"{name} {min(v):.4f}-{max(v):.4f}" for name, v in gaps.items())
+        baselines = ", ".join(f"{name} {min(v):.2f}-{max(v):.2f}x leap (deadline met {met[name]}/3)"
+                              for name, v in ratios.items())
+        lines.append(f"N={n_clients} M={n_edges}: {spread} of the optimum; {baselines}")
+    report("C12 PASS bandwidth stage against the exact optimum (<= 1.02): " + "; ".join(lines))
 
 
 # the versions the large-M hashes were pinned under, in the golden manifest's form

@@ -239,12 +239,16 @@ def test_a_file_that_is_not_utf8_is_one_line_and_exit_2(
     assert len(lines) == 1 and words in lines[0]
 
 
+# the value that deletes a header entry in ``_scenario_with``
+MISSING = object()
+
+
 def _scenario_with(tmp_path, scenario_file, keys, value):
     """A copy of the scenario file with the header entry at the path
-    ``keys`` set to ``value``.  A path that goes on past a ``clients``
-    column indexes the column instead, which is widened to hold ``value``
-    (a float in ``data_size`` makes it a "<f8" column) and described
-    anew in the header."""
+    ``keys`` set to ``value``, or deleted for MISSING.  A path that goes
+    on past a ``clients`` column indexes the column instead, which is
+    widened to hold ``value`` (a float in ``data_size`` makes it a "<f8"
+    column) and described anew in the header."""
     data, columns = read_scenario_ref(scenario_file)
     if keys[0] == "clients" and len(keys) > 2 and isinstance(keys[2], int):
         field, index = keys[1], tuple(keys[2:])
@@ -256,7 +260,10 @@ def _scenario_with(tmp_path, scenario_file, keys, value):
     target = data
     for key in parents:
         target = target[key]
-    target[last] = value
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
     path = tmp_path / f"bad_{keys[-1]}.bin"
     write_scenario_ref(path, data, columns)
     return path
@@ -328,13 +335,17 @@ NAN, INF = float("nan"), float("inf")
                  "clients.cpu_freq: dtype must be '<f8' or '<i8', got '>f8'",
                  id="cpu_freq big-endian"),
     pytest.param(("clients", "p_max"), [0.5] * 12,
-                 "clients.p_max must be an object with keys dtype and shape, got list",
+                 "clients.p_max: expected an object, got list",
                  id="p_max v2 list"),
     pytest.param(("clients",), [], "clients must be an object, got list", id="clients list"),
     pytest.param(("clients", "extra"), {"dtype": "<f8", "shape": [0]},
                  "unexpected keyword argument 'extra'", id="extra column"),
+    pytest.param(("config", "extra"), 1.0, "config: unknown keys ['extra'], expected",
+                 id="extra config key"),
+    pytest.param(("config",), [1.0], "config: expected an object, got list", id="config list"),
     pytest.param(("clients", "p_max", "order"), "C",
-                 "keys dtype and shape, got ['dtype', 'order', 'shape']", id="p_max extra key"),
+                 "clients.p_max: unknown keys ['order'], expected ['dtype', 'shape']",
+                 id="p_max extra key"),
     # 12 clients and 10 classes make 960 bytes of label_counts, the last column
     pytest.param(("clients", "p_max", "shape"), [13],
                  "label_counts: 952 bytes of data, shape [12, 10] needs 960", id="p_max one row more"),
@@ -357,9 +368,18 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(("schema",), "leapsim.scenario.v1", "found 'leapsim.scenario.v1'", id="v1 file"),
     pytest.param(("schema",), "leapsim.scenario.v2", "found 'leapsim.scenario.v2'", id="v2 file"),
     pytest.param(("schema",), "leapsim.scenario.v3", "found 'leapsim.scenario.v3'", id="v3 file"),
-    pytest.param(("extra",), 1, "the header holds ['clients', 'config', 'extra', 'meta', "
-                 "'num_edges', 'schema'], not ['clients', 'config', 'meta', 'num_edges', 'schema']",
-                 id="extra header key"),
+    pytest.param(("extra",), 1, "unknown keys ['extra'], expected ['schema', 'config', "
+                 "'num_edges', 'meta', 'clients']", id="extra header key"),
+    pytest.param(("meta",), MISSING, "missing keys ['meta'], expected ['schema', 'config', "
+                 "'num_edges', 'meta', 'clients']", id="no meta"),
+    pytest.param(("num_edges",), MISSING, "missing keys ['num_edges'], expected",
+                 id="no num_edges"),
+    pytest.param(("config",), MISSING, "missing keys ['config'], expected", id="no config"),
+    pytest.param(("config", "lambda1"), MISSING,
+                 "config: missing keys ['lambda1'], expected ['total_bandwidth'", id="no lambda1"),
+    pytest.param(("config", "deadline"), MISSING,
+                 "config: missing keys ['deadline'], expected ['total_bandwidth'", id="no deadline"),
+    pytest.param(("clients",), MISSING, "clients must be an object, got NoneType", id="no clients"),
     pytest.param(("config", "deadline"), 10**400, "deadline is an integer too large for a float",
                  id="deadline 1e400 integer"),
     pytest.param(("config", "tau_c"), 10**400, "tau_c is an integer too large for a float",
@@ -629,7 +649,7 @@ def test_report_refuses_a_plan_that_differs_from_its_recomputation(
         refused(tampered, words)
     for name in ("total_latency", "surrogate_objective", "notes"):
         tampered.write_text(json.dumps({k: v for k, v in plan.items() if k != name}))
-        refused(tampered, f"malformed plan (no {name!r})")
+        refused(tampered, f"missing keys [{name!r}], expected ['schema', 'bandwidth'")
     tampered.write_text(json.dumps({**plan, "schema": "leapsim.plan.v1"}))
     refused(tampered, "leapsim.plan.v2")
 
@@ -706,6 +726,34 @@ def test_a_key_its_writer_does_not_write_is_one_line_and_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, opening, key, value", [
+    ("partition.json", "{", "num_edges", 99),
+    ("partition.json", "{", "assignment", []),
+    ("plan.json", "{", "feasible", False),
+    ("plan.json", "{", "bandwidth", [1.0]),
+    ("scenario.bin", "{", "num_edges", 99),
+    ("scenario.bin", '"meta":{', "seed", 99),
+    ("scenario.bin", '"config":{', "deadline", 1.0),
+    ("scenario.bin", '"p_max":{', "dtype", "<i8"),
+])
+def test_a_key_written_twice_is_one_line_and_exit_2(
+    tmp_path, scenario_file, staged, capsys, name, opening, key, value
+):
+    # written ahead of the file's own entry, which json.loads alone would keep
+    path = scenario_file if name == "scenario.bin" else staged / name
+    data = path.read_bytes()
+    assert opening.encode() in data
+    path.write_bytes(data.replace(opening.encode(),
+                                  f"{opening}{json.dumps(key)}:{json.dumps(value)},".encode(), 1))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(["report", *_verb_inputs("report", scenario_file, staged), "--out", out]) == 2
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and str(path) in lines[0]
+    assert f"(key {key!r} is written twice)" in lines[0]
+    assert not out.exists()
+
+
 RUN_FIELD_REFUSALS = [
     ("avg_js", float("nan"), "avg_js must be finite, got nan"),
     ("avg_js", float("inf"), "avg_js must be finite, got inf"),
@@ -760,7 +808,7 @@ def test_a_partition_without_a_key_its_writer_writes_is_one_line_and_exit_2(
     assert run(["allocate", *_verb_inputs("allocate", scenario_file, staged), "--out", out]) == 2
     lines = _error_lines(capsys)
     assert len(lines) == 1
-    assert f"error: {staged / 'partition.json'}: malformed partition (no {key!r})" in lines[0]
+    assert f"error: {staged / 'partition.json'}: missing keys [{key!r}], expected" in lines[0]
     assert not out.exists()
 
 

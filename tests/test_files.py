@@ -18,9 +18,11 @@ from hypothesis.extra import numpy as hnp
 from leapsim.errors import InputFileError
 from leapsim.experiment import write_game_trace
 from leapsim.files import (
+    check_keys,
     fields_dict,
     json_bytes,
     read_columns,
+    read_json,
     write_columns,
     write_csv,
     write_json,
@@ -389,9 +391,10 @@ GOOD = {"dtype": "<f8", "shape": [2]}
 
 
 @pytest.mark.parametrize("column, words", [
-    ([1.0, 2.0], "clients.x must be an object with keys dtype and shape, got list"),
-    ({"dtype": "<f8"}, "got ['dtype']"),
-    ({**GOOD, "base64": "", "order": "C"}, "got ['base64', 'dtype', 'order', 'shape']"),
+    ([1.0, 2.0], "clients.x: expected an object, got list"),
+    ({"dtype": "<f8"}, "missing keys ['shape'], expected ['dtype', 'shape']"),
+    ({**GOOD, "base64": "", "order": "C"},
+     "unknown keys ['base64', 'order'], expected ['dtype', 'shape']"),
     ({**GOOD, "dtype": ">f8"}, "dtype must be '<f8' or '<i8', got '>f8'"),
     ({**GOOD, "dtype": "<f4"}, "dtype must be '<f8' or '<i8', got '<f4'"),
     ({**GOOD, "dtype": ["<f8"]}, "dtype must be '<f8' or '<i8', got ['<f8']"),
@@ -430,7 +433,7 @@ def test_decode_array_refusals_name_the_column(tmp_path, column, words):
     (b'["s"]\n', "expected schema 's', found None"),
     (b'{"schema": "s"}\n', "clients must be an object, got NoneType"),
     (b'{"schema": "s", "clients": {"x": {"dtype": "<f8", "shape": []}, "y": 1}}\n',
-     "clients.y must be an object with keys dtype and shape, got int"),
+     "clients.y: expected an object, got int"),
     # the file ends inside a column, or holds bytes after the last one
     (b'{"schema": "s", "clients": {"x": {"dtype": "<f8", "shape": [2]}, '
      b'"y": {"dtype": "<f8", "shape": [1]}}}\n' + bytes(12),
@@ -439,12 +442,52 @@ def test_decode_array_refusals_name_the_column(tmp_path, column, words):
      b'"y": {"dtype": "<i8", "shape": [1]}}}\n' + bytes(20),
      "clients.y: 12 bytes of data, shape [1] needs 8"),
     (b'{"schema": "s", "clients": {}}\n\n', "the header lists no columns, yet 1 bytes follow it"),
+    # a key written twice, at any depth, where json.loads alone keeps the last
+    (b'{"schema": "t", "schema": "s", "clients": {}}\n', "(key 'schema' is written twice)"),
+    (b'{"schema": "s", "clients": {"x": {"shape": [1], "dtype": "<i8", "dtype": "<f8"}}}\n'
+     + bytes(8), "(key 'dtype' is written twice)"),
 ])
 def test_read_columns_refuses_a_bad_header(tmp_path, data, words):
     path = tmp_path / "out.bin"
     path.write_bytes(data)
     with pytest.raises(InputFileError, match=re.escape(f"{path}: ") + ".*" + re.escape(words)):
         read_columns(path, "s", "clients")
+
+
+@pytest.mark.parametrize("text, words", [
+    ('{"schema": "s", "a": 1, "b": 2}', None),
+    ('{"schema": "s", "a": 1}', None),
+    ('{"schema": "s", "b": 2}', "missing keys ['a'], expected ['schema', 'a', 'b']"),
+    ('{"schema": "s", "b": 2, "c": 3, "d": {}}',
+     "missing keys ['a'] and unknown keys ['c', 'd'], expected ['schema', 'a', 'b']"),
+    ('{"schema": "s", "a": 1, "b": 2, "a": 1}', "not valid JSON (key 'a' is written twice)"),
+    ('{"schema": "s", "a": [{"x": 1, "x": 2}], "b": 2}',
+     "not valid JSON (key 'x' is written twice)"),
+])
+def test_read_json_refuses_a_missing_an_unknown_and_a_repeated_key(tmp_path, text, words):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    if words is None:
+        assert read_json(path, "s", ("a", "b"), optional=("b",)) == json.loads(text)
+    else:
+        with pytest.raises(InputFileError) as refusal:
+            read_json(path, "s", ("a", "b"), optional=("b",))
+        assert str(refusal.value) == f"{path}: {words}"
+
+
+@pytest.mark.parametrize("data, words", [
+    ({"dtype": 1, "shape": 2}, None),
+    ({"shape": 2}, "where: missing keys ['dtype'], expected ['dtype', 'shape']"),
+    ([], "where: expected an object, got list"),
+    (None, "where: expected an object, got NoneType"),
+])
+def test_check_keys_refuses_what_is_not_an_object_of_exactly_its_keys(data, words):
+    if words is None:
+        check_keys("where", data, ("dtype", "shape"))
+    else:
+        with pytest.raises(InputFileError) as refusal:
+            check_keys("where", data, ("dtype", "shape"))
+        assert str(refusal.value) == words
 
 
 def csv_bytes(rows, header=("a", "b")) -> bytes:
