@@ -130,11 +130,15 @@ class GPTrace:
 
 
 def _checked_positive(values, count: int, name: str) -> np.ndarray:
-    """``values`` as a float array, InvalidValueError unless it holds
-    ``count`` entries, one per coalition or client, none <= 0."""
+    """``values`` as a float array, InvalidValueError unless it is 1-D with
+    ``count`` entries, one per coalition or client, none <= 0, and
+    NonFiniteInputError if one is NaN or an infinity."""
     array = np.asarray(values, dtype=float)
     if array.shape != (count,):
-        raise InvalidValueError(f"expected {count} {name}s, got {array.size}")
+        got = array.size if array.ndim < 2 else f"shape {array.shape}"
+        raise InvalidValueError(f"expected {count} {name}s, got {got}")
+    if not np.isfinite(array).all():
+        raise NonFiniteInputError(f"every {name} must be finite")
     if np.any(array <= 0):
         raise InvalidValueError(f"every {name} must be strictly positive")
     return array
@@ -330,6 +334,9 @@ def deadline_powers(
     computation alone exceeds the deadline budget fall back to p_max
     and are listed in the returned notes, by coalition and then by id;
     the deadline check on the assembled plan flags them.
+    InvalidValueError unless ``bandwidth`` holds one strictly positive
+    entry per coalition, and NonFiniteInputError if one is NaN or an
+    infinity.
     """
     assignment, sizes = partition_arrays(partition, clients)
     bandwidth = _checked_positive(bandwidth, sizes.size, "coalition bandwidth")
@@ -370,8 +377,8 @@ def build_plan(
     partition, which must be a Partition of ``clients.label_counts``
     (InvalidPartitionError otherwise); InvalidValueError unless
     ``bandwidth`` holds one entry per coalition and ``power`` one per
-    client, each strictly positive; NonFiniteInputError names the fields
-    that hold NaN or an infinity."""
+    client, each strictly positive; NonFiniteInputError if one of them
+    is NaN or an infinity, and naming the plan's fields that hold one."""
     _check_plan_partition(partition, clients)
     assignment, sizes = partition_arrays(partition, clients)
     bandwidth = _checked_positive(bandwidth, sizes.size, "coalition bandwidth")

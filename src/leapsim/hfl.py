@@ -20,16 +20,16 @@ edge model into its row, steps the rows in place, and aggregates each
 coalition's rows, in ascending id order.  One builder,
 ``prepare_runs``, cuts the clients into maximal runs of equal sample
 count and each run into chunks of at most a byte budget of logits.  A
-chunk, a ``PreparedClient``, owns all that its step reads and writes
-but the models: the clients' design and targets and the step's logits,
-column and gradient buffers.  ``local_train(chunk, tau_c, lr, out)``
-takes its tau_c steps on the chunk's rows of the stack, each one
+chunk, a ``PreparedClient``, is its clients' read-only design and
+targets; each step allocates its own logits, column and gradient.
+``local_train(chunk, tau_c, lr, out)`` takes its tau_c steps on the
+chunk's rows of the stack, each one
 ``softmax_loss_and_grad(weights, chunk)``.  A run of
 fewer than ``BATCH_MIN_STEPS`` client gradient steps has no budget, so
 every chunk holds one client: one ``local_train`` call per client per
 edge iteration and tau_c ``softmax_loss_and_grad`` in each, through this
 module's globals, which the benchmark's scaled-down hfl_train counts.
-From that threshold on the budget is ``CHUNK_BYTES``.  A chunk of B
+From that threshold on the budget is ``CHUNK_BYTES``.  A step on B
 clients of n samples keeps its logits class-major, one (K, B·n) block,
 so the softmax's passes along the class axis run over B·n long columns
 rather than B·K short rows; its two matmuls see the block as a strided
@@ -86,8 +86,11 @@ __all__ = [
 
 def init_params(n_classes: int, n_features: int, seed: int = 0) -> np.ndarray:
     """The model [W | b] (n_classes, n_features + 1), a small Gaussian draw
-    reproducible per ``seed``, an integer in [0, 2**64) (InvalidValueError
-    otherwise): the first K·d draws fill W row by row, the last K fill b."""
+    reproducible per ``seed``: the first K·d draws fill W row by row, the
+    last K fill b.  InvalidValueError unless both counts are integers >= 1
+    and ``seed`` is an integer in [0, 2**64)."""
+    check_integer("n_classes", n_classes, 1)
+    check_integer("n_features", n_features, 1)
     kd = n_classes * n_features
     draws = 0.01 * np.random.default_rng(check_seed("seed", seed)).standard_normal(kd + n_classes)
     return np.column_stack((draws[:kd].reshape(n_classes, n_features), draws[kd:]))
@@ -102,22 +105,20 @@ def onehot_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return targets
 
 
-def softmax_loss_and_grad(weights: np.ndarray, chunk: PreparedClient) -> None:
-    """Write the mean cross-entropy's gradient at ``weights`` into ``chunk.grad``.
+def softmax_loss_and_grad(weights: np.ndarray, chunk: PreparedClient) -> np.ndarray:
+    """The mean cross-entropy's gradient at ``weights``, a fresh (B, K, d + 1) stack.
 
     ``chunk`` holds B clients of n samples each, as ``prepare_runs``
     builds it, and ``weights`` one model [W | b] (K, d + 1) per client,
-    a (B, K, d + 1) stack.  The step writes the clients' logits into the
-    chunk's class-major (K, B·n) ``logits`` block and its class-axis max
-    and sum into ``column``, so it keeps no array (numpy's broadcasting
-    subtract and divide each allocate a transient iterator buffer, ~58 KB
-    at hfl_train's shape).  The two matmuls write and read the block
-    through its (B, K, n) view, whose rows are B·n apart, which numpy
-    hands to BLAS as one gemm per matrix without a copy; the class-axis
-    max and sum reduce the block's K rows over all B·n columns at once,
-    and the subtract and the divide broadcast ``column`` over them.  Each
-    client's gradient keeps the bits it has alone, except for n = 1,
-    which ``prepare_runs`` never stacks.
+    a (B, K, d + 1) stack.  The step writes nothing of the chunk: it
+    allocates the clients' logits as one class-major (K, B·n) block and
+    their class-axis max and sum as one (B·n,) column.  The two matmuls
+    write and read the block through its (B, K, n) view, whose rows are
+    B·n apart, which numpy hands to BLAS as one gemm per matrix without
+    a copy; the class-axis max and sum reduce the block's K rows over
+    all B·n columns at once, and the subtract and the divide broadcast
+    the column over them.  Each client's gradient keeps the bits it has
+    alone, except for n = 1, which ``prepare_runs`` never stacks.
     The logits are class-major, [W | b] [X | 1]^T: the softmax reduces
     over the class axis and subtracting ``targets`` leaves the logit
     gradient, softmax - onehot.  At a true class that is p - 1.0,
@@ -126,7 +127,8 @@ def softmax_loss_and_grad(weights: np.ndarray, chunk: PreparedClient) -> None:
     gradient and, in the ones column, the bias gradient, both already
     divided by n.  No loss is computed, since the learner reads none;
     the name is the one the benchmark counts once per step."""
-    design, logits, column = chunk.design, chunk.logits, chunk.column
+    design, targets = chunk.design, chunk.targets
+    logits, column = np.empty(targets.shape), np.empty(targets.shape[1])
     batch = logits.reshape(len(logits), *design.shape[:-1]).swapaxes(0, -2)  # (B, K, n) view
     np.matmul(weights, design.swapaxes(-1, -2), out=batch)
     np.maximum.reduce(logits, axis=0, out=column)  # stable softmax
@@ -134,8 +136,8 @@ def softmax_loss_and_grad(weights: np.ndarray, chunk: PreparedClient) -> None:
     np.exp(logits, out=logits)
     np.add.reduce(logits, axis=0, out=column)
     logits /= column
-    logits -= chunk.targets
-    np.matmul(batch, chunk.mean_design, out=chunk.grad)
+    logits -= targets
+    return np.matmul(batch, chunk.mean_design)
 
 
 def _check_features(features, prefix: str = "") -> None:
@@ -187,17 +189,13 @@ class PreparedClient:
     ``design`` (B, n, d + 1) holds each client's design [X | 1] and
     ``mean_design`` that design divided by n; ``targets`` is one
     class-major (K, B·n) block of the clients' ``onehot_targets``,
-    client b in columns b·n to (b + 1)·n - 1.  ``logits`` (K, B·n),
-    ``column`` (B·n,) and ``grad`` (B, K, d + 1) are the step's scratch
-    buffers.  All six are the chunk's own C-order arrays.  For B = 1 the
-    block is the client's (K, n)."""
+    client b in columns b·n to (b + 1)·n - 1.  All three are the chunk's
+    own read-only C-order arrays.  For B = 1 the block is the client's
+    (K, n)."""
 
     design: np.ndarray
     mean_design: np.ndarray
     targets: np.ndarray
-    logits: np.ndarray
-    column: np.ndarray
-    grad: np.ndarray
 
 
 def prepare_runs(
@@ -210,11 +208,10 @@ def prepare_runs(
 
     A chunk of B clients of n samples gets a design [X | 1] (B, n, d + 1),
     fresh and in C order whatever the layout of the features (so the
-    layout moves no bit of a step), that design divided by n, the
+    layout moves no bit of a step), that design divided by n and the
     clients' ``onehot_targets`` (K, B·n), client b in columns b·n to
-    (b + 1)·n - 1, and the buffers (K, B·n), (B·n,) and (B, K, d + 1),
-    built straight from the dataset's rows, which are one block for
-    consecutive clients.
+    (b + 1)·n - 1, built straight from the dataset's rows, which are one
+    block for consecutive clients, and marked read-only.
     For n = 1 the class-axis sums would run over a flat (K, B) block,
     which numpy adds up sequentially, while a client alone, (K, 1), is
     one contiguous column that numpy sums pairwise from K = 8 on, so
@@ -234,9 +231,10 @@ def prepare_runs(
             design = np.empty((count, n, d + 1))  # C order, whatever the features' layout
             design[..., :d] = dataset.features[block].reshape(count, n, d)
             design[..., d] = 1.0
-            chunks.append((rows, PreparedClient(
-                design, design / n, onehot_targets(dataset.labels[block], k),
-                np.empty((k, count * n)), np.empty(count * n), np.empty((count, k, d + 1)))))
+            arrays = design, design / n, onehot_targets(dataset.labels[block], k)
+            for array in arrays:
+                array.setflags(write=False)
+            chunks.append((rows, PreparedClient(*arrays)))
     return chunks
 
 
@@ -246,7 +244,7 @@ def local_train(chunk: PreparedClient, tau_c: int, lr: float, out: np.ndarray) -
     ``out`` is the chunk's float64 (B, K, d + 1) stack of models, one per
     client (in ``run_hfl`` their rows of the run's one (N, K, d + 1)
     stack).  The steps start from what it holds and update it in place,
-    ``out -= lr * chunk.grad``, and ``out`` is returned.  ``lr``
+    ``out -= lr * grad``, and ``out`` is returned.  ``lr``
     multiplies the gradient, not the design, so the step's result stays
     the gradient.  Raises InvalidValueError, before the first step,
     unless ``tau_c`` is an integer >= 1 and ``out`` a float64 array of
@@ -274,13 +272,14 @@ def local_train(chunk: PreparedClient, tau_c: int, lr: float, out: np.ndarray) -
       and the same step leaves a NaN parameter.
     """
     check_integer("tau_c", tau_c, 1)
-    grad = chunk.grad
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == grad.shape):
-        raise InvalidValueError(f"out must be a float64 array of shape {grad.shape}, "
+    design = chunk.design
+    shape = (len(design), len(chunk.targets), design.shape[-1])
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+        raise InvalidValueError(f"out must be a float64 array of shape {shape}, "
                                 f"got {described(out)}")
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            softmax_loss_and_grad(out, chunk)
+            grad = softmax_loss_and_grad(out, chunk)
             grad *= lr
             out -= grad
     _check_finite(out)
@@ -463,8 +462,8 @@ def run_hfl(
     models by one ``np.take``; each coalition then averages its members'
     rows in ascending id order, so results do not depend on set
     iteration order.  The clients are prepared once per run by
-    ``prepare_runs``, as chunks of equal size with their logits in one
-    class-major (K, B·n) block, and each chunk trains in one
+    ``prepare_runs``, as read-only chunks of equal size whose steps keep
+    their logits in one class-major (K, B·n) block; each chunk trains in one
     ``local_train`` call.  Below ``BATCH_MIN_STEPS`` client gradient steps
     (N * tau_c * tau_e * tau_g) the byte budget is 0, so every client is
     a chunk of its own; from there on it is ``CHUNK_BYTES``, and clients

@@ -582,14 +582,14 @@ def synthetic_data_ref(label_counts, n_features, seed, class_sep, noise, test_pe
     return clients, draw([test_per_class] * n_classes)
 
 
-def local_train_per_call_ref(model, features, targets, n_classes, tau_c, lr):
+def local_train_per_call_ref(model, features, targets, tau_c, lr):
     """``hfl.local_train`` as it was before clients were prepared once per run.
 
     It steps with ``hfl.softmax_loss_and_grad`` on a copy of the model
     [W | b] but builds a chunk of one client, ``hfl.PreparedClient``, on
     each call, not through ``prepare_runs``: the design [X | 1] (a fresh
-    C-order copy), ``design / n`` and every buffer; and it returns the
-    copy.  Raises ``TrainingDivergedError`` where ``local_train`` must.
+    C-order copy) and ``design / n``; and it returns the copy.  Raises
+    ``TrainingDivergedError`` where ``local_train`` must.
     """
     from leapsim.errors import TrainingDivergedError
     from leapsim.hfl import PreparedClient, softmax_loss_and_grad
@@ -599,11 +599,10 @@ def local_train_per_call_ref(model, features, targets, n_classes, tau_c, lr):
     design[0, :, :d] = features
     design[0, :, d] = 1.0
     work = np.array(model, dtype=float)[None]
-    grad = np.empty_like(work)
-    chunk = PreparedClient(design, design / n, targets, np.empty((n_classes, n)), np.empty(n), grad)
+    chunk = PreparedClient(design, design / n, targets)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(tau_c):
-            softmax_loss_and_grad(work, chunk)
+            grad = softmax_loss_and_grad(work, chunk)
             grad *= lr
             work -= grad
         if not np.isfinite(work).all():
@@ -633,7 +632,7 @@ def run_hfl_per_call_ref(assignment, dataset, tau_c, tau_e, tau_g, lr, seed=0):
                 stack = np.empty((members.size, *model.shape))
                 for row, n in enumerate(members):
                     stack[row] = local_train_per_call_ref(
-                        edge, clients[n][0], targets[n], n_classes, tau_c, lr
+                        edge, clients[n][0], targets[n], tau_c, lr
                     )
                 edge[:] = edge_aggregate(stack, sizes[members])
         model = edge_aggregate(edge_models, edge_sizes)

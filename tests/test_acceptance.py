@@ -334,12 +334,8 @@ def test_c8_gradient_and_model_checks():
     params = 0.3 * rng.standard_normal(4 * (5 + 1))  # flat, as the reference perturbs it
     design = np.ones((1, 15, 6))  # a chunk of one client, [X | 1]
     design[0, :, :5] = features
-    chunk = PreparedClient(
-        design, design / 15, onehot_targets(labels, 4), np.empty((4, 15)), np.empty(15),
-        np.empty((1, 4, 6)),  # [grad_W | grad_b]
-    )
-    softmax_loss_and_grad(model_params(params, 4, 5)[None], chunk)
-    grad = flat_params(chunk.grad[0])
+    chunk = PreparedClient(design, design / 15, onehot_targets(labels, 4))
+    grad = flat_params(softmax_loss_and_grad(model_params(params, 4, 5)[None], chunk)[0])
     eps = 1e-6
     for k in range(params.size):
         up, down = params.copy(), params.copy()

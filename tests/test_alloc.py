@@ -21,8 +21,9 @@ from leapsim.alloc import (
     worst_members,
 )
 from leapsim.errors import InvalidPartitionError, InvalidValueError
-from leapsim.game import Partition
+from leapsim.game import Partition, random_partition
 from leapsim.netmodel import ClientTable, NetworkConfig, energies, partition_arrays
+from leapsim.scenario import generate_scenario
 
 from oracles import (
     deadline_power,
@@ -447,6 +448,16 @@ def power_alone(clients, share, cfg):
     return float(power[0]), notes
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+def test_deadline_powers_refuses_a_bandwidth_that_is_not_finite(entry):
+    """A NaN or infinite share gave coalition 1's members p_max with a note
+    that their computation alone exceeds the deadline budget."""
+    scenario = generate_scenario(seed=1, n_clients=6, n_edges=2)
+    partition = random_partition(scenario.clients.label_counts, 2, np.random.default_rng(0))
+    with pytest.raises(NonFiniteInputError, match="^every coalition bandwidth must be finite$"):
+        deadline_powers(partition, scenario.clients, scenario.config, [5e6, entry])
+
+
 def test_optimal_power_exponent_one_case():
     # transmission budget of exactly model_size/share seconds makes the
     # exponent 1, so p = share * noise * (2 - 1) / gain = 1.0 W
@@ -607,24 +618,32 @@ def test_build_plan_metrics_are_consistent():
 @pytest.mark.parametrize("bandwidth, power, words", [
     ([4e6, 6e6], 0.5, "expected 7 client powers, got 1"),
     ([4e6, 6e6], [0.5] * 6, "expected 7 client powers, got 6"),
-    ([4e6, 6e6], [[0.5] * 7], "expected 7 client powers, got 7"),
+    ([4e6, 6e6], [[0.5] * 7], "expected 7 client powers, got shape (1, 7)"),
     ([4e6, 6e6], [0.5] * 6 + [0.0], "every client power must be strictly positive"),
     ([4e6, 6e6], [-0.5] + [0.5] * 6, "every client power must be strictly positive"),
+    ([4e6, 6e6], [0.5] * 6 + [math.nan], "every client power must be finite"),
+    ([4e6, 6e6], [math.inf] + [0.5] * 6, "every client power must be finite"),
+    ([4e6, 6e6], [-math.inf] + [0.5] * 6, "every client power must be finite"),
     ([4e6], [0.5] * 7, "expected 2 coalition bandwidths, got 1"),
     ([4e6, 0.0], [0.5] * 7, "every coalition bandwidth must be strictly positive"),
+    ([4e6, math.nan], [0.5] * 7, "every coalition bandwidth must be finite"),
+    ([math.inf, 6e6], [0.5] * 7, "every coalition bandwidth must be finite"),
 ], ids=["scalar_power", "short_power", "2d_power", "zero_power", "negative_power",
-        "short_bandwidth", "zero_bandwidth"])
+        "nan_power", "inf_power", "minus_inf_power", "short_bandwidth", "zero_bandwidth",
+        "nan_bandwidth", "inf_bandwidth"])
 def test_build_plan_checks_one_positive_power_per_client_as_it_checks_bandwidth(
     bandwidth, power, words
 ):
     """A scalar power was broadcast to every client and a short one ended
-    in numpy's broadcasting error; both are refused as a short bandwidth is."""
+    in numpy's broadcasting error; both are refused as a short bandwidth is.
+    A NaN or an infinity is a NonFiniteInputError, the rest InvalidValueError."""
     clients = make_clients(
         data_size=100, cycles_per_item=2e5, cpu_freq=1.5e9, p_max=[1.0] * 7, gains=1e-7,
         num_edges=2,
     )
     partition = as_partition([{0, 1, 2}, {3, 4, 5, 6}], clients)
-    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+    error = NonFiniteInputError if words.endswith("finite") else InvalidValueError
+    with pytest.raises(error, match=f"^{re.escape(words)}$"):
         build_plan(partition, clients, power_config(10.0), bandwidth, power)
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import leapsim
 from leapsim.alloc import build_plan, plan_full
 from leapsim.experiment import run_experiment
-from leapsim.hfl import SyntheticDataset, accuracy, predict
+from leapsim.hfl import (
+    PreparedClient, SyntheticDataset, accuracy, local_train, predict, softmax_loss_and_grad,
+)
 from leapsim.scenario import Scenario
 
 
@@ -51,6 +53,9 @@ def test_no_signature_asks_for_a_count_its_arrays_hold():
         "features", "labels", "client_sizes", "test_features", "test_labels", "n_classes"
     ]
     assert names(predict) == ["model", "features"]
+    assert names(softmax_loss_and_grad) == ["weights", "chunk"]
+    assert names(local_train) == ["chunk", "tau_c", "lr", "out"]
+    assert names(PreparedClient) == ["design", "mean_design", "targets"]
     assert names(accuracy) == ["model", "features", "labels"]
     assert names(run_experiment) == [
         "scenario", "methods", "gp", "master_seed", "game_max_iters", "js_denominator",

@@ -65,9 +65,8 @@ def gradient(params, features, labels, k):
     """``softmax_loss_and_grad``'s gradient at the flat ``params`` and
     ``labels`` on the prepared client, flat like the parameters, as the
     textbook references take and return them."""
-    client = prepared(features, labels, k)
-    softmax_loss_and_grad(model_params(params, k, features.shape[1])[None], client)
-    return flat_params(client.grad[0])
+    weights = model_params(params, k, features.shape[1])[None]
+    return flat_params(softmax_loss_and_grad(weights, prepared(features, labels, k))[0])
 
 
 def dataset_of(members, k):
@@ -514,6 +513,19 @@ def test_every_seed_is_an_integer_in_the_numpy_range(seed):
             call()
 
 
+@pytest.mark.parametrize("n_classes, n_features, words", [
+    (2.5, 3, "n_classes must be an integer, got 2.5"),
+    (2, True, "n_features must be an integer, got True"),
+    (-1, 3, "n_classes must be at least 1, got -1"),
+    (0, 3, "n_classes must be at least 1, got 0"),
+], ids=["float_classes", "bool_features", "negative_classes", "no_class"])
+def test_init_params_refuses_counts_that_are_not_integers_from_one(n_classes, n_features, words):
+    """2.5 and True ended in numpy's TypeError, -1 in its ValueError, and
+    0 gave a (0, 4) model that ``predict`` then refused."""
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(words)}$"):
+        init_params(n_classes, n_features)
+
+
 def test_a_numpy_integer_seed_is_recorded_as_a_plain_int(tmp_path):
     scenario = generate_scenario(seed=np.uint64(5), n_clients=4, n_edges=2)
     assert type(scenario.meta["seed"]) is int and scenario.meta["seed"] == 5
@@ -591,7 +603,7 @@ def test_prepared_run_hfl_equals_the_per_call_build_bit_for_bit(seed):
     assert outcome(
         lambda: local_train(client, 5, lr, stack_of(poisoned))[0]
     ) == outcome(
-        lambda: local_train_per_call_ref(poisoned, features, onehot_targets(labels, 10), 10, 5, lr)
+        lambda: local_train_per_call_ref(poisoned, features, onehot_targets(labels, 10), 5, lr)
     )
 
 
@@ -1116,12 +1128,13 @@ def test_prepare_runs_cuts_clients_into_equal_size_chunks_with_the_per_client_bi
     chunk_bytes, cuts
 ):
     """Maximal runs of equal sample count in id order, cut into chunks of
-    at most ``chunk_bytes`` of logits, each in fresh C-order arrays,
-    whatever the layout of the features, which are not written to.  A
-    chunk of B clients of n samples holds client b's design [X | 1] and
-    its rows divided by n at b, and its one-hot targets (K, n) in columns
-    b·n to (b + 1)·n - 1 of one (K, B·n) block; the step's buffers are
-    (K, B·n), (B·n,) and (B, K, d + 1)."""
+    at most ``chunk_bytes`` of logits, each in fresh read-only C-order
+    arrays, whatever the layout of the features, which are not written
+    to.  A chunk of B clients of n samples holds client b's design
+    [X | 1] and its rows divided by n at b, and its one-hot targets
+    (K, n) in columns b·n to (b + 1)·n - 1 of one (K, B·n) block, the
+    shape of the step's logits; the step returns a fresh (B, K, d + 1)
+    gradient."""
     ds = SyntheticDataset.generate(
         [[2, 1], [3, 0], [1, 2], [2, 2], [0, 4], [1, 1]], n_features=3, seed=4
     )  # sizes 3, 3, 3, 4, 4, 2
@@ -1131,14 +1144,19 @@ def test_prepare_runs_cuts_clients_into_equal_size_chunks_with_the_per_client_bi
     assert [(rows.start, rows.stop) for rows, _ in chunks] == cuts
     for rows, chunk in chunks:
         count, size = rows.stop - rows.start, int(ds.client_sizes[rows.start])
-        assert chunk.logits.nbytes <= chunk_bytes or count == 1
+        assert chunk.targets.nbytes <= chunk_bytes or count == 1
         for field in dataclasses.fields(chunk):
             array = getattr(chunk, field.name)
             assert array.flags.c_contiguous and array.base is None
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
         assert chunk.design.shape == chunk.mean_design.shape == (count, size, 4)
-        assert chunk.targets.shape == chunk.logits.shape == (2, count * size)
-        assert chunk.column.shape == (count * size,)
-        assert chunk.grad.shape == (count, 2, 4)
+        assert chunk.targets.shape == (2, count * size)
+        grad = softmax_loss_and_grad(np.zeros((count, 2, 4)), chunk)
+        assert grad.shape == (count, 2, 4) and grad.flags.c_contiguous and grad.flags.writeable
+        assert not any(np.shares_memory(grad, getattr(chunk, field.name))
+                       for field in dataclasses.fields(chunk))
         for b, n in enumerate(range(6)[rows]):
             features, labels = client_data(ds, n)
             design = np.column_stack((features, np.ones(size)))
@@ -1150,12 +1168,12 @@ def test_prepare_runs_cuts_clients_into_equal_size_chunks_with_the_per_client_bi
 
 
 @pytest.mark.parametrize("chunk_bytes", [hfl.CHUNK_BYTES, 320, 0], ids=["default", "two", "one"])
-def test_chunks_share_no_memory_and_a_local_train_writes_its_own_chunk_alone(chunk_bytes):
+def test_chunks_share_no_memory_and_a_local_train_writes_its_own_rows_alone(chunk_bytes):
     """No two arrays of one ``prepare_runs`` share memory, within a chunk
     or across chunks of the same shape, and a ``local_train`` on one
-    chunk leaves every other chunk's arrays, and every other row of the
-    stack, bit for bit as they were.  (320 bytes hold the logits of two
-    clients of 4 samples.)"""
+    chunk leaves every chunk's arrays, its own included, and every other
+    row of the stack, bit for bit as they were.  (320 bytes hold the
+    logits of two clients of 4 samples.)"""
     rng = np.random.default_rng(3)
     sizes = [4] * 6 + [7] * 4 + [1] * 3 + [4] * 2
     ds = SyntheticDataset.generate(
@@ -1167,16 +1185,32 @@ def test_chunks_share_no_memory_and_a_local_train_writes_its_own_chunk_alone(chu
     for first, second in itertools.combinations(itertools.chain(*owned), 2):
         assert not np.shares_memory(first, second)
     stack = rng.standard_normal((len(sizes), 5, 4))
-    for (rows, chunk), mine in zip(chunks, owned):
-        others = [array for arrays in owned if arrays is not mine for array in arrays]
-        kept, kept_stack = [array.tobytes() for array in others], stack.copy()
+    arrays = list(itertools.chain(*owned))
+    for rows, chunk in chunks:
+        kept, kept_stack = [array.tobytes() for array in arrays], stack.copy()
         local_train(chunk, 3, 0.1, stack[rows])
-        assert [array.tobytes() for array in others] == kept
+        assert [array.tobytes() for array in arrays] == kept
         outside = np.ones(len(stack), dtype=bool)
         outside[rows] = False
         assert stack[outside].tobytes() == kept_stack[outside].tobytes()
         assert not np.array_equal(stack[rows], kept_stack[rows])
     assert len(chunks) > 1
+
+
+@pytest.mark.parametrize("chunk_bytes", [hfl.CHUNK_BYTES, 320, 0], ids=["default", "two", "one"])
+def test_a_preparation_holds_the_clients_data_and_nothing_more(chunk_bytes):
+    """The arrays of one ``prepare_runs`` hold (2·(d + 1) + K)·Σn float64
+    values, each sample's design row, that row divided by n and its
+    one-hot target column; the step's logits, column and gradient are its
+    own."""
+    rng = np.random.default_rng(4)
+    sizes = [4] * 6 + [7] * 4 + [1] * 3 + [4] * 2
+    ds = SyntheticDataset.generate(
+        [rng.multinomial(size, [0.2] * 5).tolist() for size in sizes], n_features=3, seed=4
+    )
+    held = sum(getattr(chunk, field.name).nbytes
+               for _, chunk in prepare_runs(ds, chunk_bytes) for field in dataclasses.fields(chunk))
+    assert held == 8 * (2 * (3 + 1) + 5) * sum(sizes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 60])
@@ -1199,14 +1233,13 @@ def test_a_stacked_step_gives_every_client_the_gradient_bits_it_has_alone(n):
         cuts = [(0, count)] if n > 1 else [(b, b + 1) for b in range(count)]
         assert [(rows.start, rows.stop) for rows, _ in chunks] == cuts
         models = 3.0 * rng.standard_normal((count, k, width))
-        for rows, chunk in chunks:
-            softmax_loss_and_grad(models[rows], chunk)
-        grad = np.concatenate([chunk.grad for _, chunk in chunks])
+        grad = np.concatenate([softmax_loss_and_grad(models[rows], chunk)
+                               for rows, chunk in chunks])
         for b in range(count):
             rows = slice(b * n, (b + 1) * n)
             alone = prepared(features[rows], labels[rows], k)
-            softmax_loss_and_grad(models[b:b + 1], alone)
-            assert grad[b].tobytes() == alone.grad[0].tobytes(), (count, k, n, width, b)
+            alone_grad = softmax_loss_and_grad(models[b:b + 1], alone)
+            assert grad[b].tobytes() == alone_grad[0].tobytes(), (count, k, n, width, b)
 
 
 def either_way(assignment, ds, **periods):
